@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dcalc import Direction, check_direction, lift_first
+from .dcalc import Direction, _as_batch, lift_first, residual_slopes
 from .model import (
     CompositeProblem,
     DimensionError,
-    InfeasiblePointError,
     Point,
     check_point,
     point_from_flat,
+    require_feasible,
     residuals,
 )
 
@@ -40,33 +40,14 @@ class ConeMembership:
     notes: list[str] = field(default_factory=list)
 
 
-def _require_feasible(problem: CompositeProblem, z: Point) -> None:
-    res = residuals(problem, z)
-    if not res.feasible:
-        raise InfeasiblePointError(
-            f"point is infeasible (max residual {res.max_abs:.3e}); cones are defined at feasible points"
-        )
-
-
-def _tangent_violations(problem: CompositeProblem, z: Point, d: Direction) -> list[np.ndarray]:
-    dth = d.dtheta.reshape(-1, 1)
-    dus = [b.reshape(-1, 1) for b in d.du]
-    out = []
-    for k in range(1, problem.L + 1):
-        cells = ex.taylor_cells(problem.layers[k - 1].exprs, z.theta, z.u, dth, dus, order=1)
-        psi_first = np.array([c.first[0] for c in cells])
-        out.append(d.du[k - 1] - psi_first)
-    return out
-
-
 def tangent_membership(
     problem: CompositeProblem, z: Point, d: Direction, tol: float = TANGENT_TOL
 ) -> ConeMembership:
     """Check the chained derivative equations defining the tangent cone."""
     check_point(problem, z)
-    check_direction(problem, d)
-    _require_feasible(problem, z)
-    violations = _tangent_violations(problem, z, d)
+    batch = _as_batch(problem, d)
+    require_feasible(problem, z)
+    violations = [w[:, 0] for _, w, _, _ in residual_slopes(problem, z, *batch)]
     max_v = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in violations)
     return ConeMembership(max_v <= tol, None, violations, max_v, ["radial membership not evaluated"])
 
@@ -74,7 +55,7 @@ def tangent_membership(
 def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> Direction:
     """Unique tangent direction over a parameter direction at a feasible z."""
     check_point(problem, z)
-    _require_feasible(problem, z)
+    require_feasible(problem, z)
     dtheta = np.asarray(dtheta, dtype=float).ravel()
     if dtheta.size != problem.n:
         raise DimensionError(f"d_theta has length {dtheta.size}, expected {problem.n}")
@@ -147,17 +128,14 @@ def radial_membership(
         membership.in_radial = False
         membership.notes = ["not tangent, hence not radial"]
         return membership
-    dth = d.dtheta.reshape(-1, 1)
-    dus = [b.reshape(-1, 1) for b in d.du]
     notes: list[str] = []
     second_known = True
-    for k in range(1, problem.L + 1):
-        cells = ex.taylor_cells(problem.layers[k - 1].exprs, z.theta, z.u, dth, dus, order=2)
-        if any(bool(c.bad2[0]) for c in cells):
+    slopes = residual_slopes(problem, z, *_as_batch(problem, d), order=2)
+    for k, (_, _, psi2, bad2) in enumerate(slopes, start=1):
+        if bad2.any():
             second_known = False
             notes.append(f"layer {k} second derivative unsupported along d")
             continue
-        psi2 = np.array([c.second[0] for c in cells])
         if np.max(np.abs(psi2)) > tol:
             notes.append(f"layer {k} second derivative nonzero along d")
             membership.in_radial = False

@@ -33,8 +33,8 @@ from .model import (
     eval_F,
     eval_g,
     eval_Theta,
-    layer_values,
     residuals,
+    split_flat,
 )
 
 # Residual-derivative magnitudes below this count as zero when classifying
@@ -61,15 +61,8 @@ class Direction:
 
 
 def direction_from_flat(problem: CompositeProblem, v: np.ndarray) -> Direction:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != problem.nbar:
-        raise DimensionError(f"flat direction has length {v.size}, expected {problem.nbar}")
-    blocks = []
-    off = problem.n
-    for w in problem.widths:
-        blocks.append(v[off : off + w].copy())
-        off += w
-    return Direction(v[: problem.n].copy(), tuple(blocks))
+    dth, blocks = split_flat(problem, np.asarray(v, dtype=float).ravel())
+    return Direction(dth.copy(), tuple(b.copy() for b in blocks))
 
 
 def zeros_direction(problem: CompositeProblem) -> Direction:
@@ -160,14 +153,18 @@ def dd_expr_batch(e: ex.Expr, x: np.ndarray, D: np.ndarray, order: int = 1) -> e
 # Lifted objective F and penalized objective Theta
 
 
+def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: np.ndarray, order: int):
+    """First and second coefficients of g plus the ridge lambda*||theta||^2."""
+    first = gcell.first + 2.0 * problem.lam * (th @ DTH)
+    if order == 2:
+        return first, gcell.second + 2.0 * problem.lam * np.sum(DTH * DTH, axis=0)
+    return first, None
+
+
 def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
     """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
     gcell = ex.taylor_cells([problem.outer], z.theta, z.u, DTH, DU, order=order)[0]
-    first = gcell.first + 2.0 * problem.lam * (z.theta @ DTH)
-    second = None
-    if order == 2:
-        second = gcell.second + 2.0 * problem.lam * np.sum(DTH * DTH, axis=0)
-    return first, second, gcell.bad2, gcell.kinked
+    return (*_plus_ridge(problem, gcell, z.theta, DTH, order), gcell.bad2, gcell.kinked)
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
@@ -175,6 +172,27 @@ def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> D
     dth, dus = _as_batch(problem, d)
     first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order)
     return _pick(first, second, bad, kinked, eval_F(problem, z), order)
+
+
+def residual_slopes(
+    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
+):
+    """Per layer k, the Taylor data of psi_{k-1} at z along the columns of (DTH, DU).
+
+    Yields (value, w, second, bad2) for k = 1..L, lazily: ``value`` is
+    psi_{k-1}(z) from the Taylor cells, ``w = DU_k - psi'_{k-1}(z; d)`` the
+    residual slopes with one column per direction, and at order 2
+    ``second``/``bad2`` the stacked second coefficients and their flags
+    (None at order 1).  At a feasible z, d is tangent exactly when every w
+    vanishes.
+    """
+    for k, lm in enumerate(problem.layers):
+        cells = ex.taylor_cells(lm.exprs, z.theta, z.u, DTH, DU, order=order)
+        w = DU[k] - _stack(cells, "first")
+        if order == 2:
+            yield _stack(cells, "value"), w, _stack(cells, "second"), _stack(cells, "bad2")
+        else:
+            yield _stack(cells, "value"), w, None, None
 
 
 def index_sets(problem: CompositeProblem, z: Point, d: Direction | None = None) -> IndexSets:
@@ -188,12 +206,9 @@ def index_sets(problem: CompositeProblem, z: Point, d: Direction | None = None) 
     sets = IndexSets(plus, minus, zero)
     if d is None:
         return sets
-    dth, dus = _as_batch(problem, d)
     zp, zm, zz = [], [], []
-    for k in range(1, problem.L + 1):
-        cells = ex.taylor_cells(problem.layers[k - 1].exprs, z.theta, z.u, dth, dus, order=1)
-        w = dus[k - 1][:, 0] - _stack(cells, "first")[:, 0]
-        zk = sets.zero[k - 1]
+    for zk, (_, w, _, _) in zip(sets.zero, residual_slopes(problem, z, *_as_batch(problem, d))):
+        w = w[:, 0]
         zp.append(zk[w[zk] > KINK_TOL])
         zm.append(zk[w[zk] < -KINK_TOL])
         zz.append(zk[np.abs(w[zk]) <= KINK_TOL])
@@ -219,21 +234,12 @@ def dd_Theta_batch(
     sign at second order.
     """
     first, second, bad, kinked = dd_F_batch(problem, z, DTH, DU, order)
-    first = first.copy()
-    if order == 2:
-        second = second.copy()
-        bad = bad.copy()
-    kinked = kinked.copy()
-    for k in range(1, problem.L + 1):
-        cells = ex.taylor_cells(problem.layers[k - 1].exprs, z.theta, z.u, DTH, DU, order=order)
-        psi_val = _stack(cells, "value")
-        psi_first = _stack(cells, "first")
-        rho = z.u[k - 1] - psi_val
-        w = DU[k - 1] - psi_first
+    slopes = residual_slopes(problem, z, DTH, DU, order)
+    for uk, bk, (psi_val, w, psi_second, bad2) in zip(z.u, beta, slopes):
+        rho = uk - psi_val
         pos = rho > FEAS_TOL
         neg = rho < -FEAS_TOL
         zer = ~(pos | neg)
-        bk = beta[k - 1]
         first += bk * (
             np.sum(w[pos], axis=0) - np.sum(w[neg], axis=0) + np.sum(np.abs(w[zer]), axis=0)
         )
@@ -241,8 +247,7 @@ def dd_Theta_batch(
             [np.abs(w[i]) > KINK_TOL for i in np.flatnonzero(zer)] or [np.zeros(w.shape[1], bool)]
         )
         if order == 2:
-            psi_second = _stack(cells, "second")
-            bad = bad | np.logical_or.reduce([c.bad2 for c in cells])
+            bad = bad | np.logical_or.reduce(bad2)
             zsel = np.where(
                 w > KINK_TOL, -psi_second, np.where(w < -KINK_TOL, psi_second, np.abs(psi_second))
             )
@@ -309,10 +314,7 @@ def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, ord
     gcell = ex.taylor_cells(
         [problem.outer], th, ublocks, DTH, DU, order=order, eublocks=EU, ukinked=KU, ubad2=BU
     )[0]
-    first = gcell.first + 2.0 * problem.lam * (th @ DTH)
-    second = None
-    if order == 2:
-        second = gcell.second + 2.0 * problem.lam * np.sum(DTH * DTH, axis=0)
+    first, second = _plus_ridge(problem, gcell, th, DTH, order)
     kinked = gcell.kinked | np.logical_or.reduce(
         [k.any(axis=0) for k in KU] or [np.zeros(DTH.shape[1], bool)]
     )

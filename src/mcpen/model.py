@@ -129,16 +129,24 @@ def check_point(problem: CompositeProblem, z: Point) -> None:
             raise DimensionError(f"block {k} has shape {block.shape}, expected ({w},)")
 
 
-def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != problem.nbar:
-        raise DimensionError(f"flat point has length {v.size}, expected {problem.nbar}")
+def split_flat(problem: CompositeProblem, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Views of the theta part and the u-blocks of a lifted vector or matrix.
+
+    ``v`` has shape (nbar,) or (nbar, m); the blocks keep the trailing axis.
+    """
+    if v.shape[0] != problem.nbar:
+        raise DimensionError(f"lifted vector has length {v.shape[0]}, expected {problem.nbar}")
     blocks = []
     off = problem.n
     for w in problem.widths:
-        blocks.append(v[off : off + w].copy())
+        blocks.append(v[off : off + w])
         off += w
-    return Point(v[: problem.n].copy(), tuple(blocks))
+    return v[: problem.n], blocks
+
+
+def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
+    th, blocks = split_flat(problem, np.asarray(v, dtype=float).ravel())
+    return Point(th.copy(), tuple(b.copy() for b in blocks))
 
 
 def layer_values(
@@ -194,6 +202,13 @@ def residuals(problem: CompositeProblem, z: Point, tol: float = FEAS_TOL) -> Res
     l1 = [float(np.sum(np.abs(r))) for r in per_layer]
     max_abs = max(float(np.max(np.abs(r))) if r.size else 0.0 for r in per_layer)
     return Residuals(per_layer, l1, max_abs, max_abs <= tol)
+
+
+def require_feasible(problem: CompositeProblem, z: Point) -> None:
+    """Guard for operations defined at feasible points only."""
+    res = residuals(problem, z)
+    if not res.feasible:
+        raise InfeasiblePointError(f"point is infeasible (max residual {res.max_abs:.3e})")
 
 
 def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> float:

@@ -19,7 +19,7 @@ heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .model import (
     Point,
     check_beta,
     eval_g,
-    eval_layers,
     eval_Theta,
     layer_values,
     reference_point_and_level,
     residuals,
+    split_flat,
 )
 
 BETA_FLOOR = 1e-3
@@ -79,17 +79,20 @@ def suggest_beta(t: Sequence[float]) -> np.ndarray:
     return np.maximum(SAFETY * np.asarray(t, dtype=float).ravel(), BETA_FLOOR)
 
 
-def _closed_form_moduli(problem: CompositeProblem) -> tuple[float, np.ndarray] | None:
-    meta = problem.meta
-    if not meta or meta.get("structure") != "rnn":
-        return None
+def rnn_moduli(meta: Mapping, lam: float) -> tuple[float, float, float, np.ndarray]:
+    """Closed-form moduli from a recurrent network's meta record.
+
+    Returns (gamma_y, K_g, K_mix, K) with gamma_y = ||y||^2 / (2 nt) the
+    loss at zero output, K_g = sqrt(2 gamma_y / nt), K_mix = sqrt(gamma_y /
+    lam), and K_j = 1 on activation layers and K_mix on mixing layers for
+    j = 1..L-1.
+    """
     nt = float(meta["nt"])
     gamma_y = float(meta["y_sqnorm"]) / (2.0 * nt)
     K_g = np.sqrt(2.0 * gamma_y / nt)
-    k_mul = np.sqrt(gamma_y / problem.lam)
-    kinds = meta["layer_kinds"]
-    K = np.array([1.0 if kinds[j] == "act" else k_mul for j in range(1, problem.L)])
-    return K_g, K
+    K_mix = np.sqrt(gamma_y / lam)
+    K = np.array([1.0 if kind == "act" else K_mix for kind in meta["layer_kinds"][1:]])
+    return gamma_y, K_g, K_mix, K
 
 
 def _sample_level_set(
@@ -108,7 +111,14 @@ def _sample_level_set(
     level set, so the proposal covers it.  Accepted points get one extra
     eps-ball perturbation, landing inside the inflated set.
     """
-    r_theta = np.sqrt(gamma_bar / problem.lam)
+    r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
+    # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
+    # must be a finite float with a clear sign bit.
+    if np.signbit(r_theta) or not r_theta <= np.finfo(float).max / 2.0:
+        raise ValueError(
+            f"reference level gamma_bar = {gamma_bar} bounds no level set to sample; "
+            "it must be nonnegative and finite (is the outer function negative?)"
+        )
     pts: list[Point] = []
     tries = 0
     while len(pts) < budget and tries < 20 * budget:
@@ -130,13 +140,7 @@ def _sample_level_set(
         if eval_Theta(problem, z, beta) <= gamma_bar:
             noise = rng.normal(size=problem.nbar)
             noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
-            shifted = z.flat() + noise
-            th2 = shifted[: problem.n]
-            blocks2 = []
-            off = problem.n
-            for w in problem.widths:
-                blocks2.append(shifted[off : off + w])
-                off += w
+            th2, blocks2 = split_flat(problem, z.flat() + noise)
             pts.append(Point(th2, tuple(blocks2)))
     return pts
 
@@ -156,9 +160,9 @@ def estimate_moduli(
     difference quotients over the inflated level set; those values are lower
     bounds of the true moduli and come back flagged heuristic.
     """
-    closed = _closed_form_moduli(problem)
-    if closed is not None:
-        K_g, K = closed
+    meta = problem.meta
+    if meta and meta.get("structure") == "rnn":
+        _, K_g, _, K = rnn_moduli(meta, problem.lam)
         return K_g, K, False
     beta = (
         np.ones(problem.L) if beta_init is None else check_beta(problem, beta_init)

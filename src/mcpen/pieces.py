@@ -11,13 +11,13 @@ unit cross-polytope reduces to one small linear program per piece.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import expr as ex
-from .model import FEAS_TOL, CompositeProblem, Point, check_beta, eval_layers, residuals
+from .model import FEAS_TOL, CompositeProblem, Point, check_beta, eval_layers, residuals, split_flat
 
 PIECE_LIMIT = 2**20
 _TIE = ex.TIE_TOL
@@ -169,20 +169,19 @@ def theta_prime_pieces(
     """Linear pieces of d -> Theta'(z; d) over the full lifted direction space."""
     b = check_beta(problem, beta)
     budget = _Budget(limit)
-    n, widths = problem.n, problem.widths
     dim = problem.nbar
-    offsets = np.cumsum([n] + list(widths[:-1]))
+    _, at = split_flat(problem, np.arange(dim))  # flat positions of each block
 
     def leafcoef(node: ex.Expr) -> np.ndarray:
         c = np.zeros(dim)
         if node.op == "theta":
             c[node.ref] = 1.0
         else:
-            c[offsets[node.layer - 1] + node.ref] = 1.0
+            c[at[node.layer - 1][node.ref]] = 1.0
         return c
 
     base = np.zeros(dim)
-    base[:n] = 2.0 * problem.lam * z.theta
+    base[: problem.n] = 2.0 * problem.lam * z.theta
     acc = [(base, [])]
     g_pieces = expr_pieces(problem.outer, z.theta, z.u, leafcoef, dim, budget)
     acc = _cross(acc, g_pieces, budget, lambda c0, k0, p: (c0 + p[1], k0 + p[2]))
@@ -191,7 +190,7 @@ def theta_prime_pieces(
         rho = res.per_layer[ell - 1]
         for i, e in enumerate(problem.layers[ell - 1].exprs):
             unit = np.zeros(dim)
-            unit[offsets[ell - 1] + i] = 1.0
+            unit[at[ell - 1][i]] = 1.0
             psi_ps = expr_pieces(e, z.theta, z.u, leafcoef, dim, budget)
             w_ps = [(unit - c, k) for _, c, k in psi_ps]
             if rho[i] > FEAS_TOL:

@@ -23,18 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .cones import LIFT_TOL, TANGENT_TOL, ConeMembership
-from .dcalc import Direction
 from .model import (
     CompositeProblem,
     DimensionError,
-    InfeasiblePointError,
     LayerMap,
     Point,
     reference_point_and_level,
     residuals,
 )
-from .penalty import BETA_FLOOR, SAFETY, PenaltyConfig
+from .penalty import PenaltyConfig, certify, rnn_moduli, suggest_beta
 from .solver import SolveConfig, SolveResult, minimize_theta, polish_to_feasible
 from .stationarity import compare_sets_on_point
 
@@ -132,6 +129,25 @@ def layer_tags(spec: RnnSpec) -> list[tuple[str, int, int]]:
     return tags
 
 
+def _meta(spec: RnnSpec) -> dict:
+    """The problem's meta record: the data of the closed-form moduli."""
+    y = spec.y.reshape(-1)
+    return {
+        "structure": "rnn",
+        "nt": spec.n_seq * spec.t,
+        "y_sqnorm": float(y @ y),
+        "layer_kinds": ["act" if kind in ("s", "r") else "mix" for kind, _, _ in layer_tags(spec)],
+        "rnn": {
+            "n0": spec.n0,
+            "n1": spec.n1,
+            "n2": spec.n2,
+            "t": spec.t,
+            "n_seq": spec.n_seq,
+            "alpha": spec.alpha,
+        },
+    }
+
+
 def build_problem(spec: RnnSpec) -> CompositeProblem:
     o = spec.offsets()
     n1, n2 = spec.n1, spec.n2
@@ -146,7 +162,6 @@ def build_problem(spec: RnnSpec) -> CompositeProblem:
         return o["W"] + j * n1 + i
 
     layers: list[LayerMap] = []
-    tags = layer_tags(spec)
     s_layer_of: dict[tuple[int, int], int] = {}
     lidx = 0
     for q in range(spec.n_seq):
@@ -192,21 +207,7 @@ def build_problem(spec: RnnSpec) -> CompositeProblem:
         1.0 / (2.0 * nt),
         ex.sqnorm(*[ex.sub(ex.uref(lidx, i), ex.const(float(y_flat[i]))) for i in range(y_flat.size)]),
     )
-    meta = {
-        "structure": "rnn",
-        "nt": nt,
-        "y_sqnorm": float(y_flat @ y_flat),
-        "layer_kinds": ["act" if kind in ("s", "r") else "mix" for kind, _, _ in tags],
-        "rnn": {
-            "n0": spec.n0,
-            "n1": spec.n1,
-            "n2": spec.n2,
-            "t": spec.t,
-            "n_seq": spec.n_seq,
-            "alpha": spec.alpha,
-        },
-    }
-    return CompositeProblem(spec.n_params, tuple(layers), outer, spec.lam, meta)
+    return CompositeProblem(spec.n_params, tuple(layers), outer, spec.lam, _meta(spec))
 
 
 def rnn_thresholds(spec: RnnSpec) -> RnnThresholds:
@@ -217,12 +218,9 @@ def rnn_thresholds(spec: RnnSpec) -> RnnThresholds:
     squared loss and the bilinear parameter-state maps.
     """
     nt = spec.n_seq * spec.t
-    y = spec.y.reshape(-1)
-    gamma_y = float(y @ y) / (2.0 * nt)
-    kappa = np.sqrt(gamma_y / spec.lam)
+    gamma_y, t2, kappa, _ = rnn_moduli(_meta(spec), spec.lam)
     gamma_1 = float(sum(kappa**i for i in range(spec.t)))
     t1 = gamma_1 * gamma_y * np.sqrt(2.0 / (spec.lam * nt))
-    t2 = np.sqrt(2.0 * gamma_y / nt)
     return RnnThresholds(gamma_y, gamma_1, float(t1), float(t2), K_g=float(t2), K_mix=float(kappa))
 
 
@@ -234,103 +232,20 @@ def beta_vector(spec: RnnSpec, b1: float, b2: float) -> np.ndarray:
 def rnn_penalty_config(spec: RnnSpec, beta: Sequence[float] | None = None) -> PenaltyConfig:
     thr = rnn_thresholds(spec)
     t_vec = beta_vector(spec, thr.t1, thr.t2)
-    if beta is None:
-        b1 = max(SAFETY * thr.t1, BETA_FLOOR)
-        b2 = max(SAFETY * thr.t2, BETA_FLOOR)
-        beta = beta_vector(spec, b1, b2)
-    beta = np.asarray(beta, dtype=float).ravel()
+    beta = suggest_beta(t_vec) if beta is None else np.asarray(beta, dtype=float).ravel()
     if beta.size != t_vec.size:
         raise DimensionError(f"beta must have length {t_vec.size}")
-    L = t_vec.size
-    K = np.array(
-        [1.0 if kind in ("s", "r") else thr.K_mix for kind, _, _ in layer_tags(spec)][1:L]
-    )
-    certified = bool(np.all(beta > t_vec))
     return PenaltyConfig(
         beta=beta,
         K_g=thr.K_g,
-        K=K,
+        K=rnn_moduli(_meta(spec), spec.lam)[3],
         thresholds=t_vec,
         gamma_bar=thr.gamma_y,
         eps=0.0,
-        certified=certified,
+        certified=certify(beta, t_vec),
         heuristic=False,
         notes=["grouped closed-form thresholds for the recurrent structure"],
     )
-
-
-def forward_states(spec: RnnSpec, th: np.ndarray):
-    """Direct forward pass from parameter matrices; returns blocks per layer."""
-    A, V, W, b, c = theta_unpack(spec, th)
-    blocks: list[np.ndarray] = []
-    v_rows = []
-    for q in range(spec.n_seq):
-        s = np.zeros(spec.n1)
-        for t in range(1, spec.t + 1):
-            w = A @ spec.x[q, t - 1] + W @ s + b
-            s = np.maximum(w, spec.alpha * w)
-            blocks.append(w.copy())
-            blocks.append(s.copy())
-            v_rows.append(V @ s + c)
-    v = np.concatenate(v_rows)
-    r = np.maximum(v, spec.alpha * v)
-    blocks.append(v)
-    blocks.append(r)
-    return blocks
-
-
-def rnn_tangent_cone_check(
-    spec: RnnSpec, z: Point, d: Direction, problem: CompositeProblem | None = None
-) -> ConeMembership:
-    """Tangent and radial cone membership through the network recursions.
-
-    Tangency chains the direction blocks through the linearized recursion;
-    the radial test additionally requires the bilinear interaction terms
-    D_W d_s and D_V d_s to vanish, which makes the ray stay exactly on the
-    feasible set for small steps.
-    """
-    problem = problem or build_problem(spec)
-    res = residuals(problem, z)
-    if not res.feasible:
-        raise InfeasiblePointError(f"point is infeasible (max residual {res.max_abs:.3e})")
-    _, V, W, _, _ = theta_unpack(spec, z.theta)
-    DA, DV, DW, db, dc = theta_unpack(spec, d.dtheta)
-
-    def act_prime(vals: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        lo = spec.alpha * dv
-        return np.where(vals > 1e-12, dv, np.where(vals < -1e-12, lo, np.maximum(dv, lo)))
-
-    tags = layer_tags(spec)
-    violations: list[np.ndarray] = []
-    radial_resid = 0.0
-    for k, (kind, q, t) in enumerate(tags):
-        if kind == "w":
-            s_prev = np.zeros(spec.n1) if t == 1 else z.u[k - 1]
-            ds_prev = np.zeros(spec.n1) if t == 1 else np.asarray(d.du[k - 1])
-            expect = DA @ spec.x[q, t - 1] + DW @ s_prev + W @ ds_prev + db
-            radial_resid = max(radial_resid, float(np.max(np.abs(DW @ ds_prev), initial=0.0)))
-        elif kind == "s":
-            expect = act_prime(z.u[k - 1], np.asarray(d.du[k - 1]))
-        elif kind == "v":
-            rows = []
-            for qq in range(spec.n_seq):
-                for tt in range(1, spec.t + 1):
-                    sl = qq * 2 * spec.t + 2 * tt  # 1-based index of the state layer
-                    s_val = z.u[sl - 1]
-                    ds = np.asarray(d.du[sl - 1])
-                    rows.append(DV @ s_val + V @ ds + dc)
-                    radial_resid = max(radial_resid, float(np.max(np.abs(DV @ ds), initial=0.0)))
-            expect = np.concatenate(rows)
-        else:
-            expect = act_prime(z.u[k - 1], np.asarray(d.du[k - 1]))
-        violations.append(np.abs(np.asarray(d.du[k]) - expect))
-    mx = max(float(np.max(v, initial=0.0)) for v in violations)
-    in_tangent = mx <= TANGENT_TOL
-    notes = [f"bilinear interaction residual {radial_resid:.3e}"]
-    in_radial: bool | None = None
-    if in_tangent:
-        in_radial = radial_resid <= LIFT_TOL
-    return ConeMembership(in_tangent, in_radial, violations, mx, notes)
 
 
 # ---------------------------------------------------------------------------

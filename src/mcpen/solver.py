@@ -33,6 +33,7 @@ from .model import (
     eval_Theta,
     point_from_flat,
     residuals,
+    split_flat,
 )
 from .penalty import feasibility_descent_direction
 
@@ -138,18 +139,15 @@ def _probe_directions(
     return np.hstack(cols)
 
 
-def _split(problem: CompositeProblem, D: np.ndarray):
-    DTH = D[: problem.n]
-    DU, off = [], problem.n
-    for w in problem.widths:
-        DU.append(D[off : off + w])
-        off += w
-    return DTH, DU
-
-
 def _slopes(problem: CompositeProblem, z: Point, b: np.ndarray, D: np.ndarray) -> np.ndarray:
-    DTH, DU = _split(problem, D)
-    return dd_Theta_batch(problem, z, DTH, DU, b, 1)[0]
+    return dd_Theta_batch(problem, z, *split_flat(problem, D), b, 1)[0]
+
+
+def _axis_slopes(problem: CompositeProblem, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided slopes of the nested objective along every +e_i and -e_i."""
+    eye = np.eye(problem.n)
+    s = dd_Psi_batch(problem, th, np.hstack([eye, -eye]), 1)[1]
+    return s[: problem.n], s[problem.n :]
 
 
 def _smooth_polish(
@@ -161,13 +159,10 @@ def _smooth_polish(
     objective is differentiable at theta; the polish stops at the first sign
     of a kink and leaves the rest to the probe method.
     """
-    n = problem.n
-    eye = np.eye(n)
     val = eval_Psi_plus_reg(problem, th)
     step = 1.0
     for _ in range(iters):
-        sp = dd_Psi_batch(problem, th, eye, 1)[1]
-        sm = dd_Psi_batch(problem, th, -eye, 1)[1]
+        sp, sm = _axis_slopes(problem, th)
         g = (sp - sm) / 2.0
         if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
             break
@@ -222,15 +217,13 @@ def minimize_theta(
     probe_min = np.inf
     converged = False
     k = 0
-    eye_n = np.eye(problem.n)
     for k in range(1, cfg.max_iters + 1):
         res = residuals(problem, z)
         D = _probe_directions(problem, z, rng, cfg.probe_size)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
             # manifold avoids paying penalty for the lift violation.
-            sp = dd_Psi_batch(problem, z.theta, eye_n, 1)[1]
-            sm = dd_Psi_batch(problem, z.theta, -eye_n, 1)[1]
+            sp, sm = _axis_slopes(problem, z.theta)
             gth = (sp - sm) / 2.0
             ngth = np.linalg.norm(gth)
             if ngth > 1e-300:

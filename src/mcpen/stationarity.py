@@ -35,14 +35,16 @@ from .dcalc import (
     dd_Theta,
     dd_Theta_batch,
     direction_from_flat,
+    residual_slopes,
 )
 from .model import (
     CompositeProblem,
-    InfeasiblePointError,
     Point,
     check_beta,
     eval_Theta,
+    require_feasible,
     residuals,
+    split_flat,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
 from .pieces import (
@@ -161,22 +163,13 @@ def _search_min_first(
     return float(best_val), best_d, samples, envelope
 
 
-def _split_flat(problem: CompositeProblem, D: np.ndarray):
-    DTH = D[: problem.n]
-    DU = []
-    off = problem.n
-    for w in problem.widths:
-        DU.append(D[off : off + w])
-        off += w
-    return DTH, DU
-
-
-def _require_feasible(problem: CompositeProblem, z: Point) -> None:
-    res = residuals(problem, z)
-    if not res.feasible:
-        raise InfeasiblePointError(
-            f"point is infeasible (max residual {res.max_abs:.3e})"
-        )
+def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
+    """Record a refutation when the witness re-evaluates below -tol/2."""
+    if confirmed is not None and confirmed < -report.tol / 2.0:
+        report.verdict, report.witness = NOT_STATIONARY, witness
+        report.witness_value = float(confirmed)
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +191,7 @@ def check_d_stationary_P0(
     which the lifted derivative equals the nested one, so the search runs
     over the parameter sphere.
     """
-    _require_feasible(problem, z)
+    require_feasible(problem, z)
     report = StationarityReport("lifted", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
     used_enum = False
     if mode in ("auto", "enumerate"):
@@ -220,12 +213,7 @@ def check_d_stationary_P0(
         return report
     dth = wit / max(np.linalg.norm(wit), 1e-300)
     confirmed = dd_Psi(problem, z.theta, dth, order=1).first
-    if confirmed < -tol / 2.0:
-        report.verdict = NOT_STATIONARY
-        report.witness = lift_direction(problem, z, dth)
-        report.witness_value = float(confirmed)
-    else:
-        report.verdict = INCONCLUSIVE
+    if not _refute(report, lift_direction(problem, z, dth), confirmed):
         report.notes.append("search minimum did not re-evaluate below -tol/2")
     return report
 
@@ -256,8 +244,7 @@ def check_d_stationary_P1(
                 raise
     if not used_enum:
         def phi(D):
-            DTH, DU = _split_flat(problem, D)
-            return dd_Theta_batch(problem, z, DTH, DU, b, 1)[0]
+            return dd_Theta_batch(problem, z, *split_flat(problem, D), b, 1)[0]
 
         seeds = []
         res = residuals(problem, z)
@@ -275,15 +262,8 @@ def check_d_stationary_P1(
     if report.min_found >= -tol:
         report.verdict = STATIONARY
         return report
-    flat = wit / max(np.linalg.norm(wit), 1e-300)
-    d = direction_from_flat(problem, flat)
-    confirmed = dd_Theta(problem, z, d, b, order=1).first
-    if confirmed < -tol / 2.0:
-        report.verdict = NOT_STATIONARY
-        report.witness = d
-        report.witness_value = float(confirmed)
-    else:
-        report.verdict = INCONCLUSIVE
+    d = direction_from_flat(problem, wit / max(np.linalg.norm(wit), 1e-300))
+    if not _refute(report, d, dd_Theta(problem, z, d, b, order=1).first):
         report.notes.append("search minimum did not re-evaluate below -tol/2")
     return report
 
@@ -308,20 +288,16 @@ def _tangent_second_batch(
     margin, and beta None plain F''.
     """
     DU = lift_direction_batch(problem, z, DTH)
-    first, second, bad, _ = dd_F_batch(problem, z, DTH, DU, order=2)
-    phi2 = second.copy()
-    badc = bad.copy()
+    first, phi2, bad, _ = dd_F_batch(problem, z, DTH, DU, order=2)
     if beta is not None:
-        for k in range(1, problem.L + 1):
-            cells = ex.taylor_cells(
-                problem.layers[k - 1].exprs, z.theta, z.u, DTH, DU, order=2
-            )
+        for bk, (_, _, psi2, bad2) in zip(beta, residual_slopes(problem, z, DTH, DU, order=2)):
+            # Row by row: a pairwise np.sum over the rows would round differently.
             l1 = np.zeros(DTH.shape[1])
-            for c in cells:
-                l1 += np.abs(c.second)
-                badc = badc | c.bad2
-            phi2 += sign * beta[k - 1] * l1
-    return first, phi2, badc, DU
+            for row in psi2:
+                l1 += np.abs(row)
+            phi2 += sign * bk * l1
+            bad = bad | np.logical_or.reduce(bad2)
+    return first, phi2, bad, DU
 
 
 def _critical_search(
@@ -420,7 +396,7 @@ def check_second_order(
     """
     if target not in ("penalized", "lifted"):
         raise ValueError("target must be 'penalized' or 'lifted'")
-    _require_feasible(problem, z)
+    require_feasible(problem, z)
     b = check_beta(problem, beta) if target == "penalized" else None
     if target == "penalized" and b is None:
         raise ValueError("the penalized target needs beta")
@@ -457,10 +433,7 @@ def check_second_order(
             confirmed = dd_F(problem, z, d, order=2).second
         else:
             confirmed = dd_Theta(problem, z, d, b, order=2).second
-        if confirmed is not None and confirmed < -tol / 2.0:
-            report.verdict = NOT_STATIONARY
-            report.witness = d
-            report.witness_value = float(confirmed)
+        if _refute(report, d, confirmed):
             return report
     if unknown_radial:
         report.verdict = INCONCLUSIVE
@@ -574,13 +547,7 @@ def check_box(
             report.verdict = STATIONARY
         else:
             dunit = dmin / max(np.linalg.norm(dmin), 1e-300)
-            confirmed = dd_expr(e, x, dunit).first
-            if confirmed < -tol / 2.0:
-                report.verdict = NOT_STATIONARY
-                report.witness = dunit
-                report.witness_value = float(confirmed)
-            else:
-                report.verdict = INCONCLUSIVE
+            _refute(report, dunit, dd_expr(e, x, dunit).first)
         return report
 
     if mn < -tol:
@@ -634,14 +601,7 @@ def check_box(
                 if vals[0] >= -tol:
                     report.verdict = STATIONARY
                     return report
-                dunit = vecs[:, 0]
-                confirmed = dd_expr(e, x, dunit, order=2).second
-                if confirmed is not None and confirmed < -tol / 2.0:
-                    report.verdict = NOT_STATIONARY
-                    report.witness = dunit
-                    report.witness_value = float(confirmed)
-                else:
-                    report.verdict = INCONCLUSIVE
+                _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
                 return report
 
     def project(D):
@@ -668,14 +628,7 @@ def check_box(
     jmin = idx[np.argmin(phi2[idx])]
     report.min_found = float(phi2[jmin])
     if report.min_found < -tol:
-        dunit = pool[:, jmin]
-        confirmed = dd_expr(e, x, dunit, order=2).second
-        if confirmed is not None and confirmed < -tol / 2.0:
-            report.verdict = NOT_STATIONARY
-            report.witness = dunit
-            report.witness_value = float(confirmed)
-            return report
-        report.verdict = INCONCLUSIVE
+        _refute(report, pool[:, jmin], dd_expr(e, x, pool[:, jmin], order=2).second)
         return report
     report.verdict = STATIONARY
     return report

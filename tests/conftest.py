@@ -104,6 +104,12 @@ def _rand_expr(rng, n, max_layer, widths, depth, allow_kinks=True, theta_ok=True
     return ex.leaky(child(), float(rng.choice([0.0, 0.1, 0.25])))
 
 
+def negative_outer_problem():
+    """u_1 = theta_1 under g(u) = u_1 - 1, so the reference level at theta = 0 is -1."""
+    layer = LayerMap(1, (ex.affine(0.0, [1.0], [ex.theta(0)]),))
+    return CompositeProblem(1, (layer,), ex.affine(-1.0, [1.0], [ex.uref(1, 0)]), lam=0.1)
+
+
 def random_problem(seed, max_n=4, max_L=3, max_width=3, allow_kinks=True):
     """Small random instance touching the whole primitive vocabulary."""
     rng = np.random.default_rng(seed)

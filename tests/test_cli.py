@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import negative_outer_problem
 from mcpen.cli import main
 from mcpen.dcalc import Direction
 from mcpen.model import Point, eval_layers
@@ -128,6 +129,7 @@ def test_check_exit_codes(capsys, files):
     assert code == 0
 
 
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
 def test_validation_errors_exit_2(capsys, files, tmp_path):
     assert main(["eval", "--problem", str(tmp_path / "missing.json"), "--point", files["z0"]]) == 2
     assert main(["eval", "--problem", files["prob"], "--point", files["z0"], "--beta", "x"]) == 2
@@ -149,6 +151,17 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     assert (
         main(["eval", "--problem", files["prob"], "--point", files["z0"], "--beta", "1,2,3"]) == 2
     )
+    # cones are defined at feasible points only
+    argv = ["cone", "--problem", files["prob"], "--point", files["shift"], "--direction", files["d"]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "infeasible" in capsys.readouterr().err
+    # a negative reference level bounds no level set to sample the moduli from
+    neg = tmp_path / "neg.json"
+    save_problem(neg, negative_outer_problem())
+    assert main(["thresholds", "--problem", str(neg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "gamma_bar = -1.0" in captured.err
 
 
 def test_solve_writes_report_and_trace(capsys, files, tmp_path):

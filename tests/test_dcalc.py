@@ -20,7 +20,7 @@ from mcpen.dcalc import (
     ray_quotients,
     zeros_direction,
 )
-from mcpen.model import Point, eval_layers, eval_Psi_plus_reg, eval_Theta
+from mcpen.model import Point, eval_layers, eval_Psi_plus_reg, eval_Theta, split_flat
 
 pytestmark = pytest.mark.filterwarnings("ignore:outer function evaluated")
 
@@ -105,6 +105,18 @@ def test_direction_round_trip(square_chain):
     d2 = direction_from_flat(square_chain, v)
     assert np.array_equal(d2.dtheta, d.dtheta)
     assert all(np.array_equal(a, b) for a, b in zip(d2.du, d.du))
+    # Columns of an (nbar, m) matrix split like the flat directions they hold,
+    # and the split is a view: writing a block writes the matrix.
+    M = np.column_stack([v, -2.0 * v])
+    dth, dus = split_flat(square_chain, M)
+    for j in range(2):
+        dj = direction_from_flat(square_chain, M[:, j])
+        assert np.array_equal(dth[:, j], dj.dtheta)
+        assert all(np.array_equal(b[:, j], a) for b, a in zip(dus, dj.du))
+    dus[1][0, 1] = 7.0
+    assert M[2, 1] == 7.0
+    v[2] = 9.0
+    assert d2.du[1][0] == 3.0  # direction_from_flat copies
     z = zeros_direction(square_chain)
     assert z.norm() == 0.0
 

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from conftest import random_problem
 from mcpen import expr as ex
+from mcpen.cones import lift_direction, tangent_membership
+from mcpen.dcalc import zeros_direction
 from mcpen.model import (
     FEAS_TOL,
     CompositeProblem,
     DimensionError,
+    InfeasiblePointError,
     LayerMap,
     Point,
     check_beta,
@@ -20,7 +24,9 @@ from mcpen.model import (
     point_from_flat,
     reference_point_and_level,
     residuals,
+    split_flat,
 )
+from mcpen.stationarity import check_d_stationary_P0, check_second_order
 
 
 def test_shapes_and_widths(square_chain):
@@ -64,6 +70,19 @@ def test_point_flat_round_trip(square_chain):
     z2 = point_from_flat(square_chain, v)
     assert np.array_equal(z2.theta, z.theta)
     assert all(np.array_equal(a, b) for a, b in zip(z2.u, z.u))
+    # An (nbar, m) matrix splits into blocks of m columns, one point per column.
+    for seed in range(6):
+        p = random_problem(seed)
+        M = np.random.default_rng(seed).normal(size=(p.nbar, 3))
+        th, blocks = split_flat(p, M)
+        assert th.shape == (p.n, 3) and [b.shape for b in blocks] == [(w, 3) for w in p.widths]
+        for j in range(3):
+            zj = point_from_flat(p, M[:, j])
+            assert np.array_equal(th[:, j], zj.theta)
+            assert all(np.array_equal(b[:, j], u) for b, u in zip(blocks, zj.u))
+            assert np.array_equal(zj.flat(), M[:, j])
+        with pytest.raises(DimensionError):
+            split_flat(p, np.zeros((p.nbar + 1, 3)))
 
 
 def test_check_point_rejects_bad_shapes(square_chain):
@@ -139,3 +158,22 @@ def test_random_problems_evaluate():
         z = eval_layers(p, th)
         assert residuals(p, z).feasible
         assert np.isfinite(eval_F(p, z))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p, z: tangent_membership(p, z, zeros_direction(p)), id="tangent"),
+        pytest.param(lambda p, z: lift_direction(p, z, np.ones(p.n)), id="lift"),
+        pytest.param(lambda p, z: check_d_stationary_P0(p, z), id="P0"),
+        pytest.param(lambda p, z: check_second_order(p, z, "lifted"), id="second-lifted"),
+        pytest.param(
+            lambda p, z: check_second_order(p, z, "penalized", beta=[1.0, 0.6]),
+            id="second-penalized",
+        ),
+    ],
+)
+def test_feasible_only_entry_points_reject_infeasible_points(square_chain, call):
+    z = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
+    with pytest.raises(InfeasiblePointError, match=r"max residual 5\.000e-01"):
+        call(square_chain, z)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import negative_outer_problem
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
     FEAS_TOL,
@@ -85,6 +86,19 @@ def test_rnn_closed_form_moduli_not_heuristic(rnn_spec):
     K_g, K, heuristic = estimate_moduli(problem)
     assert not heuristic
     assert K_g == pytest.approx(cfg.K_g, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated", "ignore:overflow encountered")
+def test_level_without_a_sampling_box_is_rejected(square_chain):
+    with pytest.raises(ValueError, match="gamma_bar = -1.0"):
+        build_config(negative_outer_problem())
+    # Exactly the levels whose box [-r, r], r = sqrt(gamma_bar/lambda), is no
+    # valid interval: negative (or signed zero), NaN, or infinite.
+    for bad in (-1e-3, -0.0, np.nan, np.inf, np.finfo(float).max):
+        with pytest.raises(ValueError, match="gamma_bar"):
+            estimate_moduli(square_chain, gamma_bar=bad, budget=10)
+    for fine in (0.0, 1e300):
+        estimate_moduli(square_chain, gamma_bar=fine, budget=10)
 
 
 def _random_infeasible_in_level(problem, beta, gamma, rng, scale=1e-5):

@@ -3,9 +3,22 @@
 import numpy as np
 import pytest
 
-from mcpen.cones import lift_direction, tangent_membership
+from mcpen.cones import (
+    LIFT_TOL,
+    TANGENT_TOL,
+    ConeMembership,
+    lift_direction,
+    tangent_membership,
+)
 from mcpen.dcalc import Direction, direction_from_flat
-from mcpen.model import eval_layers, eval_Psi_plus_reg, residuals
+from mcpen.model import (
+    CompositeProblem,
+    Point,
+    eval_layers,
+    eval_Psi_plus_reg,
+    require_feasible,
+    residuals,
+)
 from mcpen.rnn import (
     RnnSpec,
     beta_vector,
@@ -15,7 +28,6 @@ from mcpen.rnn import (
     load_sequences,
     read_sequence_csv,
     rnn_penalty_config,
-    rnn_tangent_cone_check,
     rnn_thresholds,
     theta_pack,
     theta_unpack,
@@ -140,6 +152,61 @@ def test_penalty_config_uses_grouped_thresholds(rnn_spec):
     assert cfg.thresholds[0] == pytest.approx(thr.t1, abs=1e-12)
     assert cfg.thresholds[-1] == pytest.approx(thr.t2, abs=1e-12)
     assert np.all(cfg.beta > cfg.thresholds)
+
+
+def rnn_tangent_cone_check(
+    spec: RnnSpec, z: Point, d: Direction, problem: CompositeProblem | None = None
+) -> ConeMembership:
+    """Tangent and radial cone membership through the network recursions.
+
+    An oracle for ``cones.tangent_membership`` that indexes the network's
+    blocks by hand instead of walking the expression trees.
+
+    Tangency chains the direction blocks through the linearized recursion;
+    the radial test additionally requires the bilinear interaction terms
+    D_W d_s and D_V d_s to vanish, which makes the ray stay exactly on the
+    feasible set for small steps.
+    """
+    problem = problem or build_problem(spec)
+    require_feasible(problem, z)
+    _, V, W, _, _ = theta_unpack(spec, z.theta)
+    DA, DV, DW, db, dc = theta_unpack(spec, d.dtheta)
+
+    def act_prime(vals: np.ndarray, dv: np.ndarray) -> np.ndarray:
+        lo = spec.alpha * dv
+        return np.where(vals > 1e-12, dv, np.where(vals < -1e-12, lo, np.maximum(dv, lo)))
+
+    tags = layer_tags(spec)
+    violations: list[np.ndarray] = []
+    radial_resid = 0.0
+    for k, (kind, q, t) in enumerate(tags):
+        if kind == "w":
+            s_prev = np.zeros(spec.n1) if t == 1 else z.u[k - 1]
+            ds_prev = np.zeros(spec.n1) if t == 1 else np.asarray(d.du[k - 1])
+            expect = DA @ spec.x[q, t - 1] + DW @ s_prev + W @ ds_prev + db
+            radial_resid = max(radial_resid, float(np.max(np.abs(DW @ ds_prev), initial=0.0)))
+        elif kind == "s":
+            expect = act_prime(z.u[k - 1], np.asarray(d.du[k - 1]))
+        elif kind == "v":
+            rows = []
+            for qq in range(spec.n_seq):
+                for tt in range(1, spec.t + 1):
+                    sl = qq * 2 * spec.t + 2 * tt  # 1-based index of the state layer
+                    s_val = z.u[sl - 1]
+                    ds = np.asarray(d.du[sl - 1])
+                    rows.append(DV @ s_val + V @ ds + dc)
+                    radial_resid = max(radial_resid, float(np.max(np.abs(DV @ ds), initial=0.0)))
+            expect = np.concatenate(rows)
+        else:
+            expect = act_prime(z.u[k - 1], np.asarray(d.du[k - 1]))
+        violations.append(np.abs(np.asarray(d.du[k]) - expect))
+    mx = max(float(np.max(v, initial=0.0)) for v in violations)
+    in_tangent = mx <= TANGENT_TOL
+    notes = [f"bilinear interaction residual {radial_resid:.3e}"]
+    in_radial: bool | None = None
+    if in_tangent:
+        in_radial = radial_resid <= LIFT_TOL
+    return ConeMembership(in_tangent, in_radial, violations, mx, notes)
 
 
 def test_cone_check_accepts_lifted_and_localizes(rnn_spec):
