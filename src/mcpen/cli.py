@@ -6,8 +6,9 @@ seed, tool version).  Identical manifests produce identical reports; wall
 time is reported next to, not inside, the manifest.
 
 Exit codes: 0 success, 2 validation error (bad files, bad dimensions,
-unknown names), 3 when --expect stationary is given and the verdict is
-not-stationary.  Scenario regressions exit 1 when a golden check fails.
+unknown names, more pieces than the limit under --mode enumerate), 3 when
+--expect stationary is given and the verdict is not-stationary.  Scenario
+regressions exit 1 when a golden check fails.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .model import (
     residuals,
 )
 from .penalty import build_config
+from .pieces import TooManyPieces
 from .rnn import (
     RnnSpec,
     build_problem,
@@ -441,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         DimensionError,
         EvaluationError,
         InfeasiblePointError,
+        TooManyPieces,
         ValueError,
         OSError,
     ) as err:

@@ -29,6 +29,7 @@ from .model import (
     DimensionError,
     Point,
     check_beta,
+    check_blocks,
     check_point,
     eval_F,
     eval_g,
@@ -70,13 +71,7 @@ def zeros_direction(problem: CompositeProblem) -> Direction:
 
 
 def check_direction(problem: CompositeProblem, d: Direction) -> None:
-    if d.dtheta.shape != (problem.n,):
-        raise DimensionError(f"d_theta has shape {d.dtheta.shape}, expected ({problem.n},)")
-    if len(d.du) != problem.L:
-        raise DimensionError(f"direction has {len(d.du)} blocks, expected {problem.L}")
-    for block, w, k in zip(d.du, problem.widths, range(1, problem.L + 1)):
-        if block.shape != (w,):
-            raise DimensionError(f"direction block {k} has shape {block.shape}, expected ({w},)")
+    check_blocks(problem, d.dtheta, d.du, ("d_theta", "direction", "direction block"))
 
 
 @dataclass

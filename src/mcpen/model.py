@@ -119,14 +119,25 @@ class Residuals:
     feasible: bool
 
 
-def check_point(problem: CompositeProblem, z: Point) -> None:
-    if z.theta.shape != (problem.n,):
-        raise DimensionError(f"theta has shape {z.theta.shape}, expected ({problem.n},)")
-    if len(z.u) != problem.L:
-        raise DimensionError(f"point has {len(z.u)} blocks, expected {problem.L}")
-    for block, w, k in zip(z.u, problem.widths, range(1, problem.L + 1)):
+def check_blocks(
+    problem: CompositeProblem,
+    head: np.ndarray,
+    blocks: Sequence[np.ndarray],
+    names: tuple[str, str, str],
+) -> None:
+    """Shapes of a (theta, u_1, ..., u_L) layout; names: theta part, whole, one block."""
+    head_name, whole, block_name = names
+    if head.shape != (problem.n,):
+        raise DimensionError(f"{head_name} has shape {head.shape}, expected ({problem.n},)")
+    if len(blocks) != problem.L:
+        raise DimensionError(f"{whole} has {len(blocks)} blocks, expected {problem.L}")
+    for block, w, k in zip(blocks, problem.widths, range(1, problem.L + 1)):
         if block.shape != (w,):
-            raise DimensionError(f"block {k} has shape {block.shape}, expected ({w},)")
+            raise DimensionError(f"{block_name} {k} has shape {block.shape}, expected ({w},)")
+
+
+def check_point(problem: CompositeProblem, z: Point) -> None:
+    check_blocks(problem, z.theta, z.u, ("theta", "point", "block"))
 
 
 def split_flat(problem: CompositeProblem, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -11,7 +11,9 @@ unit cross-polytope reduces to one small linear program per piece.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import itertools
+import math
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -26,18 +28,30 @@ Piece = tuple[float, np.ndarray, list[np.ndarray]]
 
 
 class TooManyPieces(RuntimeError):
-    """Enumeration would exceed the piece budget; fall back to sampling."""
+    """A piece list would exceed the limit; fall back to sampling."""
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.left = limit
+def _product(factors: Sequence[Sequence], limit: int) -> Iterator[tuple]:
+    """Every combination of one entry per factor, counted before any is built."""
+    count = math.prod(len(f) for f in factors)
+    if count > limit:
+        raise TooManyPieces(f"{count} pieces exceed the limit of {limit}")
+    return itertools.product(*factors)
 
-    def spend(self, k: int = 1) -> None:
-        self.left -= k
-        if self.left < 0:
-            raise TooManyPieces(f"piece budget exhausted (limit {self.limit})")
+
+def _unit(dim: int, i) -> np.ndarray:
+    c = np.zeros(dim)
+    c[i] = 1.0
+    return c
+
+
+def _leafcoef(n: int, ucoefs: Sequence[np.ndarray]) -> Callable[[ex.Expr], np.ndarray]:
+    """Leaf coefficients over the parameters, with u-leaves read from ucoefs."""
+
+    def leafcoef(node: ex.Expr) -> np.ndarray:
+        return _unit(n, node.ref) if node.op == "theta" else ucoefs[node.layer - 1][node.ref]
+
+    return leafcoef
 
 
 def expr_pieces(
@@ -46,13 +60,15 @@ def expr_pieces(
     ublocks: Sequence[np.ndarray],
     leafcoef: Callable[[ex.Expr], np.ndarray],
     dim: int,
-    budget: _Budget,
+    limit: int,
 ) -> list[Piece]:
     """All linear pieces (value, coefficient, constraints) of e's first derivative.
 
     Constraints are half-space normals c meaning c . d >= 0; within the
     intersection the derivative equals coefficient . d.  Values are
-    direction-independent and shared by every piece of a subtree.
+    direction-independent and shared by every piece of a subtree, so each
+    node's piece count is the product of its children's, times two at a tie.
+    Coefficients accumulate left to right, one child at a time.
     """
 
     zeros = np.zeros(dim)
@@ -64,11 +80,9 @@ def expr_pieces(
         if gap < -_TIE:
             return pb
         out: list[Piece] = []
-        for va, ca, ka in pa:
-            for vb, cb, kb in pb:
-                budget.spend(2)
-                out.append((max(va, vb), ca, ka + kb + [ca - cb]))
-                out.append((max(va, vb), cb, ka + kb + [cb - ca]))
+        for (va, ca, ka), (vb, cb, kb), side in _product([pa, pb, (0, 1)], limit):
+            c, other = (ca, cb) if side == 0 else (cb, ca)
+            out.append((max(va, vb), c, ka + kb + [c - other]))
         return out
 
     def rec(node: ex.Expr) -> list[Piece]:
@@ -81,63 +95,6 @@ def expr_pieces(
             else:
                 v = float(ublocks[node.layer - 1][node.ref])
             return [(v, leafcoef(node), [])]
-        if op in ("sum", "diff", "scaled", "affine"):
-            parts = [rec(a) for a in node.args]
-            if op == "sum":
-                weights = [1.0] * len(parts)
-                offset = 0.0
-            elif op == "diff":
-                weights = [1.0, -1.0]
-                offset = 0.0
-            elif op == "scaled":
-                weights = [node.coeffs[0]]
-                offset = 0.0
-            else:
-                weights = list(node.coeffs)
-                offset = node.const
-            out = [(offset, zeros, [])]
-            for w, pieces_k in zip(weights, parts):
-                nxt: list[Piece] = []
-                for v0, c0, k0 in out:
-                    for v1, c1, k1 in pieces_k:
-                        budget.spend()
-                        nxt.append((v0 + w * v1, c0 + w * c1, k0 + k1))
-                out = nxt
-            return out
-        if op == "product":
-            out = []
-            for va, ca, ka in rec(node.args[0]):
-                for vb, cb, kb in rec(node.args[1]):
-                    budget.spend()
-                    out.append((va * vb, va * cb + vb * ca, ka + kb))
-            return out
-        if op == "inner":
-            k = len(node.args) // 2
-            out = [(0.0, zeros, [])]
-            for i in range(k):
-                term = []
-                for va, ca, ka in rec(node.args[i]):
-                    for vb, cb, kb in rec(node.args[k + i]):
-                        term.append((va * vb, va * cb + vb * ca, ka + kb))
-                nxt = []
-                for v0, c0, k0 in out:
-                    for v1, c1, k1 in term:
-                        budget.spend()
-                        nxt.append((v0 + v1, c0 + c1, k0 + k1))
-                out = nxt
-            return out
-        if op == "sqnorm":
-            out = [(0.0, zeros, [])]
-            for a in node.args:
-                nxt = []
-                for v0, c0, k0 in out:
-                    for v1, c1, k1 in rec(a):
-                        budget.spend()
-                        nxt.append((v0 + v1 * v1, c0 + 2.0 * v1 * c1, k0 + k1))
-                out = nxt
-            return out
-        if op == "square":
-            return [(v * v, 2.0 * v * c, k) for v, c, k in rec(node.args[0])]
         if op == "max":
             return combine_max(rec(node.args[0]), rec(node.args[1]))
         if op == "abs":
@@ -148,137 +105,133 @@ def expr_pieces(
         if op == "leaky_relu":
             pa = rec(node.args[0])
             return combine_max(pa, [(node.alpha * v, node.alpha * c, k) for v, c, k in pa])
-        raise ValueError(f"unknown node op {op!r}")
+        if op == "square":
+            return [(v * v, 2.0 * v * c, k) for v, c, k in rec(node.args[0])]
+        parts = [rec(a) for a in node.args]
+        if op == "product":
+            return [
+                (va * vb, va * cb + vb * ca, ka + kb)
+                for (va, ca, ka), (vb, cb, kb) in _product(parts, limit)
+            ]
+        out = []
+        if op == "inner":
+            k = len(parts) // 2
+            paired = [p for pair in zip(parts[:k], parts[k:]) for p in pair]
+            for combo in _product(paired, limit):
+                v, c, kk = 0.0, zeros, []
+                for (va, ca, ka), (vb, cb, kb) in zip(combo[::2], combo[1::2]):
+                    v, c, kk = v + va * vb, c + (va * cb + vb * ca), kk + (ka + kb)
+                out.append((v, c, kk))
+            return out
+        if op == "sqnorm":
+            for combo in _product(parts, limit):
+                v, c, kk = 0.0, zeros, []
+                for v1, c1, k1 in combo:
+                    v, c, kk = v + v1 * v1, c + 2.0 * v1 * c1, kk + k1
+                out.append((v, c, kk))
+            return out
+        if op == "sum":
+            weights, offset = [1.0] * len(parts), 0.0
+        elif op == "diff":
+            weights, offset = [1.0, -1.0], 0.0
+        elif op == "scaled":
+            weights, offset = [node.coeffs[0]], 0.0
+        elif op == "affine":
+            weights, offset = list(node.coeffs), node.const
+        else:
+            raise ValueError(f"unknown node op {op!r}")
+        for combo in _product(parts, limit):
+            v, c, kk = offset, zeros, []
+            for w, (v1, c1, k1) in zip(weights, combo):
+                v, c, kk = v + w * v1, c + w * c1, kk + k1
+            out.append((v, c, kk))
+        return out
 
     return rec(e)
-
-
-def _cross(acc: list[tuple[np.ndarray, list[np.ndarray]]], pieces: Iterable, budget: _Budget, merge):
-    out = []
-    for coef0, cons0 in acc:
-        for p in pieces:
-            budget.spend()
-            coef1, cons1 = merge(coef0, cons0, p)
-            out.append((coef1, cons1))
-    return out
 
 
 def theta_prime_pieces(
     problem: CompositeProblem, z: Point, beta: Sequence[float], limit: int = PIECE_LIMIT
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Linear pieces of d -> Theta'(z; d) over the full lifted direction space."""
+    """Linear pieces of d -> Theta'(z; d) over the full lifted direction space.
+
+    One factor per term: g', then beta_k |w_i| for every component, with w_i
+    forked into both signs where the residual vanishes.  The pieces are all
+    combinations of one entry per factor, counted before any is built.
+    """
     b = check_beta(problem, beta)
-    budget = _Budget(limit)
     dim = problem.nbar
     _, at = split_flat(problem, np.arange(dim))  # flat positions of each block
 
     def leafcoef(node: ex.Expr) -> np.ndarray:
-        c = np.zeros(dim)
-        if node.op == "theta":
-            c[node.ref] = 1.0
-        else:
-            c[at[node.layer - 1][node.ref]] = 1.0
-        return c
+        return _unit(dim, node.ref if node.op == "theta" else at[node.layer - 1][node.ref])
+
+    # Each factor entry is (coefficient added, constraints added).
+    g_pieces = expr_pieces(problem.outer, z.theta, z.u, leafcoef, dim, limit)
+    factors = [[(c, k) for _, c, k in g_pieces]]
+    res = residuals(problem, z)
+    for ell in range(1, problem.L + 1):
+        rho, bk = res.per_layer[ell - 1], b[ell - 1]
+        for i, e in enumerate(problem.layers[ell - 1].exprs):
+            unit = _unit(dim, at[ell - 1][i])
+            psi_ps = expr_pieces(e, z.theta, z.u, leafcoef, dim, limit)
+            w_ps = [(unit - c, k) for _, c, k in psi_ps]
+            if rho[i] > FEAS_TOL:
+                factors.append([(bk * w, k) for w, k in w_ps])
+            elif rho[i] < -FEAS_TOL:
+                factors.append([(-bk * w, k) for w, k in w_ps])
+            else:  # |w . d| forks on the sign of w . d
+                forks = [(s * w, k) for (w, k), s in _product([w_ps, (1.0, -1.0)], limit)]
+                factors.append([(bk * w, k + [w]) for w, k in forks])
 
     base = np.zeros(dim)
     base[: problem.n] = 2.0 * problem.lam * z.theta
-    acc = [(base, [])]
-    g_pieces = expr_pieces(problem.outer, z.theta, z.u, leafcoef, dim, budget)
-    acc = _cross(acc, g_pieces, budget, lambda c0, k0, p: (c0 + p[1], k0 + p[2]))
-    res = residuals(problem, z)
-    for ell in range(1, problem.L + 1):
-        rho = res.per_layer[ell - 1]
-        for i, e in enumerate(problem.layers[ell - 1].exprs):
-            unit = np.zeros(dim)
-            unit[at[ell - 1][i]] = 1.0
-            psi_ps = expr_pieces(e, z.theta, z.u, leafcoef, dim, budget)
-            w_ps = [(unit - c, k) for _, c, k in psi_ps]
-            if rho[i] > FEAS_TOL:
-                acc = _cross(
-                    acc, w_ps, budget, lambda c0, k0, p: (c0 + b[ell - 1] * p[0], k0 + p[1])
-                )
-            elif rho[i] < -FEAS_TOL:
-                acc = _cross(
-                    acc, w_ps, budget, lambda c0, k0, p: (c0 - b[ell - 1] * p[0], k0 + p[1])
-                )
-            else:
-                forked = []
-                for w, k in w_ps:
-                    forked.append((w, k + [w]))
-                    forked.append((-w, k + [-w]))
-                acc = _cross(
-                    acc, forked, budget, lambda c0, k0, p: (c0 + b[ell - 1] * p[0], k0 + p[1])
-                )
-    return acc
+    out = []
+    for combo in _product(factors, limit):
+        c, cons = base, []
+        for dc, k in combo:
+            c, cons = c + dc, cons + k
+        out.append((c, cons))
+    return out
 
 
 def psi_prime_pieces(
     problem: CompositeProblem, th: np.ndarray, limit: int = PIECE_LIMIT
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Linear pieces of d -> (Psi + reg)'(theta; d) over the parameter space."""
-    budget = _Budget(limit)
     n = problem.n
     zpt = eval_layers(problem, th)
 
-    # Each state carries, per finished layer, the matrix of block coefficient
-    # rows under that state's branch choices, plus the collected constraints.
+    def grow(states, exprs):
+        """Each state with each combination of the exprs' pieces, in order.
+
+        A state carries, per finished layer, the matrix of block coefficient
+        rows under its branch choices, plus the collected constraints.  A
+        piece count depends on values only, not on the state, so the first
+        state's counts hold for all of them and the whole list is counted
+        before it is built.
+        """
+        per_state = [
+            [expr_pieces(e, th, zpt.u, _leafcoef(n, ucoefs), n, limit) for e in exprs]
+            for ucoefs, _ in states
+        ]
+        picks = [range(len(ps)) for ps in per_state[0]]
+        for ((ucoefs, cons), comps), *idx in _product([[*zip(states, per_state)], *picks], limit):
+            chosen = [ps[i] for ps, i in zip(comps, idx)]
+            yield ucoefs, cons + [g for _, _, k in chosen for g in k], [c for _, c, _ in chosen]
+
     states: list[tuple[list[np.ndarray], list[np.ndarray]]] = [([], [])]
-    for ell in range(1, problem.L + 1):
-        nxt: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
-        for ucoefs, cons in states:
-
-            def leafcoef(node: ex.Expr, ucoefs=ucoefs) -> np.ndarray:
-                if node.op == "theta":
-                    c = np.zeros(n)
-                    c[node.ref] = 1.0
-                    return c
-                return ucoefs[node.layer - 1][node.ref]
-
-            comp_pieces = [
-                expr_pieces(e, th, zpt.u, leafcoef, n, budget)
-                for e in problem.layers[ell - 1].exprs
-            ]
-            combos = [([], cons)]
-            for ps in comp_pieces:
-                grown = []
-                for rows, kk in combos:
-                    for _, c, k in ps:
-                        budget.spend()
-                        grown.append((rows + [c], kk + k))
-                combos = grown
-            for rows, kk in combos:
-                nxt.append((ucoefs + [np.array(rows)], kk))
-        states = nxt
-
-    out: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    for ucoefs, cons in states:
-
-        def leafcoef(node: ex.Expr, ucoefs=ucoefs) -> np.ndarray:
-            if node.op == "theta":
-                c = np.zeros(n)
-                c[node.ref] = 1.0
-                return c
-            return ucoefs[node.layer - 1][node.ref]
-
-        for _, c, k in expr_pieces(problem.outer, th, zpt.u, leafcoef, n, budget):
-            budget.spend()
-            out.append((c + 2.0 * problem.lam * th, cons + k))
-    return out
+    for layer in problem.layers:
+        states = [(uc + [np.array(rows)], cons) for uc, cons, rows in grow(states, layer.exprs)]
+    return [(c + 2.0 * problem.lam * th, cons) for _, cons, (c,) in grow(states, [problem.outer])]
 
 
 def function_pieces(
     e: ex.Expr, x: np.ndarray, limit: int = PIECE_LIMIT
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Linear pieces of d -> f'(x; d) for an expression over parameter leaves."""
-    budget = _Budget(limit)
     x = np.asarray(x, dtype=float).ravel()
-
-    def leafcoef(node: ex.Expr) -> np.ndarray:
-        c = np.zeros(x.size)
-        c[node.ref] = 1.0
-        return c
-
-    return [(c, k) for _, c, k in expr_pieces(e, x, [], leafcoef, x.size, budget)]
+    return [(c, k) for _, c, k in expr_pieces(e, x, [], _leafcoef(x.size, []), x.size, limit)]
 
 
 def min_over_cross_polytope(

@@ -172,6 +172,26 @@ def _refute(report: StationarityReport, witness, confirmed: float | None) -> boo
     return False
 
 
+def _enumerate(report: StationarityReport, mode: str, pieces: Callable[[], list]):
+    """Exact minimum over the enumerated pieces, or None when sampling must run.
+
+    In ``auto`` mode a piece list over the limit falls back to sampling, and
+    the report notes why; ``enumerate`` mode raises instead.
+    """
+    if mode not in ("auto", "enumerate"):
+        return None
+    try:
+        ps = pieces()
+    except TooManyPieces as err:
+        if mode == "enumerate":
+            raise
+        report.notes.append(f"fell back to sampling: {err}")
+        return None
+    mn, wit = minimize_pieces(ps)
+    report.mode, report.min_found, report.samples = "enumerate", mn, len(ps)
+    return wit
+
+
 # ---------------------------------------------------------------------------
 # First-order checks
 
@@ -193,18 +213,8 @@ def check_d_stationary_P0(
     """
     require_feasible(problem, z)
     report = StationarityReport("lifted", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    used_enum = False
-    if mode in ("auto", "enumerate"):
-        try:
-            ps = psi_prime_pieces(problem, z.theta)
-            mn, dmin = minimize_pieces(ps)
-            report.mode, report.min_found, used_enum = "enumerate", mn, True
-            report.samples = len(ps)
-            wit = dmin
-        except TooManyPieces:
-            if mode == "enumerate":
-                raise
-    if not used_enum:
+    wit = _enumerate(report, mode, lambda: psi_prime_pieces(problem, z.theta))
+    if wit is None:
         phi = lambda D: dd_Psi_batch(problem, z.theta, D, 1)[1]
         mn, wit, samples, env = _search_min_first(phi, problem.n, seed, n_starts, iters)
         report.mode, report.min_found, report.samples, report.envelope = "sample", mn, samples, env
@@ -231,18 +241,8 @@ def check_d_stationary_P1(
     """Directional stationarity of the penalized problem over the full space."""
     b = check_beta(problem, beta)
     report = StationarityReport("penalized", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    used_enum = False
-    if mode in ("auto", "enumerate"):
-        try:
-            ps = theta_prime_pieces(problem, z, b)
-            mn, dmin = minimize_pieces(ps)
-            report.mode, report.min_found, used_enum = "enumerate", mn, True
-            report.samples = len(ps)
-            wit = dmin
-        except TooManyPieces:
-            if mode == "enumerate":
-                raise
-    if not used_enum:
+    wit = _enumerate(report, mode, lambda: theta_prime_pieces(problem, z, b))
+    if wit is None:
         def phi(D):
             return dd_Theta_batch(problem, z, *split_flat(problem, D), b, 1)[0]
 

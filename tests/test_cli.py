@@ -10,7 +10,7 @@ from mcpen.cli import main
 from mcpen.dcalc import Direction
 from mcpen.model import Point, eval_layers
 from mcpen.repro import square_chain_problem
-from mcpen.serialize import save_direction, save_point, save_problem
+from mcpen.serialize import load_problem, save_direction, save_point, save_problem
 
 
 @pytest.fixture
@@ -162,6 +162,17 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     assert main(["thresholds", "--problem", str(neg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "gamma_bar = -1.0" in captured.err
+    # exact enumeration of the default RNN's penalized slope needs 2^24 pieces
+    rnn_prob, lift = tmp_path / "rnn.json", tmp_path / "lift.json"
+    assert main(["rnn", "build", "--out", str(rnn_prob)]) == 0
+    rnn = load_problem(rnn_prob)
+    save_point(lift, eval_layers(rnn, 0.1 * np.random.default_rng(0).standard_normal(rnn.n)))
+    argv = ["check", "--problem", str(rnn_prob), "--point", str(lift), "--target", "p1"]
+    capsys.readouterr()
+    assert main(argv + ["--beta", "5", "--mode", "enumerate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {2**24} pieces exceed the limit of {2**20}" in captured.err
 
 
 def test_solve_writes_report_and_trace(capsys, files, tmp_path):

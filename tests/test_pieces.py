@@ -1,8 +1,12 @@
 """Piecewise-linear slope enumeration and cross-polytope minimization."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import random_problem
 from mcpen import expr as ex
 from mcpen.model import Point, eval_layers
 from mcpen.pieces import (
@@ -70,15 +74,81 @@ def test_minimize_pieces_brute_force_agreement():
     assert val == pytest.approx(dd_expr(e, x, arg, order=1).first, abs=1e-9)
 
 
+def _abs_sum(k):
+    return ex.add(*[ex.vabs(ex.theta(i)) for i in range(k)])
+
+
 def test_piece_budget_enforced():
     x = np.zeros(8)
-    args = [ex.vabs(ex.theta(i)) for i in range(8)]
-    e = ex.add(*args)
-    with pytest.raises(TooManyPieces):
-        function_pieces(e, x, limit=16)
-    # intermediate products are charged too, so leave headroom over 2^8
-    pieces = function_pieces(e, x, limit=2**10)
+    e = _abs_sum(8)
+    with pytest.raises(TooManyPieces, match="256 pieces exceed the limit of 255"):
+        function_pieces(e, x, limit=255)
+    pieces = function_pieces(e, x, limit=256)
     assert len(pieces) == 2**8
+
+
+def test_piece_limit_fails_before_building(rnn_problem):
+    # every zero residual forks, so the desk lift has 2^24 pieces; counting
+    # them must not build any list near the limit (2^20 pieces of 46 floats)
+    th = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
+    z = eval_layers(rnn_problem, th)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyPieces, match=f"{2**24} pieces exceed the limit of {2**20}"):
+            theta_prime_pieces(rnn_problem, z, [5.0] * rnn_problem.L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def _digest(h, pieces):
+    h.update(len(pieces).to_bytes(8, "little"))
+    for coef, cons in pieces:
+        h.update(np.asarray(coef, dtype=np.float64).tobytes())
+        h.update(len(cons).to_bytes(8, "little"))
+        for g in cons:
+            h.update(np.asarray(g, dtype=np.float64).tobytes())
+
+
+# sha256 of every piece list below, recorded with the budget-charging
+# enumerator that preceded the up-front count
+PIECES_SHA256 = "9586eb16a1aeb6a4dbec60e422c21d09060957981c8ba0ce28f6e571bad8edbc"
+
+
+def test_piece_lists_are_bit_identical(square_chain, relu_ridge, box_max, abs_cubic, rnn_problem):
+    beta_sc = [1.0, 0.6]
+    shifted = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
+    th_rnn = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
+    lists = [
+        function_pieces(box_max, np.zeros(2)),
+        function_pieces(box_max, np.array([1.0, -1.0])),
+        function_pieces(abs_cubic, np.zeros(2)),
+        function_pieces(abs_cubic, np.array([1.0, 1.0])),
+        function_pieces(_abs_sum(8), np.zeros(8)),
+        psi_prime_pieces(square_chain, np.zeros(1)),
+        psi_prime_pieces(relu_ridge, np.zeros(2)),
+        theta_prime_pieces(square_chain, eval_layers(square_chain, np.zeros(1)), beta_sc),
+        theta_prime_pieces(square_chain, shifted, beta_sc),
+        theta_prime_pieces(relu_ridge, eval_layers(relu_ridge, np.zeros(2)), [1.0, 1.0]),
+        psi_prime_pieces(rnn_problem, th_rnn),
+    ]
+    # random instances cover every op, with ties at rounded points
+    for seed in range(10):
+        p = random_problem(seed)
+        for x in (np.zeros(p.n), np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)):
+            z = eval_layers(p, x)
+            off = Point(z.theta, tuple(b + 0.25 for b in z.u))
+            lists += [
+                function_pieces(p.layers[0].exprs[0], x),
+                psi_prime_pieces(p, x),
+                theta_prime_pieces(p, z, [0.7] * p.L),
+                theta_prime_pieces(p, off, [0.7] * p.L),
+            ]
+    h = hashlib.sha256()
+    for pieces in lists:
+        _digest(h, pieces)
+    assert h.hexdigest() == PIECES_SHA256
 
 
 def test_psi_prime_pieces_relu_ridge(relu_ridge):

@@ -7,6 +7,7 @@ from mcpen import expr as ex
 from mcpen.dcalc import dd_Theta, direction_from_flat
 from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.penalty import build_config
+from mcpen.pieces import TooManyPieces
 from mcpen.stationarity import (
     INCONCLUSIVE,
     NOT_STATIONARY,
@@ -158,3 +159,13 @@ def test_compare_sets_flags_nothing_on_smooth_min():
     assert out["consistent"]
     assert out["d0"].verdict == STATIONARY
     assert out["sd0"].verdict == STATIONARY
+
+
+def test_p1_fallback_to_sampling_says_why(rnn_problem):
+    th = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
+    z = eval_layers(rnn_problem, th)
+    rep = check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, n_starts=2, iters=24)
+    assert rep.mode == "sample"
+    assert rep.notes[0] == f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"
+    with pytest.raises(TooManyPieces):
+        check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, mode="enumerate")
