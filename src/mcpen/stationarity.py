@@ -64,6 +64,11 @@ CRIT_SLACK = 1e-8
 N_STARTS = 64
 SEARCH_ITERS = 500
 _FD_H = 1e-7
+# Columns per derivative call in the lockstep searches.  A call packs as many
+# whole probe blocks as fit (8 starts of the desk RNN lift, nbar = 46); a
+# block wider than the cap goes alone.  Wider calls save little time and
+# raise the peak memory of a certify run.
+_MAX_COLS = 384
 
 
 @dataclass
@@ -107,6 +112,33 @@ def _normalize_cols(D: np.ndarray) -> np.ndarray:
     return D / norms
 
 
+def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> list:
+    """f over each point's block of columns, in calls of whole blocks.
+
+    A point's block is the point itself, or with ``hI`` its forward-difference
+    probes ``point + hI``.  One call packs as many blocks as fit in
+    ``_MAX_COLS`` columns (at least one).  Returns f's output on each block,
+    in order; a tuple-valued f gives a tuple per block.
+    """
+    width = 1 if hI is None else hI.shape[1]
+    per_call = max(1, _MAX_COLS // width)
+    blocks = []
+    for c in range(0, len(points), per_call):
+        chunk = points[c : c + per_call]
+        D = np.empty((chunk[0].size, width * len(chunk)))
+        for j, p in enumerate(chunk):
+            cols = D[:, j * width : (j + 1) * width]
+            if hI is None:
+                cols[:, 0] = p
+            else:
+                np.add(p.reshape(-1, 1), hI, out=cols)
+        out = f(D)
+        for j in range(len(chunk)):
+            sl = slice(j * width, (j + 1) * width)
+            blocks.append(tuple(o[sl] for o in out) if isinstance(out, tuple) else out[sl])
+    return blocks
+
+
 def _search_min_first(
     phi: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -119,46 +151,61 @@ def _search_min_first(
 
     Each start takes piece-gradient steps (forward differences in the
     direction argument are exact on a linear piece) with a backtracking,
-    kink-aware line search; the cumulative best over completed starts is
-    recorded so the evidence only improves with more starts.
+    kink-aware line search.  All starts advance in lockstep: an iteration
+    makes one phi call holding the probe blocks of every live start, then
+    runs the line search in rounds, each round one phi call with one trial
+    column per start still backtracking.  Every start keeps its own point,
+    value and step, so it walks the path it would walk alone whenever phi
+    rounds each column independently of the others in its call.  The
+    cumulative best over the starts, in their order, is recorded so the
+    evidence only improves with more starts.
     """
     starts = _sphere_points(dim, n_starts, seed)
     if extra is not None and extra.size:
         starts = np.hstack([_normalize_cols(extra), starts])
-    per_start = max(12, iters // max(starts.shape[1], 1))
-    samples = 0
+    m = starts.shape[1]
+    per_start = max(12, iters // max(m, 1))
+    d = [starts[:, s].copy() for s in range(m)]
+    val = [float(v[0]) for v in _eval_blocks(phi, d)]
+    samples = m
+    step = [0.5] * m
+    hI = _FD_H * np.eye(dim)
+    live = list(range(m))
+    for _ in range(per_start):
+        if not live:
+            break
+        descent = {}
+        for s, pv in zip(live, _eval_blocks(phi, [d[s] for s in live], hI)):
+            g = (pv - val[s]) / _FD_H
+            gt = g - float(g @ d[s]) * d[s]
+            ng = np.linalg.norm(gt)
+            if ng >= 1e-12:
+                descent[s] = (gt, ng)
+        samples += dim * len(live)
+        live = []
+        while descent:
+            descent = {s: gn for s, gn in descent.items() if step[s] > 1e-10}
+            trials = []
+            for s, (gt, ng) in descent.items():
+                d2 = d[s] - step[s] * gt / ng
+                d2 /= np.linalg.norm(d2)
+                trials.append(d2)
+            samples += len(trials)
+            for s, d2, v in zip(list(descent), trials, _eval_blocks(phi, trials)):
+                v2 = float(v[0])
+                if v2 < val[s] - 1e-14:
+                    d[s], val[s] = d2, v2
+                    step[s] = min(step[s] * 1.5, 1.0)
+                    live.append(s)
+                    del descent[s]
+                else:
+                    step[s] *= 0.5
+        live.sort()
     best_val, best_d = np.inf, starts[:, 0]
     envelope: list[float] = []
-    eye = np.eye(dim)
-    for s in range(starts.shape[1]):
-        d = starts[:, s].copy()
-        val = float(phi(d.reshape(-1, 1))[0])
-        samples += 1
-        step = 0.5
-        for _ in range(per_start):
-            probe = np.hstack([d.reshape(-1, 1) + _FD_H * eye])
-            g = (phi(probe) - val) / _FD_H
-            samples += dim
-            gt = g - float(g @ d) * d
-            ng = np.linalg.norm(gt)
-            if ng < 1e-12:
-                break
-            moved = False
-            while step > 1e-10:
-                d2 = d - step * gt / ng
-                d2 /= np.linalg.norm(d2)
-                v2 = float(phi(d2.reshape(-1, 1))[0])
-                samples += 1
-                if v2 < val - 1e-14:
-                    d, val = d2, v2
-                    step = min(step * 1.5, 1.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if val < best_val:
-            best_val, best_d = val, d
+    for s in range(m):
+        if val[s] < best_val:
+            best_val, best_d = val[s], d[s]
         envelope.append(float(best_val))
     return float(best_val), best_d, samples, envelope
 
@@ -238,7 +285,12 @@ def check_d_stationary_P1(
     n_starts: int = N_STARTS,
     iters: int = SEARCH_ITERS,
 ) -> StationarityReport:
-    """Directional stationarity of the penalized problem over the full space."""
+    """Directional stationarity of the penalized problem over the full space.
+
+    Sampling also starts from the feasibility descent direction of each
+    violated layer and, at a feasible point, from every +-lifted parameter
+    direction, since the sphere of R^nbar rarely comes near the tangent cone.
+    """
     b = check_beta(problem, beta)
     report = StationarityReport("penalized", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
     wit = _enumerate(report, mode, lambda: theta_prime_pieces(problem, z, b))
@@ -251,7 +303,7 @@ def check_d_stationary_P1(
         for k in range(1, problem.L + 1):
             if float(np.max(np.abs(res.per_layer[k - 1]))) > 1e-9:
                 seeds.append(feasibility_descent_direction(problem, z, k).flat())
-        if res.feasible and problem.n <= 16:
+        if res.feasible:
             DU = lift_direction_batch(problem, z, np.eye(problem.n))
             lifted = np.vstack([np.eye(problem.n)] + DU)
             seeds.extend([lifted[:, i] for i in range(problem.n)])
@@ -320,30 +372,33 @@ def _critical_search(
     pool = _normalize_cols(pool)
 
     def eval_pool(D):
-        return _tangent_second_batch(problem, z, D, beta, sign)
+        return _tangent_second_batch(problem, z, D, beta, sign)[:3]
 
-    phi1, phi2, bad, _ = eval_pool(pool)
+    phi1, phi2, bad = eval_pool(pool)
     min_phi1 = float(np.min(np.abs(phi1)))
     crit = np.abs(phi1) <= slack
     # Polish the most promising candidates: descend phi2 while projecting out
-    # the component that moves phi1 away from zero.
+    # the component that moves phi1 away from zero.  The candidates advance
+    # in lockstep, one call for the probes of all live ones per round and one
+    # for their trial points.
     order_idx = np.argsort(np.where(bad, np.inf, phi2))
     polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
-    eye = np.eye(n)
-    refined = []
-    for i in polish:
-        d = pool[:, i].copy()
-        v1, v2 = float(phi1[i]), float(phi2[i])
-        for _ in range(max(10, iters // 16)):
-            probe = d.reshape(-1, 1) + _FD_H * eye
-            p1, p2, pb, _ = eval_pool(np.hstack([probe]))
+    hI = _FD_H * np.eye(n)
+    refined = [(float(phi1[i]), float(phi2[i]), pool[:, i].copy()) for i in polish]
+    live = list(range(len(refined)))
+    for _ in range(max(10, iters // 16)):
+        if not live:
+            break
+        moving, trials = [], []
+        for c, (p1, p2, _) in zip(live, _eval_blocks(eval_pool, [refined[c][2] for c in live], hI)):
+            v1, v2, d = refined[c]
             g1 = (p1 - v1) / _FD_H
             g2 = (p2 - v2) / _FD_H
             # First pull toward criticality, then slide downhill along phi2.
             if abs(v1) > slack:
                 ng1 = np.linalg.norm(g1)
                 if ng1 < 1e-12:
-                    break
+                    continue
                 d2 = d - (v1 / ng1**2) * g1
             else:
                 gt = g2 - float(g2 @ d) * d
@@ -352,24 +407,26 @@ def _critical_search(
                     gh = g1 / n1
                     gt = gt - float(gt @ gh) * gh
                 if np.linalg.norm(gt) < 1e-12:
-                    break
+                    continue
                 d2 = d - 0.25 * gt / np.linalg.norm(gt)
             d2 /= np.linalg.norm(d2)
-            w1, w2, wb, _ = eval_pool(d2.reshape(-1, 1))
+            moving.append(c)
+            trials.append(d2)
+        live = []
+        for c, d2, (w1, w2, wb) in zip(moving, trials, _eval_blocks(eval_pool, trials)):
+            v1, v2, _ = refined[c]
             if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
-                break
-            d, v1, v2 = d2, float(w1[0]), float(w2[0])
-            if bool(wb[0]):
-                break
-        refined.append((v1, v2, d))
-        min_phi1 = min(min_phi1, abs(v1))
+                continue
+            refined[c] = (float(w1[0]), float(w2[0]), d2)
+            if not bool(wb[0]):
+                live.append(c)
+    min_phi1 = min([min_phi1] + [abs(v1) for v1, _, _ in refined])
     best: list[tuple[float, np.ndarray, bool]] = []
     for i in np.flatnonzero(crit):
         best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
-    for v1, v2, d in refined:
-        if abs(v1) <= slack:
-            w1, w2, wb, _ = eval_pool(d.reshape(-1, 1))
-            best.append((float(w2[0]), d, bool(wb[0])))
+    kept = [d for v1, _, d in refined if abs(v1) <= slack]
+    for d, (_, w2, wb) in zip(kept, _eval_blocks(eval_pool, kept)):
+        best.append((float(w2[0]), d, bool(wb[0])))
     best.sort(key=lambda t: t[0])
     return bool(best), min_phi1, best
 

@@ -1,17 +1,30 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mcpen import expr as ex
-from mcpen.dcalc import dd_Theta, direction_from_flat
+from mcpen import stationarity
+from mcpen.dcalc import dd_Theta, dd_Theta_batch, direction_from_flat
 from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.penalty import build_config
 from mcpen.pieces import TooManyPieces
+from mcpen.rnn import RnnSpec, build_problem, rnn_penalty_config
 from mcpen.stationarity import (
+    _FD_H,
+    CRIT_SLACK,
     INCONCLUSIVE,
+    N_STARTS,
     NOT_STATIONARY,
+    SEARCH_ITERS,
     STATIONARY,
+    _critical_search,
+    _normalize_cols,
+    _search_min_first,
+    _sphere_points,
+    _with_units,
     check_box,
     check_d_stationary_P0,
     check_d_stationary_P1,
@@ -169,3 +182,240 @@ def test_p1_fallback_to_sampling_says_why(rnn_problem):
     assert rep.notes[0] == f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"
     with pytest.raises(TooManyPieces):
         check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, mode="enumerate")
+
+
+# ---------------------------------------------------------------------------
+# The lockstep searches against the per-start loops they replace
+
+
+def _per_start_search(phi, dim, seed, n_starts=N_STARTS, iters=SEARCH_ITERS, extra=None, stops=None):
+    """Reference oracle: the search with every start run to its end, one after another.
+
+    Records in ``stops`` why each start ended: a vanishing tangent slope
+    (``flat``), a step ladder that ran out (``ladder``) or the iteration cap
+    (``iters``).
+    """
+    stops = [] if stops is None else stops
+    starts = _sphere_points(dim, n_starts, seed)
+    if extra is not None and extra.size:
+        starts = np.hstack([_normalize_cols(extra), starts])
+    per_start = max(12, iters // max(starts.shape[1], 1))
+    samples = 0
+    best_val, best_d = np.inf, starts[:, 0]
+    envelope = []
+    eye = np.eye(dim)
+    for s in range(starts.shape[1]):
+        d = starts[:, s].copy()
+        val = float(phi(d.reshape(-1, 1))[0])
+        samples += 1
+        step = 0.5
+        stop = "iters"
+        for _ in range(per_start):
+            probe = np.hstack([d.reshape(-1, 1) + _FD_H * eye])
+            g = (phi(probe) - val) / _FD_H
+            samples += dim
+            gt = g - float(g @ d) * d
+            ng = np.linalg.norm(gt)
+            if ng < 1e-12:
+                stop = "flat"
+                break
+            moved = False
+            while step > 1e-10:
+                d2 = d - step * gt / ng
+                d2 /= np.linalg.norm(d2)
+                v2 = float(phi(d2.reshape(-1, 1))[0])
+                samples += 1
+                if v2 < val - 1e-14:
+                    d, val = d2, v2
+                    step = min(step * 1.5, 1.0)
+                    moved = True
+                    break
+                step *= 0.5
+            if not moved:
+                stop = "ladder"
+                break
+        stops.append(stop)
+        if val < best_val:
+            best_val, best_d = val, d
+        envelope.append(float(best_val))
+    return float(best_val), best_d, samples, envelope
+
+
+def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, slack, n_starts, iters):
+    """Reference oracle: the critical-direction polish, one candidate after another."""
+    n = problem.n
+    pool = _normalize_cols(_with_units(n, _sphere_points(n, max(n_starts, 4 * n), seed)))
+
+    def eval_pool(D):
+        return second_batch(problem, z, D, beta, sign)
+
+    phi1, phi2, bad, _ = eval_pool(pool)
+    min_phi1 = float(np.min(np.abs(phi1)))
+    crit = np.abs(phi1) <= slack
+    order_idx = np.argsort(np.where(bad, np.inf, phi2))
+    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
+    eye = np.eye(n)
+    refined = []
+    for i in polish:
+        d = pool[:, i].copy()
+        v1, v2 = float(phi1[i]), float(phi2[i])
+        for _ in range(max(10, iters // 16)):
+            probe = d.reshape(-1, 1) + _FD_H * eye
+            p1, p2, pb, _ = eval_pool(np.hstack([probe]))
+            g1 = (p1 - v1) / _FD_H
+            g2 = (p2 - v2) / _FD_H
+            if abs(v1) > slack:
+                ng1 = np.linalg.norm(g1)
+                if ng1 < 1e-12:
+                    break
+                d2 = d - (v1 / ng1**2) * g1
+            else:
+                gt = g2 - float(g2 @ d) * d
+                n1 = np.linalg.norm(g1)
+                if n1 > 1e-12:
+                    gh = g1 / n1
+                    gt = gt - float(gt @ gh) * gh
+                if np.linalg.norm(gt) < 1e-12:
+                    break
+                d2 = d - 0.25 * gt / np.linalg.norm(gt)
+            d2 /= np.linalg.norm(d2)
+            w1, w2, wb, _ = eval_pool(d2.reshape(-1, 1))
+            if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
+                break
+            d, v1, v2 = d2, float(w1[0]), float(w2[0])
+            if bool(wb[0]):
+                break
+        refined.append((v1, v2, d))
+        min_phi1 = min(min_phi1, abs(v1))
+    best = []
+    for i in np.flatnonzero(crit):
+        best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
+    for v1, v2, d in refined:
+        if abs(v1) <= slack:
+            w1, w2, wb, _ = eval_pool(d.reshape(-1, 1))
+            best.append((float(w2[0]), d, bool(wb[0])))
+    best.sort(key=lambda t: t[0])
+    return bool(best), min_phi1, best
+
+
+def _rowwise(M, D):
+    """M @ D summed one row of D at a time: each column rounds as it would alone."""
+    out = np.zeros((M.shape[0], D.shape[1]))
+    for i in range(D.shape[0]):
+        out += np.outer(M[:, i], D[i])
+    return out
+
+
+def _search_case(kind):
+    """(phi, dim, n_starts, iters, extra, the stop reason the case must show)."""
+    rng = np.random.default_rng(7)
+    if kind == "max-plus-min":
+        A, B = rng.standard_normal((4, 6)), rng.standard_normal((3, 6))
+        phi = lambda D: np.max(_rowwise(A, D), axis=0) + np.min(_rowwise(B, D), axis=0)
+        return phi, 6, 16, 0, rng.standard_normal((6, 3)), "iters"
+    if kind == "flat":
+        # Zero wherever every row of A has a negative slope, as along -e_0.
+        A = rng.standard_normal((3, 5))
+        A[:, 0] = np.abs(A[:, 0]) + 2.0
+        phi = lambda D: np.maximum(np.max(_rowwise(A, D), axis=0), 0.0)
+        return phi, 5, 8, 0, np.column_stack([-np.eye(5)[:, 0], rng.standard_normal(5)]), "flat"
+    # A linear phi started at its minimizer on the sphere: no step descends.
+    c = rng.standard_normal((1, 4))
+    phi = lambda D: _rowwise(c, D)[0]
+    return phi, 4, 4, 0, np.column_stack([-c[0], c[0]]), "ladder"
+
+
+# The column cap as shipped, and one that splits every call (a block wider
+# than the cap goes alone).
+CAPS = [stationarity._MAX_COLS, 7]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("kind", ["max-plus-min", "flat", "ladder"])
+def test_lockstep_search_matches_per_start_loop(monkeypatch, kind, cap):
+    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
+    phi, dim, n_starts, iters, extra, reason = _search_case(kind)
+    stops = []
+    ref = _per_start_search(phi, dim, 3, n_starts, iters, extra, stops)
+    assert reason in stops
+    got = _search_min_first(phi, dim, 3, n_starts, iters, extra)
+    assert got[0] == ref[0]
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2:] == ref[2:]
+
+
+def _plane_quadratic(seed, n):
+    """A test-local stand-in for the tangent second-derivative batch.
+
+    phi1 = a . d and phi2 = d' Q d with Q indefinite, both summed row by row
+    so that each column rounds as it would alone; columns with d_0 > 0.9
+    are flagged as unsupported.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((1, n))
+    S = rng.standard_normal((n, n))
+    Q = S + S.T
+
+    def second_batch(problem, z, D, beta, sign):
+        QD = _rowwise(Q, D)
+        phi2 = np.zeros(D.shape[1])
+        for i in range(D.shape[0]):
+            phi2 += D[i] * QD[i]
+        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9, None
+
+    return second_batch
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("seed, n, sign", [(0, 3, 1.0), (1, 5, 1.0), (2, 9, -1.0)])
+def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, cap):
+    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
+    second_batch = _plane_quadratic(seed, n)
+    problem = SimpleNamespace(n=n)
+    args = (problem, None, None, sign, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS)
+    ref = _per_candidate_critical_search(second_batch, *args)
+    monkeypatch.setattr(stationarity, "_tangent_second_batch", second_batch)
+    got = _critical_search(*args)
+    assert got[:2] == ref[:2]
+    assert len(got[2]) == len(ref[2]) > 0
+    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[2], ref[2]):
+        assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
+
+
+def test_p1_search_batches_its_derivative_calls(rnn_spec, rnn_problem, monkeypatch):
+    z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
+    beta = rnn_penalty_config(rnn_spec).beta
+    widths = []
+
+    def counted(*args):
+        widths.append(args[2].shape[1])
+        return dd_Theta_batch(*args)
+
+    monkeypatch.setattr(stationarity, "dd_Theta_batch", counted)
+    rep = check_d_stationary_P1(rnn_problem, z, beta)
+    calls, cols = len(widths), sum(widths)
+    widths.clear()
+    monkeypatch.setattr(stationarity, "_search_min_first", _per_start_search)
+    ref = check_d_stationary_P1(rnn_problem, z, beta)
+    assert 10 * calls <= len(widths)
+    assert cols == sum(widths) == rep.samples == ref.samples
+
+
+def test_p1_sampling_finds_the_lifted_descent_p0_finds():
+    # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
+    # with certified closed-form beta.  P1 cannot enumerate its pieces, and
+    # sampling over R^nbar alone misses the tangent descent directions.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, 5, 2))
+    y = 0.5 * rng.standard_normal((1, 5, 1))
+    spec = RnnSpec(n0=2, n1=5, n2=1, t=5, x=x, y=y, alpha=0.1, lam=0.1)
+    problem = build_problem(spec)
+    config = rnn_penalty_config(spec)
+    assert config.certified and problem.n > 16
+    z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
+    r0 = check_d_stationary_P0(problem, z)
+    r1 = check_d_stationary_P1(problem, z, config.beta)
+    assert r0.verdict == NOT_STATIONARY
+    assert (r1.verdict, r1.mode) == (NOT_STATIONARY, "sample")
+    slope = dd_Theta(problem, z, r1.witness, config.beta, order=1).first
+    assert slope == r1.witness_value < -r1.tol / 2.0
