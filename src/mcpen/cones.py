@@ -71,21 +71,13 @@ def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -
 
 def _degree(e: ex.Expr) -> int:
     """Upper bound on polynomial degree in the inputs, kinks transparent."""
-    op = e.op
-    if op == "const":
-        return 0
-    if op in ("theta", "u"):
-        return 1
-    if op in ("sum", "diff", "scaled", "affine", "max", "abs", "plus", "leaky_relu"):
-        return max((_degree(a) for a in e.args), default=0)
-    if op == "product":
-        return _degree(e.args[0]) + _degree(e.args[1])
-    if op == "inner":
-        k = len(e.args) // 2
-        return max(_degree(e.args[i]) + _degree(e.args[k + i]) for i in range(k))
-    if op in ("square", "sqnorm"):
-        return 2 * max((_degree(a) for a in e.args), default=0)
-    raise ValueError(f"unknown node op {op!r}")
+    family, data = e.family, e.data
+    if family == ex.LEAF:
+        return 0 if data is None else 1
+    degs = [_degree(a) for a in e.args]
+    if family == ex.PRODUCT:
+        return max((degs[i] + degs[j] for i, j in data[0]), default=0)
+    return max(degs, default=0)
 
 
 def ray_decidable(problem: CompositeProblem) -> bool:

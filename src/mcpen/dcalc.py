@@ -275,13 +275,11 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
     tau -> u_j(theta + tau d), so the result describes the nested objective.
     Returns (ublocks, DU, EU, kinked, bad) with EU/bad None at first order.
     """
-    m = DTH.shape[1]
     ublocks: list[np.ndarray] = []
     DU: list[np.ndarray] = []
     EU: list[np.ndarray] | None = [] if order == 2 else None
     KU: list[np.ndarray] = []
     BU: list[np.ndarray] | None = [] if order == 2 else None
-    eth = np.zeros((problem.n, m)) if order == 2 else None
     for k in range(1, problem.L + 1):
         cells = ex.taylor_cells(
             problem.layers[k - 1].exprs,
@@ -290,7 +288,6 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
             DTH,
             DU,
             order=order,
-            etheta=eth,
             eublocks=EU,
             ukinked=KU,
             ubad2=BU,

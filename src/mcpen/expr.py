@@ -1,10 +1,26 @@
 """Expression trees for piecewise-smooth functions of parameter and layer blocks.
 
-The node set is deliberately small.  Affine combinations, products, squares,
-inner products and squared norms cover the smooth side; max-of-two, absolute
-value, plus-part and leaky relu cover the kinks.  Trees are built from
-immutable nodes, so cycles are impossible by construction and sharing of
-subtrees is safe.
+Every op belongs to one of four node families, and ``OPS`` is the one table
+that says which, together with the data the family rule reads:
+
+* leaf: ``const``, ``theta`` and ``u`` read a constant or one component of
+  the parameter block (block 0) or of a layer block (block j);
+* linear: ``sum``, ``diff``, ``scaled`` and ``affine`` are weighted sums of
+  their arguments plus an offset;
+* pairwise product: ``product``, ``inner``, ``sqnorm`` and ``square`` sum
+  products of argument pairs (self-pairs for the squares);
+* kink: ``max``, ``abs``, ``plus`` and ``leaky_relu`` are the max of the
+  first argument against a second branch: the second argument, ``s*a`` for
+  ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
+
+The walkers (``eval_one``, ``taylor_cells``, ``pieces.expr_pieces``,
+``cones._degree``) branch on the family only.  Where an op's own arithmetic
+differs from its family rule (whether a sum starts at zero or at its first
+term, ``**`` for the squared norm's values, Python's ``abs``), the
+difference is table data, so each op keeps its exact rounding and sign of
+zero.  Trees are built from immutable nodes, so cycles are impossible by
+construction and sharing of subtrees is safe; ``nodes`` walks a tree
+without recursion.
 
 Every node supports exact one-sided Taylor data along a ray: given input
 curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the propagation below
@@ -22,27 +38,27 @@ defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+import operator
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 # Gap below which a branch tie counts as active.
 TIE_TOL = 1e-12
 
-_LEAF_OPS = ("const", "theta", "u")
-_SMOOTH_OPS = ("sum", "diff", "scaled", "affine", "product", "inner", "sqnorm", "square")
-_KINK_OPS = ("max", "abs", "plus", "leaky_relu")
-ALL_OPS = _LEAF_OPS + _SMOOTH_OPS + _KINK_OPS
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """One node of an expression tree.
 
-    ``op`` selects the rule; the payload fields are meaningful only for the
-    ops that use them (``value`` for constants, ``ref``/``layer`` for leaves,
-    ``alpha`` for leaky relu, ``coeffs``/``const`` for affine nodes).
+    ``op`` names the op, whose family rule the walkers apply; the payload
+    fields are meaningful only for the ops that use them (``value`` for
+    constants, ``ref``/``layer`` for leaves, ``alpha`` for leaky relu,
+    ``coeffs``/``const`` for affine nodes).  ``family`` and ``data`` are the
+    op's family and the node's family data (see ``OPS``), set at
+    construction; an unknown op raises ``ValueError`` there.
     """
 
     op: str
@@ -53,6 +69,16 @@ class Expr:
     alpha: float = 0.0
     coeffs: tuple[float, ...] = ()
     const: float = 0.0
+    family: str = field(init=False, repr=False, compare=False)
+    data: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            family, data = OPS[self.op]
+        except KeyError:
+            raise ValueError(f"unknown node op {self.op!r}") from None
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "data", data(self))
 
 
 def const(v: float) -> Expr:
@@ -134,80 +160,106 @@ def square(a: Expr) -> Expr:
     return Expr("square", args=(a,))
 
 
+LEAF, LINEAR, PRODUCT, KINK = "leaf", "linear", "product", "kink"
+
+
+def _pairs(e: Expr) -> tuple[tuple[int, int], ...]:
+    k = len(e.args) // 2
+    return tuple((i, k + i) for i in range(k))
+
+
+def _abs(a: float, _: float) -> float:
+    return abs(a)
+
+
+# op -> (family, node -> family data).  The data of each family:
+#   leaf     the block read (0 for theta, j for u_j), None for a constant;
+#   linear   (weights, offset); offset None sums from the first term;
+#   product  (index pairs, start, pow2); start None sums from the first
+#            pair, and pow2 makes eval_one square with ** (sqnorm only);
+#   kink     (second-branch node, scale, scalar rule of eval_one); a None
+#            node makes the second branch scale * first argument.
+OPS: dict[str, tuple[str, Callable[[Expr], object]]] = {
+    "const": (LEAF, lambda e: None),
+    "theta": (LEAF, lambda e: 0),
+    "u": (LEAF, lambda e: e.layer),
+    "sum": (LINEAR, lambda e: ((1.0,) * len(e.args), 0.0)),
+    "diff": (LINEAR, lambda e: ((1.0, -1.0), None)),
+    "scaled": (LINEAR, lambda e: (e.coeffs[:1], None)),  # coeffs[0] * args[0] only
+    "affine": (LINEAR, lambda e: (e.coeffs, e.const)),
+    "product": (PRODUCT, lambda e: (((0, 1),), None, False)),
+    "inner": (PRODUCT, lambda e: (_pairs(e), 0.0, False)),
+    "sqnorm": (PRODUCT, lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0, True)),
+    "square": (PRODUCT, lambda e: (((0, 0),), None, False)),
+    "max": (KINK, lambda e: (e.args[1], None, max)),
+    "abs": (KINK, lambda e: (None, -1.0, _abs)),
+    "plus": (KINK, lambda e: (_ZERO, None, max)),
+    "leaky_relu": (KINK, lambda e: (None, e.alpha, max)),
+}
+ALL_OPS = tuple(OPS)
+_ZERO = const(0.0)
+
+
+def nodes(e: Expr) -> Iterator[Expr]:
+    """Every node of the tree, parents first, arguments left to right."""
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(node.args))
+
+
 def validate(e: Expr, n: int, max_layer: int, widths: Sequence[int]) -> None:
     """Check leaf references against dimensions.
 
     ``max_layer`` is the largest layer index (1-based) the expression may
     reference; ``widths[j-1]`` is the width of layer ``j``.
     """
-    if e.op not in ALL_OPS:
-        raise ValueError(f"unknown node op {e.op!r}")
-    if e.op == "theta":
-        if not 0 <= e.ref < n:
-            raise ValueError(f"parameter reference {e.ref} out of range for n={n}")
-    elif e.op == "u":
-        if not 1 <= e.layer <= max_layer:
-            raise ValueError(f"layer reference {e.layer} not below layer {max_layer + 1}")
-        if not 0 <= e.ref < widths[e.layer - 1]:
-            raise ValueError(f"component {e.ref} out of range for layer {e.layer}")
-    for a in e.args:
-        validate(a, n, max_layer, widths)
+    for node in nodes(e):
+        if node.op == "theta":
+            if not 0 <= node.ref < n:
+                raise ValueError(f"parameter reference {node.ref} out of range for n={n}")
+        elif node.op == "u":
+            if not 1 <= node.layer <= max_layer:
+                raise ValueError(f"layer reference {node.layer} not below layer {max_layer + 1}")
+            if not 0 <= node.ref < widths[node.layer - 1]:
+                raise ValueError(f"component {node.ref} out of range for layer {node.layer}")
 
 
 def ops_used(e: Expr) -> set[str]:
-    out = {e.op}
-    for a in e.args:
-        out |= ops_used(a)
-    return out
+    return {node.op for node in nodes(e)}
 
 
 def eval_one(e: Expr, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> float:
     """Plain value evaluation; the fast path with no derivative bookkeeping."""
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "theta":
-        return float(th[e.ref])
-    if op == "u":
-        return float(ublocks[e.layer - 1][e.ref])
-    if op == "sum":
-        return sum(eval_one(a, th, ublocks) for a in e.args)
-    if op == "diff":
-        return eval_one(e.args[0], th, ublocks) - eval_one(e.args[1], th, ublocks)
-    if op == "scaled":
-        return e.coeffs[0] * eval_one(e.args[0], th, ublocks)
-    if op == "affine":
-        acc = e.const
-        for c, a in zip(e.coeffs, e.args):
-            acc += c * eval_one(a, th, ublocks)
+    return _value(e, (th, *ublocks))
+
+
+def _value(e: Expr, blocks: Sequence[np.ndarray]) -> float:
+    family, data = e.family, e.data
+    if family == LEAF:
+        return e.value if data is None else float(blocks[data][e.ref])
+    if family == KINK:
+        branch, scale, rule = data
+        a = _value(e.args[0], blocks)
+        return rule(a, scale * a if branch is None else _value(branch, blocks))
+    if family == LINEAR:
+        weights, acc = data
+        for w, a in zip(weights, e.args):
+            t = w * _value(a, blocks)
+            acc = t if acc is None else acc + t
         return acc
-    if op == "product":
-        return eval_one(e.args[0], th, ublocks) * eval_one(e.args[1], th, ublocks)
-    if op == "inner":
-        k = len(e.args) // 2
-        return sum(
-            eval_one(e.args[i], th, ublocks) * eval_one(e.args[k + i], th, ublocks)
-            for i in range(k)
-        )
-    if op == "sqnorm":
-        return sum(eval_one(a, th, ublocks) ** 2 for a in e.args)
-    if op == "square":
-        v = eval_one(e.args[0], th, ublocks)
-        return v * v
-    if op == "max":
-        return max(eval_one(e.args[0], th, ublocks), eval_one(e.args[1], th, ublocks))
-    if op == "abs":
-        return abs(eval_one(e.args[0], th, ublocks))
-    if op == "plus":
-        return max(eval_one(e.args[0], th, ublocks), 0.0)
-    if op == "leaky_relu":
-        v = eval_one(e.args[0], th, ublocks)
-        return v if v >= 0.0 else e.alpha * v
-    raise ValueError(f"unknown node op {op!r}")
+    pairs, acc, pow2 = data
+    for i, j in pairs:
+        a = _value(e.args[i], blocks)
+        t = a**2 if pow2 else a * (a if i == j else _value(e.args[j], blocks))
+        acc = t if acc is None else acc + t
+    return acc
 
 
 def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
-    return np.array([eval_one(e, th, ublocks) for e in exprs], dtype=float)
+    blocks = (th, *ublocks)
+    return np.array([_value(e, blocks) for e in exprs], dtype=float)
 
 
 class Cell(NamedTuple):
@@ -233,22 +285,18 @@ def taylor_cells(
     dtheta: np.ndarray,
     dublocks: Sequence[np.ndarray],
     order: int = 1,
-    etheta: np.ndarray | None = None,
     eublocks: Sequence[np.ndarray] | None = None,
     ukinked: Sequence[np.ndarray] | None = None,
     ubad2: Sequence[np.ndarray] | None = None,
-    stats: dict | None = None,
 ) -> list[Cell]:
     """Propagate one-sided Taylor data through each expression.
 
     ``dtheta`` has shape (n, m) and each entry of ``dublocks`` shape
-    (N_j, m); the optional ``etheta``/``eublocks`` carry second-order input
-    curve coefficients (defaulting to zero).  ``ukinked``/``ubad2`` mark
-    layer-input components whose feeding curves are themselves kinked or
-    second-order unsupported, so the taint survives chaining across layers.
-    ``stats``, when given, collects ``min_gap``: the smallest inactive branch
-    gap seen, which callers use to reject configurations too close to a kink
-    for finite differencing.
+    (N_j, m); the optional ``eublocks`` carry the layer inputs' second-order
+    curve coefficients (defaulting to zero, as they always are for theta).
+    ``ukinked``/``ubad2`` mark layer-input components whose feeding curves
+    are themselves kinked or second-order unsupported, so the taint survives
+    chaining across layers.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -258,29 +306,10 @@ def taylor_cells(
 
     zeros = np.zeros(m)
     false = np.zeros(m, dtype=bool)
-
-    def leaf(
-        val: float,
-        f: np.ndarray,
-        s: np.ndarray | None,
-        kinked: np.ndarray | None = None,
-        bad2: np.ndarray | None = None,
-    ) -> Cell:
-        return Cell(
-            val,
-            f,
-            (s if s is not None else zeros) if want2 else None,
-            kinked if kinked is not None else false,
-            (bad2 if bad2 is not None else false) if want2 else None,
-        )
-
-    def note_gap(gap: float) -> None:
-        if stats is not None and gap > TIE_TOL:
-            stats["min_gap"] = min(stats.get("min_gap", np.inf), gap)
+    zeros2, false2 = (zeros, false) if want2 else (None, None)
 
     def combine_max(a: Cell, b: Cell) -> Cell:
         gap = a.value - b.value
-        note_gap(abs(gap))
         if gap > TIE_TOL:
             return a
         if gap < -TIE_TOL:
@@ -305,125 +334,68 @@ def taylor_cells(
         return Cell(max(a.value, b.value), first, second, kinked, bad2)
 
     def cell(e: Expr) -> Cell:
-        op = e.op
-        if op == "const":
-            return leaf(e.value, zeros, None)
-        if op == "theta":
-            return leaf(
-                float(th[e.ref]),
-                dtheta[e.ref],
-                etheta[e.ref] if (want2 and etheta is not None) else None,
-            )
-        if op == "u":
-            j, i = e.layer - 1, e.ref
-            return leaf(
+        family, data = e.family, e.data
+        if family == LEAF:
+            if data is None:
+                return Cell(e.value, zeros, zeros2, false, false2)
+            if data == 0:  # theta carries no second-order data or taint
+                return Cell(float(th[e.ref]), dtheta[e.ref], zeros2, false, false2)
+            j, i = data - 1, e.ref
+            return Cell(
                 float(ublocks[j][i]),
                 dublocks[j][i],
-                eublocks[j][i] if (want2 and eublocks is not None) else None,
-                ukinked[j][i] if ukinked is not None else None,
-                ubad2[j][i] if (want2 and ubad2 is not None) else None,
+                eublocks[j][i] if (want2 and eublocks is not None) else zeros2,
+                ukinked[j][i] if ukinked is not None else false,
+                ubad2[j][i] if (want2 and ubad2 is not None) else false2,
             )
-        if op == "sum":
-            cs = [cell(a) for a in e.args]
-            return Cell(
-                sum(c.value for c in cs),
-                sum(c.first for c in cs),
-                sum(c.second for c in cs) if want2 else None,
-                np.logical_or.reduce([c.kinked for c in cs]),
-                np.logical_or.reduce([c.bad2 for c in cs]) if want2 else None,
-            )
-        if op == "diff":
-            a, b = cell(e.args[0]), cell(e.args[1])
-            return Cell(
-                a.value - b.value,
-                a.first - b.first,
-                a.second - b.second if want2 else None,
-                a.kinked | b.kinked,
-                a.bad2 | b.bad2 if want2 else None,
-            )
-        if op == "scaled":
+        if family == KINK:
+            branch, scale, _ = data
             a = cell(e.args[0])
-            c = e.coeffs[0]
-            return Cell(c * a.value, c * a.first, c * a.second if want2 else None, a.kinked, a.bad2)
-        if op == "affine":
-            if not e.args:
-                return leaf(e.const, zeros, None)
-            cs = [cell(a) for a in e.args]
-            val = e.const + sum(c * x.value for c, x in zip(e.coeffs, cs))
-            first = sum(c * x.first for c, x in zip(e.coeffs, cs))
-            second = sum(c * x.second for c, x in zip(e.coeffs, cs)) if want2 else None
-            kinked = np.logical_or.reduce([x.kinked for x in cs])
-            bad2 = np.logical_or.reduce([x.bad2 for x in cs]) if want2 else None
-            return Cell(val, first + zeros, second + zeros if want2 else None, kinked, bad2)
-        if op == "product":
-            a, b = cell(e.args[0]), cell(e.args[1])
-            first = a.first * b.value + a.value * b.first
-            second = None
-            bad2 = None
-            if want2:
-                second = a.second * b.value + 2.0 * a.first * b.first + a.value * b.second
-                bad2 = a.bad2 | b.bad2 | (a.kinked & b.kinked)
-            return Cell(a.value * b.value, first, second, a.kinked | b.kinked, bad2)
-        if op == "inner":
-            k = len(e.args) // 2
-            val = 0.0
-            first = zeros.copy()
-            second = zeros.copy() if want2 else None
-            kinked = false.copy()
-            bad2 = false.copy() if want2 else None
-            for i in range(k):
-                a, b = cell(e.args[i]), cell(e.args[k + i])
-                val += a.value * b.value
-                first = first + a.first * b.value + a.value * b.first
-                kinked = kinked | a.kinked | b.kinked
+            if branch is not None:
+                return combine_max(a, cell(branch))
+            s2 = scale * a.second if want2 else None
+            return combine_max(a, Cell(scale * a.value, scale * a.first, s2, a.kinked, a.bad2))
+        cs = [cell(a) for a in e.args]
+        if not cs:  # an affine node without arguments is its offset
+            return Cell(data[1], zeros, zeros2, false, false2)
+        kinked = reduce(operator.or_, [c.kinked for c in cs])
+        bad2 = [c.bad2 for c in cs]
+        if family == LINEAR:
+            weights, offset = data
+            val = first = second = None if offset is None else 0.0
+            for w, c in zip(weights, cs):
+                v, f, s2 = c.value, c.first, c.second
+                if w != 1.0:
+                    v, f, s2 = w * v, w * f, w * s2 if want2 else None
+                val = v if val is None else val + v
+                first = f if first is None else first + f
                 if want2:
-                    second = second + a.second * b.value + 2.0 * a.first * b.first + a.value * b.second
-                    bad2 = bad2 | a.bad2 | b.bad2 | (a.kinked & b.kinked)
-            return Cell(val, first, second, kinked, bad2)
-        if op == "sqnorm":
-            val = 0.0
-            first = zeros.copy()
-            second = zeros.copy() if want2 else None
-            kinked = false.copy()
-            bad2 = false.copy() if want2 else None
-            for arg in e.args:
-                a = cell(arg)
-                val += a.value * a.value
-                first = first + 2.0 * a.value * a.first
-                kinked = kinked | a.kinked
-                if want2:
-                    second = second + 2.0 * a.first * a.first + 2.0 * a.value * a.second
-                    bad2 = bad2 | a.bad2 | a.kinked
-            return Cell(val, first, second, kinked, bad2)
-        if op == "square":
-            a = cell(e.args[0])
-            first = 2.0 * a.value * a.first
-            second = None
-            bad2 = None
-            if want2:
-                second = 2.0 * a.first * a.first + 2.0 * a.value * a.second
-                bad2 = a.bad2 | a.kinked
-            return Cell(a.value * a.value, first, second, a.kinked, bad2)
-        if op == "max":
-            return combine_max(cell(e.args[0]), cell(e.args[1]))
-        if op == "abs":
-            a = cell(e.args[0])
-            neg = Cell(-a.value, -a.first, -a.second if want2 else None, a.kinked, a.bad2)
-            return combine_max(a, neg)
-        if op == "plus":
-            a = cell(e.args[0])
-            zero = Cell(0.0, zeros, zeros if want2 else None, false, false if want2 else None)
-            return combine_max(a, zero)
-        if op == "leaky_relu":
-            a = cell(e.args[0])
-            alt = Cell(
-                e.alpha * a.value,
-                e.alpha * a.first,
-                e.alpha * a.second if want2 else None,
-                a.kinked,
-                a.bad2,
-            )
-            return combine_max(a, alt)
-        raise ValueError(f"unknown node op {op!r}")
+                    second = s2 if second is None else second + s2
+            if offset is not None:
+                val = offset + val
+        else:
+            pairs, val, _ = data
+            first = second = val
+            for i, j in pairs:
+                a, b = cs[i], cs[j]
+                v = a.value * b.value
+                val = v if val is None else val + v
+                if i == j:
+                    f = 2.0 * a.value * a.first
+                    first = f if first is None else first + f
+                else:
+                    f = a.first * b.value
+                    first = (f if first is None else first + f) + a.value * b.first
+                if not want2:
+                    continue
+                if i == j:
+                    s2 = 2.0 * a.first * a.first
+                    second = (s2 if second is None else second + s2) + 2.0 * a.value * a.second
+                else:
+                    s2 = a.second * b.value
+                    second = s2 if second is None else second + s2
+                    second = second + 2.0 * a.first * b.first + a.value * b.second
+                bad2.append(a.kinked & b.kinked)
+        return Cell(val, first, second, kinked, reduce(operator.or_, bad2) if want2 else None)
 
     return [cell(e) for e in exprs]

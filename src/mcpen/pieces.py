@@ -45,11 +45,11 @@ def _unit(dim: int, i) -> np.ndarray:
     return c
 
 
-def _leafcoef(n: int, ucoefs: Sequence[np.ndarray]) -> Callable[[ex.Expr], np.ndarray]:
+def _leafcoef(n: int, ucoefs: Sequence[np.ndarray]) -> Callable[[int, int], np.ndarray]:
     """Leaf coefficients over the parameters, with u-leaves read from ucoefs."""
 
-    def leafcoef(node: ex.Expr) -> np.ndarray:
-        return _unit(n, node.ref) if node.op == "theta" else ucoefs[node.layer - 1][node.ref]
+    def leafcoef(j: int, i: int) -> np.ndarray:
+        return _unit(n, i) if j == 0 else ucoefs[j - 1][i]
 
     return leafcoef
 
@@ -58,7 +58,7 @@ def expr_pieces(
     e: ex.Expr,
     th: np.ndarray,
     ublocks: Sequence[np.ndarray],
-    leafcoef: Callable[[ex.Expr], np.ndarray],
+    leafcoef: Callable[[int, int], np.ndarray],
     dim: int,
     limit: int,
 ) -> list[Piece]:
@@ -68,10 +68,12 @@ def expr_pieces(
     intersection the derivative equals coefficient . d.  Values are
     direction-independent and shared by every piece of a subtree, so each
     node's piece count is the product of its children's, times two at a tie.
-    Coefficients accumulate left to right, one child at a time.
+    Coefficients accumulate left to right, one child at a time.  A leaf of
+    block j (0 for theta) at component i has coefficient ``leafcoef(j, i)``.
     """
 
     zeros = np.zeros(dim)
+    blocks = (th, *ublocks)
 
     def combine_max(pa: list[Piece], pb: list[Piece]) -> list[Piece]:
         gap = pa[0][0] - pb[0][0]
@@ -86,64 +88,40 @@ def expr_pieces(
         return out
 
     def rec(node: ex.Expr) -> list[Piece]:
-        op = node.op
-        if op == "const":
-            return [(node.value, zeros, [])]
-        if op in ("theta", "u"):
-            if op == "theta":
-                v = float(th[node.ref])
-            else:
-                v = float(ublocks[node.layer - 1][node.ref])
-            return [(v, leafcoef(node), [])]
-        if op == "max":
-            return combine_max(rec(node.args[0]), rec(node.args[1]))
-        if op == "abs":
+        family, data = node.family, node.data
+        if family == ex.LEAF:
+            if data is None:
+                return [(node.value, zeros, [])]
+            return [(float(blocks[data][node.ref]), leafcoef(data, node.ref), [])]
+        if family == ex.KINK:
+            branch, scale, _ = data
             pa = rec(node.args[0])
-            return combine_max(pa, [(-v, -c, k) for v, c, k in pa])
-        if op == "plus":
-            return combine_max(rec(node.args[0]), [(0.0, zeros, [])])
-        if op == "leaky_relu":
-            pa = rec(node.args[0])
-            return combine_max(pa, [(node.alpha * v, node.alpha * c, k) for v, c, k in pa])
-        if op == "square":
-            return [(v * v, 2.0 * v * c, k) for v, c, k in rec(node.args[0])]
+            pb = rec(branch) if branch is not None else [(scale * v, scale * c, k) for v, c, k in pa]
+            return combine_max(pa, pb)
         parts = [rec(a) for a in node.args]
-        if op == "product":
-            return [
-                (va * vb, va * cb + vb * ca, ka + kb)
-                for (va, ca, ka), (vb, cb, kb) in _product(parts, limit)
-            ]
         out = []
-        if op == "inner":
-            k = len(parts) // 2
-            paired = [p for pair in zip(parts[:k], parts[k:]) for p in pair]
-            for combo in _product(paired, limit):
-                v, c, kk = 0.0, zeros, []
-                for (va, ca, ka), (vb, cb, kb) in zip(combo[::2], combo[1::2]):
-                    v, c, kk = v + va * vb, c + (va * cb + vb * ca), kk + (ka + kb)
-                out.append((v, c, kk))
-            return out
-        if op == "sqnorm":
+        if family == ex.LINEAR:
+            weights, offset = data
             for combo in _product(parts, limit):
-                v, c, kk = 0.0, zeros, []
-                for v1, c1, k1 in combo:
-                    v, c, kk = v + v1 * v1, c + 2.0 * v1 * c1, kk + k1
+                v, c, kk = 0.0 if offset is None else offset, zeros, []
+                for w, (v1, c1, k1) in zip(weights, combo):
+                    v, c, kk = v + w * v1, c + w * c1, kk + k1
                 out.append((v, c, kk))
             return out
-        if op == "sum":
-            weights, offset = [1.0] * len(parts), 0.0
-        elif op == "diff":
-            weights, offset = [1.0, -1.0], 0.0
-        elif op == "scaled":
-            weights, offset = [node.coeffs[0]], 0.0
-        elif op == "affine":
-            weights, offset = list(node.coeffs), node.const
-        else:
-            raise ValueError(f"unknown node op {op!r}")
-        for combo in _product(parts, limit):
-            v, c, kk = offset, zeros, []
-            for w, (v1, c1, k1) in zip(weights, combo):
-                v, c, kk = v + w * v1, c + w * c1, kk + k1
+        # One factor per self-pair, two per cross pair, in pair order.
+        pairs, start, _ = data
+        slots = [(i,) if i == j else (i, j) for i, j in pairs]
+        for combo in _product([parts[i] for slot in slots for i in slot], limit):
+            it = iter(combo)
+            v, c, kk = (None, None, None) if start is None else (start, zeros, [])
+            for slot in slots:
+                if len(slot) == 1:
+                    v1, c1, k1 = next(it)
+                    tv, tc, tk = v1 * v1, 2.0 * v1 * c1, k1
+                else:
+                    (va, ca, ka), (vb, cb, kb) = next(it), next(it)
+                    tv, tc, tk = va * vb, va * cb + vb * ca, ka + kb
+                v, c, kk = (tv, tc, tk) if v is None else (v + tv, c + tc, kk + tk)
             out.append((v, c, kk))
         return out
 
@@ -163,8 +141,8 @@ def theta_prime_pieces(
     dim = problem.nbar
     _, at = split_flat(problem, np.arange(dim))  # flat positions of each block
 
-    def leafcoef(node: ex.Expr) -> np.ndarray:
-        return _unit(dim, node.ref if node.op == "theta" else at[node.layer - 1][node.ref])
+    def leafcoef(j: int, i: int) -> np.ndarray:
+        return _unit(dim, i if j == 0 else at[j - 1][i])
 
     # Each factor entry is (coefficient added, constraints added).
     g_pieces = expr_pieces(problem.outer, z.theta, z.u, leafcoef, dim, limit)

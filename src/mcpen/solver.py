@@ -37,23 +37,20 @@ from .model import (
 )
 from .penalty import feasibility_descent_direction
 
-PROBE_SIZE = 32
+PROBE_PAIRS = 16  # random antipodal probe pairs per iteration
 ARMIJO_SIGMA = 1e-4
+STEP_INIT = 1.0  # first trial step of the backtracking line search
+DIMINISHING_C = 0.1  # step c/sqrt(k) of the diminishing rule
+POLISH_EVERY = 5  # iterations between snaps onto the feasible manifold
 
 
 @dataclass
 class SolveConfig:
     max_iters: int = 300
     step_rule: str = "fixed"  # fixed step with backtracking, or diminishing c/sqrt(k)
-    step_init: float = 1.0
-    diminishing_c: float = 0.1
     stop_tol: float = 1e-6
-    armijo_sigma: float = ARMIJO_SIGMA
-    probe_size: int = PROBE_SIZE
     seed: int = 0
     init: str = "zero"  # zero | random | user
-    polish_every: int = 5
-    smooth_polish: bool = True
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -61,8 +58,6 @@ class SolveConfig:
             raise ValueError("max_iters must be positive")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
-        if self.step_init <= 0 or self.diminishing_c <= 0:
-            raise ValueError("steps must be positive")
         if self.step_rule not in ("fixed", "diminishing"):
             raise ValueError("step_rule must be 'fixed' or 'diminishing'")
         if self.init not in ("zero", "random", "user"):
@@ -121,12 +116,9 @@ def _initial_point(
     return base
 
 
-def _probe_directions(
-    problem: CompositeProblem, z: Point, rng: np.random.Generator, size: int
-) -> np.ndarray:
+def _probe_directions(problem: CompositeProblem, z: Point, rng: np.random.Generator) -> np.ndarray:
     nbar = problem.nbar
-    pairs = max(size // 2, 1)
-    G = rng.standard_normal((nbar, pairs))
+    G = rng.standard_normal((nbar, PROBE_PAIRS))
     G /= np.maximum(np.linalg.norm(G, axis=0), 1e-300)
     cols = [G, -G, np.eye(nbar), -np.eye(nbar)]
     res = residuals(problem, z)
@@ -219,7 +211,7 @@ def minimize_theta(
     k = 0
     for k in range(1, cfg.max_iters + 1):
         res = residuals(problem, z)
-        D = _probe_directions(problem, z, rng, cfg.probe_size)
+        D = _probe_directions(problem, z, rng)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
             # manifold avoids paying penalty for the lift violation.
@@ -231,7 +223,7 @@ def minimize_theta(
                 D = np.hstack([D, (dl / max(np.linalg.norm(dl), 1e-300)).reshape(-1, 1)])
         slopes = _slopes(problem, z, b, D)
         nbar = problem.nbar
-        base = 2 * max(cfg.probe_size // 2, 1)
+        base = 2 * PROBE_PAIRS
         g_est = (slopes[base : base + nbar] - slopes[base + nbar : base + 2 * nbar]) / 2.0
         ng = np.linalg.norm(g_est)
         if ng > 1e-300:
@@ -255,16 +247,16 @@ def minimize_theta(
                 break
             d = D[:, j]
             if cfg.step_rule == "diminishing":
-                t = cfg.diminishing_c / np.sqrt(k)
+                t = DIMINISHING_C / np.sqrt(k)
                 z2 = point_from_flat(problem, z.flat() + t * d)
                 v2 = eval_Theta(problem, z2, b)
                 z, value, step_used, moved = z2, v2, t, True
                 break
-            t = cfg.step_init
+            t = STEP_INIT
             while t > 1e-12:
                 z2 = point_from_flat(problem, z.flat() + t * d)
                 v2 = eval_Theta(problem, z2, b)
-                if v2 <= value + cfg.armijo_sigma * t * slope:
+                if v2 <= value + ARMIJO_SIGMA * t * slope:
                     z, value, step_used, moved = z2, v2, t, True
                     break
                 t *= 0.5
@@ -278,7 +270,7 @@ def minimize_theta(
         if not moved:
             trace.termination = "line-search-stalled"
             break
-        if k % cfg.polish_every == 0:
+        if k % POLISH_EVERY == 0:
             z2, changed, _ = polish_to_feasible(problem, z, b)
             if changed:
                 z = z2
@@ -291,13 +283,13 @@ def minimize_theta(
     z2, changed, _ = polish_to_feasible(problem, z, b)
     if changed:
         z, value = z2, eval_Theta(problem, z2, b)
-    if cfg.smooth_polish and residuals(problem, z).feasible:
+    if residuals(problem, z).feasible:
         th = _smooth_polish(problem, z.theta)
         z3 = eval_layers(problem, th)
         v3 = eval_Theta(problem, z3, b)
         if v3 <= value + 1e-12:
             z, value = z3, v3
-    Df = _probe_directions(problem, z, rng, cfg.probe_size)
+    Df = _probe_directions(problem, z, rng)
     probe_min = float(np.min(_slopes(problem, z, b, Df)))
     if probe_min >= -cfg.stop_tol:
         converged = True

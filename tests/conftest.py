@@ -131,26 +131,25 @@ def random_problem(seed, max_n=4, max_L=3, max_width=3, allow_kinks=True):
 def kink_margin_expr(e, th, ublocks):
     """Smallest branch gap over the kinked nodes of one expression.
 
-    Exact ties (gap below 1e-12) do not count: the one-sided rules handle
-    them and a difference quotient along a fixed ray sees the same branch.
-    The dangerous regime is a gap that is small but nonzero, where a finite
-    step can hop the kink.
+    The gap is |a - b| for max(a, b), (1 - alpha)|a| for a leaky relu and
+    |a| for abs and the plus part.  Exact ties (gap below 1e-12) do not
+    count: the one-sided rules handle them and a difference quotient along
+    a fixed ray sees the same branch.  The dangerous regime is a gap that is
+    small but nonzero, where a finite step can hop the kink.
     """
     worst = np.inf
-
-    def visit(node):
-        nonlocal worst
-        if node.op in ("max", "abs", "plus", "leaky"):
-            if node.op == "max":
-                gap = abs(ex.eval_one(node.args[0], th, ublocks) - ex.eval_one(node.args[1], th, ublocks))
-            else:
-                gap = abs(ex.eval_one(node.args[0], th, ublocks))
-            if gap > 1e-12:
-                worst = min(worst, gap)
-        for a in node.args:
-            visit(a)
-
-    visit(e)
+    for node in ex.nodes(e):
+        if node.family != ex.KINK:
+            continue
+        a = ex.eval_one(node.args[0], th, ublocks)
+        if node.op == "max":
+            gap = abs(a - ex.eval_one(node.args[1], th, ublocks))
+        elif node.op == "leaky_relu":
+            gap = (1.0 - node.alpha) * abs(a)
+        else:
+            gap = abs(a)
+        if gap > 1e-12:
+            worst = min(worst, gap)
     return worst
 
 

@@ -1,11 +1,15 @@
 """Expression constructors, evaluation, and the cell propagation rules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_problem
 from mcpen import expr as ex
+from mcpen.model import eval_layers
 
 
 def test_constructors_and_eval():
@@ -148,3 +152,98 @@ def test_eval_many_matches_eval_one():
     out = ex.eval_many(exprs, th, [u1])
     for k, e in enumerate(exprs):
         assert out[k] == pytest.approx(ex.eval_one(e, th, [u1]))
+
+
+# sha256 of the values and Taylor cells below, recorded with the per-op tree
+# walkers that preceded the four node families
+CELLS_SHA256 = "dee1d4b23aa38f8a28dc699493193906ff88deb26c077c09fe9f5560ee82c46f"
+
+
+def _update(h, arr, dtype=np.float64):
+    h.update(np.asarray(arr, dtype=dtype).tobytes())
+
+
+def _digest_cells(h, exprs, th, ublocks, rng):
+    """Hash eval_many and taylor_cells at orders 1 and 2 along seeded rays.
+
+    The rays mix normal columns, signed unit columns (first-order ties at
+    rounded points) and a zero column; the layer inputs carry random
+    second-order data and kinked/unsupported marks.
+    """
+    m = 6
+
+    def cols(rows):
+        out = np.zeros((rows, m))
+        out[:, :3] = rng.standard_normal((rows, 3))
+        out[:, 3:5] = rng.integers(-1, 2, size=(rows, 2))
+        return out
+
+    _update(h, ex.eval_many(exprs, th, ublocks))
+    dth = cols(th.size)
+    dus = [cols(b.size) for b in ublocks]
+    eus = [cols(b.size) for b in ublocks]
+    kus = [rng.random((b.size, m)) < 0.2 for b in ublocks]
+    bus = [rng.random((b.size, m)) < 0.2 for b in ublocks]
+    runs = [
+        dict(order=1),
+        dict(order=1, ukinked=kus),
+        dict(order=2),
+        dict(order=2, eublocks=eus, ukinked=kus, ubad2=bus),
+    ]
+    for kw in runs:
+        for c in ex.taylor_cells(exprs, th, ublocks, dth, dus, **kw):
+            _update(h, [c.value])
+            _update(h, c.first)
+            _update(h, c.kinked, bool)
+            if kw["order"] == 2:
+                _update(h, c.second)
+                _update(h, c.bad2, bool)
+
+
+def _digest_problem(h, problem, th, rng):
+    z = eval_layers(problem, th)
+    for u in (z.u, tuple(b + 0.25 for b in z.u)):
+        for layer in problem.layers:
+            _digest_cells(h, layer.exprs, z.theta, u[: layer.index - 1], rng)
+        _digest_cells(h, [problem.outer], z.theta, u, rng)
+
+
+def test_values_and_cells_are_bit_identical(square_chain, relu_ridge, box_max, abs_cubic, rnn_problem):
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for e in (box_max, abs_cubic):
+        for x in (np.zeros(2), np.array([1.0, -1.0]), np.array([1.0, 1.0]), rng.standard_normal(2)):
+            _digest_cells(h, [e], x, [], rng)
+    # signed zeros through every op, and values whose x**2 and x*x differ
+    x0, x1 = ex.theta(0), ex.theta(1)
+    signed = [
+        ex.affine(-0.0, [], []),
+        ex.add(x0),
+        ex.sub(x0, x1),
+        ex.scaled(-1.0, x0),
+        ex.affine(-0.0, [1.0], [x0]),
+        ex.mul(x0, x1),
+        ex.dot([x0], [x1]),
+        ex.sqnorm(x0),
+        ex.square(x0),
+        ex.vmax(x0, x1),
+        ex.vabs(x0),
+        ex.plus(x0),
+        ex.leaky(x0, 0.0),
+    ]
+    for x in ([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.8329, -1.6598]):
+        _digest_cells(h, signed, np.array(x), [], rng)
+    _digest_problem(h, square_chain, np.zeros(1), rng)
+    _digest_problem(h, square_chain, np.array([0.5]), rng)
+    _digest_problem(h, relu_ridge, np.zeros(2), rng)
+    _digest_problem(h, relu_ridge, np.array([-0.5, 1.0]), rng)
+    # the desk RNN at its lift of 0.1 N(0, I) and at theta = 0, where every
+    # leaky relu sits at its kink
+    _digest_problem(h, rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n), rng)
+    _digest_problem(h, rnn_problem, np.zeros(rnn_problem.n), rng)
+    # random instances cover every op, with ties at rounded points
+    for seed in range(12):
+        p = random_problem(seed)
+        for x in (np.zeros(p.n), np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)):
+            _digest_problem(h, p, x, rng)
+    assert h.hexdigest() == CELLS_SHA256
