@@ -109,8 +109,8 @@ def _emit(report: dict, out: str | None) -> None:
 def _parse_beta(args, L: int) -> np.ndarray:
     if getattr(args, "beta_file", None):
         data = serialize.load(args.beta_file)
-        if not isinstance(data, list):
-            raise CliError(f"{args.beta_file}: expected a JSON array of penalty weights")
+        if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
+            raise serialize.FormatError(f"{args.beta_file}: expected a JSON array of penalty weights")
         vals = [float(v) for v in data]
     elif getattr(args, "beta", None):
         try:

@@ -1,7 +1,8 @@
 """Expression trees for piecewise-smooth functions of parameter and layer blocks.
 
 Every op belongs to one of four node families, and ``OPS`` is the one table
-that says which, together with the data the family rule reads:
+that says which, together with the data the family rule reads, the op's
+arity and its payload fields (checked and converted by ``FIELDS``):
 
 * leaf: ``const``, ``theta`` and ``u`` read a constant or one component of
   the parameter block (block 0) or of a layer block (block j);
@@ -53,12 +54,13 @@ TIE_TOL = 1e-12
 class Expr:
     """One node of an expression tree.
 
-    ``op`` names the op, whose family rule the walkers apply; the payload
-    fields are meaningful only for the ops that use them (``value`` for
-    constants, ``ref``/``layer`` for leaves, ``alpha`` for leaky relu,
-    ``coeffs``/``const`` for affine nodes).  ``family`` and ``data`` are the
-    op's family and the node's family data (see ``OPS``), set at
-    construction; an unknown op raises ``ValueError`` there.
+    ``op`` names the op; its ``OPS`` entry gives the family rule the walkers
+    apply, the arity and the payload fields (``value`` for constants,
+    ``ref``/``layer`` for leaves, ``alpha`` for leaky relu, ``coeffs``/``const``
+    for weighted sums); the fields an op does not list mean nothing.
+    Construction converts and checks the payload and checks the arity,
+    raising ``ValueError`` that names the op and the field, then sets
+    ``family`` and ``data``, the op's family and the node's family data.
     """
 
     op: str
@@ -74,36 +76,39 @@ class Expr:
 
     def __post_init__(self) -> None:
         try:
-            family, data = OPS[self.op]
-        except KeyError:
+            spec = OPS[self.op]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown node op {self.op!r}") from None
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "data", data(self))
+        if not ARITIES[spec.arity](len(self.args)):
+            raise ValueError(f"{self.op} args: arity {spec.arity}, got {len(self.args)}")
+        for name in spec.fields:
+            convert, ok, rule = FIELDS[name]
+            try:
+                v = convert(getattr(self, name))
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ValueError(f"{self.op} {name}: {err}") from None
+            if ok is not None and not ok(v, self):
+                raise ValueError(f"{self.op} {name}: {rule}, got {v!r}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "family", spec.family)
+        object.__setattr__(self, "data", spec.data(self))
 
 
 def const(v: float) -> Expr:
-    return Expr("const", value=float(v))
+    return Expr("const", value=v)
 
 
 def theta(i: int) -> Expr:
-    if i < 0:
-        raise ValueError("parameter index must be nonnegative")
-    return Expr("theta", ref=int(i))
+    return Expr("theta", ref=i)
 
 
 def uref(layer: int, i: int) -> Expr:
     """Component ``i`` of the layer-``layer`` block (layers are 1-based)."""
-    if layer < 1:
-        raise ValueError("layer references are 1-based")
-    if i < 0:
-        raise ValueError("component index must be nonnegative")
-    return Expr("u", layer=int(layer), ref=int(i))
+    return Expr("u", layer=layer, ref=i)
 
 
 def add(*args: Expr) -> Expr:
-    if not args:
-        raise ValueError("sum needs at least one argument")
-    return Expr("sum", args=tuple(args))
+    return Expr("sum", args=args)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -111,13 +116,11 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def scaled(c: float, a: Expr) -> Expr:
-    return Expr("scaled", args=(a,), coeffs=(float(c),))
+    return Expr("scaled", args=(a,), coeffs=(c,))
 
 
 def affine(c0: float, coeffs: Sequence[float], args: Sequence[Expr]) -> Expr:
-    if len(coeffs) != len(args):
-        raise ValueError("affine needs one coefficient per argument")
-    return Expr("affine", args=tuple(args), coeffs=tuple(float(c) for c in coeffs), const=float(c0))
+    return Expr("affine", args=tuple(args), coeffs=coeffs, const=c0)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -125,15 +128,13 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def dot(avec: Sequence[Expr], bvec: Sequence[Expr]) -> Expr:
-    if len(avec) != len(bvec) or not avec:
-        raise ValueError("inner product needs two argument lists of equal nonzero length")
+    if len(avec) != len(bvec):
+        raise ValueError("inner product needs two argument lists of equal length")
     return Expr("inner", args=tuple(avec) + tuple(bvec))
 
 
 def sqnorm(*args: Expr) -> Expr:
-    if not args:
-        raise ValueError("squared norm needs at least one argument")
-    return Expr("sqnorm", args=tuple(args))
+    return Expr("sqnorm", args=args)
 
 
 def vmax(a: Expr, b: Expr) -> Expr:
@@ -150,9 +151,6 @@ def plus(a: Expr) -> Expr:
 
 
 def leaky(a: Expr, alpha: float) -> Expr:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("leaky slope must lie in [0, 1)")
     return Expr("leaky_relu", args=(a,), alpha=alpha)
 
 
@@ -161,6 +159,39 @@ def square(a: Expr) -> Expr:
 
 
 LEAF, LINEAR, PRODUCT, KINK = "leaf", "linear", "product", "kink"
+
+# arity -> whether it admits a given number of arguments
+ARITIES: dict[str, Callable[[int], bool]] = {
+    "0": lambda k: k == 0,
+    "1": lambda k: k == 1,
+    "2": lambda k: k == 2,
+    "1+": lambda k: k >= 1,
+    "2k": lambda k: k >= 2 and k % 2 == 0,
+    "any": lambda k: True,
+}
+
+# payload field -> (conversion, check of (value, node) or None, the rule checked)
+FIELDS: dict[str, tuple[Callable[[object], object], Callable[[object, Expr], bool] | None, str]] = {
+    "value": (float, None, ""),
+    "ref": (operator.index, lambda v, e: v >= 0, "must be >= 0"),
+    "layer": (operator.index, lambda v, e: v >= 1, "must be >= 1"),
+    "alpha": (float, lambda v, e: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "coeffs": (
+        lambda v: tuple(map(float, v)),
+        lambda v, e: len(v) == len(e.args),
+        "must hold one coefficient per argument",
+    ),
+    "const": (float, None, ""),
+}
+
+
+class Op(NamedTuple):
+    """An op's family, arity (a key of ``ARITIES``), payload fields and node -> family data map."""
+
+    family: str
+    arity: str
+    fields: tuple[str, ...]
+    data: Callable[[Expr], object]
 
 
 def _pairs(e: Expr) -> tuple[tuple[int, int], ...]:
@@ -172,29 +203,29 @@ def _abs(a: float, _: float) -> float:
     return abs(a)
 
 
-# op -> (family, node -> family data).  The data of each family:
+# The data of each family:
 #   leaf     the block read (0 for theta, j for u_j), None for a constant;
 #   linear   (weights, offset); offset None sums from the first term;
 #   product  (index pairs, start, pow2); start None sums from the first
 #            pair, and pow2 makes eval_one square with ** (sqnorm only);
 #   kink     (second-branch node, scale, scalar rule of eval_one); a None
 #            node makes the second branch scale * first argument.
-OPS: dict[str, tuple[str, Callable[[Expr], object]]] = {
-    "const": (LEAF, lambda e: None),
-    "theta": (LEAF, lambda e: 0),
-    "u": (LEAF, lambda e: e.layer),
-    "sum": (LINEAR, lambda e: ((1.0,) * len(e.args), 0.0)),
-    "diff": (LINEAR, lambda e: ((1.0, -1.0), None)),
-    "scaled": (LINEAR, lambda e: (e.coeffs[:1], None)),  # coeffs[0] * args[0] only
-    "affine": (LINEAR, lambda e: (e.coeffs, e.const)),
-    "product": (PRODUCT, lambda e: (((0, 1),), None, False)),
-    "inner": (PRODUCT, lambda e: (_pairs(e), 0.0, False)),
-    "sqnorm": (PRODUCT, lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0, True)),
-    "square": (PRODUCT, lambda e: (((0, 0),), None, False)),
-    "max": (KINK, lambda e: (e.args[1], None, max)),
-    "abs": (KINK, lambda e: (None, -1.0, _abs)),
-    "plus": (KINK, lambda e: (_ZERO, None, max)),
-    "leaky_relu": (KINK, lambda e: (None, e.alpha, max)),
+OPS: dict[str, Op] = {
+    "const": Op(LEAF, "0", ("value",), lambda e: None),
+    "theta": Op(LEAF, "0", ("ref",), lambda e: 0),
+    "u": Op(LEAF, "0", ("layer", "ref"), lambda e: e.layer),
+    "sum": Op(LINEAR, "1+", (), lambda e: ((1.0,) * len(e.args), 0.0)),
+    "diff": Op(LINEAR, "2", (), lambda e: ((1.0, -1.0), None)),
+    "scaled": Op(LINEAR, "1", ("coeffs",), lambda e: (e.coeffs, None)),
+    "affine": Op(LINEAR, "any", ("coeffs", "const"), lambda e: (e.coeffs, e.const)),
+    "product": Op(PRODUCT, "2", (), lambda e: (((0, 1),), None, False)),
+    "inner": Op(PRODUCT, "2k", (), lambda e: (_pairs(e), 0.0, False)),
+    "sqnorm": Op(PRODUCT, "1+", (), lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0, True)),
+    "square": Op(PRODUCT, "1", (), lambda e: (((0, 0),), None, False)),
+    "max": Op(KINK, "2", (), lambda e: (e.args[1], None, max)),
+    "abs": Op(KINK, "1", (), lambda e: (None, -1.0, _abs)),
+    "plus": Op(KINK, "1", (), lambda e: (_ZERO, None, max)),
+    "leaky_relu": Op(KINK, "1", ("alpha",), lambda e: (None, e.alpha, max)),
 }
 ALL_OPS = tuple(OPS)
 _ZERO = const(0.0)
@@ -215,15 +246,14 @@ def validate(e: Expr, n: int, max_layer: int, widths: Sequence[int]) -> None:
     ``max_layer`` is the largest layer index (1-based) the expression may
     reference; ``widths[j-1]`` is the width of layer ``j``.
     """
+    sizes = (n, *widths[:max_layer])
     for node in nodes(e):
-        if node.op == "theta":
-            if not 0 <= node.ref < n:
-                raise ValueError(f"parameter reference {node.ref} out of range for n={n}")
-        elif node.op == "u":
-            if not 1 <= node.layer <= max_layer:
-                raise ValueError(f"layer reference {node.layer} not below layer {max_layer + 1}")
-            if not 0 <= node.ref < widths[node.layer - 1]:
-                raise ValueError(f"component {node.ref} out of range for layer {node.layer}")
+        block = node.data if node.family == LEAF else None
+        if block is not None and block >= len(sizes):
+            raise ValueError(f"layer reference {block} not below layer {max_layer + 1}")
+        if block is not None and node.ref >= sizes[block]:
+            where = f"n={n}" if block == 0 else f"layer {block}"
+            raise ValueError(f"reference {node.ref} out of range for {where}")
 
 
 def ops_used(e: Expr) -> set[str]:

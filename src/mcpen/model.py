@@ -81,7 +81,7 @@ class CompositeProblem:
                 # A layer map may reference theta and strictly earlier blocks.
                 ex.validate(e, self.n, k - 1, widths)
         ex.validate(self.outer, self.n, len(widths), widths)
-        if "theta" in ex.ops_used(self.outer):
+        if any(node.family == ex.LEAF and node.data == 0 for node in ex.nodes(self.outer)):
             raise DimensionError("the outer function may reference layer blocks only")
 
     @property

@@ -9,7 +9,9 @@ makes byte-level comparison of reports meaningful.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -26,41 +28,33 @@ class FormatError(ValueError):
 
 def expr_to_dict(e: ex.Expr) -> dict:
     d: dict = {"op": e.op}
-    if e.op == "const":
-        d["value"] = e.value
-    elif e.op == "theta":
-        d["ref"] = e.ref
-    elif e.op == "u":
-        d["layer"] = e.layer
-        d["ref"] = e.ref
-    if e.op == "leaky_relu":
-        d["alpha"] = e.alpha
-    if e.op in ("scaled", "affine"):
-        d["coeffs"] = list(e.coeffs)
-    if e.op == "affine":
-        d["const"] = e.const
+    for name in ex.OPS[e.op].fields:
+        v = getattr(e, name)
+        d[name] = list(v) if isinstance(v, tuple) else v
     if e.args:
         d["args"] = [expr_to_dict(a) for a in e.args]
     return d
 
 
-def expr_from_dict(d: dict) -> ex.Expr:
+def expr_from_dict(d: dict, where: str = "expr") -> ex.Expr:
+    """The node ``d`` holds; ``where`` locates it in the file for error messages."""
     if not isinstance(d, dict) or "op" not in d:
-        raise FormatError("expression node must be an object with an 'op' field")
+        raise FormatError(f"{where}: expression node must be an object with an 'op' field")
     op = d["op"]
-    if op not in ex.ALL_OPS:
-        raise FormatError(f"unknown expression op {op!r}")
-    args = tuple(expr_from_dict(a) for a in d.get("args", []))
-    return ex.Expr(
-        op,
-        args=args,
-        value=float(d.get("value", 0.0)),
-        ref=int(d.get("ref", -1)),
-        layer=int(d.get("layer", 0)),
-        alpha=float(d.get("alpha", 0.0)),
-        coeffs=tuple(float(c) for c in d.get("coeffs", [])),
-        const=float(d.get("const", 0.0)),
-    )
+    if not isinstance(op, str) or op not in ex.OPS:
+        raise FormatError(f"{where}: unknown expression op {op!r}")
+    fields = ex.OPS[op].fields
+    unknown = sorted(d.keys() - {"op", "args", *fields})
+    if unknown:
+        raise FormatError(f"{where}: {op} {unknown[0]}: not a field of this op")
+    args = _list(d, "args", f"{where}: {op} ") if "args" in d else []
+    args = tuple(expr_from_dict(a, f"{where}.args[{i}]") for i, a in enumerate(args))
+    try:
+        return ex.Expr(op, args, **{name: d[name] for name in fields})
+    except KeyError as err:
+        raise FormatError(f"{where}: {op} {err.args[0]}: missing") from None
+    except ValueError as err:
+        raise FormatError(f"{where}: {err}") from None
 
 
 def problem_to_dict(p: CompositeProblem) -> dict:
@@ -78,29 +72,41 @@ def problem_to_dict(p: CompositeProblem) -> dict:
     }
 
 
-def _expect_kind(d: dict, kind: str) -> None:
+@contextmanager
+def _reading(d: dict, kind: str) -> Iterator[None]:
+    """Check a ``kind`` file's header; make a missing field or a mistyped value a FormatError."""
     if not isinstance(d, dict):
         raise FormatError(f"expected a JSON object describing a {kind}")
     if d.get("kind") != kind:
         raise FormatError(f"expected kind {kind!r}, found {d.get('kind')!r}")
-    if int(d.get("schema_version", -1)) != SCHEMA_VERSION:
-        raise FormatError(
-            f"unsupported schema_version {d.get('schema_version')!r} (this build reads {SCHEMA_VERSION})"
-        )
+    try:
+        if int(d.get("schema_version", -1)) != SCHEMA_VERSION:
+            raise FormatError(
+                f"unsupported schema_version {d.get('schema_version')!r} (this build reads {SCHEMA_VERSION})"
+            )
+        yield
+    except KeyError as err:
+        raise FormatError(f"{kind} file missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise FormatError(str(err)) from err
+
+
+def _list(d: dict, key: str, where: str = "") -> list:
+    v = d[key]
+    if not isinstance(v, list):
+        raise FormatError(f"{where}{key}: expected a list, got {v!r}")
+    return v
 
 
 def problem_from_dict(d: dict) -> CompositeProblem:
-    _expect_kind(d, "problem")
-    try:
-        layers = tuple(
-            LayerMap(int(lm["index"]), tuple(expr_from_dict(e) for e in lm["exprs"]))
-            for lm in d["layers"]
-        )
-        return CompositeProblem(
-            int(d["n"]), layers, expr_from_dict(d["outer"]), float(d["lam"]), d.get("meta") or None
-        )
-    except KeyError as err:
-        raise FormatError(f"problem file missing field {err}") from err
+    with _reading(d, "problem"):
+        layers = []
+        for k, lm in enumerate(_list(d, "layers")):
+            items = enumerate(_list(lm, "exprs", f"layers[{k}]."))
+            exprs = tuple(expr_from_dict(e, f"layers[{k}].exprs[{i}]") for i, e in items)
+            layers.append(LayerMap(int(lm["index"]), exprs))
+        outer = expr_from_dict(d["outer"], "outer")
+        return CompositeProblem(int(d["n"]), tuple(layers), outer, float(d["lam"]), d.get("meta") or None)
 
 
 def point_to_dict(z: Point) -> dict:
@@ -113,14 +119,9 @@ def point_to_dict(z: Point) -> dict:
 
 
 def point_from_dict(d: dict) -> Point:
-    _expect_kind(d, "point")
-    try:
-        return Point(
-            np.asarray(d["theta"], dtype=float),
-            tuple(np.asarray(b, dtype=float) for b in d["u"]),
-        )
-    except KeyError as err:
-        raise FormatError(f"point file missing field {err}") from err
+    with _reading(d, "point"):
+        u = tuple(np.asarray(b, dtype=float) for b in _list(d, "u"))
+        return Point(np.asarray(d["theta"], dtype=float), u)
 
 
 def direction_to_dict(dd: Direction) -> dict:
@@ -133,14 +134,9 @@ def direction_to_dict(dd: Direction) -> dict:
 
 
 def direction_from_dict(d: dict) -> Direction:
-    _expect_kind(d, "direction")
-    try:
-        return Direction(
-            np.asarray(d["dtheta"], dtype=float),
-            tuple(np.asarray(b, dtype=float) for b in d["du"]),
-        )
-    except KeyError as err:
-        raise FormatError(f"direction file missing field {err}") from err
+    with _reading(d, "direction"):
+        du = tuple(np.asarray(b, dtype=float) for b in _list(d, "du"))
+        return Direction(np.asarray(d["dtheta"], dtype=float), du)
 
 
 def dumps(d: dict) -> str:
@@ -151,27 +147,30 @@ def save(path: str | Path, d: dict) -> None:
     Path(path).write_text(dumps(d))
 
 
-def load(path: str | Path) -> dict:
+def load(path: str | Path, read: Callable[[Any], Any] = lambda d: d) -> Any:
+    """``read`` of the JSON value in ``path``; its format errors name the file."""
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise FormatError(f"{path}: {err.strerror or err}") from err
     try:
-        return json.loads(text)
+        return read(json.loads(text))
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from err
 
 
 def load_problem(path: str | Path) -> CompositeProblem:
-    return problem_from_dict(load(path))
+    return load(path, problem_from_dict)
 
 
 def load_point(path: str | Path) -> Point:
-    return point_from_dict(load(path))
+    return load(path, point_from_dict)
 
 
 def load_direction(path: str | Path) -> Direction:
-    return direction_from_dict(load(path))
+    return load(path, direction_from_dict)
 
 
 def save_problem(path: str | Path, p: CompositeProblem) -> None:

@@ -10,7 +10,15 @@ from mcpen.cli import main
 from mcpen.dcalc import Direction
 from mcpen.model import Point, eval_layers
 from mcpen.repro import square_chain_problem
-from mcpen.serialize import load_problem, save_direction, save_point, save_problem
+from mcpen.serialize import (
+    dumps,
+    load_problem,
+    point_to_dict,
+    problem_to_dict,
+    save_direction,
+    save_point,
+    save_problem,
+)
 
 
 @pytest.fixture
@@ -173,6 +181,46 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {2**24} pieces exceed the limit of {2**20}" in captured.err
+    # Malformed nodes, mistyped containers and a foreign schema: the error
+    # line names the file and, for a node, its place, its op and the field.
+    u1, u2 = {"op": "u", "layer": 1, "ref": 0}, {"op": "u", "layer": 2, "ref": 0}
+    affine = {"op": "affine", "coeffs": [-1.0], "const": 0.0, "args": [u1, u2]}
+    outers = [
+        ({"op": "max", "args": [u1]}, "outer: max args"),
+        ({"op": "plus", "args": 5}, "outer: plus args"),
+        ({"op": "scaled", "coeffs": [1.0, 2.0], "args": [u1, u2]}, "outer: scaled args"),
+        ({"op": "plus", "args": [affine]}, "outer.args[0]: affine coeffs"),
+        ({"op": "inner", "args": [u1, u2, u1]}, "outer: inner args"),
+        ({"op": "diff", "args": [u1]}, "outer: diff args"),
+        ({"op": "abs", "args": [u1, u2]}, "outer: abs args"),
+        ({"op": "const", "value": 1.0, "args": [u1]}, "outer: const args"),
+        ({"op": "sum"}, "outer: sum args"),
+        ({"op": "leaky_relu", "alpha": 2.0, "args": [u1]}, "outer: leaky_relu alpha"),
+    ]
+    mistyped = [
+        ({"layers": 5}, "layers: expected a list, got 5"),
+        ({"schema_version": 999}, "unsupported schema_version 999"),
+    ]
+    cases = [({"outer": node}, text) for node, text in outers] + mistyped
+    d = problem_to_dict(square_chain_problem())
+    d["layers"][1]["exprs"] = 5
+    cases.append((d, "layers[1].exprs: expected a list, got 5"))
+    for k, (change, text) in enumerate(cases):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(dumps({**problem_to_dict(square_chain_problem()), **change}))
+        capsys.readouterr()
+        assert main(["eval", "--problem", str(bad), "--point", files["z0"]]) == 2
+        assert f"error: {bad}: {text}" in capsys.readouterr().err
+    bad_point, bad_beta = tmp_path / "u5.json", tmp_path / "beta.json"
+    bad_point.write_text(dumps({**point_to_dict(eval_layers(square_chain_problem(), np.zeros(1))), "u": 5}))
+    bad_beta.write_text("[[1.0], [2.0]]")
+    for argv, text in [
+        (["--point", str(bad_point)], f"error: {bad_point}: u: expected a list, got 5"),
+        (["--point", files["z0"], "--beta-file", str(bad_beta)], f"error: {bad_beta}: expected a JSON array"),
+    ]:
+        capsys.readouterr()
+        assert main(["eval", "--problem", files["prob"], *argv]) == 2
+        assert text in capsys.readouterr().err
 
 
 def test_solve_writes_report_and_trace(capsys, files, tmp_path):

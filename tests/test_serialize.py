@@ -1,10 +1,14 @@
 """JSON round trips and format validation."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mcpen import expr as ex
 from mcpen.dcalc import Direction
-from mcpen.model import Point
+from mcpen.model import CompositeProblem, LayerMap, Point
 from mcpen.serialize import (
     FormatError,
     direction_from_dict,
@@ -107,8 +111,33 @@ def test_schema_version_checked(square_chain, tmp_path):
 def test_loaded_problem_evaluates_identically(square_chain, tmp_path):
     from mcpen.model import eval_Psi_plus_reg
 
-    f = tmp_path / "p.json"
-    save_problem(f, square_chain)
-    p2 = load_problem(f)
-    for th in (np.array([0.0]), np.array([0.37]), np.array([-1.2])):
-        assert eval_Psi_plus_reg(p2, th) == eval_Psi_plus_reg(square_chain, th)
+    # Every op, with the payload edge values -0.0, alpha = 0 and an affine
+    # node without arguments.
+    t0, t1 = ex.theta(0), ex.theta(1)
+    layer = (
+        ex.add(ex.leaky(ex.sub(t0, t1), 0.0), ex.affine(-0.0, [], [])),
+        ex.scaled(-0.0, ex.mul(t0, t1)),
+        ex.dot([t0, t1], [t1, ex.const(-0.0)]),
+        ex.vmax(ex.vabs(t0), ex.plus(t1)),
+        ex.affine(0.5, [2.0, -0.0], [ex.square(t0), t1]),
+    )
+    outer = ex.sqnorm(*[ex.uref(1, i) for i in range(len(layer))])
+    every_op = CompositeProblem(2, (LayerMap(1, layer),), outer, 0.01)
+    assert set().union(*(ex.ops_used(e) for e in (*layer, outer))) == set(ex.OPS)
+    for p in (square_chain, every_op):
+        f = tmp_path / "p.json"
+        save_problem(f, p)
+        text = f.read_text()
+        p2 = load_problem(f)
+        save_problem(f, p2)
+        assert f.read_text() == text
+        for th in (np.array([0.0]), np.array([0.37]), np.array([-1.2])):
+            th = np.resize(th, p.n) * np.arange(1, p.n + 1)
+            assert eval_Psi_plus_reg(p2, th) == eval_Psi_plus_reg(p, th)
+
+
+def test_format_doc_lists_every_op_as_the_table_does():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \| ([^|]*) \|", doc, re.M)
+    documented = {op: (arity, tuple(re.findall(r"`(\w+)`", payload))) for op, arity, payload in rows}
+    assert documented == {op: (spec.arity, spec.fields) for op, spec in ex.OPS.items()}
