@@ -170,6 +170,14 @@ ARITIES: dict[str, Callable[[int], bool]] = {
     "any": lambda k: True,
 }
 
+
+def _sequence(v):
+    """``v`` itself if it is a list, tuple or array; a string would iterate its characters."""
+    if not isinstance(v, (list, tuple, np.ndarray)):
+        raise TypeError(f"expected a list, got {v!r}")
+    return v
+
+
 # payload field -> (conversion, check of (value, node) or None, the rule checked)
 FIELDS: dict[str, tuple[Callable[[object], object], Callable[[object, Expr], bool] | None, str]] = {
     "value": (float, None, ""),
@@ -177,7 +185,7 @@ FIELDS: dict[str, tuple[Callable[[object], object], Callable[[object, Expr], boo
     "layer": (operator.index, lambda v, e: v >= 1, "must be >= 1"),
     "alpha": (float, lambda v, e: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "coeffs": (
-        lambda v: tuple(map(float, v)),
+        lambda v: tuple(map(float, _sequence(v))),
         lambda v, e: len(v) == len(e.args),
         "must hold one coefficient per argument",
     ),

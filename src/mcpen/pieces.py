@@ -6,7 +6,11 @@ linear in the first-order data except branch selection at active kinks, and
 each active kink contributes a fork with a half-space consistency condition.
 Enumerating the forks yields a finite list of (coefficient, constraints)
 pieces on which the derivative is exactly linear, so minimization over the
-unit cross-polytope reduces to one small linear program per piece.
+unit cross-polytope reduces to a minimum over the pieces.  ``minimize_pieces``
+settles a piece exactly without a linear program when the vertex of the
+polytope that its sharpest coefficient points to lies in the piece, and
+solves one small linear program only for a piece whose bound could still
+beat the best value found.
 """
 
 from __future__ import annotations
@@ -245,14 +249,37 @@ def minimize_pieces(
     pieces: Sequence[tuple[np.ndarray, list[np.ndarray]]],
     extra_cons: Sequence[np.ndarray] = (),
 ) -> tuple[float, np.ndarray]:
-    """Global minimum over the cross-polytope of a piecewise-linear derivative."""
-    best = (0.0, None)
-    for coef, cons in pieces:
+    """Global minimum over the cross-polytope of a piecewise-linear derivative.
+
+    d = 0 lies in every piece and the l1 ball caps |c . d| at ||c||_inf, so a
+    piece's minimum lies in [-||c||_inf, 0].  With i = argmax |c_i|, the
+    bound is exact, and attained at the vertex -sign(c_i) e_i, whenever that
+    vertex meets the piece's constraints and ``extra_cons``.  The vertex
+    screen runs on every piece first; then, most negative bound first, a
+    linear program runs only for a piece whose bound lies below the best
+    value so far, which leaves the global minimum unchanged.
+    """
+    dim = pieces[0][0].size if pieces else 0
+    best = (0.0, np.zeros(dim))
+    if not pieces:
+        return best
+    C = np.array([c for c, _ in pieces])
+    axis = np.argmax(np.abs(C), axis=1)
+    top = C[np.arange(len(pieces)), axis]
+    bound = -np.abs(top)
+    sign = -np.sign(top)
+    extra = np.reshape(extra_cons, (-1, dim))
+    vertex_ok = np.all(extra[:, axis] * sign >= 0.0, axis=0)
+    for p, (_, cons) in enumerate(pieces):
+        if vertex_ok[p] and bound[p] < best[0]:
+            i, s = axis[p], sign[p]
+            if all(g[i] * s >= 0.0 for g in cons):
+                best = (float(bound[p]), s * _unit(dim, i))
+    for p in np.argsort(bound, kind="stable"):
+        if not bound[p] < best[0]:
+            break
+        coef, cons = pieces[p]
         sol = min_over_cross_polytope(coef, list(cons) + list(extra_cons))
-        if sol is None:
-            continue
-        if sol[0] < best[0] or best[1] is None:
+        if sol is not None and sol[0] < best[0]:
             best = sol
-    if best[1] is None:
-        best = (0.0, np.zeros(pieces[0][0].size if pieces else 0))
     return best

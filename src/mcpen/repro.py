@@ -7,8 +7,10 @@ report; the CLI prints one pass/fail line per check.
 Scenario names describe the instance: ``square-chain`` is the two-layer
 identity/square chain with a hinge objective, ``relu-ridge`` the plus-part
 into a shifted square, ``abs-cubic`` the absolute value of a cubic
-residual, ``box-max`` the box-constrained max example, and ``rnn-desk`` the
-small seeded recurrent network.
+residual, ``box-max`` the box-constrained max example, ``rnn-desk`` the
+small seeded recurrent network, and ``rnn-lift-descent`` a larger seeded
+network at the lift of a random theta, where both first-order checks must
+find the descent direction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .dcalc import dd_expr, dd_Psi, fd_oracle, ray_quotients
+from .dcalc import dd_expr, dd_Psi, dd_Theta, fd_oracle, ray_quotients
 from .model import (
     CompositeProblem,
     LayerMap,
@@ -29,12 +31,20 @@ from .model import (
     reference_point_and_level,
 )
 from .penalty import build_config
-from .rnn import build_problem, desk_instance, rnn_thresholds, train_and_certify
+from .rnn import (
+    RnnSpec,
+    build_problem,
+    desk_instance,
+    rnn_penalty_config,
+    rnn_thresholds,
+    train_and_certify,
+)
 from .stationarity import (
     NOT_STATIONARY,
     STATIONARY,
     check_box,
     check_d_stationary_P0,
+    check_d_stationary_P1,
     compare_sets_on_point,
 )
 
@@ -280,12 +290,51 @@ def _run_rnn_desk(seed: int) -> list[dict]:
     return checks
 
 
+def lift_descent_instance() -> RnnSpec:
+    """The RNN that ``mcpen rnn --n1 5 --t 5 --seed 0`` draws (n0=2, n2=1)."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, 5, 2))
+    y = 0.5 * rng.standard_normal((1, 5, 1))
+    return RnnSpec(n0=2, n1=5, n2=1, t=5, x=x, y=y, alpha=0.1, lam=0.1)
+
+
+def _run_rnn_lift_descent(seed: int) -> list[dict]:
+    checks: list[dict] = []
+    spec = lift_descent_instance()
+    problem = build_problem(spec)
+    config = rnn_penalty_config(spec)
+    _check(
+        checks,
+        "closed-form beta certified",
+        config.certified and problem.n > 16,
+        f"n={problem.n}, nbar={problem.nbar}",
+    )
+    z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
+    r0 = check_d_stationary_P0(problem, z, seed=seed)
+    r1 = check_d_stationary_P1(problem, z, config.beta, seed=seed)
+    for name, rep in (("lifted", r0), ("penalized", r1)):
+        # Theta' is P1's own slope; along P0's lifted witness the residual
+        # slopes vanish, so there it is the lifted slope.
+        slope, detail = None, "no witness"
+        if rep.witness is not None:
+            slope = dd_Theta(problem, z, rep.witness, config.beta, order=1).first
+            detail = f"witness slope {slope:.4e}"
+        _check(
+            checks,
+            f"{name} first order: not stationary, witness confirmed",
+            rep.verdict == NOT_STATIONARY and slope is not None and slope < -rep.tol / 2.0,
+            f"{rep.verdict} by {rep.mode}, {detail}",
+        )
+    return checks
+
+
 SCENARIOS: dict[str, Callable[[int], list[dict]]] = {
     "square-chain": _run_square_chain,
     "relu-ridge": _run_relu_ridge,
     "abs-cubic": _run_abs_cubic,
     "box-max": _run_box_max,
     "rnn-desk": _run_rnn_desk,
+    "rnn-lift-descent": _run_rnn_lift_descent,
 }
 
 

@@ -9,6 +9,7 @@ makes byte-level comparison of reports meaningful.
 from __future__ import annotations
 
 import json
+import operator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -79,11 +80,10 @@ def _reading(d: dict, kind: str) -> Iterator[None]:
         raise FormatError(f"expected a JSON object describing a {kind}")
     if d.get("kind") != kind:
         raise FormatError(f"expected kind {kind!r}, found {d.get('kind')!r}")
+    version = d.get("schema_version")
+    if not (isinstance(version, int) and version == SCHEMA_VERSION):
+        raise FormatError(f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})")
     try:
-        if int(d.get("schema_version", -1)) != SCHEMA_VERSION:
-            raise FormatError(
-                f"unsupported schema_version {d.get('schema_version')!r} (this build reads {SCHEMA_VERSION})"
-            )
         yield
     except KeyError as err:
         raise FormatError(f"{kind} file missing field {err}") from err
@@ -98,15 +98,52 @@ def _list(d: dict, key: str, where: str = "") -> list:
     return v
 
 
+def _int(d: dict, key: str, where: str = "") -> int:
+    """``d[key]`` as an integer; a float is refused, not truncated."""
+    try:
+        return operator.index(d[key])
+    except TypeError:
+        raise FormatError(f"{where}{key}: expected an integer, got {d[key]!r}") from None
+
+
+# The keys ``rnn build`` stores in an rnn problem's meta, each with its check
+# of (value, layer count) and the rule checked; the closed-form moduli read
+# the first three.
+RNN_META: dict[str, tuple[Callable[[Any, int], bool], str]] = {
+    "nt": (lambda v, L: isinstance(v, int) and v >= 1, "a positive integer"),
+    "y_sqnorm": (lambda v, L: isinstance(v, (int, float)) and v >= 0.0, "a number >= 0"),
+    "layer_kinds": (
+        lambda v, L: isinstance(v, list) and len(v) == L and all(k in ("mix", "act") for k in v),
+        "a list of 'mix' or 'act', one per layer",
+    ),
+    "rnn": (lambda v, L: isinstance(v, dict), "an object"),
+}
+
+
+def _meta(d: dict, n_layers: int) -> dict | None:
+    meta = d.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError(f"meta: expected an object, got {meta!r}")
+    if meta.get("structure") == "rnn":
+        for key, (ok, rule) in RNN_META.items():
+            if key not in meta:
+                raise FormatError(f"meta.{key}: missing (structure 'rnn' needs it)")
+            if not ok(meta[key], n_layers):
+                raise FormatError(f"meta.{key}: expected {rule}, got {meta[key]!r}")
+    return meta or None
+
+
 def problem_from_dict(d: dict) -> CompositeProblem:
     with _reading(d, "problem"):
         layers = []
         for k, lm in enumerate(_list(d, "layers")):
             items = enumerate(_list(lm, "exprs", f"layers[{k}]."))
             exprs = tuple(expr_from_dict(e, f"layers[{k}].exprs[{i}]") for i, e in items)
-            layers.append(LayerMap(int(lm["index"]), exprs))
+            layers.append(LayerMap(_int(lm, "index", f"layers[{k}]."), exprs))
         outer = expr_from_dict(d["outer"], "outer")
-        return CompositeProblem(int(d["n"]), tuple(layers), outer, float(d["lam"]), d.get("meta") or None)
+        return CompositeProblem(
+            _int(d, "n"), tuple(layers), outer, float(d["lam"]), _meta(d, len(layers))
+        )
 
 
 def point_to_dict(z: Point) -> dict:

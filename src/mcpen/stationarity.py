@@ -614,10 +614,6 @@ def check_box(
         report.witness_value = float(dd_expr(e, x, dunit).first)
         report.notes.append("already fails at first order")
         return report
-    if mn > slack:
-        report.verdict = STATIONARY
-        report.notes.append("critical cone trivial (exact first-order minimum positive)")
-        return report
 
     # Exact route for an interior point whose first derivative vanishes
     # identically: recover the second derivative as a quadratic form from

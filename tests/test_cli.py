@@ -196,15 +196,32 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
         ({"op": "const", "value": 1.0, "args": [u1]}, "outer: const args"),
         ({"op": "sum"}, "outer: sum args"),
         ({"op": "leaky_relu", "alpha": 2.0, "args": [u1]}, "outer: leaky_relu alpha"),
+        # a string is not read as its characters
+        (
+            {"op": "plus", "args": [{**affine, "coeffs": "12"}]},
+            "outer.args[0]: affine coeffs: expected a list, got '12'",
+        ),
     ]
+    # integers are not truncated from floats, and meta is checked on load
+    rnn_meta = {"structure": "rnn", "nt": 3, "y_sqnorm": 1.0, "layer_kinds": ["mix", "act"]}
     mistyped = [
         ({"layers": 5}, "layers: expected a list, got 5"),
         ({"schema_version": 999}, "unsupported schema_version 999"),
+        ({"schema_version": 1.9}, "unsupported schema_version 1.9"),
+        ({"n": 1.5}, "n: expected an integer, got 1.5"),
+        ({"meta": 5}, "meta: expected an object, got 5"),
+        ({"meta": {"structure": "rnn"}}, "meta.nt: missing"),
+        ({"meta": rnn_meta}, "meta.rnn: missing"),
+        ({"meta": {**rnn_meta, "rnn": {}, "nt": 0}}, "meta.nt: expected a positive integer, got 0"),
+        ({"meta": {**rnn_meta, "rnn": {}, "layer_kinds": ["mix"]}}, "meta.layer_kinds: expected a list"),
     ]
     cases = [({"outer": node}, text) for node, text in outers] + mistyped
     d = problem_to_dict(square_chain_problem())
     d["layers"][1]["exprs"] = 5
     cases.append((d, "layers[1].exprs: expected a list, got 5"))
+    d = problem_to_dict(square_chain_problem())
+    d["layers"][1]["index"] = 2.5
+    cases.append((d, "layers[1].index: expected an integer, got 2.5"))
     for k, (change, text) in enumerate(cases):
         bad = tmp_path / f"bad{k}.json"
         bad.write_text(dumps({**problem_to_dict(square_chain_problem()), **change}))
@@ -316,12 +333,13 @@ def test_repro_list_and_pass_lines(capsys):
     code, out = _run(capsys, ["repro", "--list"])
     assert code == 0
     names = out.split()
-    assert "square-chain" in names
-    code, out = _run(capsys, ["repro", "relu-ridge"])
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("[")]
-    assert lines
-    assert all(l.startswith("[PASS]") for l in lines)
+    assert {"square-chain", "rnn-lift-descent"} <= set(names)
+    for name in ("relu-ridge", "rnn-lift-descent"):
+        code, out = _run(capsys, ["repro", name])
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith("[")]
+        assert lines
+        assert all(l.startswith("[PASS]") for l in lines)
 
 
 def test_repro_unknown_scenario(capsys):

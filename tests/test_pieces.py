@@ -1,13 +1,17 @@
 """Piecewise-linear slope enumeration and cross-polytope minimization."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_problem
 from mcpen import expr as ex
+from mcpen import pieces as pieces_mod
 from mcpen.model import Point, eval_layers
 from mcpen.pieces import (
     TooManyPieces,
@@ -17,6 +21,9 @@ from mcpen.pieces import (
     psi_prime_pieces,
     theta_prime_pieces,
 )
+from mcpen.rnn import rnn_penalty_config
+from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
+from mcpen.stationarity import STAT_TOL, STATIONARY, check_d_stationary_P0
 
 
 def test_relu_forks_two_pieces():
@@ -188,3 +195,109 @@ def test_box_max_pieces(box_max):
     # at a tied point both branches appear
     tied = function_pieces(box_max, np.array([1.0, -1.0]))
     assert len(tied) == 2
+
+
+def _per_piece_minimum(pieces, extra_cons=()):
+    """One linear program per piece: the loop the screens replaced, kept as the reference."""
+    best = (0.0, None)
+    for coef, cons in pieces:
+        sol = min_over_cross_polytope(coef, list(cons) + list(extra_cons))
+        if sol is None:
+            continue
+        if sol[0] < best[0] or best[1] is None:
+            best = sol
+    if best[1] is None:
+        best = (0.0, np.zeros(pieces[0][0].size if pieces else 0))
+    return best
+
+
+def _assert_matches_reference(pieces, extra_cons=()):
+    val, arg = minimize_pieces(pieces, extra_cons)
+    ref, _ = _per_piece_minimum(pieces, extra_cons)
+    assert abs(val - ref) <= 1e-9
+    assert (val >= -STAT_TOL) == (ref >= -STAT_TOL)
+    # the witness lies in the ball and in some piece, where it attains the minimum
+    assert np.sum(np.abs(arg)) <= 1.0 + 1e-9
+    attained = [
+        abs(float(coef @ arg) - val) <= 1e-9
+        for coef, cons in pieces
+        if all(float(g @ arg) >= -1e-9 for g in [*cons, *extra_cons])
+    ]
+    assert any(attained)
+
+
+def _box_rows(x, lo, hi):
+    eye = np.eye(x.size)
+    return [eye[i] for i in range(x.size) if x[i] <= lo[i]] + [
+        -eye[i] for i in range(x.size) if x[i] >= hi[i]
+    ]
+
+
+def test_screens_match_per_piece_lps_on_fixtures(
+    square_chain, relu_ridge, box_max, abs_cubic, rnn_problem
+):
+    shifted = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
+    th_rnn = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
+    lo, hi = -np.ones(2), np.ones(2)
+    for x in (np.zeros(2), np.array([-1.0, 1.0]), np.array([1.0, -1.0])):
+        _assert_matches_reference(function_pieces(box_max, x), _box_rows(x, lo, hi))
+    for x in (np.zeros(2), np.array([1.0, 1.0])):
+        _assert_matches_reference(function_pieces(abs_cubic, x))
+    _assert_matches_reference(function_pieces(_abs_sum(8), np.zeros(8)))
+    _assert_matches_reference(psi_prime_pieces(square_chain, np.zeros(1)))
+    _assert_matches_reference(psi_prime_pieces(relu_ridge, np.zeros(2)))
+    _assert_matches_reference(theta_prime_pieces(square_chain, shifted, [1.0, 0.6]))
+    _assert_matches_reference(psi_prime_pieces(rnn_problem, th_rnn))
+
+
+def test_screens_match_per_piece_lps_on_random_problems():
+    for seed in range(40):
+        p = random_problem(seed)
+        for x in (np.zeros(p.n), np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)):
+            _assert_matches_reference(psi_prime_pieces(p, x))
+            _assert_matches_reference(function_pieces(p.layers[0].exprs[0], x))
+
+
+# Small integer entries make zero coefficients, ties in |c_i| and vertices on
+# constraint boundaries common.
+_vec = lambda dim: st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(
+    lambda v: np.array(v, dtype=float)
+)
+
+
+@st.composite
+def _piece_lists(draw):
+    dim = draw(st.integers(1, 4))
+    pieces = draw(
+        st.lists(st.tuples(_vec(dim), st.lists(_vec(dim), max_size=3)), min_size=1, max_size=6)
+    )
+    return pieces, draw(st.lists(_vec(dim), max_size=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_piece_lists())
+def test_screens_match_per_piece_lps_on_drawn_pieces(case):
+    pieces, extra = case
+    _assert_matches_reference(pieces, extra)
+
+
+def test_zero_piece_minimum_is_positive_zero():
+    for cons in ([], [np.array([1.0, 0.0])]):
+        val, arg = minimize_pieces([(np.zeros(2), cons)])
+        assert val == 0.0 and math.copysign(1.0, val) == 1.0
+        assert not np.any(arg)
+
+
+def test_trained_desk_point_solves_no_lp(monkeypatch, rnn_spec, rnn_problem):
+    beta = rnn_penalty_config(rnn_spec).beta
+    res = minimize_theta(rnn_problem, beta, SolveConfig(max_iters=400, stop_tol=1e-8, seed=0))
+    z, _, _ = polish_to_feasible(rnn_problem, res.z, beta)
+    calls = []
+    real = pieces_mod.min_over_cross_polytope
+    monkeypatch.setattr(
+        pieces_mod, "min_over_cross_polytope", lambda *a: calls.append(a) or real(*a)
+    )
+    rep = check_d_stationary_P0(rnn_problem, z)
+    assert (rep.verdict, rep.mode, rep.samples) == (STATIONARY, "enumerate", 512)
+    assert calls == []
+    assert -1e-8 < rep.min_found < 0.0

@@ -11,7 +11,8 @@ from mcpen.dcalc import dd_Theta, dd_Theta_batch, direction_from_flat
 from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.penalty import build_config
 from mcpen.pieces import TooManyPieces
-from mcpen.rnn import RnnSpec, build_problem, rnn_penalty_config
+from mcpen.repro import lift_descent_instance
+from mcpen.rnn import build_problem, rnn_penalty_config
 from mcpen.stationarity import (
     _FD_H,
     CRIT_SLACK,
@@ -405,10 +406,7 @@ def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
     # with certified closed-form beta.  P1 cannot enumerate its pieces, and
     # sampling over R^nbar alone misses the tangent descent directions.
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((1, 5, 2))
-    y = 0.5 * rng.standard_normal((1, 5, 1))
-    spec = RnnSpec(n0=2, n1=5, n2=1, t=5, x=x, y=y, alpha=0.1, lam=0.1)
+    spec = lift_descent_instance()
     problem = build_problem(spec)
     config = rnn_penalty_config(spec)
     assert config.certified and problem.n > 16
