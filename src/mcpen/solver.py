@@ -26,6 +26,7 @@ from .dcalc import dd_Psi_batch, dd_Theta_batch
 from .model import (
     CompositeProblem,
     Point,
+    Residuals,
     check_beta,
     check_point,
     eval_layers,
@@ -42,6 +43,8 @@ ARMIJO_SIGMA = 1e-4
 STEP_INIT = 1.0  # first trial step of the backtracking line search
 DIMINISHING_C = 0.1  # step c/sqrt(k) of the diminishing rule
 POLISH_EVERY = 5  # iterations between snaps onto the feasible manifold
+SMOOTH_POLISH_ITERS = 200  # iteration cap of the final smooth polish
+SMOOTH_POLISH_GTOL = 1e-11  # gradient max-norm at which the smooth polish stops
 
 
 @dataclass
@@ -116,12 +119,14 @@ def _initial_point(
     return base
 
 
-def _probe_directions(problem: CompositeProblem, z: Point, rng: np.random.Generator) -> np.ndarray:
+def _probe_directions(
+    problem: CompositeProblem, z: Point, res: Residuals, rng: np.random.Generator
+) -> np.ndarray:
+    """Probe columns at z; ``res`` must be ``residuals(problem, z)``."""
     nbar = problem.nbar
     G = rng.standard_normal((nbar, PROBE_PAIRS))
     G /= np.maximum(np.linalg.norm(G, axis=0), 1e-300)
     cols = [G, -G, np.eye(nbar), -np.eye(nbar)]
-    res = residuals(problem, z)
     for k in range(1, problem.L + 1):
         if float(np.max(np.abs(res.per_layer[k - 1]), initial=0.0)) > 1e-11:
             f = feasibility_descent_direction(problem, z, k).flat()
@@ -142,23 +147,31 @@ def _axis_slopes(problem: CompositeProblem, th: np.ndarray) -> tuple[np.ndarray,
     return s[: problem.n], s[problem.n :]
 
 
-def _smooth_polish(
-    problem: CompositeProblem, th: np.ndarray, iters: int = 200, gtol: float = 1e-11
-) -> np.ndarray:
+def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
     """Descend the nested objective by its gradient while it stays smooth.
 
-    One-sided slopes along +e_i and -e_i agree in magnitude exactly when the
-    objective is differentiable at theta; the polish stops at the first sign
-    of a kink and leaves the rest to the probe method.
+    Each iteration takes one Armijo step along minus the gradient, which is
+    read off the one-sided slopes along +e_i and -e_i.  Besides the
+    ``SMOOTH_POLISH_ITERS`` cap, three stops end the polish:
+
+    - kink: the two slopes differ in magnitude, so the objective is not
+      differentiable at theta; the rest is left to the probe method;
+    - gradient tolerance: max|g| is at most ``SMOOTH_POLISH_GTOL``;
+    - value stall: a step passes the Armijo test without strictly lowering
+      the value.  Near a minimum the Armijo margin falls below half an ulp
+      of the value, and such steps only drift along the valley floor.
+
+    The polish returns the last point whose step lowered the value, so it
+    never returns a point whose value exceeds its input's.
     """
     val = eval_Psi_plus_reg(problem, th)
     step = 1.0
-    for _ in range(iters):
+    for _ in range(SMOOTH_POLISH_ITERS):
         sp, sm = _axis_slopes(problem, th)
         g = (sp - sm) / 2.0
         if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
             break
-        if np.max(np.abs(g)) <= gtol:
+        if np.max(np.abs(g)) <= SMOOTH_POLISH_GTOL:
             break
         accepted = False
         t = step
@@ -166,6 +179,8 @@ def _smooth_polish(
             th2 = th - t * g
             v2 = eval_Psi_plus_reg(problem, th2)
             if v2 <= val - ARMIJO_SIGMA * t * float(g @ g):
+                if v2 >= val:
+                    return th
                 th, val = th2, v2
                 step = min(t * 2.0, 1e3)
                 accepted = True
@@ -211,7 +226,7 @@ def minimize_theta(
     k = 0
     for k in range(1, cfg.max_iters + 1):
         res = residuals(problem, z)
-        D = _probe_directions(problem, z, rng)
+        D = _probe_directions(problem, z, res, rng)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
             # manifold avoids paying penalty for the lift violation.
@@ -289,7 +304,7 @@ def minimize_theta(
         v3 = eval_Theta(problem, z3, b)
         if v3 <= value + 1e-12:
             z, value = z3, v3
-    Df = _probe_directions(problem, z, rng)
+    Df = _probe_directions(problem, z, residuals(problem, z), rng)
     probe_min = float(np.min(_slopes(problem, z, b, Df)))
     if probe_min >= -cfg.stop_tol:
         converged = True

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from mcpen import expr as ex
+from mcpen import solver as solver_mod
 from mcpen.model import (
     CompositeProblem,
     LayerMap,
     Point,
     eval_layers,
+    eval_Psi_plus_reg,
     eval_Theta,
     residuals,
 )
+from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 
 BETA_SC = np.array([1.0, 0.6])
@@ -140,3 +143,76 @@ def test_solve_config_validation():
         SolveConfig(init="nope")
     with pytest.raises(ValueError):
         SolveConfig(stop_tol=-1.0)
+
+
+def _capped_polish(problem, th):
+    """The smooth polish without the value stall: runs to its cap or a stop."""
+    val = eval_Psi_plus_reg(problem, th)
+    step = 1.0
+    for _ in range(200):
+        sp, sm = solver_mod._axis_slopes(problem, th)
+        g = (sp - sm) / 2.0
+        if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
+            break
+        if np.max(np.abs(g)) <= 1e-11:
+            break
+        accepted = False
+        t = step
+        while t > 1e-16:
+            th2 = th - t * g
+            v2 = eval_Psi_plus_reg(problem, th2)
+            if v2 <= val - solver_mod.ARMIJO_SIGMA * t * float(g @ g):
+                th, val = th2, v2
+                step = min(t * 2.0, 1e3)
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    return th
+
+
+def _counting_axis_slopes(monkeypatch):
+    calls = []
+    real = solver_mod._axis_slopes
+    monkeypatch.setattr(
+        solver_mod, "_axis_slopes", lambda problem, th: calls.append(th) or real(problem, th)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smooth_polish_stops_when_the_value_stalls(monkeypatch, seed):
+    spec = desk_instance(seed)
+    problem, beta = build_problem(spec), rnn_penalty_config(spec).beta
+    polished = []
+    real_polish = solver_mod._smooth_polish
+    calls = _counting_axis_slopes(monkeypatch)
+
+    def recording_polish(problem, th):
+        before = len(calls)
+        out = real_polish(problem, th)
+        polished.append((th, out, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_smooth_polish", recording_polish)
+    minimize_theta(problem, beta, SolveConfig(seed=seed))
+    monkeypatch.undo()
+    assert len(polished) == 1
+    th_in, th_out, iters = polished[0]
+    assert 1 <= iters <= 20
+    v_in, v_out = eval_Psi_plus_reg(problem, th_in), eval_Psi_plus_reg(problem, th_out)
+    assert v_out <= v_in
+    v_oracle = eval_Psi_plus_reg(problem, _capped_polish(problem, th_in))
+    assert abs(v_out - v_oracle) <= 1e-14 * abs(v_oracle)
+
+
+def test_smooth_polish_stops_at_a_kink_without_moving(monkeypatch, relu_ridge):
+    # plus(theta_0) has its kink at theta_0 = 0, where the +e_0 slope is
+    # -2(1 + theta_1) and the -e_0 slope is 0: a descent direction exists,
+    # but the kink stop must fire before any gradient step is tried
+    th = np.array([0.0, 0.3])
+    calls = _counting_axis_slopes(monkeypatch)
+    out = solver_mod._smooth_polish(relu_ridge, th)
+    assert len(calls) == 1
+    assert np.array_equal(out, th)
