@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .dcalc import Direction, _as_batch, lift_first, residual_slopes
+from .dcalc import Direction, _as_batch, forward_curves, residual_slopes
 from .model import (
     CompositeProblem,
     DimensionError,
@@ -40,16 +40,16 @@ class ConeMembership:
     notes: list[str] = field(default_factory=list)
 
 
-def tangent_membership(
-    problem: CompositeProblem, z: Point, d: Direction, tol: float = TANGENT_TOL
-) -> ConeMembership:
+def tangent_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:
     """Check the chained derivative equations defining the tangent cone."""
     check_point(problem, z)
     batch = _as_batch(problem, d)
     require_feasible(problem, z)
     violations = [w[:, 0] for _, w, _, _ in residual_slopes(problem, z, *batch)]
     max_v = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in violations)
-    return ConeMembership(max_v <= tol, None, violations, max_v, ["radial membership not evaluated"])
+    return ConeMembership(
+        max_v <= TANGENT_TOL, None, violations, max_v, ["radial membership not evaluated"]
+    )
 
 
 def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> Direction:
@@ -59,14 +59,14 @@ def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> D
     dtheta = np.asarray(dtheta, dtype=float).ravel()
     if dtheta.size != problem.n:
         raise DimensionError(f"d_theta has length {dtheta.size}, expected {problem.n}")
-    DU = lift_first(problem, z.theta, dtheta.reshape(-1, 1))
+    DU = forward_curves(problem, z.theta, dtheta.reshape(-1, 1))[1]
     return Direction(dtheta.copy(), tuple(b[:, 0] for b in DU))
 
 
 def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -> list[np.ndarray]:
     """Batched lift: DTH has one parameter direction per column."""
     check_point(problem, z)
-    return lift_first(problem, z.theta, np.asarray(DTH, dtype=float))
+    return forward_curves(problem, z.theta, np.asarray(DTH, dtype=float))[1]
 
 
 def _degree(e: ex.Expr) -> int:
@@ -98,13 +98,7 @@ def _feasible_at(problem: CompositeProblem, z: Point, d: Direction, tau: float) 
         return False
 
 
-def radial_membership(
-    problem: CompositeProblem,
-    z: Point,
-    d: Direction,
-    taus: tuple[float, ...] = RADIAL_TAUS,
-    tol: float = TANGENT_TOL,
-) -> ConeMembership:
+def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:
     """Decide whether the feasible set contains a ray segment along d.
 
     The test is two-staged.  A nonzero second directional derivative of any
@@ -128,12 +122,12 @@ def radial_membership(
             second_known = False
             notes.append(f"layer {k} second derivative unsupported along d")
             continue
-        if np.max(np.abs(psi2)) > tol:
+        if np.max(np.abs(psi2)) > TANGENT_TOL:
             notes.append(f"layer {k} second derivative nonzero along d")
             membership.in_radial = False
             membership.notes = notes
             return membership
-    feas = [_feasible_at(problem, z, d, tau) for tau in taus]
+    feas = [_feasible_at(problem, z, d, tau) for tau in RADIAL_TAUS]
     tail = feas[-3:]
     if ray_decidable(problem) and second_known:
         if all(tail):

@@ -34,12 +34,11 @@ from .model import (
     eval_F,
     eval_g,
     eval_Theta,
-    residuals,
     split_flat,
 )
 
-# Residual-derivative magnitudes below this count as zero when classifying
-# the tie-breaking index sets.
+# Residual-derivative magnitudes below this count as zero when the sign of
+# a zero residual's slope breaks its tie.
 KINK_TOL = 1e-12
 
 ORACLE_TAU0 = 1e-2
@@ -83,24 +82,6 @@ class DDValue:
     second: float | None = None
     smooth: bool = True
     second_reason: str | None = None
-
-
-@dataclass
-class IndexSets:
-    """Residual sign classification per layer, and the direction-level split.
-
-    ``plus``/``minus``/``zero`` partition the components of each layer by the
-    sign of the residual at z.  When a direction is supplied, ``zero_plus``/
-    ``zero_minus``/``zero_zero`` partition each ``zero`` set by the sign of
-    the residual's first derivative along the direction.
-    """
-
-    plus: list[np.ndarray]
-    minus: list[np.ndarray]
-    zero: list[np.ndarray]
-    zero_plus: list[np.ndarray] | None = None
-    zero_minus: list[np.ndarray] | None = None
-    zero_zero: list[np.ndarray] | None = None
 
 
 def _as_batch(problem: CompositeProblem, d: Direction) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -188,27 +169,6 @@ def residual_slopes(
             yield _stack(cells, "value"), w, _stack(cells, "second"), _stack(cells, "bad2")
         else:
             yield _stack(cells, "value"), w, None, None
-
-
-def index_sets(problem: CompositeProblem, z: Point, d: Direction | None = None) -> IndexSets:
-    check_point(problem, z)
-    res = residuals(problem, z)
-    plus, minus, zero = [], [], []
-    for rho in res.per_layer:
-        plus.append(np.flatnonzero(rho > FEAS_TOL))
-        minus.append(np.flatnonzero(rho < -FEAS_TOL))
-        zero.append(np.flatnonzero(np.abs(rho) <= FEAS_TOL))
-    sets = IndexSets(plus, minus, zero)
-    if d is None:
-        return sets
-    zp, zm, zz = [], [], []
-    for zk, (_, w, _, _) in zip(sets.zero, residual_slopes(problem, z, *_as_batch(problem, d))):
-        w = w[:, 0]
-        zp.append(zk[w[zk] > KINK_TOL])
-        zm.append(zk[w[zk] < -KINK_TOL])
-        zz.append(zk[np.abs(w[zk]) <= KINK_TOL])
-    sets.zero_plus, sets.zero_minus, sets.zero_zero = zp, zm, zz
-    return sets
 
 
 def dd_Theta_batch(
@@ -324,12 +284,6 @@ def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order:
     return _pick(first, second, bad, kinked, value, order)
 
 
-def lift_first(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray) -> list[np.ndarray]:
-    """First-order curve coefficients of each block along theta-directions."""
-    _, DU, _, _, _ = forward_curves(problem, th, DTH, order=1)
-    return DU
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference oracle
 
@@ -350,8 +304,6 @@ def fd_oracle(
     d: np.ndarray,
     order: int = 1,
     tau0: float = ORACLE_TAU0,
-    halvings: int = ORACLE_HALVINGS,
-    tol: float = ORACLE_TOL,
 ) -> OracleResult:
     """Estimate a one-sided directional derivative from difference quotients.
 
@@ -366,9 +318,9 @@ def fd_oracle(
         raise ValueError("order must be 1 or 2")
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    taus = tau0 * 0.5 ** np.arange(halvings)
+    taus = tau0 * 0.5 ** np.arange(ORACLE_HALVINGS)
     f0 = f(x)
-    q = np.empty(halvings)
+    q = np.empty(ORACLE_HALVINGS)
     for k, tau in enumerate(taus):
         if order == 1:
             q[k] = (f(x + tau * d) - f0) / tau
@@ -381,7 +333,7 @@ def fd_oracle(
     # worse than the best seen: smaller tau only adds noise from there.
     best_val, best_err = float(q[0]), np.inf
     prev_row = [float(q[0])]
-    for k in range(1, halvings):
+    for k in range(1, ORACLE_HALVINGS):
         row = [float(q[k])]
         for j in range(1, min(k, 2) + 1):
             w = 2.0**j
@@ -397,7 +349,7 @@ def fd_oracle(
         if k >= 4 and row_best > 4.0 * best_err + 1e-300:
             break
         prev_row = row
-    converged = bool(best_err <= tol * (1.0 + abs(best_val)))
+    converged = bool(best_err <= ORACLE_TOL * (1.0 + abs(best_val)))
     return OracleResult(float(best_val), float(best_err), converged, order, q, taus)
 
 

@@ -204,7 +204,7 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
     return b
 
 
-def residuals(problem: CompositeProblem, z: Point, tol: float = FEAS_TOL) -> Residuals:
+def residuals(problem: CompositeProblem, z: Point) -> Residuals:
     check_point(problem, z)
     per_layer: list[np.ndarray] = []
     for k in range(1, problem.L + 1):
@@ -212,7 +212,7 @@ def residuals(problem: CompositeProblem, z: Point, tol: float = FEAS_TOL) -> Res
         per_layer.append(rho)
     l1 = [float(np.sum(np.abs(r))) for r in per_layer]
     max_abs = max(float(np.max(np.abs(r))) if r.size else 0.0 for r in per_layer)
-    return Residuals(per_layer, l1, max_abs, max_abs <= tol)
+    return Residuals(per_layer, l1, max_abs, max_abs <= FEAS_TOL)
 
 
 def require_feasible(problem: CompositeProblem, z: Point) -> None:

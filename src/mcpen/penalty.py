@@ -1,4 +1,4 @@
-"""Penalty weights: level-set Lipschitz moduli, exactness thresholds, checks.
+"""Penalty weights: Lipschitz moduli, exactness thresholds, feasibility descent.
 
 The exactness thresholds have the product form
 
@@ -260,53 +260,3 @@ def feasibility_descent_direction(
         dus.append(np.array([c.first for c in cells]))
     return Direction(np.zeros(problem.n), tuple(b[:, 0] for b in dus))
 
-
-def check_exactness_feasibility(
-    problem: CompositeProblem,
-    z: Point,
-    config: PenaltyConfig,
-    report=None,
-) -> dict:
-    """Cross-check the exactness guarantee at a claimed stationary point.
-
-    With certified beta, a d-stationary point of the penalized objective
-    inside the reference level set must be feasible.  The returned record
-    flags the regime (level and certification), the feasibility, and any
-    observed counterexample (stationary verdict on an infeasible in-regime
-    point), including a descent direction built from the residual.
-    """
-    from . import stationarity as st
-
-    theta_val = eval_Theta(problem, z, config.beta)
-    in_level = theta_val <= config.gamma_bar + 1e-12
-    res = residuals(problem, z)
-    if report is None:
-        report = st.check_d_stationary_P1(problem, z, config.beta)
-    out = {
-        "theta_value": theta_val,
-        "gamma_bar": config.gamma_bar,
-        "in_level_set": bool(in_level),
-        "certified": bool(config.certified),
-        "feasible": bool(res.feasible),
-        "max_residual": res.max_abs,
-        "verdict": report.verdict,
-        "consistent": True,
-        "diagnostics": [],
-    }
-    if not in_level:
-        out["diagnostics"].append("point lies outside the reference level set; no guarantee applies")
-        return out
-    if not config.certified:
-        out["diagnostics"].append("beta not certified against the thresholds; no guarantee applies")
-        return out
-    if report.verdict == st.STATIONARY and not res.feasible:
-        d = feasibility_descent_direction(problem, z)
-        from .dcalc import dd_Theta
-
-        slope = dd_Theta(problem, z, d, config.beta).first
-        out["consistent"] = False
-        out["diagnostics"].append(
-            "claimed stationary but infeasible inside the level set with certified beta; "
-            f"residual correction direction has slope {slope:.6e}"
-        )
-    return out

@@ -44,7 +44,6 @@ STEP_INIT = 1.0  # first trial step of the backtracking line search
 DIMINISHING_C = 0.1  # step c/sqrt(k) of the diminishing rule
 POLISH_EVERY = 5  # iterations between snaps onto the feasible manifold
 SMOOTH_POLISH_ITERS = 200  # iteration cap of the final smooth polish
-SMOOTH_POLISH_GTOL = 1e-11  # gradient max-norm at which the smooth polish stops
 
 
 @dataclass
@@ -152,14 +151,14 @@ def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
 
     Each iteration takes one Armijo step along minus the gradient, which is
     read off the one-sided slopes along +e_i and -e_i.  Besides the
-    ``SMOOTH_POLISH_ITERS`` cap, three stops end the polish:
+    ``SMOOTH_POLISH_ITERS`` cap, two stops end the polish:
 
     - kink: the two slopes differ in magnitude, so the objective is not
       differentiable at theta; the rest is left to the probe method;
-    - gradient tolerance: max|g| is at most ``SMOOTH_POLISH_GTOL``;
     - value stall: a step passes the Armijo test without strictly lowering
       the value.  Near a minimum the Armijo margin falls below half an ulp
-      of the value, and such steps only drift along the valley floor.
+      of the value, and such steps only drift along the valley floor.  A
+      zero gradient stalls at once, since its step leaves theta unchanged.
 
     The polish returns the last point whose step lowered the value, so it
     never returns a point whose value exceeds its input's.
@@ -170,8 +169,6 @@ def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
         sp, sm = _axis_slopes(problem, th)
         g = (sp - sm) / 2.0
         if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
-            break
-        if np.max(np.abs(g)) <= SMOOTH_POLISH_GTOL:
             break
         accepted = False
         t = step

@@ -38,6 +38,7 @@ from .dcalc import (
     residual_slopes,
 )
 from .model import (
+    FEAS_TOL,
     CompositeProblem,
     Point,
     check_beta,
@@ -143,8 +144,8 @@ def _search_min_first(
     phi: Callable[[np.ndarray], np.ndarray],
     dim: int,
     seed: int,
-    n_starts: int = N_STARTS,
-    iters: int = SEARCH_ITERS,
+    n_starts: int,
+    iters: int,
     extra: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int, list[float]]:
     """Multi-start projected descent of a positively homogeneous phi on the sphere.
@@ -249,8 +250,6 @@ def check_d_stationary_P0(
     mode: str = "auto",
     seed: int = 0,
     tol: float = STAT_TOL,
-    n_starts: int = N_STARTS,
-    iters: int = SEARCH_ITERS,
 ) -> StationarityReport:
     """Directional stationarity of the lifted problem at a feasible point.
 
@@ -263,7 +262,7 @@ def check_d_stationary_P0(
     wit = _enumerate(report, mode, lambda: psi_prime_pieces(problem, z.theta))
     if wit is None:
         phi = lambda D: dd_Psi_batch(problem, z.theta, D, 1)[1]
-        mn, wit, samples, env = _search_min_first(phi, problem.n, seed, n_starts, iters)
+        mn, wit, samples, env = _search_min_first(phi, problem.n, seed, N_STARTS, SEARCH_ITERS)
         report.mode, report.min_found, report.samples, report.envelope = "sample", mn, samples, env
     if report.min_found >= -tol:
         report.verdict = STATIONARY
@@ -282,8 +281,6 @@ def check_d_stationary_P1(
     mode: str = "auto",
     seed: int = 0,
     tol: float = STAT_TOL,
-    n_starts: int = N_STARTS,
-    iters: int = SEARCH_ITERS,
 ) -> StationarityReport:
     """Directional stationarity of the penalized problem over the full space.
 
@@ -301,7 +298,7 @@ def check_d_stationary_P1(
         seeds = []
         res = residuals(problem, z)
         for k in range(1, problem.L + 1):
-            if float(np.max(np.abs(res.per_layer[k - 1]))) > 1e-9:
+            if float(np.max(np.abs(res.per_layer[k - 1]))) > FEAS_TOL:
                 seeds.append(feasibility_descent_direction(problem, z, k).flat())
         if res.feasible:
             DU = lift_direction_batch(problem, z, np.eye(problem.n))
@@ -309,7 +306,9 @@ def check_d_stationary_P1(
             seeds.extend([lifted[:, i] for i in range(problem.n)])
             seeds.extend([-lifted[:, i] for i in range(problem.n)])
         extra = np.array(seeds).T if seeds else None
-        mn, wit, samples, env = _search_min_first(phi, problem.nbar, seed, n_starts, iters, extra)
+        mn, wit, samples, env = _search_min_first(
+            phi, problem.nbar, seed, N_STARTS, SEARCH_ITERS, extra
+        )
         report.mode, report.min_found, report.samples, report.envelope = "sample", mn, samples, env
     if report.min_found >= -tol:
         report.verdict = STATIONARY
@@ -438,9 +437,6 @@ def check_second_order(
     beta: Sequence[float] | None = None,
     seed: int = 0,
     tol: float = STAT_TOL,
-    slack: float = CRIT_SLACK,
-    n_starts: int = N_STARTS,
-    iters: int = SEARCH_ITERS,
 ) -> StationarityReport:
     """Second-order directional stationarity at a first-order point.
 
@@ -458,14 +454,13 @@ def check_second_order(
     if target == "penalized" and b is None:
         raise ValueError("the penalized target needs beta")
     report = StationarityReport(target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    sign = 1.0
     found, min_phi1, cands = _critical_search(
-        problem, z, b, sign, seed, slack, n_starts, iters
+        problem, z, b, 1.0, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS
     )
     report.samples = len(cands)
     if not found:
         report.verdict = STATIONARY
-        if min_phi1 > slack:
+        if min_phi1 > CRIT_SLACK:
             report.notes.append("critical cone trivial along sampled sphere")
         else:
             report.notes.append("no critical directions located by sampling")
@@ -508,7 +503,6 @@ def check_strong_local_min_sufficient(
     config: PenaltyConfig,
     seed: int = 0,
     tol: float = STAT_TOL,
-    slack: float = CRIT_SLACK,
 ) -> dict:
     """Sufficient condition for a strong local minimum of the penalized problem.
 
@@ -534,11 +528,11 @@ def check_strong_local_min_sufficient(
     if not config.certified:
         out["notes"].append("beta not certified; critical directions may exceed the tangent cone")
     found, min_phi1, cands = _critical_search(
-        problem, z, config.beta, -1.0, seed, slack, N_STARTS, SEARCH_ITERS
+        problem, z, config.beta, -1.0, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS
     )
     if not found:
         out["verdict"] = "sufficient-holds"
-        note = "critical cone trivial along sampled sphere" if min_phi1 > slack else (
+        note = "critical cone trivial along sampled sphere" if min_phi1 > CRIT_SLACK else (
             "no critical directions located by sampling"
         )
         out["notes"].append(note)
@@ -571,7 +565,6 @@ def check_box(
     order: int = 1,
     seed: int = 0,
     tol: float = STAT_TOL,
-    slack: float = CRIT_SLACK,
 ) -> StationarityReport:
     """Directional stationarity of an expression over a box.
 
@@ -599,20 +592,13 @@ def check_box(
     pieces = function_pieces(e, x)
     mn, dmin = minimize_pieces(pieces, cone_rows)
     report = StationarityReport("box", order, INCONCLUSIVE, "enumerate", mn, None, None, len(pieces), tol)
-    if order == 1:
-        if mn >= -tol:
-            report.verdict = STATIONARY
-        else:
-            dunit = dmin / max(np.linalg.norm(dmin), 1e-300)
-            _refute(report, dunit, dd_expr(e, x, dunit).first)
-        return report
-
     if mn < -tol:
-        report.verdict = NOT_STATIONARY
         dunit = dmin / max(np.linalg.norm(dmin), 1e-300)
-        report.witness = dunit
-        report.witness_value = float(dd_expr(e, x, dunit).first)
-        report.notes.append("already fails at first order")
+        if _refute(report, dunit, dd_expr(e, x, dunit).first) and order == 2:
+            report.notes.append("already fails at first order")
+        return report
+    if order == 1:
+        report.verdict = STATIONARY
         return report
 
     # Exact route for an interior point whose first derivative vanishes
@@ -670,7 +656,7 @@ def check_box(
     cell = dd_expr_batch(e, x, pool, order=2)
     phi1, phi2 = cell.first, cell.second
     bad = cell.bad2
-    crit = (np.abs(phi1) <= slack) & ~bad
+    crit = (np.abs(phi1) <= CRIT_SLACK) & ~bad
     report.mode = "sample"
     report.samples = pool.shape[1]
     if not np.any(crit):
@@ -703,7 +689,9 @@ def compare_sets_on_point(
     d-stationarity forces feasibility, first-order verdicts of the lifted and
     penalized problems agree at feasible points, and penalized second-order
     stationarity implies the lifted one.  Violations are reported as
-    inconsistencies, not silently dropped.
+    inconsistencies, not silently dropped.  An infeasible point flagged by
+    the first implication comes with the slope of Theta along the residual
+    correction direction, which certified beta would make negative.
     """
     res = residuals(problem, z)
     theta_val = eval_Theta(problem, z, config.beta)
@@ -717,7 +705,11 @@ def compare_sets_on_point(
     inconsistencies: list[str] = []
     guarded = in_level and config.certified
     if guarded and d1.verdict == STATIONARY and not res.feasible:
-        inconsistencies.append("penalized-stationary infeasible point inside the level set")
+        slope = dd_Theta(problem, z, feasibility_descent_direction(problem, z), config.beta).first
+        inconsistencies.append(
+            "penalized-stationary infeasible point inside the level set; "
+            f"residual correction direction has slope {slope:.1e}"
+        )
     if guarded and res.feasible and d0 is not None:
         if {d0.verdict, d1.verdict} <= {STATIONARY, NOT_STATIONARY} and d0.verdict != d1.verdict:
             inconsistencies.append("first-order verdicts of lifted and penalized problems differ")

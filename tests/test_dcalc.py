@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import draw_oracle_case
 from mcpen import expr as ex
+from mcpen.cones import lift_direction_batch
 from mcpen.dcalc import (
     Direction,
     dd_expr,
@@ -15,8 +16,6 @@ from mcpen.dcalc import (
     dd_Theta,
     direction_from_flat,
     fd_oracle,
-    index_sets,
-    lift_first,
     ray_quotients,
     zeros_direction,
 )
@@ -55,7 +54,7 @@ def test_dd_psi_equals_dd_f_on_lifted_direction(square_chain):
     th = np.array([0.4])
     z = eval_layers(square_chain, th)
     dth = np.array([[1.0]])
-    du = lift_first(square_chain, th, dth)
+    du = lift_direction_batch(square_chain, z, dth)
     d = Direction(dth[:, 0], tuple(b[:, 0] for b in du))
     a = dd_Psi(square_chain, th, dth[:, 0], order=2)
     b = dd_F(square_chain, z, d, order=2)
@@ -68,7 +67,7 @@ def test_dd_theta_reduces_to_dd_f_when_feasible_and_tangent(square_chain):
     th = np.array([0.4])
     z = eval_layers(square_chain, th)
     dth = np.array([[1.0]])
-    du = lift_first(square_chain, th, dth)
+    du = lift_direction_batch(square_chain, z, dth)
     d = Direction(dth[:, 0], tuple(b[:, 0] for b in du))
     beta = np.array([1.0, 0.6])
     t = dd_Theta(square_chain, z, d, beta, order=1)
@@ -86,17 +85,6 @@ def test_dd_theta_penalty_slope_off_manifold(square_chain):
     t = dd_Theta(square_chain, z, d, beta, order=1)
     f = dd_F(square_chain, z, d, order=1)
     assert t.first == pytest.approx(f.first + 1.0, abs=1e-12)
-
-
-def test_index_sets_classify_residual_signs(square_chain):
-    z = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
-    s = index_sets(square_chain, z)
-    assert list(s.plus[0]) == [0]
-    assert list(s.minus[1]) == [0]
-    z0 = eval_layers(square_chain, np.zeros(1))
-    s0 = index_sets(square_chain, z0)
-    assert list(s0.zero[0]) == [0]
-    assert list(s0.zero[1]) == [0]
 
 
 def test_direction_round_trip(square_chain):

@@ -17,13 +17,13 @@ from mcpen.penalty import (
     BETA_FLOOR,
     build_config,
     certify,
-    check_exactness_feasibility,
     estimate_moduli,
     feasibility_descent_direction,
     suggest_beta,
     thresholds,
 )
 from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
+from mcpen.stationarity import compare_sets_on_point
 
 
 def test_thresholds_suffix_products():
@@ -166,8 +166,8 @@ def test_exactness_cross_check_feasible(square_chain):
     beta = np.array([1.0, 0.6])
     cfg = build_config(square_chain, beta=beta, seed=0)
     z0, _ = reference_point_and_level(square_chain, beta)
-    out = check_exactness_feasibility(square_chain, z0, cfg)
-    assert out["consistent"]
+    out = compare_sets_on_point(square_chain, z0, cfg)
+    assert out["consistent"], out["inconsistencies"]
     assert out["feasible"]
     assert out["in_level_set"]
 
@@ -176,6 +176,9 @@ def test_exactness_cross_check_out_of_level(square_chain):
     beta = np.array([1.0, 0.6])
     cfg = build_config(square_chain, beta=beta, seed=0)
     z = Point(np.array([2.0]), (np.array([5.0]), np.array([1.0])))
-    out = check_exactness_feasibility(square_chain, z, cfg)
-    assert not out["in_level_set"]
-    assert any("level set" in note for note in out["diagnostics"])
+    out = compare_sets_on_point(square_chain, z, cfg)
+    assert not out["in_level_set"] and not out["feasible"]
+    # No guarantee applies outside the level set, so nothing is flagged;
+    # the lifted checks need a feasible point and do not run.
+    assert out["consistent"]
+    assert out["d0"] is None and out["sd0"] is None and out["sd1"] is None

@@ -1,5 +1,6 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,6 +148,100 @@ def test_box_interior_descent_detected():
     assert r.witness_value < 0
 
 
+# (verdict, mode, samples, notes, min_found, witness_value) of each report on
+# the canonical instances.  Code that only removes duplication must keep them.
+REPORT_GOLDENS = {
+    "square-chain P0": (STATIONARY, "enumerate", 1, [], 0.0, None),
+    "square-chain P1": (STATIONARY, "enumerate", 4, [], 0.0, None),
+    "square-chain lifted": (STATIONARY, "sample", 74, [], -1.98, None),
+    "square-chain penalized": (NOT_STATIONARY, "sample", 74, [], -0.78, -0.78),
+    "relu-ridge P0": (NOT_STATIONARY, "enumerate", 2, [], -2.0, -2.0),
+    "relu-ridge P1": (NOT_STATIONARY, "enumerate", 8, [], -0.5, -0.8164965809277261),
+    "relu-ridge lifted": (STATIONARY, "sample", 43, [], 0.0, None),
+    "relu-ridge penalized": (STATIONARY, "sample", 43, [], 0.0, None),
+    "box-max (0, 0) order 1": (STATIONARY, "enumerate", 1, [], 0.0, None),
+    "box-max (0, 0) order 2": (
+        NOT_STATIONARY,
+        "enumerate",
+        11,
+        ["second derivative is an exact quadratic form"],
+        -0.7999999999999998,
+        -0.7999999999999998,
+    ),
+    "box-max (-1, 1) order 1": (STATIONARY, "enumerate", 2, [], 0.0, None),
+    "box-max (-1, 1) order 2": (
+        STATIONARY,
+        "sample",
+        36,
+        ["no critical directions located by sampling"],
+        0.0,
+        None,
+    ),
+    "box-max (1, 1) order 1": (NOT_STATIONARY, "enumerate", 1, [], -1.2, -1.2),
+    "box-max (1, 1) order 2": (
+        NOT_STATIONARY,
+        "enumerate",
+        1,
+        ["already fails at first order"],
+        -1.2,
+        -1.2,
+    ),
+    "desk P0": (NOT_STATIONARY, "enumerate", 1, [], -0.08200868707101515, -0.08200868707101515),
+    "desk P1": (
+        NOT_STATIONARY,
+        "sample",
+        40382,
+        [f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"],
+        -0.045829392025330665,
+        -0.045829392025330665,
+    ),
+    "desk lifted": (STATIONARY, "sample", 22, [], 0.0, None),
+    "desk penalized": (STATIONARY, "sample", 22, [], 0.0, None),
+    "desk P0 sample": (
+        NOT_STATIONARY,
+        "sample",
+        18997,
+        [],
+        -0.11416143922016858,
+        -0.11416143922016857,
+    ),
+}
+
+
+def _close(got, want):
+    """Equal to 1e-12 relative; None and 0.0 only match themselves."""
+    if want is None:
+        return got is None
+    return got is not None and abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_reports_match_their_goldens(square_chain, relu_ridge, box_max, rnn_spec, rnn_problem):
+    reports = {}
+
+    def four(tag, problem, z, beta):
+        reports[f"{tag} P0"] = check_d_stationary_P0(problem, z)
+        reports[f"{tag} P1"] = check_d_stationary_P1(problem, z, beta)
+        reports[f"{tag} lifted"] = check_second_order(problem, z, "lifted")
+        reports[f"{tag} penalized"] = check_second_order(problem, z, "penalized", beta)
+
+    four("square-chain", square_chain, eval_layers(square_chain, np.zeros(1)), BETA_SC)
+    four("relu-ridge", relu_ridge, eval_layers(relu_ridge, np.zeros(2)), [1.0, 1.0])
+    lo, hi = -np.ones(2), np.ones(2)
+    for x in ((0, 0), (-1, 1), (1, 1)):
+        for order in (1, 2):
+            rep = check_box(box_max, np.array(x, dtype=float), lo, hi, order=order)
+            reports[f"box-max ({x[0]}, {x[1]}) order {order}"] = rep
+    z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
+    four("desk", rnn_problem, z, rnn_penalty_config(rnn_spec).beta)
+    reports["desk P0 sample"] = check_d_stationary_P0(rnn_problem, z, mode="sample")
+    assert list(reports) == list(REPORT_GOLDENS)
+    for name, r in reports.items():
+        verdict, mode, samples, notes, min_found, witness_value = REPORT_GOLDENS[name]
+        assert (r.verdict, r.mode, r.samples, r.notes) == (verdict, mode, samples, notes), name
+        assert _close(r.min_found, min_found), (name, r.min_found)
+        assert _close(r.witness_value, witness_value), (name, r.witness_value)
+
+
 def test_compare_sets_consistent_on_feasible_stationary(square_chain):
     cfg = build_config(square_chain, beta=BETA_SC, seed=0)
     z0 = eval_layers(square_chain, np.zeros(1))
@@ -175,11 +270,73 @@ def test_compare_sets_flags_nothing_on_smooth_min():
     assert out["sd0"].verdict == STATIONARY
 
 
-def test_p1_fallback_to_sampling_says_why(rnn_problem):
+# The three implications of compare_sets_on_point, each provoked once.  A
+# certificate below the true thresholds breaks the first two: the checks run
+# as they are, under a PenaltyConfig whose ``certified`` flag is forged.
+
+
+def test_compare_flags_a_stationary_infeasible_point_with_its_correction_slope():
+    # Theta = (u - 1)^2 + 2 theta^2 + beta |u - theta^2| with beta = 1 below
+    # the threshold K_g, about 2 here.  At theta = 0, u = 0.5 every direction
+    # has slope 0, and so has the direction that closes the residual.
+    problem = CompositeProblem(
+        n=1,
+        layers=(LayerMap(index=1, exprs=(ex.square(ex.theta(0)),)),),
+        outer=ex.sqnorm(ex.affine(-1.0, [1.0], [ex.uref(1, 0)])),
+        lam=2.0,
+    )
+    honest = build_config(problem, beta=np.array([1.0]), seed=0)
+    assert not honest.certified
+    cfg = replace(honest, certified=True)
+    z = Point(np.zeros(1), (np.array([0.5]),))
+    out = compare_sets_on_point(problem, z, cfg, seed=0)
+    assert out["in_level_set"] and not out["feasible"]
+    assert (out["d1"].verdict, out["d1"].mode) == (STATIONARY, "enumerate")
+    assert out["inconsistencies"] == [
+        "penalized-stationary infeasible point inside the level set; "
+        "residual correction direction has slope 0.0e+00"
+    ]
+    # Outside the level set no guarantee applies, and nothing is flagged.
+    out = compare_sets_on_point(problem, z, replace(cfg, gamma_bar=0.5), seed=0)
+    assert out["d1"].verdict == STATIONARY and out["consistent"]
+
+
+def test_compare_flags_first_order_verdicts_that_differ(square_chain):
+    # beta_2 = 0.1 is below the outer function's slope 0.5 in u_2, so
+    # lowering u_2 off the manifold descends Theta while P0 holds.
+    beta = np.array([1.0, 0.1])
+    cfg = replace(build_config(square_chain, beta=beta, seed=0), certified=True)
+    z0 = eval_layers(square_chain, np.zeros(1))
+    out = compare_sets_on_point(square_chain, z0, cfg, seed=0)
+    assert (out["d0"].verdict, out["d1"].verdict) == (STATIONARY, NOT_STATIONARY)
+    assert out["inconsistencies"] == ["first-order verdicts of lifted and penalized problems differ"]
+
+
+def test_compare_flags_second_order_verdicts_that_break_the_implication(square_chain, monkeypatch):
+    # At the square chain's origin the lifted target holds and the penalized
+    # one fails; the forged checks swap the two verdicts.
+    real = stationarity.check_second_order
+
+    def forged(problem, z, target, *args, **kwargs):
+        rep = real(problem, z, target, *args, **kwargs)
+        rep.verdict = NOT_STATIONARY if target == "lifted" else STATIONARY
+        return rep
+
+    monkeypatch.setattr(stationarity, "check_second_order", forged)
+    cfg = build_config(square_chain, beta=BETA_SC, seed=0)
+    out = compare_sets_on_point(square_chain, eval_layers(square_chain, np.zeros(1)), cfg, seed=0)
+    assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
+
+
+def test_p1_fallback_to_sampling_says_why(rnn_problem, monkeypatch):
     th = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
     z = eval_layers(rnn_problem, th)
-    rep = check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, n_starts=2, iters=24)
+    monkeypatch.setattr(stationarity, "N_STARTS", 2)
+    monkeypatch.setattr(stationarity, "SEARCH_ITERS", 24)
+    rep = check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L)
     assert rep.mode == "sample"
+    # one envelope entry per start: the +-lifted seeds, then N_STARTS sphere points
+    assert len(rep.envelope) == 2 * rnn_problem.n + 2
     assert rep.notes[0] == f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"
     with pytest.raises(TooManyPieces):
         check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, mode="enumerate")
