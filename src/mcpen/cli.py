@@ -3,7 +3,9 @@
 Every subcommand reads problem/point/direction JSON files, runs the library,
 and emits a JSON report embedding a run manifest (command, input hashes,
 seed, tool version).  Identical manifests produce identical reports; wall
-time is reported next to, not inside, the manifest.
+time is reported next to, not inside, the manifest.  A handler returns its
+report and exit code; ``main`` alone adds the manifest and writes the bytes.
+``rnn build`` writes a problem file, which carries no manifest.
 
 Exit codes: 0 success, 2 validation error (bad files, bad dimensions,
 unknown names, more pieces than the limit under --mode enumerate), 3 when
@@ -14,7 +16,6 @@ regressions exit 1 when a golden check fails.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 import time
@@ -29,7 +30,6 @@ from .model import (
     DimensionError,
     EvaluationError,
     InfeasiblePointError,
-    Point,
     check_point,
     eval_F,
     eval_g,
@@ -42,9 +42,11 @@ from .pieces import TooManyPieces
 from .rnn import (
     RnnSpec,
     build_problem,
+    desk_instance,
     load_sequences,
     rnn_penalty_config,
     rnn_thresholds,
+    sequence_files,
     train_and_certify,
 )
 from .solver import SolveConfig, minimize_theta
@@ -60,53 +62,27 @@ class CliError(ValueError):
     pass
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, Point):
-        return serialize.point_to_dict(obj)
-    if hasattr(obj, "dtheta") and hasattr(obj, "du"):
-        return serialize.direction_to_dict(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, str):
-        return obj
-    return repr(obj)
-
-
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(argv: list[str], inputs: list[str], seed: int | None) -> dict:
+def _manifest(argv: list[str], args) -> dict:
+    """The command, a sha256 per input file it read, its seed and the tool version."""
+    file_options = ("problem", "point", "direction", "beta_file", "init_file")
+    inputs = [getattr(args, name, None) for name in file_options]
+    if getattr(args, "data", None):
+        inputs += [str(f) for f in sequence_files(args.data)]
     return {
         "schema_version": serialize.SCHEMA_VERSION,
         "command": " ".join(argv),
         "inputs": {p: _sha256(p) for p in inputs if p and Path(p).is_file()},
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
     }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = serialize.dumps(_jsonable(report))
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _parse_beta(args, L: int) -> np.ndarray:
+def _parse_beta(args, L: int, needed_by: str | None = None) -> np.ndarray | None:
+    """The penalty weights given, or None; ``needed_by`` names why one must be given."""
     if getattr(args, "beta_file", None):
         data = serialize.load(args.beta_file)
         if not isinstance(data, list) or not all(isinstance(v, (int, float)) for v in data):
@@ -117,8 +93,10 @@ def _parse_beta(args, L: int) -> np.ndarray:
             vals = [float(v) for v in args.beta.split(",")]
         except ValueError as err:
             raise CliError(f"--beta must be comma-separated numbers: {err}") from err
+    elif needed_by:
+        raise CliError(f"{needed_by} needs --beta or --beta-file")
     else:
-        raise CliError("this command needs --beta or --beta-file")
+        return None
     if len(vals) == 1:
         vals = vals * L
     if len(vals) != L:
@@ -133,7 +111,7 @@ def _load_problem_point(args):
     return problem, z
 
 
-def _cmd_eval(args, argv) -> int:
+def _cmd_eval(args):
     problem, z = _load_problem_point(args)
     res = residuals(problem, z)
     report = {
@@ -148,16 +126,14 @@ def _cmd_eval(args, argv) -> int:
             "feasible": res.feasible,
         },
     }
-    if args.beta or args.beta_file:
-        b = _parse_beta(args, problem.L)
+    b = _parse_beta(args, problem.L)
+    if b is not None:
         report["theta_value"] = eval_Theta(problem, z, b)
         report["beta"] = b.tolist()
-    report["manifest"] = _manifest(argv, [args.problem, args.point], None)
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_dderiv(args, argv) -> int:
+def _cmd_dderiv(args):
     problem, z = _load_problem_point(args)
     d = serialize.load_direction(args.direction)
     if args.target == "nested":
@@ -165,53 +141,30 @@ def _cmd_dderiv(args, argv) -> int:
     elif args.target == "lifted":
         val = dd_F(problem, z, d, order=args.order)
     else:
-        b = _parse_beta(args, problem.L)
+        b = _parse_beta(args, problem.L, "this command")
         val = dd_Theta(problem, z, d, b, order=args.order)
-    report = {
-        "kind": "dderiv-report",
-        "target": args.target,
-        "order": args.order,
-        "result": val,
-        "manifest": _manifest(argv, [args.problem, args.point, args.direction], None),
-    }
-    _emit(report, args.out)
-    return 0
+    return {"kind": "dderiv-report", "target": args.target, "order": args.order, "result": val}, 0
 
 
-def _cmd_cone(args, argv) -> int:
+def _cmd_cone(args):
     problem, z = _load_problem_point(args)
     d = serialize.load_direction(args.direction)
-    tangent = tangent_membership(problem, z, d)
-    report = {"kind": "cone-report", "tangent": tangent}
+    report = {"kind": "cone-report", "tangent": tangent_membership(problem, z, d)}
     if not args.no_radial:
         report["radial"] = radial_membership(problem, z, d)
-    report["manifest"] = _manifest(argv, [args.problem, args.point, args.direction], None)
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_thresholds(args, argv) -> int:
+def _cmd_thresholds(args):
     problem = serialize.load_problem(args.problem)
-    beta = None
-    if args.beta or args.beta_file:
-        beta = _parse_beta(args, problem.L)
+    beta = _parse_beta(args, problem.L)
     config = build_config(problem, beta=beta, eps=args.eps, budget=args.budget, seed=args.seed)
-    report = {
-        "kind": "thresholds-report",
-        "config": config,
-        "manifest": _manifest(argv, [args.problem], args.seed),
-    }
-    _emit(report, args.out)
-    return 0
+    return {"kind": "thresholds-report", "config": config}, 0
 
 
-def _cmd_check(args, argv) -> int:
+def _cmd_check(args):
     problem, z = _load_problem_point(args)
-    beta = None
-    if args.beta or args.beta_file:
-        beta = _parse_beta(args, problem.L)
-    if args.target == "p1" and beta is None:
-        raise CliError("--target p1 needs --beta or --beta-file")
+    beta = _parse_beta(args, problem.L, "--target p1" if args.target == "p1" else None)
     if args.order == 1:
         if args.target == "p0":
             rep = check_d_stationary_P0(problem, z, mode=args.mode, seed=args.seed, tol=args.tol)
@@ -222,20 +175,13 @@ def _cmd_check(args, argv) -> int:
     else:
         target = "lifted" if args.target == "p0" else "penalized"
         rep = check_second_order(problem, z, target, beta=beta, seed=args.seed, tol=args.tol)
-    report = {
-        "kind": "stationarity-report",
-        "report": rep,
-        "manifest": _manifest(argv, [args.problem, args.point], args.seed),
-    }
-    _emit(report, args.out)
-    if args.expect == "stationary" and rep.verdict == NOT_STATIONARY:
-        return 3
-    return 0
+    code = 3 if args.expect == "stationary" and rep.verdict == NOT_STATIONARY else 0
+    return {"kind": "stationarity-report", "report": rep}, code
 
 
-def _cmd_solve(args, argv) -> int:
+def _cmd_solve(args):
     problem = serialize.load_problem(args.problem)
-    b = _parse_beta(args, problem.L)
+    b = _parse_beta(args, problem.L, "this command")
     z_init = None
     init = args.init
     if init == "file":
@@ -253,7 +199,7 @@ def _cmd_solve(args, argv) -> int:
         trace_path=args.trace,
     )
     result = minimize_theta(problem, b, cfg, z_init=z_init)
-    report = {
+    return {
         "kind": "solve-report",
         "value": result.value,
         "probe_min": result.probe_min,
@@ -261,50 +207,35 @@ def _cmd_solve(args, argv) -> int:
         "converged": result.converged,
         "termination": result.termination,
         "final_point": result.z,
-        "manifest": _manifest(
-            argv, [args.problem] + ([args.init_file] if args.init_file else []), args.seed
-        ),
-    }
-    _emit(report, args.out)
-    return 0
+    }, 0
 
 
 def _rnn_spec_from_args(args) -> RnnSpec:
-    if args.data:
-        x, y = load_sequences(args.data, args.n0, args.n2)
-    else:
-        rng = np.random.default_rng(args.seed)
-        x = rng.standard_normal((1, args.t, args.n0))
-        y = 0.5 * rng.standard_normal((1, args.t, args.n2))
+    shape = dict(n0=args.n0, n1=args.n1, n2=args.n2, t=args.t, alpha=args.alpha, lam=args.lam)
+    if not args.data:
+        return desk_instance(args.seed, **shape)
+    x, y = load_sequences(args.data, args.n0, args.n2)
     if x.shape[1] != args.t:
         raise CliError(f"data has {x.shape[1]} steps but --t is {args.t}")
-    return RnnSpec(
-        n0=args.n0, n1=args.n1, n2=args.n2, t=args.t, x=x, y=y, alpha=args.alpha, lam=args.lam
-    )
+    return RnnSpec(x=x, y=y, **shape)
 
 
-def _cmd_rnn(args, argv) -> int:
+def _cmd_rnn(args):
     spec = _rnn_spec_from_args(args)
-    inputs = [args.data] if args.data and Path(args.data).is_file() else []
     if args.action == "build":
-        problem = build_problem(spec)
-        report = serialize.problem_to_dict(problem)
-        _emit(report, args.out)
-        return 0
+        problem = serialize.problem_to_dict(build_problem(spec))
+        if args.out:
+            serialize.save(args.out, problem)
+        else:
+            sys.stdout.write(serialize.dumps(problem))
+        return None, 0
     if args.action == "thresholds":
         thr = rnn_thresholds(spec)
         config = rnn_penalty_config(spec)
-        report = {
-            "kind": "rnn-thresholds-report",
-            "thresholds": thr,
-            "config": config,
-            "manifest": _manifest(argv, inputs, args.seed),
-        }
-        _emit(report, args.out)
-        return 0
+        return {"kind": "rnn-thresholds-report", "thresholds": thr, "config": config}, 0
     cfg = SolveConfig(max_iters=args.max_iters, stop_tol=args.stop_tol, seed=args.seed, trace_path=args.trace)
     rep = train_and_certify(spec, solve_config=cfg, seed=args.seed)
-    report = {
+    return {
         "kind": "rnn-train-report",
         "value": rep.solve.value,
         "probe_min": rep.solve.probe_min,
@@ -317,27 +248,21 @@ def _cmd_rnn(args, argv) -> int:
         "sd_equals_d": rep.sd_equals_d,
         "final_point": rep.z,
         "notes": rep.notes,
-        "manifest": _manifest(argv, inputs, args.seed),
-    }
-    _emit(report, args.out)
-    return 0
+    }, 0
 
 
-def _cmd_repro(args, argv) -> int:
+def _cmd_repro(args):
     if args.list:
         for name in repro.list_scenarios():
             print(name)
-        return 0
+        return None, 0
     if not args.name:
         raise CliError("repro needs a scenario name or --list")
     report = repro.run(args.name, seed=args.seed)
     for c in report["checks"]:
         mark = "PASS" if c["pass"] else "FAIL"
         print(f"[{mark}] {report['scenario']}: {c['name']} ({c['detail']})")
-    if args.out:
-        report["manifest"] = _manifest(argv, [], args.seed)
-        _emit(report, args.out)
-    return 0 if report["ok"] else 1
+    return (report if args.out else None), (0 if report["ok"] else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,7 +358,14 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        code = args.fn(args, argv)
+        report, code = args.fn(args)
+        if report is not None:
+            report["manifest"] = _manifest(argv, args)
+            text = serialize.dumps(report)
+            if args.out:
+                Path(args.out).write_text(text)
+            else:
+                sys.stdout.write(text)
         # timing goes to stderr so the report stays byte-deterministic
         print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return code

@@ -19,6 +19,7 @@ from .dcalc import Direction, _as_batch, forward_curves, residual_slopes
 from .model import (
     CompositeProblem,
     DimensionError,
+    EvaluationError,
     Point,
     check_point,
     point_from_flat,
@@ -94,7 +95,7 @@ def _feasible_at(problem: CompositeProblem, z: Point, d: Direction, tau: float) 
     moved = point_from_flat(problem, z.flat() + tau * d.flat())
     try:
         return residuals(problem, moved).feasible
-    except Exception:
+    except (EvaluationError, OverflowError):
         return False
 
 

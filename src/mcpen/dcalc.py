@@ -359,11 +359,10 @@ def ray_quotients(
     v_fn: Callable[[float], np.ndarray],
     first_fn: Callable[[np.ndarray], float],
     taus: Sequence[float],
-    order: int = 2,
 ) -> np.ndarray:
-    """Raw defining quotients along tau -> x + tau * v(tau).
+    """Raw second-order defining quotients along tau -> x + tau * v(tau).
 
-    For order 2 this is (f(x + tau v) - f(x) - tau * first_fn(v)) / (tau^2/2)
+    Each is (f(x + tau v) - f(x) - tau * first_fn(v)) / (tau^2/2)
     with v = v_fn(tau); the direction may move with tau, which is exactly the
     regime where one-sided second derivatives can fail to be limits of
     moving-direction quotients.  ``first_fn`` must supply the exact first
@@ -374,8 +373,5 @@ def ray_quotients(
     out = np.empty(len(taus))
     for k, tau in enumerate(taus):
         v = np.asarray(v_fn(tau), dtype=float).ravel()
-        if order == 1:
-            out[k] = (f(x + tau * v) - f0) / tau
-        else:
-            out[k] = (f(x + tau * v) - f0 - tau * first_fn(v)) / (tau * tau / 2.0)
+        out[k] = (f(x + tau * v) - f0 - tau * first_fn(v)) / (tau * tau / 2.0)
     return out

@@ -28,6 +28,7 @@ from .dcalc import Direction
 from .model import (
     FEAS_TOL,
     CompositeProblem,
+    EvaluationError,
     Point,
     check_beta,
     eval_g,
@@ -129,7 +130,7 @@ def _sample_level_set(
         for k in range(1, problem.L + 1):
             try:
                 base = layer_values(problem, k, th, blocks)
-            except Exception:
+            except (EvaluationError, OverflowError):
                 ok = False
                 break
             rad = gamma_bar / beta[k - 1]

@@ -188,8 +188,8 @@ def _run_abs_cubic(seed: int) -> list[dict]:
     )
     taus = [1e-2 * 0.5**k for k in range(14)]
     first_fn = lambda vv: dd_expr(e, x, vv, order=1).first
-    q_plus = ray_quotients(f, x, lambda t: np.array([3.0 + 4.0 * t, 1.0]), first_fn, taus, order=2)
-    q_minus = ray_quotients(f, x, lambda t: np.array([3.0 - 4.0 * t, 1.0]), first_fn, taus, order=2)
+    q_plus = ray_quotients(f, x, lambda t: np.array([3.0 + 4.0 * t, 1.0]), first_fn, taus)
+    q_minus = ray_quotients(f, x, lambda t: np.array([3.0 - 4.0 * t, 1.0]), first_fn, taus)
     _check(
         checks,
         "moving-direction quotients split to -6 and +6",
@@ -292,10 +292,7 @@ def _run_rnn_desk(seed: int) -> list[dict]:
 
 def lift_descent_instance() -> RnnSpec:
     """The RNN that ``mcpen rnn --n1 5 --t 5 --seed 0`` draws (n0=2, n2=1)."""
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((1, 5, 2))
-    y = 0.5 * rng.standard_normal((1, 5, 1))
-    return RnnSpec(n0=2, n1=5, n2=1, t=5, x=x, y=y, alpha=0.1, lam=0.1)
+    return desk_instance(0, n1=5, t=5)
 
 
 def _run_rnn_lift_descent(seed: int) -> list[dict]:
@@ -355,8 +352,3 @@ def run(name: str, seed: int = 0) -> dict:
         "checks": checks,
         "elapsed_s": elapsed,
     }
-
-
-def run_all(seed: int = 0) -> dict:
-    reports = [run(name, seed) for name in list_scenarios()]
-    return {"ok": all(r["ok"] for r in reports), "reports": reports}

@@ -277,9 +277,14 @@ def read_sequence_csv(path: str | Path, n0: int, n2: int) -> tuple[np.ndarray, n
     return X, Y
 
 
+def sequence_files(data_dir: str | Path) -> list[Path]:
+    """The CSV files of a sequence directory, in the order they are read."""
+    return sorted(Path(data_dir).glob("*.csv"))
+
+
 def load_sequences(data_dir: str | Path, n0: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """All sequences from a directory of CSV files, ordered by file name."""
-    files = sorted(Path(data_dir).glob("*.csv"))
+    files = sequence_files(data_dir)
     if not files:
         raise ValueError(f"no CSV files in {data_dir}")
     xs, ys = [], []
@@ -293,12 +298,23 @@ def load_sequences(data_dir: str | Path, n0: int, n2: int) -> tuple[np.ndarray, 
     return np.stack(xs), np.stack(ys)
 
 
-def desk_instance(seed: int = 0) -> RnnSpec:
-    """The small seeded reference instance used across tests and scenarios."""
+def desk_instance(
+    seed: int = 0,
+    n0: int = 2,
+    n1: int = 3,
+    n2: int = 1,
+    t: int = 3,
+    alpha: float = 0.1,
+    lam: float = 0.1,
+) -> RnnSpec:
+    """The small seeded reference instance used across tests and scenarios.
+
+    Other shapes draw one sequence the same way: x, then 0.5 * y, from ``default_rng(seed)``.
+    """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 3, 2))
-    y = 0.5 * rng.standard_normal((1, 3, 1))
-    return RnnSpec(n0=2, n1=3, n2=1, t=3, x=x, y=y, alpha=0.1, lam=0.1)
+    x = rng.standard_normal((1, t, n0))
+    y = 0.5 * rng.standard_normal((1, t, n2))
+    return RnnSpec(n0=n0, n1=n1, n2=n2, t=t, x=x, y=y, alpha=alpha, lam=lam)
 
 
 @dataclass

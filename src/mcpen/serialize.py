@@ -8,6 +8,7 @@ makes byte-level comparison of reports meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 from contextlib import contextmanager
@@ -176,8 +177,23 @@ def direction_from_dict(d: dict) -> Direction:
         return Direction(np.asarray(d["dtheta"], dtype=float), du)
 
 
+def _json_default(obj: Any) -> Any:
+    """The JSON form of a numpy value, point, direction or dataclass in a report."""
+    if isinstance(obj, Point):
+        return point_to_dict(obj)
+    if isinstance(obj, Direction):
+        return direction_to_dict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dumps(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
+    return json.dumps(d, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def save(path: str | Path, d: dict) -> None:

@@ -74,9 +74,6 @@ class SolveTrace:
     def record(self, **kw) -> None:
         self.rows.append(kw)
 
-    def values(self) -> np.ndarray:
-        return np.array([r["theta"] for r in self.rows])
-
     def write_csv(self, path: str) -> None:
         cols = ["iter", "theta", "max_residual", "step", "probe_min"]
         with open(path, "w", newline="") as fh:
@@ -305,10 +302,8 @@ def minimize_theta(
     probe_min = float(np.min(_slopes(problem, z, b, Df)))
     if probe_min >= -cfg.stop_tol:
         converged = True
-        if not trace.termination or trace.termination == "max-iters":
+        if trace.termination == "max-iters":
             trace.termination = "probe-stationary"
-    if not trace.termination:
-        trace.termination = "max-iters"
     if cfg.trace_path:
         trace.write_csv(cfg.trace_path)
     return SolveResult(z, float(value), probe_min, k, converged, trace.termination, trace)

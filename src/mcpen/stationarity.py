@@ -70,10 +70,20 @@ _FD_H = 1e-7
 # block wider than the cap goes alone.  Wider calls save little time and
 # raise the peak memory of a certify run.
 _MAX_COLS = 384
+_UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 
 
 @dataclass
 class StationarityReport:
+    """One check's verdict and its evidence.
+
+    ``min_found`` is the smallest derivative the search found: over the unit
+    l1 cross-polytope under enumeration, over the unit l2 sphere under
+    sampling.  ``witness_value`` re-evaluates along the l2-normalised
+    witness.  A lifted second-order report may read stationary with
+    ``min_found`` below -tol when the negative directions are not radial.
+    """
+
     target: str
     order: int
     verdict: str
@@ -212,11 +222,17 @@ def _search_min_first(
 
 
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
-    """Record a refutation when the witness re-evaluates below -tol/2."""
+    """Record a refutation when the witness re-evaluates below -tol/2.
+
+    Otherwise note, once per report, that it did not; the caller's verdict
+    then stays inconclusive unless another witness refutes.
+    """
     if confirmed is not None and confirmed < -report.tol / 2.0:
         report.verdict, report.witness = NOT_STATIONARY, witness
         report.witness_value = float(confirmed)
         return True
+    if _UNCONFIRMED not in report.notes:
+        report.notes.append(_UNCONFIRMED)
     return False
 
 
@@ -269,8 +285,7 @@ def check_d_stationary_P0(
         return report
     dth = wit / max(np.linalg.norm(wit), 1e-300)
     confirmed = dd_Psi(problem, z.theta, dth, order=1).first
-    if not _refute(report, lift_direction(problem, z, dth), confirmed):
-        report.notes.append("search minimum did not re-evaluate below -tol/2")
+    _refute(report, lift_direction(problem, z, dth), confirmed)
     return report
 
 
@@ -314,8 +329,7 @@ def check_d_stationary_P1(
         report.verdict = STATIONARY
         return report
     d = direction_from_flat(problem, wit / max(np.linalg.norm(wit), 1e-300))
-    if not _refute(report, d, dd_Theta(problem, z, d, b, order=1).first):
-        report.notes.append("search minimum did not re-evaluate below -tol/2")
+    _refute(report, d, dd_Theta(problem, z, d, b, order=1).first)
     return report
 
 
@@ -465,8 +479,7 @@ def check_second_order(
         else:
             report.notes.append("no critical directions located by sampling")
         return report
-    unknown_radial = False
-    skipped_bad = False
+    unknown_radial = unconfirmed = skipped_bad = False
     for phi2, dth, bad in cands:
         if bad:
             skipped_bad = True
@@ -487,10 +500,11 @@ def check_second_order(
             confirmed = dd_Theta(problem, z, d, b, order=2).second
         if _refute(report, d, confirmed):
             return report
+        unconfirmed = True
+    # An undecided or unconfirmed candidate leaves the verdict inconclusive.
     if unknown_radial:
-        report.verdict = INCONCLUSIVE
         report.notes.append("negative curvature found but radial membership undecided")
-    else:
+    elif not unconfirmed:
         report.verdict = STATIONARY
         if skipped_bad:
             report.notes.append("some candidates had unsupported second derivatives")

@@ -182,8 +182,8 @@ def test_criterion_4_two_path_second_order_gap():
     f = lambda p: ex.eval_one(e, p, [])
     first_fn = lambda vv: dd_expr(e, x, vv, order=1).first
     taus = [1e-2 * 0.5**k for k in range(14)]
-    qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus, order=2)
-    qm = ray_quotients(f, x, lambda t: np.array([3.0 - 4 * t, 1.0]), first_fn, taus, order=2)
+    qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus)
+    qm = ray_quotients(f, x, lambda t: np.array([3.0 - 4 * t, 1.0]), first_fn, taus)
     if abs(qp[-1] - (-6.0)) > 1e-3:
         problems.append(f"path (3+4t,1) quotient {qp[-1]} not within 1e-3 of -6")
     if abs(qm[-1] - 6.0) > 1e-3:

@@ -1,6 +1,8 @@
 """Command-line surface: reports, manifests, and exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,34 @@ def test_eval_report_and_manifest(capsys, files):
     assert files["prob"] in man["inputs"]
     assert len(man["inputs"][files["prob"]]) == 64
     assert man["version"]
+
+
+def test_manifest_hashes_the_beta_file(capsys, files, tmp_path):
+    beta = tmp_path / "beta.json"
+    beta.write_text("[1.0, 0.6]")
+    argv = ["eval", "--problem", files["prob"], "--point", files["shift"], "--beta-file", str(beta)]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["beta"] == [1.0, 0.6]
+    assert rep["manifest"]["inputs"] == {
+        p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (files["prob"], files["shift"], str(beta))
+    }
+
+
+def test_manifest_hashes_each_data_csv(capsys, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(1)
+    for name in ("b.csv", "a.csv"):
+        rows = [f"{t},{rng.normal()},{rng.normal()},{rng.normal()}" for t in range(3)]
+        (data / name).write_text("\n".join(["t,x0,x1,y0", *rows]) + "\n")
+    (data / "notes.txt").write_text("not a sequence")
+    code, out = _run(capsys, ["rnn", "thresholds", "--data", str(data)])
+    assert code == 0
+    inputs = json.loads(out)["manifest"]["inputs"]
+    assert list(inputs) == [str(data / "a.csv"), str(data / "b.csv")]
+    assert all(h == hashlib.sha256(Path(p).read_bytes()).hexdigest() for p, h in inputs.items())
 
 
 def test_eval_without_beta_skips_theta(capsys, files):

@@ -5,16 +5,18 @@ import pytest
 
 from conftest import random_problem
 from mcpen import expr as ex
+from mcpen import model
 from mcpen.cones import (
     LIFT_TOL,
     TANGENT_TOL,
+    _feasible_at,
     lift_direction,
     radial_membership,
     ray_decidable,
     tangent_membership,
 )
 from mcpen.dcalc import Direction
-from mcpen.model import CompositeProblem, LayerMap, eval_layers
+from mcpen.model import CompositeProblem, EvaluationError, LayerMap, eval_layers
 
 pytestmark = pytest.mark.filterwarnings("ignore:outer function evaluated")
 
@@ -229,3 +231,19 @@ def test_pure_relu_grid_agrees_with_characterization(theta0):
         assert grid == expected, f"draw {i}: raw grid {grid} vs chain {expected}"
         agree += 1
     assert agree == total
+
+
+def test_radial_grid_reads_only_evaluation_errors_as_infeasible(square_chain, monkeypatch):
+    z0 = eval_layers(square_chain, np.zeros(1))
+    d = Direction(np.array([1.0]), (np.array([1.0]), np.array([0.0])))
+
+    def raising(err):
+        def layer_values(*args):
+            raise err
+        return layer_values
+
+    monkeypatch.setattr(model, "layer_values", raising(EvaluationError(1, "overflow in layer 1")))
+    assert _feasible_at(square_chain, z0, d, 0.1) is False
+    monkeypatch.setattr(model, "layer_values", raising(TypeError("a programming error")))
+    with pytest.raises(TypeError, match="a programming error"):
+        _feasible_at(square_chain, z0, d, 0.1)

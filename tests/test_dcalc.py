@@ -218,7 +218,7 @@ def test_two_path_quotients_disagree_at_second_order(abs_cubic):
     f = lambda p: ex.eval_one(abs_cubic, p, [])
     first_fn = lambda vv: dd_expr(abs_cubic, x, vv, order=1).first
     taus = [1e-2 * 0.5**k for k in range(14)]
-    qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus, order=2)
-    qm = ray_quotients(f, x, lambda t: np.array([3.0 - 4 * t, 1.0]), first_fn, taus, order=2)
+    qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus)
+    qm = ray_quotients(f, x, lambda t: np.array([3.0 - 4 * t, 1.0]), first_fn, taus)
     assert qp[-1] == pytest.approx(-6.0, abs=1e-3)
     assert qm[-1] == pytest.approx(6.0, abs=1e-3)

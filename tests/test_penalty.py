@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import negative_outer_problem
+from mcpen import penalty
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
     FEAS_TOL,
+    EvaluationError,
     Point,
     eval_layers,
     eval_Theta,
@@ -15,6 +17,7 @@ from mcpen.model import (
 )
 from mcpen.penalty import (
     BETA_FLOOR,
+    _sample_level_set,
     build_config,
     certify,
     estimate_moduli,
@@ -182,3 +185,17 @@ def test_exactness_cross_check_out_of_level(square_chain):
     # the lifted checks need a feasible point and do not run.
     assert out["consistent"]
     assert out["d0"] is None and out["sd0"] is None and out["sd1"] is None
+
+
+def test_level_set_sampling_skips_only_evaluation_errors(square_chain, monkeypatch):
+    def raising(err):
+        def layer_values(*args):
+            raise err
+        return layer_values
+
+    args = (square_chain, np.array([1.0, 0.6]), 1.0, 1e-3, 5)
+    monkeypatch.setattr(penalty, "layer_values", raising(EvaluationError(1, "overflow in layer 1")))
+    assert _sample_level_set(*args, np.random.default_rng(0)) == []
+    monkeypatch.setattr(penalty, "layer_values", raising(TypeError("a programming error")))
+    with pytest.raises(TypeError, match="a programming error"):
+        _sample_level_set(*args, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 """JSON round trips and format validation."""
 
+import json
 import re
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcpen import expr as ex
-from mcpen.dcalc import Direction
+from mcpen.dcalc import DDValue, Direction
 from mcpen.model import CompositeProblem, LayerMap, Point
 from mcpen.serialize import (
     FormatError,
@@ -74,6 +75,27 @@ def test_dumps_deterministic(square_chain):
     b = dumps(problem_to_dict(square_chain))
     assert a == b
     assert a.endswith("\n")
+
+
+def test_dumps_writes_report_values_and_refuses_unknown_types():
+    z = Point(np.array([1.0]), (np.array([0.5, -1.0]),))
+    d = Direction(np.array([1.0]), (np.array([0.0, 2.0]),))
+    report = {
+        "flags": [np.bool_(True), np.int64(3), np.float32(0.5), np.float64(0.1)],
+        "array": np.arange(3.0).reshape(1, 3),
+        "point": z,
+        "direction": d,
+        "value": DDValue(1.0, np.float64(-0.25), None),
+    }
+    assert json.loads(dumps(report)) == {
+        "flags": [True, 3, 0.5, 0.1],
+        "array": [[0.0, 1.0, 2.0]],
+        "point": point_to_dict(z),
+        "direction": direction_to_dict(d),
+        "value": {"value": 1.0, "first": -0.25, "second": None, "smooth": True, "second_reason": None},
+    }
+    with pytest.raises(TypeError, match="complex"):
+        dumps({"x": 1j})
 
 
 def test_kind_mismatch_raises(square_chain, tmp_path):

@@ -9,7 +9,15 @@ import pytest
 from mcpen import expr as ex
 from mcpen import stationarity
 from mcpen.dcalc import dd_Theta, dd_Theta_batch, direction_from_flat
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
+from mcpen.model import (
+    FEAS_TOL,
+    CompositeProblem,
+    LayerMap,
+    Point,
+    eval_layers,
+    point_from_flat,
+    residuals,
+)
 from mcpen.penalty import build_config
 from mcpen.pieces import TooManyPieces
 from mcpen.repro import lift_descent_instance
@@ -574,3 +582,119 @@ def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     assert (r1.verdict, r1.mode) == (NOT_STATIONARY, "sample")
     slope = dd_Theta(problem, z, r1.witness, config.beta, order=1).first
     assert slope == r1.witness_value < -r1.tol / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Witnesses that do not re-evaluate, and verdict branches of the small instances
+
+UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
+
+
+def _one_layer(u1, g):
+    """n = 1, one layer u_1 = u1(theta), outer g(u_1), lambda = 0.1."""
+    return CompositeProblem(1, (LayerMap(1, (u1,)),), g, lam=0.1)
+
+
+def _ridge(u1):
+    """u_1 = u1 under g = plus(1 - u_1^2): concave along every radial direction at 0."""
+    return _one_layer(u1, ex.plus(ex.affine(1.0, [-1.0], [ex.square(ex.uref(1, 0))])))
+
+
+def _no_curvature(real):
+    """A derivative that agrees with ``real`` except that no second derivative is negative."""
+    return lambda *args, **kwargs: replace(real(*args, **kwargs), second=1.0)
+
+
+def test_second_order_unconfirmed_witness_is_inconclusive(square_chain, monkeypatch):
+    z0 = eval_layers(square_chain, np.zeros(1))
+    monkeypatch.setattr(stationarity, "dd_Theta", _no_curvature(stationarity.dd_Theta))
+    s1 = check_second_order(square_chain, z0, "penalized", beta=BETA_SC, seed=0)
+    assert (s1.verdict, s1.witness, s1.notes) == (INCONCLUSIVE, None, [UNCONFIRMED])
+    assert s1.min_found == pytest.approx(-0.78, abs=1e-9)
+    problem = _ridge(ex.theta(0))
+    monkeypatch.setattr(stationarity, "dd_F", _no_curvature(stationarity.dd_F))
+    s0 = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
+    assert (s0.verdict, s0.witness, s0.notes) == (INCONCLUSIVE, None, [UNCONFIRMED])
+
+
+def test_box_unconfirmed_witness_says_why(monkeypatch):
+    real = stationarity.dd_expr
+    monkeypatch.setattr(
+        stationarity, "dd_expr", lambda *a, **k: replace(real(*a, **k), first=0.0, second=1.0)
+    )
+    x, neg_sq = ex.theta(0), ex.scaled(-1.0, ex.square(ex.theta(0)))
+    zero, one = np.zeros(1), np.ones(1)
+    # first order, the exact quadratic form inside the box, sampling at its face
+    for e, lower, order, notes in [
+        (x, -one, 1, [UNCONFIRMED]),
+        (neg_sq, -one, 2, ["second derivative is an exact quadratic form", UNCONFIRMED]),
+        (neg_sq, zero, 2, [UNCONFIRMED]),
+    ]:
+        r = check_box(e, zero, lower, one, order=order, seed=0)
+        assert (r.verdict, r.witness, r.notes) == (INCONCLUSIVE, None, notes)
+
+
+def test_lifted_second_order_refutes_along_a_radial_direction():
+    problem = _ridge(ex.theta(0))
+    r = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
+    assert r.verdict == NOT_STATIONARY
+    assert r.witness_value == pytest.approx(-1.8, abs=1e-12)
+
+
+def test_lifted_second_order_with_undecided_radial_membership_is_inconclusive():
+    # a cubic layer map is beyond the radial test's degree-2 grid argument
+    th = ex.theta(0)
+    problem = _ridge(ex.add(th, ex.mul(th, ex.square(th))))
+    r = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
+    assert (r.verdict, r.witness) == (INCONCLUSIVE, None)
+    assert r.notes == ["negative curvature found but radial membership undecided"]
+
+
+def test_second_order_without_critical_directions():
+    problem = _one_layer(ex.theta(0), ex.vabs(ex.uref(1, 0)))
+    z = eval_layers(problem, np.zeros(1))
+    for target in ("lifted", "penalized"):
+        r = check_second_order(problem, z, target, beta=[1.0], seed=0)
+        assert (r.verdict, r.notes) == (STATIONARY, ["critical cone trivial along sampled sphere"])
+
+
+def test_strong_minimum_check_fails_with_a_witness(square_chain):
+    z0 = eval_layers(square_chain, np.zeros(1))
+    cfg = build_config(square_chain, beta=BETA_SC, seed=0)
+    out = check_strong_local_min_sufficient(square_chain, z0, cfg, seed=0)
+    assert out["verdict"] == "fails"
+    assert out["margin_min"] == pytest.approx(-3.18, abs=1e-12)
+    np.testing.assert_allclose(out["witness"].flat(), [1.0, 1.0, 0.0])
+
+
+def test_box_sampled_critical_route():
+    # x = 0 sits on the lower face, so the exact quadratic-form route is closed
+    sq = ex.square(ex.theta(0))
+    zero, one = np.zeros(1), np.ones(1)
+    r = check_box(sq, zero, zero, one, order=2, seed=0)
+    assert (r.verdict, r.mode, r.min_found) == (STATIONARY, "sample", 2.0)
+    r = check_box(ex.scaled(-1.0, sq), zero, zero, one, order=2, seed=0)
+    assert (r.verdict, r.mode, r.min_found, r.witness_value) == (NOT_STATIONARY, "sample", -2.0, -2.0)
+
+
+def test_p1_sampling_seeds_from_each_violated_layer(rnn_problem, rnn_spec, monkeypatch):
+    lift = eval_layers(rnn_problem, np.zeros(rnn_problem.n))
+    z = point_from_flat(rnn_problem, lift.flat() + 0.01)
+    violated = [
+        k for k, rho in enumerate(residuals(rnn_problem, z).per_layer, 1) if np.max(np.abs(rho)) > FEAS_TOL
+    ]
+    calls = []
+    real = stationarity.feasibility_descent_direction
+
+    def spy(problem, z, k):
+        calls.append(k)
+        return real(problem, z, k)
+
+    monkeypatch.setattr(stationarity, "feasibility_descent_direction", spy)
+    monkeypatch.setattr(stationarity, "N_STARTS", 2)
+    monkeypatch.setattr(stationarity, "SEARCH_ITERS", 24)
+    rep = check_d_stationary_P1(rnn_problem, z, rnn_penalty_config(rnn_spec).beta, mode="sample", seed=0)
+    assert violated and calls == violated
+    # one envelope entry per start: a seed per violated layer, then N_STARTS sphere points
+    assert len(rep.envelope) == len(violated) + 2
+    assert rep.verdict == NOT_STATIONARY and rep.witness_value < -rep.tol / 2.0
