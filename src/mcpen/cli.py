@@ -1,16 +1,17 @@
 """Command-line entry point.
 
 Every subcommand reads problem/point/direction JSON files, runs the library,
-and emits a JSON report embedding a run manifest (command, input hashes,
-seed, tool version).  Identical manifests produce identical reports; wall
-time is reported next to, not inside, the manifest.  A handler returns its
-report and exit code; ``main`` alone adds the manifest and writes the bytes.
-``rnn build`` writes a problem file, which carries no manifest.
+and emits a JSON report embedding a run manifest (command, a hash of each
+input file the run read, seed, tool version).  Identical manifests produce
+identical reports; wall time is reported next to, not inside, the manifest.
+A handler returns its report and exit code; ``main`` alone adds the
+manifest and writes the bytes.  ``rnn build`` writes a problem file, which
+carries no manifest.  ``main`` prints each distinct warning the library
+raised once, as ``warning: <message>`` on stderr, without a source path.
 
 Exit codes: 0 success, 2 validation error (bad files, bad dimensions,
-unknown names, more pieces than the limit under --mode enumerate), 3 when
---expect stationary is given and the verdict is not-stationary.  Scenario
-regressions exit 1 when a golden check fails.
+unknown names), 3 when --expect stationary is given and the verdict is
+not-stationary.  Scenario regressions exit 1 when a golden check fails.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from .model import (
     residuals,
 )
 from .penalty import build_config
-from .pieces import TooManyPieces
 from .rnn import (
     RnnSpec,
     build_problem,
@@ -68,8 +69,10 @@ def _sha256(path: str) -> str:
 
 def _manifest(argv: list[str], args) -> dict:
     """The command, a sha256 per input file it read, its seed and the tool version."""
-    file_options = ("problem", "point", "direction", "beta_file", "init_file")
+    file_options = ("problem", "point", "direction", "beta_file")
     inputs = [getattr(args, name, None) for name in file_options]
+    if getattr(args, "init", None) == "file":
+        inputs.append(args.init_file)
     if getattr(args, "data", None):
         inputs += [str(f) for f in sequence_files(args.data)]
     return {
@@ -167,11 +170,9 @@ def _cmd_check(args):
     beta = _parse_beta(args, problem.L, "--target p1" if args.target == "p1" else None)
     if args.order == 1:
         if args.target == "p0":
-            rep = check_d_stationary_P0(problem, z, mode=args.mode, seed=args.seed, tol=args.tol)
+            rep = check_d_stationary_P0(problem, z, tol=args.tol)
         else:
-            rep = check_d_stationary_P1(
-                problem, z, beta, mode=args.mode, seed=args.seed, tol=args.tol
-            )
+            rep = check_d_stationary_P1(problem, z, beta, tol=args.tol)
     else:
         target = "lifted" if args.target == "p0" else "penalized"
         rep = check_second_order(problem, z, target, beta=beta, seed=args.seed, tol=args.tol)
@@ -310,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--target", choices=("p0", "p1"), required=True)
     sp.add_argument("--order", type=int, choices=(1, 2), default=1)
-    sp.add_argument("--mode", choices=("auto", "enumerate", "sample"), default="auto")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--expect", choices=("stationary", "not-stationary"))
@@ -352,35 +352,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _run(argv: list[str]) -> int:
+    """Parse the options, run the handler and write its report; returns the exit code."""
+    args = _build_parser().parse_args(argv)
+    report, code = args.fn(args)
+    if report is not None:
+        report["manifest"] = _manifest(argv, args)
+        text = serialize.dumps(report)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     start = time.perf_counter()
-    try:
-        args = parser.parse_args(argv)
-        report, code = args.fn(args)
-        if report is not None:
-            report["manifest"] = _manifest(argv, args)
-            text = serialize.dumps(report)
-            if args.out:
-                Path(args.out).write_text(text)
-            else:
-                sys.stdout.write(text)
-        # timing goes to stderr so the report stays byte-deterministic
-        print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-        return code
-    except (
-        CliError,
-        serialize.FormatError,
-        DimensionError,
-        EvaluationError,
-        InfeasiblePointError,
-        TooManyPieces,
-        ValueError,
-        OSError,
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = _run(argv)
+            # timing goes to stderr so the report stays byte-deterministic
+            last = f"elapsed: {time.perf_counter() - start:.3f}s"
+        except (
+            CliError,
+            serialize.FormatError,
+            DimensionError,
+            EvaluationError,
+            InfeasiblePointError,
+            ValueError,
+            OSError,
+        ) as err:
+            code, last = 2, f"error: {err}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    print(last, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

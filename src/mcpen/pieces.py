@@ -2,37 +2,69 @@
 
 For a fixed point, the first directional derivative of any expression in the
 DSL is a continuous piecewise-linear function of the direction: every rule is
-linear in the first-order data except branch selection at active kinks, and
-each active kink contributes a fork with a half-space consistency condition.
-Enumerating the forks yields a finite list of (coefficient, constraints)
-pieces on which the derivative is exactly linear, so minimization over the
-unit cross-polytope reduces to a minimum over the pieces.  ``minimize_pieces``
-settles a piece exactly without a linear program when the vertex of the
-polytope that its sharpest coefficient points to lies in the piece, and
-solves one small linear program only for a piece whose bound could still
-beat the best value found.
+linear in the first-order data except branch selection at active kinks,
+where a value tie makes the derivative the max of the two branches' slopes.
+
+``theta_prime_min``, ``psi_prime_min`` and ``function_prime_min`` minimise
+that derivative over the unit l1 ball with one mixed-integer linear program
+(HiGHS through ``scipy.optimize.milp``), in the spirit of the abs-normal
+form.  One walk over the four node families writes the derivative as linear
+forms in the direction: a tied kink adds a variable y with y >= both branch
+forms and one binary that, through big-M rows bounded by interval
+arithmetic, makes y equal to one of them; a vanishing penalty residual adds
+an epigraph variable t >= |w| with no binary, since it enters with a
+positive weight.  A tie-free derivative is a single linear program.
+
+The piece enumerator below is the reference the tests compare against.
+Enumerating the forks of the active kinks yields a finite list of
+(coefficient, constraints) pieces on which the derivative is exactly linear,
+so minimization over the unit cross-polytope reduces to a minimum over the
+pieces.  ``minimize_pieces`` settles a piece exactly without a linear
+program when the vertex of the polytope that its sharpest coefficient
+points to lies in the piece, and solves one small linear program only for a
+piece whose bound could still beat the best value found.  The count of
+pieces is a product over the forks, so the enumerator refuses a list over
+its limit before building it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from . import expr as ex
-from .model import FEAS_TOL, CompositeProblem, Point, check_beta, eval_layers, residuals, split_flat
+from .model import (
+    FEAS_TOL,
+    CompositeProblem,
+    Point,
+    check_beta,
+    check_point,
+    eval_layers,
+    residuals,
+    split_flat,
+)
 
 PIECE_LIMIT = 2**20
 _TIE = ex.TIE_TOL
+# Seconds HiGHS may spend on one first-order model; a stopped solve still
+# returns both bounds.
+MILP_TIME_LIMIT = 10.0
+# HiGHS's tolerances are absolute (1e-7 on reduced costs, 1e-6 on the MIP
+# gap).  It minimises the objective times this scale, which holds its bounds
+# to about 1e-9 in the derivative's own units; its presolve, which drops
+# costs near its tolerances, stays off.
+_COST_SCALE = 1e3
 
 Piece = tuple[float, np.ndarray, list[np.ndarray]]
 
 
 class TooManyPieces(RuntimeError):
-    """A piece list would exceed the limit; fall back to sampling."""
+    """A piece list would exceed the limit."""
 
 
 def _product(factors: Sequence[Sequence], limit: int) -> Iterator[tuple]:
@@ -283,3 +315,273 @@ def minimize_pieces(
         if sol is not None and sol[0] < best[0]:
             best = sol
     return best
+
+
+# ---------------------------------------------------------------------------
+# Exact minimum over the l1 ball from one mixed-integer program
+
+
+class SlopeMin(NamedTuple):
+    """What HiGHS proved about the minimum of a first derivative over the unit l1 ball.
+
+    ``value`` is the derivative along the incumbent direction ``d``, or 0 at
+    d = 0 when HiGHS returned no incumbent below it.  ``bound`` is a lower
+    bound on the minimum: the dual bound when the model has binaries, the
+    linear program's optimum when it has none, and None when the solve
+    proved neither, as when ``MILP_TIME_LIMIT`` stopped it.  ``binaries``
+    counts the tied kinks that needed one, and ``coef`` is the objective
+    over the direction and the auxiliary variables.
+    """
+
+    value: float
+    bound: float | None
+    d: np.ndarray
+    binaries: int
+    coef: np.ndarray
+
+
+def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Sum of two forms; a shorter form is zero past its end."""
+    if fa.size < fb.size:
+        fa, fb = fb, fa
+    out = fa.copy()
+    out[: fb.size] += fb
+    return out
+
+
+class _SlopeModel:
+    """Linear forms of a first derivative, and the rows that pin their auxiliary variables.
+
+    Entry j < dim of a form is the coefficient of direction component d_j,
+    entry dim + a that of auxiliary variable a.  Forms are never changed in
+    place, so leaves share theirs.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.lo: list[float] = []
+        self.hi: list[float] = []
+        self.binary: list[bool] = []
+        self.rows: list[tuple[np.ndarray, float, float]] = []
+        self.zero = np.zeros(0)
+        self._units: dict[int, np.ndarray] = {}
+
+    def unit(self, j: int) -> np.ndarray:
+        u = self._units.get(j)
+        if u is None:
+            u = self._units[j] = np.zeros(j + 1)
+            u[j] = 1.0
+        return u
+
+    def var(self, lo: float, hi: float, binary: bool = False) -> np.ndarray:
+        """A new auxiliary variable in [lo, hi], as a form."""
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.binary.append(binary)
+        return self.unit(self.dim + len(self.lo) - 1)
+
+    def interval(self, f: np.ndarray) -> tuple[float, float]:
+        """Bounds of f over the model: |c . d| <= ||c||_inf on the l1 ball, and each variable's box."""
+        head = float(np.max(np.abs(f[: self.dim]), initial=0.0))
+        tail = f[self.dim :]
+        lo = tail * np.array(self.lo[: tail.size])
+        hi = tail * np.array(self.hi[: tail.size])
+        return -head + float(np.sum(np.minimum(lo, hi))), head + float(np.sum(np.maximum(lo, hi)))
+
+    def max_of(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """y = max(fa, fb): y >= fa, y >= fb, and a binary that picks the branch y meets.
+
+        With the binary at 1 the row y <= fa + M_a (1 - delta) binds, at 0
+        the row y <= fb + M_b delta; M_a and M_b bound fb - fa and fa - fb
+        from above, so the other row stays slack.
+        """
+        if np.array_equal(fa, fb):
+            return fa
+        lo_a, hi_a = self.interval(fa)
+        lo_b, hi_b = self.interval(fb)
+        gap_lo, gap_hi = self.interval(_add(fa, -fb))
+        m_a, m_b = max(-gap_lo, 0.0), max(gap_hi, 0.0)
+        y = self.var(max(lo_a, lo_b), max(hi_a, hi_b))
+        delta = self.var(0.0, 1.0, binary=True)
+        self.rows += [
+            (_add(y, -fa), 0.0, np.inf),
+            (_add(y, -fb), 0.0, np.inf),
+            (_add(_add(y, -fa), m_a * delta), -np.inf, m_a),
+            (_add(_add(y, -fb), -m_b * delta), -np.inf, 0.0),
+        ]
+        return y
+
+    def abs_of(self, w: np.ndarray) -> np.ndarray:
+        """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
+        lo, hi = self.interval(w)
+        t = self.var(0.0, max(hi, -lo, 0.0))
+        self.rows += [(_add(t, -w), 0.0, np.inf), (_add(t, w), 0.0, np.inf)]
+        return t
+
+    def solve(self, obj: np.ndarray) -> SlopeMin:
+        """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
+
+        The columns are d, then s, then the auxiliary variables.
+        """
+        dim, m = self.dim, len(self.lo)
+        ncol = 2 * dim + m
+
+        def columns(f):
+            nz = np.flatnonzero(f)
+            return nz, np.where(nz < dim, nz, nz + dim)
+
+        c = np.zeros(ncol)
+        nz, cols = columns(obj)
+        c[cols] = obj[nz]
+        ar = np.arange(dim)
+        # s_i - d_i >= 0, s_i + d_i >= 0, then sum s <= 1
+        r = [ar, ar, dim + ar, dim + ar, np.full(dim, 2 * dim)]
+        k = [ar, dim + ar, ar, dim + ar, dim + ar]
+        v = [-np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim)]
+        lower = [np.zeros(2 * dim), [-np.inf]]
+        upper = [np.full(2 * dim, np.inf), [1.0]]
+        for i, (f, lo, hi) in enumerate(self.rows, start=2 * dim + 1):
+            nz, cols = columns(f)
+            r.append(np.full(nz.size, i))
+            k.append(cols)
+            v.append(f[nz])
+            lower.append([lo])
+            upper.append([hi])
+        A = sparse.csr_array(
+            (np.concatenate(v), (np.concatenate(r), np.concatenate(k))),
+            shape=(2 * dim + 1 + len(self.rows), ncol),
+        )
+        bounds = Bounds(
+            np.concatenate([-np.ones(dim), np.zeros(dim), self.lo]),
+            np.concatenate([np.ones(2 * dim), self.hi]),
+        )
+        integrality = np.concatenate([np.zeros(2 * dim), self.binary])
+        res = milp(
+            _COST_SCALE * c,
+            integrality=integrality,
+            bounds=bounds,
+            constraints=LinearConstraint(A, np.concatenate(lower), np.concatenate(upper)),
+            options={"time_limit": MILP_TIME_LIMIT, "mip_rel_gap": 0.0, "presolve": False},
+        )
+        binaries = int(sum(self.binary))
+        value, d, bound = 0.0, np.zeros(dim), None
+        if res.x is not None and c @ res.x < 0.0:
+            value, d = float(c @ res.x), res.x[:dim].copy()
+        if not binaries:
+            bound = value if res.status == 0 else None
+        elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
+            bound = float(res.mip_dual_bound) / _COST_SCALE
+        return SlopeMin(value, bound, d, binaries, obj)
+
+
+def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> tuple[float, np.ndarray]:
+    """Value and first-derivative form of e; ``leaf(j, i)`` gives block j's component i.
+
+    Values follow ``expr.taylor_cells`` operation for operation, so every
+    kink takes the branch that the derivative calculus takes.
+    """
+    family, data = e.family, e.data
+    if family == ex.LEAF:
+        return (e.value, model.zero) if data is None else leaf(data, e.ref)
+    if family == ex.KINK:
+        branch, scale, _ = data
+        va, fa = _walk(model, e.args[0], leaf)
+        vb, fb = (scale * va, scale * fa) if branch is None else _walk(model, branch, leaf)
+        gap = va - vb
+        if gap > _TIE:
+            return va, fa
+        if gap < -_TIE:
+            return vb, fb
+        return max(va, vb), model.max_of(fa, fb)
+    parts = [_walk(model, a, leaf) for a in e.args]
+    if not parts:  # an affine node without arguments is its offset
+        return data[1], model.zero
+    val = form = None
+    if family == ex.LINEAR:
+        weights, offset = data
+        for w, (v, f) in zip(weights, parts):
+            if w != 1.0:
+                v, f = w * v, w * f
+            val = v if val is None else val + v
+            form = f if form is None else _add(form, f)
+        return (val if offset is None else offset + val), form
+    pairs, val, _ = data
+    form = None if val is None else model.zero
+    for i, j in pairs:
+        (va, fa), (vb, fb) = parts[i], parts[j]
+        v = va * vb
+        val = v if val is None else val + v
+        f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
+        form = f if form is None else _add(form, f)
+    return val, form
+
+
+def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> SlopeMin:
+    """Minimum of d -> Theta'(z; d) over the unit l1 ball of the lifted space.
+
+    Each layer component adds beta_k times its residual slope w_i = d_u_i -
+    psi_i'(z; d): signed where the residual is nonzero, through t_i >= |w_i|
+    where it vanishes.
+    """
+    b = check_beta(problem, beta)
+    check_point(problem, z)
+    model = _SlopeModel(problem.nbar)
+    _, at = split_flat(problem, np.arange(problem.nbar))  # flat positions of each block
+    blocks = (z.theta, *z.u)
+
+    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
+        return float(blocks[j][i]), model.unit(i if j == 0 else int(at[j - 1][i]))
+
+    obj = _walk(model, problem.outer, leaf)[1]
+    for k, lm in enumerate(problem.layers):
+        for i, e in enumerate(lm.exprs):
+            val, psi = _walk(model, e, leaf)
+            w = _add(model.unit(int(at[k][i])), -psi)
+            rho = z.u[k][i] - val
+            if rho > FEAS_TOL:
+                term = w
+            elif rho < -FEAS_TOL:
+                term = -w
+            else:
+                term = model.abs_of(w)
+            obj = _add(obj, b[k] * term)
+    return model.solve(_add(obj, 2.0 * problem.lam * z.theta))
+
+
+def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
+    """Minimum of d -> (Psi + reg)'(theta; d) over the unit l1 ball of the parameter space.
+
+    A u-leaf stands for its layer component's value and form at the lift of
+    theta, walked once and shared by every reference.
+    """
+    th = np.asarray(th, dtype=float).ravel()
+    model = _SlopeModel(problem.n)
+    lifted: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
+
+    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
+        if j == 0:
+            return float(th[i]), model.unit(i)
+        hit = lifted.get((j, i))
+        if hit is None:
+            hit = lifted[j, i] = _walk(model, problem.layers[j - 1].exprs[i], leaf)
+        return hit
+
+    obj = _walk(model, problem.outer, leaf)[1]
+    return model.solve(_add(obj, 2.0 * problem.lam * th))
+
+
+def function_prime_min(
+    e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()
+) -> SlopeMin:
+    """Minimum of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0."""
+    x = np.asarray(x, dtype=float).ravel()
+    model = _SlopeModel(x.size)
+
+    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
+        if j != 0:
+            raise ValueError("the expression may read parameter leaves only")
+        return float(x[i]), model.unit(i)
+
+    obj = _walk(model, e, leaf)[1]
+    model.rows += [(np.asarray(g, dtype=float), 0.0, np.inf) for g in cone_rows]
+    return model.solve(obj)

@@ -154,7 +154,7 @@ def _run_relu_ridge(seed: int) -> list[dict]:
         vi = dd_Psi(problem, th, np.array([d1, 0.0]), order=1)
         ok_scale &= abs(vi.first + 2.0 * d1) <= 1e-12
     _check(checks, "slope scales linearly in the direction", ok_scale, "d1 in {0.5, 2.0, 3.7}")
-    rep = check_d_stationary_P0(problem, eval_layers(problem, th), seed=seed)
+    rep = check_d_stationary_P0(problem, eval_layers(problem, th))
     _check(
         checks,
         "verdict not stationary with exact witness",
@@ -307,8 +307,8 @@ def _run_rnn_lift_descent(seed: int) -> list[dict]:
         f"n={problem.n}, nbar={problem.nbar}",
     )
     z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
-    r0 = check_d_stationary_P0(problem, z, seed=seed)
-    r1 = check_d_stationary_P1(problem, z, config.beta, seed=seed)
+    r0 = check_d_stationary_P0(problem, z)
+    r1 = check_d_stationary_P1(problem, z, config.beta)
     for name, rep in (("lifted", r0), ("penalized", r1)):
         # Theta' is P1's own slope; along P0's lifted witness the residual
         # slopes vanish, so there it is the lifted slope.

@@ -1,16 +1,19 @@
 """Directional stationarity checks for the nested, lifted, and penalized problems.
 
 First-order checks minimize the relevant directional derivative over the unit
-sphere (or, exactly, over the unit cross-polytope piece by piece); a negative
-minimum certifies non-stationarity with a witness direction, which is always
-re-evaluated through the derivative calculus before the verdict is issued.
-Second-order checks search the critical directions: tangent-cone directions
-with vanishing first derivative, parametrized by their parameter component
-since tangent directions are exactly the lifted ones.
+l1 ball with one mixed-integer program (``pieces.theta_prime_min`` and its
+siblings), and the verdict comes from HiGHS's bounds: stationary when the
+lower bound on the minimum is at least -tol, not stationary when the
+incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
+derivative calculus, and inconclusive otherwise.  Second-order checks search
+the critical directions: tangent-cone directions with vanishing first
+derivative, parametrized by their parameter component since tangent
+directions are exactly the lifted ones.
 
-Verdicts carry their evidence mode.  ``enumerate`` verdicts are exact over
-the enumerated pieces; ``sample`` verdicts reflect a seeded multi-start
-search and may miss structure, which is reported rather than hidden.
+Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
+bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
+multi-start search and may miss structure, which is reported rather than
+hidden.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
 from . import expr as ex
+from . import pieces
 from .cones import lift_direction, lift_direction_batch, radial_membership
 from .dcalc import (
     Direction,
@@ -31,30 +35,20 @@ from .dcalc import (
     dd_F,
     dd_F_batch,
     dd_Psi,
-    dd_Psi_batch,
     dd_Theta,
-    dd_Theta_batch,
     direction_from_flat,
     residual_slopes,
 )
 from .model import (
-    FEAS_TOL,
     CompositeProblem,
     Point,
     check_beta,
     eval_Theta,
     require_feasible,
     residuals,
-    split_flat,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
-from .pieces import (
-    TooManyPieces,
-    function_pieces,
-    minimize_pieces,
-    psi_prime_pieces,
-    theta_prime_pieces,
-)
+from .pieces import SlopeMin, function_prime_min, psi_prime_min, theta_prime_min
 
 STATIONARY = "stationary"
 NOT_STATIONARY = "not-stationary"
@@ -77,11 +71,14 @@ _UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 class StationarityReport:
     """One check's verdict and its evidence.
 
-    ``min_found`` is the smallest derivative the search found: over the unit
-    l1 cross-polytope under enumeration, over the unit l2 sphere under
-    sampling.  ``witness_value`` re-evaluates along the l2-normalised
-    witness.  A lifted second-order report may read stationary with
-    ``min_found`` below -tol when the negative directions are not radial.
+    ``min_found`` is the smallest derivative found: at first order the
+    minimum over the unit l1 ball that HiGHS returned, at second order the
+    smallest curvature over the unit sphere.  ``samples`` counts the
+    binaries of the first-order model, and the directions evaluated at
+    second order.  ``witness_value`` re-evaluates along the l2-normalised
+    witness, so at first order it is at most ``min_found``.  A lifted
+    second-order report may read stationary with ``min_found`` below -tol
+    when the negative directions are not radial.
     """
 
     target: str
@@ -93,7 +90,6 @@ class StationarityReport:
     witness_value: float | None
     samples: int
     tol: float
-    envelope: list[float] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
 
@@ -150,77 +146,6 @@ def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> l
     return blocks
 
 
-def _search_min_first(
-    phi: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    seed: int,
-    n_starts: int,
-    iters: int,
-    extra: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, int, list[float]]:
-    """Multi-start projected descent of a positively homogeneous phi on the sphere.
-
-    Each start takes piece-gradient steps (forward differences in the
-    direction argument are exact on a linear piece) with a backtracking,
-    kink-aware line search.  All starts advance in lockstep: an iteration
-    makes one phi call holding the probe blocks of every live start, then
-    runs the line search in rounds, each round one phi call with one trial
-    column per start still backtracking.  Every start keeps its own point,
-    value and step, so it walks the path it would walk alone whenever phi
-    rounds each column independently of the others in its call.  The
-    cumulative best over the starts, in their order, is recorded so the
-    evidence only improves with more starts.
-    """
-    starts = _sphere_points(dim, n_starts, seed)
-    if extra is not None and extra.size:
-        starts = np.hstack([_normalize_cols(extra), starts])
-    m = starts.shape[1]
-    per_start = max(12, iters // max(m, 1))
-    d = [starts[:, s].copy() for s in range(m)]
-    val = [float(v[0]) for v in _eval_blocks(phi, d)]
-    samples = m
-    step = [0.5] * m
-    hI = _FD_H * np.eye(dim)
-    live = list(range(m))
-    for _ in range(per_start):
-        if not live:
-            break
-        descent = {}
-        for s, pv in zip(live, _eval_blocks(phi, [d[s] for s in live], hI)):
-            g = (pv - val[s]) / _FD_H
-            gt = g - float(g @ d[s]) * d[s]
-            ng = np.linalg.norm(gt)
-            if ng >= 1e-12:
-                descent[s] = (gt, ng)
-        samples += dim * len(live)
-        live = []
-        while descent:
-            descent = {s: gn for s, gn in descent.items() if step[s] > 1e-10}
-            trials = []
-            for s, (gt, ng) in descent.items():
-                d2 = d[s] - step[s] * gt / ng
-                d2 /= np.linalg.norm(d2)
-                trials.append(d2)
-            samples += len(trials)
-            for s, d2, v in zip(list(descent), trials, _eval_blocks(phi, trials)):
-                v2 = float(v[0])
-                if v2 < val[s] - 1e-14:
-                    d[s], val[s] = d2, v2
-                    step[s] = min(step[s] * 1.5, 1.0)
-                    live.append(s)
-                    del descent[s]
-                else:
-                    step[s] *= 0.5
-        live.sort()
-    best_val, best_d = np.inf, starts[:, 0]
-    envelope: list[float] = []
-    for s in range(m):
-        if val[s] < best_val:
-            best_val, best_d = val[s], d[s]
-        envelope.append(float(best_val))
-    return float(best_val), best_d, samples, envelope
-
-
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
     """Record a refutation when the witness re-evaluates below -tol/2.
 
@@ -236,24 +161,29 @@ def _refute(report: StationarityReport, witness, confirmed: float | None) -> boo
     return False
 
 
-def _enumerate(report: StationarityReport, mode: str, pieces: Callable[[], list]):
-    """Exact minimum over the enumerated pieces, or None when sampling must run.
+def _first_order(
+    report: StationarityReport, sol: SlopeMin, confirm: Callable[[np.ndarray], tuple]
+) -> StationarityReport:
+    """The verdict that HiGHS's bounds allow on a first-order minimum.
 
-    In ``auto`` mode a piece list over the limit falls back to sampling, and
-    the report notes why; ``enumerate`` mode raises instead.
+    ``stationary`` needs the lower bound on the minimum at or above -tol;
+    ``not-stationary`` needs the incumbent below -tol and its l2-normalised
+    direction u to re-evaluate below -tol/2, where ``confirm(u)`` gives the
+    witness and its re-evaluated slope.  Anything else is inconclusive, with
+    a note that says why.
     """
-    if mode not in ("auto", "enumerate"):
-        return None
-    try:
-        ps = pieces()
-    except TooManyPieces as err:
-        if mode == "enumerate":
-            raise
-        report.notes.append(f"fell back to sampling: {err}")
-        return None
-    mn, wit = minimize_pieces(ps)
-    report.mode, report.min_found, report.samples = "enumerate", mn, len(ps)
-    return wit
+    report.mode, report.samples, report.min_found = "exact", sol.binaries, sol.value
+    if sol.bound is not None and sol.bound >= -report.tol:
+        report.verdict = STATIONARY
+    elif sol.value < -report.tol:
+        _refute(report, *confirm(sol.d / np.linalg.norm(sol.d)))
+    else:
+        lo = "-inf" if sol.bound is None else f"{sol.bound:.3e}"
+        report.notes.append(
+            f"HiGHS bounds the minimum only to [{lo}, {sol.value:.3e}] within its "
+            f"{pieces.MILP_TIME_LIMIT:g} s time limit"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -261,76 +191,38 @@ def _enumerate(report: StationarityReport, mode: str, pieces: Callable[[], list]
 
 
 def check_d_stationary_P0(
-    problem: CompositeProblem,
-    z: Point,
-    mode: str = "auto",
-    seed: int = 0,
-    tol: float = STAT_TOL,
+    problem: CompositeProblem, z: Point, tol: float = STAT_TOL
 ) -> StationarityReport:
     """Directional stationarity of the lifted problem at a feasible point.
 
     Tangent directions are exactly the lifted parameter directions, along
-    which the lifted derivative equals the nested one, so the search runs
-    over the parameter sphere.
+    which the lifted derivative equals the nested one, so the minimum runs
+    over the parameter ball.
     """
     require_feasible(problem, z)
-    report = StationarityReport("lifted", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    wit = _enumerate(report, mode, lambda: psi_prime_pieces(problem, z.theta))
-    if wit is None:
-        phi = lambda D: dd_Psi_batch(problem, z.theta, D, 1)[1]
-        mn, wit, samples, env = _search_min_first(phi, problem.n, seed, N_STARTS, SEARCH_ITERS)
-        report.mode, report.min_found, report.samples, report.envelope = "sample", mn, samples, env
-    if report.min_found >= -tol:
-        report.verdict = STATIONARY
-        return report
-    dth = wit / max(np.linalg.norm(wit), 1e-300)
-    confirmed = dd_Psi(problem, z.theta, dth, order=1).first
-    _refute(report, lift_direction(problem, z, dth), confirmed)
-    return report
+    report = StationarityReport("lifted", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
+
+    def confirm(dth):
+        return lift_direction(problem, z, dth), dd_Psi(problem, z.theta, dth, order=1).first
+
+    return _first_order(report, psi_prime_min(problem, z.theta), confirm)
 
 
 def check_d_stationary_P1(
     problem: CompositeProblem,
     z: Point,
     beta: Sequence[float],
-    mode: str = "auto",
-    seed: int = 0,
     tol: float = STAT_TOL,
 ) -> StationarityReport:
-    """Directional stationarity of the penalized problem over the full space.
-
-    Sampling also starts from the feasibility descent direction of each
-    violated layer and, at a feasible point, from every +-lifted parameter
-    direction, since the sphere of R^nbar rarely comes near the tangent cone.
-    """
+    """Directional stationarity of the penalized problem over the full lifted space."""
     b = check_beta(problem, beta)
-    report = StationarityReport("penalized", 1, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    wit = _enumerate(report, mode, lambda: theta_prime_pieces(problem, z, b))
-    if wit is None:
-        def phi(D):
-            return dd_Theta_batch(problem, z, *split_flat(problem, D), b, 1)[0]
+    report = StationarityReport("penalized", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
 
-        seeds = []
-        res = residuals(problem, z)
-        for k in range(1, problem.L + 1):
-            if float(np.max(np.abs(res.per_layer[k - 1]))) > FEAS_TOL:
-                seeds.append(feasibility_descent_direction(problem, z, k).flat())
-        if res.feasible:
-            DU = lift_direction_batch(problem, z, np.eye(problem.n))
-            lifted = np.vstack([np.eye(problem.n)] + DU)
-            seeds.extend([lifted[:, i] for i in range(problem.n)])
-            seeds.extend([-lifted[:, i] for i in range(problem.n)])
-        extra = np.array(seeds).T if seeds else None
-        mn, wit, samples, env = _search_min_first(
-            phi, problem.nbar, seed, N_STARTS, SEARCH_ITERS, extra
-        )
-        report.mode, report.min_found, report.samples, report.envelope = "sample", mn, samples, env
-    if report.min_found >= -tol:
-        report.verdict = STATIONARY
-        return report
-    d = direction_from_flat(problem, wit / max(np.linalg.norm(wit), 1e-300))
-    _refute(report, d, dd_Theta(problem, z, d, b, order=1).first)
-    return report
+    def confirm(unit):
+        d = direction_from_flat(problem, unit)
+        return d, dd_Theta(problem, z, d, b, order=1).first
+
+    return _first_order(report, theta_prime_min(problem, z, b), confirm)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +416,7 @@ def check_strong_local_min_sufficient(
     the margin F'' minus the weighted l1 norm of the layer second derivatives
     to be strictly positive over nonzero critical directions.
     """
-    first = check_d_stationary_P1(problem, z, config.beta, seed=seed)
+    first = check_d_stationary_P1(problem, z, config.beta)
     out = {
         "verdict": INCONCLUSIVE,
         "first_order": first,
@@ -584,7 +476,8 @@ def check_box(
 
     The box tangent cone at x keeps components at the lower bound nonnegative
     and components at the upper bound nonpositive; it is polyhedral, so radial
-    and tangent cones coincide and first-order enumeration is exact.
+    and tangent cones coincide, and its rows cut the first-order model's l1
+    ball exactly.
     """
     x = np.asarray(x, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -603,25 +496,20 @@ def check_box(
             row[i] = -1.0
             cone_rows.append(row)
 
-    pieces = function_pieces(e, x)
-    mn, dmin = minimize_pieces(pieces, cone_rows)
-    report = StationarityReport("box", order, INCONCLUSIVE, "enumerate", mn, None, None, len(pieces), tol)
-    if mn < -tol:
-        dunit = dmin / max(np.linalg.norm(dmin), 1e-300)
-        if _refute(report, dunit, dd_expr(e, x, dunit).first) and order == 2:
-            report.notes.append("already fails at first order")
+    sol = function_prime_min(e, x, cone_rows)
+    report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
+    _first_order(report, sol, lambda u: (u, dd_expr(e, x, u).first))
+    if report.verdict == NOT_STATIONARY and order == 2:
+        report.notes.append("already fails at first order")
+    if report.verdict != STATIONARY or order == 1:
         return report
-    if order == 1:
-        report.verdict = STATIONARY
-        return report
+    report.verdict = INCONCLUSIVE
 
     # Exact route for an interior point whose first derivative vanishes
     # identically: recover the second derivative as a quadratic form from
     # basis evaluations, verify the form on probe directions, then read the
     # verdict off its minimum eigenvalue over the sphere.
-    first_identically_zero = not cone_rows and all(
-        float(np.max(np.abs(c), initial=0.0)) <= 1e-14 for c, _ in pieces
-    )
+    first_identically_zero = not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= 1e-14
     if first_identically_zero:
         eye = np.eye(dim)
         cols = [eye] + [
@@ -647,7 +535,7 @@ def check_box(
             ) <= 1e-10 * (1.0 + float(np.max(np.abs(pv.second))))
             if matches:
                 vals, vecs = np.linalg.eigh(Q)
-                report.mode = "enumerate"
+                report.mode = "exact"
                 report.min_found = float(vals[0])
                 report.samples = D.shape[1] + probes.shape[1]
                 report.notes.append("second derivative is an exact quadratic form")
@@ -710,10 +598,10 @@ def compare_sets_on_point(
     res = residuals(problem, z)
     theta_val = eval_Theta(problem, z, config.beta)
     in_level = bool(theta_val <= config.gamma_bar + 1e-12)
-    d1 = check_d_stationary_P1(problem, z, config.beta, seed=seed)
+    d1 = check_d_stationary_P1(problem, z, config.beta)
     d0 = sd0 = sd1 = None
     if res.feasible:
-        d0 = check_d_stationary_P0(problem, z, seed=seed)
+        d0 = check_d_stationary_P0(problem, z)
         sd1 = check_second_order(problem, z, "penalized", config.beta, seed=seed)
         sd0 = check_second_order(problem, z, "lifted", seed=seed)
     inconsistencies: list[str] = []

@@ -159,7 +159,7 @@ def test_criterion_3_relu_ridge_exact_slope():
             problems.append(f"slope at d1={d1} is {v.first}, want {-2.0 * d1} exactly")
 
     z = eval_layers(problem, th)
-    r = check_d_stationary_P0(problem, z, seed=0)
+    r = check_d_stationary_P0(problem, z)
     if r.verdict != NOT_STATIONARY:
         problems.append(f"verdict {r.verdict}")
     if r.witness_value is None or abs(r.witness_value - (-2.0)) > 1e-12:

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import negative_outer_problem
+from mcpen import expr as ex
 from mcpen.cli import main
 from mcpen.dcalc import Direction
-from mcpen.model import Point, eval_layers
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.repro import square_chain_problem
 from mcpen.serialize import (
     dumps,
-    load_problem,
     point_to_dict,
     problem_to_dict,
     save_direction,
@@ -87,6 +87,32 @@ def test_manifest_hashes_each_data_csv(capsys, tmp_path):
     inputs = json.loads(out)["manifest"]["inputs"]
     assert list(inputs) == [str(data / "a.csv"), str(data / "b.csv")]
     assert all(h == hashlib.sha256(Path(p).read_bytes()).hexdigest() for p, h in inputs.items())
+
+
+def test_manifest_skips_an_init_file_the_run_did_not_read(capsys, files):
+    argv = ["solve", "--problem", files["prob"], "--beta", "1.0,0.6", "--max-iters", "5"]
+    for init, read in (("zero", False), ("file", True)):
+        code, out = _run(capsys, argv + ["--init", init, "--init-file", files["shift"]])
+        assert code == 0
+        assert (files["shift"] in json.loads(out)["manifest"]["inputs"]) == read
+
+
+def test_library_warnings_reach_stderr_once_without_a_source_path(capsys, tmp_path):
+    # g = 0.5 + u_1 with u_1 = theta_1 dips below zero inside the level set,
+    # so sampling the moduli warns once per negative value it meets.
+    layer = LayerMap(1, (ex.affine(0.0, [1.0], [ex.theta(0)]),))
+    dip = tmp_path / "dip.json"
+    save_problem(dip, CompositeProblem(1, (layer,), ex.affine(0.5, [1.0], [ex.uref(1, 0)]), lam=0.1))
+    neg = tmp_path / "neg.json"
+    save_problem(neg, negative_outer_problem())
+    for path, code in ((dip, 0), (neg, 2)):
+        assert main(["thresholds", "--problem", str(path), "--budget", "200"]) == code
+        lines = capsys.readouterr().err.splitlines()
+        warned = [line for line in lines if line.startswith("warning: outer function evaluated to -")]
+        assert warned and len(warned) == len(lines) - 1
+        assert len(lines) == len(set(lines))
+        assert not any(".py:" in line for line in lines)
+    assert lines[-1].startswith("error: reference level gamma_bar = -1.0")
 
 
 def test_eval_without_beta_skips_theta(capsys, files):
@@ -200,17 +226,6 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     assert main(["thresholds", "--problem", str(neg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "gamma_bar = -1.0" in captured.err
-    # exact enumeration of the default RNN's penalized slope needs 2^24 pieces
-    rnn_prob, lift = tmp_path / "rnn.json", tmp_path / "lift.json"
-    assert main(["rnn", "build", "--out", str(rnn_prob)]) == 0
-    rnn = load_problem(rnn_prob)
-    save_point(lift, eval_layers(rnn, 0.1 * np.random.default_rng(0).standard_normal(rnn.n)))
-    argv = ["check", "--problem", str(rnn_prob), "--point", str(lift), "--target", "p1"]
-    capsys.readouterr()
-    assert main(argv + ["--beta", "5", "--mode", "enumerate"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {2**24} pieces exceed the limit of {2**20}" in captured.err
     # Malformed nodes, mistyped containers and a foreign schema: the error
     # line names the file and, for a node, its place, its op and the field.
     u1, u2 = {"op": "u", "layer": 1, "ref": 0}, {"op": "u", "layer": 2, "ref": 0}

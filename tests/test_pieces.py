@@ -1,8 +1,10 @@
-"""Piecewise-linear slope enumeration and cross-polytope minimization."""
+"""Exact first-order minima from one MILP, against the piece enumeration they replaced."""
 
 import hashlib
 import math
+import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +18,22 @@ from mcpen.model import Point, eval_layers
 from mcpen.pieces import (
     TooManyPieces,
     function_pieces,
+    function_prime_min,
     min_over_cross_polytope,
     minimize_pieces,
+    psi_prime_min,
     psi_prime_pieces,
+    theta_prime_min,
     theta_prime_pieces,
 )
 from mcpen.rnn import rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
-from mcpen.stationarity import STAT_TOL, STATIONARY, check_d_stationary_P0
+from mcpen.stationarity import (
+    STAT_TOL,
+    STATIONARY,
+    check_d_stationary_P0,
+    check_d_stationary_P1,
+)
 
 
 def test_relu_forks_two_pieces():
@@ -297,7 +307,78 @@ def test_trained_desk_point_solves_no_lp(monkeypatch, rnn_spec, rnn_problem):
     monkeypatch.setattr(
         pieces_mod, "min_over_cross_polytope", lambda *a: calls.append(a) or real(*a)
     )
-    rep = check_d_stationary_P0(rnn_problem, z)
-    assert (rep.verdict, rep.mode, rep.samples) == (STATIONARY, "enumerate", 512)
+    pieces = psi_prime_pieces(rnn_problem, z.theta)
+    val, _ = minimize_pieces(pieces)
+    assert len(pieces) == 512
     assert calls == []
-    assert -1e-8 < rep.min_found < 0.0
+    assert -1e-8 < val < 0.0
+    # The exact check needs one binary per tied kink, 2^9 = 512 pieces.
+    rep = check_d_stationary_P0(rnn_problem, z)
+    assert (rep.verdict, rep.mode, rep.samples) == (STATIONARY, "exact", 9)
+    assert abs(rep.min_found - val) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The MILP minima against the enumeration oracle
+
+# The oracle may solve a linear program per piece, so it skips longer lists.
+ORACLE_PIECES = 128
+# random_problem seeds whose P1 pieces at theta = 0 number 2^11 and more
+# (seed 41: 262,144 pieces, 457 s of enumeration).
+SLOW_SEEDS = (4, 7, 9, 13, 33, 41, 50, 57)
+
+
+def _oracle(pieces, *args):
+    """Minimum over the enumerated pieces, or None above ORACLE_PIECES."""
+    try:
+        return minimize_pieces(pieces(limit=ORACLE_PIECES), *args)[0]
+    except TooManyPieces:
+        return None
+
+
+def _shifted(z):
+    """An infeasible point: every layer block moved off its layer map by 0.25."""
+    return Point(z.theta, tuple(b + 0.25 for b in z.u))
+
+
+def test_exact_minima_match_the_enumeration_oracle():
+    compared = 0
+    for seed in range(60):
+        p = random_problem(seed)
+        beta = [1.0] * p.L
+        z = eval_layers(p, np.zeros(p.n))
+        x = np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)
+        e = p.layers[0].exprs[0]
+        orthant = list(np.eye(p.n))  # every component at the lower face of a box
+        off = _shifted(z)
+        cases = [
+            (psi_prime_min(p, z.theta), partial(psi_prime_pieces, p, z.theta)),
+            (theta_prime_min(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
+            (theta_prime_min(p, off, beta), partial(theta_prime_pieces, p, off, beta)),
+            (function_prime_min(e, x), partial(function_pieces, e, x)),
+            (function_prime_min(e, x, orthant), partial(function_pieces, e, x), orthant),
+        ]
+        for sol, pieces, *extra in cases:
+            assert sol.bound <= sol.value + 1e-12
+            ref = _oracle(pieces, *extra)
+            if ref is not None:
+                compared += 1
+                assert abs(sol.value - ref) <= 1e-9 and abs(sol.bound - ref) <= 1e-9, (seed, ref, sol)
+    assert compared >= 270
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+@pytest.mark.parametrize("seed", SLOW_SEEDS)
+def test_exact_checks_are_fast_where_enumeration_is_slow(seed):
+    p = random_problem(seed)
+    z = eval_layers(p, np.zeros(p.n))
+    start = time.perf_counter()
+    reports = [
+        check_d_stationary_P0(p, z),
+        check_d_stationary_P1(p, z, [1.0] * p.L),
+        check_d_stationary_P1(p, _shifted(z), [1.0] * p.L),
+    ]
+    assert time.perf_counter() - start < 1.0
+    assert all(r.mode == "exact" and r.verdict != "inconclusive" for r in reports)
+    with pytest.raises(TooManyPieces):
+        theta_prime_pieces(p, z, [1.0] * p.L, limit=2**10)

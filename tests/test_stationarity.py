@@ -7,21 +7,14 @@ import numpy as np
 import pytest
 
 from mcpen import expr as ex
-from mcpen import stationarity
-from mcpen.dcalc import dd_Theta, dd_Theta_batch, direction_from_flat
-from mcpen.model import (
-    FEAS_TOL,
-    CompositeProblem,
-    LayerMap,
-    Point,
-    eval_layers,
-    point_from_flat,
-    residuals,
-)
+from mcpen import pieces, stationarity
+from mcpen.dcalc import dd_Psi_batch, dd_Theta, direction_from_flat
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.penalty import build_config
-from mcpen.pieces import TooManyPieces
+from mcpen.pieces import minimize_pieces, psi_prime_pieces
 from mcpen.repro import lift_descent_instance
-from mcpen.rnn import build_problem, rnn_penalty_config
+from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
+from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from mcpen.stationarity import (
     _FD_H,
     CRIT_SLACK,
@@ -32,7 +25,6 @@ from mcpen.stationarity import (
     STATIONARY,
     _critical_search,
     _normalize_cols,
-    _search_min_first,
     _sphere_points,
     _with_units,
     check_box,
@@ -48,8 +40,8 @@ BETA_SC = np.array([1.0, 0.6])
 
 def test_square_chain_first_order_both(square_chain):
     z0 = eval_layers(square_chain, np.zeros(1))
-    r0 = check_d_stationary_P0(square_chain, z0, seed=0)
-    r1 = check_d_stationary_P1(square_chain, z0, BETA_SC, seed=0)
+    r0 = check_d_stationary_P0(square_chain, z0)
+    r1 = check_d_stationary_P1(square_chain, z0, BETA_SC)
     assert r0.verdict == STATIONARY
     assert r1.verdict == STATIONARY
 
@@ -72,21 +64,26 @@ def test_square_chain_second_order_split(square_chain):
 
 def test_relu_ridge_not_stationary_with_witness(relu_ridge):
     z = eval_layers(relu_ridge, np.zeros(2))
-    r = check_d_stationary_P0(relu_ridge, z, seed=0)
+    r = check_d_stationary_P0(relu_ridge, z)
     assert r.verdict == NOT_STATIONARY
     assert r.witness_value == pytest.approx(-2.0, abs=1e-12)
-    assert r.mode == "enumerate"
+    assert r.mode == "exact"
 
 
 def test_enumerate_and_sample_agree_on_verdicts(relu_ridge):
-    z = eval_layers(relu_ridge, np.zeros(2))
-    re_ = check_d_stationary_P0(relu_ridge, z, mode="enumerate", seed=0)
-    rs = check_d_stationary_P0(relu_ridge, z, mode="sample", seed=0)
-    assert re_.verdict == rs.verdict == NOT_STATIONARY
-    # sampling cannot certify stationarity, only fail to refute it
-    z1 = eval_layers(relu_ridge, np.array([-1.0, 0.0]))
-    rs1 = check_d_stationary_P0(relu_ridge, z1, mode="sample", seed=0)
-    assert rs1.verdict in (STATIONARY, INCONCLUSIVE, NOT_STATIONARY)
+    # The exact minimum equals the enumerated pieces' minimum, and no sampled
+    # direction of the l1 sphere has a smaller slope.
+    D = _sphere_points(2, 256, 0)
+    D = D / np.sum(np.abs(D), axis=0)
+    verdicts = []
+    for th in (np.zeros(2), np.array([-1.0, 0.0]), np.array([1.0, 0.5])):
+        rep = check_d_stationary_P0(relu_ridge, eval_layers(relu_ridge, th))
+        enumerated, _ = minimize_pieces(psi_prime_pieces(relu_ridge, th))
+        assert rep.min_found == pytest.approx(enumerated, abs=1e-12)
+        assert (rep.verdict == STATIONARY) == (enumerated >= -rep.tol)
+        assert np.min(dd_Psi_batch(relu_ridge, th, D, 1)[1]) >= rep.min_found - 1e-12
+        verdicts.append(rep.verdict)
+    assert verdicts[0] == NOT_STATIONARY
 
 
 def test_minimizer_is_stationary_smooth_instance():
@@ -111,10 +108,10 @@ def test_minimizer_is_stationary_smooth_instance():
     H = 2 * A.T @ A + 2 * 0.1 * np.eye(2)
     th_star = np.linalg.solve(H, -2 * A.T @ b)
     z = eval_layers(problem, th_star)
-    r = check_d_stationary_P0(problem, z, seed=0)
+    r = check_d_stationary_P0(problem, z)
     assert r.verdict == STATIONARY
     cfg = build_config(problem, beta=np.array([3.0]), seed=0)
-    r1 = check_d_stationary_P1(problem, z, np.array([3.0]), seed=0)
+    r1 = check_d_stationary_P1(problem, z, np.array([3.0]))
     assert r1.verdict == STATIONARY
     s = check_strong_local_min_sufficient(problem, z, cfg, seed=0)
     assert s["verdict"] == "sufficient-holds"
@@ -126,7 +123,7 @@ def test_second_order_trivial_critical_cone(square_chain):
     # collapses and second order holds vacuously
     th = np.array([0.5])
     z = eval_layers(square_chain, th)
-    r1 = check_d_stationary_P1(square_chain, z, BETA_SC, seed=0)
+    r1 = check_d_stationary_P1(square_chain, z, BETA_SC)
     if r1.verdict == STATIONARY:
         s = check_second_order(square_chain, z, "penalized", beta=BETA_SC, seed=0)
         assert s.verdict in (STATIONARY, NOT_STATIONARY)
@@ -159,24 +156,24 @@ def test_box_interior_descent_detected():
 # (verdict, mode, samples, notes, min_found, witness_value) of each report on
 # the canonical instances.  Code that only removes duplication must keep them.
 REPORT_GOLDENS = {
-    "square-chain P0": (STATIONARY, "enumerate", 1, [], 0.0, None),
-    "square-chain P1": (STATIONARY, "enumerate", 4, [], 0.0, None),
+    "square-chain P0": (STATIONARY, "exact", 0, [], 0.0, None),
+    "square-chain P1": (STATIONARY, "exact", 0, [], 0.0, None),
     "square-chain lifted": (STATIONARY, "sample", 74, [], -1.98, None),
     "square-chain penalized": (NOT_STATIONARY, "sample", 74, [], -0.78, -0.78),
-    "relu-ridge P0": (NOT_STATIONARY, "enumerate", 2, [], -2.0, -2.0),
-    "relu-ridge P1": (NOT_STATIONARY, "enumerate", 8, [], -0.5, -0.8164965809277261),
+    "relu-ridge P0": (NOT_STATIONARY, "exact", 1, [], -2.0, -2.0),
+    "relu-ridge P1": (NOT_STATIONARY, "exact", 1, [], -0.5, -0.8164965809277261),
     "relu-ridge lifted": (STATIONARY, "sample", 43, [], 0.0, None),
     "relu-ridge penalized": (STATIONARY, "sample", 43, [], 0.0, None),
-    "box-max (0, 0) order 1": (STATIONARY, "enumerate", 1, [], 0.0, None),
+    "box-max (0, 0) order 1": (STATIONARY, "exact", 0, [], 0.0, None),
     "box-max (0, 0) order 2": (
         NOT_STATIONARY,
-        "enumerate",
+        "exact",
         11,
         ["second derivative is an exact quadratic form"],
         -0.7999999999999998,
         -0.7999999999999998,
     ),
-    "box-max (-1, 1) order 1": (STATIONARY, "enumerate", 2, [], 0.0, None),
+    "box-max (-1, 1) order 1": (STATIONARY, "exact", 1, [], 0.0, None),
     "box-max (-1, 1) order 2": (
         STATIONARY,
         "sample",
@@ -185,34 +182,19 @@ REPORT_GOLDENS = {
         0.0,
         None,
     ),
-    "box-max (1, 1) order 1": (NOT_STATIONARY, "enumerate", 1, [], -1.2, -1.2),
+    "box-max (1, 1) order 1": (NOT_STATIONARY, "exact", 0, [], -1.2, -1.2),
     "box-max (1, 1) order 2": (
         NOT_STATIONARY,
-        "enumerate",
-        1,
+        "exact",
+        0,
         ["already fails at first order"],
         -1.2,
         -1.2,
     ),
-    "desk P0": (NOT_STATIONARY, "enumerate", 1, [], -0.08200868707101515, -0.08200868707101515),
-    "desk P1": (
-        NOT_STATIONARY,
-        "sample",
-        40382,
-        [f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"],
-        -0.045829392025330665,
-        -0.045829392025330665,
-    ),
+    "desk P0": (NOT_STATIONARY, "exact", 0, [], -0.08200868707101515, -0.08200868707101515),
+    "desk P1": (NOT_STATIONARY, "exact", 0, [], -0.03563259928981619, -0.04728392701097101),
     "desk lifted": (STATIONARY, "sample", 22, [], 0.0, None),
     "desk penalized": (STATIONARY, "sample", 22, [], 0.0, None),
-    "desk P0 sample": (
-        NOT_STATIONARY,
-        "sample",
-        18997,
-        [],
-        -0.11416143922016858,
-        -0.11416143922016857,
-    ),
 }
 
 
@@ -241,7 +223,6 @@ def test_reports_match_their_goldens(square_chain, relu_ridge, box_max, rnn_spec
             reports[f"box-max ({x[0]}, {x[1]}) order {order}"] = rep
     z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
     four("desk", rnn_problem, z, rnn_penalty_config(rnn_spec).beta)
-    reports["desk P0 sample"] = check_d_stationary_P0(rnn_problem, z, mode="sample")
     assert list(reports) == list(REPORT_GOLDENS)
     for name, r in reports.items():
         verdict, mode, samples, notes, min_found, witness_value = REPORT_GOLDENS[name]
@@ -299,7 +280,7 @@ def test_compare_flags_a_stationary_infeasible_point_with_its_correction_slope()
     z = Point(np.zeros(1), (np.array([0.5]),))
     out = compare_sets_on_point(problem, z, cfg, seed=0)
     assert out["in_level_set"] and not out["feasible"]
-    assert (out["d1"].verdict, out["d1"].mode) == (STATIONARY, "enumerate")
+    assert (out["d1"].verdict, out["d1"].mode) == (STATIONARY, "exact")
     assert out["inconsistencies"] == [
         "penalized-stationary infeasible point inside the level set; "
         "residual correction direction has slope 0.0e+00"
@@ -336,75 +317,8 @@ def test_compare_flags_second_order_verdicts_that_break_the_implication(square_c
     assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
 
 
-def test_p1_fallback_to_sampling_says_why(rnn_problem, monkeypatch):
-    th = 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n)
-    z = eval_layers(rnn_problem, th)
-    monkeypatch.setattr(stationarity, "N_STARTS", 2)
-    monkeypatch.setattr(stationarity, "SEARCH_ITERS", 24)
-    rep = check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L)
-    assert rep.mode == "sample"
-    # one envelope entry per start: the +-lifted seeds, then N_STARTS sphere points
-    assert len(rep.envelope) == 2 * rnn_problem.n + 2
-    assert rep.notes[0] == f"fell back to sampling: {2**24} pieces exceed the limit of {2**20}"
-    with pytest.raises(TooManyPieces):
-        check_d_stationary_P1(rnn_problem, z, [5.0] * rnn_problem.L, mode="enumerate")
-
-
 # ---------------------------------------------------------------------------
-# The lockstep searches against the per-start loops they replace
-
-
-def _per_start_search(phi, dim, seed, n_starts=N_STARTS, iters=SEARCH_ITERS, extra=None, stops=None):
-    """Reference oracle: the search with every start run to its end, one after another.
-
-    Records in ``stops`` why each start ended: a vanishing tangent slope
-    (``flat``), a step ladder that ran out (``ladder``) or the iteration cap
-    (``iters``).
-    """
-    stops = [] if stops is None else stops
-    starts = _sphere_points(dim, n_starts, seed)
-    if extra is not None and extra.size:
-        starts = np.hstack([_normalize_cols(extra), starts])
-    per_start = max(12, iters // max(starts.shape[1], 1))
-    samples = 0
-    best_val, best_d = np.inf, starts[:, 0]
-    envelope = []
-    eye = np.eye(dim)
-    for s in range(starts.shape[1]):
-        d = starts[:, s].copy()
-        val = float(phi(d.reshape(-1, 1))[0])
-        samples += 1
-        step = 0.5
-        stop = "iters"
-        for _ in range(per_start):
-            probe = np.hstack([d.reshape(-1, 1) + _FD_H * eye])
-            g = (phi(probe) - val) / _FD_H
-            samples += dim
-            gt = g - float(g @ d) * d
-            ng = np.linalg.norm(gt)
-            if ng < 1e-12:
-                stop = "flat"
-                break
-            moved = False
-            while step > 1e-10:
-                d2 = d - step * gt / ng
-                d2 /= np.linalg.norm(d2)
-                v2 = float(phi(d2.reshape(-1, 1))[0])
-                samples += 1
-                if v2 < val - 1e-14:
-                    d, val = d2, v2
-                    step = min(step * 1.5, 1.0)
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                stop = "ladder"
-                break
-        stops.append(stop)
-        if val < best_val:
-            best_val, best_d = val, d
-        envelope.append(float(best_val))
-    return float(best_val), best_d, samples, envelope
+# The lockstep polish against the per-candidate loop it replaced
 
 
 def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, slack, n_starts, iters):
@@ -472,42 +386,9 @@ def _rowwise(M, D):
     return out
 
 
-def _search_case(kind):
-    """(phi, dim, n_starts, iters, extra, the stop reason the case must show)."""
-    rng = np.random.default_rng(7)
-    if kind == "max-plus-min":
-        A, B = rng.standard_normal((4, 6)), rng.standard_normal((3, 6))
-        phi = lambda D: np.max(_rowwise(A, D), axis=0) + np.min(_rowwise(B, D), axis=0)
-        return phi, 6, 16, 0, rng.standard_normal((6, 3)), "iters"
-    if kind == "flat":
-        # Zero wherever every row of A has a negative slope, as along -e_0.
-        A = rng.standard_normal((3, 5))
-        A[:, 0] = np.abs(A[:, 0]) + 2.0
-        phi = lambda D: np.maximum(np.max(_rowwise(A, D), axis=0), 0.0)
-        return phi, 5, 8, 0, np.column_stack([-np.eye(5)[:, 0], rng.standard_normal(5)]), "flat"
-    # A linear phi started at its minimizer on the sphere: no step descends.
-    c = rng.standard_normal((1, 4))
-    phi = lambda D: _rowwise(c, D)[0]
-    return phi, 4, 4, 0, np.column_stack([-c[0], c[0]]), "ladder"
-
-
 # The column cap as shipped, and one that splits every call (a block wider
 # than the cap goes alone).
 CAPS = [stationarity._MAX_COLS, 7]
-
-
-@pytest.mark.parametrize("cap", CAPS)
-@pytest.mark.parametrize("kind", ["max-plus-min", "flat", "ladder"])
-def test_lockstep_search_matches_per_start_loop(monkeypatch, kind, cap):
-    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
-    phi, dim, n_starts, iters, extra, reason = _search_case(kind)
-    stops = []
-    ref = _per_start_search(phi, dim, 3, n_starts, iters, extra, stops)
-    assert reason in stops
-    got = _search_min_first(phi, dim, 3, n_starts, iters, extra)
-    assert got[0] == ref[0]
-    assert got[1].tobytes() == ref[1].tobytes()
-    assert got[2:] == ref[2:]
 
 
 def _plane_quadratic(seed, n):
@@ -548,29 +429,11 @@ def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, 
         assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
 
 
-def test_p1_search_batches_its_derivative_calls(rnn_spec, rnn_problem, monkeypatch):
-    z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
-    beta = rnn_penalty_config(rnn_spec).beta
-    widths = []
-
-    def counted(*args):
-        widths.append(args[2].shape[1])
-        return dd_Theta_batch(*args)
-
-    monkeypatch.setattr(stationarity, "dd_Theta_batch", counted)
-    rep = check_d_stationary_P1(rnn_problem, z, beta)
-    calls, cols = len(widths), sum(widths)
-    widths.clear()
-    monkeypatch.setattr(stationarity, "_search_min_first", _per_start_search)
-    ref = check_d_stationary_P1(rnn_problem, z, beta)
-    assert 10 * calls <= len(widths)
-    assert cols == sum(widths) == rep.samples == ref.samples
-
-
 def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
-    # with certified closed-form beta.  P1 cannot enumerate its pieces, and
-    # sampling over R^nbar alone misses the tangent descent directions.
+    # with certified closed-form beta.  Its P1 pieces number 2^60, and
+    # sampling over R^nbar alone missed the tangent descent directions; the
+    # exact route, which replaced sampling, finds them for P0 and P1 alike.
     spec = lift_descent_instance()
     problem = build_problem(spec)
     config = rnn_penalty_config(spec)
@@ -578,10 +441,47 @@ def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
     r0 = check_d_stationary_P0(problem, z)
     r1 = check_d_stationary_P1(problem, z, config.beta)
-    assert r0.verdict == NOT_STATIONARY
-    assert (r1.verdict, r1.mode) == (NOT_STATIONARY, "sample")
-    slope = dd_Theta(problem, z, r1.witness, config.beta, order=1).first
-    assert slope == r1.witness_value < -r1.tol / 2.0
+    for r in (r0, r1):
+        assert (r.verdict, r.mode) == (NOT_STATIONARY, "exact")
+        slope = dd_Theta(problem, z, r.witness, config.beta, order=1).first
+        assert slope == r.witness_value < -r.tol / 2.0
+
+
+def _desk_points(seed):
+    """A desk RNN, its closed-form config, its 0.1 N(0, I) lift and its trained, polished point."""
+    spec = desk_instance(seed)
+    problem, config = build_problem(spec), rnn_penalty_config(spec)
+    lift = eval_layers(problem, 0.1 * np.random.default_rng(seed).standard_normal(problem.n))
+    res = minimize_theta(problem, config.beta, SolveConfig(max_iters=400, stop_tol=1e-8, seed=seed))
+    trained, _, _ = polish_to_feasible(problem, res.z, config.beta)
+    return problem, config, (lift, trained)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_p0_and_p1_agree_at_certified_beta(seed):
+    # The paper's equivalence: with certified beta, the lifted and penalized
+    # problems have the same first-order stationary points.
+    problem, config, points = _desk_points(seed)
+    assert config.certified
+    for z, verdict in zip(points, (NOT_STATIONARY, STATIONARY)):
+        r0 = check_d_stationary_P0(problem, z)
+        r1 = check_d_stationary_P1(problem, z, config.beta)
+        assert (r0.verdict, r0.mode) == (r1.verdict, r1.mode) == (verdict, "exact")
+        for r in (r0, r1):
+            if r.witness is not None:
+                assert dd_Theta(problem, z, r.witness, config.beta, order=1).first < -r.tol / 2.0
+
+
+def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_problem, monkeypatch):
+    z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
+    monkeypatch.setattr(pieces, "MILP_TIME_LIMIT", 0.0)
+    note = "HiGHS bounds the minimum only to [-inf, 0.000e+00] within its 0 s time limit"
+    for r in (
+        check_d_stationary_P0(rnn_problem, z),
+        check_d_stationary_P1(rnn_problem, z, rnn_penalty_config(rnn_spec).beta),
+    ):
+        assert (r.verdict, r.mode, r.min_found, r.witness) == (INCONCLUSIVE, "exact", 0.0, None)
+        assert r.notes == [note]
 
 
 # ---------------------------------------------------------------------------
@@ -675,26 +575,3 @@ def test_box_sampled_critical_route():
     assert (r.verdict, r.mode, r.min_found) == (STATIONARY, "sample", 2.0)
     r = check_box(ex.scaled(-1.0, sq), zero, zero, one, order=2, seed=0)
     assert (r.verdict, r.mode, r.min_found, r.witness_value) == (NOT_STATIONARY, "sample", -2.0, -2.0)
-
-
-def test_p1_sampling_seeds_from_each_violated_layer(rnn_problem, rnn_spec, monkeypatch):
-    lift = eval_layers(rnn_problem, np.zeros(rnn_problem.n))
-    z = point_from_flat(rnn_problem, lift.flat() + 0.01)
-    violated = [
-        k for k, rho in enumerate(residuals(rnn_problem, z).per_layer, 1) if np.max(np.abs(rho)) > FEAS_TOL
-    ]
-    calls = []
-    real = stationarity.feasibility_descent_direction
-
-    def spy(problem, z, k):
-        calls.append(k)
-        return real(problem, z, k)
-
-    monkeypatch.setattr(stationarity, "feasibility_descent_direction", spy)
-    monkeypatch.setattr(stationarity, "N_STARTS", 2)
-    monkeypatch.setattr(stationarity, "SEARCH_ITERS", 24)
-    rep = check_d_stationary_P1(rnn_problem, z, rnn_penalty_config(rnn_spec).beta, mode="sample", seed=0)
-    assert violated and calls == violated
-    # one envelope entry per start: a seed per violated layer, then N_STARTS sphere points
-    assert len(rep.envelope) == len(violated) + 2
-    assert rep.verdict == NOT_STATIONARY and rep.witness_value < -rep.tol / 2.0
