@@ -14,14 +14,14 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   first argument against a second branch: the second argument, ``s*a`` for
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
-The walkers (``eval_one``, ``taylor_cells``, ``pieces.expr_pieces``,
-``cones._degree``) branch on the family only.  Where an op's own arithmetic
-differs from its family rule (whether a sum starts at zero or at its first
-term, ``**`` for the squared norm's values, Python's ``abs``), the
-difference is table data, so each op keeps its exact rounding and sign of
-zero.  Trees are built from immutable nodes, so cycles are impossible by
-construction and sharing of subtrees is safe; ``nodes`` walks a tree
-without recursion.
+The walkers (``eval_one``, ``eval_cols``, ``taylor_cells``,
+``pieces.expr_pieces``, ``cones._degree``) branch on the family only.  Where
+an op's own arithmetic differs from its family rule (whether a sum starts at
+zero or at its first term, ``**`` for the squared norm's values, Python's
+``abs``), the difference is table data, so each op keeps its exact rounding
+and sign of zero, at one point and column by column.  Trees are built from
+immutable nodes, so cycles are impossible by construction and sharing of
+subtrees is safe; ``nodes`` walks a tree without recursion.
 
 Every node supports exact one-sided Taylor data along a ray: given input
 curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the propagation below
@@ -207,17 +207,20 @@ def _pairs(e: Expr) -> tuple[tuple[int, int], ...]:
     return tuple((i, k + i) for i in range(k))
 
 
-def _abs(a: float, _: float) -> float:
-    return abs(a)
+# A kink's value rule at one point and column by column.  np.where(b > a, b, a)
+# is Python's max(a, b), NaN and signed zero included; np.maximum is not.
+Rule = NamedTuple("Rule", [("one", Callable), ("cols", Callable)])
+MAX = Rule(max, lambda a, b: np.where(b > a, b, a))
+ABS = Rule(lambda a, _: abs(a), lambda a, _: np.abs(a))
 
 
 # The data of each family:
 #   leaf     the block read (0 for theta, j for u_j), None for a constant;
 #   linear   (weights, offset); offset None sums from the first term;
 #   product  (index pairs, start, pow2); start None sums from the first
-#            pair, and pow2 makes eval_one square with ** (sqnorm only);
-#   kink     (second-branch node, scale, scalar rule of eval_one); a None
-#            node makes the second branch scale * first argument.
+#            pair, and pow2 makes the value walkers square with ** (sqnorm);
+#   kink     (second-branch node, scale, value Rule); a None node makes
+#            the second branch scale * first argument.
 OPS: dict[str, Op] = {
     "const": Op(LEAF, "0", ("value",), lambda e: None),
     "theta": Op(LEAF, "0", ("ref",), lambda e: 0),
@@ -230,10 +233,10 @@ OPS: dict[str, Op] = {
     "inner": Op(PRODUCT, "2k", (), lambda e: (_pairs(e), 0.0, False)),
     "sqnorm": Op(PRODUCT, "1+", (), lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0, True)),
     "square": Op(PRODUCT, "1", (), lambda e: (((0, 0),), None, False)),
-    "max": Op(KINK, "2", (), lambda e: (e.args[1], None, max)),
-    "abs": Op(KINK, "1", (), lambda e: (None, -1.0, _abs)),
-    "plus": Op(KINK, "1", (), lambda e: (_ZERO, None, max)),
-    "leaky_relu": Op(KINK, "1", ("alpha",), lambda e: (None, e.alpha, max)),
+    "max": Op(KINK, "2", (), lambda e: (e.args[1], None, MAX)),
+    "abs": Op(KINK, "1", (), lambda e: (None, -1.0, ABS)),
+    "plus": Op(KINK, "1", (), lambda e: (_ZERO, None, MAX)),
+    "leaky_relu": Op(KINK, "1", ("alpha",), lambda e: (None, e.alpha, MAX)),
 }
 ALL_OPS = tuple(OPS)
 _ZERO = const(0.0)
@@ -280,7 +283,7 @@ def _value(e: Expr, blocks: Sequence[np.ndarray]) -> float:
     if family == KINK:
         branch, scale, rule = data
         a = _value(e.args[0], blocks)
-        return rule(a, scale * a if branch is None else _value(branch, blocks))
+        return rule.one(a, scale * a if branch is None else _value(branch, blocks))
     if family == LINEAR:
         weights, acc = data
         for w, a in zip(weights, e.args):
@@ -298,6 +301,41 @@ def _value(e: Expr, blocks: Sequence[np.ndarray]) -> float:
 def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
     blocks = (th, *ublocks)
     return np.array([_value(e, blocks) for e in exprs], dtype=float)
+
+
+def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
+    """Values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (len(exprs), m).
+
+    Column c is ``eval_many`` at column c, byte for byte: no numpy warnings,
+    and the squared norm's ``**`` raises ``OverflowError`` as Python's does.
+    """
+    blocks, m = (TH, *UBLOCKS), TH.shape[1]
+    with np.errstate(all="ignore"):
+        return np.array([_cols(e, blocks, m) for e in exprs]).reshape(len(exprs), m)
+
+
+def _cols(e: Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
+    family, data = e.family, e.data
+    if family == LEAF:
+        return np.full(m, e.value) if data is None else blocks[data][e.ref]
+    if family == KINK:
+        branch, scale, rule = data
+        a = _cols(e.args[0], blocks, m)
+        return rule.cols(a, scale * a if branch is None else _cols(branch, blocks, m))
+    if family == LINEAR:
+        weights, acc = data
+        acc = None if acc is None else np.full(m, acc)
+        for w, a in zip(weights, e.args):
+            t = w * _cols(a, blocks, m)
+            acc = t if acc is None else acc + t
+        return acc
+    pairs, acc, pow2 = data
+    for i, j in pairs:
+        a = _cols(e.args[i], blocks, m)
+        b = a if i == j else _cols(e.args[j], blocks, m)
+        t = np.array([x**2 for x in a.tolist()]) if pow2 else a * b
+        acc = t if acc is None else acc + t
+    return acc
 
 
 class Cell(NamedTuple):

@@ -206,10 +206,7 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
     check_point(problem, z)
-    per_layer: list[np.ndarray] = []
-    for k in range(1, problem.L + 1):
-        rho = z.u[k - 1] - layer_values(problem, k, z.theta, z.u)
-        per_layer.append(rho)
+    per_layer = [u - layer_values(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
     l1 = [float(np.sum(np.abs(r))) for r in per_layer]
     max_abs = max(float(np.max(np.abs(r))) if r.size else 0.0 for r in per_layer)
     return Residuals(per_layer, l1, max_abs, max_abs <= FEAS_TOL)
@@ -224,8 +221,12 @@ def require_feasible(problem: CompositeProblem, z: Point) -> None:
 
 def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> float:
     b = check_beta(problem, beta)
-    res = residuals(problem, z)
-    return eval_F(problem, z) + float(np.dot(b, res.l1))
+    return penalized_value(problem, z, b, residuals(problem, z).l1)
+
+
+def penalized_value(problem: CompositeProblem, z: Point, b: np.ndarray, l1: list[float]) -> float:
+    """Theta at z from the l1 norms of its layer residuals and a checked beta b."""
+    return eval_F(problem, z) + float(np.dot(b, l1))
 
 
 def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:

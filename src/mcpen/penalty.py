@@ -32,8 +32,8 @@ from .model import (
     Point,
     check_beta,
     eval_g,
-    eval_Theta,
     layer_values,
+    penalized_value,
     reference_point_and_level,
     residuals,
     split_flat,
@@ -110,7 +110,8 @@ def _sample_level_set(
     sqrt(gamma_bar/lambda) with per-layer residual noise within the level-set
     residual bounds gamma_bar/beta_l; both bounds hold for every point of the
     level set, so the proposal covers it.  Accepted points get one extra
-    eps-ball perturbation, landing inside the inflated set.
+    eps-ball perturbation, landing inside the inflated set.  A candidate's
+    residuals are its blocks minus the layer values they were drawn around.
     """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
@@ -126,19 +127,19 @@ def _sample_level_set(
         tries += 1
         th = rng.uniform(-r_theta, r_theta, size=problem.n)
         blocks: list[np.ndarray] = []
-        ok = True
+        l1: list[float] = []
         for k in range(1, problem.L + 1):
             try:
                 base = layer_values(problem, k, th, blocks)
             except (EvaluationError, OverflowError):
-                ok = False
                 break
             rad = gamma_bar / beta[k - 1]
             blocks.append(base + rng.uniform(-rad, rad, size=base.size))
-        if not ok:
+            l1.append(float(np.sum(np.abs(blocks[-1] - base))))
+        if len(blocks) < problem.L:
             continue
         z = Point(th, tuple(blocks))
-        if eval_Theta(problem, z, beta) <= gamma_bar:
+        if penalized_value(problem, z, beta, l1) <= gamma_bar:
             noise = rng.normal(size=problem.nbar)
             noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
             th2, blocks2 = split_flat(problem, z.flat() + noise)
@@ -160,43 +161,63 @@ def estimate_moduli(
     forms (heuristic False).  Everything else gets seeded sampling of
     difference quotients over the inflated level set; those values are lower
     bounds of the true moduli and come back flagged heuristic.
+
+    The pairs are evaluated in batches, g once per point in order of first
+    use and each layer in one column walk, with the values, warnings and
+    first ``EvaluationError`` of a loop over the pairs in order.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
         _, K_g, _, K = rnn_moduli(meta, problem.lam)
         return K_g, K, False
-    beta = (
-        np.ones(problem.L) if beta_init is None else check_beta(problem, beta_init)
-    )
+    beta = np.ones(problem.L) if beta_init is None else check_beta(problem, beta_init)
     if gamma_bar is None:
         _, gamma_bar = reference_point_and_level(problem, beta)
     rng = np.random.default_rng(seed)
     n_pts = max(16, int(np.sqrt(budget)) * 2)
     pts = _sample_level_set(problem, beta, gamma_bar, eps, n_pts, rng)
-    K_g = 0.0
     K = np.zeros(max(problem.L - 1, 0))
-    if len(pts) >= 2:
-        pairs = 0
-        while pairs < budget:
-            i, j = rng.integers(0, len(pts), size=2)
-            a, b = pts[i], pts[j]
-            du = np.concatenate([x - y for x, y in zip(a.u, b.u)])
-            nu = np.linalg.norm(du)
-            if nu > 1e-12:
-                K_g = max(K_g, abs(eval_g(problem, a.u) - eval_g(problem, b.u)) / nu)
-            # Layer moduli fix theta and vary the earlier blocks only.
-            for ell in range(1, problem.L):
-                prefix_a = [blk.copy() for blk in a.u[:ell]]
-                prefix_b = [blk.copy() for blk in b.u[:ell]]
-                dprefix = np.concatenate([x - y for x, y in zip(prefix_a, prefix_b)])
-                npre = np.linalg.norm(dprefix)
-                if npre <= 1e-12:
-                    continue
-                va = layer_values(problem, ell + 1, a.theta, prefix_a)
-                vb = layer_values(problem, ell + 1, a.theta, prefix_b)
-                K[ell - 1] = max(K[ell - 1], float(np.linalg.norm(va - vb)) / npre)
-            pairs += 1
-    return float(K_g), K, True
+    if len(pts) < 2:
+        return 0.0, K, True
+    I, J = rng.integers(0, len(pts), size=(budget, 2)).T
+    TH = np.array([p.theta for p in pts]).T
+    U = [np.array(blk).T for blk in zip(*(p.u for p in pts))]
+    Z = np.vstack(U).T  # row i: the blocks of point i, flattened
+    D = Z[I] - Z[J]
+    fail = (budget, 0)  # (pair, layer) of the first non-finite layer value
+    for ell, end in enumerate(np.cumsum(problem.widths[:-1]), start=1):
+        # Layer moduli fix theta and vary the earlier blocks only.
+        npre = _norms(D[:, :end])
+        use = np.flatnonzero(npre > 1e-12)
+        # columns: (theta of a, blocks of a), then (theta of a, blocks of b)
+        ia, iab = np.tile(I[use], 2), np.concatenate([I[use], J[use]])
+        V = ex.eval_cols(problem.layers[ell].exprs, TH[:, ia], [B[:, iab] for B in U[:ell]])
+        va, vb = np.hsplit(V, 2)
+        bad = ~np.all(np.isfinite(va) & np.isfinite(vb), axis=0)
+        if bad.any():
+            fail = min(fail, (int(use[np.argmax(bad)]), ell + 1))
+        else:
+            K[ell - 1] = _sup(_norms((va - vb).T) / npre[use])
+    # g at the points of the pairs the loop reaches, in order of first use
+    nu = _norms(D[: fail[0] + 1])
+    use = np.flatnonzero(nu > 1e-12)
+    G = np.zeros(len(pts))
+    for i in dict.fromkeys(np.column_stack([I[use], J[use]]).ravel().tolist()):
+        G[i] = eval_g(problem, pts[i].u)
+    if fail[1]:
+        raise EvaluationError(fail[1], f"layer {fail[1]} evaluated to a non-finite value")
+    return _sup(np.abs(G[I[use]] - G[J[use]]) / nu[use]), K, True
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of X, by the same BLAS dot."""
+    X = np.ascontiguousarray(X)
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def _sup(q: np.ndarray) -> float:
+    """max(0.0, q_1, q_2, ...) folded left by Python's max, which skips NaNs."""
+    return float(np.max(q[q > 0.0], initial=0.0))
 
 
 def build_config(

@@ -97,12 +97,17 @@ def test_manifest_skips_an_init_file_the_run_did_not_read(capsys, files):
         assert (files["shift"] in json.loads(out)["manifest"]["inputs"]) == read
 
 
-def test_library_warnings_reach_stderr_once_without_a_source_path(capsys, tmp_path):
-    # g = 0.5 + u_1 with u_1 = theta_1 dips below zero inside the level set,
-    # so sampling the moduli warns once per negative value it meets.
+def _dip_problem(tmp_path):
+    """g = 0.5 + u_1 with u_1 = theta_1 dips below zero inside the level set."""
     layer = LayerMap(1, (ex.affine(0.0, [1.0], [ex.theta(0)]),))
     dip = tmp_path / "dip.json"
     save_problem(dip, CompositeProblem(1, (layer,), ex.affine(0.5, [1.0], [ex.uref(1, 0)]), lam=0.1))
+    return dip
+
+
+def test_library_warnings_reach_stderr_once_without_a_source_path(capsys, tmp_path):
+    # Sampling the moduli of the dip problem warns once per negative value it meets.
+    dip = _dip_problem(tmp_path)
     neg = tmp_path / "neg.json"
     save_problem(neg, negative_outer_problem())
     for path, code in ((dip, 0), (neg, 2)):
@@ -113,6 +118,17 @@ def test_library_warnings_reach_stderr_once_without_a_source_path(capsys, tmp_pa
         assert len(lines) == len(set(lines))
         assert not any(".py:" in line for line in lines)
     assert lines[-1].startswith("error: reference level gamma_bar = -1.0")
+
+
+# sha256 of the distinct warning lines below, in order, recorded with the
+# estimate_moduli that evaluated g twice per pair of sample points
+DIP_WARNINGS = (30, "8898c05c202b947b8083d67f9dd441d72d3273f1eefb670660d92b4bbf1261a1")
+
+
+def test_moduli_warnings_keep_their_content_and_order(capsys, tmp_path):
+    assert main(["thresholds", "--problem", str(_dip_problem(tmp_path)), "--budget", "50"]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
+    assert (len(warned), hashlib.sha256("\n".join(warned).encode()).hexdigest()) == DIP_WARNINGS
 
 
 def test_eval_without_beta_skips_theta(capsys, files):

@@ -1,6 +1,7 @@
 """Expression constructors, evaluation, and the cell propagation rules."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -151,7 +152,60 @@ def test_eval_many_matches_eval_one():
     ]
     out = ex.eval_many(exprs, th, [u1])
     for k, e in enumerate(exprs):
-        assert out[k] == pytest.approx(ex.eval_one(e, th, [u1]))
+        assert out[k] == ex.eval_one(e, th, [u1])
+
+
+def _signed_exprs():
+    """Every op on theta_1 (and theta_2), for signed zeros and non-finite values."""
+    x0, x1 = ex.theta(0), ex.theta(1)
+    return [
+        ex.affine(-0.0, [], []),
+        ex.add(x0),
+        ex.sub(x0, x1),
+        ex.scaled(-1.0, x0),
+        ex.affine(-0.0, [1.0], [x0]),
+        ex.mul(x0, x1),
+        ex.dot([x0], [x1]),
+        ex.sqnorm(x0),
+        ex.square(x0),
+        ex.vmax(x0, x1),
+        ex.vabs(x0),
+        ex.plus(x0),
+        ex.leaky(x0, 0.0),
+    ]
+
+
+def _assert_cols_match(exprs, TH, UBLOCKS):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warnings where Python floats give none
+        out = ex.eval_cols(exprs, TH, UBLOCKS)
+    assert out.shape == (len(exprs), TH.shape[1])
+    for c in range(TH.shape[1]):
+        one = ex.eval_many(exprs, TH[:, c], [b[:, c] for b in UBLOCKS])
+        assert out[:, c].tobytes() == one.tobytes()
+
+
+def test_eval_cols_matches_eval_many_column_by_column():
+    inf, nan = np.inf, np.nan
+    # values whose x**2 and x*x differ
+    squares = [0.3624182010806754, 1.8871580461934296, 1.2291748224027053, -0.006127947152018283]
+    cols = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.8329, -1.6598), *((x, -x) for x in squares)]
+    cols += [(a, b) for a in (inf, -inf, nan, -nan, 0.0) for b in (inf, -inf, nan, -nan, -0.0)]
+    _assert_cols_match(_signed_exprs(), np.array(cols).T, [])
+    with pytest.raises(OverflowError):
+        ex.eval_many([ex.sqnorm(ex.theta(0))], np.array([1e200]), [])
+    with pytest.raises(OverflowError):
+        ex.eval_cols([ex.sqnorm(ex.theta(0))], np.array([[1.0, 1e200]]), [])
+    # every tree of the random instances, with ties at rounded columns
+    rng = np.random.default_rng(7)
+    for seed in range(60):
+        p = random_problem(seed)
+        TH = rng.standard_normal((p.n, 7))
+        UBLOCKS = [rng.standard_normal((w, 7)) for w in p.widths]
+        TH[:, :3], UBLOCKS[0][:, :3] = np.round(TH[:, :3], 1), np.round(UBLOCKS[0][:, :3], 1)
+        for layer in p.layers:
+            _assert_cols_match(layer.exprs, TH, UBLOCKS[: layer.index - 1])
+        _assert_cols_match([p.outer], TH, UBLOCKS)
 
 
 # sha256 of the values and Taylor cells below, recorded with the per-op tree
@@ -215,22 +269,7 @@ def test_values_and_cells_are_bit_identical(square_chain, relu_ridge, box_max, a
         for x in (np.zeros(2), np.array([1.0, -1.0]), np.array([1.0, 1.0]), rng.standard_normal(2)):
             _digest_cells(h, [e], x, [], rng)
     # signed zeros through every op, and values whose x**2 and x*x differ
-    x0, x1 = ex.theta(0), ex.theta(1)
-    signed = [
-        ex.affine(-0.0, [], []),
-        ex.add(x0),
-        ex.sub(x0, x1),
-        ex.scaled(-1.0, x0),
-        ex.affine(-0.0, [1.0], [x0]),
-        ex.mul(x0, x1),
-        ex.dot([x0], [x1]),
-        ex.sqnorm(x0),
-        ex.square(x0),
-        ex.vmax(x0, x1),
-        ex.vabs(x0),
-        ex.plus(x0),
-        ex.leaky(x0, 0.0),
-    ]
+    signed = _signed_exprs()
     for x in ([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.8329, -1.6598]):
         _digest_cells(h, signed, np.array(x), [], rng)
     _digest_problem(h, square_chain, np.zeros(1), rng)

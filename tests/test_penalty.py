@@ -1,17 +1,25 @@
 """Moduli, thresholds, certification, and the constructive descent direction."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import negative_outer_problem
+from conftest import negative_outer_problem, random_problem
+from mcpen import expr as ex
 from mcpen import penalty
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
     FEAS_TOL,
+    CompositeProblem,
     EvaluationError,
+    LayerMap,
     Point,
+    eval_g,
     eval_layers,
     eval_Theta,
+    layer_values,
     reference_point_and_level,
     residuals,
 )
@@ -65,6 +73,83 @@ def test_sampled_moduli_bound_square_chain(square_chain):
     # hand bounds on the inflated level set for this tiny instance
     assert 0.0 < K_g <= 0.5386
     assert 0.0 < K[0] <= 0.21
+
+
+def _overflow_chain(c2, c3, dip=0.0):
+    """u_1 = theta_1, then c (u_1 - theta_1) in layers 2 and 3 (layer 3 only if c3).
+
+    The residual noise keeps c (u_1 - theta_1) finite at the sample points,
+    but a pair pits one point's theta against the other's u_1, and c times
+    that gap overflows.  The outer function (u_1 - 1)^2 - dip dips below
+    zero inside the level set when dip > 0.
+    """
+    gap = ex.sub(ex.uref(1, 0), ex.theta(0))
+    layers = [LayerMap(1, (ex.theta(0),)), LayerMap(2, (ex.scaled(c2, gap),))]
+    if c3:
+        layers.append(LayerMap(3, (ex.scaled(c3, gap),)))
+    outer = ex.affine(-dip, [1.0], [ex.square(ex.affine(-1.0, [1.0], [ex.uref(1, 0)]))])
+    return CompositeProblem(1, tuple(layers), outer, lam=0.1)
+
+
+# sha256 of (K_g, K) or of the exception's type and message for the cases
+# below, recorded with the estimate_moduli that walked each pair's trees one
+# scalar value at a time
+MODULI_SHA256 = "34ca7d04fbd4bfbd99804db8b85f0ab977e7d0b2a4867bf9c71d7058e8e03552"
+
+
+def _moduli_outcome(run):
+    """Bytes of (K_g, K) or of the exception raised, and the distinct g warnings in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            K_g, K = run()[:2]
+            out = np.float64(K_g).tobytes() + np.asarray(K, dtype=np.float64).tobytes()
+        except (ValueError, ArithmeticError, RuntimeError) as err:
+            out = f"{type(err).__name__}: {err}".encode()
+    return out, list(dict.fromkeys(str(w.message) for w in caught if "outer function" in str(w.message)))
+
+
+def test_sampled_moduli_are_bit_identical(square_chain, relu_ridge):
+    problems = [square_chain, relu_ridge, *(random_problem(seed) for seed in range(40))]
+    # an infinite K_1, and a first non-finite layer value in layer 2 or in layer
+    # 3; in the last chain layer 2 also fails, but at a later pair
+    problems += [_overflow_chain(1e308, 0.0), _overflow_chain(2e307, 1e308), _overflow_chain(1e308, 2e307)]
+    problems.append(_overflow_chain(1.2e308, 1.7e308, dip=0.2))
+    h = hashlib.sha256()
+    for budget, seed in ((300, 0), (1200, 5)):
+        for problem in problems:
+            h.update(_moduli_outcome(lambda: estimate_moduli(problem, budget=budget, seed=seed))[0])
+    assert h.hexdigest() == MODULI_SHA256
+
+
+def _moduli_pair_by_pair(problem, budget, seed):
+    """(K_g, K) of estimate_moduli with each pair drawn and evaluated on its own."""
+    beta = np.ones(problem.L)
+    _, gamma_bar = reference_point_and_level(problem, beta)
+    rng = np.random.default_rng(seed)
+    pts = _sample_level_set(problem, beta, gamma_bar, 1e-3, max(16, int(np.sqrt(budget)) * 2), rng)
+    K_g, K = 0.0, np.zeros(problem.L - 1)
+    for _ in range(budget if len(pts) >= 2 else 0):
+        i, j = rng.integers(0, len(pts), size=2)
+        a, b = pts[i], pts[j]
+        nu = np.linalg.norm(np.concatenate([x - y for x, y in zip(a.u, b.u)]))
+        if nu > 1e-12:
+            K_g = max(K_g, abs(eval_g(problem, a.u) - eval_g(problem, b.u)) / nu)
+        for ell in range(1, problem.L):
+            npre = np.linalg.norm(np.concatenate([x - y for x, y in zip(a.u[:ell], b.u[:ell])]))
+            if npre > 1e-12:
+                va = layer_values(problem, ell + 1, a.theta, a.u[:ell])
+                vb = layer_values(problem, ell + 1, a.theta, b.u[:ell])
+                K[ell - 1] = max(K[ell - 1], float(np.linalg.norm(va - vb)) / npre)
+    return float(K_g), K
+
+
+def test_batched_pairs_match_the_pair_loop():
+    problems = [random_problem(seed) for seed in range(40, 60)]
+    problems += [_overflow_chain(1e308, 0.0), _overflow_chain(1.2e308, 1.7e308, dip=0.2)]
+    for problem in problems:
+        batched = _moduli_outcome(lambda: estimate_moduli(problem, budget=300, seed=1))
+        assert batched == _moduli_outcome(lambda: _moduli_pair_by_pair(problem, 300, 1))
 
 
 def test_build_config_certifies_square_chain(square_chain):
