@@ -29,7 +29,7 @@ from .model import (
 
 TANGENT_TOL = 1e-9
 LIFT_TOL = 1e-12
-RADIAL_TAUS = tuple(10.0**-k for k in range(1, 9))
+RADIAL_TAUS = (1e-6, 1e-7, 1e-8)
 
 
 @dataclass
@@ -104,11 +104,10 @@ def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> Cone
 
     The test is two-staged.  A nonzero second directional derivative of any
     layer map along d rules membership out (the necessary condition for
-    radial directions).  When all of them vanish, feasibility of z + tau*d is
-    checked on the tau grid; for problems whose layer maps are piecewise
-    polynomial of degree at most 2 the smallest grid points decide, because
-    any remaining violation grows linearly out of a kink switch.  Otherwise
-    the verdict is unknown.
+    radial directions).  When all of them vanish and every layer map is
+    piecewise polynomial of degree at most 2, feasibility of z + tau*d at the
+    small taus of ``RADIAL_TAUS`` decides, because any remaining violation
+    grows linearly out of a kink switch.  Otherwise the verdict is unknown.
     """
     membership = tangent_membership(problem, z, d)
     if not membership.in_tangent:
@@ -128,12 +127,11 @@ def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> Cone
             membership.in_radial = False
             membership.notes = notes
             return membership
-    feas = [_feasible_at(problem, z, d, tau) for tau in RADIAL_TAUS]
-    tail = feas[-3:]
     if ray_decidable(problem) and second_known:
-        if all(tail):
+        feas = [_feasible_at(problem, z, d, tau) for tau in RADIAL_TAUS]
+        if all(feas):
             membership.in_radial = True
-        elif not any(tail):
+        elif not any(feas):
             membership.in_radial = False
             notes.append("ray leaves the feasible set at every small tau probed")
         else:

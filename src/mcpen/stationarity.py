@@ -8,7 +8,9 @@ incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
 derivative calculus, and inconclusive otherwise.  Second-order checks search
 the critical directions: tangent-cone directions with vanishing first
 derivative, parametrized by their parameter component since tangent
-directions are exactly the lifted ones.
+directions are exactly the lifted ones.  The search draws its pool from
+numpy's seeded Generator (normalised standard normals plus the signed unit
+vectors) and polishes the most negative candidates.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
 bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
@@ -22,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 from . import expr as ex
 from . import pieces
@@ -59,10 +59,11 @@ CRIT_SLACK = 1e-8
 N_STARTS = 64
 SEARCH_ITERS = 500
 _FD_H = 1e-7
-# Columns per derivative call in the lockstep searches.  A call packs as many
-# whole probe blocks as fit (8 starts of the desk RNN lift, nbar = 46); a
-# block wider than the cap goes alone.  Wider calls save little time and
-# raise the peak memory of a certify run.
+# Columns per derivative call in the lockstep polish.  A call packs as many
+# whole forward-difference blocks as fit (at the desk RNN, n = 22: 22
+# candidates with blocks 22 columns wide, so 17 blocks per call); a block
+# wider than the cap goes alone.  Wider calls save little time and raise the
+# peak memory of a certify run.
 _MAX_COLS = 384
 _UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 
@@ -93,30 +94,18 @@ class StationarityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Quasi-random unit directions, one per column."""
-    if dim == 1:
-        signs = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(count)])
-        return signs.reshape(1, -1)
-    sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    raw = sob.random_base2(max(int(np.ceil(np.log2(max(count, 1)))), 0))[:count]
-    pts = _norm.ppf(np.clip(raw, 1e-12, 1.0 - 1e-12)).T
-    norms = np.linalg.norm(pts, axis=0)
-    norms[norms < 1e-12] = 1.0
-    return pts / norms
+def _directions(dim: int, count: int, seed: int) -> np.ndarray:
+    """Seeded unit directions, one per column.
 
-
-def _with_units(dim: int, pool: np.ndarray) -> np.ndarray:
+    ``count`` normalised standard-normal draws, uniform on the sphere, then
+    the signed unit vectors +-e_i when dim <= 64.
+    """
+    pool = np.random.default_rng(seed).standard_normal((dim, count))
+    pool /= np.linalg.norm(pool, axis=0)
     if dim <= 64:
         eye = np.eye(dim)
         pool = np.hstack([pool, eye, -eye])
     return pool
-
-
-def _normalize_cols(D: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(D, axis=0)
-    norms[norms < 1e-300] = 1.0
-    return D / norms
 
 
 def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> list:
@@ -124,8 +113,8 @@ def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> l
 
     A point's block is the point itself, or with ``hI`` its forward-difference
     probes ``point + hI``.  One call packs as many blocks as fit in
-    ``_MAX_COLS`` columns (at least one).  Returns f's output on each block,
-    in order; a tuple-valued f gives a tuple per block.
+    ``_MAX_COLS`` columns (at least one).  f returns a tuple of per-column
+    arrays; the result holds, per block in order, the tuple of its slices.
     """
     width = 1 if hI is None else hI.shape[1]
     per_call = max(1, _MAX_COLS // width)
@@ -142,7 +131,7 @@ def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> l
         out = f(D)
         for j in range(len(chunk)):
             sl = slice(j * width, (j + 1) * width)
-            blocks.append(tuple(o[sl] for o in out) if isinstance(out, tuple) else out[sl])
+            blocks.append(tuple(o[sl] for o in out))
     return blocks
 
 
@@ -236,7 +225,7 @@ def _tangent_second_batch(
     beta: np.ndarray | None,
     sign: float,
 ):
-    """(phi1, phi2, bad) along lifted directions.
+    """(phi1, phi2, bad) along the lifts of the columns of DTH.
 
     phi1 is the shared first derivative of nested, lifted and penalized
     objectives on the tangent cone.  phi2 is F'' plus ``sign`` times the
@@ -254,7 +243,7 @@ def _tangent_second_batch(
                 l1 += np.abs(row)
             phi2 += sign * bk * l1
             bad = bad | np.logical_or.reduce(bad2)
-    return first, phi2, bad, DU
+    return first, phi2, bad
 
 
 def _critical_search(
@@ -263,25 +252,23 @@ def _critical_search(
     beta: np.ndarray | None,
     sign: float,
     seed: int,
-    slack: float,
-    n_starts: int,
-    iters: int,
 ):
     """Search lifted critical directions for the most negative phi2.
 
-    Returns (crit_found, min_phi1, best), where best is a list of
-    (phi2, dtheta, bad) over critical candidates sorted ascending.
+    The pool is ``_directions(n, max(N_STARTS, 4n), seed)``, and its most
+    negative candidates are polished.  Returns (min_phi1, best), where best
+    is a list of (phi2, dtheta, bad) over critical candidates sorted
+    ascending.
     """
     n = problem.n
-    pool = _with_units(n, _sphere_points(n, max(n_starts, 4 * n), seed))
-    pool = _normalize_cols(pool)
+    pool = _directions(n, max(N_STARTS, 4 * n), seed)
 
     def eval_pool(D):
-        return _tangent_second_batch(problem, z, D, beta, sign)[:3]
+        return _tangent_second_batch(problem, z, D, beta, sign)
 
     phi1, phi2, bad = eval_pool(pool)
     min_phi1 = float(np.min(np.abs(phi1)))
-    crit = np.abs(phi1) <= slack
+    crit = np.abs(phi1) <= CRIT_SLACK
     # Polish the most promising candidates: descend phi2 while projecting out
     # the component that moves phi1 away from zero.  The candidates advance
     # in lockstep, one call for the probes of all live ones per round and one
@@ -291,7 +278,7 @@ def _critical_search(
     hI = _FD_H * np.eye(n)
     refined = [(float(phi1[i]), float(phi2[i]), pool[:, i].copy()) for i in polish]
     live = list(range(len(refined)))
-    for _ in range(max(10, iters // 16)):
+    for _ in range(max(10, SEARCH_ITERS // 16)):
         if not live:
             break
         moving, trials = [], []
@@ -300,7 +287,7 @@ def _critical_search(
             g1 = (p1 - v1) / _FD_H
             g2 = (p2 - v2) / _FD_H
             # First pull toward criticality, then slide downhill along phi2.
-            if abs(v1) > slack:
+            if abs(v1) > CRIT_SLACK:
                 ng1 = np.linalg.norm(g1)
                 if ng1 < 1e-12:
                     continue
@@ -320,7 +307,8 @@ def _critical_search(
         live = []
         for c, d2, (w1, w2, wb) in zip(moving, trials, _eval_blocks(eval_pool, trials)):
             v1, v2, _ = refined[c]
-            if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
+            worse = abs(float(w1[0])) > CRIT_SLACK or float(w2[0]) > v2 - 1e-14
+            if abs(v1) <= CRIT_SLACK and worse:
                 continue
             refined[c] = (float(w1[0]), float(w2[0]), d2)
             if not bool(wb[0]):
@@ -329,11 +317,20 @@ def _critical_search(
     best: list[tuple[float, np.ndarray, bool]] = []
     for i in np.flatnonzero(crit):
         best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
-    kept = [d for v1, _, d in refined if abs(v1) <= slack]
+    kept = [d for v1, _, d in refined if abs(v1) <= CRIT_SLACK]
     for d, (_, w2, wb) in zip(kept, _eval_blocks(eval_pool, kept)):
         best.append((float(w2[0]), d, bool(wb[0])))
     best.sort(key=lambda t: t[0])
-    return bool(best), min_phi1, best
+    return min_phi1, best
+
+
+def _no_candidates_note(min_phi1: float) -> str:
+    """The note for a search that kept no critical candidate, by the smallest |phi1| it met."""
+    return (
+        "critical cone trivial along sampled sphere"
+        if min_phi1 > CRIT_SLACK
+        else "no critical directions located by sampling"
+    )
 
 
 def check_second_order(
@@ -360,16 +357,11 @@ def check_second_order(
     if target == "penalized" and b is None:
         raise ValueError("the penalized target needs beta")
     report = StationarityReport(target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    found, min_phi1, cands = _critical_search(
-        problem, z, b, 1.0, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS
-    )
+    min_phi1, cands = _critical_search(problem, z, b, 1.0, seed)
     report.samples = len(cands)
-    if not found:
+    if not cands:
         report.verdict = STATIONARY
-        if min_phi1 > CRIT_SLACK:
-            report.notes.append("critical cone trivial along sampled sphere")
-        else:
-            report.notes.append("no critical directions located by sampling")
+        report.notes.append(_no_candidates_note(min_phi1))
         return report
     unknown_radial = unconfirmed = skipped_bad = False
     for phi2, dth, bad in cands:
@@ -433,15 +425,10 @@ def check_strong_local_min_sufficient(
         return out
     if not config.certified:
         out["notes"].append("beta not certified; critical directions may exceed the tangent cone")
-    found, min_phi1, cands = _critical_search(
-        problem, z, config.beta, -1.0, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS
-    )
-    if not found:
+    min_phi1, cands = _critical_search(problem, z, config.beta, -1.0, seed)
+    if not cands:
         out["verdict"] = "sufficient-holds"
-        note = "critical cone trivial along sampled sphere" if min_phi1 > CRIT_SLACK else (
-            "no critical directions located by sampling"
-        )
-        out["notes"].append(note)
+        out["notes"].append(_no_candidates_note(min_phi1))
         return out
     usable = [(q, d) for q, d, bad in cands if not bad]
     if not usable:
@@ -527,7 +514,7 @@ def check_box(
                 for j in range(i + 1, dim):
                     Q[i, j] = Q[j, i] = (phi[kpos] - Q[i, i] - Q[j, j]) / 2.0
                     kpos += 1
-            probes = _sphere_points(dim, 8, seed)
+            probes = _directions(dim, 8, seed)[:, :8]  # the sphere draws alone
             pv = dd_expr_batch(e, x, probes, order=2)
             quad = np.einsum("im,ij,jm->m", probes, Q, probes)
             matches = not np.any(pv.bad2) and float(
@@ -545,16 +532,13 @@ def check_box(
                 _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
                 return report
 
-    def project(D):
-        out = D.copy()
-        for i in range(dim):
-            if x[i] <= lower[i] + 1e-12:
-                out[i] = np.abs(out[i])
-            if x[i] >= upper[i] - 1e-12:
-                out[i] = -np.abs(out[i])
-        return _normalize_cols(out)
-
-    pool = project(_with_units(dim, _sphere_points(dim, 8 * max(dim, 4), seed)))
+    # Fold the pool into the tangent cone; sign flips keep the columns unit.
+    pool = _directions(dim, 8 * max(dim, 4), seed)
+    for i in range(dim):
+        if x[i] <= lower[i] + 1e-12:
+            pool[i] = np.abs(pool[i])
+        if x[i] >= upper[i] - 1e-12:
+            pool[i] = -np.abs(pool[i])
     cell = dd_expr_batch(e, x, pool, order=2)
     phi1, phi2 = cell.first, cell.second
     bad = cell.bad2

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_problem
+from mcpen import cones, model
 from mcpen import expr as ex
-from mcpen import model
 from mcpen.cones import (
     LIFT_TOL,
+    RADIAL_TAUS,
     TANGENT_TOL,
     _feasible_at,
     lift_direction,
@@ -114,7 +115,8 @@ def test_radial_requires_vanishing_curvature(square_chain):
     assert m.in_radial is False
 
 
-def test_radial_holds_on_linear_instance():
+def _linear_ray():
+    """A one-layer affine instance, a point and a lifted direction: every ray is feasible."""
     problem = CompositeProblem(
         n=2,
         layers=(
@@ -130,13 +132,11 @@ def test_radial_holds_on_linear_instance():
         lam=0.05,
     )
     z = eval_layers(problem, np.array([0.3, -0.2]))
-    d = lift_direction(problem, z, np.array([1.0, 2.0]))
-    m = radial_membership(problem, z, d)
-    assert m.in_tangent
-    assert m.in_radial is True
+    return problem, z, lift_direction(problem, z, np.array([1.0, 2.0]))
 
 
-def test_radial_unknown_when_not_decidable():
+def _quartic_ray():
+    """u_1 = theta^4 at 0 along theta: curvature vanishes, but degree 4 is not decidable."""
     quartic = CompositeProblem(
         n=1,
         layers=(LayerMap(index=1, exprs=(ex.square(ex.square(ex.theta(0))),)),),
@@ -144,12 +144,45 @@ def test_radial_unknown_when_not_decidable():
         lam=0.1,
     )
     z = eval_layers(quartic, np.array([0.0]))
-    d = lift_direction(quartic, z, np.array([1.0]))
-    # curvature vanishes at 0 for t^4, and the grid sees feasible rays,
-    # but degree 4 is outside the decidable class: answer must be guarded
-    m = radial_membership(quartic, z, d)
+    return quartic, z, lift_direction(quartic, z, np.array([1.0]))
+
+
+def test_radial_holds_on_linear_instance():
+    m = radial_membership(*_linear_ray())
+    assert m.in_tangent
+    assert m.in_radial is True
+
+
+def test_radial_unknown_when_not_decidable():
+    # degree 4 is outside the decidable class: the answer must be guarded
+    m = radial_membership(*_quartic_ray())
     assert m.in_tangent
     assert m.in_radial is None
+
+
+@pytest.mark.parametrize(
+    "answers, in_radial, notes",
+    [
+        ((True, True, True), True, []),
+        ((False, False, False), False, ["ray leaves the feasible set at every small tau probed"]),
+        ((True, True, False), None, ["tau grid did not settle; near a branch switch"]),
+    ],
+)
+def test_radial_grid_probes_only_the_taus_it_reads(monkeypatch, answers, in_radial, notes):
+    taus = []
+
+    def feasible_at(problem, z, d, tau):
+        taus.append(tau)
+        return answers[len(taus) - 1]
+
+    monkeypatch.setattr(cones, "_feasible_at", feasible_at)
+    m = radial_membership(*_linear_ray())
+    assert taus == list(RADIAL_TAUS) == [1e-6, 1e-7, 1e-8]
+    assert (m.in_radial, m.notes) == (in_radial, notes)
+    taus.clear()
+    m = radial_membership(*_quartic_ray())
+    assert (taus, m.in_radial) == ([], None)
+    assert m.notes == ["layer maps outside the decidable family; returning unknown"]
 
 
 def _pure_relu_problem():

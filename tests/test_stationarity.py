@@ -24,9 +24,7 @@ from mcpen.stationarity import (
     SEARCH_ITERS,
     STATIONARY,
     _critical_search,
-    _normalize_cols,
-    _sphere_points,
-    _with_units,
+    _directions,
     check_box,
     check_d_stationary_P0,
     check_d_stationary_P1,
@@ -73,7 +71,7 @@ def test_relu_ridge_not_stationary_with_witness(relu_ridge):
 def test_enumerate_and_sample_agree_on_verdicts(relu_ridge):
     # The exact minimum equals the enumerated pieces' minimum, and no sampled
     # direction of the l1 sphere has a smaller slope.
-    D = _sphere_points(2, 256, 0)
+    D = _directions(2, 256, 0)
     D = D / np.sum(np.abs(D), axis=0)
     verdicts = []
     for th in (np.zeros(2), np.array([-1.0, 0.0]), np.array([1.0, 0.5])):
@@ -162,8 +160,8 @@ REPORT_GOLDENS = {
     "square-chain penalized": (NOT_STATIONARY, "sample", 74, [], -0.78, -0.78),
     "relu-ridge P0": (NOT_STATIONARY, "exact", 1, [], -2.0, -2.0),
     "relu-ridge P1": (NOT_STATIONARY, "exact", 1, [], -0.5, -0.8164965809277261),
-    "relu-ridge lifted": (STATIONARY, "sample", 43, [], 0.0, None),
-    "relu-ridge penalized": (STATIONARY, "sample", 43, [], 0.0, None),
+    "relu-ridge lifted": (STATIONARY, "sample", 42, [], 0.0, None),
+    "relu-ridge penalized": (STATIONARY, "sample", 42, [], 0.0, None),
     "box-max (0, 0) order 1": (STATIONARY, "exact", 0, [], 0.0, None),
     "box-max (0, 0) order 2": (
         NOT_STATIONARY,
@@ -321,15 +319,15 @@ def test_compare_flags_second_order_verdicts_that_break_the_implication(square_c
 # The lockstep polish against the per-candidate loop it replaced
 
 
-def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, slack, n_starts, iters):
+def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed):
     """Reference oracle: the critical-direction polish, one candidate after another."""
-    n = problem.n
-    pool = _normalize_cols(_with_units(n, _sphere_points(n, max(n_starts, 4 * n), seed)))
+    n, slack = problem.n, CRIT_SLACK
+    pool = _directions(n, max(N_STARTS, 4 * n), seed)
 
     def eval_pool(D):
         return second_batch(problem, z, D, beta, sign)
 
-    phi1, phi2, bad, _ = eval_pool(pool)
+    phi1, phi2, bad = eval_pool(pool)
     min_phi1 = float(np.min(np.abs(phi1)))
     crit = np.abs(phi1) <= slack
     order_idx = np.argsort(np.where(bad, np.inf, phi2))
@@ -339,9 +337,9 @@ def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, s
     for i in polish:
         d = pool[:, i].copy()
         v1, v2 = float(phi1[i]), float(phi2[i])
-        for _ in range(max(10, iters // 16)):
+        for _ in range(max(10, SEARCH_ITERS // 16)):
             probe = d.reshape(-1, 1) + _FD_H * eye
-            p1, p2, pb, _ = eval_pool(np.hstack([probe]))
+            p1, p2, _ = eval_pool(probe)
             g1 = (p1 - v1) / _FD_H
             g2 = (p2 - v2) / _FD_H
             if abs(v1) > slack:
@@ -359,7 +357,7 @@ def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, s
                     break
                 d2 = d - 0.25 * gt / np.linalg.norm(gt)
             d2 /= np.linalg.norm(d2)
-            w1, w2, wb, _ = eval_pool(d2.reshape(-1, 1))
+            w1, w2, wb = eval_pool(d2.reshape(-1, 1))
             if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
                 break
             d, v1, v2 = d2, float(w1[0]), float(w2[0])
@@ -372,10 +370,10 @@ def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed, s
         best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
     for v1, v2, d in refined:
         if abs(v1) <= slack:
-            w1, w2, wb, _ = eval_pool(d.reshape(-1, 1))
+            w1, w2, wb = eval_pool(d.reshape(-1, 1))
             best.append((float(w2[0]), d, bool(wb[0])))
     best.sort(key=lambda t: t[0])
-    return bool(best), min_phi1, best
+    return min_phi1, best
 
 
 def _rowwise(M, D):
@@ -408,7 +406,7 @@ def _plane_quadratic(seed, n):
         phi2 = np.zeros(D.shape[1])
         for i in range(D.shape[0]):
             phi2 += D[i] * QD[i]
-        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9, None
+        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9
 
     return second_batch
 
@@ -419,13 +417,13 @@ def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, 
     monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
     second_batch = _plane_quadratic(seed, n)
     problem = SimpleNamespace(n=n)
-    args = (problem, None, None, sign, seed, CRIT_SLACK, N_STARTS, SEARCH_ITERS)
+    args = (problem, None, None, sign, seed)
     ref = _per_candidate_critical_search(second_batch, *args)
     monkeypatch.setattr(stationarity, "_tangent_second_batch", second_batch)
     got = _critical_search(*args)
-    assert got[:2] == ref[:2]
-    assert len(got[2]) == len(ref[2]) > 0
-    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[2], ref[2]):
+    assert got[0] == ref[0]
+    assert len(got[1]) == len(ref[1]) > 0
+    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[1], ref[1]):
         assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
 
 
@@ -565,6 +563,27 @@ def test_strong_minimum_check_fails_with_a_witness(square_chain):
     assert out["verdict"] == "fails"
     assert out["margin_min"] == pytest.approx(-3.18, abs=1e-12)
     np.testing.assert_allclose(out["witness"].flat(), [1.0, 1.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_strong_minimum_check_outcomes_before_the_margin(relu_ridge):
+    # The relu ridge at 0 descends at first order, so the margin is never read.
+    cfg = build_config(relu_ridge, beta=np.array([1.0, 1.0]), seed=0)
+    z = eval_layers(relu_ridge, np.zeros(2))
+    out = check_strong_local_min_sufficient(relu_ridge, z, cfg)
+    assert (out["verdict"], out["notes"]) == ("fails", ["first-order condition fails"])
+    assert (out["first_order"].verdict, out["margin_min"]) == (NOT_STATIONARY, None)
+    # |theta| at 0 has slope |d| in every direction: no critical direction, so
+    # the condition holds vacuously, and an uncertified beta is said so.
+    problem = _one_layer(ex.theta(0), ex.vabs(ex.uref(1, 0)))
+    z = eval_layers(problem, np.zeros(1))
+    cfg = build_config(problem, beta=np.array([2.0]), seed=0)
+    trivial = "critical cone trivial along sampled sphere"
+    uncertified = "beta not certified; critical directions may exceed the tangent cone"
+    for certified, notes in ((True, [trivial]), (False, [uncertified, trivial])):
+        out = check_strong_local_min_sufficient(problem, z, replace(cfg, certified=certified))
+        assert (out["verdict"], out["notes"]) == ("sufficient-holds", notes)
+        assert out["margin_min"] is None
 
 
 def test_box_sampled_critical_route():
