@@ -5,17 +5,19 @@ l1 ball with one mixed-integer program (``pieces.theta_prime_min`` and its
 siblings), and the verdict comes from HiGHS's bounds: stationary when the
 lower bound on the minimum is at least -tol, not stationary when the
 incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
-derivative calculus, and inconclusive otherwise.  Second-order checks search
-the critical directions: tangent-cone directions with vanishing first
+derivative calculus, and inconclusive otherwise.  Second-order checks start
+from the matching first-order verdict, since a second-order stationary point
+is first-order stationary: a point that fails or cannot be decided at first
+order gets that verdict.  At a first-order stationary point they search the
+critical directions: tangent-cone directions with vanishing first
 derivative, parametrized by their parameter component since tangent
-directions are exactly the lifted ones.  The search draws its pool from
-numpy's seeded Generator (normalised standard normals plus the signed unit
-vectors) and polishes the most negative candidates.
+directions are exactly the lifted ones.  The search evaluates one pool drawn
+from numpy's seeded Generator (normalised standard normals plus the signed
+unit vectors) and keeps its critical columns.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
 bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
-multi-start search and may miss structure, which is reported rather than
-hidden.
+search and may miss structure, which is reported rather than hidden.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ INCONCLUSIVE = "inconclusive"
 STAT_TOL = 1e-8
 CRIT_SLACK = 1e-8
 N_STARTS = 64
-SEARCH_ITERS = 500
-_FD_H = 1e-7
-# Columns per derivative call in the lockstep polish.  A call packs as many
-# whole forward-difference blocks as fit (at the desk RNN, n = 22: 22
-# candidates with blocks 22 columns wide, so 17 blocks per call); a block
-# wider than the cap goes alone.  Wider calls save little time and raise the
-# peak memory of a certify run.
-_MAX_COLS = 384
 _UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 
 
@@ -75,11 +69,13 @@ class StationarityReport:
     ``min_found`` is the smallest derivative found: at first order the
     minimum over the unit l1 ball that HiGHS returned, at second order the
     smallest curvature over the unit sphere.  ``samples`` counts the
-    binaries of the first-order model, and the directions evaluated at
-    second order.  ``witness_value`` re-evaluates along the l2-normalised
-    witness, so at first order it is at most ``min_found``.  A lifted
-    second-order report may read stationary with ``min_found`` below -tol
-    when the negative directions are not radial.
+    binaries of the first-order model, and the pool directions evaluated at
+    second order (none when the point already fails or is undecided at first
+    order, and then the first-order report carries the witness).
+    ``witness_value`` re-evaluates along the l2-normalised witness, so at
+    first order it is at most ``min_found``.  A lifted second-order report
+    may read stationary with ``min_found`` below -tol when the negative
+    directions are not radial.
     """
 
     target: str
@@ -106,33 +102,6 @@ def _directions(dim: int, count: int, seed: int) -> np.ndarray:
         eye = np.eye(dim)
         pool = np.hstack([pool, eye, -eye])
     return pool
-
-
-def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> list:
-    """f over each point's block of columns, in calls of whole blocks.
-
-    A point's block is the point itself, or with ``hI`` its forward-difference
-    probes ``point + hI``.  One call packs as many blocks as fit in
-    ``_MAX_COLS`` columns (at least one).  f returns a tuple of per-column
-    arrays; the result holds, per block in order, the tuple of its slices.
-    """
-    width = 1 if hI is None else hI.shape[1]
-    per_call = max(1, _MAX_COLS // width)
-    blocks = []
-    for c in range(0, len(points), per_call):
-        chunk = points[c : c + per_call]
-        D = np.empty((chunk[0].size, width * len(chunk)))
-        for j, p in enumerate(chunk):
-            cols = D[:, j * width : (j + 1) * width]
-            if hI is None:
-                cols[:, 0] = p
-            else:
-                np.add(p.reshape(-1, 1), hI, out=cols)
-        out = f(D)
-        for j in range(len(chunk)):
-            sl = slice(j * width, (j + 1) * width)
-            blocks.append(tuple(o[sl] for o in out))
-    return blocks
 
 
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
@@ -237,13 +206,15 @@ def _tangent_second_batch(
     first, phi2, bad, _ = dd_F_batch(problem, z, DTH, DU, order=2)
     if beta is not None:
         for bk, (_, _, psi2, bad2) in zip(beta, residual_slopes(problem, z, DTH, DU, order=2)):
-            # Row by row: a pairwise np.sum over the rows would round differently.
-            l1 = np.zeros(DTH.shape[1])
-            for row in psi2:
-                l1 += np.abs(row)
-            phi2 += sign * bk * l1
+            phi2 += sign * bk * np.sum(np.abs(psi2), axis=0)
             bad = bad | np.logical_or.reduce(bad2)
     return first, phi2, bad
+
+
+def _critical(pool: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, bad: np.ndarray) -> list:
+    """(phi2, direction, bad) of the pool columns with |phi1| <= CRIT_SLACK, ascending in phi2."""
+    crit = np.flatnonzero(np.abs(phi1) <= CRIT_SLACK)
+    return sorted([(float(phi2[i]), pool[:, i], bool(bad[i])) for i in crit], key=lambda t: t[0])
 
 
 def _critical_search(
@@ -252,85 +223,10 @@ def _critical_search(
     beta: np.ndarray | None,
     sign: float,
     seed: int,
-):
-    """Search lifted critical directions for the most negative phi2.
-
-    The pool is ``_directions(n, max(N_STARTS, 4n), seed)``, and its most
-    negative candidates are polished.  Returns (min_phi1, best), where best
-    is a list of (phi2, dtheta, bad) over critical candidates sorted
-    ascending.
-    """
-    n = problem.n
-    pool = _directions(n, max(N_STARTS, 4 * n), seed)
-
-    def eval_pool(D):
-        return _tangent_second_batch(problem, z, D, beta, sign)
-
-    phi1, phi2, bad = eval_pool(pool)
-    min_phi1 = float(np.min(np.abs(phi1)))
-    crit = np.abs(phi1) <= CRIT_SLACK
-    # Polish the most promising candidates: descend phi2 while projecting out
-    # the component that moves phi1 away from zero.  The candidates advance
-    # in lockstep, one call for the probes of all live ones per round and one
-    # for their trial points.
-    order_idx = np.argsort(np.where(bad, np.inf, phi2))
-    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
-    hI = _FD_H * np.eye(n)
-    refined = [(float(phi1[i]), float(phi2[i]), pool[:, i].copy()) for i in polish]
-    live = list(range(len(refined)))
-    for _ in range(max(10, SEARCH_ITERS // 16)):
-        if not live:
-            break
-        moving, trials = [], []
-        for c, (p1, p2, _) in zip(live, _eval_blocks(eval_pool, [refined[c][2] for c in live], hI)):
-            v1, v2, d = refined[c]
-            g1 = (p1 - v1) / _FD_H
-            g2 = (p2 - v2) / _FD_H
-            # First pull toward criticality, then slide downhill along phi2.
-            if abs(v1) > CRIT_SLACK:
-                ng1 = np.linalg.norm(g1)
-                if ng1 < 1e-12:
-                    continue
-                d2 = d - (v1 / ng1**2) * g1
-            else:
-                gt = g2 - float(g2 @ d) * d
-                n1 = np.linalg.norm(g1)
-                if n1 > 1e-12:
-                    gh = g1 / n1
-                    gt = gt - float(gt @ gh) * gh
-                if np.linalg.norm(gt) < 1e-12:
-                    continue
-                d2 = d - 0.25 * gt / np.linalg.norm(gt)
-            d2 /= np.linalg.norm(d2)
-            moving.append(c)
-            trials.append(d2)
-        live = []
-        for c, d2, (w1, w2, wb) in zip(moving, trials, _eval_blocks(eval_pool, trials)):
-            v1, v2, _ = refined[c]
-            worse = abs(float(w1[0])) > CRIT_SLACK or float(w2[0]) > v2 - 1e-14
-            if abs(v1) <= CRIT_SLACK and worse:
-                continue
-            refined[c] = (float(w1[0]), float(w2[0]), d2)
-            if not bool(wb[0]):
-                live.append(c)
-    min_phi1 = min([min_phi1] + [abs(v1) for v1, _, _ in refined])
-    best: list[tuple[float, np.ndarray, bool]] = []
-    for i in np.flatnonzero(crit):
-        best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
-    kept = [d for v1, _, d in refined if abs(v1) <= CRIT_SLACK]
-    for d, (_, w2, wb) in zip(kept, _eval_blocks(eval_pool, kept)):
-        best.append((float(w2[0]), d, bool(wb[0])))
-    best.sort(key=lambda t: t[0])
-    return min_phi1, best
-
-
-def _no_candidates_note(min_phi1: float) -> str:
-    """The note for a search that kept no critical candidate, by the smallest |phi1| it met."""
-    return (
-        "critical cone trivial along sampled sphere"
-        if min_phi1 > CRIT_SLACK
-        else "no critical directions located by sampling"
-    )
+) -> tuple[int, list]:
+    """Width of the pool ``_directions(n, max(N_STARTS, 4n), seed)`` and its critical columns."""
+    pool = _directions(problem.n, max(N_STARTS, 4 * problem.n), seed)
+    return pool.shape[1], _critical(pool, *_tangent_second_batch(problem, z, pool, beta, sign))
 
 
 def check_second_order(
@@ -341,8 +237,11 @@ def check_second_order(
     seed: int = 0,
     tol: float = STAT_TOL,
 ) -> StationarityReport:
-    """Second-order directional stationarity at a first-order point.
+    """Second-order directional stationarity.
 
+    First runs the matching exact first-order check, P0 for
+    ``target='lifted'`` and P1 for ``target='penalized'``; a point that fails
+    it, or that it cannot decide, gets that verdict.  At a first-order point,
     ``target='penalized'`` tests the penalized second derivative over the
     critical directions, which under certified beta are the tangent
     directions with vanishing first derivative.  ``target='lifted'`` tests
@@ -353,16 +252,38 @@ def check_second_order(
     if target not in ("penalized", "lifted"):
         raise ValueError("target must be 'penalized' or 'lifted'")
     require_feasible(problem, z)
-    b = check_beta(problem, beta) if target == "penalized" else None
-    if target == "penalized" and b is None:
+    if target == "lifted":
+        return _second_order(problem, z, check_d_stationary_P0(problem, z, tol), None, seed)
+    b = check_beta(problem, beta)
+    if b is None:
         raise ValueError("the penalized target needs beta")
-    report = StationarityReport(target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
-    min_phi1, cands = _critical_search(problem, z, b, 1.0, seed)
-    report.samples = len(cands)
-    if not cands:
-        report.verdict = STATIONARY
-        report.notes.append(_no_candidates_note(min_phi1))
+    return _second_order(problem, z, check_d_stationary_P1(problem, z, b, tol), b, seed)
+
+
+def _second_order(
+    problem: CompositeProblem,
+    z: Point,
+    first: StationarityReport,
+    beta: np.ndarray | None,
+    seed: int,
+) -> StationarityReport:
+    """``check_second_order`` at a feasible z from its first-order report; beta None is lifted.
+
+    A point that is not first-order stationary gets first's verdict, mode
+    ``exact`` and no witness: the first-order report carries it.
+    """
+    tol = first.tol
+    report = StationarityReport(first.target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
+    if first.verdict != STATIONARY:
+        report.verdict, report.mode = first.verdict, "exact"
+        fails = first.verdict == NOT_STATIONARY
+        report.notes.append(
+            "already fails at first order" if fails else "first-order check inconclusive"
+        )
         return report
+    report.samples, cands = _critical_search(problem, z, beta, 1.0, seed)
+    if not cands:
+        report.notes.append("no critical directions located by sampling")
     unknown_radial = unconfirmed = skipped_bad = False
     for phi2, dth, bad in cands:
         if bad:
@@ -372,7 +293,7 @@ def check_second_order(
         if phi2 >= -tol:
             break
         d = lift_direction(problem, z, dth)
-        if target == "lifted":
+        if beta is None:
             membership = radial_membership(problem, z, d)
             if membership.in_radial is False:
                 continue
@@ -381,7 +302,7 @@ def check_second_order(
                 continue
             confirmed = dd_F(problem, z, d, order=2).second
         else:
-            confirmed = dd_Theta(problem, z, d, b, order=2).second
+            confirmed = dd_Theta(problem, z, d, beta, order=2).second
         if _refute(report, d, confirmed):
             return report
         unconfirmed = True
@@ -425,16 +346,16 @@ def check_strong_local_min_sufficient(
         return out
     if not config.certified:
         out["notes"].append("beta not certified; critical directions may exceed the tangent cone")
-    min_phi1, cands = _critical_search(problem, z, config.beta, -1.0, seed)
+    _, cands = _critical_search(problem, z, config.beta, -1.0, seed)
     if not cands:
         out["verdict"] = "sufficient-holds"
-        out["notes"].append(_no_candidates_note(min_phi1))
+        out["notes"].append("no critical directions located by sampling")
         return out
     usable = [(q, d) for q, d, bad in cands if not bad]
     if not usable:
         out["notes"].append("second derivatives unsupported on all critical candidates")
         return out
-    qmin, dmin = min(usable, key=lambda t: t[0])
+    qmin, dmin = usable[0]
     out["margin_min"] = float(qmin)
     if qmin <= 0.0:
         out["verdict"] = "fails"
@@ -540,20 +461,15 @@ def check_box(
         if x[i] >= upper[i] - 1e-12:
             pool[i] = -np.abs(pool[i])
     cell = dd_expr_batch(e, x, pool, order=2)
-    phi1, phi2 = cell.first, cell.second
-    bad = cell.bad2
-    crit = (np.abs(phi1) <= CRIT_SLACK) & ~bad
-    report.mode = "sample"
-    report.samples = pool.shape[1]
-    if not np.any(crit):
+    cands = [(q, d) for q, d, bad in _critical(pool, cell.first, cell.second, cell.bad2) if not bad]
+    report.mode, report.samples = "sample", pool.shape[1]
+    if not cands:
         report.verdict = STATIONARY
         report.notes.append("no critical directions located by sampling")
         return report
-    idx = np.flatnonzero(crit)
-    jmin = idx[np.argmin(phi2[idx])]
-    report.min_found = float(phi2[jmin])
+    report.min_found, dmin = cands[0]
     if report.min_found < -tol:
-        _refute(report, pool[:, jmin], dd_expr(e, x, pool[:, jmin], order=2).second)
+        _refute(report, dmin, dd_expr(e, x, dmin, order=2).second)
         return report
     report.verdict = STATIONARY
     return report
@@ -586,8 +502,8 @@ def compare_sets_on_point(
     d0 = sd0 = sd1 = None
     if res.feasible:
         d0 = check_d_stationary_P0(problem, z)
-        sd1 = check_second_order(problem, z, "penalized", config.beta, seed=seed)
-        sd0 = check_second_order(problem, z, "lifted", seed=seed)
+        sd1 = _second_order(problem, z, d1, config.beta, seed)
+        sd0 = _second_order(problem, z, d0, None, seed)
     inconsistencies: list[str] = []
     guarded = in_level and config.certified
     if guarded and d1.verdict == STATIONARY and not res.feasible:

@@ -13,6 +13,7 @@ from mcpen.cli import main
 from mcpen.dcalc import Direction
 from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.repro import square_chain_problem
+from mcpen.rnn import build_problem, desk_instance
 from mcpen.serialize import (
     dumps,
     point_to_dict,
@@ -207,6 +208,19 @@ def test_check_exit_codes(capsys, files):
     assert code == 3
     code, _ = _run(capsys, argv + ["--expect", "not-stationary"])
     assert code == 0
+
+
+def test_second_order_check_at_a_first_order_descent_exits_3(capsys, tmp_path):
+    # The desk lift descends at first order, so it is not second-order stationary.
+    problem = build_problem(desk_instance(0))
+    prob, point = tmp_path / "desk.json", tmp_path / "lift.json"
+    save_problem(prob, problem)
+    save_point(point, eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n)))
+    argv = ["check", "--problem", str(prob), "--point", str(point), "--target", "p0", "--order", "2"]
+    code, out = _run(capsys, argv + ["--expect", "stationary"])
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert (report["verdict"], report["notes"]) == ("not-stationary", ["already fails at first order"])
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")

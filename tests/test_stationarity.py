@@ -1,14 +1,14 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import random_problem
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
-from mcpen.dcalc import dd_Psi_batch, dd_Theta, direction_from_flat
+from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
 from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.penalty import build_config
 from mcpen.pieces import minimize_pieces, psi_prime_pieces
@@ -16,14 +16,9 @@ from mcpen.repro import lift_descent_instance
 from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from mcpen.stationarity import (
-    _FD_H,
-    CRIT_SLACK,
     INCONCLUSIVE,
-    N_STARTS,
     NOT_STATIONARY,
-    SEARCH_ITERS,
     STATIONARY,
-    _critical_search,
     _directions,
     check_box,
     check_d_stationary_P0,
@@ -151,17 +146,19 @@ def test_box_interior_descent_detected():
     assert r.witness_value < 0
 
 
+FAILS_FIRST = "already fails at first order"
+
 # (verdict, mode, samples, notes, min_found, witness_value) of each report on
 # the canonical instances.  Code that only removes duplication must keep them.
 REPORT_GOLDENS = {
     "square-chain P0": (STATIONARY, "exact", 0, [], 0.0, None),
     "square-chain P1": (STATIONARY, "exact", 0, [], 0.0, None),
-    "square-chain lifted": (STATIONARY, "sample", 74, [], -1.98, None),
-    "square-chain penalized": (NOT_STATIONARY, "sample", 74, [], -0.78, -0.78),
+    "square-chain lifted": (STATIONARY, "sample", 66, [], -1.98, None),
+    "square-chain penalized": (NOT_STATIONARY, "sample", 66, [], -0.78, -0.78),
     "relu-ridge P0": (NOT_STATIONARY, "exact", 1, [], -2.0, -2.0),
     "relu-ridge P1": (NOT_STATIONARY, "exact", 1, [], -0.5, -0.8164965809277261),
-    "relu-ridge lifted": (STATIONARY, "sample", 42, [], 0.0, None),
-    "relu-ridge penalized": (STATIONARY, "sample", 42, [], 0.0, None),
+    "relu-ridge lifted": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
+    "relu-ridge penalized": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
     "box-max (0, 0) order 1": (STATIONARY, "exact", 0, [], 0.0, None),
     "box-max (0, 0) order 2": (
         NOT_STATIONARY,
@@ -191,8 +188,8 @@ REPORT_GOLDENS = {
     ),
     "desk P0": (NOT_STATIONARY, "exact", 0, [], -0.08200868707101515, -0.08200868707101515),
     "desk P1": (NOT_STATIONARY, "exact", 0, [], -0.03563259928981619, -0.04728392701097101),
-    "desk lifted": (STATIONARY, "sample", 22, [], 0.0, None),
-    "desk penalized": (STATIONARY, "sample", 22, [], 0.0, None),
+    "desk lifted": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
+    "desk penalized": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
 }
 
 
@@ -302,129 +299,17 @@ def test_compare_flags_first_order_verdicts_that_differ(square_chain):
 def test_compare_flags_second_order_verdicts_that_break_the_implication(square_chain, monkeypatch):
     # At the square chain's origin the lifted target holds and the penalized
     # one fails; the forged checks swap the two verdicts.
-    real = stationarity.check_second_order
+    real = stationarity._second_order
 
-    def forged(problem, z, target, *args, **kwargs):
-        rep = real(problem, z, target, *args, **kwargs)
-        rep.verdict = NOT_STATIONARY if target == "lifted" else STATIONARY
+    def forged(problem, z, first, *args):
+        rep = real(problem, z, first, *args)
+        rep.verdict = NOT_STATIONARY if first.target == "lifted" else STATIONARY
         return rep
 
-    monkeypatch.setattr(stationarity, "check_second_order", forged)
+    monkeypatch.setattr(stationarity, "_second_order", forged)
     cfg = build_config(square_chain, beta=BETA_SC, seed=0)
     out = compare_sets_on_point(square_chain, eval_layers(square_chain, np.zeros(1)), cfg, seed=0)
     assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
-
-
-# ---------------------------------------------------------------------------
-# The lockstep polish against the per-candidate loop it replaced
-
-
-def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed):
-    """Reference oracle: the critical-direction polish, one candidate after another."""
-    n, slack = problem.n, CRIT_SLACK
-    pool = _directions(n, max(N_STARTS, 4 * n), seed)
-
-    def eval_pool(D):
-        return second_batch(problem, z, D, beta, sign)
-
-    phi1, phi2, bad = eval_pool(pool)
-    min_phi1 = float(np.min(np.abs(phi1)))
-    crit = np.abs(phi1) <= slack
-    order_idx = np.argsort(np.where(bad, np.inf, phi2))
-    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
-    eye = np.eye(n)
-    refined = []
-    for i in polish:
-        d = pool[:, i].copy()
-        v1, v2 = float(phi1[i]), float(phi2[i])
-        for _ in range(max(10, SEARCH_ITERS // 16)):
-            probe = d.reshape(-1, 1) + _FD_H * eye
-            p1, p2, _ = eval_pool(probe)
-            g1 = (p1 - v1) / _FD_H
-            g2 = (p2 - v2) / _FD_H
-            if abs(v1) > slack:
-                ng1 = np.linalg.norm(g1)
-                if ng1 < 1e-12:
-                    break
-                d2 = d - (v1 / ng1**2) * g1
-            else:
-                gt = g2 - float(g2 @ d) * d
-                n1 = np.linalg.norm(g1)
-                if n1 > 1e-12:
-                    gh = g1 / n1
-                    gt = gt - float(gt @ gh) * gh
-                if np.linalg.norm(gt) < 1e-12:
-                    break
-                d2 = d - 0.25 * gt / np.linalg.norm(gt)
-            d2 /= np.linalg.norm(d2)
-            w1, w2, wb = eval_pool(d2.reshape(-1, 1))
-            if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
-                break
-            d, v1, v2 = d2, float(w1[0]), float(w2[0])
-            if bool(wb[0]):
-                break
-        refined.append((v1, v2, d))
-        min_phi1 = min(min_phi1, abs(v1))
-    best = []
-    for i in np.flatnonzero(crit):
-        best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
-    for v1, v2, d in refined:
-        if abs(v1) <= slack:
-            w1, w2, wb = eval_pool(d.reshape(-1, 1))
-            best.append((float(w2[0]), d, bool(wb[0])))
-    best.sort(key=lambda t: t[0])
-    return min_phi1, best
-
-
-def _rowwise(M, D):
-    """M @ D summed one row of D at a time: each column rounds as it would alone."""
-    out = np.zeros((M.shape[0], D.shape[1]))
-    for i in range(D.shape[0]):
-        out += np.outer(M[:, i], D[i])
-    return out
-
-
-# The column cap as shipped, and one that splits every call (a block wider
-# than the cap goes alone).
-CAPS = [stationarity._MAX_COLS, 7]
-
-
-def _plane_quadratic(seed, n):
-    """A test-local stand-in for the tangent second-derivative batch.
-
-    phi1 = a . d and phi2 = d' Q d with Q indefinite, both summed row by row
-    so that each column rounds as it would alone; columns with d_0 > 0.9
-    are flagged as unsupported.
-    """
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((1, n))
-    S = rng.standard_normal((n, n))
-    Q = S + S.T
-
-    def second_batch(problem, z, D, beta, sign):
-        QD = _rowwise(Q, D)
-        phi2 = np.zeros(D.shape[1])
-        for i in range(D.shape[0]):
-            phi2 += D[i] * QD[i]
-        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9
-
-    return second_batch
-
-
-@pytest.mark.parametrize("cap", CAPS)
-@pytest.mark.parametrize("seed, n, sign", [(0, 3, 1.0), (1, 5, 1.0), (2, 9, -1.0)])
-def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, cap):
-    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
-    second_batch = _plane_quadratic(seed, n)
-    problem = SimpleNamespace(n=n)
-    args = (problem, None, None, sign, seed)
-    ref = _per_candidate_critical_search(second_batch, *args)
-    monkeypatch.setattr(stationarity, "_tangent_second_batch", second_batch)
-    got = _critical_search(*args)
-    assert got[0] == ref[0]
-    assert len(got[1]) == len(ref[1]) > 0
-    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[1], ref[1]):
-        assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
 
 
 def test_p1_sampling_finds_the_lifted_descent_p0_finds():
@@ -474,18 +359,66 @@ def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_pro
     z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
     monkeypatch.setattr(pieces, "MILP_TIME_LIMIT", 0.0)
     note = "HiGHS bounds the minimum only to [-inf, 0.000e+00] within its 0 s time limit"
-    for r in (
-        check_d_stationary_P0(rnn_problem, z),
-        check_d_stationary_P1(rnn_problem, z, rnn_penalty_config(rnn_spec).beta),
-    ):
+    beta = rnn_penalty_config(rnn_spec).beta
+    for r in (check_d_stationary_P0(rnn_problem, z), check_d_stationary_P1(rnn_problem, z, beta)):
         assert (r.verdict, r.mode, r.min_found, r.witness) == (INCONCLUSIVE, "exact", 0.0, None)
         assert r.notes == [note]
+    # An undecided first order leaves second order undecided.
+    for target in ("lifted", "penalized"):
+        r = check_second_order(rnn_problem, z, target, beta)
+        assert (r.verdict, r.mode, r.samples, r.witness) == (INCONCLUSIVE, "exact", 0, None)
+        assert r.notes == ["first-order check inconclusive"]
+
+
+@pytest.mark.parametrize(
+    "spec", [desk_instance(0), lift_descent_instance()], ids=["desk", "lift-descent"]
+)
+def test_second_order_fails_where_first_order_has_a_witness(spec):
+    # Both lifts of 0.1 N(0, I) descend at first order (P0 witnesses -0.082
+    # and -0.0428), so neither is second-order stationary.  The first-order
+    # report carries the witness; the second-order one points to it.
+    problem, beta = build_problem(spec), rnn_penalty_config(spec).beta
+    z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
+    assert check_d_stationary_P0(problem, z).witness_value < 0.0
+    for target in ("lifted", "penalized"):
+        r = check_second_order(problem, z, target, beta)
+        assert (r.verdict, r.mode, r.samples, r.min_found) == (NOT_STATIONARY, "exact", 0, 0.0)
+        assert (r.witness, r.witness_value, r.notes) == (None, None, [FAILS_FIRST])
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_second_order_implies_first_order_on_random_problems():
+    # A second-order stationary point is first-order stationary, and every
+    # second-order witness has negative curvature along itself.
+    for seed in range(60):
+        problem = random_problem(seed)
+        beta = np.full(problem.L, 0.7)
+        for th in (np.zeros(problem.n), 0.5 * np.random.default_rng(seed).standard_normal(problem.n)):
+            z = eval_layers(problem, th)
+            pairs = [
+                (check_d_stationary_P0(problem, z), check_second_order(problem, z, "lifted")),
+                (
+                    check_d_stationary_P1(problem, z, beta),
+                    check_second_order(problem, z, "penalized", beta),
+                ),
+            ]
+            for first, second in pairs:
+                if first.verdict == NOT_STATIONARY:
+                    assert second.verdict == NOT_STATIONARY, (seed, second.target)
+                if second.witness is None:
+                    continue
+                if second.target == "lifted":
+                    curv = dd_F(problem, z, second.witness, order=2).second
+                else:
+                    curv = dd_Theta(problem, z, second.witness, beta, order=2).second
+                assert curv < -second.tol / 2.0, (seed, second.target)
 
 
 # ---------------------------------------------------------------------------
 # Witnesses that do not re-evaluate, and verdict branches of the small instances
 
 UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
+NO_CRITICAL = "no critical directions located by sampling"
 
 
 def _one_layer(u1, g):
@@ -553,7 +486,7 @@ def test_second_order_without_critical_directions():
     z = eval_layers(problem, np.zeros(1))
     for target in ("lifted", "penalized"):
         r = check_second_order(problem, z, target, beta=[1.0], seed=0)
-        assert (r.verdict, r.notes) == (STATIONARY, ["critical cone trivial along sampled sphere"])
+        assert (r.verdict, r.notes) == (STATIONARY, [NO_CRITICAL])
 
 
 def test_strong_minimum_check_fails_with_a_witness(square_chain):
@@ -578,9 +511,8 @@ def test_strong_minimum_check_outcomes_before_the_margin(relu_ridge):
     problem = _one_layer(ex.theta(0), ex.vabs(ex.uref(1, 0)))
     z = eval_layers(problem, np.zeros(1))
     cfg = build_config(problem, beta=np.array([2.0]), seed=0)
-    trivial = "critical cone trivial along sampled sphere"
     uncertified = "beta not certified; critical directions may exceed the tangent cone"
-    for certified, notes in ((True, [trivial]), (False, [uncertified, trivial])):
+    for certified, notes in ((True, [NO_CRITICAL]), (False, [uncertified, NO_CRITICAL])):
         out = check_strong_local_min_sufficient(problem, z, replace(cfg, certified=certified))
         assert (out["verdict"], out["notes"]) == ("sufficient-holds", notes)
         assert out["margin_min"] is None
