@@ -11,9 +11,11 @@ is first-order stationary: a point that fails or cannot be decided at first
 order gets that verdict.  At a first-order stationary point they search the
 critical directions: tangent-cone directions with vanishing first
 derivative, parametrized by their parameter component since tangent
-directions are exactly the lifted ones.  The search evaluates one pool drawn
-from numpy's seeded Generator (normalised standard normals plus the signed
-unit vectors) and keeps its critical columns.
+directions are exactly the lifted ones.  The search draws its pool from
+numpy's seeded Generator (normalised standard normals plus the signed unit
+vectors), keeps its critical columns, and polishes its most negative
+columns onto the critical set: a critical set of lower dimension holds no
+pool column at all.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
 bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
@@ -59,6 +61,14 @@ INCONCLUSIVE = "inconclusive"
 STAT_TOL = 1e-8
 CRIT_SLACK = 1e-8
 N_STARTS = 64
+SEARCH_ITERS = 500
+_FD_H = 1e-7
+# Columns per derivative call in the lockstep polish.  A call packs as many
+# whole forward-difference blocks as fit (at the desk RNN, n = 22: 22
+# candidates with blocks 22 columns wide, so 17 blocks per call); a block
+# wider than the cap goes alone.  Wider calls save little time and raise the
+# peak memory of a certify run.
+_MAX_COLS = 384
 _UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 
 
@@ -70,8 +80,10 @@ class StationarityReport:
     minimum over the unit l1 ball that HiGHS returned, at second order the
     smallest curvature over the unit sphere.  ``samples`` counts the
     binaries of the first-order model, and the pool directions evaluated at
-    second order (none when the point already fails or is undecided at first
-    order, and then the first-order report carries the witness).
+    second order, polished ones not counted (none when the point already
+    fails or is undecided at first order; the first-order report then
+    carries the witness and the minimum, and ``min_found`` 0.0 is no
+    curvature).
     ``witness_value`` re-evaluates along the l2-normalised witness, so at
     first order it is at most ``min_found``.  A lifted second-order report
     may read stationary with ``min_found`` below -tol when the negative
@@ -102,6 +114,33 @@ def _directions(dim: int, count: int, seed: int) -> np.ndarray:
         eye = np.eye(dim)
         pool = np.hstack([pool, eye, -eye])
     return pool
+
+
+def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> list:
+    """f over each point's block of columns, in calls of whole blocks.
+
+    A point's block is the point itself, or with ``hI`` its forward-difference
+    probes ``point + hI``.  One call packs as many blocks as fit in
+    ``_MAX_COLS`` columns (at least one).  f returns a tuple of per-column
+    arrays; the result holds, per block in order, the tuple of its slices.
+    """
+    width = 1 if hI is None else hI.shape[1]
+    per_call = max(1, _MAX_COLS // width)
+    blocks = []
+    for c in range(0, len(points), per_call):
+        chunk = points[c : c + per_call]
+        D = np.empty((chunk[0].size, width * len(chunk)))
+        for j, p in enumerate(chunk):
+            cols = D[:, j * width : (j + 1) * width]
+            if hI is None:
+                cols[:, 0] = p
+            else:
+                np.add(p.reshape(-1, 1), hI, out=cols)
+        out = f(D)
+        for j in range(len(chunk)):
+            sl = slice(j * width, (j + 1) * width)
+            blocks.append(tuple(o[sl] for o in out))
+    return blocks
 
 
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
@@ -224,9 +263,71 @@ def _critical_search(
     sign: float,
     seed: int,
 ) -> tuple[int, list]:
-    """Width of the pool ``_directions(n, max(N_STARTS, 4n), seed)`` and its critical columns."""
-    pool = _directions(problem.n, max(N_STARTS, 4 * problem.n), seed)
-    return pool.shape[1], _critical(pool, *_tangent_second_batch(problem, z, pool, beta, sign))
+    """Search lifted critical directions for the most negative phi2.
+
+    The pool is ``_directions(n, max(N_STARTS, 4n), seed)``, and its most
+    negative columns, critical or not, are polished onto the critical set
+    and down phi2 there.  Returns the pool's width and a list of (phi2,
+    dtheta, bad) over the critical pool columns and polished candidates,
+    ascending in phi2.
+    """
+    n = problem.n
+    pool = _directions(n, max(N_STARTS, 4 * n), seed)
+
+    def eval_pool(D):
+        return _tangent_second_batch(problem, z, D, beta, sign)
+
+    phi1, phi2, bad = eval_pool(pool)
+    # Polish the most promising candidates: descend phi2 while projecting out
+    # the component that moves phi1 away from zero.  The candidates advance
+    # in lockstep, one call for the probes of all live ones per round and one
+    # for their trial points.
+    order_idx = np.argsort(np.where(bad, np.inf, phi2))
+    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
+    hI = _FD_H * np.eye(n)
+    refined = [(float(phi1[i]), float(phi2[i]), pool[:, i].copy()) for i in polish]
+    live = list(range(len(refined)))
+    for _ in range(max(10, SEARCH_ITERS // 16)):
+        if not live:
+            break
+        moving, trials = [], []
+        for c, (p1, p2, _) in zip(live, _eval_blocks(eval_pool, [refined[c][2] for c in live], hI)):
+            v1, v2, d = refined[c]
+            g1 = (p1 - v1) / _FD_H
+            g2 = (p2 - v2) / _FD_H
+            # First pull toward criticality, then slide downhill along phi2.
+            if abs(v1) > CRIT_SLACK:
+                ng1 = np.linalg.norm(g1)
+                if ng1 < 1e-12:
+                    continue
+                d2 = d - (v1 / ng1**2) * g1
+            else:
+                gt = g2 - float(g2 @ d) * d
+                n1 = np.linalg.norm(g1)
+                if n1 > 1e-12:
+                    gh = g1 / n1
+                    gt = gt - float(gt @ gh) * gh
+                if np.linalg.norm(gt) < 1e-12:
+                    continue
+                d2 = d - 0.25 * gt / np.linalg.norm(gt)
+            d2 /= np.linalg.norm(d2)
+            moving.append(c)
+            trials.append(d2)
+        live = []
+        for c, d2, (w1, w2, wb) in zip(moving, trials, _eval_blocks(eval_pool, trials)):
+            v1, v2, _ = refined[c]
+            worse = abs(float(w1[0])) > CRIT_SLACK or float(w2[0]) > v2 - 1e-14
+            if abs(v1) <= CRIT_SLACK and worse:
+                continue
+            refined[c] = (float(w1[0]), float(w2[0]), d2)
+            if not bool(wb[0]):
+                live.append(c)
+    best = _critical(pool, phi1, phi2, bad)
+    kept = [d for v1, _, d in refined if abs(v1) <= CRIT_SLACK]
+    for d, (_, w2, wb) in zip(kept, _eval_blocks(eval_pool, kept)):
+        best.append((float(w2[0]), d, bool(wb[0])))
+    best.sort(key=lambda t: t[0])
+    return pool.shape[1], best
 
 
 def check_second_order(
@@ -270,7 +371,8 @@ def _second_order(
     """``check_second_order`` at a feasible z from its first-order report; beta None is lifted.
 
     A point that is not first-order stationary gets first's verdict, mode
-    ``exact`` and no witness: the first-order report carries it.
+    ``exact``, ``min_found`` 0.0 and no witness: the first-order report
+    carries the witness and the minimum.
     """
     tol = first.tol
     report = StationarityReport(first.target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)

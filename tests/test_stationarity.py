@@ -1,6 +1,7 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,14 @@ from mcpen.repro import lift_descent_instance
 from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from mcpen.stationarity import (
+    _FD_H,
+    CRIT_SLACK,
     INCONCLUSIVE,
+    N_STARTS,
     NOT_STATIONARY,
+    SEARCH_ITERS,
     STATIONARY,
+    _critical_search,
     _directions,
     check_box,
     check_d_stationary_P0,
@@ -312,6 +318,116 @@ def test_compare_flags_second_order_verdicts_that_break_the_implication(square_c
     assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
 
 
+# ---------------------------------------------------------------------------
+# The lockstep polish against the per-candidate loop it replaced
+
+
+def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed):
+    """Reference oracle: the critical-direction polish, one candidate after another."""
+    n, slack = problem.n, CRIT_SLACK
+    pool = _directions(n, max(N_STARTS, 4 * n), seed)
+
+    def eval_pool(D):
+        return second_batch(problem, z, D, beta, sign)
+
+    phi1, phi2, bad = eval_pool(pool)
+    crit = np.abs(phi1) <= slack
+    order_idx = np.argsort(np.where(bad, np.inf, phi2))
+    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
+    eye = np.eye(n)
+    refined = []
+    for i in polish:
+        d = pool[:, i].copy()
+        v1, v2 = float(phi1[i]), float(phi2[i])
+        for _ in range(max(10, SEARCH_ITERS // 16)):
+            probe = d.reshape(-1, 1) + _FD_H * eye
+            p1, p2, _ = eval_pool(probe)
+            g1 = (p1 - v1) / _FD_H
+            g2 = (p2 - v2) / _FD_H
+            if abs(v1) > slack:
+                ng1 = np.linalg.norm(g1)
+                if ng1 < 1e-12:
+                    break
+                d2 = d - (v1 / ng1**2) * g1
+            else:
+                gt = g2 - float(g2 @ d) * d
+                n1 = np.linalg.norm(g1)
+                if n1 > 1e-12:
+                    gh = g1 / n1
+                    gt = gt - float(gt @ gh) * gh
+                if np.linalg.norm(gt) < 1e-12:
+                    break
+                d2 = d - 0.25 * gt / np.linalg.norm(gt)
+            d2 /= np.linalg.norm(d2)
+            w1, w2, wb = eval_pool(d2.reshape(-1, 1))
+            if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
+                break
+            d, v1, v2 = d2, float(w1[0]), float(w2[0])
+            if bool(wb[0]):
+                break
+        refined.append((v1, v2, d))
+    best = []
+    for i in np.flatnonzero(crit):
+        best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
+    for v1, v2, d in refined:
+        if abs(v1) <= slack:
+            w1, w2, wb = eval_pool(d.reshape(-1, 1))
+            best.append((float(w2[0]), d, bool(wb[0])))
+    best.sort(key=lambda t: t[0])
+    return pool.shape[1], best
+
+
+def _rowwise(M, D):
+    """M @ D summed one row of D at a time: each column rounds as it would alone."""
+    out = np.zeros((M.shape[0], D.shape[1]))
+    for i in range(D.shape[0]):
+        out += np.outer(M[:, i], D[i])
+    return out
+
+
+# The column cap as shipped, and one that splits every call (a block wider
+# than the cap goes alone).
+CAPS = [stationarity._MAX_COLS, 7]
+
+
+def _plane_quadratic(seed, n):
+    """A test-local stand-in for the tangent second-derivative batch.
+
+    phi1 = a . d and phi2 = d' Q d with Q indefinite, both summed row by row
+    so that each column rounds as it would alone; columns with d_0 > 0.9
+    are flagged as unsupported.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((1, n))
+    S = rng.standard_normal((n, n))
+    Q = S + S.T
+
+    def second_batch(problem, z, D, beta, sign):
+        QD = _rowwise(Q, D)
+        phi2 = np.zeros(D.shape[1])
+        for i in range(D.shape[0]):
+            phi2 += D[i] * QD[i]
+        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9
+
+    return second_batch
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("seed, n, sign", [(0, 3, 1.0), (1, 5, 1.0), (2, 9, -1.0)])
+def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, cap):
+    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
+    second_batch = _plane_quadratic(seed, n)
+    problem = SimpleNamespace(n=n)
+    args = (problem, None, None, sign, seed)
+    ref = _per_candidate_critical_search(second_batch, *args)
+    monkeypatch.setattr(stationarity, "_tangent_second_batch", second_batch)
+    got = _critical_search(*args)
+    assert got[0] == ref[0]
+    assert len(got[1]) == len(ref[1]) > 0
+    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[1], ref[1]):
+        assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
+
+
 def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
     # with certified closed-form beta.  Its P1 pieces number 2^60, and
@@ -393,7 +509,8 @@ def test_second_order_implies_first_order_on_random_problems():
     for seed in range(60):
         problem = random_problem(seed)
         beta = np.full(problem.L, 0.7)
-        for th in (np.zeros(problem.n), 0.5 * np.random.default_rng(seed).standard_normal(problem.n)):
+        shifted = 0.5 * np.random.default_rng(seed).standard_normal(problem.n)
+        for th in (np.zeros(problem.n), shifted):
             z = eval_layers(problem, th)
             pairs = [
                 (check_d_stationary_P0(problem, z), check_second_order(problem, z, "lifted")),
@@ -487,6 +604,29 @@ def test_second_order_without_critical_directions():
     for target in ("lifted", "penalized"):
         r = check_second_order(problem, z, target, beta=[1.0], seed=0)
         assert (r.verdict, r.notes) == (STATIONARY, [NO_CRITICAL])
+
+
+def test_second_order_polish_reaches_a_critical_line_the_pool_misses():
+    # g = |u0 - u1| - (u0 + u1)^2 with u = theta, at 0: phi1 = |d0 - d1|, so
+    # the point is first-order stationary and the critical directions are
+    # the line d0 = d1, which no pool column hits.  Along it the curvature
+    # is -4 + 2 lam = -3.8; only the polish onto the line finds it.
+    u0, u1 = ex.uref(1, 0), ex.uref(1, 1)
+    g = ex.sub(ex.vabs(ex.sub(u0, u1)), ex.square(ex.add(u0, u1)))
+    problem = CompositeProblem(2, (LayerMap(1, (ex.theta(0), ex.theta(1))),), g, lam=0.1)
+    z = eval_layers(problem, np.zeros(2))
+    beta = np.array([1.0])
+    assert check_d_stationary_P0(problem, z).verdict == STATIONARY
+    assert check_d_stationary_P1(problem, z, beta).verdict == STATIONARY
+    for target in ("lifted", "penalized"):
+        r = check_second_order(problem, z, target, beta, seed=0)
+        assert (r.verdict, r.mode, r.notes) == (NOT_STATIONARY, "sample", [])
+        assert r.witness_value == pytest.approx(-3.8, abs=1e-6)
+        d0, d1 = r.witness.flat()[:2]
+        assert abs(d0 - d1) <= 1e-8 and abs(d0) == pytest.approx(0.5**0.5, abs=1e-8)
+    out = check_strong_local_min_sufficient(problem, z, build_config(problem, beta=beta, seed=0))
+    assert out["verdict"] == "fails"
+    assert out["margin_min"] == pytest.approx(-3.8, abs=1e-6)
 
 
 def test_strong_minimum_check_fails_with_a_witness(square_chain):
