@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -185,9 +186,14 @@ def eval_layers(problem: CompositeProblem, th: np.ndarray) -> Point:
 def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
     """Outer value; warns when a supposedly nonnegative g dips below zero."""
     val = ex.eval_one(problem.outer, np.zeros(problem.n), ublocks)
-    if val < -1e-12:
-        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=2)
+    warn_negative_g(val, stacklevel=3)
     return val
+
+
+def warn_negative_g(val: float, stacklevel: int) -> None:
+    """Warn of an outer value below -1e-12, which a nonnegative g never takes."""
+    if val < -1e-12:
+        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=stacklevel)
 
 
 def eval_F(problem: CompositeProblem, z: Point) -> float:
@@ -206,10 +212,28 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
     check_point(problem, z)
-    per_layer = [u - layer_values(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
-    l1 = [float(np.sum(np.abs(r))) for r in per_layer]
-    max_abs = max(float(np.max(np.abs(r))) if r.size else 0.0 for r in per_layer)
-    return Residuals(per_layer, l1, max_abs, max_abs <= FEAS_TOL)
+    R = [(u - layer_values(problem, k, z.theta, z.u))[:, None] for k, u in enumerate(z.u, start=1)]
+    return column_residuals(R, 0)
+
+
+def column_residuals(R: Sequence[np.ndarray], j: int) -> Residuals:
+    """The residuals of column j of the residual columns R_l, each of shape (w_l, m)."""
+    per_layer = [r[:, j] for r in R]
+    l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
+    return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
+
+
+def _residual_summary(R: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """l1 norms (L, m), largest |rho| (m,) and feasibility (m,) of residual columns R_l (w_l, m).
+
+    Column j is byte for byte the summary of column j alone: each l1 norm
+    sums one contiguous row, as ``np.sum`` of a vector does, and the layer
+    maxima fold in layer order by Python's ``max``, NaN included.
+    """
+    A = [np.abs(r) for r in R]
+    l1 = np.array([np.ascontiguousarray(a.T).sum(axis=1) for a in A])
+    max_abs = reduce(ex.MAX.cols, [a.max(axis=0) for a in A])
+    return l1, max_abs, max_abs <= FEAS_TOL
 
 
 def require_feasible(problem: CompositeProblem, z: Point) -> None:
@@ -233,6 +257,59 @@ def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
     """Nested objective Psi(theta) + lambda*||theta||^2."""
     z = eval_layers(problem, th)
     return eval_F(problem, z)
+
+
+# The column evaluators below give, in column j, the scalar evaluator's value
+# at column j byte for byte, or NaN where it raises ``EvaluationError``.  They
+# walk each layer map and g once over all columns, warn nothing (a negative g
+# included), and raise ``OverflowError`` when a squared norm overflows in any
+# column.
+
+
+def eval_Theta_cols(
+    problem: CompositeProblem, Z: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b.
+
+    Returns the values, the outer values g and the residual columns R_l (w_l, m).
+    """
+    TH, U = split_flat(problem, Z)
+    with np.errstate(all="ignore"):
+        V = [ex.eval_cols(lm.exprs, TH, U[: lm.index - 1]) for lm in problem.layers]
+        R = [u - v for u, v in zip(U, V)]
+        g, F = _F_cols(problem, TH, U, V)
+        return F + row_dots(_residual_summary(R)[0].T, b), g, R
+
+
+def eval_Psi_plus_reg_cols(problem: CompositeProblem, TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_Psi_plus_reg`` at each column of TH (n, m); returns the values and g."""
+    V: list[np.ndarray] = []
+    with np.errstate(all="ignore"):
+        for lm in problem.layers:
+            V.append(ex.eval_cols(lm.exprs, TH, V))
+        g, F = _F_cols(problem, TH, V, V)
+    return F, g
+
+
+def _F_cols(
+    problem: CompositeProblem, TH: np.ndarray, U: Sequence[np.ndarray], V: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """g and F at the columns of TH and blocks U; F is NaN where a layer value in V is not finite."""
+    g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
+    rows = np.ascontiguousarray(TH.T)
+    F = g + problem.lam * row_dots(rows, rows)
+    F[~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
+    return g, F
+
+
+def row_dots(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A[i] @ y, or A[i] @ y[i] for a contiguous y of A's shape, for each row of A.
+
+    Each is the 1-D dot of the two vectors byte for byte, as one BLAS dot
+    over contiguous rows; dots over strided columns round differently.
+    """
+    A = np.ascontiguousarray(A)
+    return (A[:, None, :] @ y[..., None])[:, 0, 0]
 
 
 def reference_point_and_level(

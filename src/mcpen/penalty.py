@@ -36,6 +36,7 @@ from .model import (
     penalized_value,
     reference_point_and_level,
     residuals,
+    row_dots,
     split_flat,
 )
 
@@ -212,7 +213,7 @@ def estimate_moduli(
 def _norms(X: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of X, by the same BLAS dot."""
     X = np.ascontiguousarray(X)
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    return np.sqrt(row_dots(X, X))
 
 
 def _sup(q: np.ndarray) -> float:

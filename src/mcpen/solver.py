@@ -9,6 +9,13 @@ iterate is periodically snapped onto the feasible manifold when that does
 not increase the objective.  Termination is declared when the sampled probe
 minimum rises above minus the stop tolerance.
 
+A backtracking search evaluates all of its trial steps in one column walk
+(``model.eval_Theta_cols``, ``model.eval_Psi_plus_reg_cols``) and then takes
+the first that passes, trying them in the order of a halving loop.  A trial
+it tries whose value is not finite is evaluated again one point at a time,
+so that it raises and warns as that loop did; the trials after the accepted
+one have no effect.  The accepted trial's residuals open the next iteration.
+
 This is deliberately replaceable plumbing: any monotone method meeting the
 same termination contract can sit behind the same interface.
 """
@@ -21,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import lift_direction
+from .cones import lift_direction_batch
 from .dcalc import dd_Psi_batch, dd_Theta_batch
 from .model import (
     CompositeProblem,
@@ -29,12 +36,16 @@ from .model import (
     Residuals,
     check_beta,
     check_point,
+    column_residuals,
     eval_layers,
     eval_Psi_plus_reg,
+    eval_Psi_plus_reg_cols,
     eval_Theta,
+    eval_Theta_cols,
     point_from_flat,
     residuals,
     split_flat,
+    warn_negative_g,
 )
 from .penalty import feasibility_descent_direction
 
@@ -143,6 +154,68 @@ def _axis_slopes(problem: CompositeProblem, th: np.ndarray) -> tuple[np.ndarray,
     return s[: problem.n], s[problem.n :]
 
 
+def _halvings(t0: float, floor: float) -> np.ndarray:
+    """t0, t0/2, t0/4, ... while above floor: the steps of a backtracking search."""
+    steps = t0 * 0.5 ** np.arange(int(np.log2(t0 / floor)) + 2)
+    return steps[steps > floor]
+
+
+def _backtrack(steps: np.ndarray, batch, one, bound):
+    """The first step t whose value v <= bound(t), trying the steps in order.
+
+    ``batch()`` evaluates every step in one column walk and returns the
+    values, the outer values g and any further outputs; ``one(t)`` is the
+    scalar evaluation of step t.  A finite column warns for a negative g as
+    ``one`` would.  A non-finite column, or every column when the batch
+    overflowed, is evaluated again by ``one``, which raises and warns as it
+    does.  Steps after the one that passes have no effect.
+
+    Returns (index, t, v, batch output or None), or None when no step passes.
+    """
+    try:
+        out = batch()
+        values, g = out[:2]
+    except OverflowError:
+        out, values = None, np.full(len(steps), np.nan)
+    for j, t in enumerate(steps.tolist()):
+        v = float(values[j])
+        if np.isfinite(v):
+            warn_negative_g(float(g[j]), stacklevel=2)
+        else:
+            v = one(t)
+        if v <= bound(t):
+            return j, t, v, out
+    return None
+
+
+def _line_search(
+    problem: CompositeProblem,
+    z: Point,
+    b: np.ndarray,
+    d: np.ndarray,
+    value: float,
+    slope: float,
+    steps: np.ndarray,
+) -> tuple[Point, float, float, Residuals | None] | None:
+    """Armijo backtracking on Theta from z (at ``value``) along the flat direction d.
+
+    Returns the accepted point, its step, its value and its residuals (None
+    when the batch overflowed), or None when no step passes.
+    """
+    with np.errstate(all="ignore"):
+        Z = z.flat()[:, None] + d[:, None] * steps
+    found = _backtrack(
+        steps,
+        lambda: eval_Theta_cols(problem, Z, b),
+        lambda t: eval_Theta(problem, point_from_flat(problem, z.flat() + t * d), b),
+        lambda t: value + ARMIJO_SIGMA * t * slope,
+    )
+    if found is None:
+        return None
+    i, t, v, out = found
+    return point_from_flat(problem, Z[:, i]), t, v, None if out is None else column_residuals(out[2], i)
+
+
 def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
     """Descend the nested objective by its gradient while it stays smooth.
 
@@ -167,21 +240,22 @@ def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
         g = (sp - sm) / 2.0
         if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
             break
-        accepted = False
-        t = step
-        while t > 1e-16:
-            th2 = th - t * g
-            v2 = eval_Psi_plus_reg(problem, th2)
-            if v2 <= val - ARMIJO_SIGMA * t * float(g @ g):
-                if v2 >= val:
-                    return th
-                th, val = th2, v2
-                step = min(t * 2.0, 1e3)
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        steps = _halvings(step, 1e-16)
+        with np.errstate(all="ignore"):
+            TH = th[:, None] - g[:, None] * steps
+        found = _backtrack(
+            steps,
+            lambda: eval_Psi_plus_reg_cols(problem, TH),
+            lambda t: eval_Psi_plus_reg(problem, th - t * g),
+            lambda t: val - ARMIJO_SIGMA * t * float(g @ g),
+        )
+        if found is None:
             break
+        _, t, v2, _ = found
+        if v2 >= val:
+            return th
+        th, val = th - t * g, v2
+        step = min(t * 2.0, 1e3)
     return th
 
 
@@ -218,8 +292,11 @@ def minimize_theta(
     probe_min = np.inf
     converged = False
     k = 0
+    steps = _halvings(STEP_INIT, 1e-12)
+    res = None  # residuals of z, when the line search that reached z computed them
     for k in range(1, cfg.max_iters + 1):
-        res = residuals(problem, z)
+        if res is None:
+            res = residuals(problem, z)
         D = _probe_directions(problem, z, res, rng)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
@@ -228,7 +305,9 @@ def minimize_theta(
             gth = (sp - sm) / 2.0
             ngth = np.linalg.norm(gth)
             if ngth > 1e-300:
-                dl = lift_direction(problem, z, -gth / ngth).flat()
+                dth = -gth / ngth
+                DU = lift_direction_batch(problem, z, dth[:, None])
+                dl = np.concatenate([dth, *(du[:, 0] for du in DU)])
                 D = np.hstack([D, (dl / max(np.linalg.norm(dl), 1e-300)).reshape(-1, 1)])
         slopes = _slopes(problem, z, b, D)
         nbar = problem.nbar
@@ -249,7 +328,7 @@ def minimize_theta(
             trace.termination = "probe-stationary"
             break
         order = np.argsort(slopes)
-        moved = False
+        moved, reached = False, None
         for j in order[:5]:
             slope = float(slopes[j])
             if slope >= 0:
@@ -261,15 +340,10 @@ def minimize_theta(
                 v2 = eval_Theta(problem, z2, b)
                 z, value, step_used, moved = z2, v2, t, True
                 break
-            t = STEP_INIT
-            while t > 1e-12:
-                z2 = point_from_flat(problem, z.flat() + t * d)
-                v2 = eval_Theta(problem, z2, b)
-                if v2 <= value + ARMIJO_SIGMA * t * slope:
-                    z, value, step_used, moved = z2, v2, t, True
-                    break
-                t *= 0.5
-            if moved:
+            found = _line_search(problem, z, b, d, value, slope, steps)
+            if found is not None:
+                z, step_used, value, reached = found
+                moved = True
                 break
         if value < best_value:
             best_z, best_value = z, value
@@ -279,10 +353,11 @@ def minimize_theta(
         if not moved:
             trace.termination = "line-search-stalled"
             break
+        res = reached
         if k % POLISH_EVERY == 0:
             z2, changed, _ = polish_to_feasible(problem, z, b)
             if changed:
-                z = z2
+                z, res = z2, None
                 value = eval_Theta(problem, z, b)
     else:
         trace.termination = "max-iters"

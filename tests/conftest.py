@@ -110,6 +110,17 @@ def negative_outer_problem():
     return CompositeProblem(1, (layer,), ex.affine(-1.0, [1.0], [ex.uref(1, 0)]), lam=0.1)
 
 
+def blowup_problem(op):
+    """u_2 = op(c*(1 - u_1)) with c = 2e154: finite at u_1 = 1/2, past the float range at u_1 = 1/4.
+
+    op is ``ex.mul`` of the term with itself, whose value overflows to inf, or
+    ``ex.sqnorm``, whose ``**`` raises ``OverflowError``.
+    """
+    s = ex.scaled(2e154, ex.affine(1.0, [-1.0], [ex.uref(1, 0)]))
+    layer2 = LayerMap(2, (ex.mul(s, s) if op == "mul" else ex.sqnorm(s),))
+    return CompositeProblem(1, (LayerMap(1, (ex.theta(0),)), layer2), ex.uref(2, 0), lam=0.1)
+
+
 def random_problem(seed, max_n=4, max_L=3, max_width=3, allow_kinks=True):
     """Small random instance touching the whole primitive vocabulary."""
     rng = np.random.default_rng(seed)

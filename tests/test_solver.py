@@ -1,21 +1,27 @@
 """Penalty descent solver: determinism, monotonicity, and exactness."""
 
 import csv
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import blowup_problem, random_problem
 from mcpen import expr as ex
 from mcpen import solver as solver_mod
 from mcpen.model import (
     CompositeProblem,
+    EvaluationError,
     LayerMap,
     Point,
     eval_layers,
     eval_Psi_plus_reg,
     eval_Theta,
+    point_from_flat,
     residuals,
 )
+from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 
@@ -216,3 +222,134 @@ def test_smooth_polish_stops_at_a_kink_without_moving(monkeypatch, relu_ridge):
     out = solver_mod._smooth_polish(relu_ridge, th)
     assert len(calls) == 1
     assert np.array_equal(out, th)
+
+
+def _solve_digest(h, run):
+    """Feed h the bytes of one solve, or of the exception it raised, and every warning message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = run()
+        except (ValueError, ArithmeticError, RuntimeError) as err:
+            h.update(f"{type(err).__name__}: {err}".encode())
+        else:
+            h.update(res.z.flat().tobytes())
+            h.update(np.array([res.value, res.probe_min]).tobytes())
+            h.update(f"{res.iterations} {res.termination} {res.converged}".encode())
+            for row in res.trace.rows:
+                h.update(np.array([row[c] for c in _TRACE_COLS], dtype=float).tobytes())
+    for w in caught:
+        h.update(str(w.message).encode())
+    return len(caught)
+
+
+_TRACE_COLS = ("iter", "theta", "max_residual", "step", "probe_min")
+# sha256 of the solves below and the messages of every warning they raised,
+# recorded with the line searches that evaluated one trial step at a time
+SOLVE_SHA256 = (8525, "8653806c11022be42482caea6c7abbf26813ab8c68f6198acf175c2ca1069444")
+
+
+def test_solver_runs_are_bit_identical():
+    h = hashlib.sha256()
+    warned = 0
+    for seed in range(60):
+        problem = random_problem(seed)
+        beta = np.full(problem.L, 0.7)
+        for rule in ("fixed", "diminishing"):
+            cfg = SolveConfig(max_iters=100, step_rule=rule, seed=seed)
+            warned += _solve_digest(h, lambda: minimize_theta(problem, beta, cfg))
+    chain = square_chain_problem()
+    z_init = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
+    for rule in ("fixed", "diminishing"):
+        cfg = SolveConfig(max_iters=300, step_rule=rule, stop_tol=1e-9, init="user")
+        warned += _solve_digest(h, lambda: minimize_theta(chain, BETA_SC, cfg, z_init=z_init))
+    for seed in range(4):
+        spec = desk_instance(seed)
+        problem, beta = build_problem(spec), rnn_penalty_config(spec).beta
+        cfg = SolveConfig(max_iters=400, stop_tol=1e-8, seed=seed)
+        warned += _solve_digest(h, lambda: minimize_theta(problem, beta, cfg))
+    assert (warned, h.hexdigest()) == SOLVE_SHA256
+
+
+def _steps():
+    return solver_mod._halvings(solver_mod.STEP_INIT, 1e-12)
+
+
+def test_line_search_tries_the_steps_of_the_halving_loop():
+    assert _steps().tolist() == [2.0**-j for j in range(40)]
+    assert solver_mod._halvings(1e3, 1e-16)[-1] == 1e3 * 2.0**-63
+
+
+@pytest.mark.parametrize("op, error", [("mul", EvaluationError), ("sqnorm", OverflowError)])
+def test_line_search_raises_at_a_first_step_past_the_float_range(op, error):
+    # u_1 = -t puts c*(1 - u_1) past the float range at every step
+    problem, d = blowup_problem(op), np.array([0.0, -1.0, 0.0])
+    z = Point(np.zeros(1), (np.zeros(1), np.zeros(1)))
+    with pytest.raises(error) as scalar:
+        eval_Theta(problem, point_from_flat(problem, z.flat() + d), np.ones(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as searched:
+            solver_mod._line_search(problem, z, np.ones(2), d, 10.0, -1.0, _steps())
+    assert str(searched.value) == str(scalar.value)
+    assert getattr(searched.value, "layer", None) == getattr(scalar.value, "layer", None)
+    assert not caught
+
+
+@pytest.mark.parametrize("op", ["mul", "sqnorm"])
+def test_steps_after_the_accepted_one_have_no_effect(op):
+    # u_1 = u_2 = t: the step 1 passes; from t = 1/4 on the layer value is
+    # past the float range, and every step below 1 has g = u_2 < 0
+    problem = blowup_problem(op)
+    problem = CompositeProblem(1, problem.layers, ex.affine(-1.0, [1.0], [ex.uref(2, 0)]), lam=0.1)
+    z = Point(np.zeros(1), (np.zeros(1), np.zeros(1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z2, t, v, res = solver_mod._line_search(
+            problem, z, np.ones(2), np.array([0.0, 1.0, 1.0]), 10.0, -1.0, _steps()
+        )
+    assert not caught
+    assert (t, v) == (1.0, eval_Theta(problem, z2, np.ones(2)))
+    # a batch that overflowed leaves the accepted point's residuals to the caller
+    assert (res is None) == (op == "sqnorm")
+
+
+def _counting(monkeypatch, *names):
+    calls = []
+    for name in names:
+        real = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, real=real: calls.append(1) or real(*a))
+    return calls
+
+
+def test_a_search_walks_each_map_once_over_all_steps(monkeypatch):
+    spec = desk_instance(0)
+    problem, beta = build_problem(spec), rnn_penalty_config(spec).beta
+    rng = np.random.default_rng(0)
+    z = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
+    d, value = rng.standard_normal(problem.nbar), eval_Theta(problem, z, beta)
+    cols, scalar = _counting(monkeypatch, "eval_cols"), _counting(monkeypatch, "eval_many", "eval_one")
+    solver_mod._line_search(problem, z, beta, d, value, -1.0, _steps())
+    assert (len(cols), len(scalar)) == (problem.L + 1, 0)
+    layer_walks = _counting(monkeypatch, "eval_many")
+    del cols[:]
+    slopes = _counting_axis_slopes(monkeypatch)
+    solver_mod._smooth_polish(problem, z.theta)
+    # one scalar forward pass at the start, then one search per gradient step
+    # (the last slope evaluation may stop the polish before its search)
+    assert len(layer_walks) == problem.L
+    assert len(cols) in ((problem.L + 1) * len(slopes), (problem.L + 1) * (len(slopes) - 1))
+    assert len(slopes) >= 2
+
+
+def test_smooth_polish_raises_at_its_first_step_as_the_loop_did():
+    # the gradient 1e160 squares past the float range, and the first step
+    # puts u_1 = 1e160 * theta there too: the step raises before the Armijo
+    # test computes ||g||^2, so no overflow warning comes first
+    layer = LayerMap(1, (ex.scaled(1e160, ex.theta(0)),))
+    problem = CompositeProblem(1, (layer,), ex.uref(1, 0), lam=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EvaluationError, match="layer 1 evaluated to a non-finite value"):
+            solver_mod._smooth_polish(problem, np.zeros(1))
+    assert not caught
