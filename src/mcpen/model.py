@@ -27,6 +27,8 @@ from . import expr as ex
 
 # Componentwise residual tolerance below which a point counts as feasible.
 FEAS_TOL = 1e-9
+# A nonnegative outer function never takes a value below this; eval_g warns when it does.
+G_WARN_BELOW = -1e-12
 
 
 class DimensionError(ValueError):
@@ -186,14 +188,9 @@ def eval_layers(problem: CompositeProblem, th: np.ndarray) -> Point:
 def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
     """Outer value; warns when a supposedly nonnegative g dips below zero."""
     val = ex.eval_one(problem.outer, np.zeros(problem.n), ublocks)
-    warn_negative_g(val, stacklevel=3)
+    if val < G_WARN_BELOW:
+        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=2)
     return val
-
-
-def warn_negative_g(val: float, stacklevel: int) -> None:
-    """Warn of an outer value below -1e-12, which a nonnegative g never takes."""
-    if val < -1e-12:
-        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=stacklevel)
 
 
 def eval_F(problem: CompositeProblem, z: Point) -> float:
@@ -212,13 +209,7 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
     check_point(problem, z)
-    R = [(u - layer_values(problem, k, z.theta, z.u))[:, None] for k, u in enumerate(z.u, start=1)]
-    return column_residuals(R, 0)
-
-
-def column_residuals(R: Sequence[np.ndarray], j: int) -> Residuals:
-    """The residuals of column j of the residual columns R_l, each of shape (w_l, m)."""
-    per_layer = [r[:, j] for r in R]
+    per_layer = [u - layer_values(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
     l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
     return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
 
@@ -259,47 +250,23 @@ def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
     return eval_F(problem, z)
 
 
-# The column evaluators below give, in column j, the scalar evaluator's value
-# at column j byte for byte, or NaN where it raises ``EvaluationError``.  They
-# walk each layer map and g once over all columns, warn nothing (a negative g
-# included), and raise ``OverflowError`` when a squared norm overflows in any
-# column.
+def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, in one walk per map.
 
-
-def eval_Theta_cols(
-    problem: CompositeProblem, Z: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b.
-
-    Returns the values, the outer values g and the residual columns R_l (w_l, m).
+    Value j is the scalar value at column j byte for byte, or NaN where
+    ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g.
+    Nothing here warns; ``OverflowError`` is raised when a squared norm
+    overflows in any column.
     """
     TH, U = split_flat(problem, Z)
     with np.errstate(all="ignore"):
         V = [ex.eval_cols(lm.exprs, TH, U[: lm.index - 1]) for lm in problem.layers]
         R = [u - v for u, v in zip(U, V)]
-        g, F = _F_cols(problem, TH, U, V)
-        return F + row_dots(_residual_summary(R)[0].T, b), g, R
-
-
-def eval_Psi_plus_reg_cols(problem: CompositeProblem, TH: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eval_Psi_plus_reg`` at each column of TH (n, m); returns the values and g."""
-    V: list[np.ndarray] = []
-    with np.errstate(all="ignore"):
-        for lm in problem.layers:
-            V.append(ex.eval_cols(lm.exprs, TH, V))
-        g, F = _F_cols(problem, TH, V, V)
-    return F, g
-
-
-def _F_cols(
-    problem: CompositeProblem, TH: np.ndarray, U: Sequence[np.ndarray], V: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """g and F at the columns of TH and blocks U; F is NaN where a layer value in V is not finite."""
-    g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
-    rows = np.ascontiguousarray(TH.T)
-    F = g + problem.lam * row_dots(rows, rows)
-    F[~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
-    return g, F
+        g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
+        rows = np.ascontiguousarray(TH.T)
+        F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
+    F[(g < G_WARN_BELOW) | ~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
+    return F
 
 
 def row_dots(A: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,12 +9,14 @@ iterate is periodically snapped onto the feasible manifold when that does
 not increase the objective.  Termination is declared when the sampled probe
 minimum rises above minus the stop tolerance.
 
-A backtracking search evaluates all of its trial steps in one column walk
-(``model.eval_Theta_cols``, ``model.eval_Psi_plus_reg_cols``) and then takes
-the first that passes, trying them in the order of a halving loop.  A trial
-it tries whose value is not finite is evaluated again one point at a time,
-so that it raises and warns as that loop did; the trials after the accepted
-one have no effect.  The accepted trial's residuals open the next iteration.
+The backtracking search on the penalized objective evaluates all of its
+trial steps in one column walk (``model.eval_Theta_cols``) and then takes
+the first that passes, trying them in the order of a halving loop.  A tried
+step that the walk marks, because the one-point evaluation would raise or
+warn there, is evaluated again one point at a time, so it raises and warns
+as that loop did; the steps after the accepted one have no effect.  The
+smooth polish usually accepts its first or second step, so it keeps the
+one-step loop.
 
 This is deliberately replaceable plumbing: any monotone method meeting the
 same termination contract can sit behind the same interface.
@@ -36,16 +38,13 @@ from .model import (
     Residuals,
     check_beta,
     check_point,
-    column_residuals,
     eval_layers,
     eval_Psi_plus_reg,
-    eval_Psi_plus_reg_cols,
     eval_Theta,
     eval_Theta_cols,
     point_from_flat,
     residuals,
     split_flat,
-    warn_negative_g,
 )
 from .penalty import feasibility_descent_direction
 
@@ -160,34 +159,6 @@ def _halvings(t0: float, floor: float) -> np.ndarray:
     return steps[steps > floor]
 
 
-def _backtrack(steps: np.ndarray, batch, one, bound):
-    """The first step t whose value v <= bound(t), trying the steps in order.
-
-    ``batch()`` evaluates every step in one column walk and returns the
-    values, the outer values g and any further outputs; ``one(t)`` is the
-    scalar evaluation of step t.  A finite column warns for a negative g as
-    ``one`` would.  A non-finite column, or every column when the batch
-    overflowed, is evaluated again by ``one``, which raises and warns as it
-    does.  Steps after the one that passes have no effect.
-
-    Returns (index, t, v, batch output or None), or None when no step passes.
-    """
-    try:
-        out = batch()
-        values, g = out[:2]
-    except OverflowError:
-        out, values = None, np.full(len(steps), np.nan)
-    for j, t in enumerate(steps.tolist()):
-        v = float(values[j])
-        if np.isfinite(v):
-            warn_negative_g(float(g[j]), stacklevel=2)
-        else:
-            v = one(t)
-        if v <= bound(t):
-            return j, t, v, out
-    return None
-
-
 def _line_search(
     problem: CompositeProblem,
     z: Point,
@@ -195,25 +166,34 @@ def _line_search(
     d: np.ndarray,
     value: float,
     slope: float,
-    steps: np.ndarray,
-) -> tuple[Point, float, float, Residuals | None] | None:
+) -> tuple[Point, float, float] | None:
     """Armijo backtracking on Theta from z (at ``value``) along the flat direction d.
 
-    Returns the accepted point, its step, its value and its residuals (None
-    when the batch overflowed), or None when no step passes.
+    The steps are those of a halving loop from ``STEP_INIT`` down to 1e-12.
+    Every step is evaluated in one ``eval_Theta_cols`` walk, then the steps
+    are tried in order and the first whose value passes is accepted.  A tried
+    step whose value is not finite there, or every tried step when the walk
+    overflowed, is evaluated again by ``eval_Theta``, which raises and warns
+    as a one-step-at-a-time loop would.  Steps after the accepted one have
+    no effect.
+
+    Returns the accepted point, its step and its value, or None when no
+    step passes.
     """
+    steps = _halvings(STEP_INIT, 1e-12)
     with np.errstate(all="ignore"):
         Z = z.flat()[:, None] + d[:, None] * steps
-    found = _backtrack(
-        steps,
-        lambda: eval_Theta_cols(problem, Z, b),
-        lambda t: eval_Theta(problem, point_from_flat(problem, z.flat() + t * d), b),
-        lambda t: value + ARMIJO_SIGMA * t * slope,
-    )
-    if found is None:
-        return None
-    i, t, v, out = found
-    return point_from_flat(problem, Z[:, i]), t, v, None if out is None else column_residuals(out[2], i)
+    try:
+        values = eval_Theta_cols(problem, Z, b)
+    except OverflowError:
+        values = np.full(len(steps), np.nan)
+    for j, t in enumerate(steps.tolist()):
+        v = float(values[j])
+        if not np.isfinite(v):
+            v = eval_Theta(problem, point_from_flat(problem, z.flat() + t * d), b)
+        if v <= value + ARMIJO_SIGMA * t * slope:
+            return point_from_flat(problem, Z[:, j]), t, v
+    return None
 
 
 def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
@@ -240,22 +220,21 @@ def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
         g = (sp - sm) / 2.0
         if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
             break
-        steps = _halvings(step, 1e-16)
-        with np.errstate(all="ignore"):
-            TH = th[:, None] - g[:, None] * steps
-        found = _backtrack(
-            steps,
-            lambda: eval_Psi_plus_reg_cols(problem, TH),
-            lambda t: eval_Psi_plus_reg(problem, th - t * g),
-            lambda t: val - ARMIJO_SIGMA * t * float(g @ g),
-        )
-        if found is None:
+        accepted = False
+        t = step
+        while t > 1e-16:
+            th2 = th - t * g
+            v2 = eval_Psi_plus_reg(problem, th2)
+            if v2 <= val - ARMIJO_SIGMA * t * float(g @ g):
+                if v2 >= val:
+                    return th
+                th, val = th2, v2
+                step = min(t * 2.0, 1e3)
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
             break
-        _, t, v2, _ = found
-        if v2 >= val:
-            return th
-        th, val = th - t * g, v2
-        step = min(t * 2.0, 1e3)
     return th
 
 
@@ -292,11 +271,8 @@ def minimize_theta(
     probe_min = np.inf
     converged = False
     k = 0
-    steps = _halvings(STEP_INIT, 1e-12)
-    res = None  # residuals of z, when the line search that reached z computed them
     for k in range(1, cfg.max_iters + 1):
-        if res is None:
-            res = residuals(problem, z)
+        res = residuals(problem, z)
         D = _probe_directions(problem, z, res, rng)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
@@ -328,7 +304,7 @@ def minimize_theta(
             trace.termination = "probe-stationary"
             break
         order = np.argsort(slopes)
-        moved, reached = False, None
+        moved = False
         for j in order[:5]:
             slope = float(slopes[j])
             if slope >= 0:
@@ -340,9 +316,9 @@ def minimize_theta(
                 v2 = eval_Theta(problem, z2, b)
                 z, value, step_used, moved = z2, v2, t, True
                 break
-            found = _line_search(problem, z, b, d, value, slope, steps)
+            found = _line_search(problem, z, b, d, value, slope)
             if found is not None:
-                z, step_used, value, reached = found
+                z, step_used, value = found
                 moved = True
                 break
         if value < best_value:
@@ -353,11 +329,10 @@ def minimize_theta(
         if not moved:
             trace.termination = "line-search-stalled"
             break
-        res = reached
         if k % POLISH_EVERY == 0:
             z2, changed, _ = polish_to_feasible(problem, z, b)
             if changed:
-                z, res = z2, None
+                z = z2
                 value = eval_Theta(problem, z, b)
     else:
         trace.termination = "max-iters"

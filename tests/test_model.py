@@ -1,11 +1,9 @@
 """Problem containers, evaluation, residuals, and the reference level."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from conftest import _rand_expr, blowup_problem, random_problem
+from conftest import _rand_expr, blowup_problem, negative_outer_problem, random_problem
 from mcpen import expr as ex
 from mcpen.cones import lift_direction, tangent_membership
 from mcpen.dcalc import zeros_direction
@@ -19,12 +17,10 @@ from mcpen.model import (
     Point,
     check_beta,
     check_point,
-    column_residuals,
     eval_F,
     eval_g,
     eval_layers,
     eval_Psi_plus_reg,
-    eval_Psi_plus_reg_cols,
     eval_Theta,
     eval_Theta_cols,
     point_from_flat,
@@ -186,14 +182,15 @@ def test_feasible_only_entry_points_reject_infeasible_points(square_chain, call)
 
 
 def _wide_problem(seed):
-    """n = 10 under layers of widths 1, 9 and 130, drawn from the random problems' op mix."""
+    """n = 10 under layers of widths 1, 9 and 130, drawn from the random problems' op mix, and g >= 0."""
     rng = np.random.default_rng(seed)
     n, widths = 10, [1, 9, 130]
     layers = tuple(
         LayerMap(k, tuple(_rand_expr(rng, n, k - 1, widths, depth=2) for _ in range(w)))
         for k, w in enumerate(widths, start=1)
     )
-    return CompositeProblem(n, layers, _rand_expr(rng, n, 3, widths, 2, theta_ok=False), lam=0.05)
+    outer = ex.vabs(_rand_expr(rng, n, 3, widths, 2, theta_ok=False))
+    return CompositeProblem(n, layers, outer, lam=0.05)
 
 
 def _bytes(x):
@@ -201,7 +198,7 @@ def _bytes(x):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_column_evaluators_match_the_scalar_ones(seed):
+def test_column_evaluator_matches_the_scalar_one(seed):
     problem = _wide_problem(seed)
     rng = np.random.default_rng(seed)
     b = rng.uniform(0.5, 2.0, problem.L)
@@ -209,34 +206,28 @@ def test_column_evaluators_match_the_scalar_ones(seed):
     # a zero step (a feasible column), the steps of a halving search, and noise
     steps = np.concatenate([[0.0], 0.5 ** np.arange(40), rng.uniform(-2.0, 2.0, 8)])
     Z = z0.flat()[:, None] + rng.standard_normal((problem.nbar, 1)) * steps
-    values, g, R = eval_Theta_cols(problem, Z, b)
-    psi, psi_g = eval_Psi_plus_reg_cols(problem, Z[: problem.n])
-    assert sum(column_residuals(R, j).feasible for j in range(Z.shape[1])) >= 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the scalar evaluators warn for a negative g
-        for j in range(Z.shape[1]):
-            z = point_from_flat(problem, Z[:, j])
-            assert _bytes(values[j]) == _bytes(eval_Theta(problem, z, b))
-            assert _bytes(g[j]) == _bytes(eval_g(problem, z.u))
-            res, ref = column_residuals(R, j), residuals(problem, z)
-            assert [r.tobytes() for r in res.per_layer] == [r.tobytes() for r in ref.per_layer]
-            assert (res.l1, res.max_abs, res.feasible) == (ref.l1, ref.max_abs, ref.feasible)
-            assert _bytes(psi[j]) == _bytes(eval_Psi_plus_reg(problem, z.theta))
-            assert _bytes(psi_g[j]) == _bytes(eval_g(problem, eval_layers(problem, z.theta).u))
+    values = eval_Theta_cols(problem, Z, b)
+    for j in range(Z.shape[1]):
+        assert _bytes(values[j]) == _bytes(eval_Theta(problem, point_from_flat(problem, Z[:, j]), b))
 
 
-def test_column_evaluators_mark_non_finite_layers_and_raise_on_overflow():
+def test_column_evaluator_marks_non_finite_layers_and_raises_on_overflow():
     b = np.ones(2)
     u1 = np.array([1.0, 0.5, 0.25])
     Z = np.vstack([np.zeros(3), u1, np.zeros(3)])
-    values, _, _ = eval_Theta_cols(blowup_problem("mul"), Z, b)
+    values = eval_Theta_cols(blowup_problem("mul"), Z, b)
     assert np.isfinite(values[:2]).all() and np.isnan(values[2])
     with pytest.raises(EvaluationError, match="layer 2 evaluated to a non-finite value"):
         eval_Theta(blowup_problem("mul"), point_from_flat(blowup_problem("mul"), Z[:, 2]), b)
     with pytest.raises(OverflowError):
         eval_Theta_cols(blowup_problem("sqnorm"), Z, b)
-    # the nested objective feeds theta through the identity layer
-    psi, _ = eval_Psi_plus_reg_cols(blowup_problem("mul"), u1[None, :])
-    assert np.isfinite(psi[:2]).all() and np.isnan(psi[2])
-    with pytest.raises(OverflowError):
-        eval_Psi_plus_reg_cols(blowup_problem("sqnorm"), u1[None, :])
+
+
+def test_column_evaluator_marks_the_columns_where_g_warns():
+    # g = u_1 - 1 warns below u_1 = 1 - 1e-12, where eval_Theta would
+    problem = negative_outer_problem()
+    Z = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 1.0 - 1e-13, 0.5]])
+    values = eval_Theta_cols(problem, Z, np.ones(1))
+    assert np.isfinite(values[:3]).all() and np.isnan(values[3])
+    with pytest.warns(RuntimeWarning, match="outer function evaluated to"):
+        eval_Theta(problem, point_from_flat(problem, Z[:, 3]), np.ones(1))

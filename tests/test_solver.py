@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, random_problem
+from conftest import blowup_problem, negative_outer_problem, random_problem
 from mcpen import expr as ex
 from mcpen import solver as solver_mod
 from mcpen.model import (
@@ -271,13 +271,25 @@ def test_solver_runs_are_bit_identical():
     assert (warned, h.hexdigest()) == SOLVE_SHA256
 
 
-def _steps():
-    return solver_mod._halvings(solver_mod.STEP_INIT, 1e-12)
+def _halving_loop():
+    """The steps of the one-step loop: t = STEP_INIT, halved while above 1e-12."""
+    t = solver_mod.STEP_INIT
+    while t > 1e-12:
+        yield t
+        t *= 0.5
 
 
-def test_line_search_tries_the_steps_of_the_halving_loop():
-    assert _steps().tolist() == [2.0**-j for j in range(40)]
-    assert solver_mod._halvings(1e3, 1e-16)[-1] == 1e3 * 2.0**-63
+def test_line_search_tries_the_steps_of_the_halving_loop(monkeypatch, square_chain):
+    walked = []
+    real = solver_mod.eval_Theta_cols
+    monkeypatch.setattr(
+        solver_mod, "eval_Theta_cols", lambda p, Z, b: walked.append(Z) or real(p, Z, b)
+    )
+    z = Point(np.zeros(1), (np.zeros(1), np.zeros(1)))
+    # no step reaches a value this low, so every step is tried
+    d = np.array([1.0, 0.0, 0.0])
+    assert solver_mod._line_search(square_chain, z, np.ones(2), d, -1e9, -1.0) is None
+    assert walked[0][0].tolist() == list(_halving_loop())
 
 
 @pytest.mark.parametrize("op, error", [("mul", EvaluationError), ("sqnorm", OverflowError)])
@@ -290,7 +302,7 @@ def test_line_search_raises_at_a_first_step_past_the_float_range(op, error):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(error) as searched:
-            solver_mod._line_search(problem, z, np.ones(2), d, 10.0, -1.0, _steps())
+            solver_mod._line_search(problem, z, np.ones(2), d, 10.0, -1.0)
     assert str(searched.value) == str(scalar.value)
     assert getattr(searched.value, "layer", None) == getattr(scalar.value, "layer", None)
     assert not caught
@@ -305,13 +317,11 @@ def test_steps_after_the_accepted_one_have_no_effect(op):
     z = Point(np.zeros(1), (np.zeros(1), np.zeros(1)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        z2, t, v, res = solver_mod._line_search(
-            problem, z, np.ones(2), np.array([0.0, 1.0, 1.0]), 10.0, -1.0, _steps()
+        z2, t, v = solver_mod._line_search(
+            problem, z, np.ones(2), np.array([0.0, 1.0, 1.0]), 10.0, -1.0
         )
     assert not caught
     assert (t, v) == (1.0, eval_Theta(problem, z2, np.ones(2)))
-    # a batch that overflowed leaves the accepted point's residuals to the caller
-    assert (res is None) == (op == "sqnorm")
 
 
 def _counting(monkeypatch, *names):
@@ -329,27 +339,33 @@ def test_a_search_walks_each_map_once_over_all_steps(monkeypatch):
     z = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
     d, value = rng.standard_normal(problem.nbar), eval_Theta(problem, z, beta)
     cols, scalar = _counting(monkeypatch, "eval_cols"), _counting(monkeypatch, "eval_many", "eval_one")
-    solver_mod._line_search(problem, z, beta, d, value, -1.0, _steps())
+    solver_mod._line_search(problem, z, beta, d, value, -1.0)
     assert (len(cols), len(scalar)) == (problem.L + 1, 0)
-    layer_walks = _counting(monkeypatch, "eval_many")
-    del cols[:]
-    slopes = _counting_axis_slopes(monkeypatch)
-    solver_mod._smooth_polish(problem, z.theta)
-    # one scalar forward pass at the start, then one search per gradient step
-    # (the last slope evaluation may stop the polish before its search)
-    assert len(layer_walks) == problem.L
-    assert len(cols) in ((problem.L + 1) * len(slopes), (problem.L + 1) * (len(slopes) - 1))
-    assert len(slopes) >= 2
 
 
-def test_smooth_polish_raises_at_its_first_step_as_the_loop_did():
-    # the gradient 1e160 squares past the float range, and the first step
-    # puts u_1 = 1e160 * theta there too: the step raises before the Armijo
-    # test computes ||g||^2, so no overflow warning comes first
-    layer = LayerMap(1, (ex.scaled(1e160, ex.theta(0)),))
-    problem = CompositeProblem(1, (layer,), ex.uref(1, 0), lam=0.1)
+def _recording(run):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(EvaluationError, match="layer 1 evaluated to a non-finite value"):
-            solver_mod._smooth_polish(problem, np.zeros(1))
-    assert not caught
+        out = run()
+    return out, [(str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def test_a_tried_step_with_negative_g_warns_as_the_one_step_loop():
+    # u_1 = t under g = u_1 - 1: the steps 1/2 and 1/4 are tried with g < 0,
+    # and 1/4 passes; the untried steps below it have g < 0 too
+    problem, b = negative_outer_problem(), np.ones(1)
+    z, d = Point(np.zeros(1), (np.zeros(1),)), np.array([0.0, 1.0])
+
+    def loop():
+        for t in _halving_loop():
+            v = eval_Theta(problem, point_from_flat(problem, z.flat() + t * d), b)
+            if v <= 0.0 + solver_mod.ARMIJO_SIGMA * t * -1.0:
+                return t, v
+
+    (t_ref, v_ref), ref = _recording(loop)
+    (_, t, v), got = _recording(
+        lambda: solver_mod._line_search(problem, z, b, d, 0.0, -1.0)
+    )
+    assert (t, v) == (t_ref, v_ref) == (0.25, -0.5)
+    # same messages, from the same file and line
+    assert got == ref and len(ref) == 2
