@@ -382,6 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             EvaluationError,
             InfeasiblePointError,
             ValueError,
+            OverflowError,
             OSError,
         ) as err:
             code, last = 2, f"error: {err}"

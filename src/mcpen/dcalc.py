@@ -262,6 +262,7 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
 
 
 def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
+    """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns."""
     ublocks, DU, EU, KU, BU = forward_curves(problem, th, DTH, order)
     gcell = ex.taylor_cells(
         [problem.outer], th, ublocks, DTH, DU, order=order, eublocks=EU, ukinked=KU, ubad2=BU
@@ -270,8 +271,7 @@ def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, ord
     kinked = gcell.kinked | np.logical_or.reduce(
         [k.any(axis=0) for k in KU] or [np.zeros(DTH.shape[1], bool)]
     )
-    value = eval_g(problem, ublocks) + problem.lam * float(th @ th)
-    return value, first, second, gcell.bad2, kinked
+    return ublocks, first, second, gcell.bad2, kinked
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:
@@ -280,7 +280,8 @@ def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order:
     dtheta = np.asarray(dtheta, dtype=float).ravel()
     if th.size != problem.n or dtheta.size != problem.n:
         raise DimensionError(f"theta and direction must have length {problem.n}")
-    value, first, second, bad, kinked = dd_Psi_batch(problem, th, dtheta.reshape(-1, 1), order)
+    ublocks, first, second, bad, kinked = dd_Psi_batch(problem, th, dtheta.reshape(-1, 1), order)
+    value = eval_g(problem, ublocks) + problem.lam * float(th @ th)
     return _pick(first, second, bad, kinked, value, order)
 
 

@@ -354,15 +354,19 @@ class _SlopeModel:
 
     Entry j < dim of a form is the coefficient of direction component d_j,
     entry dim + a that of auxiliary variable a.  Forms are never changed in
-    place, so leaves share theirs.
+    place, so leaves share theirs.  ``check`` names the model in errors, and
+    ``ties`` maps each variable y = max(fa, fb) whose two forms are over the
+    direction alone to (fa, fb).
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, check: str):
         self.dim = dim
+        self.check = check
         self.lo: list[float] = []
         self.hi: list[float] = []
         self.binary: list[bool] = []
         self.rows: list[tuple[np.ndarray, float, float]] = []
+        self.ties: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.zero = np.zeros(0)
         self._units: dict[int, np.ndarray] = {}
 
@@ -402,6 +406,8 @@ class _SlopeModel:
         gap_lo, gap_hi = self.interval(_add(fa, -fb))
         m_a, m_b = max(-gap_lo, 0.0), max(gap_hi, 0.0)
         y = self.var(max(lo_a, lo_b), max(hi_a, hi_b))
+        if max(fa.size, fb.size) <= self.dim:
+            self.ties[len(self.lo) - 1] = (fa, fb)
         delta = self.var(0.0, 1.0, binary=True)
         self.rows += [
             (_add(y, -fa), 0.0, np.inf),
@@ -421,9 +427,13 @@ class _SlopeModel:
     def solve(self, obj: np.ndarray) -> SlopeMin:
         """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
-        The columns are d, then s, then the auxiliary variables.
+        The columns are d, then s, then the auxiliary variables; a
+        non-finite coefficient or bound raises ValueError.
         """
         dim, m = self.dim, len(self.lo)
+        forms = [obj, np.array(self.lo + self.hi)] + [f for f, _, _ in self.rows]
+        if not all(np.all(np.isfinite(f)) for f in forms):
+            raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
         ncol = 2 * dim + m
 
         def columns(f):
@@ -525,7 +535,7 @@ def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) 
     """
     b = check_beta(problem, beta)
     check_point(problem, z)
-    model = _SlopeModel(problem.nbar)
+    model = _SlopeModel(problem.nbar, "P1")
     _, at = split_flat(problem, np.arange(problem.nbar))  # flat positions of each block
     blocks = (z.theta, *z.u)
 
@@ -548,14 +558,14 @@ def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) 
     return model.solve(_add(obj, 2.0 * problem.lam * z.theta))
 
 
-def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
-    """Minimum of d -> (Psi + reg)'(theta; d) over the unit l1 ball of the parameter space.
+def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeModel, np.ndarray]:
+    """The model of d -> (Psi + reg)'(theta; d) and its objective form, unsolved.
 
     A u-leaf stands for its layer component's value and form at the lift of
     theta, walked once and shared by every reference.
     """
     th = np.asarray(th, dtype=float).ravel()
-    model = _SlopeModel(problem.n)
+    model = _SlopeModel(problem.n, "P0")
     lifted: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
 
     def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
@@ -567,7 +577,13 @@ def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
         return hit
 
     obj = _walk(model, problem.outer, leaf)[1]
-    return model.solve(_add(obj, 2.0 * problem.lam * th))
+    return model, _add(obj, 2.0 * problem.lam * th)
+
+
+def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
+    """Minimum of d -> (Psi + reg)'(theta; d) over the unit l1 ball of the parameter space."""
+    model, obj = psi_prime_model(problem, th)
+    return model.solve(obj)
 
 
 def function_prime_min(
@@ -575,7 +591,7 @@ def function_prime_min(
 ) -> SlopeMin:
     """Minimum of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0."""
     x = np.asarray(x, dtype=float).ravel()
-    model = _SlopeModel(x.size)
+    model = _SlopeModel(x.size, "box")
 
     def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
         if j != 0:

@@ -7,15 +7,11 @@ lower bound on the minimum is at least -tol, not stationary when the
 incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
 derivative calculus, and inconclusive otherwise.  Second-order checks start
 from the matching first-order verdict, since a second-order stationary point
-is first-order stationary: a point that fails or cannot be decided at first
-order gets that verdict.  At a first-order stationary point they search the
-critical directions: tangent-cone directions with vanishing first
-derivative, parametrized by their parameter component since tangent
-directions are exactly the lifted ones.  The search draws its pool from
-numpy's seeded Generator (normalised standard normals plus the signed unit
-vectors), keeps its critical columns, and polishes its most negative
-columns onto the critical set: a critical set of lower dimension holds no
-pool column at all.
+is first-order stationary.  At a first-order stationary point the critical
+directions (tangent, with vanishing first derivative, parametrized by their
+parameter component) form a subspace S wherever P0's model shows it; there
+F'' is a quadratic form, checked on probes, whose smallest eigenvalue
+decides.  Elsewhere a seeded pool is searched, and a note says why.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
 bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
@@ -61,13 +57,8 @@ INCONCLUSIVE = "inconclusive"
 STAT_TOL = 1e-8
 CRIT_SLACK = 1e-8
 N_STARTS = 64
-SEARCH_ITERS = 500
-_FD_H = 1e-7
-# Columns per derivative call in the lockstep polish.  A call packs as many
-# whole forward-difference blocks as fit (at the desk RNN, n = 22: 22
-# candidates with blocks 22 columns wide, so 17 blocks per call); a block
-# wider than the cap goes alone.  Wider calls save little time and raise the
-# peak memory of a certify run.
+# Columns per derivative call when a quadratic form is polarized: at n = 97
+# it needs 4753, and one call would hold several nbar-row arrays that wide.
 _MAX_COLS = 384
 _UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
 
@@ -78,16 +69,16 @@ class StationarityReport:
 
     ``min_found`` is the smallest derivative found: at first order the
     minimum over the unit l1 ball that HiGHS returned, at second order the
-    smallest curvature over the unit sphere.  ``samples`` counts the
-    binaries of the first-order model, and the pool directions evaluated at
-    second order, polished ones not counted (none when the point already
-    fails or is undecided at first order; the first-order report then
-    carries the witness and the minimum, and ``min_found`` 0.0 is no
-    curvature).
-    ``witness_value`` re-evaluates along the l2-normalised witness, so at
-    first order it is at most ``min_found``.  A lifted second-order report
-    may read stationary with ``min_found`` below -tol when the negative
-    directions are not radial.
+    smallest eigenvalue of F'' on S (a lower bound for the penalized
+    target) or the smallest sampled curvature.  ``samples`` counts the
+    binaries of the first-order model, and the directions evaluated at
+    second order: the form's columns and probes, then any pool (none when
+    the point fails or is undecided at first order; the first-order report
+    then carries the witness and the minimum, and ``min_found`` 0.0 is no
+    curvature).  ``witness_value`` re-evaluates along the l2-normalised
+    witness, so at first order it is at most ``min_found``.  A lifted
+    second-order report may read stationary with ``min_found`` below -tol
+    when the negative directions are not radial.
     """
 
     target: str
@@ -114,33 +105,6 @@ def _directions(dim: int, count: int, seed: int) -> np.ndarray:
         eye = np.eye(dim)
         pool = np.hstack([pool, eye, -eye])
     return pool
-
-
-def _eval_blocks(f, points: list[np.ndarray], hI: np.ndarray | None = None) -> list:
-    """f over each point's block of columns, in calls of whole blocks.
-
-    A point's block is the point itself, or with ``hI`` its forward-difference
-    probes ``point + hI``.  One call packs as many blocks as fit in
-    ``_MAX_COLS`` columns (at least one).  f returns a tuple of per-column
-    arrays; the result holds, per block in order, the tuple of its slices.
-    """
-    width = 1 if hI is None else hI.shape[1]
-    per_call = max(1, _MAX_COLS // width)
-    blocks = []
-    for c in range(0, len(points), per_call):
-        chunk = points[c : c + per_call]
-        D = np.empty((chunk[0].size, width * len(chunk)))
-        for j, p in enumerate(chunk):
-            cols = D[:, j * width : (j + 1) * width]
-            if hI is None:
-                cols[:, 0] = p
-            else:
-                np.add(p.reshape(-1, 1), hI, out=cols)
-        out = f(D)
-        for j in range(len(chunk)):
-            sl = slice(j * width, (j + 1) * width)
-            blocks.append(tuple(o[sl] for o in out))
-    return blocks
 
 
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
@@ -250,84 +214,97 @@ def _tangent_second_batch(
     return first, phi2, bad
 
 
+def _curvature(problem: CompositeProblem, z: Point, d: Direction, beta) -> float | None:
+    """F'' along d when beta is None, else the penalized second derivative."""
+    ev = dd_F(problem, z, d, order=2) if beta is None else dd_Theta(problem, z, d, beta, order=2)
+    return ev.second
+
+
 def _critical(pool: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, bad: np.ndarray) -> list:
     """(phi2, direction, bad) of the pool columns with |phi1| <= CRIT_SLACK, ascending in phi2."""
     crit = np.flatnonzero(np.abs(phi1) <= CRIT_SLACK)
     return sorted([(float(phi2[i]), pool[:, i], bool(bad[i])) for i in crit], key=lambda t: t[0])
 
 
-def _critical_search(
-    problem: CompositeProblem,
-    z: Point,
-    beta: np.ndarray | None,
-    sign: float,
-    seed: int,
-) -> tuple[int, list]:
-    """Search lifted critical directions for the most negative phi2.
+def _critical_basis(problem: CompositeProblem, th: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the critical subspace S of P0 at theta, or None when S is unknown.
 
-    The pool is ``_directions(n, max(N_STARTS, 4n), seed)``, and its most
-    negative columns, critical or not, are polished onto the critical set
-    and down phi2 there.  Returns the pool's width and a list of (phi2,
-    dtheta, bad) over the critical pool columns and polished candidates,
-    ascending in phi2.
+    P0's model writes phi1(d) = c . d + sum_k a_k y_k: with no tie S = null(c),
+    the identity's span when c = 0.  A tie y_k = max(f_k . d, g_k . d) with
+    a_k > 0 is (f_k + g_k) . d / 2 + |h_k . d| / 2, h_k = f_k - g_k: it moves
+    c by a_k (f_k + g_k) / 2 and adds the row h_k, when -c = sum_k t_k a_k h_k
+    / 2 at the least-squares t has every |t_k| < 1, so that zero is relatively
+    interior to phi1's subdifferential and phi1 vanishes on S alone.  Any
+    other tie leaves S unknown.  The rank is numpy's default cut.
     """
+    model, obj = pieces.psi_prime_model(problem, th)
     n = problem.n
-    pool = _directions(n, max(N_STARTS, 4 * n), seed)
+    coef = np.zeros(n + len(model.lo))
+    coef[: obj.size] = obj
+    c, aux = coef[:n], coef[n:]
+    tied = np.flatnonzero(aux)
+    if not tied.size and not np.any(c):
+        return np.eye(n)
+    H = np.zeros((tied.size, n))
+    for r, k in enumerate(tied):
+        if int(k) not in model.ties or aux[k] < 0.0:
+            return None
+        f, g = (np.pad(form, (0, n - form.size)) for form in model.ties[int(k)])
+        c, H[r] = c + aux[k] * (f + g) / 2.0, f - g
+    if not np.all(np.abs(np.linalg.lstsq((aux[tied, None] / 2.0 * H).T, -c, rcond=None)[0]) < 1.0):
+        return None
+    rows = np.vstack([c, H])
+    rank = np.linalg.matrix_rank(rows)
+    return np.linalg.svd(rows)[2][rank:].T
 
-    def eval_pool(D):
-        return _tangent_second_batch(problem, z, D, beta, sign)
 
-    phi1, phi2, bad = eval_pool(pool)
-    # Polish the most promising candidates: descend phi2 while projecting out
-    # the component that moves phi1 away from zero.  The candidates advance
-    # in lockstep, one call for the probes of all live ones per round and one
-    # for their trial points.
-    order_idx = np.argsort(np.where(bad, np.inf, phi2))
-    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
-    hI = _FD_H * np.eye(n)
-    refined = [(float(phi1[i]), float(phi2[i]), pool[:, i].copy()) for i in polish]
-    live = list(range(len(refined)))
-    for _ in range(max(10, SEARCH_ITERS // 16)):
-        if not live:
-            break
-        moving, trials = [], []
-        for c, (p1, p2, _) in zip(live, _eval_blocks(eval_pool, [refined[c][2] for c in live], hI)):
-            v1, v2, d = refined[c]
-            g1 = (p1 - v1) / _FD_H
-            g2 = (p2 - v2) / _FD_H
-            # First pull toward criticality, then slide downhill along phi2.
-            if abs(v1) > CRIT_SLACK:
-                ng1 = np.linalg.norm(g1)
-                if ng1 < 1e-12:
-                    continue
-                d2 = d - (v1 / ng1**2) * g1
-            else:
-                gt = g2 - float(g2 @ d) * d
-                n1 = np.linalg.norm(g1)
-                if n1 > 1e-12:
-                    gh = g1 / n1
-                    gt = gt - float(gt @ gh) * gh
-                if np.linalg.norm(gt) < 1e-12:
-                    continue
-                d2 = d - 0.25 * gt / np.linalg.norm(gt)
-            d2 /= np.linalg.norm(d2)
-            moving.append(c)
-            trials.append(d2)
-        live = []
-        for c, d2, (w1, w2, wb) in zip(moving, trials, _eval_blocks(eval_pool, trials)):
-            v1, v2, _ = refined[c]
-            worse = abs(float(w1[0])) > CRIT_SLACK or float(w2[0]) > v2 - 1e-14
-            if abs(v1) <= CRIT_SLACK and worse:
-                continue
-            refined[c] = (float(w1[0]), float(w2[0]), d2)
-            if not bool(wb[0]):
-                live.append(c)
-    best = _critical(pool, phi1, phi2, bad)
-    kept = [d for v1, _, d in refined if abs(v1) <= CRIT_SLACK]
-    for d, (_, w2, wb) in zip(kept, _eval_blocks(eval_pool, kept)):
-        best.append((float(w2[0]), d, bool(wb[0])))
-    best.sort(key=lambda t: t[0])
-    return pool.shape[1], best
+def _quadratic_form(second: Callable, B: np.ndarray, seed: int) -> tuple:
+    """(Q, columns evaluated, reason): a second derivative as a quadratic form on span(B).
+
+    ``second(D)`` gives (phi2, bad) along D's columns.  Q, polarized from b_i
+    and b_i + b_j in calls of at most ``_MAX_COLS`` columns, is accepted when
+    no column is flagged and it fits 8 probes B u, u on the sphere, to 1e-10.
+    """
+    k = B.shape[1]
+    iu, ju = np.triu_indices(k, 1)
+    D = np.hstack([B, B[:, iu] + B[:, ju]])
+    parts = [second(D[:, s : s + _MAX_COLS]) for s in range(0, D.shape[1], _MAX_COLS)]
+    if any(np.any(bad) for _, bad in parts):
+        return None, D.shape[1], "quadratic form has unsupported second derivatives"
+    phi = np.concatenate([p for p, _ in parts])
+    Q = np.diag(phi[:k])
+    Q[iu, ju] = Q[ju, iu] = (phi[k:] - Q[iu, iu] - Q[ju, ju]) / 2.0
+    u = _directions(k, 8, seed)[:, :8]  # the sphere draws alone
+    pv, pbad = second(B @ u)
+    quad = np.einsum("im,ij,jm->m", u, Q, u)
+    if np.any(pbad) or float(np.max(np.abs(pv - quad))) > 1e-10 * (1.0 + float(np.max(np.abs(pv)))):
+        return None, D.shape[1] + 8, "quadratic form misfits its probes"
+    return Q, D.shape[1] + 8, None
+
+
+def _lowest(B: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
+    """Q's smallest eigenvalue and its eigenvector mapped through B, largest entry made positive."""
+    vals, vecs = np.linalg.eigh(Q)
+    v = B @ vecs[:, 0]
+    return float(vals[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
+
+
+def _critical_form(problem: CompositeProblem, z: Point, seed: int) -> tuple:
+    """(B, Q, columns, reason) of F'' on S at z; B or Q None with the reason, 0 x 0 Q at S = {0}."""
+    B = _critical_basis(problem, z.theta)
+    if B is None:
+        return None, None, 0, "critical subspace unknown"
+    if B.shape[1] == 0:
+        return B, np.zeros((0, 0)), 0, None
+    return B, *_quadratic_form(lambda D: _tangent_second_batch(problem, z, D, None, 1.0)[1:], B, seed)
+
+
+def _pool(problem: CompositeProblem, z: Point, B, beta, sign: float, seed: int) -> tuple[int, list]:
+    """Width and ``_critical`` columns of the seeded pool, drawn in B's coordinates (R^n if None)."""
+    base = np.eye(problem.n) if B is None else B
+    k = base.shape[1]
+    pool = base @ _directions(k, max(N_STARTS, 4 * k), seed)
+    return pool.shape[1], _critical(pool, *_tangent_second_batch(problem, z, pool, beta, sign))
 
 
 def check_second_order(
@@ -342,48 +319,66 @@ def check_second_order(
 
     First runs the matching exact first-order check, P0 for
     ``target='lifted'`` and P1 for ``target='penalized'``; a point that fails
-    it, or that it cannot decide, gets that verdict.  At a first-order point,
-    ``target='penalized'`` tests the penalized second derivative over the
-    critical directions, which under certified beta are the tangent
-    directions with vanishing first derivative.  ``target='lifted'`` tests
-    F'' over critical radial directions; candidates whose radial membership
-    cannot be decided make the verdict inconclusive rather than silently
-    passing.
+    it, or that it cannot decide, gets that verdict.  ``target='penalized'``
+    tests the penalized second derivative over the critical directions,
+    which under certified beta are the tangent ones with vanishing first
+    derivative: P0's, since a P1-stationary point is P0-stationary.
+    ``target='lifted'`` tests F'' over critical radial directions; one whose
+    radial membership is undecided leaves the verdict inconclusive.
     """
     if target not in ("penalized", "lifted"):
         raise ValueError("target must be 'penalized' or 'lifted'")
     require_feasible(problem, z)
-    if target == "lifted":
-        return _second_order(problem, z, check_d_stationary_P0(problem, z, tol), None, seed)
-    b = check_beta(problem, beta)
-    if b is None:
+    if target == "penalized" and beta is None:
         raise ValueError("the penalized target needs beta")
-    return _second_order(problem, z, check_d_stationary_P1(problem, z, b, tol), b, seed)
+    b = None if target == "lifted" else check_beta(problem, beta)
+    first = check_d_stationary_P0(problem, z, tol) if b is None else check_d_stationary_P1(problem, z, b, tol)
+    form = _critical_form(problem, z, seed) if first.verdict == STATIONARY else None
+    return _second_order(problem, z, first, b, seed, form)
 
 
 def _second_order(
-    problem: CompositeProblem,
-    z: Point,
-    first: StationarityReport,
-    beta: np.ndarray | None,
-    seed: int,
+    problem: CompositeProblem, z: Point, first: StationarityReport, beta, seed: int, form
 ) -> StationarityReport:
     """``check_second_order`` at a feasible z from its first-order report; beta None is lifted.
 
-    A point that is not first-order stationary gets first's verdict, mode
-    ``exact``, ``min_found`` 0.0 and no witness: the first-order report
-    carries the witness and the minimum.
+    A point that is not first-order stationary gets first's verdict, and the
+    first-order report carries the witness.  Otherwise ``form`` is
+    ``_critical_form`` at z: its smallest eigenvalue above tol proves both
+    targets, as the penalized second derivative on tangent directions is F''
+    plus a nonnegative term, and its eigenvector refutes when it re-evaluates
+    below -tol/2 (radial first when lifted).  Else the pool decides, noted.
     """
     tol = first.tol
-    report = StationarityReport(first.target, 2, INCONCLUSIVE, "sample", 0.0, None, None, 0, tol)
+    report = StationarityReport(first.target, 2, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
     if first.verdict != STATIONARY:
-        report.verdict, report.mode = first.verdict, "exact"
+        report.verdict = first.verdict
         fails = first.verdict == NOT_STATIONARY
         report.notes.append(
             "already fails at first order" if fails else "first-order check inconclusive"
         )
         return report
-    report.samples, cands = _critical_search(problem, z, beta, 1.0, seed)
+    B, Q, report.samples, reason = form
+    if Q is not None and Q.size == 0:
+        report.verdict = STATIONARY
+        report.notes.append("critical subspace is {0}")
+        return report
+    if Q is not None:
+        report.min_found, v = _lowest(B, Q)
+        if report.min_found > tol:
+            report.verdict = STATIONARY
+            return report
+        d, reason = lift_direction(problem, z, v), "eigenvector not known radial"
+        if beta is not None or radial_membership(problem, z, d).in_radial:
+            curv = _curvature(problem, z, d, beta)
+            if curv is not None and curv < -tol / 2.0:
+                report.verdict, report.witness, report.witness_value = NOT_STATIONARY, d, curv
+                return report
+            reason = "eigenvector did not re-evaluate below -tol/2"
+    report.mode = "sample"
+    report.notes.append(f"sampled: {reason}")
+    width, cands = _pool(problem, z, B, beta, 1.0, seed)
+    report.samples += width
     if not cands:
         report.notes.append("no critical directions located by sampling")
     unknown_radial = unconfirmed = skipped_bad = False
@@ -396,16 +391,11 @@ def _second_order(
             break
         d = lift_direction(problem, z, dth)
         if beta is None:
-            membership = radial_membership(problem, z, d)
-            if membership.in_radial is False:
+            radial = radial_membership(problem, z, d).in_radial
+            unknown_radial |= radial is None
+            if not radial:
                 continue
-            if membership.in_radial is None:
-                unknown_radial = True
-                continue
-            confirmed = dd_F(problem, z, d, order=2).second
-        else:
-            confirmed = dd_Theta(problem, z, d, beta, order=2).second
-        if _refute(report, d, confirmed):
+        if _refute(report, d, _curvature(problem, z, d, beta)):
             return report
         unconfirmed = True
     # An undecided or unconfirmed candidate leaves the verdict inconclusive.
@@ -419,36 +409,39 @@ def _second_order(
 
 
 def check_strong_local_min_sufficient(
-    problem: CompositeProblem,
-    z: Point,
-    config: PenaltyConfig,
-    seed: int = 0,
-    tol: float = STAT_TOL,
+    problem: CompositeProblem, z: Point, config: PenaltyConfig, seed: int = 0, tol: float = STAT_TOL
 ) -> dict:
     """Sufficient condition for a strong local minimum of the penalized problem.
 
     Requires the first derivative to be nonnegative in every direction and
     the margin F'' minus the weighted l1 norm of the layer second derivatives
-    to be strictly positive over nonzero critical directions.
+    to be strictly positive over nonzero critical directions.  The margin is
+    at most F'', so an eigenvalue of F'' on S at or below zero fails it; else it is sampled.
     """
     first = check_d_stationary_P1(problem, z, config.beta)
-    out = {
-        "verdict": INCONCLUSIVE,
-        "first_order": first,
-        "margin_min": None,
-        "witness": None,
-        "notes": [],
-    }
+    out = dict(verdict=INCONCLUSIVE, first_order=first, margin_min=None, witness=None, notes=[])
     if first.verdict == NOT_STATIONARY:
-        out["verdict"] = "fails"
-        out["notes"].append("first-order condition fails")
+        out["verdict"], out["notes"] = "fails", ["first-order condition fails"]
         return out
     if first.verdict == INCONCLUSIVE:
         out["notes"].append("first-order check inconclusive")
         return out
     if not config.certified:
         out["notes"].append("beta not certified; critical directions may exceed the tangent cone")
-    _, cands = _critical_search(problem, z, config.beta, -1.0, seed)
+    B, Q, _, reason = _critical_form(problem, z, seed)
+    if Q is not None and Q.size == 0:
+        out["notes"].append("critical subspace is {0}")
+        return {**out, "verdict": "sufficient-holds"}
+    if Q is not None:
+        lam, v = _lowest(B, Q)
+        if lam <= 0.0:
+            _, q, bad = _tangent_second_batch(problem, z, v.reshape(-1, 1), config.beta, -1.0)
+            out["verdict"], out["witness"] = "fails", lift_direction(problem, z, v)
+            out["margin_min"] = lam if bad[0] else float(q[0])
+            return out
+    else:
+        out["notes"].append(f"sampled: {reason}")
+    _, cands = _pool(problem, z, B, config.beta, -1.0, seed)
     if not cands:
         out["verdict"] = "sufficient-holds"
         out["notes"].append("no critical directions located by sampling")
@@ -460,8 +453,7 @@ def check_strong_local_min_sufficient(
     qmin, dmin = usable[0]
     out["margin_min"] = float(qmin)
     if qmin <= 0.0:
-        out["verdict"] = "fails"
-        out["witness"] = lift_direction(problem, z, dmin)
+        out["verdict"], out["witness"] = "fails", lift_direction(problem, z, dmin)
     elif qmin > tol:
         out["verdict"] = "sufficient-holds"
     else:
@@ -494,18 +486,9 @@ def check_box(
     upper = np.asarray(upper, dtype=float).ravel()
     if np.any(x < lower - 1e-12) or np.any(x > upper + 1e-12):
         raise ValueError("point lies outside the box")
-    dim = x.size
-    cone_rows = []
-    for i in range(dim):
-        if x[i] <= lower[i] + 1e-12:
-            row = np.zeros(dim)
-            row[i] = 1.0
-            cone_rows.append(row)
-        if x[i] >= upper[i] - 1e-12:
-            row = np.zeros(dim)
-            row[i] = -1.0
-            cone_rows.append(row)
-
+    dim, eye = x.size, np.eye(x.size)
+    at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
+    cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
     sol = function_prime_min(e, x, cone_rows)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
     _first_order(report, sol, lambda u: (u, dd_expr(e, x, u).first))
@@ -516,52 +499,29 @@ def check_box(
     report.verdict = INCONCLUSIVE
 
     # Exact route for an interior point whose first derivative vanishes
-    # identically: recover the second derivative as a quadratic form from
-    # basis evaluations, verify the form on probe directions, then read the
-    # verdict off its minimum eigenvalue over the sphere.
-    first_identically_zero = not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= 1e-14
-    if first_identically_zero:
-        eye = np.eye(dim)
-        cols = [eye] + [
-            (eye[:, i] + eye[:, j]).reshape(-1, 1)
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-        D = np.hstack(cols)
-        cell = dd_expr_batch(e, x, D, order=2)
-        if not np.any(cell.bad2):
-            phi = cell.second
-            Q = np.diag(phi[:dim].astype(float))
-            kpos = dim
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    Q[i, j] = Q[j, i] = (phi[kpos] - Q[i, i] - Q[j, j]) / 2.0
-                    kpos += 1
-            probes = _directions(dim, 8, seed)[:, :8]  # the sphere draws alone
-            pv = dd_expr_batch(e, x, probes, order=2)
-            quad = np.einsum("im,ij,jm->m", probes, Q, probes)
-            matches = not np.any(pv.bad2) and float(
-                np.max(np.abs(pv.second - quad))
-            ) <= 1e-10 * (1.0 + float(np.max(np.abs(pv.second))))
-            if matches:
-                vals, vecs = np.linalg.eigh(Q)
-                report.mode = "exact"
-                report.min_found = float(vals[0])
-                report.samples = D.shape[1] + probes.shape[1]
-                report.notes.append("second derivative is an exact quadratic form")
-                if vals[0] >= -tol:
-                    report.verdict = STATIONARY
-                    return report
-                _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
+    # identically: the second derivative as a verified quadratic form, read
+    # off at its minimum eigenvalue over the sphere.
+    if not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= 1e-14:
+
+        def second(D):
+            cell = dd_expr_batch(e, x, D, order=2)
+            return cell.second, cell.bad2
+
+        Q, columns, _ = _quadratic_form(second, eye, seed)
+        if Q is not None:
+            vals, vecs = np.linalg.eigh(Q)
+            report.min_found, report.samples = float(vals[0]), columns
+            report.notes.append("second derivative is an exact quadratic form")
+            if vals[0] >= -tol:
+                report.verdict = STATIONARY
                 return report
+            _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
+            return report
 
     # Fold the pool into the tangent cone; sign flips keep the columns unit.
     pool = _directions(dim, 8 * max(dim, 4), seed)
-    for i in range(dim):
-        if x[i] <= lower[i] + 1e-12:
-            pool[i] = np.abs(pool[i])
-        if x[i] >= upper[i] - 1e-12:
-            pool[i] = -np.abs(pool[i])
+    pool[at_lo] = np.abs(pool[at_lo])
+    pool[at_hi] = -np.abs(pool[at_hi])
     cell = dd_expr_batch(e, x, pool, order=2)
     cands = [(q, d) for q, d, bad in _critical(pool, cell.first, cell.second, cell.bad2) if not bad]
     report.mode, report.samples = "sample", pool.shape[1]
@@ -604,8 +564,9 @@ def compare_sets_on_point(
     d0 = sd0 = sd1 = None
     if res.feasible:
         d0 = check_d_stationary_P0(problem, z)
-        sd1 = _second_order(problem, z, d1, config.beta, seed)
-        sd0 = _second_order(problem, z, d0, None, seed)
+        form = _critical_form(problem, z, seed) if STATIONARY in (d0.verdict, d1.verdict) else None
+        sd1 = _second_order(problem, z, d1, config.beta, seed, form)
+        sd0 = _second_order(problem, z, d0, None, seed, form)
     inconsistencies: list[str] = []
     guarded = in_level and config.certified
     if guarded and d1.verdict == STATIONARY and not res.feasible:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import negative_outer_problem
+from conftest import blowup_problem, negative_outer_problem
 from mcpen import expr as ex
 from mcpen.cli import main
 from mcpen.dcalc import Direction
@@ -425,3 +425,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_solve_that_overflows_ends_with_an_error_line(capsys, tmp_path):
+    # The sqnorm layer's ** raises OverflowError once the solver's first
+    # steps leave the float range; the CLI reports it like any bad input.
+    prob = tmp_path / "blowup.json"
+    save_problem(prob, blowup_problem("sqnorm"))
+    assert main(["solve", "--problem", str(prob), "--beta", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -1,30 +1,25 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
 from dataclasses import replace
-from types import SimpleNamespace
+from functools import cache
 
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import blowup_problem, random_problem
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
 from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers, residuals
 from mcpen.penalty import build_config
 from mcpen.pieces import minimize_pieces, psi_prime_pieces
 from mcpen.repro import lift_descent_instance
 from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from mcpen.stationarity import (
-    _FD_H,
-    CRIT_SLACK,
     INCONCLUSIVE,
-    N_STARTS,
     NOT_STATIONARY,
-    SEARCH_ITERS,
     STATIONARY,
-    _critical_search,
     _directions,
     check_box,
     check_d_stationary_P0,
@@ -52,6 +47,8 @@ def test_square_chain_second_order_split(square_chain):
     assert s0.verdict == STATIONARY
     assert s1.verdict == NOT_STATIONARY
     assert s1.witness_value == pytest.approx(-0.78, abs=1e-9)
+    with pytest.raises(ValueError, match="the penalized target needs beta"):
+        check_second_order(square_chain, z0, "penalized")
     # the witness scales as t^2 along (t, t, 0)
     w = s1.witness.flat()
     w = w / np.max(np.abs(w))
@@ -153,14 +150,17 @@ def test_box_interior_descent_detected():
 
 
 FAILS_FIRST = "already fails at first order"
+NOT_RADIAL = "sampled: eigenvector not known radial"
+NOT_CONFIRMED = "sampled: eigenvector did not re-evaluate below -tol/2"
+ZERO_SUBSPACE = "critical subspace is {0}"
 
 # (verdict, mode, samples, notes, min_found, witness_value) of each report on
 # the canonical instances.  Code that only removes duplication must keep them.
 REPORT_GOLDENS = {
     "square-chain P0": (STATIONARY, "exact", 0, [], 0.0, None),
     "square-chain P1": (STATIONARY, "exact", 0, [], 0.0, None),
-    "square-chain lifted": (STATIONARY, "sample", 66, [], -1.98, None),
-    "square-chain penalized": (NOT_STATIONARY, "sample", 66, [], -0.78, -0.78),
+    "square-chain lifted": (STATIONARY, "sample", 75, [NOT_RADIAL], -1.98, None),
+    "square-chain penalized": (NOT_STATIONARY, "exact", 9, [], -1.98, -0.78),
     "relu-ridge P0": (NOT_STATIONARY, "exact", 1, [], -2.0, -2.0),
     "relu-ridge P1": (NOT_STATIONARY, "exact", 1, [], -0.5, -0.8164965809277261),
     "relu-ridge lifted": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
@@ -318,116 +318,6 @@ def test_compare_flags_second_order_verdicts_that_break_the_implication(square_c
     assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
 
 
-# ---------------------------------------------------------------------------
-# The lockstep polish against the per-candidate loop it replaced
-
-
-def _per_candidate_critical_search(second_batch, problem, z, beta, sign, seed):
-    """Reference oracle: the critical-direction polish, one candidate after another."""
-    n, slack = problem.n, CRIT_SLACK
-    pool = _directions(n, max(N_STARTS, 4 * n), seed)
-
-    def eval_pool(D):
-        return second_batch(problem, z, D, beta, sign)
-
-    phi1, phi2, bad = eval_pool(pool)
-    crit = np.abs(phi1) <= slack
-    order_idx = np.argsort(np.where(bad, np.inf, phi2))
-    polish = [i for i in order_idx[: max(8, n)] if not bad[i]]
-    eye = np.eye(n)
-    refined = []
-    for i in polish:
-        d = pool[:, i].copy()
-        v1, v2 = float(phi1[i]), float(phi2[i])
-        for _ in range(max(10, SEARCH_ITERS // 16)):
-            probe = d.reshape(-1, 1) + _FD_H * eye
-            p1, p2, _ = eval_pool(probe)
-            g1 = (p1 - v1) / _FD_H
-            g2 = (p2 - v2) / _FD_H
-            if abs(v1) > slack:
-                ng1 = np.linalg.norm(g1)
-                if ng1 < 1e-12:
-                    break
-                d2 = d - (v1 / ng1**2) * g1
-            else:
-                gt = g2 - float(g2 @ d) * d
-                n1 = np.linalg.norm(g1)
-                if n1 > 1e-12:
-                    gh = g1 / n1
-                    gt = gt - float(gt @ gh) * gh
-                if np.linalg.norm(gt) < 1e-12:
-                    break
-                d2 = d - 0.25 * gt / np.linalg.norm(gt)
-            d2 /= np.linalg.norm(d2)
-            w1, w2, wb = eval_pool(d2.reshape(-1, 1))
-            if abs(v1) <= slack and (abs(float(w1[0])) > slack or float(w2[0]) > v2 - 1e-14):
-                break
-            d, v1, v2 = d2, float(w1[0]), float(w2[0])
-            if bool(wb[0]):
-                break
-        refined.append((v1, v2, d))
-    best = []
-    for i in np.flatnonzero(crit):
-        best.append((float(phi2[i]), pool[:, i], bool(bad[i])))
-    for v1, v2, d in refined:
-        if abs(v1) <= slack:
-            w1, w2, wb = eval_pool(d.reshape(-1, 1))
-            best.append((float(w2[0]), d, bool(wb[0])))
-    best.sort(key=lambda t: t[0])
-    return pool.shape[1], best
-
-
-def _rowwise(M, D):
-    """M @ D summed one row of D at a time: each column rounds as it would alone."""
-    out = np.zeros((M.shape[0], D.shape[1]))
-    for i in range(D.shape[0]):
-        out += np.outer(M[:, i], D[i])
-    return out
-
-
-# The column cap as shipped, and one that splits every call (a block wider
-# than the cap goes alone).
-CAPS = [stationarity._MAX_COLS, 7]
-
-
-def _plane_quadratic(seed, n):
-    """A test-local stand-in for the tangent second-derivative batch.
-
-    phi1 = a . d and phi2 = d' Q d with Q indefinite, both summed row by row
-    so that each column rounds as it would alone; columns with d_0 > 0.9
-    are flagged as unsupported.
-    """
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((1, n))
-    S = rng.standard_normal((n, n))
-    Q = S + S.T
-
-    def second_batch(problem, z, D, beta, sign):
-        QD = _rowwise(Q, D)
-        phi2 = np.zeros(D.shape[1])
-        for i in range(D.shape[0]):
-            phi2 += D[i] * QD[i]
-        return _rowwise(a, D)[0], sign * phi2, D[0] > 0.9
-
-    return second_batch
-
-
-@pytest.mark.parametrize("cap", CAPS)
-@pytest.mark.parametrize("seed, n, sign", [(0, 3, 1.0), (1, 5, 1.0), (2, 9, -1.0)])
-def test_lockstep_polish_matches_per_candidate_loop(monkeypatch, seed, n, sign, cap):
-    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
-    second_batch = _plane_quadratic(seed, n)
-    problem = SimpleNamespace(n=n)
-    args = (problem, None, None, sign, seed)
-    ref = _per_candidate_critical_search(second_batch, *args)
-    monkeypatch.setattr(stationarity, "_tangent_second_batch", second_batch)
-    got = _critical_search(*args)
-    assert got[0] == ref[0]
-    assert len(got[1]) == len(ref[1]) > 0
-    for (q, d, bad), (q_ref, d_ref, bad_ref) in zip(got[1], ref[1]):
-        assert (q, d.tobytes(), bad) == (q_ref, d_ref.tobytes(), bad_ref)
-
-
 def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
     # with certified closed-form beta.  Its P1 pieces number 2^60, and
@@ -446,6 +336,7 @@ def test_p1_sampling_finds_the_lifted_descent_p0_finds():
         assert slope == r.witness_value < -r.tol / 2.0
 
 
+@cache
 def _desk_points(seed):
     """A desk RNN, its closed-form config, its 0.1 N(0, I) lift and its trained, polished point."""
     spec = desk_instance(seed)
@@ -484,6 +375,18 @@ def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_pro
         r = check_second_order(rnn_problem, z, target, beta)
         assert (r.verdict, r.mode, r.samples, r.witness) == (INCONCLUSIVE, "exact", 0, None)
         assert r.notes == ["first-order check inconclusive"]
+
+
+def test_first_order_models_refuse_non_finite_coefficients():
+    # At theta = 0.5 the mul layer's value 1e308 is finite, but its slope
+    # 2 s s' is not; HiGHS would otherwise stop on its own message.
+    problem = blowup_problem("mul")
+    z = eval_layers(problem, np.array([0.5]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="^P0 first-order model has non-finite coefficients"):
+            check_d_stationary_P0(problem, z)
+        with pytest.raises(ValueError, match="^P1 first-order model has non-finite coefficients"):
+            check_d_stationary_P1(problem, z, [1.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -535,7 +438,6 @@ def test_second_order_implies_first_order_on_random_problems():
 # Witnesses that do not re-evaluate, and verdict branches of the small instances
 
 UNCONFIRMED = "search minimum did not re-evaluate below -tol/2"
-NO_CRITICAL = "no critical directions located by sampling"
 
 
 def _one_layer(u1, g):
@@ -555,14 +457,16 @@ def _no_curvature(real):
 
 def test_second_order_unconfirmed_witness_is_inconclusive(square_chain, monkeypatch):
     z0 = eval_layers(square_chain, np.zeros(1))
+    # Neither the eigenvector nor the pool's candidates confirm; min_found
+    # keeps the form's smallest eigenvalue, F'' along (1, 1, 0).
     monkeypatch.setattr(stationarity, "dd_Theta", _no_curvature(stationarity.dd_Theta))
     s1 = check_second_order(square_chain, z0, "penalized", beta=BETA_SC, seed=0)
-    assert (s1.verdict, s1.witness, s1.notes) == (INCONCLUSIVE, None, [UNCONFIRMED])
-    assert s1.min_found == pytest.approx(-0.78, abs=1e-9)
+    assert (s1.verdict, s1.witness, s1.notes) == (INCONCLUSIVE, None, [NOT_CONFIRMED, UNCONFIRMED])
+    assert (s1.mode, s1.min_found) == ("sample", pytest.approx(-1.98, abs=1e-9))
     problem = _ridge(ex.theta(0))
     monkeypatch.setattr(stationarity, "dd_F", _no_curvature(stationarity.dd_F))
     s0 = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
-    assert (s0.verdict, s0.witness, s0.notes) == (INCONCLUSIVE, None, [UNCONFIRMED])
+    assert (s0.verdict, s0.witness, s0.notes) == (INCONCLUSIVE, None, [NOT_CONFIRMED, UNCONFIRMED])
 
 
 def test_box_unconfirmed_witness_says_why(monkeypatch):
@@ -585,7 +489,7 @@ def test_box_unconfirmed_witness_says_why(monkeypatch):
 def test_lifted_second_order_refutes_along_a_radial_direction():
     problem = _ridge(ex.theta(0))
     r = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
-    assert r.verdict == NOT_STATIONARY
+    assert (r.verdict, r.mode, r.samples) == (NOT_STATIONARY, "exact", 9)
     assert r.witness_value == pytest.approx(-1.8, abs=1e-12)
 
 
@@ -595,38 +499,42 @@ def test_lifted_second_order_with_undecided_radial_membership_is_inconclusive():
     problem = _ridge(ex.add(th, ex.mul(th, ex.square(th))))
     r = check_second_order(problem, eval_layers(problem, np.zeros(1)), "lifted", seed=0)
     assert (r.verdict, r.witness) == (INCONCLUSIVE, None)
-    assert r.notes == ["negative curvature found but radial membership undecided"]
+    assert r.notes == [NOT_RADIAL, "negative curvature found but radial membership undecided"]
 
 
 def test_second_order_without_critical_directions():
+    # |theta| at 0 has slope |d|: the tie's row e_0 leaves S = {0}.
     problem = _one_layer(ex.theta(0), ex.vabs(ex.uref(1, 0)))
     z = eval_layers(problem, np.zeros(1))
     for target in ("lifted", "penalized"):
         r = check_second_order(problem, z, target, beta=[1.0], seed=0)
-        assert (r.verdict, r.notes) == (STATIONARY, [NO_CRITICAL])
+        assert (r.verdict, r.mode, r.samples, r.notes) == (STATIONARY, "exact", 0, [ZERO_SUBSPACE])
 
 
 def test_second_order_polish_reaches_a_critical_line_the_pool_misses():
     # g = |u0 - u1| - (u0 + u1)^2 with u = theta, at 0: phi1 = |d0 - d1|, so
     # the point is first-order stationary and the critical directions are
-    # the line d0 = d1, which no pool column hits.  Along it the curvature
-    # is -4 + 2 lam = -3.8; only the polish onto the line finds it.
+    # the line d0 = d1, which no pool column in R^2 hits.  The tie's row
+    # (1, -1) gives that line as S, and the form on it reads the curvature
+    # -4 + 2 lam = -3.8 exactly.  Written as plus(u0 - u1) + plus(u1 - u0),
+    # two ties max(h, 0) give the same S.
     u0, u1 = ex.uref(1, 0), ex.uref(1, 1)
-    g = ex.sub(ex.vabs(ex.sub(u0, u1)), ex.square(ex.add(u0, u1)))
-    problem = CompositeProblem(2, (LayerMap(1, (ex.theta(0), ex.theta(1))),), g, lam=0.1)
-    z = eval_layers(problem, np.zeros(2))
-    beta = np.array([1.0])
-    assert check_d_stationary_P0(problem, z).verdict == STATIONARY
-    assert check_d_stationary_P1(problem, z, beta).verdict == STATIONARY
-    for target in ("lifted", "penalized"):
-        r = check_second_order(problem, z, target, beta, seed=0)
-        assert (r.verdict, r.mode, r.notes) == (NOT_STATIONARY, "sample", [])
-        assert r.witness_value == pytest.approx(-3.8, abs=1e-6)
-        d0, d1 = r.witness.flat()[:2]
-        assert abs(d0 - d1) <= 1e-8 and abs(d0) == pytest.approx(0.5**0.5, abs=1e-8)
-    out = check_strong_local_min_sufficient(problem, z, build_config(problem, beta=beta, seed=0))
-    assert out["verdict"] == "fails"
-    assert out["margin_min"] == pytest.approx(-3.8, abs=1e-6)
+    for kink in (ex.vabs(ex.sub(u0, u1)), ex.add(ex.plus(ex.sub(u0, u1)), ex.plus(ex.sub(u1, u0)))):
+        g = ex.sub(kink, ex.square(ex.add(u0, u1)))
+        problem = CompositeProblem(2, (LayerMap(1, (ex.theta(0), ex.theta(1))),), g, lam=0.1)
+        z = eval_layers(problem, np.zeros(2))
+        beta = np.array([1.0])
+        assert check_d_stationary_P0(problem, z).verdict == STATIONARY
+        assert check_d_stationary_P1(problem, z, beta).verdict == STATIONARY
+        for target in ("lifted", "penalized"):
+            r = check_second_order(problem, z, target, beta, seed=0)
+            assert (r.verdict, r.mode, r.notes) == (NOT_STATIONARY, "exact", [])
+            assert r.min_found == r.witness_value == pytest.approx(-3.8, abs=1e-12)
+            d0, d1 = r.witness.flat()[:2]
+            assert abs(d0 - d1) <= 1e-8 and d0 == pytest.approx(0.5**0.5, abs=1e-8)  # largest entry > 0
+        out = check_strong_local_min_sufficient(problem, z, build_config(problem, beta=beta, seed=0))
+        assert out["verdict"] == "fails"
+        assert out["margin_min"] == pytest.approx(-3.8, abs=1e-12)
 
 
 def test_strong_minimum_check_fails_with_a_witness(square_chain):
@@ -646,13 +554,13 @@ def test_strong_minimum_check_outcomes_before_the_margin(relu_ridge):
     out = check_strong_local_min_sufficient(relu_ridge, z, cfg)
     assert (out["verdict"], out["notes"]) == ("fails", ["first-order condition fails"])
     assert (out["first_order"].verdict, out["margin_min"]) == (NOT_STATIONARY, None)
-    # |theta| at 0 has slope |d| in every direction: no critical direction, so
-    # the condition holds vacuously, and an uncertified beta is said so.
+    # |theta| at 0 has slope |d| in every direction: S = {0}, so the
+    # condition holds vacuously, and an uncertified beta is said so.
     problem = _one_layer(ex.theta(0), ex.vabs(ex.uref(1, 0)))
     z = eval_layers(problem, np.zeros(1))
     cfg = build_config(problem, beta=np.array([2.0]), seed=0)
     uncertified = "beta not certified; critical directions may exceed the tangent cone"
-    for certified, notes in ((True, [NO_CRITICAL]), (False, [uncertified, NO_CRITICAL])):
+    for certified, notes in ((True, [ZERO_SUBSPACE]), (False, [uncertified, ZERO_SUBSPACE])):
         out = check_strong_local_min_sufficient(problem, z, replace(cfg, certified=certified))
         assert (out["verdict"], out["notes"]) == ("sufficient-holds", notes)
         assert out["margin_min"] is None
@@ -666,3 +574,95 @@ def test_box_sampled_critical_route():
     assert (r.verdict, r.mode, r.min_found) == (STATIONARY, "sample", 2.0)
     r = check_box(ex.scaled(-1.0, sq), zero, zero, one, order=2, seed=0)
     assert (r.verdict, r.mode, r.min_found, r.witness_value) == (NOT_STATIONARY, "sample", -2.0, -2.0)
+
+
+def _sampled(problem, z, first, beta):
+    """The seeded pool's verdict over R^n: the route taken when S is unknown."""
+    return stationarity._second_order(problem, z, first, beta, 0, (None, None, 0, "reference"))
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_exact_second_order_agrees_with_the_sampled_search():
+    # Trained random problems and desk RNNs.  Wherever the quadratic form on
+    # the critical subspace decides, the pool over all of R^n reads the same
+    # verdict, so no exact `stationary` meets a confirmed pool witness.
+    points = []
+    for seed in range(60):
+        problem = random_problem(seed)
+        beta = np.full(problem.L, 0.7)
+        res = minimize_theta(problem, beta, SolveConfig(max_iters=100, seed=seed))
+        points.append((problem, polish_to_feasible(problem, res.z, beta)[0], beta))
+    for seed in range(10):
+        problem, config, (_, trained) = _desk_points(seed)
+        points.append((problem, trained, config.beta))
+        # The dead network: S has dimension 21, and F'' is 2 lam on it.
+        out = compare_sets_on_point(problem, trained, config)
+        for r in (out["sd0"], out["sd1"]):
+            assert (r.verdict, r.mode, r.samples, r.notes) == (STATIONARY, "exact", 231 + 8, [])
+            assert r.min_found == pytest.approx(0.2, abs=1e-12)
+    decided = 0
+    for problem, z, beta in points:
+        if not residuals(problem, z).feasible:
+            continue
+        first0 = check_d_stationary_P0(problem, z)
+        if first0.verdict != STATIONARY:
+            continue
+        form = stationarity._critical_form(problem, z, 0)
+        for first, b in ((first0, None), (check_d_stationary_P1(problem, z, beta), beta)):
+            r = stationarity._second_order(problem, z, first, b, 0, form)
+            if first.verdict != STATIONARY or r.mode != "exact":
+                continue
+            decided += 1
+            ref = _sampled(problem, z, first, b)
+            assert r.verdict == ref.verdict, (first.target, r, ref)
+    assert decided >= 70
+
+
+def test_second_order_at_a_tie_whose_critical_cone_is_a_half_line():
+    # g = |u| - u - u^2 with u = theta, at 0: phi1 = |d| - d >= 0 vanishes
+    # on d >= 0, a half-line, not the subspace {0} that the tie's row cuts.
+    # Its multiplier sits on the boundary, so S stays unknown and the pool
+    # finds the curvature -2 + 2 lam = -1.8 along d = 1.
+    u = ex.uref(1, 0)
+    problem = _one_layer(ex.theta(0), ex.sub(ex.vabs(u), ex.add(u, ex.square(u))))
+    z = eval_layers(problem, np.zeros(1))
+    for target in ("lifted", "penalized"):
+        r = check_second_order(problem, z, target, beta=[1.0], seed=0)
+        assert (r.verdict, r.mode, r.notes) == (
+            NOT_STATIONARY,
+            "sample",
+            ["sampled: critical subspace unknown"],
+        )
+        assert r.witness_value == pytest.approx(-1.8, abs=1e-12)
+        assert r.witness.dtheta[0] > 0.0
+
+
+@pytest.mark.parametrize("cap", [stationarity._MAX_COLS, 7])
+def test_quadratic_form_is_read_in_calls_of_at_most_the_cap(monkeypatch, cap):
+    # phi2 = d' A d on span(B), B an orthonormal 9 x 5 basis: 15 polarization
+    # columns, three calls at a cap of 7.  A flagged column or a second
+    # derivative that is not quadratic on span(B) gives no form.
+    monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
+    rng = np.random.default_rng(0)
+    S = rng.standard_normal((9, 9))
+    A = S + S.T
+    B = np.linalg.qr(rng.standard_normal((9, 5)))[0]
+    widths = []
+
+    def second(D, flag=lambda D: np.zeros(D.shape[1], bool), extra=0.0):
+        widths.append(D.shape[1])
+        return np.einsum("im,ij,jm->m", D, A, D) + extra * np.abs(D[0]), flag(D)
+
+    Q, columns, reason = stationarity._quadratic_form(second, B, 0)
+    assert (columns, reason) == (15 + 8, None)
+    assert max(widths[:-1]) <= cap and sum(widths[:-1]) == 15 and widths[-1] == 8  # then the probes
+    np.testing.assert_allclose(Q, B.T @ A @ B, atol=1e-12)
+    one_flag = lambda D: np.arange(D.shape[1]) == 3  # noqa: E731
+    flagged = stationarity._quadratic_form(lambda D: second(D, flag=one_flag), B, 0)
+    assert flagged == (None, 15, "quadratic form has unsupported second derivatives")
+    kinked = stationarity._quadratic_form(lambda D: second(D, extra=1.0), B, 0)
+    assert kinked == (None, 15 + 8, "quadratic form misfits its probes")
+    # The eigenvector is mapped through the basis and turned so that its
+    # largest entry is positive.
+    lam, v = stationarity._lowest(-np.eye(2), np.diag([-1.0, 1.0]))
+    assert (lam, v.tolist()) == (-1.0, [1.0, 0.0])
