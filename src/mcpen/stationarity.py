@@ -229,13 +229,15 @@ def _critical(pool: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, bad: np.ndar
 def _critical_basis(problem: CompositeProblem, th: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis of the critical subspace S of P0 at theta, or None when S is unknown.
 
-    P0's model writes phi1(d) = c . d + sum_k a_k y_k: with no tie S = null(c),
-    the identity's span when c = 0.  A tie y_k = max(f_k . d, g_k . d) with
-    a_k > 0 is (f_k + g_k) . d / 2 + |h_k . d| / 2, h_k = f_k - g_k: it moves
-    c by a_k (f_k + g_k) / 2 and adds the row h_k, when -c = sum_k t_k a_k h_k
-    / 2 at the least-squares t has every |t_k| < 1, so that zero is relatively
-    interior to phi1's subdifferential and phi1 vanishes on S alone.  Any
-    other tie leaves S unknown.  The rank is numpy's default cut.
+    P0's model writes phi1(d) = c . d + sum_k a_k y_k.  A tie y_k = max(f_k .
+    d, g_k . d) with a_k > 0 gives a_k y_k = a_k (f_k + g_k) . d / 2 + |r_k .
+    d|, r_k = a_k (f_k - g_k) / 2: it moves c and adds the row r_k, when -c =
+    sum_k t_k r_k at the least-squares t has every |t_k| < 1, so that zero is
+    relatively interior to phi1's subdifferential and phi1 vanishes on S
+    alone.  Any other tie leaves S unknown.  A slope within CRIT_SLACK counts
+    as zero, as for sampled directions: S is spanned by the right singular
+    vectors of [c; r] whose singular values are at most CRIT_SLACK, and is
+    R^n, with B = I, when all of them are.
     """
     model, obj = pieces.psi_prime_model(problem, th)
     n = problem.n
@@ -243,19 +245,17 @@ def _critical_basis(problem: CompositeProblem, th: np.ndarray) -> np.ndarray | N
     coef[: obj.size] = obj
     c, aux = coef[:n], coef[n:]
     tied = np.flatnonzero(aux)
-    if not tied.size and not np.any(c):
-        return np.eye(n)
     H = np.zeros((tied.size, n))
     for r, k in enumerate(tied):
         if int(k) not in model.ties or aux[k] < 0.0:
             return None
         f, g = (np.pad(form, (0, n - form.size)) for form in model.ties[int(k)])
-        c, H[r] = c + aux[k] * (f + g) / 2.0, f - g
-    if not np.all(np.abs(np.linalg.lstsq((aux[tied, None] / 2.0 * H).T, -c, rcond=None)[0]) < 1.0):
+        c, H[r] = c + aux[k] * (f + g) / 2.0, aux[k] * (f - g) / 2.0
+    if tied.size and not np.all(np.abs(np.linalg.lstsq(H.T, -c, rcond=None)[0]) < 1.0):
         return None
-    rows = np.vstack([c, H])
-    rank = np.linalg.matrix_rank(rows)
-    return np.linalg.svd(rows)[2][rank:].T
+    sv, vt = np.linalg.svd(np.vstack([c, H]))[1:]
+    rank = int(np.sum(sv > CRIT_SLACK))
+    return np.eye(n) if rank == 0 else vt[rank:].T
 
 
 def _quadratic_form(second: Callable, B: np.ndarray, seed: int) -> tuple:

@@ -493,6 +493,21 @@ def test_lifted_second_order_refutes_along_a_radial_direction():
     assert r.witness_value == pytest.approx(-1.8, abs=1e-12)
 
 
+def test_a_slope_within_crit_slack_leaves_its_direction_critical():
+    # At theta = 1e-10 the ridge's slope is c = -1.8e-10: first order reads
+    # stationary, and the direction d = 1 still counts as critical, so S is
+    # R^1 and its curvature -1.8 refutes both targets.
+    problem = _ridge(ex.theta(0))
+    z = eval_layers(problem, np.full(1, 1e-10))
+    assert check_d_stationary_P0(problem, z).verdict == STATIONARY
+    assert check_d_stationary_P1(problem, z, [1.0]).verdict == STATIONARY
+    for target in ("lifted", "penalized"):
+        r = check_second_order(problem, z, target, beta=[1.0], seed=0)
+        assert (r.verdict, r.mode, r.notes) == (NOT_STATIONARY, "exact", [])
+        assert r.min_found == pytest.approx(-1.8, abs=1e-8)
+        assert r.witness_value == pytest.approx(-1.8, abs=1e-8)
+
+
 def test_lifted_second_order_with_undecided_radial_membership_is_inconclusive():
     # a cubic layer map is beyond the radial test's degree-2 grid argument
     th = ex.theta(0)
@@ -595,10 +610,11 @@ def test_exact_second_order_agrees_with_the_sampled_search():
     for seed in range(10):
         problem, config, (_, trained) = _desk_points(seed)
         points.append((problem, trained, config.beta))
-        # The dead network: S has dimension 21, and F'' is 2 lam on it.
+        # The dead network: its slope c is below CRIT_SLACK, so S is R^22,
+        # and F''s smallest eigenvalue on it is 2 lam.
         out = compare_sets_on_point(problem, trained, config)
         for r in (out["sd0"], out["sd1"]):
-            assert (r.verdict, r.mode, r.samples, r.notes) == (STATIONARY, "exact", 231 + 8, [])
+            assert (r.verdict, r.mode, r.samples, r.notes) == (STATIONARY, "exact", 253 + 8, [])
             assert r.min_found == pytest.approx(0.2, abs=1e-12)
     decided = 0
     for problem, z, beta in points:
