@@ -95,7 +95,7 @@ def _feasible_at(problem: CompositeProblem, z: Point, d: Direction, tau: float) 
     moved = point_from_flat(problem, z.flat() + tau * d.flat())
     try:
         return residuals(problem, moved).feasible
-    except (EvaluationError, OverflowError):
+    except EvaluationError:
         return False
 
 

@@ -17,9 +17,11 @@ arity and its payload fields (checked and converted by ``FIELDS``):
 The walkers (``eval_one``, ``eval_cols``, ``taylor_cells``,
 ``pieces.expr_pieces``, ``cones._degree``) branch on the family only.  Where
 an op's own arithmetic differs from its family rule (whether a sum starts at
-zero or at its first term, ``**`` for the squared norm's values, Python's
-``abs``), the difference is table data, so each op keeps its exact rounding
-and sign of zero, at one point and column by column.  Trees are built from
+zero or at its first term, Python's ``abs``), the difference is table data,
+so each op keeps its exact rounding and sign of zero, at one point and
+column by column.  Every walker squares with ``x*x``, so values and Taylor
+cells agree bit for bit, and a value past the float range is inf, never an
+exception.  Trees are built from
 immutable nodes, so cycles are impossible by construction and sharing of
 subtrees is safe; ``nodes`` walks a tree without recursion.
 
@@ -217,8 +219,7 @@ ABS = Rule(lambda a, _: abs(a), lambda a, _: np.abs(a))
 # The data of each family:
 #   leaf     the block read (0 for theta, j for u_j), None for a constant;
 #   linear   (weights, offset); offset None sums from the first term;
-#   product  (index pairs, start, pow2); start None sums from the first
-#            pair, and pow2 makes the value walkers square with ** (sqnorm);
+#   product  (index pairs, start); start None sums from the first pair;
 #   kink     (second-branch node, scale, value Rule); a None node makes
 #            the second branch scale * first argument.
 OPS: dict[str, Op] = {
@@ -229,10 +230,10 @@ OPS: dict[str, Op] = {
     "diff": Op(LINEAR, "2", (), lambda e: ((1.0, -1.0), None)),
     "scaled": Op(LINEAR, "1", ("coeffs",), lambda e: (e.coeffs, None)),
     "affine": Op(LINEAR, "any", ("coeffs", "const"), lambda e: (e.coeffs, e.const)),
-    "product": Op(PRODUCT, "2", (), lambda e: (((0, 1),), None, False)),
-    "inner": Op(PRODUCT, "2k", (), lambda e: (_pairs(e), 0.0, False)),
-    "sqnorm": Op(PRODUCT, "1+", (), lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0, True)),
-    "square": Op(PRODUCT, "1", (), lambda e: (((0, 0),), None, False)),
+    "product": Op(PRODUCT, "2", (), lambda e: (((0, 1),), None)),
+    "inner": Op(PRODUCT, "2k", (), lambda e: (_pairs(e), 0.0)),
+    "sqnorm": Op(PRODUCT, "1+", (), lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0)),
+    "square": Op(PRODUCT, "1", (), lambda e: (((0, 0),), None)),
     "max": Op(KINK, "2", (), lambda e: (e.args[1], None, MAX)),
     "abs": Op(KINK, "1", (), lambda e: (None, -1.0, ABS)),
     "plus": Op(KINK, "1", (), lambda e: (_ZERO, None, MAX)),
@@ -290,10 +291,10 @@ def _value(e: Expr, blocks: Sequence[np.ndarray]) -> float:
             t = w * _value(a, blocks)
             acc = t if acc is None else acc + t
         return acc
-    pairs, acc, pow2 = data
+    pairs, acc = data
     for i, j in pairs:
         a = _value(e.args[i], blocks)
-        t = a**2 if pow2 else a * (a if i == j else _value(e.args[j], blocks))
+        t = a * (a if i == j else _value(e.args[j], blocks))
         acc = t if acc is None else acc + t
     return acc
 
@@ -306,8 +307,7 @@ def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarra
 def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
     """Values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (len(exprs), m).
 
-    Column c is ``eval_many`` at column c, byte for byte: no numpy warnings,
-    and the squared norm's ``**`` raises ``OverflowError`` as Python's does.
+    Column c is ``eval_many`` at column c, byte for byte, with no numpy warnings.
     """
     blocks, m = (TH, *UBLOCKS), TH.shape[1]
     with np.errstate(all="ignore"):
@@ -329,11 +329,10 @@ def _cols(e: Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
             t = w * _cols(a, blocks, m)
             acc = t if acc is None else acc + t
         return acc
-    pairs, acc, pow2 = data
+    pairs, acc = data
     for i, j in pairs:
         a = _cols(e.args[i], blocks, m)
-        b = a if i == j else _cols(e.args[j], blocks, m)
-        t = np.array([x**2 for x in a.tolist()]) if pow2 else a * b
+        t = a * (a if i == j else _cols(e.args[j], blocks, m))
         acc = t if acc is None else acc + t
     return acc
 
@@ -450,7 +449,7 @@ def taylor_cells(
             if offset is not None:
                 val = offset + val
         else:
-            pairs, val, _ = data
+            pairs, val = data
             first = second = val
             for i, j in pairs:
                 a, b = cs[i], cs[j]

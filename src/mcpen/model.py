@@ -36,7 +36,10 @@ class DimensionError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A layer map produced a non-finite value; carries the layer index."""
+    """A layer map or the outer function produced a non-finite value.
+
+    Carries the layer index, L + 1 for the outer function.
+    """
 
     def __init__(self, layer: int, msg: str):
         super().__init__(msg)
@@ -188,6 +191,8 @@ def eval_layers(problem: CompositeProblem, th: np.ndarray) -> Point:
 def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
     """Outer value; warns when a supposedly nonnegative g dips below zero."""
     val = ex.eval_one(problem.outer, np.zeros(problem.n), ublocks)
+    if not np.isfinite(val):
+        raise EvaluationError(problem.L + 1, "outer function evaluated to a non-finite value")
     if val < G_WARN_BELOW:
         warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=2)
     return val
@@ -255,8 +260,7 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
 
     Value j is the scalar value at column j byte for byte, or NaN where
     ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g.
-    Nothing here warns; ``OverflowError`` is raised when a squared norm
-    overflows in any column.
+    Nothing here warns or raises.
     """
     TH, U = split_flat(problem, Z)
     with np.errstate(all="ignore"):
@@ -265,7 +269,8 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
         g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
         rows = np.ascontiguousarray(TH.T)
         F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
-    F[(g < G_WARN_BELOW) | ~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
+    bad = ~np.isfinite(g) | (g < G_WARN_BELOW)
+    F[bad | ~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
     return F
 
 

@@ -112,7 +112,8 @@ def _sample_level_set(
     residual bounds gamma_bar/beta_l; both bounds hold for every point of the
     level set, so the proposal covers it.  Accepted points get one extra
     eps-ball perturbation, landing inside the inflated set.  A candidate's
-    residuals are its blocks minus the layer values they were drawn around.
+    residuals are its blocks minus the layer values they were drawn around;
+    a candidate whose layer or outer values are not finite is rejected.
     """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
@@ -129,18 +130,17 @@ def _sample_level_set(
         th = rng.uniform(-r_theta, r_theta, size=problem.n)
         blocks: list[np.ndarray] = []
         l1: list[float] = []
-        for k in range(1, problem.L + 1):
-            try:
+        try:
+            for k in range(1, problem.L + 1):
                 base = layer_values(problem, k, th, blocks)
-            except (EvaluationError, OverflowError):
-                break
-            rad = gamma_bar / beta[k - 1]
-            blocks.append(base + rng.uniform(-rad, rad, size=base.size))
-            l1.append(float(np.sum(np.abs(blocks[-1] - base))))
-        if len(blocks) < problem.L:
+                rad = gamma_bar / beta[k - 1]
+                blocks.append(base + rng.uniform(-rad, rad, size=base.size))
+                l1.append(float(np.sum(np.abs(blocks[-1] - base))))
+            z = Point(th, tuple(blocks))
+            accept = penalized_value(problem, z, beta, l1) <= gamma_bar
+        except EvaluationError:
             continue
-        z = Point(th, tuple(blocks))
-        if penalized_value(problem, z, beta, l1) <= gamma_bar:
+        if accept:
             noise = rng.normal(size=problem.nbar)
             noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
             th2, blocks2 = split_flat(problem, z.flat() + noise)

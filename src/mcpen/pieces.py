@@ -145,7 +145,7 @@ def expr_pieces(
                 out.append((v, c, kk))
             return out
         # One factor per self-pair, two per cross pair, in pair order.
-        pairs, start, _ = data
+        pairs, start = data
         slots = [(i,) if i == j else (i, j) for i, j in pairs]
         for combo in _product([parts[i] for slot in slots for i in slot], limit):
             it = iter(combo)
@@ -515,7 +515,7 @@ def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> 
             val = v if val is None else val + v
             form = f if form is None else _add(form, f)
         return (val if offset is None else offset + val), form
-    pairs, val, _ = data
+    pairs, val = data
     form = None if val is None else model.zero
     for i, j in pairs:
         (va, fa), (vb, fb) = parts[i], parts[j]

@@ -172,10 +172,9 @@ def _line_search(
     The steps are those of a halving loop from ``STEP_INIT`` down to 1e-12.
     Every step is evaluated in one ``eval_Theta_cols`` walk, then the steps
     are tried in order and the first whose value passes is accepted.  A tried
-    step whose value is not finite there, or every tried step when the walk
-    overflowed, is evaluated again by ``eval_Theta``, which raises and warns
-    as a one-step-at-a-time loop would.  Steps after the accepted one have
-    no effect.
+    step whose value is not finite there is evaluated again by
+    ``eval_Theta``, which raises and warns as a one-step-at-a-time loop
+    would.  Steps after the accepted one have no effect.
 
     Returns the accepted point, its step and its value, or None when no
     step passes.
@@ -183,10 +182,7 @@ def _line_search(
     steps = _halvings(STEP_INIT, 1e-12)
     with np.errstate(all="ignore"):
         Z = z.flat()[:, None] + d[:, None] * steps
-    try:
-        values = eval_Theta_cols(problem, Z, b)
-    except OverflowError:
-        values = np.full(len(steps), np.nan)
+    values = eval_Theta_cols(problem, Z, b)
     for j, t in enumerate(steps.tolist()):
         v = float(values[j])
         if not np.isfinite(v):

@@ -113,8 +113,8 @@ def negative_outer_problem():
 def blowup_problem(op):
     """u_2 = op(c*(1 - u_1)) with c = 2e154: finite at u_1 = 1/2, past the float range at u_1 = 1/4.
 
-    op is ``ex.mul`` of the term with itself, whose value overflows to inf, or
-    ``ex.sqnorm``, whose ``**`` raises ``OverflowError``.
+    op is ``ex.mul`` of the term with itself or ``ex.sqnorm`` of the term;
+    either value overflows to inf.
     """
     s = ex.scaled(2e154, ex.affine(1.0, [-1.0], [ex.uref(1, 0)]))
     layer2 = LayerMap(2, (ex.mul(s, s) if op == "mul" else ex.sqnorm(s),))

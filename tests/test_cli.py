@@ -428,12 +428,13 @@ def test_version_flag(capsys):
 
 
 def test_solve_that_overflows_ends_with_an_error_line(capsys, tmp_path):
-    # The sqnorm layer's ** raises OverflowError once the solver's first
-    # steps leave the float range; the CLI reports it like any bad input.
-    prob = tmp_path / "blowup.json"
-    save_problem(prob, blowup_problem("sqnorm"))
-    assert main(["solve", "--problem", str(prob), "--beta", "0.7"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("error: ")
-    assert "Traceback" not in captured.err
+    # The layer value overflows to inf once the solver's first steps leave
+    # the float range; the CLI names the layer, for sqnorm and mul alike.
+    for op in ("sqnorm", "mul"):
+        prob = tmp_path / f"blowup-{op}.json"
+        save_problem(prob, blowup_problem(op))
+        assert main(["solve", "--problem", str(prob), "--beta", "0.7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: layer 2 evaluated to a non-finite value"
+        assert "Traceback" not in captured.err

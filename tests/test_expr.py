@@ -185,17 +185,27 @@ def _assert_cols_match(exprs, TH, UBLOCKS):
         assert out[:, c].tobytes() == one.tobytes()
 
 
+# values whose x**2 and x*x differ
+SQUARES = [0.3624182010806754, 1.8871580461934296, 1.2291748224027053, -0.006127947152018283]
+
+
+def test_values_and_cells_square_alike():
+    # every walker squares with x*x, so eval_many and the Taylor cells agree
+    x0 = ex.theta(0)
+    exprs = [ex.sqnorm(x0), ex.square(x0), ex.mul(x0, x0)]
+    for x in SQUARES:
+        th = np.array([x])
+        cells = ex.taylor_cells(exprs, th, [], np.ones((1, 1)), [])
+        assert np.array([c.value for c in cells]).tobytes() == ex.eval_many(exprs, th, []).tobytes()
+
+
 def test_eval_cols_matches_eval_many_column_by_column():
     inf, nan = np.inf, np.nan
-    # values whose x**2 and x*x differ
-    squares = [0.3624182010806754, 1.8871580461934296, 1.2291748224027053, -0.006127947152018283]
-    cols = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.8329, -1.6598), *((x, -x) for x in squares)]
+    cols = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.8329, -1.6598), *((x, -x) for x in SQUARES)]
     cols += [(a, b) for a in (inf, -inf, nan, -nan, 0.0) for b in (inf, -inf, nan, -nan, -0.0)]
+    cols += [(1e200, -1e200)]  # squares and products past the float range
     _assert_cols_match(_signed_exprs(), np.array(cols).T, [])
-    with pytest.raises(OverflowError):
-        ex.eval_many([ex.sqnorm(ex.theta(0))], np.array([1e200]), [])
-    with pytest.raises(OverflowError):
-        ex.eval_cols([ex.sqnorm(ex.theta(0))], np.array([[1.0, 1e200]]), [])
+    assert ex.eval_one(ex.sqnorm(ex.theta(0)), np.array([1e200]), []) == inf
     # every tree of the random instances, with ties at rounded columns
     rng = np.random.default_rng(7)
     for seed in range(60):
@@ -209,8 +219,9 @@ def test_eval_cols_matches_eval_many_column_by_column():
 
 
 # sha256 of the values and Taylor cells below, recorded with the per-op tree
-# walkers that preceded the four node families
-CELLS_SHA256 = "dee1d4b23aa38f8a28dc699493193906ff88deb26c077c09fe9f5560ee82c46f"
+# walkers that preceded the four node families, then re-recorded when the
+# value walkers' squared norm went from x**2 to x*x (the cells did not move)
+CELLS_SHA256 = "41eb8a95c9966a07a846f04d12a3120f7977c83520adf4f071e66347e86748cc"
 
 
 def _update(h, arr, dtype=np.float64):

@@ -211,16 +211,27 @@ def test_column_evaluator_matches_the_scalar_one(seed):
         assert _bytes(values[j]) == _bytes(eval_Theta(problem, point_from_flat(problem, Z[:, j]), b))
 
 
-def test_column_evaluator_marks_non_finite_layers_and_raises_on_overflow():
+def test_column_evaluator_marks_non_finite_layers():
     b = np.ones(2)
     u1 = np.array([1.0, 0.5, 0.25])
     Z = np.vstack([np.zeros(3), u1, np.zeros(3)])
-    values = eval_Theta_cols(blowup_problem("mul"), Z, b)
-    assert np.isfinite(values[:2]).all() and np.isnan(values[2])
-    with pytest.raises(EvaluationError, match="layer 2 evaluated to a non-finite value"):
-        eval_Theta(blowup_problem("mul"), point_from_flat(blowup_problem("mul"), Z[:, 2]), b)
-    with pytest.raises(OverflowError):
-        eval_Theta_cols(blowup_problem("sqnorm"), Z, b)
+    for problem in (blowup_problem("mul"), blowup_problem("sqnorm")):
+        values = eval_Theta_cols(problem, Z, b)
+        assert np.isfinite(values[:2]).all() and np.isnan(values[2])
+        with pytest.raises(EvaluationError, match="^layer 2 evaluated to a non-finite value$"):
+            eval_Theta(problem, point_from_flat(problem, Z[:, 2]), b)
+
+
+def test_outer_function_past_the_float_range_raises_and_marks_its_columns():
+    # g = u_1 * u_1 overflows at u_1 = 1e160 while the layer value is finite
+    x = ex.uref(1, 0)
+    problem = CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), ex.mul(x, x), lam=0.1)
+    Z = np.array([[0.0, 1e160], [1.0, 1e160]])
+    values = eval_Theta_cols(problem, Z, np.ones(1))
+    assert np.isfinite(values[0]) and np.isnan(values[1])
+    with pytest.raises(EvaluationError, match="^outer function evaluated to a non-finite value$") as err:
+        eval_g(problem, [np.array([1e160])])
+    assert err.value.layer == problem.L + 1
 
 
 def test_column_evaluator_marks_the_columns_where_g_warns():

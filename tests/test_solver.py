@@ -248,8 +248,10 @@ _TRACE_COLS = ("iter", "theta", "max_residual", "step", "probe_min")
 # recorded with the line searches that evaluated one trial step at a time.
 # The axis slopes no longer evaluate g, whose value they never read, so 233
 # of the 8525 negative-g warnings recorded then are gone; the solves' bytes
-# and the order of the remaining warnings are unchanged.
-SOLVE_SHA256 = (8292, "e57550435c59d62ca9a121af05516aa84eaad0e19a1659f2236d35b37c3ca697")
+# and the order of the remaining warnings are unchanged.  Squaring with x*x
+# in place of x**2 moved only the trace rows of random_problem(31) under the
+# diminishing rule; every final result and warning stayed.
+SOLVE_SHA256 = (8292, "c3bc6a896e03a7e0eec4b4c924837c24231d40d8b0904f345d53d5def155e9eb")
 
 
 def test_solver_runs_are_bit_identical():
@@ -295,7 +297,7 @@ def test_line_search_tries_the_steps_of_the_halving_loop(monkeypatch, square_cha
     assert walked[0][0].tolist() == list(_halving_loop())
 
 
-@pytest.mark.parametrize("op, error", [("mul", EvaluationError), ("sqnorm", OverflowError)])
+@pytest.mark.parametrize("op, error", [("mul", EvaluationError), ("sqnorm", EvaluationError)])
 def test_line_search_raises_at_a_first_step_past_the_float_range(op, error):
     # u_1 = -t puts c*(1 - u_1) past the float range at every step
     problem, d = blowup_problem(op), np.array([0.0, -1.0, 0.0])
