@@ -7,7 +7,9 @@ directions, and a pseudo-gradient assembled from the coordinate slopes), the
 best slope drives a backtracking line search on the objective value, and the
 iterate is periodically snapped onto the feasible manifold when that does
 not increase the objective.  Termination is declared when the sampled probe
-minimum rises above minus the stop tolerance.
+minimum rises above minus the stop tolerance; the solve reports
+``converged`` only when it stopped there and a fresh probe draw at the
+final, polished point still sees no slope below minus the stop tolerance.
 
 The backtracking search on the penalized objective evaluates all of its
 trial steps in one column walk (``model.eval_Theta_cols``) and then takes
@@ -265,7 +267,6 @@ def minimize_theta(
     best_z, best_value = z, value
     trace = SolveTrace()
     probe_min = np.inf
-    converged = False
     k = 0
     for k in range(1, cfg.max_iters + 1):
         res = residuals(problem, z)
@@ -296,7 +297,6 @@ def minimize_theta(
             trace.record(
                 iter=k, theta=value, max_residual=res.max_abs, step=0.0, probe_min=probe_min
             )
-            converged = True
             trace.termination = "probe-stationary"
             break
         order = np.argsort(slopes)
@@ -346,10 +346,7 @@ def minimize_theta(
             z, value = z3, v3
     Df = _probe_directions(problem, z, residuals(problem, z), rng)
     probe_min = float(np.min(_slopes(problem, z, b, Df)))
-    if probe_min >= -cfg.stop_tol:
-        converged = True
-        if trace.termination == "max-iters":
-            trace.termination = "probe-stationary"
+    converged = trace.termination == "probe-stationary" and probe_min >= -cfg.stop_tol
     if cfg.trace_path:
         trace.write_csv(cfg.trace_path)
     return SolveResult(z, float(value), probe_min, k, converged, trace.termination, trace)

@@ -57,7 +57,10 @@ def test_solver_matches_least_squares_minimum():
     beta = np.array([4.0])
     cfg = SolveConfig(max_iters=200, stop_tol=1e-8, seed=0)
     res = minimize_theta(problem, beta, cfg)
-    assert res.converged
+    # Within a few ulps of the minimum value the Armijo search finds no step
+    # along slopes of -1.4e-8, past stop_tol; the final polish then reaches
+    # the minimum, but a loop that stalled does not report convergence.
+    assert (res.termination, res.converged) == ("line-search-stalled", False)
     assert res.value == pytest.approx(val_star, abs=1e-4)
     assert np.linalg.norm(res.z.theta - th_star) <= 1e-3
     assert residuals(problem, res.z).feasible
@@ -250,8 +253,12 @@ _TRACE_COLS = ("iter", "theta", "max_residual", "step", "probe_min")
 # of the 8525 negative-g warnings recorded then are gone; the solves' bytes
 # and the order of the remaining warnings are unchanged.  Squaring with x*x
 # in place of x**2 moved only the trace rows of random_problem(31) under the
-# diminishing rule; every final result and warning stayed.
-SOLVE_SHA256 = (8292, "c3bc6a896e03a7e0eec4b4c924837c24231d40d8b0904f345d53d5def155e9eb")
+# diminishing rule; every final result and warning stayed.  Dropping the
+# relabel of a max-iters stop as probe-stationary moved the termination and
+# converged flag of ten runs (random_problem 4 fixed; 2, 8, 24, 39, 45, 49 and
+# 57 diminishing; both square-chain runs) and the converged flag of
+# random_problem(2) fixed, which stalls in its line search.
+SOLVE_SHA256 = (8292, "31605caa3f884d0b28095cb54542f8d338399baf8df9b3b96708f8ab6945348b")
 
 
 def test_solver_runs_are_bit_identical():
