@@ -36,10 +36,7 @@ class DimensionError(ValueError):
 
 
 class EvaluationError(RuntimeError):
-    """A layer map or the outer function produced a non-finite value.
-
-    Carries the layer index, L + 1 for the outer function.
-    """
+    """A layer map or the outer function produced a non-finite value; carries its index, L + 1 for g."""
 
     def __init__(self, layer: int, msg: str):
         super().__init__(msg)
@@ -269,8 +266,8 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
         g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
         rows = np.ascontiguousarray(TH.T)
         F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
-    bad = ~np.isfinite(g) | (g < G_WARN_BELOW)
-    F[bad | ~np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)] = np.nan
+    finite = np.isfinite(g) & np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)
+    F[~finite | (g < G_WARN_BELOW)] = np.nan
     return F
 
 

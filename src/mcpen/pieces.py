@@ -428,10 +428,11 @@ class _SlopeModel:
         """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
         The columns are d, then s, then the auxiliary variables; a
-        non-finite coefficient or bound raises ValueError.
+        non-finite coefficient, scaled cost or bound raises ValueError.
         """
         dim, m = self.dim, len(self.lo)
-        forms = [obj, np.array(self.lo + self.hi)] + [f for f, _, _ in self.rows]
+        with np.errstate(over="ignore"):
+            forms = [_COST_SCALE * obj, np.array(self.lo + self.hi)] + [f for f, _, _ in self.rows]
         if not all(np.all(np.isfinite(f)) for f in forms):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
         ncol = 2 * dim + m
@@ -488,7 +489,8 @@ def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> 
     """Value and first-derivative form of e; ``leaf(j, i)`` gives block j's component i.
 
     Values follow ``expr.taylor_cells`` operation for operation, so every
-    kink takes the branch that the derivative calculus takes.
+    kink takes the branch that the derivative calculus takes.  Callers turn
+    numpy's overflow warnings off; ``_SlopeModel.solve`` names the check.
     """
     family, data = e.family, e.data
     if family == ex.LEAF:
@@ -526,6 +528,7 @@ def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> 
     return val, form
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> SlopeMin:
     """Minimum of d -> Theta'(z; d) over the unit l1 ball of the lifted space.
 
@@ -558,6 +561,7 @@ def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) 
     return model.solve(_add(obj, 2.0 * problem.lam * z.theta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> (Psi + reg)'(theta; d) and its objective form, unsolved.
 
@@ -586,6 +590,7 @@ def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
     return model.solve(obj)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def function_prime_min(
     e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()
 ) -> SlopeMin:

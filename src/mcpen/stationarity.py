@@ -409,7 +409,7 @@ def _second_order(
 
 
 def check_strong_local_min_sufficient(
-    problem: CompositeProblem, z: Point, config: PenaltyConfig, seed: int = 0, tol: float = STAT_TOL
+    problem: CompositeProblem, z: Point, config: PenaltyConfig, seed: int = 0
 ) -> dict:
     """Sufficient condition for a strong local minimum of the penalized problem.
 
@@ -454,7 +454,7 @@ def check_strong_local_min_sufficient(
     out["margin_min"] = float(qmin)
     if qmin <= 0.0:
         out["verdict"], out["witness"] = "fails", lift_direction(problem, z, dmin)
-    elif qmin > tol:
+    elif qmin > STAT_TOL:
         out["verdict"] = "sufficient-holds"
     else:
         out["notes"].append("margin within tolerance of zero")
@@ -472,7 +472,6 @@ def check_box(
     upper: np.ndarray,
     order: int = 1,
     seed: int = 0,
-    tol: float = STAT_TOL,
 ) -> StationarityReport:
     """Directional stationarity of an expression over a box.
 
@@ -490,7 +489,7 @@ def check_box(
     at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
     sol = function_prime_min(e, x, cone_rows)
-    report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
+    report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
     _first_order(report, sol, lambda u: (u, dd_expr(e, x, u).first))
     if report.verdict == NOT_STATIONARY and order == 2:
         report.notes.append("already fails at first order")
@@ -498,10 +497,10 @@ def check_box(
         return report
     report.verdict = INCONCLUSIVE
 
-    # Exact route for an interior point whose first derivative vanishes
-    # identically: the second derivative as a verified quadratic form, read
-    # off at its minimum eigenvalue over the sphere.
-    if not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= 1e-14:
+    # Exact route for an interior point whose first derivative vanishes, up
+    # to CRIT_SLACK as for the critical subspace: the second derivative as a
+    # verified quadratic form, read off at its minimum eigenvalue over the sphere.
+    if not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= CRIT_SLACK:
 
         def second(D):
             cell = dd_expr_batch(e, x, D, order=2)
@@ -512,7 +511,7 @@ def check_box(
             vals, vecs = np.linalg.eigh(Q)
             report.min_found, report.samples = float(vals[0]), columns
             report.notes.append("second derivative is an exact quadratic form")
-            if vals[0] >= -tol:
+            if vals[0] >= -STAT_TOL:
                 report.verdict = STATIONARY
                 return report
             _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
@@ -530,7 +529,7 @@ def check_box(
         report.notes.append("no critical directions located by sampling")
         return report
     report.min_found, dmin = cands[0]
-    if report.min_found < -tol:
+    if report.min_found < -STAT_TOL:
         _refute(report, dmin, dd_expr(e, x, dmin, order=2).second)
         return report
     report.verdict = STATIONARY

@@ -2,16 +2,17 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, negative_outer_problem
+from conftest import blowup_problem, negative_outer_problem, random_problem
 from mcpen import expr as ex
 from mcpen.cli import main
 from mcpen.dcalc import Direction
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
+from mcpen.model import CompositeProblem, EvaluationError, LayerMap, Point, eval_layers
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
 from mcpen.serialize import (
@@ -438,3 +439,52 @@ def test_solve_that_overflows_ends_with_an_error_line(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: layer 2 evaluated to a non-finite value"
         assert "Traceback" not in captured.err
+    # At u_1 = 1/2 the mul layer's value is finite but its slope is not; the
+    # first-order model refuses it, with no numpy warning before the error.
+    point = tmp_path / "half.json"
+    save_point(point, eval_layers(blowup_problem("mul"), np.array([0.5])))
+    argv = ["check", "--problem", str(tmp_path / "blowup-mul.json"), "--point", str(point), "--target", "p0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: P0 first-order model has non-finite coefficients at this point\n"
+
+
+# An error line from evaluation names the layer, the outer function or the
+# check; the other two lines below are input checks that do not evaluate.
+EVALUATION_ERRORS = re.compile(
+    r"error: (layer \d+|outer function) evaluated to a non-finite value"
+    r"|error: P[01] first-order model has non-finite coefficients at this point"
+    r"|error: point is infeasible \(max residual .*\)"
+    r"|error: reference level gamma_bar = .* bounds no level set to sample; .*"
+)
+
+
+def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
+    # Each layer of random problems scaled by 10^s drives values past the
+    # float range at some point of every command; each run either reports
+    # or ends in one error line that says where the value broke.
+    for seed in range(10):
+        p = random_problem(seed)
+        for s in (0, 100, 154, 200, 300):
+            layers = tuple(LayerMap(lm.index, tuple(ex.scaled(10.0**s, e) for e in lm.exprs)) for lm in p.layers)
+            q = CompositeProblem(p.n, layers, p.outer, p.lam)
+            th = np.random.default_rng(seed).uniform(-1.0, 1.0, p.n)
+            try:
+                z = eval_layers(q, th)
+            except EvaluationError:
+                z = Point(th, tuple(np.zeros(w) for w in q.widths))
+            prob, point = tmp_path / f"{seed}-{s}.json", tmp_path / f"{seed}-{s}-point.json"
+            save_problem(prob, q)
+            save_point(point, z)
+            for argv in (
+                ["solve", "--beta", "0.7", "--max-iters", "30"],
+                ["check", "--point", str(point), "--target", "p0"],
+                ["check", "--point", str(point), "--target", "p1", "--beta", "0.7"],
+                ["thresholds", "--budget", "200"],
+            ):
+                code = main([argv[0], "--problem", str(prob), *argv[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3) and "Traceback" not in err
+                last = err.splitlines()[-1]
+                assert last.startswith("elapsed: ") if code != 2 else EVALUATION_ERRORS.fullmatch(last), (argv, last)

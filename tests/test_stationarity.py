@@ -1,5 +1,6 @@
 """Stationarity verdicts of both orders, for both formulations."""
 
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -140,6 +141,18 @@ def test_box_first_and_second_order(box_max):
         c2 = check_box(box_max, corner, lo, hi, order=2, seed=0)
         assert c1.verdict == STATIONARY
         assert c2.verdict == STATIONARY
+
+
+def test_box_second_order_reads_a_slope_within_crit_slack_exactly():
+    # -x0^2 + 1e-10 x0 at 0: first order is stationary, and the slope 1e-10
+    # along e0 is within CRIT_SLACK, so the quadratic form on the box's
+    # interior decides, with the eigenvector e0 and its curvature -2
+    x0 = ex.theta(0)
+    e = ex.affine(0.0, [-1.0, 1e-10], [ex.square(x0), x0])
+    r = check_box(e, np.zeros(2), -np.ones(2), np.ones(2), order=2, seed=0)
+    assert (r.verdict, r.mode, r.min_found, r.witness_value) == (NOT_STATIONARY, "exact", -2.0, -2.0)
+    assert np.asarray(r.witness).tolist() == [1.0, 0.0]
+    assert r.notes == ["second derivative is an exact quadratic form"]
 
 
 def test_box_interior_descent_detected():
@@ -382,7 +395,8 @@ def test_first_order_models_refuse_non_finite_coefficients():
     # 2 s s' is not; HiGHS would otherwise stop on its own message.
     problem = blowup_problem("mul")
     z = eval_layers(problem, np.array([0.5]))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal, not numpy's overflow warning, says it
         with pytest.raises(ValueError, match="^P0 first-order model has non-finite coefficients"):
             check_d_stationary_P0(problem, z)
         with pytest.raises(ValueError, match="^P1 first-order model has non-finite coefficients"):
