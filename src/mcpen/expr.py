@@ -19,8 +19,8 @@ The walkers (``eval_one``, ``eval_cols``, ``taylor_cells``,
 an op's own arithmetic differs from its family rule (whether a sum starts at
 zero or at its first term, Python's ``abs``), the difference is table data,
 so each op keeps its exact rounding and sign of zero, at one point and
-column by column.  Every walker squares with ``x*x``, so values and Taylor
-cells agree bit for bit, and a value past the float range is inf, never an
+column by column.  Every walker squares with ``x*x``, so a square has one
+value in all of them, and a value past the float range is inf, never an
 exception.  Trees are built from
 immutable nodes, so cycles are impossible by construction and sharing of
 subtrees is safe; ``nodes`` walks a tree without recursion.
