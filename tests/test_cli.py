@@ -451,7 +451,8 @@ def test_solve_that_overflows_ends_with_an_error_line(capsys, tmp_path):
 
 
 # An error line from evaluation names the layer, the outer function or the
-# check; the other two lines below are input checks that do not evaluate.
+# check; the last two are input checks: P0 at an infeasible point, and a
+# reference level that bounds no level set.
 EVALUATION_ERRORS = re.compile(
     r"error: (layer \d+|outer function) evaluated to a non-finite value"
     r"|error: P[01] first-order model has non-finite coefficients at this point"
@@ -461,9 +462,9 @@ EVALUATION_ERRORS = re.compile(
 
 
 def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
-    # Each layer of random problems scaled by 10^s drives values past the
-    # float range at some point of every command; each run either reports
-    # or ends in one error line that says where the value broke.
+    # Scaling each layer of random problems by 10^s pushes some values past
+    # the float range; each run either reports or ends in one error line
+    # that says where the value broke.
     for seed in range(10):
         p = random_problem(seed)
         for s in (0, 100, 154, 200, 300):
