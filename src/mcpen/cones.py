@@ -43,14 +43,19 @@ class ConeMembership:
 
 def tangent_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:
     """Check the chained derivative equations defining the tangent cone."""
+    return _tangent(problem, z, d, 1)[0]
+
+
+def _tangent(problem: CompositeProblem, z: Point, d: Direction, order: int):
+    """``tangent_membership`` and the residual slopes along d at ``order`` it read them from."""
     check_point(problem, z)
     batch = _as_batch(problem, d)
     require_feasible(problem, z)
-    violations = [w[:, 0] for _, w, _, _ in residual_slopes(problem, z, *batch)]
+    slopes = residual_slopes(problem, z, *batch, order=order)
+    violations = [w[:, 0] for _, w, _, _ in slopes]
     max_v = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in violations)
-    return ConeMembership(
-        max_v <= TANGENT_TOL, None, violations, max_v, ["radial membership not evaluated"]
-    )
+    notes = ["radial membership not evaluated"]
+    return ConeMembership(max_v <= TANGENT_TOL, None, violations, max_v, notes), slopes
 
 
 def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> Direction:
@@ -67,7 +72,7 @@ def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> D
 def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -> list[np.ndarray]:
     """Batched lift: DTH has one parameter direction per column."""
     check_point(problem, z)
-    return forward_curves(problem, z.theta, np.asarray(DTH, dtype=float))[1]
+    return forward_curves(problem, z.theta, DTH)[1]
 
 
 def _degree(e: ex.Expr) -> int:
@@ -109,14 +114,14 @@ def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> Cone
     small taus of ``RADIAL_TAUS`` decides, because any remaining violation
     grows linearly out of a kink switch.  Otherwise the verdict is unknown.
     """
-    membership = tangent_membership(problem, z, d)
+    # first coefficients are the same at both orders, so one pass gives both tests
+    membership, slopes = _tangent(problem, z, d, 2)
     if not membership.in_tangent:
         membership.in_radial = False
         membership.notes = ["not tangent, hence not radial"]
         return membership
     notes: list[str] = []
     second_known = True
-    slopes = residual_slopes(problem, z, *_as_batch(problem, d), order=2)
     for k, (_, _, psi2, bad2) in enumerate(slopes, start=1):
         if bad2.any():
             second_known = False

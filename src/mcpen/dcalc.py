@@ -12,7 +12,13 @@ is kept free of any shared code path with the structural rules, so the two
 can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
-per-column arrays; the scalar API wraps batch width one.
+per-column arrays; the scalar API wraps batch width one.  Each batch is one
+pass of a tape of the problem: the fixed-point tape, whose ``u`` leaves read
+the point's blocks, for F, Theta and the residual slopes of every layer
+(``dd_F_and_slopes``, or its ``outer`` part alone for F); the chained tape,
+whose ``u`` leaves stand for the maps that define them, for the nested
+objective (``dd_Psi_batch``) and, without ``outer``, the tangent lift
+(``forward_curves``).
 """
 
 from __future__ import annotations
@@ -91,10 +97,6 @@ def _as_batch(problem: CompositeProblem, d: Direction) -> tuple[np.ndarray, list
     return dth, dus
 
 
-def _stack(cells: Sequence[ex.Cell], attr: str) -> np.ndarray:
-    return np.array([getattr(c, attr) for c in cells])
-
-
 def _pick(first: np.ndarray, second, bad, kinked, value: float, order: int, col: int = 0) -> DDValue:
     out = DDValue(value, float(first[col]), smooth=not bool(kinked[col]))
     if order == 2:
@@ -137,10 +139,37 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
     return first, None
 
 
+def dd_F_and_slopes(
+    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
+):
+    """F's derivatives and every layer's residual slopes, from one pass of the fixed tape at z.
+
+    Returns ((first, second, bad, kinked), slopes): the first part is
+    ``dd_F_batch``'s, and slopes has, per layer k = 1..L, (value, w, second,
+    bad2): ``value`` is psi_{k-1}(z) from the Taylor data, ``w = DU_k -
+    psi'_{k-1}(z; d)`` the residual slopes with one column per direction, and
+    at order 2 ``second``/``bad2`` the stacked second coefficients and their
+    flags (None at order 1).  At a feasible z, d is tangent exactly when
+    every w vanishes.
+    """
+    cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order)
+    g = cells.cell(-1)
+    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked), _slopes(problem, cells, DU, order)
+
+
+def _slopes(problem: CompositeProblem, cells: ex.Cells, DU: Sequence[np.ndarray], order: int) -> list[tuple]:
+    """Per layer, (value, w, second, bad2) from the cells of the fixed tape's layer maps."""
+    slopes = []
+    for du, r in zip(DU, problem.layer_rows):
+        second = (cells.second[r], cells.bad2[r]) if order == 2 else (None, None)
+        slopes.append((cells.value[r], du - cells.first[r], *second))
+    return slopes
+
+
 def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
     """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
-    gcell = ex.taylor_cells([problem.outer], z.theta, z.u, DTH, DU, order=order)[0]
-    return (*_plus_ridge(problem, gcell, z.theta, DTH, order), gcell.bad2, gcell.kinked)
+    g = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order, part=1).cell(0)
+    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
@@ -152,23 +181,9 @@ def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> D
 
 def residual_slopes(
     problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
-):
-    """Per layer k, the Taylor data of psi_{k-1} at z along the columns of (DTH, DU).
-
-    Yields (value, w, second, bad2) for k = 1..L, lazily: ``value`` is
-    psi_{k-1}(z) from the Taylor cells, ``w = DU_k - psi'_{k-1}(z; d)`` the
-    residual slopes with one column per direction, and at order 2
-    ``second``/``bad2`` the stacked second coefficients and their flags
-    (None at order 1).  At a feasible z, d is tangent exactly when every w
-    vanishes.
-    """
-    for k, lm in enumerate(problem.layers):
-        cells = ex.taylor_cells(lm.exprs, z.theta, z.u, DTH, DU, order=order)
-        w = DU[k] - _stack(cells, "first")
-        if order == 2:
-            yield _stack(cells, "value"), w, _stack(cells, "second"), _stack(cells, "bad2")
-        else:
-            yield _stack(cells, "value"), w, None, None
+) -> list[tuple]:
+    """Per layer, the Taylor data of its map at z along (DTH, DU); see ``dd_F_and_slopes``."""
+    return _slopes(problem, problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order, part=0), DU, order)
 
 
 def dd_Theta_batch(
@@ -188,8 +203,7 @@ def dd_Theta_batch(
     contribute the absolute residual derivative, with the tie broken by its
     sign at second order.
     """
-    first, second, bad, kinked = dd_F_batch(problem, z, DTH, DU, order)
-    slopes = residual_slopes(problem, z, DTH, DU, order)
+    (first, second, bad, kinked), slopes = dd_F_and_slopes(problem, z, DTH, DU, order)
     for uk, bk, (psi_val, w, psi_second, bad2) in zip(z.u, beta, slopes):
         rho = uk - psi_val
         pos = rho > FEAS_TOL
@@ -198,11 +212,9 @@ def dd_Theta_batch(
         first += bk * (
             np.sum(w[pos], axis=0) - np.sum(w[neg], axis=0) + np.sum(np.abs(w[zer]), axis=0)
         )
-        kinked = kinked | np.logical_or.reduce(
-            [np.abs(w[i]) > KINK_TOL for i in np.flatnonzero(zer)] or [np.zeros(w.shape[1], bool)]
-        )
+        kinked = kinked | (np.abs(w[zer]) > KINK_TOL).any(axis=0)
         if order == 2:
-            bad = bad | np.logical_or.reduce(bad2)
+            bad = bad | bad2.any(axis=0)
             zsel = np.where(
                 w > KINK_TOL, -psi_second, np.where(w < -KINK_TOL, psi_second, np.abs(psi_second))
             )
@@ -231,47 +243,30 @@ def dd_Theta(
 def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
     """Forward pass with one-sided Taylor data chained through the layers.
 
-    Feeds each layer the value, first and second coefficients of the curves
-    tau -> u_j(theta + tau d), so the result describes the nested objective.
-    Returns (ublocks, DU, EU, kinked, bad) with EU/bad None at first order.
+    One pass of the chained tape gives each layer the value, first and
+    second coefficients of the curves tau -> u_j(theta + tau d), so the
+    result describes the nested objective.  Returns (ublocks, DU, EU, kinked,
+    bad), one array per layer in each, with EU/bad None at first order.
     """
-    ublocks: list[np.ndarray] = []
-    DU: list[np.ndarray] = []
-    EU: list[np.ndarray] | None = [] if order == 2 else None
-    KU: list[np.ndarray] = []
-    BU: list[np.ndarray] | None = [] if order == 2 else None
-    for k in range(1, problem.L + 1):
-        cells = ex.taylor_cells(
-            problem.layers[k - 1].exprs,
-            th,
-            ublocks,
-            DTH,
-            DU,
-            order=order,
-            eublocks=EU,
-            ukinked=KU,
-            ubad2=BU,
-        )
-        ublocks.append(_stack(cells, "value"))
-        DU.append(_stack(cells, "first"))
-        KU.append(_stack(cells, "kinked"))
-        if order == 2:
-            EU.append(_stack(cells, "second"))
-            BU.append(_stack(cells, "bad2"))
-    return ublocks, DU, EU, KU, BU
+    cells = problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order, part=0)
+    return _layers(problem, cells)
+
+
+def _layers(problem: CompositeProblem, cells: ex.Cells):
+    """(values, first, second, kinked, bad2) of the tape's roots, split by layer; None stays None."""
+    return tuple(
+        None if rows is None else [rows[r] for r in problem.layer_rows]
+        for rows in (cells.value, cells.first, cells.second, cells.kinked, cells.bad2)
+    )
 
 
 def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
     """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns."""
-    ublocks, DU, EU, KU, BU = forward_curves(problem, th, DTH, order)
-    gcell = ex.taylor_cells(
-        [problem.outer], th, ublocks, DTH, DU, order=order, eublocks=EU, ukinked=KU, ubad2=BU
-    )[0]
+    cells = problem.chained_tape.cells(th, (), DTH, (), order)
+    gcell = cells.cell(-1)
     first, second = _plus_ridge(problem, gcell, th, DTH, order)
-    kinked = gcell.kinked | np.logical_or.reduce(
-        [k.any(axis=0) for k in KU] or [np.zeros(DTH.shape[1], bool)]
-    )
-    return ublocks, first, second, gcell.bad2, kinked
+    kinked = gcell.kinked | cells.kinked[:-1].any(axis=0)
+    return _layers(problem, cells)[0], first, second, gcell.bad2, kinked
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:

@@ -14,20 +14,28 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   first argument against a second branch: the second argument, ``s*a`` for
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
-The walkers (``eval_one``, ``eval_cols``, ``taylor_cells``,
-``pieces.expr_pieces``, ``cones._degree``) branch on the family only.  Where
-an op's own arithmetic differs from its family rule (whether a sum starts at
-zero or at its first term, Python's ``abs``), the difference is table data,
-so each op keeps its exact rounding and sign of zero, at one point and
-column by column.  Every walker squares with ``x*x``, so a square has one
-value in all of them, and a value past the float range is inf, never an
-exception.  Trees are built from
-immutable nodes, so cycles are impossible by construction and sharing of
-subtrees is safe; ``nodes`` walks a tree without recursion.
+Two kinds of walker read the table, and both branch on the family only.
+The recursive ones visit one node at a time: ``eval_one`` (values at one
+point), ``pieces.expr_pieces``, ``pieces._walk`` and ``cones._degree``.  A
+tape (``compile_tape``) is one or more trees compiled once into a program of
+rows, one per distinct node, computed a level at a time by steps that each
+take all nodes of one family with a fixed set of numpy calls over every
+column; ``Tape.values`` (behind ``eval_cols``) gives values at a batch of
+points and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a
+batch of rays.  Each problem keeps the tapes of its maps
+(``model.CompositeProblem.fixed_tape`` and ``chained_tape``).  Where an op's
+own arithmetic differs from its family rule (whether a sum starts at zero
+or at its first term, Python's ``abs``), the difference is table data, so
+each op keeps its exact rounding and sign of zero, at one point and column
+by column, and a tape's rows are the bytes a node-at-a-time walk gives.
+Every walker squares with ``x*x``, so a square has one value in all of
+them, and a value past the float range is inf, never an exception.  Trees
+are built from immutable nodes, so cycles are impossible by construction
+and sharing of subtrees is safe; ``nodes`` walks a tree without recursion.
 
 Every node supports exact one-sided Taylor data along a ray: given input
-curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the propagation below
-produces the value, the first-order coefficient and (on request) the
+curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the tape steps
+produce the value, the first-order coefficient and (on request) the
 second-order coefficient of the node output.  At an active kink the rules
 follow the winning branch, with first-order comparison breaking value ties
 and a max of second-order coefficients breaking double ties.
@@ -42,8 +50,8 @@ defined.
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -304,37 +312,14 @@ def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarra
     return np.array([_value(e, blocks) for e in exprs], dtype=float)
 
 
+
+
 def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
     """Values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (len(exprs), m).
 
     Column c is ``eval_many`` at column c, byte for byte, with no numpy warnings.
     """
-    blocks, m = (TH, *UBLOCKS), TH.shape[1]
-    with np.errstate(all="ignore"):
-        return np.array([_cols(e, blocks, m) for e in exprs]).reshape(len(exprs), m)
-
-
-def _cols(e: Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
-    family, data = e.family, e.data
-    if family == LEAF:
-        return np.full(m, e.value) if data is None else blocks[data][e.ref]
-    if family == KINK:
-        branch, scale, rule = data
-        a = _cols(e.args[0], blocks, m)
-        return rule.cols(a, scale * a if branch is None else _cols(branch, blocks, m))
-    if family == LINEAR:
-        weights, acc = data
-        acc = None if acc is None else np.full(m, acc)
-        for w, a in zip(weights, e.args):
-            t = w * _cols(a, blocks, m)
-            acc = t if acc is None else acc + t
-        return acc
-    pairs, acc = data
-    for i, j in pairs:
-        a = _cols(e.args[i], blocks, m)
-        t = a * (a if i == j else _cols(e.args[j], blocks, m))
-        acc = t if acc is None else acc + t
-    return acc
+    return _tape_for(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
 
 
 class Cell(NamedTuple):
@@ -351,6 +336,21 @@ class Cell(NamedTuple):
     second: np.ndarray | None
     kinked: np.ndarray
     bad2: np.ndarray | None
+
+
+class Cells(NamedTuple):
+    """The ``Cell`` of each root of a tape, stacked: ``value`` (R,), the rest (R, m) or None."""
+
+    value: np.ndarray
+    first: np.ndarray
+    second: np.ndarray | None
+    kinked: np.ndarray
+    bad2: np.ndarray | None
+
+    def cell(self, i: int) -> Cell:
+        second = None if self.second is None else self.second[i]
+        bad2 = None if self.bad2 is None else self.bad2[i]
+        return Cell(float(self.value[i]), self.first[i], second, self.kinked[i], bad2)
 
 
 def taylor_cells(
@@ -373,104 +373,461 @@ def taylor_cells(
     are themselves kinked or second-order unsupported, so the taint survives
     chaining across layers.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     m = dtheta.shape[1] if dtheta.ndim == 2 else 1
     dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
-    want2 = order == 2
+    tape = _tape_for(exprs, (len(th), *(len(b) for b in ublocks)))
+    cells = tape.cells(th, ublocks, dtheta, dublocks, order, eublocks, ukinked, ubad2)
+    return [cells.cell(i) for i in range(len(exprs))]
 
-    zeros = np.zeros(m)
-    false = np.zeros(m, dtype=bool)
-    zeros2, false2 = (zeros, false) if want2 else (None, None)
 
-    def combine_max(a: Cell, b: Cell) -> Cell:
-        gap = a.value - b.value
-        if gap > TIE_TOL:
-            return a
-        if gap < -TIE_TOL:
-            return b
-        # Active value tie: branch selection moves to first order.
-        first = np.maximum(a.first, b.first)
-        fgap = a.first - b.first
-        kink_here = np.abs(fgap) > TIE_TOL
-        kinked = a.kinked | b.kinked | kink_here
-        second = None
-        bad2 = None
-        if want2:
-            second = np.where(
-                fgap > TIE_TOL,
-                a.second,
-                np.where(fgap < -TIE_TOL, b.second, np.maximum(a.second, b.second)),
-            )
-            sgap = a.second - b.second
-            kinked = kinked | ((~kink_here) & (np.abs(sgap) > TIE_TOL))
-            # Tie with a kinked argument is outside the supported envelope.
-            bad2 = a.bad2 | b.bad2 | a.kinked | b.kinked
-        return Cell(max(a.value, b.value), first, second, kinked, bad2)
+# The tapes of the last RECENT_TAPES expression lists that ``taylor_cells`` or
+# ``eval_cols`` compiled, keyed by node identity and block sizes.  An entry
+# holds its nodes, so no other node can take their ids while it lasts.
+RECENT_TAPES = 32
+_recent: dict[tuple, tuple[tuple[Expr, ...], "Tape"]] = {}
 
-    def cell(e: Expr) -> Cell:
+
+def _tape_for(exprs: Sequence[Expr], sizes: tuple[int, ...]) -> "Tape":
+    exprs = tuple(exprs)
+    key = (tuple(map(id, exprs)), sizes)
+    hit = _recent.pop(key, None) or (exprs, compile_tape(exprs, sizes))
+    _recent[key] = hit
+    if len(_recent) > RECENT_TAPES:
+        del _recent[next(iter(_recent))]
+    return hit[1]
+
+
+# ---------------------------------------------------------------------------
+# Tapes
+#
+# A tape holds one row per distinct node of its trees: first the components
+# of the input blocks it reads, then the constants, then the other nodes a
+# level at a time, where a node's level is one more than its deepest
+# argument's.  One step computes the nodes of one level and family (and pair
+# pattern, or value rule) with numpy calls over all of them and all columns.
+# A node's sum adds its terms one at a time from the left, as a Python loop
+# does, so every row rounds as the node-at-a-time rules of the module
+# docstring round it.  A step orders its nodes by their number of terms,
+# most first, and the j-th terms go to the nodes that have them, a prefix.
+# Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
+# sum that starts at 0.0 equals 0.0 + the same sum started at its first term.
+# A start that the rules skip is therefore -0.0, and a start of 0.0 is added
+# last.  Multiplying by 1.0 changes no bits, so a unit weight or scale is
+# multiplied like any other.  Argument arrays are padded with row 0, a theta
+# component, whose kinked and bad2 flags are always false.
+
+
+def _sum(terms: Sequence[np.ndarray], cuts: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Per node, the sum of its terms from the left: item 0 of each array of ``terms``, then item 1...
+
+    Each array has shape (nodes, items, ...); ``cuts`` lists (j, c) for the
+    items j >= 1 that the first c nodes have.
+    """
+    acc = terms[0][:, 0]
+    for t in terms[1:]:
+        acc += t[:, 0]
+    for j, c in cuts:
+        for t in terms:
+            acc[:c] += t[:c, j]
+    return acc
+
+
+class _Linear:
+    """Weighted sums: Taylor data add the offset after the terms, values start at it.
+
+    ``offset`` is -0.0 for ops without one, and ``start`` is 0.0 for ops
+    with one (their Taylor sums start at zero), -0.0 otherwise.
+    """
+
+    def __init__(self, rows: slice, args: np.ndarray, weights: np.ndarray, offset, start, cuts):
+        self.rows, self.args, self.cuts = rows, args, cuts
+        self.w3 = weights[:, :, None]
+        self.offset, self.offset2 = offset, offset[:, None]
+        self.start2 = start[:, None]
+
+    def taylor(self, Q, KB, m: int) -> None:
+        # value, first and second share the terms' weights and order
+        a, r = self.args, self.rows
+        acc = _sum([self.w3 * Q[a]], self.cuts)
+        acc = self.start2 + acc
+        acc[:, 0] = self.offset + acc[:, 0]
+        Q[r] = acc
+        KB[r] = KB[a].any(axis=1)
+
+    def values(self, X) -> None:
+        t = X[self.args]
+        np.multiply(self.w3, t, out=t)
+        t[:, 0] = self.offset2 + t[:, 0]
+        X[self.rows] = _sum([t], self.cuts)
+
+
+class _Product:
+    """Sums of products of argument pairs: self-pairs when ``b`` is None, else pairs (a, b).
+
+    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise.
+    """
+
+    def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray | None, start: np.ndarray, cuts):
+        self.rows, self.a, self.b, self.cuts = rows, a, b, cuts
+        self.start, self.start2 = start, start[:, None]
+
+    def taylor(self, Q, KB, m: int) -> None:
+        # A pair adds these terms, left to right, to the value, first and second sums:
+        #   self-pairs      va*va;  (2va)*fa;  (2fa)*fa, (2va)*sa
+        #   distinct pairs  va*vb;  fa*vb, va*fb;  sa*vb, (2fa)*fb, va*sb
+        a, b, r = self.a, self.b, self.rows
+        f, s = slice(1, m + 1), slice(m + 1, None)
+        QA, KA = Q[a], KB[a]
+        order2 = QA.shape[2] > m + 1
+        if b is None:
+            T = (2.0 * QA[:, :, :1]) * QA  # its value column becomes va*va
+            T[:, :, 0] = QA[:, :, 0] * QA[:, :, 0]
+            S = (2.0 * QA[:, :, f]) * QA[:, :, f] if order2 else None
+            K = KA.copy()
+            if order2:
+                K[:, :, m:] |= KA[:, :, :m]
+            acc = np.array(T[:, 0])
+            if order2:
+                acc[:, s] = S[:, 0] + acc[:, s]
+            for j, c in self.cuts:
+                acc[:c, : m + 1] += T[:c, j, : m + 1]
+                if order2:
+                    acc[:c, s] += S[:c, j]
+                    acc[:c, s] += T[:c, j, s]
+        else:
+            QB, KBb = Q[b], KB[b]
+            T, U = QA * QB[:, :, :1], QA[:, :, :1] * QB
+            S = (2.0 * QA[:, :, f]) * QB[:, :, f] if order2 else None
+            K = KA | KBb
+            if order2:
+                K[:, :, m:] |= KA[:, :, :m] & KBb[:, :, :m]
+            acc = np.array(T[:, 0])
+            for j, c in [(0, len(acc)), *self.cuts]:
+                if j:
+                    acc[:c] += T[:c, j]
+                acc[:c, f] += U[:c, j, f]
+                if order2:
+                    acc[:c, s] += S[:c, j]
+                    acc[:c, s] += U[:c, j, s]
+        Q[r] = self.start2 + acc
+        KB[r] = K.any(axis=1)
+
+    def values(self, X) -> None:
+        xa = X[self.a]
+        xb = xa if self.b is None else X[self.b]
+        np.multiply(xa, xb, out=xa)
+        X[self.rows] = self.start2 + _sum([xa], self.cuts)
+
+
+class _Kink:
+    """The max of argument ``a`` and the second branch ``scale`` * node ``b``.
+
+    b is the second argument (``max``, scale 1.0), the constant 0 (``plus``)
+    or a itself (``abs``, ``leaky_relu``).  Taylor data follow the branch
+    whose value is larger by more than ``TIE_TOL``.  At a tie the value is
+    the larger one, the first coefficient is the larger one, and the second
+    follows the larger slope, or is the larger one at a double tie.  Values
+    apply each op's ``Rule``; ``rules`` pairs each rule with its nodes.
+    """
+
+    def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray, rules: list):
+        self.rows, self.a, self.b, self.rules = rows, a, b, rules
+        self.scale, self.scale2 = scale, scale[:, None]
+
+    def taylor(self, Q, KB, m: int) -> None:
+        a, b, r = self.a, self.b, self.rows
+        gap = Q[a, 0] - self.scale * Q[b, 0]
+        tie = ~(np.abs(gap) > TIE_TOL)
+        rows, scale = r, self.scale2
+        if not tie.all():
+            # off a tie the node is its winning branch: value, coefficients and flags
+            take_a = gap > TIE_TOL
+            won = np.where(take_a, a, b)
+            Q[r] = np.where(take_a, 1.0, self.scale)[:, None] * Q[won]
+            KB[r] = KB[won]
+            if not tie.any():
+                return
+            tie = np.flatnonzero(tie)
+            rows, a, b, scale = tie + r.start, a[tie], b[tie], scale[tie]
+        QA, QB, K = Q[a], scale * Q[b], KB[a] | KB[b]
+        out = np.maximum(QA, QB)
+        va, vb = QA[:, 0], QB[:, 0]
+        out[:, 0] = np.where(vb > va, vb, va)
+        fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
+        here = np.abs(fgap) > TIE_TOL
+        kinked = K[:, :m] | here
+        if K.shape[1] > m:
+            sa, sb = QA[:, m + 1 :], QB[:, m + 1 :]
+            out[:, m + 1 :] = np.where(fgap > TIE_TOL, sa, np.where(fgap < -TIE_TOL, sb, out[:, m + 1 :]))
+            kinked |= ~here & (np.abs(sa - sb) > TIE_TOL)
+            # A tie with a kinked argument is outside the supported envelope.
+            K[:, m:] |= K[:, :m]
+        K[:, :m] = kinked
+        Q[rows] = out
+        KB[rows] = K
+
+    def values(self, X) -> None:
+        a, b, out = X[self.a], self.scale2 * X[self.b], X[self.rows]
+        for rule, nodes in self.rules:
+            out[nodes] = rule.cols(a[nodes], b[nodes])
+
+
+class Tape:
+    """Trees compiled by ``compile_tape``; ``cells`` gives their Taylor data, ``values`` their values.
+
+    Both run under ``np.errstate(all="ignore")``: a value past the float
+    range is inf or NaN, as in ``eval_one``, and nothing warns.  Taylor data
+    live in one row per node: the value, the m first coefficients and at
+    order 2 the m second ones, with the kinked and bad2 flags beside them.
+    """
+
+    def __init__(
+        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, split: tuple
+    ):
+        self.sizes, self.steps, self.nrows = sizes, steps, nrows
+        # head roots, head steps, and whether the tail's steps need no head step
+        self.head, self.head_steps, self.tail_alone = split
+        self.nin = sum(sizes)
+        self.consts = np.array(consts, dtype=float)
+        self.nfixed = self.nin + len(consts)
+        self.roots = np.array(roots, dtype=np.intp)
+
+    def cells(
+        self,
+        th: np.ndarray,
+        ublocks: Sequence[np.ndarray],
+        dtheta: np.ndarray,
+        dublocks: Sequence[np.ndarray],
+        order: int = 1,
+        eublocks: Sequence[np.ndarray] | None = None,
+        ukinked: Sequence[np.ndarray] | None = None,
+        ubad2: Sequence[np.ndarray] | None = None,
+        part: int | None = None,
+    ) -> Cells:
+        """The roots' Taylor data; arguments as for ``taylor_cells``, with dtheta of shape (n, m).
+
+        ``part`` 0 runs the head roots alone and 1 the tail roots (see
+        ``compile_tape``); the cells are those of the roots run.
+        """
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        steps, r = self.steps, self.roots
+        if part == 0:
+            steps, r = steps[: self.head_steps], r[: self.head]
+        elif part == 1:
+            steps, r = steps[self.head_steps :] if self.tail_alone else steps, r[self.head :]
+        nb, n, nin, nfixed = len(self.sizes) - 1, self.sizes[0], self.nin, self.nfixed
+        m = dtheta.shape[1]
+        Q = np.empty((self.nrows, 1 + order * m))
+        np.concatenate([th, *ublocks[:nb]], out=Q[:nin, 0])
+        np.concatenate([dtheta, *dublocks[:nb]], out=Q[:nin, 1 : m + 1])
+        Q[nin:nfixed, 0] = self.consts
+        Q[nin:nfixed, 1:] = 0.0
+        KB = np.zeros((self.nrows, order * m), dtype=bool)
+        if ukinked is not None and nb:
+            np.concatenate(ukinked[:nb], out=KB[n:nin, :m])
+        if order == 2:
+            Q[:nin, m + 1 :] = 0.0
+            if eublocks is not None and nb:
+                np.concatenate(eublocks[:nb], out=Q[n:nin, m + 1 :])
+            if ubad2 is not None and nb:
+                np.concatenate(ubad2[:nb], out=KB[n:nin, m:])
+        with np.errstate(all="ignore"):
+            for step in steps:
+                step.taylor(Q, KB, m)
+        if order == 1:
+            return Cells(Q[r, 0], Q[r, 1:], None, KB[r], None)
+        return Cells(Q[r, 0], Q[r, 1 : m + 1], Q[r, m + 1 :], KB[r, :m], KB[r, m:])
+
+    def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
+        """The roots' values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (R, m)."""
+        nb = len(self.sizes) - 1
+        X = np.empty((self.nrows, TH.shape[1]))
+        np.concatenate([TH, *UBLOCKS[:nb]], out=X[: self.nin])
+        X[self.nin : self.nfixed] = self.consts[:, None]
+        with np.errstate(all="ignore"):
+            for step in self.steps:
+                step.values(X)
+        return X[self.roots]
+
+
+def _bits(*xs: float) -> bytes:
+    """The exact bits of floats, so -0.0 and 0.0 (or two NaNs) stay apart in a key."""
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
+def compile_tape(
+    roots: Sequence[Expr], sizes: Sequence[int], links: Sequence[Sequence[Expr]] = (), head: int | None = None
+) -> Tape:
+    """Compile the trees ``roots`` into one ``Tape``.
+
+    ``sizes`` are the lengths of the input blocks, theta's first.  A ``u``
+    leaf of layer j <= len(links) stands for the node ``links[j-1][ref]``, so
+    it carries that node's value and Taylor data; every other leaf reads an
+    input block.  Equal subtrees share one row.  The nodes of the first
+    ``head`` roots (all by default) come first, in steps of their own, so
+    ``Tape.cells`` can run the head roots or the tail roots alone.
+    """
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    nin = offsets[-1]
+    made: list = []  # per id from nin on: a constant's value, or (node, argument ids)
+    level: list[int] = []
+    seen: dict[int, int] = {}  # id(node) -> id
+    keyed: dict[tuple, int] = {}  # structural key -> id
+    used = 0  # the last input block read
+
+    def new(key: tuple, entry, lev: int) -> int:
+        i = keyed.get(key)
+        if i is None:
+            i = keyed[key] = nin + len(made)
+            made.append(entry)
+            level.append(lev)
+        return i
+
+    todo = list(roots)
+    while todo:
+        e = todo[-1]
+        key = id(e)
+        if key in seen:
+            todo.pop()
+            continue
         family, data = e.family, e.data
         if family == LEAF:
             if data is None:
-                return Cell(e.value, zeros, zeros2, false, false2)
-            if data == 0:  # theta carries no second-order data or taint
-                return Cell(float(th[e.ref]), dtheta[e.ref], zeros2, false, false2)
-            j, i = data - 1, e.ref
-            return Cell(
-                float(ublocks[j][i]),
-                dublocks[j][i],
-                eublocks[j][i] if (want2 and eublocks is not None) else zeros2,
-                ukinked[j][i] if ukinked is not None else false,
-                ubad2[j][i] if (want2 and ubad2 is not None) else false2,
-            )
-        if family == KINK:
-            branch, scale, _ = data
-            a = cell(e.args[0])
-            if branch is not None:
-                return combine_max(a, cell(branch))
-            s2 = scale * a.second if want2 else None
-            return combine_max(a, Cell(scale * a.value, scale * a.first, s2, a.kinked, a.bad2))
-        cs = [cell(a) for a in e.args]
-        if not cs:  # an affine node without arguments is its offset
-            return Cell(data[1], zeros, zeros2, false, false2)
-        kinked = reduce(operator.or_, [c.kinked for c in cs])
-        bad2 = [c.bad2 for c in cs]
-        if family == LINEAR:
-            weights, offset = data
-            val = first = second = None if offset is None else 0.0
-            for w, c in zip(weights, cs):
-                v, f, s2 = c.value, c.first, c.second
-                if w != 1.0:
-                    v, f, s2 = w * v, w * f, w * s2 if want2 else None
-                val = v if val is None else val + v
-                first = f if first is None else first + f
-                if want2:
-                    second = s2 if second is None else second + s2
-            if offset is not None:
-                val = offset + val
-        else:
-            pairs, val = data
-            first = second = val
-            for i, j in pairs:
-                a, b = cs[i], cs[j]
-                v = a.value * b.value
-                val = v if val is None else val + v
-                if i == j:
-                    f = 2.0 * a.value * a.first
-                    first = f if first is None else first + f
-                else:
-                    f = a.first * b.value
-                    first = (f if first is None else first + f) + a.value * b.first
-                if not want2:
+                i = new(("const", _bits(e.value)), e.value, 0)
+            elif data == 0 or data > len(links):
+                used = max(used, data)
+                i = offsets[data] + e.ref
+            else:
+                link = links[data - 1][e.ref]
+                i = seen.get(id(link))
+                if i is None:
+                    todo.append(link)
                     continue
-                if i == j:
-                    s2 = 2.0 * a.first * a.first
-                    second = (s2 if second is None else second + s2) + 2.0 * a.value * a.second
-                else:
-                    s2 = a.second * b.value
-                    second = s2 if second is None else second + s2
-                    second = second + 2.0 * a.first * b.first + a.value * b.second
-                bad2.append(a.kinked & b.kinked)
-        return Cell(val, first, second, kinked, reduce(operator.or_, bad2) if want2 else None)
+            todo.pop()
+            seen[key] = i
+            continue
+        args = e.args if family != KINK else e.args[:1] if data[0] is None else (e.args[0], data[0])
+        missing = [a for a in args if id(a) not in seen]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        if args:
+            ids = tuple([seen[id(a)] for a in args])
+            lev = 1 + max([0 if a < nin else level[a - nin] for a in ids])
+            i = new((e.op, _bits(*e.coeffs, e.alpha, e.const), ids), (e, ids), lev)
+        else:  # an affine node without arguments is its offset
+            i = new(("const", _bits(data[1])), data[1], 0)
+        seen[key] = i
 
-    return [cell(e) for e in exprs]
+    # the nodes the head roots need; the tail's steps come after theirs
+    head = len(roots) if head is None else head
+    need, todo = set(), [seen[id(e)] for e in roots[:head]]
+    while todo:
+        i = todo.pop()
+        if i >= nin and i not in need:
+            need.add(i)
+            if isinstance(made[i - nin], tuple):
+                todo.extend(made[i - nin][1])
+
+    # Levels: a node joins a step of its kind as early as its arguments allow,
+    # or else goes as late as its users allow, which leaves fewer steps than
+    # placing every node as early as it can go.
+    late = [max(level, default=0)] * len(made)
+    for i in reversed(range(len(made))):  # users come after their arguments
+        if isinstance(made[i], tuple):
+            for a in made[i][1]:
+                if a >= nin:
+                    late[a - nin] = min(late[a - nin], late[i] - 1)
+    place, taken = [0] * len(made), set()
+    for i in sorted(range(len(made)), key=late.__getitem__):
+        if isinstance(made[i], tuple):
+            e, ids = made[i]
+            kind = (nin + i not in need, *_kind(e))
+            first = 1 + max([place[a - nin] for a in ids if a >= nin], default=0)
+            place[i] = next((lev for lev in range(first, late[i]) if (lev, kind) in taken), late[i])
+            taken.add((place[i], kind))
+
+    # rows: the inputs read, the constants, then the steps level by level
+    consts: list[float] = []
+    row = list(range(nin + len(made)))
+    base = offsets[used + 1]
+    steps: dict[tuple, list] = {}
+    alone = True  # whether the tail's nodes read no node of the head's steps
+    for i, entry in enumerate(made, start=nin):
+        if isinstance(entry, tuple):
+            tail = i not in need
+            alone = alone and not (tail and any(a in need and isinstance(made[a - nin], tuple) for a in entry[1]))
+            steps.setdefault((tail, place[i - nin], *_kind(entry[0])), []).append(i)
+        else:
+            row[i] = base + len(consts)
+            consts.append(entry)
+    keys = sorted(steps, key=lambda key: key[:2])
+    lo = base + len(consts)
+    for key in keys:
+        if key[2] != KINK:
+            steps[key].sort(key=lambda i: -_terms(made[i - nin]))
+        for i in steps[key]:
+            row[i], lo = lo, lo + 1
+    out, lo = [], base + len(consts)
+    for key in keys:
+        entries = [made[i - nin] for i in steps[key]]
+        out.append(_step(slice(lo, lo + len(entries)), entries, row))
+        lo += len(entries)
+    split = (head, sum(not key[0] for key in keys), alone)
+    return Tape(tuple(sizes[: used + 1]), consts, out, [row[seen[id(e)]] for e in roots], lo, split)
+
+
+def _kind(e: Expr) -> tuple:
+    """What the nodes of one step share besides their level: the family, and a product's pair pattern."""
+    if e.family == PRODUCT:
+        i, j = e.data[0][0]
+        return PRODUCT, i == j
+    return (e.family,)
+
+
+def _terms(entry) -> int:
+    """How many items a node's sums run over: arguments of a weighted sum, pairs of a product."""
+    e, ids = entry
+    return len(e.data[0]) if e.family == PRODUCT else len(ids)
+
+
+def _padded(rows: list[list], fill) -> np.ndarray:
+    k = max(map(len, rows))
+    return np.array([r + [fill] * (k - len(r)) for r in rows])
+
+
+def _step(rows: slice, entries: list, row: list[int]):
+    """The step that computes ``entries``, (node, argument ids) of one kind, into ``rows``."""
+    nodes = [e for e, _ in entries]
+    args = [[row[i] for i in ids] for _, ids in entries]
+    family = nodes[0].family
+    if family == KINK:
+        scale = [1.0 if e.data[0] is not None else e.data[1] for e in nodes]
+        b = [r[1] if e.data[0] is not None else r[0] for r, e in zip(args, nodes)]
+        rules = {}
+        for k, e in enumerate(nodes):
+            rules.setdefault(e.data[2], []).append(k)
+        rules = [(rule, np.s_[:] if len(ks) == len(nodes) else np.array(ks)) for rule, ks in rules.items()]
+        return _Kink(rows, np.array([r[0] for r in args]), np.array(b), np.array(scale), rules)
+    counts = [_terms(entry) for entry in entries]  # most first
+    cuts = [(j, sum(k > j for k in counts)) for j in range(1, counts[0])]
+    if family == LINEAR:
+        offsets = [e.data[1] for e in nodes]
+        return _Linear(
+            rows,
+            _padded(args, 0),
+            _padded([list(e.data[0]) for e in nodes], 0.0),
+            np.array([-0.0 if c is None else c for c in offsets]),
+            np.array([-0.0 if c is None else 0.0 for c in offsets]),
+            cuts,
+        )
+    pairs = [e.data[0] for e in nodes]
+    a = _padded([[r[i] for i, _ in p] for r, p in zip(args, pairs)], 0)
+    b = _padded([[r[j] for _, j in p] for r, p in zip(args, pairs)], 0)
+    start = np.array([-0.0 if e.data[1] is None else 0.0 for e in nodes])
+    same = pairs[0][0][0] == pairs[0][0][1]
+    return _Product(rows, a, None if same else b, start, cuts)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,6 +99,34 @@ class CompositeProblem:
     def nbar(self) -> int:
         """Dimension of the lifted variable z = (theta, u_1, ..., u_L)."""
         return self.n + sum(self.widths)
+
+    @cached_property
+    def layer_rows(self) -> tuple[slice, ...]:
+        """Per layer, its rows among the roots of the tapes (then ``outer``, the last root)."""
+        ends = np.cumsum(self.widths).tolist()
+        return tuple(slice(end - w, end) for end, w in zip(ends, self.widths))
+
+    @cached_property
+    def fixed_tape(self) -> ex.Tape:
+        """Every layer map, then ``outer``, on one tape whose ``u`` leaves read given blocks.
+
+        ``outer`` is its tail, so F's derivatives can run without the layer
+        maps.  Compiled at first use and kept, as is ``chained_tape``.
+        """
+        return ex.compile_tape(self._maps(), (self.n, *self.widths), head=self.nbar - self.n)
+
+    @cached_property
+    def chained_tape(self) -> ex.Tape:
+        """The maps of ``fixed_tape`` with each ``u`` leaf linked to the node that defines it.
+
+        Its Taylor data describe the nested objective: the curves of the
+        layer blocks as functions of theta.  The layer maps, its head, run
+        without ``outer`` for the tangent lift.
+        """
+        return ex.compile_tape(self._maps(), (self.n,), [lm.exprs for lm in self.layers], self.nbar - self.n)
+
+    def _maps(self) -> list[ex.Expr]:
+        return [e for lm in self.layers for e in lm.exprs] + [self.outer]
 
 
 @dataclass(frozen=True)
@@ -253,21 +281,20 @@ def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
 
 
 def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, in one walk per map.
+    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, in one pass of the fixed tape.
 
     Value j is the scalar value at column j byte for byte, or NaN where
     ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g.
     Nothing here warns or raises.
     """
     TH, U = split_flat(problem, Z)
+    X = problem.fixed_tape.values(TH, U)
+    g = X[-1]
     with np.errstate(all="ignore"):
-        V = [ex.eval_cols(lm.exprs, TH, U[: lm.index - 1]) for lm in problem.layers]
-        R = [u - v for u, v in zip(U, V)]
-        g = ex.eval_cols((problem.outer,), np.zeros_like(TH), U)[0]
+        R = [u - X[r] for u, r in zip(U, problem.layer_rows)]
         rows = np.ascontiguousarray(TH.T)
         F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
-    finite = np.isfinite(g) & np.all([np.isfinite(v).all(axis=0) for v in V], axis=0)
-    F[~finite | (g < G_WARN_BELOW)] = np.nan
+    F[~np.isfinite(X).all(axis=0) | (g < G_WARN_BELOW)] = np.nan
     return F
 
 

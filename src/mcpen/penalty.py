@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex
 from .dcalc import Direction
 from .model import (
     FEAS_TOL,
@@ -164,8 +163,9 @@ def estimate_moduli(
     bounds of the true moduli and come back flagged heuristic.
 
     The pairs are evaluated in batches, g once per point in order of first
-    use and each layer in one column walk, with the values, warnings and
-    first ``EvaluationError`` of a loop over the pairs in order.
+    use and the layer maps in two passes of the fixed tape (one column per
+    point, one per pair), with the values, warnings and first
+    ``EvaluationError`` of a loop over the pairs in order.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
@@ -186,14 +186,16 @@ def estimate_moduli(
     Z = np.vstack(U).T  # row i: the blocks of point i, flattened
     D = Z[I] - Z[J]
     fail = (budget, 0)  # (pair, layer) of the first non-finite layer value
+    if problem.L > 1:
+        # the maps at each point, and at (theta of a, blocks of b) for each pair
+        own = problem.fixed_tape.values(TH, U)
+        mixed = problem.fixed_tape.values(TH[:, I], [B[:, J] for B in U])
     for ell, end in enumerate(np.cumsum(problem.widths[:-1]), start=1):
         # Layer moduli fix theta and vary the earlier blocks only.
         npre = _norms(D[:, :end])
         use = np.flatnonzero(npre > 1e-12)
-        # columns: (theta of a, blocks of a), then (theta of a, blocks of b)
-        ia, iab = np.tile(I[use], 2), np.concatenate([I[use], J[use]])
-        V = ex.eval_cols(problem.layers[ell].exprs, TH[:, ia], [B[:, iab] for B in U[:ell]])
-        va, vb = np.hsplit(V, 2)
+        rows = problem.layer_rows[ell]
+        va, vb = own[rows][:, I[use]], mixed[rows][:, use]
         bad = ~np.all(np.isfinite(va) & np.isfinite(vb), axis=0)
         if bad.any():
             fail = min(fail, (int(use[np.argmax(bad)]), ell + 1))
@@ -276,10 +278,10 @@ def feasibility_descent_direction(
     if not 1 <= layer <= problem.L:
         raise ValueError(f"layer {layer} out of range")
     dth = np.zeros((problem.n, 1))
-    dus: list[np.ndarray] = [np.zeros((w, 1)) for w in problem.widths[: layer - 1]]
-    dus.append(-res.per_layer[layer - 1].reshape(-1, 1))
+    dus = [np.zeros((w, 1)) for w in problem.widths]
+    dus[layer - 1] = -res.per_layer[layer - 1].reshape(-1, 1)
+    # Layer j's map reads blocks below j only, so one pass of the fixed tape per later layer.
     for j in range(layer + 1, problem.L + 1):
-        cells = ex.taylor_cells(problem.layers[j - 1].exprs, z.theta, z.u, dth, dus, order=1)
-        dus.append(np.array([c.first for c in cells]))
+        dus[j - 1] = problem.fixed_tape.cells(z.theta, z.u, dth, dus, part=0).first[problem.layer_rows[j - 1]]
     return Direction(np.zeros(problem.n), tuple(b[:, 0] for b in dus))
 

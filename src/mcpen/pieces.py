@@ -488,8 +488,9 @@ class _SlopeModel:
 def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> tuple[float, np.ndarray]:
     """Value and first-derivative form of e; ``leaf(j, i)`` gives block j's component i.
 
-    Values follow ``expr.taylor_cells`` operation for operation, so every
-    kink takes the branch that the derivative calculus takes.  Callers turn
+    Values follow the Taylor rules of ``expr`` operation for operation (an
+    offset added after the terms, a tie broken by the gap), so every kink
+    takes the branch that the tapes' derivative calculus takes.  Callers turn
     numpy's overflow warnings off; ``_SlopeModel.solve`` names the check.
     """
     family, data = e.family, e.data

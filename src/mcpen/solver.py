@@ -12,9 +12,9 @@ minimum rises above minus the stop tolerance; the solve reports
 final, polished point still sees no slope below minus the stop tolerance.
 
 The backtracking search on the penalized objective evaluates all of its
-trial steps in one column walk (``model.eval_Theta_cols``) and then takes
+trial steps in one tape pass (``model.eval_Theta_cols``) and then takes
 the first that passes, trying them in the order of a halving loop.  A tried
-step that the walk marks, because the one-point evaluation would raise or
+step that the pass marks, because the one-point evaluation would raise or
 warn there, is evaluated again one point at a time, so it raises and warns
 as that loop did; the steps after the accepted one have no effect.  The
 smooth polish usually accepts its first or second step, so it keeps the
@@ -172,7 +172,7 @@ def _line_search(
     """Armijo backtracking on Theta from z (at ``value``) along the flat direction d.
 
     The steps are those of a halving loop from ``STEP_INIT`` down to 1e-12.
-    Every step is evaluated in one ``eval_Theta_cols`` walk, then the steps
+    Every step is evaluated in one ``eval_Theta_cols`` pass, then the steps
     are tried in order and the first whose value passes is accepted.  A tried
     step whose value is not finite there is evaluated again by
     ``eval_Theta``, which raises and warns as a one-step-at-a-time loop
@@ -215,8 +215,10 @@ def _smooth_polish(problem: CompositeProblem, th: np.ndarray) -> np.ndarray:
     step = 1.0
     for _ in range(SMOOTH_POLISH_ITERS):
         sp, sm = _axis_slopes(problem, th)
-        g = (sp - sm) / 2.0
-        if np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = (sp - sm) / 2.0
+            kink = np.max(np.abs(sp + sm)) > 1e-9 * (1.0 + np.max(np.abs(g)))
+        if kink:
             break
         accepted = False
         t = step
@@ -275,18 +277,22 @@ def minimize_theta(
             # Tangent steepest-descent candidate: moving along the lifted
             # manifold avoids paying penalty for the lift violation.
             sp, sm = _axis_slopes(problem, z.theta)
-            gth = (sp - sm) / 2.0
-            ngth = np.linalg.norm(gth)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gth = (sp - sm) / 2.0
+                ngth = np.linalg.norm(gth)
             if ngth > 1e-300:
                 dth = -gth / ngth
                 DU = lift_direction_batch(problem, z, dth[:, None])
                 dl = np.concatenate([dth, *(du[:, 0] for du in DU)])
-                D = np.hstack([D, (dl / max(np.linalg.norm(dl), 1e-300)).reshape(-1, 1)])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dl /= max(np.linalg.norm(dl), 1e-300)
+                D = np.hstack([D, dl.reshape(-1, 1)])
         slopes = _slopes(problem, z, b, D)
         nbar = problem.nbar
         base = 2 * PROBE_PAIRS
-        g_est = (slopes[base : base + nbar] - slopes[base + nbar : base + 2 * nbar]) / 2.0
-        ng = np.linalg.norm(g_est)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_est = (slopes[base : base + nbar] - slopes[base + nbar : base + 2 * nbar]) / 2.0
+            ng = np.linalg.norm(g_est)
         if ng > 1e-300:
             dg = (-g_est / ng).reshape(-1, 1)
             D = np.hstack([D, dg])

@@ -33,11 +33,11 @@ from .dcalc import (
     dd_expr,
     dd_expr_batch,
     dd_F,
+    dd_F_and_slopes,
     dd_F_batch,
     dd_Psi,
     dd_Theta,
     direction_from_flat,
-    residual_slopes,
 )
 from .model import (
     CompositeProblem,
@@ -206,11 +206,12 @@ def _tangent_second_batch(
     margin, and beta None plain F''.
     """
     DU = lift_direction_batch(problem, z, DTH)
-    first, phi2, bad, _ = dd_F_batch(problem, z, DTH, DU, order=2)
-    if beta is not None:
-        for bk, (_, _, psi2, bad2) in zip(beta, residual_slopes(problem, z, DTH, DU, order=2)):
-            phi2 += sign * bk * np.sum(np.abs(psi2), axis=0)
-            bad = bad | np.logical_or.reduce(bad2)
+    if beta is None:
+        return dd_F_batch(problem, z, DTH, DU, order=2)[:3]
+    (first, phi2, bad, _), slopes = dd_F_and_slopes(problem, z, DTH, DU, order=2)
+    for bk, (_, _, psi2, bad2) in zip(beta, slopes):
+        phi2 += sign * bk * np.sum(np.abs(psi2), axis=0)
+        bad = bad | bad2.any(axis=0)
     return first, phi2, bad
 
 

@@ -1,0 +1,205 @@
+"""The recursive walkers and per-layer loops that the tapes replaced, kept as oracles.
+
+``recursive_cells`` and ``recursive_cols`` walk one node at a time, as
+``expr.taylor_cells`` and ``expr.eval_cols`` did before the tapes;
+``per_layer_slopes`` and ``per_layer_curves`` call them once per map, as
+``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.  The tapes must
+reproduce them byte for byte.
+"""
+
+import operator
+from functools import reduce
+from typing import Sequence
+
+import numpy as np
+
+from mcpen import expr as ex
+
+
+def recursive_cols(exprs, TH, UBLOCKS):
+    """Values at the m columns of TH and UBLOCKS, shape (len(exprs), m), one node at a time."""
+    blocks, m = (TH, *UBLOCKS), TH.shape[1]
+    with np.errstate(all="ignore"):
+        return np.array([_cols(e, blocks, m) for e in exprs]).reshape(len(exprs), m)
+
+
+def _cols(e: ex.Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
+    family, data = e.family, e.data
+    if family == ex.LEAF:
+        return np.full(m, e.value) if data is None else blocks[data][e.ref]
+    if family == ex.KINK:
+        branch, scale, rule = data
+        a = _cols(e.args[0], blocks, m)
+        return rule.cols(a, scale * a if branch is None else _cols(branch, blocks, m))
+    if family == ex.LINEAR:
+        weights, acc = data
+        acc = None if acc is None else np.full(m, acc)
+        for w, a in zip(weights, e.args):
+            t = w * _cols(a, blocks, m)
+            acc = t if acc is None else acc + t
+        return acc
+    pairs, acc = data
+    for i, j in pairs:
+        a = _cols(e.args[i], blocks, m)
+        t = a * (a if i == j else _cols(e.args[j], blocks, m))
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def recursive_cells(
+    exprs: Sequence[ex.Expr],
+    th: np.ndarray,
+    ublocks: Sequence[np.ndarray],
+    dtheta: np.ndarray,
+    dublocks: Sequence[np.ndarray],
+    order: int = 1,
+    eublocks: Sequence[np.ndarray] | None = None,
+    ukinked: Sequence[np.ndarray] | None = None,
+    ubad2: Sequence[np.ndarray] | None = None,
+) -> list[ex.Cell]:
+    """Propagate one-sided Taylor data through each expression.
+
+    ``dtheta`` has shape (n, m) and each entry of ``dublocks`` shape
+    (N_j, m); the optional ``eublocks`` carry the layer inputs' second-order
+    curve coefficients (defaulting to zero, as they always are for theta).
+    ``ukinked``/``ubad2`` mark layer-input components whose feeding curves
+    are themselves kinked or second-order unsupported, so the taint survives
+    chaining across layers.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    m = dtheta.shape[1] if dtheta.ndim == 2 else 1
+    dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
+    want2 = order == 2
+
+    zeros = np.zeros(m)
+    false = np.zeros(m, dtype=bool)
+    zeros2, false2 = (zeros, false) if want2 else (None, None)
+
+    def combine_max(a: ex.Cell, b: ex.Cell) -> ex.Cell:
+        gap = a.value - b.value
+        if gap > ex.TIE_TOL:
+            return a
+        if gap < -ex.TIE_TOL:
+            return b
+        # Active value tie: branch selection moves to first order.
+        first = np.maximum(a.first, b.first)
+        fgap = a.first - b.first
+        kink_here = np.abs(fgap) > ex.TIE_TOL
+        kinked = a.kinked | b.kinked | kink_here
+        second = None
+        bad2 = None
+        if want2:
+            second = np.where(
+                fgap > ex.TIE_TOL,
+                a.second,
+                np.where(fgap < -ex.TIE_TOL, b.second, np.maximum(a.second, b.second)),
+            )
+            sgap = a.second - b.second
+            kinked = kinked | ((~kink_here) & (np.abs(sgap) > ex.TIE_TOL))
+            # Tie with a kinked argument is outside the supported envelope.
+            bad2 = a.bad2 | b.bad2 | a.kinked | b.kinked
+        return ex.Cell(max(a.value, b.value), first, second, kinked, bad2)
+
+    def cell(e: ex.Expr) -> ex.Cell:
+        family, data = e.family, e.data
+        if family == ex.LEAF:
+            if data is None:
+                return ex.Cell(e.value, zeros, zeros2, false, false2)
+            if data == 0:  # theta carries no second-order data or taint
+                return ex.Cell(float(th[e.ref]), dtheta[e.ref], zeros2, false, false2)
+            j, i = data - 1, e.ref
+            return ex.Cell(
+                float(ublocks[j][i]),
+                dublocks[j][i],
+                eublocks[j][i] if (want2 and eublocks is not None) else zeros2,
+                ukinked[j][i] if ukinked is not None else false,
+                ubad2[j][i] if (want2 and ubad2 is not None) else false2,
+            )
+        if family == ex.KINK:
+            branch, scale, _ = data
+            a = cell(e.args[0])
+            if branch is not None:
+                return combine_max(a, cell(branch))
+            s2 = scale * a.second if want2 else None
+            return combine_max(a, ex.Cell(scale * a.value, scale * a.first, s2, a.kinked, a.bad2))
+        cs = [cell(a) for a in e.args]
+        if not cs:  # an affine node without arguments is its offset
+            return ex.Cell(data[1], zeros, zeros2, false, false2)
+        kinked = reduce(operator.or_, [c.kinked for c in cs])
+        bad2 = [c.bad2 for c in cs]
+        if family == ex.LINEAR:
+            weights, offset = data
+            val = first = second = None if offset is None else 0.0
+            for w, c in zip(weights, cs):
+                v, f, s2 = c.value, c.first, c.second
+                if w != 1.0:
+                    v, f, s2 = w * v, w * f, w * s2 if want2 else None
+                val = v if val is None else val + v
+                first = f if first is None else first + f
+                if want2:
+                    second = s2 if second is None else second + s2
+            if offset is not None:
+                val = offset + val
+        else:
+            pairs, val = data
+            first = second = val
+            for i, j in pairs:
+                a, b = cs[i], cs[j]
+                v = a.value * b.value
+                val = v if val is None else val + v
+                if i == j:
+                    f = 2.0 * a.value * a.first
+                    first = f if first is None else first + f
+                else:
+                    f = a.first * b.value
+                    first = (f if first is None else first + f) + a.value * b.first
+                if not want2:
+                    continue
+                if i == j:
+                    s2 = 2.0 * a.first * a.first
+                    second = (s2 if second is None else second + s2) + 2.0 * a.value * a.second
+                else:
+                    s2 = a.second * b.value
+                    second = s2 if second is None else second + s2
+                    second = second + 2.0 * a.first * b.first + a.value * b.second
+                bad2.append(a.kinked & b.kinked)
+        return ex.Cell(val, first, second, kinked, reduce(operator.or_, bad2) if want2 else None)
+
+    return [cell(e) for e in exprs]
+
+
+def _stack(cells, attr):
+    return np.array([getattr(c, attr) for c in cells])
+
+
+def per_layer_slopes(problem, z, DTH, DU, order=1):
+    """Per layer, (value, w, second, bad2) from one walk of its map, as ``dcalc.residual_slopes``."""
+    out = []
+    for k, lm in enumerate(problem.layers):
+        cells = recursive_cells(lm.exprs, z.theta, z.u, DTH, DU, order=order)
+        w = DU[k] - _stack(cells, "first")
+        if order == 2:
+            out.append((_stack(cells, "value"), w, _stack(cells, "second"), _stack(cells, "bad2")))
+        else:
+            out.append((_stack(cells, "value"), w, None, None))
+    return out
+
+
+def per_layer_curves(problem, th, DTH, order=1):
+    """(ublocks, DU, EU, KU, BU) chained a layer at a time, then g's cell along them."""
+    ublocks, DU, KU = [], [], []
+    EU = [] if order == 2 else None
+    BU = [] if order == 2 else None
+    for lm in problem.layers:
+        cells = recursive_cells(
+            lm.exprs, th, ublocks, DTH, DU, order=order, eublocks=EU, ukinked=KU, ubad2=BU
+        )
+        ublocks.append(_stack(cells, "value"))
+        DU.append(_stack(cells, "first"))
+        KU.append(_stack(cells, "kinked"))
+        if order == 2:
+            EU.append(_stack(cells, "second"))
+            BU.append(_stack(cells, "bad2"))
+    (g,) = recursive_cells([problem.outer], th, ublocks, DTH, DU, order, EU, KU, BU)
+    return (ublocks, DU, EU, KU, BU), g
