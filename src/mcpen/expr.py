@@ -319,7 +319,7 @@ def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarra
 
     Column c is ``eval_many`` at column c, byte for byte, with no numpy warnings.
     """
-    return _tape_for(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
+    return compile_tape(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
 
 
 class Cell(NamedTuple):
@@ -375,60 +375,40 @@ def taylor_cells(
     """
     m = dtheta.shape[1] if dtheta.ndim == 2 else 1
     dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
-    tape = _tape_for(exprs, (len(th), *(len(b) for b in ublocks)))
+    tape = compile_tape(exprs, (len(th), *(len(b) for b in ublocks)))
     cells = tape.cells(th, ublocks, dtheta, dublocks, order, eublocks, ukinked, ubad2)
     return [cells.cell(i) for i in range(len(exprs))]
-
-
-# The tapes of the last RECENT_TAPES expression lists that ``taylor_cells`` or
-# ``eval_cols`` compiled, keyed by node identity and block sizes.  An entry
-# holds its nodes, so no other node can take their ids while it lasts.
-RECENT_TAPES = 32
-_recent: dict[tuple, tuple[tuple[Expr, ...], "Tape"]] = {}
-
-
-def _tape_for(exprs: Sequence[Expr], sizes: tuple[int, ...]) -> "Tape":
-    exprs = tuple(exprs)
-    key = (tuple(map(id, exprs)), sizes)
-    hit = _recent.pop(key, None) or (exprs, compile_tape(exprs, sizes))
-    _recent[key] = hit
-    if len(_recent) > RECENT_TAPES:
-        del _recent[next(iter(_recent))]
-    return hit[1]
 
 
 # ---------------------------------------------------------------------------
 # Tapes
 #
 # A tape holds one row per distinct node of its trees: first the components
-# of the input blocks it reads, then the constants, then the other nodes a
-# level at a time, where a node's level is one more than its deepest
-# argument's.  One step computes the nodes of one level and family (and pair
-# pattern, or value rule) with numpy calls over all of them and all columns.
-# A node's sum adds its terms one at a time from the left, as a Python loop
-# does, so every row rounds as the node-at-a-time rules of the module
-# docstring round it.  A step orders its nodes by their number of terms,
-# most first, and the j-th terms go to the nodes that have them, a prefix.
-# Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
-# sum that starts at 0.0 equals 0.0 + the same sum started at its first term.
-# A start that the rules skip is therefore -0.0, and a start of 0.0 is added
+# of the input blocks it reads, then the constants, then the other nodes in
+# steps.  A step takes the nodes of one level and family (and, for products,
+# one pair pattern), with numpy calls over all of them and all columns; in
+# Taylor mode a row holds the value, the first coefficients and the second,
+# and the kinked and bad2 flags sit in a row of their own array.  A node's
+# sum adds its terms one at a time from the left, as a Python loop does, so
+# every row rounds as the node-at-a-time rules of the module docstring
+# round it.  A step orders its nodes by their number of terms, most first,
+# and the j-th terms go to the nodes that have them, a prefix.  Two facts of
+# IEEE addition carry the starts of sums: -0.0 + x is x, and a sum that
+# starts at 0.0 equals 0.0 + the same sum started at its first term.  A
+# start that the rules skip is therefore -0.0, and a start of 0.0 is added
 # last.  Multiplying by 1.0 changes no bits, so a unit weight or scale is
 # multiplied like any other.  Argument arrays are padded with row 0, a theta
 # component, whose kinked and bad2 flags are always false.
 
 
-def _sum(terms: Sequence[np.ndarray], cuts: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Per node, the sum of its terms from the left: item 0 of each array of ``terms``, then item 1...
+def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Per node, the sum of its terms t[node, 0], t[node, 1], ... from the left.
 
-    Each array has shape (nodes, items, ...); ``cuts`` lists (j, c) for the
-    items j >= 1 that the first c nodes have.
+    ``cuts`` lists (j, c) for the terms j >= 1 that the first c nodes have.
     """
-    acc = terms[0][:, 0]
-    for t in terms[1:]:
-        acc += t[:, 0]
+    acc = t[:, 0]
     for j, c in cuts:
-        for t in terms:
-            acc[:c] += t[:c, j]
+        acc[:c] += t[:c, j]
     return acc
 
 
@@ -448,7 +428,7 @@ class _Linear:
     def taylor(self, Q, KB, m: int) -> None:
         # value, first and second share the terms' weights and order
         a, r = self.args, self.rows
-        acc = _sum([self.w3 * Q[a]], self.cuts)
+        acc = _sum(self.w3 * Q[a], self.cuts)
         acc = self.start2 + acc
         acc[:, 0] = self.offset + acc[:, 0]
         Q[r] = acc
@@ -458,7 +438,7 @@ class _Linear:
         t = X[self.args]
         np.multiply(self.w3, t, out=t)
         t[:, 0] = self.offset2 + t[:, 0]
-        X[self.rows] = _sum([t], self.cuts)
+        X[self.rows] = _sum(t, self.cuts)
 
 
 class _Product:
@@ -469,7 +449,7 @@ class _Product:
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray | None, start: np.ndarray, cuts):
         self.rows, self.a, self.b, self.cuts = rows, a, b, cuts
-        self.start, self.start2 = start, start[:, None]
+        self.start2 = start[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         # A pair adds these terms, left to right, to the value, first and second sums:
@@ -516,7 +496,7 @@ class _Product:
         xa = X[self.a]
         xb = xa if self.b is None else X[self.b]
         np.multiply(xa, xb, out=xa)
-        X[self.rows] = self.start2 + _sum([xa], self.cuts)
+        X[self.rows] = self.start2 + _sum(xa, self.cuts)
 
 
 class _Kink:
@@ -672,11 +652,60 @@ def compile_tape(
     for size in sizes:
         offsets.append(offsets[-1] + size)
     nin = offsets[-1]
-    made: list = []  # per id from nin on: a constant's value, or (node, argument ids)
+    made, root_ids, level, used = _graph(roots, offsets, links)
+    tail = [True] * len(made)
+    todo = list(root_ids[: len(roots) if head is None else head])
+    while todo:  # the nodes the head roots need
+        i = todo.pop() - nin
+        if i >= 0 and tail[i]:
+            tail[i] = False
+            if isinstance(made[i], tuple):
+                todo.extend(made[i][1])
+    place = _place(made, nin, level, tail)
+
+    # rows: the inputs read, the constants, then the head's steps and the tail's
+    consts: list[float] = []
+    row = list(range(nin + len(made)))
+    base = offsets[used + 1]
+    steps: dict[tuple, list] = {}
+    alone = True  # whether the tail's nodes read no node of the head's steps
+    for i, entry in enumerate(made):
+        if isinstance(entry, tuple):
+            steps.setdefault((tail[i], place[i], *_kind(entry[0])), []).append(nin + i)
+            alone = alone and not (tail[i] and any(a >= nin and not tail[a - nin] and place[a - nin] for a in entry[1]))
+        else:
+            row[nin + i] = base + len(consts)
+            consts.append(entry)
+    keys = sorted(steps, key=lambda key: key[:2])
+    lo = base + len(consts)
+    for key in keys:
+        if key[2] != KINK:
+            steps[key].sort(key=lambda i: -_terms(made[i - nin]))
+        for i in steps[key]:
+            row[i], lo = lo, lo + 1
+    out, lo = [], base + len(consts)
+    for key in keys:
+        entries = [made[i - nin] for i in steps[key]]
+        out.append(_step(slice(lo, lo + len(entries)), entries, row))
+        lo += len(entries)
+    split = (len(roots) if head is None else head, sum(not key[0] for key in keys), alone)
+    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo, split)
+
+
+def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[Expr]]):
+    """The distinct nodes of the trees, hash-consed, in an order that puts arguments first.
+
+    Returns (made, root ids, levels, last input block read).  An id below
+    ``offsets[-1]`` is an input row; id ``offsets[-1] + k`` is ``made[k]``,
+    a constant's value or (node, argument ids), at ``levels[k]``, one more
+    than its deepest argument's (constants: 0).
+    """
+    nin = offsets[-1]
+    made: list = []
     level: list[int] = []
     seen: dict[int, int] = {}  # id(node) -> id
     keyed: dict[tuple, int] = {}  # structural key -> id
-    used = 0  # the last input block read
+    used = 0
 
     def new(key: tuple, entry, lev: int) -> int:
         i = keyed.get(key)
@@ -722,20 +751,16 @@ def compile_tape(
         else:  # an affine node without arguments is its offset
             i = new(("const", _bits(data[1])), data[1], 0)
         seen[key] = i
+    return made, [seen[id(e)] for e in roots], level, used
 
-    # the nodes the head roots need; the tail's steps come after theirs
-    head = len(roots) if head is None else head
-    need, todo = set(), [seen[id(e)] for e in roots[:head]]
-    while todo:
-        i = todo.pop()
-        if i >= nin and i not in need:
-            need.add(i)
-            if isinstance(made[i - nin], tuple):
-                todo.extend(made[i - nin][1])
 
-    # Levels: a node joins a step of its kind as early as its arguments allow,
-    # or else goes as late as its users allow, which leaves fewer steps than
-    # placing every node as early as it can go.
+def _place(made: list, nin: int, level: list[int], tail: list[bool]) -> list[int]:
+    """The level of each node's step.
+
+    A node joins a step of its kind as early as its arguments allow, or else
+    goes as late as its users allow; that leaves fewer steps than placing
+    every node as early as it can go.
+    """
     late = [max(level, default=0)] * len(made)
     for i in reversed(range(len(made))):  # users come after their arguments
         if isinstance(made[i], tuple):
@@ -746,39 +771,11 @@ def compile_tape(
     for i in sorted(range(len(made)), key=late.__getitem__):
         if isinstance(made[i], tuple):
             e, ids = made[i]
-            kind = (nin + i not in need, *_kind(e))
+            kind = (tail[i], *_kind(e))
             first = 1 + max([place[a - nin] for a in ids if a >= nin], default=0)
             place[i] = next((lev for lev in range(first, late[i]) if (lev, kind) in taken), late[i])
             taken.add((place[i], kind))
-
-    # rows: the inputs read, the constants, then the steps level by level
-    consts: list[float] = []
-    row = list(range(nin + len(made)))
-    base = offsets[used + 1]
-    steps: dict[tuple, list] = {}
-    alone = True  # whether the tail's nodes read no node of the head's steps
-    for i, entry in enumerate(made, start=nin):
-        if isinstance(entry, tuple):
-            tail = i not in need
-            alone = alone and not (tail and any(a in need and isinstance(made[a - nin], tuple) for a in entry[1]))
-            steps.setdefault((tail, place[i - nin], *_kind(entry[0])), []).append(i)
-        else:
-            row[i] = base + len(consts)
-            consts.append(entry)
-    keys = sorted(steps, key=lambda key: key[:2])
-    lo = base + len(consts)
-    for key in keys:
-        if key[2] != KINK:
-            steps[key].sort(key=lambda i: -_terms(made[i - nin]))
-        for i in steps[key]:
-            row[i], lo = lo, lo + 1
-    out, lo = [], base + len(consts)
-    for key in keys:
-        entries = [made[i - nin] for i in steps[key]]
-        out.append(_step(slice(lo, lo + len(entries)), entries, row))
-        lo += len(entries)
-    split = (head, sum(not key[0] for key in keys), alone)
-    return Tape(tuple(sizes[: used + 1]), consts, out, [row[seen[id(e)]] for e in roots], lo, split)
+    return place
 
 
 def _kind(e: Expr) -> tuple:

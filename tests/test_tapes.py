@@ -208,3 +208,28 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
     for order in (1, 2):
         for th in (np.array([0.5]), np.array([-0.0])):
             _same_cells(ex.compile_tape(exprs, (1,)).cells(th, [], D, [], order), recursive_cells(exprs, th, [], D, [], order))
+
+
+def test_a_tail_that_shares_a_head_node_runs_with_the_head():
+    # the outer function repeats layer 2's subtree, so its tape row is shared
+    from mcpen.model import CompositeProblem, LayerMap
+
+    shared = ex.plus(ex.sub(ex.uref(1, 0), ex.const(0.25)))
+    p = CompositeProblem(
+        1,
+        (LayerMap(1, (ex.square(ex.theta(0)),)), LayerMap(2, (shared,))),
+        ex.add(ex.plus(ex.sub(ex.uref(1, 0), ex.const(0.25))), ex.uref(2, 0)),
+        lam=0.1,
+    )
+    assert not p.fixed_tape.tail_alone
+    z = eval_layers(p, np.array([0.5]))
+    D = np.array([[1.0, -1.0, 0.0]])
+    DU = [np.array([[1.0, -1.0, 0.0]]), np.array([[0.0, 1.0, -1.0]])]
+    with np.errstate(all="ignore"):
+        for order in (1, 2):
+            (g,) = recursive_cells([p.outer], z.theta, z.u, D, DU, order)
+            first, second, bad, kinked = dd_F_batch(p, z, D, DU, order)
+            for a, b in zip((first, second), _plus_ridge(p, g, z.theta, D, order)):
+                _same(a, b)
+            _same(bad, g.bad2)
+            _same(kinked, g.kinked)
