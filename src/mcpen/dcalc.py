@@ -154,7 +154,8 @@ def dd_F_and_slopes(
     """
     cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order)
     g = cells.cell(-1)
-    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked), _slopes(problem, cells, DU, order)
+    F = (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
+    return F, _slopes(problem, cells, DU, order)
 
 
 def _slopes(problem: CompositeProblem, cells: ex.Cells, DU: Sequence[np.ndarray], order: int) -> list[tuple]:

@@ -562,7 +562,7 @@ class Tape:
     """
 
     def __init__(
-        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, split: tuple
+        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, split
     ):
         self.sizes, self.steps, self.nrows = sizes, steps, nrows
         # head roots, head steps, and whether the tail's steps need no head step
@@ -591,11 +591,7 @@ class Tape:
         """
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        steps, r = self.steps, self.roots
-        if part == 0:
-            steps, r = steps[: self.head_steps], r[: self.head]
-        elif part == 1:
-            steps, r = steps[self.head_steps :] if self.tail_alone else steps, r[self.head :]
+        steps, r = self._part(part)
         nb, n, nin, nfixed = len(self.sizes) - 1, self.sizes[0], self.nin, self.nfixed
         m = dtheta.shape[1]
         Q = np.empty((self.nrows, 1 + order * m))
@@ -619,16 +615,28 @@ class Tape:
             return Cells(Q[r, 0], Q[r, 1:], None, KB[r], None)
         return Cells(Q[r, 0], Q[r, 1 : m + 1], Q[r, m + 1 :], KB[r, :m], KB[r, m:])
 
-    def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
-        """The roots' values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (R, m)."""
+    def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray], part: int | None = None) -> np.ndarray:
+        """The roots' values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (R, m).
+
+        ``part`` is as for ``cells``.
+        """
+        steps, r = self._part(part)
         nb = len(self.sizes) - 1
         X = np.empty((self.nrows, TH.shape[1]))
         np.concatenate([TH, *UBLOCKS[:nb]], out=X[: self.nin])
         X[self.nin : self.nfixed] = self.consts[:, None]
         with np.errstate(all="ignore"):
-            for step in self.steps:
+            for step in steps:
                 step.values(X)
-        return X[self.roots]
+        return X[r]
+
+    def _part(self, part: int | None) -> tuple[list, np.ndarray]:
+        """The steps to run and the roots they give: all, the head's (0) or the tail's (1)."""
+        if part == 0:
+            return self.steps[: self.head_steps], self.roots[: self.head]
+        if part == 1:
+            return self.steps[self.head_steps :] if self.tail_alone else self.steps, self.roots[self.head :]
+        return self.steps, self.roots
 
 
 def _bits(*xs: float) -> bytes:
@@ -672,7 +680,8 @@ def compile_tape(
     for i, entry in enumerate(made):
         if isinstance(entry, tuple):
             steps.setdefault((tail[i], place[i], *_kind(entry[0])), []).append(nin + i)
-            alone = alone and not (tail[i] and any(a >= nin and not tail[a - nin] and place[a - nin] for a in entry[1]))
+            if tail[i] and any(a >= nin and not tail[a - nin] and place[a - nin] for a in entry[1]):
+                alone = False
         else:
             row[nin + i] = base + len(consts)
             consts.append(entry)

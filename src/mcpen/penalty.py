@@ -163,8 +163,8 @@ def estimate_moduli(
     bounds of the true moduli and come back flagged heuristic.
 
     The pairs are evaluated in batches, g once per point in order of first
-    use and the layer maps in two passes of the fixed tape (one column per
-    point, one per pair), with the values, warnings and first
+    use and the layer maps in two passes of the fixed tape's head (one
+    column per point, one per pair), with the values, warnings and first
     ``EvaluationError`` of a loop over the pairs in order.
     """
     meta = problem.meta
@@ -188,8 +188,8 @@ def estimate_moduli(
     fail = (budget, 0)  # (pair, layer) of the first non-finite layer value
     if problem.L > 1:
         # the maps at each point, and at (theta of a, blocks of b) for each pair
-        own = problem.fixed_tape.values(TH, U)
-        mixed = problem.fixed_tape.values(TH[:, I], [B[:, J] for B in U])
+        own = problem.fixed_tape.values(TH, U, part=0)
+        mixed = problem.fixed_tape.values(TH[:, I], [B[:, J] for B in U], part=0)
     for ell, end in enumerate(np.cumsum(problem.widths[:-1]), start=1):
         # Layer moduli fix theta and vary the earlier blocks only.
         npre = _norms(D[:, :end])

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_problem
 from mcpen import expr as ex
 from mcpen.cones import lift_direction_batch
-from mcpen.dcalc import _plus_ridge, dd_F_batch, dd_Psi_batch, dd_Theta_batch, forward_curves, residual_slopes
+from mcpen.dcalc import (
+    _plus_ridge,
+    dd_F_batch,
+    dd_Psi_batch,
+    dd_Theta_batch,
+    forward_curves,
+    residual_slopes,
+)
 from mcpen.model import Point, eval_layers
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
@@ -83,7 +90,8 @@ def test_fixed_tape_matches_the_recursion_map_by_map(m):
     with np.errstate(all="ignore"):
         for p, z in CASES:
             DTH, DU, EU, KU, BU = _rays(rng, p, m)
-            for order, taints in ((1, {}), (1, dict(ukinked=KU)), (2, {}), (2, dict(eublocks=EU, ukinked=KU, ubad2=BU))):
+            taint2 = dict(eublocks=EU, ukinked=KU, ubad2=BU)
+            for order, taints in ((1, {}), (1, dict(ukinked=KU)), (2, {}), (2, taint2)):
                 cells = p.fixed_tape.cells(z.theta, z.u, DTH, DU, order, **taints)
                 ref = [
                     c
@@ -103,7 +111,8 @@ def test_residual_slopes_and_F_match_the_per_layer_loop(m):
         for p, z in CASES:
             DTH, DU, *_ = _rays(rng, p, m)
             for order in (1, 2):
-                for got, want in zip(residual_slopes(p, z, DTH, DU, order), per_layer_slopes(p, z, DTH, DU, order)):
+                want = per_layer_slopes(p, z, DTH, DU, order)
+                for got, want in zip(residual_slopes(p, z, DTH, DU, order), want):
                     for a, b in zip(got, want):
                         _same(a, b)
                 (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
@@ -207,7 +216,8 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
     D = np.array([[1.0, -0.0]])
     for order in (1, 2):
         for th in (np.array([0.5]), np.array([-0.0])):
-            _same_cells(ex.compile_tape(exprs, (1,)).cells(th, [], D, [], order), recursive_cells(exprs, th, [], D, [], order))
+            cells = ex.compile_tape(exprs, (1,)).cells(th, [], D, [], order)
+            _same_cells(cells, recursive_cells(exprs, th, [], D, [], order))
 
 
 def test_a_tail_that_shares_a_head_node_runs_with_the_head():
