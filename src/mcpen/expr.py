@@ -724,42 +724,57 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
             level.append(lev)
         return i
 
+    def leaf(e: Expr) -> int | None:
+        """The id of a constant or input leaf, None for a linked one."""
+        nonlocal used
+        if e.data is None:
+            return new(("const", _bits(e.value)), e.value, 0)
+        if e.data and e.data <= len(links):
+            return None
+        used = max(used, e.data)
+        return offsets[e.data] + e.ref
+
     todo = list(roots)
     while todo:
         e = todo[-1]
-        key = id(e)
-        if key in seen:
+        if id(e) in seen:
             todo.pop()
             continue
         family, data = e.family, e.data
         if family == LEAF:
-            if data is None:
-                i = new(("const", _bits(e.value)), e.value, 0)
-            elif data == 0 or data > len(links):
-                used = max(used, data)
-                i = offsets[data] + e.ref
-            else:
+            i = leaf(e)
+            if i is None:  # a linked leaf is the node that defines it
                 link = links[data - 1][e.ref]
                 i = seen.get(id(link))
                 if i is None:
                     todo.append(link)
                     continue
             todo.pop()
-            seen[key] = i
+            seen[id(e)] = i
             continue
         args = e.args if family != KINK else e.args[:1] if data[0] is None else (e.args[0], data[0])
-        missing = [a for a in args if id(a) not in seen]
+        ids, missing = [], []
+        for a in args:
+            i = seen.get(id(a))
+            if i is None and a.family == LEAF:
+                i = leaf(a)  # leaves other than linked ones need no visit of their own
+                if i is not None:
+                    seen[id(a)] = i
+            if i is None:
+                missing.append(a)
+            else:
+                ids.append(i)
         if missing:
             todo.extend(missing)
             continue
         todo.pop()
-        if args:
-            ids = tuple([seen[id(a)] for a in args])
+        if ids:
+            ids = tuple(ids)
             lev = 1 + max([0 if a < nin else level[a - nin] for a in ids])
             i = new((e.op, _bits(*e.coeffs, e.alpha, e.const), ids), (e, ids), lev)
         else:  # an affine node without arguments is its offset
             i = new(("const", _bits(data[1])), data[1], 0)
-        seen[key] = i
+        seen[id(e)] = i
     return made, [seen[id(e)] for e in roots], level, used
 
 
