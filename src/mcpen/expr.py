@@ -371,7 +371,7 @@ def taylor_cells(
     curve coefficients (defaulting to zero, as they always are for theta).
     ``ukinked``/``ubad2`` mark layer-input components whose feeding curves
     are themselves kinked or second-order unsupported, so the taint survives
-    chaining across layers.
+    chaining across layers.  Runs a tape compiled for ``exprs``.
     """
     m = dtheta.shape[1] if dtheta.ndim == 2 else 1
     dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
@@ -390,8 +390,8 @@ def taylor_cells(
 # Taylor mode a row holds the value, the first coefficients and the second,
 # and the kinked and bad2 flags sit in a row of their own array.  A node's
 # sum adds its terms one at a time from the left, as a Python loop does, so
-# every row rounds as the node-at-a-time rules of the module docstring
-# round it.  A step orders its nodes by their number of terms, most first,
+# every row rounds as a node-at-a-time walk rounds it (the tests keep such
+# a walk as the oracle).  A step orders its nodes by their number of terms, most first,
 # and the j-th terms go to the nodes that have them, a prefix.  Two facts of
 # IEEE addition carry the starts of sums: -0.0 + x is x, and a sum that
 # starts at 0.0 equals 0.0 + the same sum started at its first term.  A
