@@ -12,13 +12,14 @@ is kept free of any shared code path with the structural rules, so the two
 can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
-per-column arrays; the scalar API wraps batch width one.  Each batch is one
-pass of a tape of the problem: the fixed-point tape, whose ``u`` leaves read
-the point's blocks, for F, Theta and the residual slopes of every layer
-(``dd_F_and_slopes``, or its ``outer`` part alone for F); the chained tape,
-whose ``u`` leaves stand for the maps that define them, for the nested
-objective (``dd_Psi_batch``) and, without ``outer``, the tangent lift
-(``forward_curves``).
+per-column arrays; the scalar API wraps batch width one.  Each batch runs
+one pass of each tape it needs: the outer tape for F (``dd_F_batch``); the
+fixed tape, whose ``u`` leaves read the point's blocks, for the residual
+slopes of every layer (``residual_slopes``) and, with the outer tape, for
+Theta (``dd_Theta_batch``); the chained tape, whose ``u`` leaves stand for
+the maps that define them, for the tangent lift (``forward_curves``) and,
+with its layer curves as the outer tape's layer inputs, for the nested
+objective (``dd_Psi_batch``).
 """
 
 from __future__ import annotations
@@ -122,11 +123,6 @@ def dd_expr(e: ex.Expr, x: np.ndarray, d: np.ndarray, order: int = 1) -> DDValue
     return _pick(cell.first, cell.second, cell.bad2, cell.kinked, cell.value, order)
 
 
-def dd_expr_batch(e: ex.Expr, x: np.ndarray, D: np.ndarray, order: int = 1) -> ex.Cell:
-    x = np.asarray(x, dtype=float).ravel()
-    return ex.taylor_cells([e], x, [], np.asarray(D, dtype=float), [], order=order)[0]
-
-
 # ---------------------------------------------------------------------------
 # Lifted objective F and penalized objective Theta
 
@@ -142,35 +138,26 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
 def dd_F_and_slopes(
     problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
 ):
-    """F's derivatives and every layer's residual slopes, from one pass of the fixed tape at z.
+    """F's derivatives and every layer's residual slopes at z: a pass of the outer tape, one of the fixed.
 
     Returns ((first, second, bad, kinked), slopes): the first part is
-    ``dd_F_batch``'s, and slopes has, per layer k = 1..L, (value, w, second,
-    bad2): ``value`` is psi_{k-1}(z) from the Taylor data, ``w = DU_k -
-    psi'_{k-1}(z; d)`` the residual slopes with one column per direction, and
-    at order 2 ``second``/``bad2`` the stacked second coefficients and their
-    flags (None at order 1).  At a feasible z, d is tangent exactly when
-    every w vanishes.
+    ``dd_F_batch``'s, the second ``residual_slopes``'.
     """
-    cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order)
-    g = cells.cell(-1)
-    F = (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
-    return F, _slopes(problem, cells, DU, order)
+    return _F(problem, z.theta, z.u, DTH, DU, order), residual_slopes(problem, z, DTH, DU, order)
 
 
-def _slopes(problem: CompositeProblem, cells: ex.Cells, DU: Sequence[np.ndarray], order: int) -> list[tuple]:
-    """Per layer, (value, w, second, bad2) from the cells of the fixed tape's layer maps."""
-    slopes = []
-    for du, r in zip(DU, problem.layer_rows):
-        second = (cells.second[r], cells.bad2[r]) if order == 2 else (None, None)
-        slopes.append((cells.value[r], du - cells.first[r], *second))
-    return slopes
+def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, *taints):
+    """F's (first, second, bad, kinked) from one pass of the outer tape.
+
+    ``taints`` are the layer inputs' (eublocks, ukinked, ubad2), as for ``Tape.cells``.
+    """
+    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order, *taints).cell(0)
+    return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
 
 
 def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
     """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
-    g = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order, part=1).cell(0)
-    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
+    return _F(problem, z.theta, z.u, DTH, DU, order)
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
@@ -183,8 +170,20 @@ def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> D
 def residual_slopes(
     problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
 ) -> list[tuple]:
-    """Per layer, the Taylor data of its map at z along (DTH, DU); see ``dd_F_and_slopes``."""
-    return _slopes(problem, problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order, part=0), DU, order)
+    """Per layer, the Taylor data of its map at z along (DTH, DU), from one pass of the fixed tape.
+
+    Per layer k = 1..L: (value, w, second, bad2).  ``value`` is psi_{k-1}(z)
+    from the Taylor data, ``w = DU_k - psi'_{k-1}(z; d)`` the residual slopes
+    with one column per direction, and at order 2 ``second``/``bad2`` the
+    stacked second coefficients and their flags (None at order 1).  At a
+    feasible z, d is tangent exactly when every w vanishes.
+    """
+    cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order)
+    slopes = []
+    for du, r in zip(DU, problem.layer_rows):
+        second = (cells.second[r], cells.bad2[r]) if order == 2 else (None, None)
+        slopes.append((cells.value[r], du - cells.first[r], *second))
+    return slopes
 
 
 def dd_Theta_batch(
@@ -249,8 +248,7 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
     result describes the nested objective.  Returns (ublocks, DU, EU, kinked,
     bad), one array per layer in each, with EU/bad None at first order.
     """
-    cells = problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order, part=0)
-    return _layers(problem, cells)
+    return _layers(problem, problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order))
 
 
 def _layers(problem: CompositeProblem, cells: ex.Cells):
@@ -262,12 +260,14 @@ def _layers(problem: CompositeProblem, cells: ex.Cells):
 
 
 def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
-    """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns."""
+    """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns.
+
+    The chained tape's layer curves are the outer tape's layer inputs.
+    """
     cells = problem.chained_tape.cells(th, (), DTH, (), order)
-    gcell = cells.cell(-1)
-    first, second = _plus_ridge(problem, gcell, th, DTH, order)
-    kinked = gcell.kinked | cells.kinked[:-1].any(axis=0)
-    return _layers(problem, cells)[0], first, second, gcell.bad2, kinked
+    ublocks, DU, EU, KU, BU = _layers(problem, cells)
+    first, second, bad, kinked = _F(problem, th, ublocks, DTH, DU, order, EU, KU, BU)
+    return ublocks, first, second, bad, kinked | cells.kinked.any(axis=0)
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:

@@ -14,24 +14,28 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   first argument against a second branch: the second argument, ``s*a`` for
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
-Two kinds of walker read the table, and both branch on the family only.
-The recursive ones visit one node at a time: ``eval_one`` (values at one
-point), ``pieces.expr_pieces``, ``pieces._walk`` and ``cones._degree``.  A
-tape (``compile_tape``) is one or more trees compiled once into a program of
+Two kinds of walker read the table, and both branch on the family only.  The
+recursive ones visit one node at a time: ``eval_one`` (values at one point),
+``pieces.expr_pieces``, ``pieces._walk`` and ``cones._degree``.  A tape
+(``compile_tape``) is one or more trees compiled once into a program of
 rows, one per distinct node, computed a level at a time by steps that each
 take all nodes of one family with a fixed set of numpy calls over every
 column; ``Tape.values`` (behind ``eval_cols``) gives values at a batch of
 points and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a
-batch of rays.  Each problem keeps the tapes of its maps
-(``model.CompositeProblem.fixed_tape`` and ``chained_tape``).  Where an op's
-own arithmetic differs from its family rule (whether a sum starts at zero
-or at its first term, Python's ``abs``), the difference is table data, so
-each op keeps its exact rounding and sign of zero, at one point and column
-by column, and a tape's rows are the bytes a node-at-a-time walk gives.
-Every walker squares with ``x*x``, so a square has one value in all of
-them, and a value past the float range is inf, never an exception.  Trees
-are built from immutable nodes, so cycles are impossible by construction
-and sharing of subtrees is safe; ``nodes`` walks a tree without recursion.
+batch of rays.  Each problem keeps three tapes: its layer maps twice, with
+``u`` leaves that read given blocks and with ``u`` leaves that stand for the
+maps that define them, and its outer function alone
+(``model.CompositeProblem.fixed_tape``, ``chained_tape`` and
+``outer_tape``); one tape's Taylor data feed another as the layer inputs of
+``Tape.cells``.  Where an op's own arithmetic differs from its family rule
+(whether a sum starts at zero or at its first term, Python's ``abs``), the
+difference is table data, so each op keeps its exact rounding and sign of
+zero, at one point and column by column, and a tape's rows are the bytes a
+node-at-a-time walk gives.  Every walker squares with ``x*x``, so a square
+has one value in all of them, and a value past the float range is inf, never
+an exception.  Trees are built from immutable nodes, so cycles are
+impossible by construction and sharing of subtrees is safe; ``nodes`` walks
+a tree without recursion.
 
 Every node supports exact one-sided Taylor data along a ray: given input
 curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the tape steps
@@ -391,14 +395,14 @@ def taylor_cells(
 # and the kinked and bad2 flags sit in a row of their own array.  A node's
 # sum adds its terms one at a time from the left, as a Python loop does, so
 # every row rounds as a node-at-a-time walk rounds it (the tests keep such
-# a walk as the oracle).  A step orders its nodes by their number of terms, most first,
-# and the j-th terms go to the nodes that have them, a prefix.  Two facts of
-# IEEE addition carry the starts of sums: -0.0 + x is x, and a sum that
-# starts at 0.0 equals 0.0 + the same sum started at its first term.  A
-# start that the rules skip is therefore -0.0, and a start of 0.0 is added
-# last.  Multiplying by 1.0 changes no bits, so a unit weight or scale is
-# multiplied like any other.  Argument arrays are padded with row 0, a theta
-# component, whose kinked and bad2 flags are always false.
+# a walk as the oracle).  A step orders its nodes by their number of terms,
+# most first, and the j-th terms go to the nodes that have them, a prefix.
+# Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
+# sum that starts at 0.0 equals 0.0 + the same sum started at its first
+# term.  A start that the rules skip is therefore -0.0, and a start of 0.0 is
+# added last.  Multiplying by 1.0 changes no bits, so a unit weight or scale
+# is multiplied like any other.  Argument arrays are padded with row 0, a
+# theta component, whose kinked and bad2 flags are always false.
 
 
 def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -561,12 +565,8 @@ class Tape:
     order 2 the m second ones, with the kinked and bad2 flags beside them.
     """
 
-    def __init__(
-        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, split
-    ):
+    def __init__(self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list, nrows: int):
         self.sizes, self.steps, self.nrows = sizes, steps, nrows
-        # head roots, head steps, and whether the tail's steps need no head step
-        self.head, self.head_steps, self.tail_alone = split
         self.nin = sum(sizes)
         self.consts = np.array(consts, dtype=float)
         self.nfixed = self.nin + len(consts)
@@ -582,17 +582,11 @@ class Tape:
         eublocks: Sequence[np.ndarray] | None = None,
         ukinked: Sequence[np.ndarray] | None = None,
         ubad2: Sequence[np.ndarray] | None = None,
-        part: int | None = None,
     ) -> Cells:
-        """The roots' Taylor data; arguments as for ``taylor_cells``, with dtheta of shape (n, m).
-
-        ``part`` 0 runs the head roots alone and 1 the tail roots (see
-        ``compile_tape``); the cells are those of the roots run.
-        """
+        """The roots' Taylor data; arguments as for ``taylor_cells``, with dtheta of shape (n, m)."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        steps, r = self._part(part)
-        nb, n, nin, nfixed = len(self.sizes) - 1, self.sizes[0], self.nin, self.nfixed
+        r, nb, n, nin, nfixed = self.roots, len(self.sizes) - 1, self.sizes[0], self.nin, self.nfixed
         m = dtheta.shape[1]
         Q = np.empty((self.nrows, 1 + order * m))
         np.concatenate([th, *ublocks[:nb]], out=Q[:nin, 0])
@@ -609,34 +603,22 @@ class Tape:
             if ubad2 is not None and nb:
                 np.concatenate(ubad2[:nb], out=KB[n:nin, m:])
         with np.errstate(all="ignore"):
-            for step in steps:
+            for step in self.steps:
                 step.taylor(Q, KB, m)
         if order == 1:
             return Cells(Q[r, 0], Q[r, 1:], None, KB[r], None)
         return Cells(Q[r, 0], Q[r, 1 : m + 1], Q[r, m + 1 :], KB[r, :m], KB[r, m:])
 
-    def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray], part: int | None = None) -> np.ndarray:
-        """The roots' values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (R, m).
-
-        ``part`` is as for ``cells``.
-        """
-        steps, r = self._part(part)
+    def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
+        """The roots' values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (R, m)."""
         nb = len(self.sizes) - 1
         X = np.empty((self.nrows, TH.shape[1]))
         np.concatenate([TH, *UBLOCKS[:nb]], out=X[: self.nin])
         X[self.nin : self.nfixed] = self.consts[:, None]
         with np.errstate(all="ignore"):
-            for step in steps:
+            for step in self.steps:
                 step.values(X)
-        return X[r]
-
-    def _part(self, part: int | None) -> tuple[list, np.ndarray]:
-        """The steps to run and the roots they give: all, the head's (0) or the tail's (1)."""
-        if part == 0:
-            return self.steps[: self.head_steps], self.roots[: self.head]
-        if part == 1:
-            return self.steps[self.head_steps :] if self.tail_alone else self.steps, self.roots[self.head :]
-        return self.steps, self.roots
+        return X[self.roots]
 
 
 def _bits(*xs: float) -> bytes:
@@ -644,51 +626,36 @@ def _bits(*xs: float) -> bytes:
     return struct.pack(f"{len(xs)}d", *xs)
 
 
-def compile_tape(
-    roots: Sequence[Expr], sizes: Sequence[int], links: Sequence[Sequence[Expr]] = (), head: int | None = None
-) -> Tape:
+def compile_tape(roots: Sequence[Expr], sizes: Sequence[int], links: Sequence[Sequence[Expr]] = ()) -> Tape:
     """Compile the trees ``roots`` into one ``Tape``.
 
     ``sizes`` are the lengths of the input blocks, theta's first.  A ``u``
     leaf of layer j <= len(links) stands for the node ``links[j-1][ref]``, so
     it carries that node's value and Taylor data; every other leaf reads an
-    input block.  Equal subtrees share one row.  The nodes of the first
-    ``head`` roots (all by default) come first, in steps of their own, so
-    ``Tape.cells`` can run the head roots or the tail roots alone.
+    input block.  Equal subtrees share one row.
     """
     offsets = [0]
     for size in sizes:
         offsets.append(offsets[-1] + size)
     nin = offsets[-1]
     made, root_ids, level, used = _graph(roots, offsets, links)
-    tail = [True] * len(made)
-    todo = list(root_ids[: len(roots) if head is None else head])
-    while todo:  # the nodes the head roots need
-        i = todo.pop() - nin
-        if i >= 0 and tail[i]:
-            tail[i] = False
-            if isinstance(made[i], tuple):
-                todo.extend(made[i][1])
-    place = _place(made, nin, level, tail)
+    place = _place(made, nin, level)
 
-    # rows: the inputs read, the constants, then the head's steps and the tail's
+    # rows: the inputs read, the constants, then the steps
     consts: list[float] = []
     row = list(range(nin + len(made)))
     base = offsets[used + 1]
     steps: dict[tuple, list] = {}
-    alone = True  # whether the tail's nodes read no node of the head's steps
     for i, entry in enumerate(made):
         if isinstance(entry, tuple):
-            steps.setdefault((tail[i], place[i], *_kind(entry[0])), []).append(nin + i)
-            if tail[i] and any(a >= nin and not tail[a - nin] and place[a - nin] for a in entry[1]):
-                alone = False
+            steps.setdefault((place[i], *_kind(entry[0])), []).append(nin + i)
         else:
             row[nin + i] = base + len(consts)
             consts.append(entry)
-    keys = sorted(steps, key=lambda key: key[:2])
+    keys = sorted(steps, key=lambda key: key[0])
     lo = base + len(consts)
     for key in keys:
-        if key[2] != KINK:
+        if key[1] != KINK:
             steps[key].sort(key=lambda i: -_terms(made[i - nin]))
         for i in steps[key]:
             row[i], lo = lo, lo + 1
@@ -697,8 +664,7 @@ def compile_tape(
         entries = [made[i - nin] for i in steps[key]]
         out.append(_step(slice(lo, lo + len(entries)), entries, row))
         lo += len(entries)
-    split = (len(roots) if head is None else head, sum(not key[0] for key in keys), alone)
-    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo, split)
+    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo)
 
 
 def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[Expr]]):
@@ -778,7 +744,7 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
     return made, [seen[id(e)] for e in roots], level, used
 
 
-def _place(made: list, nin: int, level: list[int], tail: list[bool]) -> list[int]:
+def _place(made: list, nin: int, level: list[int]) -> list[int]:
     """The level of each node's step.
 
     A node joins a step of its kind as early as its arguments allow, or else
@@ -795,7 +761,7 @@ def _place(made: list, nin: int, level: list[int], tail: list[bool]) -> list[int
     for i in sorted(range(len(made)), key=late.__getitem__):
         if isinstance(made[i], tuple):
             e, ids = made[i]
-            kind = (tail[i], *_kind(e))
+            kind = _kind(e)
             first = 1 + max([place[a - nin] for a in ids if a >= nin], default=0)
             place[i] = next((lev for lev in range(first, late[i]) if (lev, kind) in taken), late[i])
             taken.add((place[i], kind))

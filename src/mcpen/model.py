@@ -102,31 +102,33 @@ class CompositeProblem:
 
     @cached_property
     def layer_rows(self) -> tuple[slice, ...]:
-        """Per layer, its rows among the roots of the tapes (then ``outer``, the last root)."""
+        """Per layer, its rows among the roots of ``fixed_tape`` and ``chained_tape``."""
         ends = np.cumsum(self.widths).tolist()
         return tuple(slice(end - w, end) for end, w in zip(ends, self.widths))
 
     @cached_property
     def fixed_tape(self) -> ex.Tape:
-        """Every layer map, then ``outer``, on one tape whose ``u`` leaves read given blocks.
+        """Every layer map on one tape whose ``u`` leaves read given blocks.
 
-        ``outer`` is its tail, so F's derivatives can run without the layer
-        maps.  Compiled at first use and kept, as is ``chained_tape``.
+        Compiled at first use and kept, as are ``chained_tape`` and ``outer_tape``.
         """
-        return ex.compile_tape(self._maps(), (self.n, *self.widths), head=self.nbar - self.n)
+        return ex.compile_tape([e for lm in self.layers for e in lm.exprs], (self.n, *self.widths))
 
     @cached_property
     def chained_tape(self) -> ex.Tape:
         """The maps of ``fixed_tape`` with each ``u`` leaf linked to the node that defines it.
 
-        Its Taylor data describe the nested objective: the curves of the
-        layer blocks as functions of theta.  The layer maps, its head, run
-        without ``outer`` for the tangent lift.
+        Its Taylor data are the curves of the layer blocks as functions of
+        theta; passed to ``outer_tape`` as its layer inputs, they give the
+        nested objective.
         """
-        return ex.compile_tape(self._maps(), (self.n,), [lm.exprs for lm in self.layers], self.nbar - self.n)
+        links = [lm.exprs for lm in self.layers]
+        return ex.compile_tape([e for maps in links for e in maps], (self.n,), links)
 
-    def _maps(self) -> list[ex.Expr]:
-        return [e for lm in self.layers for e in lm.exprs] + [self.outer]
+    @cached_property
+    def outer_tape(self) -> ex.Tape:
+        """``outer`` alone, on a tape over the blocks (theta, u_1, ..., u_L)."""
+        return ex.compile_tape([self.outer], (self.n, *self.widths))
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
 
 
 def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, in one pass of the fixed tape.
+    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, by the fixed and outer tapes.
 
     Value j is the scalar value at column j byte for byte, or NaN where
     ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g.
@@ -289,12 +291,12 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
     """
     TH, U = split_flat(problem, Z)
     X = problem.fixed_tape.values(TH, U)
-    g = X[-1]
+    g = problem.outer_tape.values(TH, U)[0]
     with np.errstate(all="ignore"):
         R = [u - X[r] for u, r in zip(U, problem.layer_rows)]
         rows = np.ascontiguousarray(TH.T)
         F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
-    F[~np.isfinite(X).all(axis=0) | (g < G_WARN_BELOW)] = np.nan
+    F[~(np.isfinite(X).all(axis=0) & np.isfinite(g)) | (g < G_WARN_BELOW)] = np.nan
     return F
 
 

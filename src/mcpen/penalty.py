@@ -163,8 +163,8 @@ def estimate_moduli(
     bounds of the true moduli and come back flagged heuristic.
 
     The pairs are evaluated in batches, g once per point in order of first
-    use and the layer maps in two passes of the fixed tape's head (one
-    column per point, one per pair), with the values, warnings and first
+    use and the layer maps in two passes of the fixed tape (one column per
+    point, one per pair), with the values, warnings and first
     ``EvaluationError`` of a loop over the pairs in order.
     """
     meta = problem.meta
@@ -188,8 +188,8 @@ def estimate_moduli(
     fail = (budget, 0)  # (pair, layer) of the first non-finite layer value
     if problem.L > 1:
         # the maps at each point, and at (theta of a, blocks of b) for each pair
-        own = problem.fixed_tape.values(TH, U, part=0)
-        mixed = problem.fixed_tape.values(TH[:, I], [B[:, J] for B in U], part=0)
+        own = problem.fixed_tape.values(TH, U)
+        mixed = problem.fixed_tape.values(TH[:, I], [B[:, J] for B in U])
     for ell, end in enumerate(np.cumsum(problem.widths[:-1]), start=1):
         # Layer moduli fix theta and vary the earlier blocks only.
         npre = _norms(D[:, :end])
@@ -213,9 +213,10 @@ def estimate_moduli(
 
 
 def _norms(X: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of X, by the same BLAS dot."""
+    """``np.linalg.norm`` of each row of X, by the same BLAS dot; inf past the float range, unwarned."""
     X = np.ascontiguousarray(X)
-    return np.sqrt(row_dots(X, X))
+    with np.errstate(over="ignore"):
+        return np.sqrt(row_dots(X, X))
 
 
 def _sup(q: np.ndarray) -> float:
@@ -282,6 +283,6 @@ def feasibility_descent_direction(
     dus[layer - 1] = -res.per_layer[layer - 1].reshape(-1, 1)
     # Layer j's map reads blocks below j only, so one pass of the fixed tape per later layer.
     for j in range(layer + 1, problem.L + 1):
-        dus[j - 1] = problem.fixed_tape.cells(z.theta, z.u, dth, dus, part=0).first[problem.layer_rows[j - 1]]
+        dus[j - 1] = problem.fixed_tape.cells(z.theta, z.u, dth, dus).first[problem.layer_rows[j - 1]]
     return Direction(np.zeros(problem.n), tuple(b[:, 0] for b in dus))
 

@@ -12,13 +12,13 @@ minimum rises above minus the stop tolerance; the solve reports
 final, polished point still sees no slope below minus the stop tolerance.
 
 The backtracking search on the penalized objective evaluates all of its
-trial steps in one tape pass (``model.eval_Theta_cols``) and then takes
-the first that passes, trying them in the order of a halving loop.  A tried
-step that the pass marks, because the one-point evaluation would raise or
-warn there, is evaluated again one point at a time, so it raises and warns
-as that loop did; the steps after the accepted one have no effect.  The
-smooth polish usually accepts its first or second step, so it keeps the
-one-step loop.
+trial steps in one pass of the maps and one of g
+(``model.eval_Theta_cols``) and then takes the first that passes, trying
+them in the order of a halving loop.  A tried step that the passes mark,
+because the one-point evaluation would raise or warn there, is evaluated
+again one point at a time, so it raises and warns as that loop did; the
+steps after the accepted one have no effect.  The smooth polish usually
+accepts its first or second step, so it keeps the one-step loop.
 
 This is deliberately replaceable plumbing: any monotone method meeting the
 same termination contract can sit behind the same interface.

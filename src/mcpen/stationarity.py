@@ -30,8 +30,6 @@ from . import pieces
 from .cones import lift_direction, lift_direction_batch, radial_membership
 from .dcalc import (
     Direction,
-    dd_expr,
-    dd_expr_batch,
     dd_F,
     dd_F_and_slopes,
     dd_F_batch,
@@ -479,7 +477,7 @@ def check_box(
     The box tangent cone at x keeps components at the lower bound nonnegative
     and components at the upper bound nonpositive; it is polyhedral, so radial
     and tangent cones coincide, and its rows cut the first-order model's l1
-    ball exactly.
+    ball exactly.  Every derivative of e comes from one tape, compiled per call.
     """
     x = np.asarray(x, dtype=float).ravel()
     lower = np.asarray(lower, dtype=float).ravel()
@@ -487,11 +485,17 @@ def check_box(
     if np.any(x < lower - 1e-12) or np.any(x > upper + 1e-12):
         raise ValueError("point lies outside the box")
     dim, eye = x.size, np.eye(x.size)
+    tape = ex.compile_tape([e], (dim,))
+
+    def along(D: np.ndarray) -> ex.Cell:
+        """e's order-2 Taylor data along the columns of D."""
+        return tape.cells(x, [], D, [], 2).cell(0)
+
     at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
     sol = function_prime_min(e, x, cone_rows)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
-    _first_order(report, sol, lambda u: (u, dd_expr(e, x, u).first))
+    _first_order(report, sol, lambda u: (u, _confirmed(tape, x, u, 1)))
     if report.verdict == NOT_STATIONARY and order == 2:
         report.notes.append("already fails at first order")
     if report.verdict != STATIONARY or order == 1:
@@ -502,12 +506,7 @@ def check_box(
     # to CRIT_SLACK as for the critical subspace: the second derivative as a
     # verified quadratic form, read off at its minimum eigenvalue over the sphere.
     if not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= CRIT_SLACK:
-
-        def second(D):
-            cell = dd_expr_batch(e, x, D, order=2)
-            return cell.second, cell.bad2
-
-        Q, columns, _ = _quadratic_form(second, eye, seed)
+        Q, columns, _ = _quadratic_form(lambda D: along(D)[2::2], eye, seed)  # (second, bad2)
         if Q is not None:
             vals, vecs = np.linalg.eigh(Q)
             report.min_found, report.samples = float(vals[0]), columns
@@ -515,14 +514,14 @@ def check_box(
             if vals[0] >= -STAT_TOL:
                 report.verdict = STATIONARY
                 return report
-            _refute(report, vecs[:, 0], dd_expr(e, x, vecs[:, 0], order=2).second)
+            _refute(report, vecs[:, 0], _confirmed(tape, x, vecs[:, 0], 2))
             return report
 
     # Fold the pool into the tangent cone; sign flips keep the columns unit.
     pool = _directions(dim, 8 * max(dim, 4), seed)
     pool[at_lo] = np.abs(pool[at_lo])
     pool[at_hi] = -np.abs(pool[at_hi])
-    cell = dd_expr_batch(e, x, pool, order=2)
+    cell = along(pool)
     cands = [(q, d) for q, d, bad in _critical(pool, cell.first, cell.second, cell.bad2) if not bad]
     report.mode, report.samples = "sample", pool.shape[1]
     if not cands:
@@ -531,10 +530,18 @@ def check_box(
         return report
     report.min_found, dmin = cands[0]
     if report.min_found < -STAT_TOL:
-        _refute(report, dmin, dd_expr(e, x, dmin, order=2).second)
+        _refute(report, dmin, _confirmed(tape, x, dmin, 2))
         return report
     report.verdict = STATIONARY
     return report
+
+
+def _confirmed(tape: ex.Tape, x: np.ndarray, d: np.ndarray, order: int) -> float | None:
+    """The derivative of this order of the tape's root at x along d, None where unsupported."""
+    cell = tape.cells(x, [], d.reshape(-1, 1), [], order).cell(0)
+    if order == 1:
+        return float(cell.first[0])
+    return None if cell.bad2[0] else float(cell.second[0])
 
 
 # ---------------------------------------------------------------------------

@@ -489,7 +489,7 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
                 assert code in (0, 2, 3) and "Traceback" not in err
                 last = err.splitlines()[-1]
                 assert last.startswith("elapsed: ") if code != 2 else EVALUATION_ERRORS.fullmatch(last), (argv, last)
-                if argv[0] == "solve":
+                if argv[0] in ("solve", "thresholds"):
                     # numpy's own warnings name numpy's operation, not the problem
                     numpy_warnings = [w for w in err.splitlines() if w.startswith("warning:") and "encountered in" in w]
                     assert not numpy_warnings, (argv, numpy_warnings)

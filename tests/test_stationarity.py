@@ -155,6 +155,22 @@ def test_box_second_order_reads_a_slope_within_crit_slack_exactly():
     assert r.notes == ["second derivative is an exact quadratic form"]
 
 
+@pytest.mark.parametrize("route", ["quadratic form", "sampled", "first order"])
+def test_a_box_check_compiles_one_tape(box_max, monkeypatch, route):
+    # each route evaluates e several times: form columns, probes and refutation;
+    # the pool and refutation; the first-order confirmation
+    x0, x1 = ex.theta(0), ex.theta(1)
+    e = {
+        "quadratic form": ex.affine(0.0, [-1.0, 1e-10], [ex.square(x0), x0]),
+        "sampled": box_max,
+        "first order": ex.add(x0, ex.square(x1)),
+    }[route]
+    compiled, real = [], ex.compile_tape
+    monkeypatch.setattr(ex, "compile_tape", lambda *a: compiled.append(a) or real(*a))
+    r = check_box(e, np.zeros(2), -np.ones(2), np.ones(2), order=2, seed=0)
+    assert r.verdict == NOT_STATIONARY and len(compiled) == 1
+
+
 def test_box_interior_descent_detected():
     e = ex.add(ex.theta(0), ex.square(ex.theta(1)))
     r = check_box(e, np.zeros(2), -np.ones(2), np.ones(2), order=1, seed=0)
@@ -484,10 +500,8 @@ def test_second_order_unconfirmed_witness_is_inconclusive(square_chain, monkeypa
 
 
 def test_box_unconfirmed_witness_says_why(monkeypatch):
-    real = stationarity.dd_expr
-    monkeypatch.setattr(
-        stationarity, "dd_expr", lambda *a, **k: replace(real(*a, **k), first=0.0, second=1.0)
-    )
+    # every witness re-evaluates to slope 0.0 and curvature 1.0
+    monkeypatch.setattr(stationarity, "_confirmed", lambda tape, x, d, order: 0.0 if order == 1 else 1.0)
     x, neg_sq = ex.theta(0), ex.scaled(-1.0, ex.square(ex.theta(0)))
     zero, one = np.zeros(1), np.ones(1)
     # first order, the exact quadratic form inside the box, sampling at its face

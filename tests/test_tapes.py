@@ -1,4 +1,4 @@
-"""The fixed-point and chained tapes against the recursive walkers they replaced."""
+"""The fixed-point, chained and outer tapes against the recursive walkers they replaced."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
+from mcpen import dcalc
 from mcpen import expr as ex
 from mcpen.cones import lift_direction_batch
 from mcpen.dcalc import (
@@ -86,22 +87,24 @@ def _map_exprs(p, lm):
 
 @pytest.mark.parametrize("m", WIDTHS)
 def test_fixed_tape_matches_the_recursion_map_by_map(m):
+    # the fixed tape holds the layer maps, the outer tape g
     rng = np.random.default_rng(m)
     with np.errstate(all="ignore"):
         for p, z in CASES:
             DTH, DU, EU, KU, BU = _rays(rng, p, m)
-            taint2 = dict(eublocks=EU, ukinked=KU, ubad2=BU)
-            for order, taints in ((1, {}), (1, dict(ukinked=KU)), (2, {}), (2, taint2)):
-                cells = p.fixed_tape.cells(z.theta, z.u, DTH, DU, order, **taints)
-                ref = [
-                    c
-                    for lm in _maps(p)
-                    for c in recursive_cells(_map_exprs(p, lm), z.theta, z.u, DTH, DU, order, **taints)
-                ]
-                _same_cells(cells, ref)
             TH, U = DTH, [du + u[:, None] for du, u in zip(DU, z.u)]
-            ref = np.vstack([recursive_cols(_map_exprs(p, lm), TH, U) for lm in _maps(p)])
-            _same(p.fixed_tape.values(TH, U), ref)
+            taint2 = dict(eublocks=EU, ukinked=KU, ubad2=BU)
+            for tape, maps in ((p.fixed_tape, p.layers), (p.outer_tape, [None])):
+                for order, taints in ((1, {}), (1, dict(ukinked=KU)), (2, {}), (2, taint2)):
+                    cells = tape.cells(z.theta, z.u, DTH, DU, order, **taints)
+                    ref = [
+                        c
+                        for lm in maps
+                        for c in recursive_cells(_map_exprs(p, lm), z.theta, z.u, DTH, DU, order, **taints)
+                    ]
+                    _same_cells(cells, ref)
+                ref = np.vstack([recursive_cols(_map_exprs(p, lm), TH, U) for lm in maps])
+                _same(tape.values(TH, U), ref)
 
 
 @pytest.mark.parametrize("m", WIDTHS)
@@ -175,9 +178,9 @@ def test_problems_compile_their_tapes_once_when_first_used(monkeypatch):
     compiled = []
     real = ex.compile_tape
 
-    def counting(roots, sizes, links=(), head=None):
-        compiled.append("chained" if links else "fixed")
-        return real(roots, sizes, links, head)
+    def counting(roots, sizes, links=()):
+        compiled.append("chained" if links else "outer" if roots == [p.outer] else "fixed")
+        return real(roots, sizes, links)
 
     monkeypatch.setattr(ex, "compile_tape", counting)
     p = build_problem(desk_instance(seed=0))
@@ -190,10 +193,10 @@ def test_problems_compile_their_tapes_once_when_first_used(monkeypatch):
         dd_Theta_batch(p, z, DTH, DU, np.ones(p.L), 2)
         dd_Psi_batch(p, z.theta, DTH, 1)
         lift_direction_batch(p, z, DTH)
-    assert sorted(compiled) == ["chained", "fixed"]
-    # a point's blocks are inputs of the fixed tape, not part of it
+    assert sorted(compiled) == ["chained", "fixed", "outer"]
+    # a point's blocks are inputs of the fixed and outer tapes, not part of them
     dd_Theta_batch(p, Point(z.theta, tuple(u + 1.0 for u in z.u)), DTH, DU, np.ones(p.L), 1)
-    assert len(compiled) == 2
+    assert len(compiled) == 3
 
 
 def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
@@ -220,8 +223,14 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
             _same_cells(cells, recursive_cells(exprs, th, [], D, [], order))
 
 
-def test_a_tail_that_shares_a_head_node_runs_with_the_head():
-    # the outer function repeats layer 2's subtree, so its tape row is shared
+def _recursive_F_and_slopes(p, z, DTH, DU, order=1):
+    """``dcalc.dd_F_and_slopes`` from the recursive walkers."""
+    (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
+    return (*_plus_ridge(p, g, z.theta, DTH, order), g.bad2, g.kinked), per_layer_slopes(p, z, DTH, DU, order)
+
+
+def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion(monkeypatch):
+    # the outer function repeats layer 2's subtree, which lives on the fixed tape
     from mcpen.model import CompositeProblem, LayerMap
 
     shared = ex.plus(ex.sub(ex.uref(1, 0), ex.const(0.25)))
@@ -231,15 +240,19 @@ def test_a_tail_that_shares_a_head_node_runs_with_the_head():
         ex.add(ex.plus(ex.sub(ex.uref(1, 0), ex.const(0.25))), ex.uref(2, 0)),
         lam=0.1,
     )
-    assert not p.fixed_tape.tail_alone
     z = eval_layers(p, np.array([0.5]))
     D = np.array([[1.0, -1.0, 0.0]])
     DU = [np.array([[1.0, -1.0, 0.0]]), np.array([[0.0, 1.0, -1.0]])]
+    beta = np.array([0.5, 2.0])
     with np.errstate(all="ignore"):
-        for order in (1, 2):
-            (g,) = recursive_cells([p.outer], z.theta, z.u, D, DU, order)
-            first, second, bad, kinked = dd_F_batch(p, z, D, DU, order)
-            for a, b in zip((first, second), _plus_ridge(p, g, z.theta, D, order)):
-                _same(a, b)
-            _same(bad, g.bad2)
-            _same(kinked, g.kinked)
+        for point in (z, Point(z.theta, (z.u[0] + 0.5, z.u[1] - 0.5))):
+            for order in (1, 2):
+                want_F, _ = _recursive_F_and_slopes(p, point, D, DU, order)
+                for a, b in zip(dd_F_batch(p, point, D, DU, order), want_F):
+                    _same(a, b)
+                got = dd_Theta_batch(p, point, D, DU, beta, order)
+                with monkeypatch.context() as patch:
+                    patch.setattr(dcalc, "dd_F_and_slopes", _recursive_F_and_slopes)
+                    want = dd_Theta_batch(p, point, D, DU, beta, order)
+                for a, b in zip(got, want):
+                    _same(a, b)
