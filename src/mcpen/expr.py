@@ -316,8 +316,6 @@ def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarra
     return np.array([_value(e, blocks) for e in exprs], dtype=float)
 
 
-
-
 def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
     """Values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (len(exprs), m).
 
@@ -565,7 +563,9 @@ class Tape:
     order 2 the m second ones, with the kinked and bad2 flags beside them.
     """
 
-    def __init__(self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list, nrows: int):
+    def __init__(
+        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int
+    ):
         self.sizes, self.steps, self.nrows = sizes, steps, nrows
         self.nin = sum(sizes)
         self.consts = np.array(consts, dtype=float)
