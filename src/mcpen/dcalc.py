@@ -16,10 +16,9 @@ per-column arrays; the scalar API wraps batch width one.  Each batch runs
 one pass of each tape it needs: the outer tape for F (``dd_F_batch``); the
 fixed tape, whose ``u`` leaves read the point's blocks, for the residual
 slopes of every layer (``residual_slopes``) and, with the outer tape, for
-Theta (``dd_Theta_batch``); the chained tape, whose ``u`` leaves stand for
-the maps that define them, for the tangent lift (``forward_curves``) and,
-with its layer curves as the outer tape's layer inputs, for the nested
-objective (``dd_Psi_batch``).
+Theta (``dd_Theta_batch``); the chained tape, the layer maps and then g
+with each ``u`` leaf standing for the map that defines it, for the tangent
+lift (``forward_curves``) and the nested objective (``dd_Psi_batch``).
 """
 
 from __future__ import annotations
@@ -146,12 +145,9 @@ def dd_F_and_slopes(
     return _F(problem, z.theta, z.u, DTH, DU, order), residual_slopes(problem, z, DTH, DU, order)
 
 
-def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, *taints):
-    """F's (first, second, bad, kinked) from one pass of the outer tape.
-
-    ``taints`` are the layer inputs' (eublocks, ukinked, ubad2), as for ``Tape.cells``.
-    """
-    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order, *taints).cell(0)
+def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int):
+    """F's (first, second, bad, kinked) from one pass of the outer tape."""
+    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order).cell(0)
     return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
 
 
@@ -248,26 +244,20 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
     result describes the nested objective.  Returns (ublocks, DU, EU, kinked,
     bad), one array per layer in each, with EU/bad None at first order.
     """
-    return _layers(problem, problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order))
-
-
-def _layers(problem: CompositeProblem, cells: ex.Cells):
-    """(values, first, second, kinked, bad2) of the tape's roots, split by layer; None stays None."""
-    return tuple(
-        None if rows is None else [rows[r] for r in problem.layer_rows]
-        for rows in (cells.value, cells.first, cells.second, cells.kinked, cells.bad2)
-    )
+    cells = problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order)
+    return tuple(None if rows is None else [rows[r] for r in problem.layer_rows] for rows in cells)
 
 
 def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
     """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns.
 
-    The chained tape's layer curves are the outer tape's layer inputs.
+    One pass of the chained tape: its last root is g along the layer curves,
+    and a column is kinked where any layer or g hit an active kink.
     """
     cells = problem.chained_tape.cells(th, (), DTH, (), order)
-    ublocks, DU, EU, KU, BU = _layers(problem, cells)
-    first, second, bad, kinked = _F(problem, th, ublocks, DTH, DU, order, EU, KU, BU)
-    return ublocks, first, second, bad, kinked | cells.kinked.any(axis=0)
+    g = cells.cell(-1)
+    first, second = _plus_ridge(problem, g, th, DTH, order)
+    return [cells.value[r] for r in problem.layer_rows], first, second, g.bad2, cells.kinked.any(axis=0)
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:

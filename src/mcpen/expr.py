@@ -20,27 +20,27 @@ recursive ones visit one node at a time: ``eval_one`` (values at one point),
 (``compile_tape``) is one or more trees compiled once into a program of
 rows, one per distinct node, computed a level at a time by steps that each
 take all nodes of one family with a fixed set of numpy calls over every
-column; ``Tape.values`` (behind ``eval_cols``) gives values at a batch of
-points and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a
-batch of rays.  Each problem keeps three tapes: its layer maps twice, with
-``u`` leaves that read given blocks and with ``u`` leaves that stand for the
-maps that define them, and its outer function alone
-(``model.CompositeProblem.fixed_tape``, ``chained_tape`` and
-``outer_tape``); one tape's Taylor data feed another as the layer inputs of
-``Tape.cells``.  Where an op's own arithmetic differs from its family rule
-(whether a sum starts at zero or at its first term, Python's ``abs``), the
-difference is table data, so each op keeps its exact rounding and sign of
-zero, at one point and column by column, and a tape's rows are the bytes a
-node-at-a-time walk gives.  Every walker squares with ``x*x``, so a square
-has one value in all of them, and a value past the float range is inf, never
-an exception.  Trees are built from immutable nodes, so cycles are
-impossible by construction and sharing of subtrees is safe; ``nodes`` walks
-a tree without recursion.
+column; ``Tape.values`` gives values at a batch of points and
+``Tape.cells`` (behind ``taylor_cells``) Taylor data along a batch of rays.
+Each problem keeps three tapes (``model.CompositeProblem.fixed_tape``,
+``chained_tape`` and ``outer_tape``): its layer maps with ``u`` leaves that
+read given blocks; the maps and then its outer function with ``u`` leaves
+that stand for the maps that define them, one program for the nested
+objective; and its outer function alone.  Where an op's own arithmetic
+differs from its family rule (whether a sum starts at zero or at its first
+term, Python's ``abs``), the difference is table data, so each op keeps its
+exact rounding and sign of zero, at one point and column by column, and a
+tape's rows are the bytes a node-at-a-time walk gives.  Every walker squares
+with ``x*x``, so a square has one value in all of them, and a value past the
+float range is inf, never an exception.  Trees are built from immutable
+nodes, so cycles are impossible by construction and sharing of subtrees is
+safe; ``nodes`` walks a tree without recursion.
 
-Every node supports exact one-sided Taylor data along a ray: given input
-curves ``x_i + tau*d_i + (tau^2/2)*e_i + o(tau^2)``, the tape steps
-produce the value, the first-order coefficient and (on request) the
-second-order coefficient of the node output.  At an active kink the rules
+Every node supports exact one-sided Taylor data along a ray: the inputs
+move along ``x_i + tau*d_i``, each node's argument along a curve
+``v + tau*f + (tau^2/2)*s + o(tau^2)``, and the tape steps produce the
+value, the first-order coefficient and (on request) the second-order
+coefficient of the node output.  At an active kink the rules
 follow the winning branch, with first-order comparison breaking value ties
 and a max of second-order coefficients breaking double ties.
 
@@ -316,14 +316,6 @@ def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarra
     return np.array([_value(e, blocks) for e in exprs], dtype=float)
 
 
-def eval_cols(exprs: Sequence[Expr], TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:
-    """Values at the m columns of TH (n, m) and UBLOCKS (N_j, m); shape (len(exprs), m).
-
-    Column c is ``eval_many`` at column c, byte for byte, with no numpy warnings.
-    """
-    return compile_tape(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
-
-
 class Cell(NamedTuple):
     """One-sided Taylor data of a node along a batch of rays.
 
@@ -362,23 +354,17 @@ def taylor_cells(
     dtheta: np.ndarray,
     dublocks: Sequence[np.ndarray],
     order: int = 1,
-    eublocks: Sequence[np.ndarray] | None = None,
-    ukinked: Sequence[np.ndarray] | None = None,
-    ubad2: Sequence[np.ndarray] | None = None,
 ) -> list[Cell]:
     """Propagate one-sided Taylor data through each expression.
 
     ``dtheta`` has shape (n, m) and each entry of ``dublocks`` shape
-    (N_j, m); the optional ``eublocks`` carry the layer inputs' second-order
-    curve coefficients (defaulting to zero, as they always are for theta).
-    ``ukinked``/``ubad2`` mark layer-input components whose feeding curves
-    are themselves kinked or second-order unsupported, so the taint survives
-    chaining across layers.  Runs a tape compiled for ``exprs``.
+    (N_j, m): every input moves along the line x + tau*d, so its second
+    coefficient is zero.  Runs a tape compiled for ``exprs``.
     """
     m = dtheta.shape[1] if dtheta.ndim == 2 else 1
     dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
     tape = compile_tape(exprs, (len(th), *(len(b) for b in ublocks)))
-    cells = tape.cells(th, ublocks, dtheta, dublocks, order, eublocks, ukinked, ubad2)
+    cells = tape.cells(th, ublocks, dtheta, dublocks, order)
     return [cells.cell(i) for i in range(len(exprs))]
 
 
@@ -579,29 +565,19 @@ class Tape:
         dtheta: np.ndarray,
         dublocks: Sequence[np.ndarray],
         order: int = 1,
-        eublocks: Sequence[np.ndarray] | None = None,
-        ukinked: Sequence[np.ndarray] | None = None,
-        ubad2: Sequence[np.ndarray] | None = None,
     ) -> Cells:
         """The roots' Taylor data; arguments as for ``taylor_cells``, with dtheta of shape (n, m)."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        r, nb, n, nin, nfixed = self.roots, len(self.sizes) - 1, self.sizes[0], self.nin, self.nfixed
+        r, nb, nin, nfixed = self.roots, len(self.sizes) - 1, self.nin, self.nfixed
         m = dtheta.shape[1]
         Q = np.empty((self.nrows, 1 + order * m))
         np.concatenate([th, *ublocks[:nb]], out=Q[:nin, 0])
         np.concatenate([dtheta, *dublocks[:nb]], out=Q[:nin, 1 : m + 1])
+        Q[:nin, m + 1 :] = 0.0
         Q[nin:nfixed, 0] = self.consts
         Q[nin:nfixed, 1:] = 0.0
         KB = np.zeros((self.nrows, order * m), dtype=bool)
-        if ukinked is not None and nb:
-            np.concatenate(ukinked[:nb], out=KB[n:nin, :m])
-        if order == 2:
-            Q[:nin, m + 1 :] = 0.0
-            if eublocks is not None and nb:
-                np.concatenate(eublocks[:nb], out=Q[n:nin, m + 1 :])
-            if ubad2 is not None and nb:
-                np.concatenate(ubad2[:nb], out=KB[n:nin, m:])
         with np.errstate(all="ignore"):
             for step in self.steps:
                 step.taylor(Q, KB, m)

@@ -116,14 +116,14 @@ class CompositeProblem:
 
     @cached_property
     def chained_tape(self) -> ex.Tape:
-        """The maps of ``fixed_tape`` with each ``u`` leaf linked to the node that defines it.
+        """The maps of ``fixed_tape``, then ``outer``, each ``u`` leaf linked to the node that defines it.
 
-        Its Taylor data are the curves of the layer blocks as functions of
-        theta; passed to ``outer_tape`` as its layer inputs, they give the
+        Its roots' Taylor data are the curves of the layer blocks and, in
+        the last root, of g as functions of theta: one pass gives the
         nested objective.
         """
         links = [lm.exprs for lm in self.layers]
-        return ex.compile_tape([e for maps in links for e in maps], (self.n,), links)
+        return ex.compile_tape([*(e for maps in links for e in maps), self.outer], (self.n,), links)
 
     @cached_property
     def outer_tape(self) -> ex.Tape:

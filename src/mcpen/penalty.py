@@ -57,8 +57,16 @@ class PenaltyConfig:
 
 
 def thresholds(K_g: float, K: Sequence[float]) -> np.ndarray:
-    """Threshold vector (t_1, ..., t_L) for L = len(K) + 1 layers."""
+    """Threshold vector (t_1, ..., t_L) for L = len(K) + 1 layers.
+
+    A modulus that is not finite bounds nothing, so it raises ``ValueError``
+    naming the outer function (K_g) or the map of layer j + 1 (K_j).
+    """
     K = np.asarray(K, dtype=float).ravel()
+    moduli = [("outer function", "K_g", K_g)] + [(f"layer {j + 1} map", f"K_{j}", k) for j, k in enumerate(K, 1)]
+    for where, name, v in moduli:
+        if not np.isfinite(v):
+            raise ValueError(f"{where} has a non-finite Lipschitz modulus ({name} = {v}), so no threshold is finite")
     L = K.size + 1
     out = np.empty(L)
     acc = 1.0
@@ -76,8 +84,17 @@ def certify(beta: Sequence[float], t: Sequence[float]) -> bool:
 
 
 def suggest_beta(t: Sequence[float]) -> np.ndarray:
-    """A certified beta slightly above the thresholds, floored away from zero."""
-    return np.maximum(SAFETY * np.asarray(t, dtype=float).ravel(), BETA_FLOOR)
+    """A certified beta slightly above the thresholds, floored away from zero.
+
+    Raises ``ValueError`` naming the first threshold with no finite weight above it.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        b = SAFETY * t
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"threshold t_{bad[0] + 1} = {t[bad[0]]} leaves no finite penalty weight above it")
+    return np.maximum(b, BETA_FLOOR)
 
 
 def rnn_moduli(meta: Mapping, lam: float) -> tuple[float, float, float, np.ndarray]:

@@ -130,12 +130,14 @@ def layer_tags(spec: RnnSpec) -> list[tuple[str, int, int]]:
 
 
 def _meta(spec: RnnSpec) -> dict:
-    """The problem's meta record: the data of the closed-form moduli."""
+    """The problem's meta record: the data of the closed-form moduli; ||y||^2 past the float range is inf."""
     y = spec.y.reshape(-1)
+    with np.errstate(over="ignore"):
+        y_sqnorm = float(y @ y)
     return {
         "structure": "rnn",
         "nt": spec.n_seq * spec.t,
-        "y_sqnorm": float(y @ y),
+        "y_sqnorm": y_sqnorm,
         "layer_kinds": ["act" if kind in ("s", "r") else "mix" for kind, _, _ in layer_tags(spec)],
         "rnn": {
             "n0": spec.n0,

@@ -451,14 +451,28 @@ def test_solve_that_overflows_ends_with_an_error_line(capsys, tmp_path):
 
 
 # An error line from evaluation names the layer, the outer function or the
-# check; the last two are input checks: P0 at an infeasible point, and a
-# reference level that bounds no level set.
+# check; the last four are input checks: P0 at an infeasible point, a
+# reference level that bounds no level set, a modulus that is not finite and
+# a threshold that leaves no finite weight above it.
 EVALUATION_ERRORS = re.compile(
     r"error: (layer \d+|outer function) evaluated to a non-finite value"
     r"|error: P[01] first-order model has non-finite coefficients at this point"
     r"|error: point is infeasible \(max residual .*\)"
     r"|error: reference level gamma_bar = .* bounds no level set to sample; .*"
+    r"|error: (layer \d+ map|outer function) has a non-finite Lipschitz modulus \(K_\w+ = .*\), .*"
+    r"|error: threshold t_\d+ = .* leaves no finite penalty weight above it"
 )
+
+
+def _scaled_layers(p, s):
+    layers = tuple(LayerMap(lm.index, tuple(ex.scaled(10.0**s, e) for e in lm.exprs)) for lm in p.layers)
+    return CompositeProblem(p.n, layers, p.outer, p.lam)
+
+
+def _no_numpy_warnings(argv, err):
+    # numpy's own warnings name numpy's operation, not the problem
+    numpy_warnings = [w for w in err.splitlines() if w.startswith("warning:") and "encountered in" in w]
+    assert not numpy_warnings, (argv, numpy_warnings)
 
 
 def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
@@ -468,8 +482,7 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
     for seed in range(10):
         p = random_problem(seed)
         for s in (0, 100, 154, 200, 300):
-            layers = tuple(LayerMap(lm.index, tuple(ex.scaled(10.0**s, e) for e in lm.exprs)) for lm in p.layers)
-            q = CompositeProblem(p.n, layers, p.outer, p.lam)
+            q = _scaled_layers(p, s)
             th = np.random.default_rng(seed).uniform(-1.0, 1.0, p.n)
             try:
                 z = eval_layers(q, th)
@@ -490,6 +503,33 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
                 last = err.splitlines()[-1]
                 assert last.startswith("elapsed: ") if code != 2 else EVALUATION_ERRORS.fullmatch(last), (argv, last)
                 if argv[0] in ("solve", "thresholds"):
-                    # numpy's own warnings name numpy's operation, not the problem
-                    numpy_warnings = [w for w in err.splitlines() if w.startswith("warning:") and "encountered in" in w]
-                    assert not numpy_warnings, (argv, numpy_warnings)
+                    _no_numpy_warnings(argv, err)
+    # training on one sequence whose inputs, or inputs and targets, are scaled by 10^s
+    spec = desk_instance(seed=0)
+    for s, fy in ((0, 1.0), *((s, fy) for s in (100, 160, 300) for fy in (1.0, 10.0**s))):
+        data = tmp_path / f"data-{s}-{fy:g}"
+        data.mkdir()
+        x, y = 10.0**s * spec.x[0], fy * spec.y[0]
+        rows = [",".join(map(repr, (float(t), *map(float, x[t]), *map(float, y[t])))) for t in range(spec.t)]
+        (data / "seq.csv").write_text("\n".join(["t,x0,x1,y0", *rows]) + "\n")
+        argv = ["rnn", "train", "--data", str(data), "--max-iters", "20"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("elapsed: ") if code == 0 else EVALUATION_ERRORS.fullmatch(last), (argv, last)
+        _no_numpy_warnings(argv, err)
+
+
+def test_a_non_finite_sampled_modulus_ends_in_an_error_line(capsys, tmp_path):
+    # layers scaled by 1e200 make a sampled layer modulus inf while K_g is 0;
+    # 0 * inf would be a NaN threshold and a NaN suggested beta
+    prob = tmp_path / "prob.json"
+    save_problem(prob, _scaled_layers(random_problem(18), 200))
+    argv = ["thresholds", "--problem", str(prob), "--budget", "200"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: layer 2 map has a non-finite Lipschitz modulus (K_1 = inf), so no threshold is finite\n"
+    )

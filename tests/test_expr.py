@@ -60,19 +60,8 @@ def test_affine_needs_matching_lengths():
 def _cell(e, th, ublocks, dth, dus, order=2):
     dth = np.asarray(dth, float).reshape(-1, 1)
     dus = [np.asarray(b, float).reshape(-1, 1) for b in dus]
-    ukinked = [np.zeros(b.shape, bool) for b in dus]
-    ubad2 = [np.zeros(b.shape, bool) for b in dus]
-    eu = [np.zeros(b.shape) for b in dus]
     (c,) = ex.taylor_cells(
-        [e],
-        np.asarray(th, float),
-        [np.asarray(b, float) for b in ublocks],
-        dth,
-        dus,
-        order=order,
-        eublocks=eu,
-        ukinked=ukinked,
-        ubad2=ubad2,
+        [e], np.asarray(th, float), [np.asarray(b, float) for b in ublocks], dth, dus, order=order
     )
     return c
 
@@ -178,7 +167,7 @@ def _signed_exprs():
 def _assert_cols_match(exprs, TH, UBLOCKS):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warnings where Python floats give none
-        out = ex.eval_cols(exprs, TH, UBLOCKS)
+        out = ex.compile_tape(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
     assert out.shape == (len(exprs), TH.shape[1])
     for c in range(TH.shape[1]):
         one = ex.eval_many(exprs, TH[:, c], [b[:, c] for b in UBLOCKS])
@@ -199,7 +188,7 @@ def test_values_and_cells_square_alike():
         assert np.array([c.value for c in cells]).tobytes() == ex.eval_many(exprs, th, []).tobytes()
 
 
-def test_eval_cols_matches_eval_many_column_by_column():
+def test_tape_values_match_eval_many_column_by_column():
     inf, nan = np.inf, np.nan
     cols = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.8329, -1.6598), *((x, -x) for x in SQUARES)]
     cols += [(a, b) for a in (inf, -inf, nan, -nan, 0.0) for b in (inf, -inf, nan, -nan, -0.0)]
@@ -220,8 +209,9 @@ def test_eval_cols_matches_eval_many_column_by_column():
 
 # sha256 of the values and Taylor cells below, recorded with the per-op tree
 # walkers that preceded the four node families, then re-recorded when the
-# value walkers' squared norm went from x**2 to x*x (the cells did not move)
-CELLS_SHA256 = "41eb8a95c9966a07a846f04d12a3120f7977c83520adf4f071e66347e86748cc"
+# value walkers' squared norm went from x**2 to x*x (the cells did not move),
+# and again when the runs with layer-input curves and flags were dropped
+CELLS_SHA256 = "959f73a634ae6125c92c43cbd20d8a01da4c67f8b6495f1c7a30f0d1e25adbc1"
 
 
 def _update(h, arr, dtype=np.float64):
@@ -232,8 +222,7 @@ def _digest_cells(h, exprs, th, ublocks, rng):
     """Hash eval_many and taylor_cells at orders 1 and 2 along seeded rays.
 
     The rays mix normal columns, signed unit columns (first-order ties at
-    rounded points) and a zero column; the layer inputs carry random
-    second-order data and kinked/unsupported marks.
+    rounded points) and a zero column.
     """
     m = 6
 
@@ -246,21 +235,12 @@ def _digest_cells(h, exprs, th, ublocks, rng):
     _update(h, ex.eval_many(exprs, th, ublocks))
     dth = cols(th.size)
     dus = [cols(b.size) for b in ublocks]
-    eus = [cols(b.size) for b in ublocks]
-    kus = [rng.random((b.size, m)) < 0.2 for b in ublocks]
-    bus = [rng.random((b.size, m)) < 0.2 for b in ublocks]
-    runs = [
-        dict(order=1),
-        dict(order=1, ukinked=kus),
-        dict(order=2),
-        dict(order=2, eublocks=eus, ukinked=kus, ubad2=bus),
-    ]
-    for kw in runs:
-        for c in ex.taylor_cells(exprs, th, ublocks, dth, dus, **kw):
+    for order in (1, 2):
+        for c in ex.taylor_cells(exprs, th, ublocks, dth, dus, order):
             _update(h, [c.value])
             _update(h, c.first)
             _update(h, c.kinked, bool)
-            if kw["order"] == 2:
+            if order == 2:
                 _update(h, c.second)
                 _update(h, c.bad2, bool)
 

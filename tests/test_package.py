@@ -56,14 +56,23 @@ wrapped = all(
     for mod, funcs in spans.TRACED.items()
     for f in funcs
 )
+# the tracer reads taylor_cells' exprs and dtheta by position
+import numpy as np
+from mcpen import expr as ex
+exprs = [ex.vmax(ex.theta(0), ex.mul(ex.theta(1), ex.uref(1, 0))), ex.square(ex.theta(0))]
+tracer.enabled = True
+ex.taylor_cells(exprs, np.zeros(2), [np.ones(1)], np.ones((2, 3)), [np.ones((1, 3))])
+tracer.enabled = False
+node_cols = tracer.metrics()["expr.taylor_cells.node_cols"] == 3 * sum(len(list(ex.nodes(e))) for e in exprs)
 tracer.uninstall()
 restored = all(vars(sys.modules[k]).get(a) is v for k in names for a, v in before[k].items())
-print(slots, wrapped, restored)
+print(slots, wrapped, restored, node_cols)
 """
 
 
 def test_the_benchmark_tracer_finds_every_traced_function_and_restores_them():
     # perfbench's tracer patches functions by name after `import mcpen`; a
-    # renamed or deleted name, or a copy imported under another, shows here
+    # renamed or deleted name, or a copy imported under another, shows here,
+    # and so does a taylor_cells signature that moves the arguments it reads
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    assert _run(TRACER_CHECK, str(spans)) == "69 True True"
+    assert _run(TRACER_CHECK, str(spans)) == "69 True True True"

@@ -52,6 +52,15 @@ def test_thresholds_single_layer_is_bare_modulus():
     assert t[0] == 1.7
 
 
+def test_thresholds_refuse_a_non_finite_modulus():
+    with pytest.raises(ValueError, match=r"^outer function has a non-finite Lipschitz modulus \(K_g = nan\)"):
+        thresholds(np.nan, [1.0])
+    with pytest.raises(ValueError, match=r"^layer 3 map has a non-finite Lipschitz modulus \(K_2 = inf\)"):
+        thresholds(0.0, [1.0, np.inf])
+    with pytest.raises(ValueError, match=r"^threshold t_2 = inf leaves no finite penalty weight above it$"):
+        suggest_beta([1.0, np.inf, np.nan])
+
+
 def test_certify_is_strict():
     assert certify([2.0, 1.0], [1.0, 0.5])
     assert not certify([1.0, 0.5], [1.0, 0.5])

@@ -17,7 +17,7 @@ from mcpen.dcalc import (
     forward_curves,
     residual_slopes,
 )
-from mcpen.model import Point, eval_layers
+from mcpen.model import Point, eval_g, eval_layers
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
 from walkers import per_layer_curves, per_layer_slopes, recursive_cells, recursive_cols
@@ -53,12 +53,9 @@ def _cols(rng, rows, m):
 
 
 def _rays(rng, p, m):
-    """Directions and layer-input taints: DTH, DU, EU, KU, BU."""
+    """Directions: DTH, DU."""
     DU = [_cols(rng, w, m) for w in p.widths]
-    EU = [_cols(rng, w, m) for w in p.widths]
-    KU = [rng.random((w, m)) < 0.2 for w in p.widths]
-    BU = [rng.random((w, m)) < 0.2 for w in p.widths]
-    return _cols(rng, p.n, m), DU, EU, KU, BU
+    return _cols(rng, p.n, m), DU
 
 
 def _same(a, b):
@@ -91,17 +88,12 @@ def test_fixed_tape_matches_the_recursion_map_by_map(m):
     rng = np.random.default_rng(m)
     with np.errstate(all="ignore"):
         for p, z in CASES:
-            DTH, DU, EU, KU, BU = _rays(rng, p, m)
+            DTH, DU = _rays(rng, p, m)
             TH, U = DTH, [du + u[:, None] for du, u in zip(DU, z.u)]
-            taint2 = dict(eublocks=EU, ukinked=KU, ubad2=BU)
             for tape, maps in ((p.fixed_tape, p.layers), (p.outer_tape, [None])):
-                for order, taints in ((1, {}), (1, dict(ukinked=KU)), (2, {}), (2, taint2)):
-                    cells = tape.cells(z.theta, z.u, DTH, DU, order, **taints)
-                    ref = [
-                        c
-                        for lm in maps
-                        for c in recursive_cells(_map_exprs(p, lm), z.theta, z.u, DTH, DU, order, **taints)
-                    ]
+                for order in (1, 2):
+                    cells = tape.cells(z.theta, z.u, DTH, DU, order)
+                    ref = [c for lm in maps for c in recursive_cells(_map_exprs(p, lm), z.theta, z.u, DTH, DU, order)]
                     _same_cells(cells, ref)
                 ref = np.vstack([recursive_cols(_map_exprs(p, lm), TH, U) for lm in maps])
                 _same(tape.values(TH, U), ref)
@@ -112,7 +104,7 @@ def test_residual_slopes_and_F_match_the_per_layer_loop(m):
     rng = np.random.default_rng(10 + m)
     with np.errstate(all="ignore"):
         for p, z in CASES:
-            DTH, DU, *_ = _rays(rng, p, m)
+            DTH, DU = _rays(rng, p, m)
             for order in (1, 2):
                 want = per_layer_slopes(p, z, DTH, DU, order)
                 for got, want in zip(residual_slopes(p, z, DTH, DU, order), want):
@@ -158,15 +150,12 @@ def test_taylor_cells_columns_do_not_depend_on_the_batch_width(seed, m, order, d
     # column c of a width-m call is the width-1 call on column c alone
     p, rng = random_problem(seed), np.random.default_rng(draw)
     z = eval_layers(p, np.round(rng.uniform(-1.0, 1.0, p.n), 1))
-    DTH, DU, EU, KU, BU = _rays(rng, p, m)
+    DTH, DU = _rays(rng, p, m)
     for lm in _maps(p):
         exprs = _map_exprs(p, lm)
-        wide = ex.taylor_cells(exprs, z.theta, z.u, DTH, DU, order, EU, KU, BU)
+        wide = ex.taylor_cells(exprs, z.theta, z.u, DTH, DU, order)
         for c in range(m):
-            one = ex.taylor_cells(
-                exprs, z.theta, z.u, DTH[:, [c]], [b[:, [c]] for b in DU], order,
-                [b[:, [c]] for b in EU], [b[:, [c]] for b in KU], [b[:, [c]] for b in BU],
-            )
+            one = ex.taylor_cells(exprs, z.theta, z.u, DTH[:, [c]], [b[:, [c]] for b in DU], order)
             for w, o in zip(wide, one):
                 _same(w.value, o.value)
                 for field in ("first", "second", "kinked", "bad2"):
@@ -199,6 +188,27 @@ def test_problems_compile_their_tapes_once_when_first_used(monkeypatch):
     assert len(compiled) == 3
 
 
+def test_the_nested_objective_is_one_pass_of_the_chained_tape(monkeypatch):
+    # the chained tape holds the layer maps, then g, so a Psi batch runs no other tape
+    p = build_problem(desk_instance(seed=0))
+    th = 0.1 * np.random.default_rng(0).standard_normal(p.n)
+    DTH = np.random.default_rng(1).standard_normal((p.n, 3))
+    ran, real = [], ex.Tape.cells
+
+    def counting(tape, *args, **kwargs):
+        ran.append(tape)
+        return real(tape, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ex.Tape, "cells", counting)
+        for order in (1, 2):
+            ran.clear()
+            dd_Psi_batch(p, th, DTH, order)
+            assert [t is p.chained_tape for t in ran] == [True]
+    assert len(p.chained_tape.roots) == sum(p.widths) + 1
+    assert p.chained_tape.values(th[:, None], [])[-1, 0] == eval_g(p, eval_layers(p, th).u)
+
+
 def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
     # const(0.0) == const(-0.0) as dataclasses; a tape must not share their row
     x = ex.theta(0)
@@ -213,9 +223,10 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
         ex.mul(ex.const(0.0), x),
     ]
     TH = np.array([[1.0, -1.0, 0.0, -0.0]])
-    _same(ex.eval_cols(exprs, TH, []), recursive_cols(exprs, TH, []))
+    tape = ex.compile_tape(exprs, (1,))
+    _same(tape.values(TH, []), recursive_cols(exprs, TH, []))
     for c in range(TH.shape[1]):
-        _same(ex.eval_cols(exprs, TH[:, [c]], [])[:, 0], ex.eval_many(exprs, TH[:, c], []))
+        _same(tape.values(TH[:, [c]], [])[:, 0], ex.eval_many(exprs, TH[:, c], []))
     D = np.array([[1.0, -0.0]])
     for order in (1, 2):
         for th in (np.array([0.5]), np.array([-0.0])):
