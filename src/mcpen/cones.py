@@ -6,6 +6,9 @@ derivatives of the layer maps; lifting a parameter direction through that
 recursion always lands inside it.  The radial cone is smaller: staying on
 the feasible set along a straight ray additionally forces the second
 directional derivative of every layer map to vanish along the direction.
+For layer maps of degree at most 2 that condition is also sufficient, so
+both cones are read off one order-2 pass of the fixed tape.  A slope that is
+not finite raises ``EvaluationError`` naming its layer.
 """
 
 from __future__ import annotations
@@ -16,19 +19,12 @@ import numpy as np
 
 from . import expr as ex
 from .dcalc import Direction, _as_batch, forward_curves, residual_slopes
-from .model import (
-    CompositeProblem,
-    DimensionError,
-    EvaluationError,
-    Point,
-    check_point,
-    point_from_flat,
-    require_feasible,
-    residuals,
-)
+from .model import CompositeProblem, DimensionError, EvaluationError, Point, check_point, require_feasible
 
 TANGENT_TOL = 1e-9
 LIFT_TOL = 1e-12
+# Not read by the library.  Its only reader is perfbench's moduli-generic
+# check, which tests each radial verdict for feasibility at tau = min(RADIAL_TAUS).
 RADIAL_TAUS = (1e-6, 1e-7, 1e-8)
 
 
@@ -42,7 +38,7 @@ class ConeMembership:
 
 
 def tangent_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:
-    """Check the chained derivative equations defining the tangent cone."""
+    """Check the chained derivative equations defining the tangent cone; a non-finite slope raises."""
     return _tangent(problem, z, d, 1)[0]
 
 
@@ -53,6 +49,9 @@ def _tangent(problem: CompositeProblem, z: Point, d: Direction, order: int):
     require_feasible(problem, z)
     slopes = residual_slopes(problem, z, *batch, order=order)
     violations = [w[:, 0] for _, w, _, _ in slopes]
+    for k, v in enumerate(violations, start=1):
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError(k, f"layer {k} first derivative not finite along d")
     max_v = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in violations)
     notes = ["radial membership not evaluated"]
     return ConeMembership(max_v <= TANGENT_TOL, None, violations, max_v, notes), slopes
@@ -89,30 +88,23 @@ def _degree(e: ex.Expr) -> int:
 def ray_decidable(problem: CompositeProblem) -> bool:
     """True when every layer map is piecewise polynomial of degree at most 2.
 
-    For such maps the residuals along a ray are piecewise quadratics in tau
-    with finitely many breakpoints, so feasibility near tau = 0 is eventually
-    constant and a decreasing tau grid settles it.
+    For such maps the inputs move linearly along a ray, so on the branch each
+    kink takes just past tau = 0 the residual of layer k is exactly
+    tau*(du_k - psi') - tau^2*psi''/2, and the order-2 Taylor data decide
+    whether the ray stays feasible.
     """
     return all(_degree(e) <= 2 for lm in problem.layers for e in lm.exprs)
-
-
-def _feasible_at(problem: CompositeProblem, z: Point, d: Direction, tau: float) -> bool:
-    moved = point_from_flat(problem, z.flat() + tau * d.flat())
-    try:
-        return residuals(problem, moved).feasible
-    except EvaluationError:
-        return False
 
 
 def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:
     """Decide whether the feasible set contains a ray segment along d.
 
-    The test is two-staged.  A nonzero second directional derivative of any
-    layer map along d rules membership out (the necessary condition for
-    radial directions).  When all of them vanish and every layer map is
-    piecewise polynomial of degree at most 2, feasibility of z + tau*d at the
-    small taus of ``RADIAL_TAUS`` decides, because any remaining violation
-    grows linearly out of a kink switch.  Otherwise the verdict is unknown.
+    From one order-2 pass: a direction that is not tangent, or along which
+    some layer map has a nonzero second derivative, is not radial.  When all
+    second derivatives are supported, finite and zero, and every layer map is
+    piecewise polynomial of degree at most 2 (``ray_decidable``), it is
+    radial, since the Taylor rules pick the branch each kink takes just past
+    tau = 0.  Otherwise the verdict is unknown, with a note that says why.
     """
     # first coefficients are the same at both orders, so one pass gives both tests
     membership, slopes = _tangent(problem, z, d, 2)
@@ -123,27 +115,19 @@ def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> Cone
     notes: list[str] = []
     second_known = True
     for k, (_, _, psi2, bad2) in enumerate(slopes, start=1):
-        if bad2.any():
+        if bad2.any() or not np.all(np.isfinite(psi2)):
             second_known = False
-            notes.append(f"layer {k} second derivative unsupported along d")
+            why = "unsupported" if bad2.any() else "not finite"
+            notes.append(f"layer {k} second derivative {why} along d")
             continue
         if np.max(np.abs(psi2)) > TANGENT_TOL:
             notes.append(f"layer {k} second derivative nonzero along d")
             membership.in_radial = False
             membership.notes = notes
             return membership
-    if ray_decidable(problem) and second_known:
-        feas = [_feasible_at(problem, z, d, tau) for tau in RADIAL_TAUS]
-        if all(feas):
-            membership.in_radial = True
-        elif not any(feas):
-            membership.in_radial = False
-            notes.append("ray leaves the feasible set at every small tau probed")
-        else:
-            membership.in_radial = None
-            notes.append("tau grid did not settle; near a branch switch")
-    else:
-        membership.in_radial = None
+    decidable = ray_decidable(problem)
+    if not decidable:
         notes.append("layer maps outside the decidable family; returning unknown")
+    membership.in_radial = True if decidable and second_known else None
     membership.notes = notes
     return membership

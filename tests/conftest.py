@@ -121,6 +121,13 @@ def blowup_problem(op):
     return CompositeProblem(1, (LayerMap(1, (ex.theta(0),)), layer2), ex.uref(2, 0), lam=0.1)
 
 
+def half_square_chain():
+    """u_1 = theta, u_2 = u_1^2 - 0.5*u_1^2: each square can overflow where their difference does not."""
+    u1 = ex.uref(1, 0)
+    layer2 = LayerMap(2, (ex.affine(0.0, [1.0, -0.5], [ex.square(u1), ex.square(u1)]),))
+    return CompositeProblem(1, (LayerMap(1, (ex.theta(0),)), layer2), ex.uref(2, 0), lam=0.1)
+
+
 def random_problem(seed, max_n=4, max_L=3, max_width=3, allow_kinks=True):
     """Small random instance touching the whole primitive vocabulary."""
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, negative_outer_problem, random_problem
+from conftest import blowup_problem, half_square_chain, negative_outer_problem, random_problem
 from mcpen import expr as ex
 from mcpen.cli import main
 from mcpen.dcalc import Direction
@@ -251,6 +251,15 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     capsys.readouterr()
     assert main(argv) == 2
     assert "infeasible" in capsys.readouterr().err
+    # at theta = 1e10 along du_1 = 1e300, layer 2's slope 2e310 - 1e310
+    # computes as inf - inf = NaN: the tangent test names the layer
+    chain, point, direction = tmp_path / "chain.json", tmp_path / "chain-z.json", tmp_path / "chain-d.json"
+    save_problem(chain, half_square_chain())
+    save_point(point, eval_layers(half_square_chain(), np.array([1e10])))
+    save_direction(direction, Direction(np.array([1e300]), (np.array([1e300]), np.array([0.0]))))
+    for flags in ([], ["--no-radial"]):
+        assert main(["cone", "--problem", str(chain), "--point", str(point), "--direction", str(direction), *flags]) == 2
+        assert capsys.readouterr() == ("", "error: layer 2 first derivative not finite along d\n")
     # a negative reference level bounds no level set to sample the moduli from
     neg = tmp_path / "neg.json"
     save_problem(neg, negative_outer_problem())
@@ -461,6 +470,7 @@ EVALUATION_ERRORS = re.compile(
     r"|error: reference level gamma_bar = .* bounds no level set to sample; .*"
     r"|error: (layer \d+ map|outer function) has a non-finite Lipschitz modulus \(K_\w+ = .*\), .*"
     r"|error: threshold t_\d+ = .* leaves no finite penalty weight above it"
+    r"|error: layer \d+ first derivative not finite along d"
 )
 
 
@@ -489,13 +499,16 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
             except EvaluationError:
                 z = Point(th, tuple(np.zeros(w) for w in q.widths))
             prob, point = tmp_path / f"{seed}-{s}.json", tmp_path / f"{seed}-{s}-point.json"
+            direction = tmp_path / f"{seed}-{s}-direction.json"
             save_problem(prob, q)
             save_point(point, z)
+            save_direction(direction, Direction(np.ones(p.n), tuple(np.full(w, 10.0**s) for w in q.widths)))
             for argv in (
                 ["solve", "--beta", "0.7", "--max-iters", "30"],
                 ["check", "--point", str(point), "--target", "p0"],
                 ["check", "--point", str(point), "--target", "p1", "--beta", "0.7"],
                 ["thresholds", "--budget", "200"],
+                ["cone", "--point", str(point), "--direction", str(direction)],
             ):
                 code = main([argv[0], "--problem", str(prob), *argv[1:]])
                 err = capsys.readouterr().err

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem
-from mcpen import cones, model
+from conftest import half_square_chain, random_problem
 from mcpen import expr as ex
 from mcpen.cones import (
     LIFT_TOL,
-    RADIAL_TAUS,
     TANGENT_TOL,
-    _feasible_at,
     lift_direction,
     radial_membership,
     ray_decidable,
@@ -158,31 +155,50 @@ def test_radial_unknown_when_not_decidable():
     m = radial_membership(*_quartic_ray())
     assert m.in_tangent
     assert m.in_radial is None
-
-
-@pytest.mark.parametrize(
-    "answers, in_radial, notes",
-    [
-        ((True, True, True), True, []),
-        ((False, False, False), False, ["ray leaves the feasible set at every small tau probed"]),
-        ((True, True, False), None, ["tau grid did not settle; near a branch switch"]),
-    ],
-)
-def test_radial_grid_probes_only_the_taus_it_reads(monkeypatch, answers, in_radial, notes):
-    taus = []
-
-    def feasible_at(problem, z, d, tau):
-        taus.append(tau)
-        return answers[len(taus) - 1]
-
-    monkeypatch.setattr(cones, "_feasible_at", feasible_at)
-    m = radial_membership(*_linear_ray())
-    assert taus == list(RADIAL_TAUS) == [1e-6, 1e-7, 1e-8]
-    assert (m.in_radial, m.notes) == (in_radial, notes)
-    taus.clear()
-    m = radial_membership(*_quartic_ray())
-    assert (taus, m.in_radial) == ([], None)
     assert m.notes == ["layer maps outside the decidable family; returning unknown"]
+
+
+def test_radial_reads_the_branch_taken_just_past_zero_at_a_near_tie():
+    # u1 = max(theta0, theta1 + 1e-11) at theta = 0 along dtheta = (1, 0): the
+    # lift gives du1 = 0, and the residual along the ray, max(tau, 1e-11) - 1e-11,
+    # is 0 for tau <= 1e-11, so the direction is radial.  From tau = 1e-11 on
+    # the ray runs along a later piece, on which it leaves the feasible set.
+    tie = ex.vmax(ex.theta(0), ex.affine(1e-11, [1.0], [ex.theta(1)]))
+    problem = CompositeProblem(
+        n=2, layers=(LayerMap(index=1, exprs=(tie,)),), outer=ex.square(ex.uref(1, 0)), lam=0.1
+    )
+    z = eval_layers(problem, np.zeros(2))
+    d = lift_direction(problem, z, np.array([1.0, 0.0]))
+    assert d.du[0].tolist() == [0.0]
+    m = radial_membership(problem, z, d)
+    assert (m.in_tangent, m.in_radial, m.notes) == (True, True, [])
+    assert _ray_feasible(problem, z, d, 1e-12)
+    assert not any(_ray_feasible(problem, z, d, tau) for tau in (1e-6, 1e-7, 1e-8))
+
+
+def test_radial_unknown_when_a_second_derivative_is_not_finite():
+    # at theta = 0 along dtheta = 1e200, psi_2'' = 1e400 is nonzero, so the
+    # direction is not radial; it computes as inf - inf = NaN, which must not
+    # read as a vanishing curvature
+    problem = half_square_chain()
+    z = eval_layers(problem, np.zeros(1))
+    d = lift_direction(problem, z, np.array([1e200]))
+    m = radial_membership(problem, z, d)
+    assert (m.in_tangent, m.in_radial) == (True, None)
+    assert m.notes == ["layer 2 second derivative not finite along d"]
+
+
+@pytest.mark.parametrize("du2", [0.0, 1.0, -3e300])
+def test_a_slope_that_is_not_finite_raises_naming_its_layer(du2):
+    # at theta = 1e10 along du1 = 1e300, psi_2' = 2e310 - 1e310 computes as
+    # inf - inf = NaN: no du2 can be called tangent, or refuted, from that
+    problem = half_square_chain()
+    z = eval_layers(problem, np.array([1e10]))
+    d = Direction(np.array([1e300]), (np.array([1e300]), np.array([du2])))
+    for membership in (tangent_membership, radial_membership):
+        with pytest.raises(EvaluationError, match="^layer 2 first derivative not finite along d$") as err:
+            membership(problem, z, d)
+        assert err.value.layer == 2
 
 
 def _pure_relu_problem():
@@ -266,17 +282,30 @@ def test_pure_relu_grid_agrees_with_characterization(theta0):
     assert agree == total
 
 
-def test_radial_grid_reads_only_evaluation_errors_as_infeasible(square_chain, monkeypatch):
-    z0 = eval_layers(square_chain, np.zeros(1))
-    d = Direction(np.array([1.0]), (np.array([1.0]), np.array([0.0])))
-
-    def raising(err):
-        def layer_values(*args):
-            raise err
-        return layer_values
-
-    monkeypatch.setattr(model, "layer_values", raising(EvaluationError(1, "overflow in layer 1")))
-    assert _feasible_at(square_chain, z0, d, 0.1) is False
-    monkeypatch.setattr(model, "layer_values", raising(TypeError("a programming error")))
-    with pytest.raises(TypeError, match="a programming error"):
-        _feasible_at(square_chain, z0, d, 0.1)
+def test_radial_verdicts_agree_with_the_tau_grid_where_it_settles():
+    # Random problems at theta = 0, at a rounded point and at a uniform point,
+    # along lifted directions.  Where no layer map bends along d and the maps
+    # are of degree at most 2, the verdict is radial, read off the order-2
+    # data; feasibility at tau = 1e-6, 1e-7, 1e-8 must not contradict it.  A
+    # bend of order 1 moves the residual by about tau^2/2, below the grid's
+    # 1e-9, so the grid cannot check a verdict of not radial.
+    settled = 0
+    for seed in range(60):
+        problem = random_problem(seed)
+        rng = np.random.default_rng(10_000 + seed)
+        u = rng.uniform(-1.0, 1.0, problem.n)
+        for theta in (np.zeros(problem.n), np.round(2.0 * u), u):
+            try:
+                z = eval_layers(problem, theta)
+            except EvaluationError:
+                continue
+            DTH = rng.normal(size=(problem.n, 8))
+            for j in range(8):
+                d = lift_direction(problem, z, DTH[:, j])
+                m = radial_membership(problem, z, d)
+                if m.in_radial is not True:
+                    continue
+                grid = [_ray_feasible(problem, z, d, tau) for tau in (1e-6, 1e-7, 1e-8)]
+                assert any(grid), f"seed {seed}: radial, but the ray leaves the feasible set at every tau"
+                settled += all(grid)
+    assert settled >= 100

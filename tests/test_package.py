@@ -1,5 +1,6 @@
-"""Package-wide checks: every regression scenario passes, the import stays light, the tracer fits."""
+"""Package-wide checks: every regression scenario passes, the import stays light, the benchmark fits."""
 
+import json
 import os
 import subprocess
 import sys
@@ -75,4 +76,47 @@ def test_the_benchmark_tracer_finds_every_traced_function_and_restores_them():
     # renamed or deleted name, or a copy imported under another, shows here,
     # and so does a taylor_cells signature that moves the arguments it reads
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    assert _run(TRACER_CHECK, str(spans)) == "69 True True True"
+    assert _run(TRACER_CHECK, str(spans)) == "68 True True True"
+
+
+BENCHMARK_ROUND = """
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+warnings.filterwarnings("ignore", "outer function evaluated to", RuntimeWarning)
+from workloads import WORKLOADS
+report = {}
+for name, cls in WORKLOADS.items():
+    work = cls(0)
+    work.setup(cls.round_size)
+    wrong, failed = [], []
+    for i in range(cls.round_size):
+        try:
+            result = work.op(i)
+        except Exception as e:
+            failed.append([i, f"raised {type(e).__name__}"])
+            continue
+        try:
+            out = work.check(i, result)
+        except Exception as e:
+            wrong.append(f"op {i}: check raised {type(e).__name__}: {e}")
+            continue
+        wrong += out.wrong
+        failed += [[i, f] for f in out.failed]
+    report[name] = {"wrong": wrong, "failed": failed}
+print(json.dumps(report))
+"""
+
+
+def test_one_round_of_each_benchmark_workload_runs_and_checks():
+    # one round of each perfbench workload at seed 0, each op followed by its
+    # own check; a library change that breaks a name the benchmark reads
+    # shows here as an exception, and a wrong output as a failed check.  Two
+    # generic problems of moduli-generic have a negative reference level,
+    # which build_config refuses.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    report = json.loads(_run(BENCHMARK_ROUND, str(perfbench)))
+    assert report == {
+        "certify-rnn": {"wrong": [], "failed": []},
+        "train-desk": {"wrong": [], "failed": []},
+        "moduli-generic": {"wrong": [], "failed": [[3, "raised ValueError"], [5, "raised ValueError"]]},
+    }
