@@ -217,11 +217,15 @@ def eval_layers(problem: CompositeProblem, th: np.ndarray) -> Point:
 
 def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
     """Outer value; warns when a supposedly nonnegative g dips below zero."""
-    val = ex.eval_one(problem.outer, np.zeros(problem.n), ublocks)
+    return checked_g(problem, ex.eval_one(problem.outer, np.zeros(problem.n), ublocks))
+
+
+def checked_g(problem: CompositeProblem, val: float) -> float:
+    """A value of g as ``eval_g`` returns it: ``EvaluationError`` if not finite, a warning below zero."""
     if not np.isfinite(val):
         raise EvaluationError(problem.L + 1, "outer function evaluated to a non-finite value")
     if val < G_WARN_BELOW:
-        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=3)
     return val
 
 
@@ -268,11 +272,7 @@ def require_feasible(problem: CompositeProblem, z: Point) -> None:
 
 def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> float:
     b = check_beta(problem, beta)
-    return penalized_value(problem, z, b, residuals(problem, z).l1)
-
-
-def penalized_value(problem: CompositeProblem, z: Point, b: np.ndarray, l1: list[float]) -> float:
-    """Theta at z from the l1 norms of its layer residuals and a checked beta b."""
+    l1 = residuals(problem, z).l1
     return eval_F(problem, z) + float(np.dot(b, l1))
 
 
@@ -292,12 +292,23 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
     TH, U = split_flat(problem, Z)
     X = problem.fixed_tape.values(TH, U)
     g = problem.outer_tape.values(TH, U)[0]
+    F = penalized_cols(problem, TH, U, X, g, b)
+    F[~(np.isfinite(X).all(axis=0) & np.isfinite(g)) | (g < G_WARN_BELOW)] = np.nan
+    return F
+
+
+def penalized_cols(
+    problem: CompositeProblem, TH: np.ndarray, U: Sequence[np.ndarray], X: np.ndarray, g: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Theta at the columns of TH and U from the maps' values X there (``fixed_tape`` roots) and g.
+
+    Value j is ``eval_Theta``'s sum at column j byte for byte, whatever X
+    and g hold; nothing is masked and nothing warns.
+    """
     with np.errstate(all="ignore"):
         R = [u - X[r] for u, r in zip(U, problem.layer_rows)]
         rows = np.ascontiguousarray(TH.T)
-        F = g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
-    F[~(np.isfinite(X).all(axis=0) & np.isfinite(g)) | (g < G_WARN_BELOW)] = np.nan
-    return F
+        return g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
 
 
 def row_dots(A: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -26,13 +26,13 @@ import numpy as np
 from .dcalc import Direction
 from .model import (
     FEAS_TOL,
+    G_WARN_BELOW,
     CompositeProblem,
     EvaluationError,
     Point,
     check_beta,
-    eval_g,
-    layer_values,
-    penalized_value,
+    checked_g,
+    penalized_cols,
     reference_point_and_level,
     residuals,
     row_dots,
@@ -41,6 +41,8 @@ from .model import (
 
 BETA_FLOOR = 1e-3
 SAFETY = 1.05
+# Candidates in the level-set sampler's first chunk, and the fewest in any later one.
+FIRST_CHUNK = 16
 
 
 @dataclass
@@ -130,6 +132,22 @@ def _sample_level_set(
     eps-ball perturbation, landing inside the inflated set.  A candidate's
     residuals are its blocks minus the layer values they were drawn around;
     a candidate whose layer or outer values are not finite is rejected.
+
+    Candidates are drawn and judged in chunks of columns, one fixed-tape pass
+    per layer and one outer-tape pass per chunk, with the points, warnings,
+    errors and generator state of a loop that draws and judges one candidate
+    at a time.  Each ``rng.uniform(low, high, k)`` of that loop is
+    ``low + (high - low) * rng.random(k)``, so a chunk draws all its
+    candidates' shares at once, but a share depends on the outcome: a
+    candidate stops drawing at a layer that is not finite, and an accepted
+    one draws its perturbation before the next candidate.  So each chunk
+    guesses that every candidate ends as the last one did.  At the first
+    candidate that breaks the guess, the generator goes back to its state at
+    the start of the chunk, redraws the shares that held and then that
+    candidate's own.  A chunk is twice as long as the last one if every
+    guess held, else twice the run that held, and never shorter than the
+    first (``FIRST_CHUNK``): a pass over a few columns costs about what a
+    pass over one does.
     """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
@@ -139,28 +157,93 @@ def _sample_level_set(
             f"reference level gamma_bar = {gamma_bar} bounds no level set to sample; "
             "it must be nonnegative and finite (is the outer function negative?)"
         )
+    n, L, nbar, widths = problem.n, problem.L, problem.nbar, problem.widths
+    rad = [gamma_bar / b for b in beta]
+    with np.errstate(all="ignore"):
+        # coordinate i of a candidate is low[i] + span[i] * u, as rng.uniform draws it
+        low = np.repeat([-r_theta, *(-r for r in rad)], (n, *widths))
+        span = np.repeat([r_theta - -r_theta, *(r - -r for r in rad)], (n, *widths))
+    # a candidate that draws the noise of c layers takes share[c] uniforms
+    share = np.cumsum([n, *widths])
+    # the first layer whose noise range is not finite, where numpy's uniform raises (0: none)
+    bad = next((k for k in range(1, L + 1) if not np.isfinite(span[share[k - 1]])), 0)
+
+    def draw(c: int, m: int, tail: bool):
+        """m candidates' draws, one per row, if each ends with outcome c; and the perturbations if c accepts.
+
+        With a tail, a row runs on into the next share, so the first
+        candidate that outlives the guess is judged on its own draws.
+        """
+        if c <= L and not tail:
+            return rng.random(m * share[c]), None
+        if c <= L:
+            u = rng.random(m * share[c] + nbar - share[c])
+            return u[share[c] * np.arange(m)[:, None] + np.arange(nbar)], None
+        W, N, E = np.empty((m, nbar)), np.empty((m, nbar)), []
+        for i in range(m):
+            W[i], N[i] = rng.random(nbar), rng.normal(size=nbar)
+            E.append(rng.uniform(0.0, eps))
+        return W, (N, E)
+
+    def judge(W: np.ndarray):
+        """Outcomes, negative-g flags, g and lifted columns of the candidates in W's rows.
+
+        The outcome is the number of layers whose noise the candidate draws,
+        L + 1 if it is accepted, or -1 if it reaches layer ``bad``.
+        """
+        m = len(W)
+        code, alive = np.full(m, L), np.ones(m, dtype=bool)
+        with np.errstate(all="ignore"):
+            TH, U = split_flat(problem, (low + span * W).T)
+            for k, rows in enumerate(problem.layer_rows, start=1):
+                X = problem.fixed_tape.values(TH, U)
+                stop = alive & ~np.isfinite(X[rows]).all(axis=0)
+                code[stop] = k - 1
+                alive &= ~stop
+                if k == bad:
+                    code[alive], alive[:] = -1, False
+                U[k - 1] = X[rows] + U[k - 1]
+            g = problem.outer_tape.values(TH, U)[0]
+            alive &= np.isfinite(g)
+            code += alive & (penalized_cols(problem, TH, U, X, g, beta) <= gamma_bar)
+        return code, alive & (g < G_WARN_BELOW), g, np.vstack([TH, *U])
+
+    def keep(z: np.ndarray, noise: np.ndarray, e: float) -> None:
+        noise *= e / max(np.linalg.norm(noise), 1e-300)
+        th2, blocks2 = split_flat(problem, z + noise)
+        pts.append(Point(th2, tuple(blocks2)))
+
     pts: list[Point] = []
-    tries = 0
+    tries, size, guess = 0, FIRST_CHUNK, L
     while len(pts) < budget and tries < 20 * budget:
-        tries += 1
-        th = rng.uniform(-r_theta, r_theta, size=problem.n)
-        blocks: list[np.ndarray] = []
-        l1: list[float] = []
-        try:
-            for k in range(1, problem.L + 1):
-                base = layer_values(problem, k, th, blocks)
-                rad = gamma_bar / beta[k - 1]
-                blocks.append(base + rng.uniform(-rad, rad, size=base.size))
-                l1.append(float(np.sum(np.abs(blocks[-1] - base))))
-            z = Point(th, tuple(blocks))
-            accept = penalized_value(problem, z, beta, l1) <= gamma_bar
-        except EvaluationError:
-            continue
-        if accept:
-            noise = rng.normal(size=problem.nbar)
-            noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
-            th2, blocks2 = split_flat(problem, z.flat() + noise)
-            pts.append(Point(th2, tuple(blocks2)))
+        m = min(size, 20 * budget - tries, budget - len(pts) if guess > L else size)
+        start = rng.bit_generator.state
+        W, perturb = draw(guess, m, tail=True)
+        code, negative, g, Z = judge(W)
+        miss = np.flatnonzero(code != guess)
+        j = int(miss[0]) if miss.size else m
+        if j < m or guess < L:
+            # a miss, or the tail drawn past a chunk whose candidates stop early
+            rng.bit_generator.state = start
+            perturb = draw(guess, j, tail=False)[1]
+        for i in range(j):
+            if negative[i]:
+                checked_g(problem, float(g[i]))
+            if guess > L:
+                keep(Z[:, i], perturb[0][i], perturb[1][i])
+        if j < m:
+            # the candidate that broke the guess draws its own share
+            if code[j] < 0:
+                rng.random(share[bad - 1])
+                rng.uniform(-rad[bad - 1], rad[bad - 1], size=widths[bad - 1])  # raises OverflowError, as the loop did
+            rng.random(share[min(code[j], L)])
+            if negative[j]:
+                checked_g(problem, float(g[j]))
+            if code[j] > L:
+                keep(Z[:, j], rng.normal(size=nbar), rng.uniform(0.0, eps))
+        tries += min(j + 1, m)
+        size = 2 * size if j == m else max(2 * j, FIRST_CHUNK)
+        guess = int(code[min(j, m - 1)])
     return pts
 
 
@@ -179,10 +262,13 @@ def estimate_moduli(
     difference quotients over the inflated level set; those values are lower
     bounds of the true moduli and come back flagged heuristic.
 
-    The pairs are evaluated in batches, g once per point in order of first
-    use and the layer maps in two passes of the fixed tape (one column per
-    point, one per pair), with the values, warnings and first
-    ``EvaluationError`` of a loop over the pairs in order.
+    The points come from ``_sample_level_set``, which judges its candidates
+    in chunks of columns and rewinds the generator where a chunk's guess of
+    their outcomes fails.  The pairs are evaluated in batches: g in one pass
+    of the outer tape over the points, checked in order of first use, and
+    the layer maps in two passes of the fixed tape (one column per point,
+    one per pair), with the values, warnings and first ``EvaluationError``
+    of a loop over the pairs in order.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
@@ -218,12 +304,12 @@ def estimate_moduli(
             fail = min(fail, (int(use[np.argmax(bad)]), ell + 1))
         else:
             K[ell - 1] = _sup(_norms((va - vb).T) / npre[use])
-    # g at the points of the pairs the loop reaches, in order of first use
+    # g at every point, checked at the points of the pairs the loop reaches, in order of first use
     nu = _norms(D[: fail[0] + 1])
     use = np.flatnonzero(nu > 1e-12)
-    G = np.zeros(len(pts))
+    G = problem.outer_tape.values(TH, U)[0]
     for i in dict.fromkeys(np.column_stack([I[use], J[use]]).ravel().tolist()):
-        G[i] = eval_g(problem, pts[i].u)
+        checked_g(problem, float(G[i]))
     if fail[1]:
         raise EvaluationError(fail[1], f"layer {fail[1]} evaluated to a non-finite value")
     return _sup(np.abs(G[I[use]] - G[J[use]]) / nu[use]), K, True

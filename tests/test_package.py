@@ -76,7 +76,7 @@ def test_the_benchmark_tracer_finds_every_traced_function_and_restores_them():
     # renamed or deleted name, or a copy imported under another, shows here,
     # and so does a taylor_cells signature that moves the arguments it reads
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    assert _run(TRACER_CHECK, str(spans)) == "68 True True True"
+    assert _run(TRACER_CHECK, str(spans)) == "66 True True True"
 
 
 BENCHMARK_ROUND = """

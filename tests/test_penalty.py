@@ -1,5 +1,6 @@
 """Moduli, thresholds, certification, and the constructive descent direction."""
 
+import collections
 import hashlib
 import warnings
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import negative_outer_problem, random_problem
+from walkers import scalar_sample_level_set
 from mcpen import expr as ex
-from mcpen import penalty
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
     FEAS_TOL,
@@ -282,14 +283,74 @@ def test_exactness_cross_check_out_of_level(square_chain):
 
 
 def test_level_set_sampling_skips_only_evaluation_errors(square_chain, monkeypatch):
-    def raising(err):
-        def layer_values(*args):
-            raise err
-        return layer_values
+    # layer 1 overflows over the whole box, so each of the 20 * 5 candidates
+    # draws its parameter, stops there and is skipped
+    layer = LayerMap(1, (ex.add(ex.const(1e308), ex.const(1e308), ex.theta(0)),))
+    overflowing = CompositeProblem(1, (layer,), ex.square(ex.uref(1, 0)), lam=0.1)
+    rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+    assert _sample_level_set(overflowing, np.ones(1), 1.0, 1e-3, 5, rng) == []
+    ref.random(100)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
-    args = (square_chain, np.array([1.0, 0.6]), 1.0, 1e-3, 5)
-    monkeypatch.setattr(penalty, "layer_values", raising(EvaluationError(1, "overflow in layer 1")))
-    assert _sample_level_set(*args, np.random.default_rng(0)) == []
-    monkeypatch.setattr(penalty, "layer_values", raising(TypeError("a programming error")))
+    def raising(*args):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(ex.Tape, "values", raising)
     with pytest.raises(TypeError, match="a programming error"):
-        _sample_level_set(*args, np.random.default_rng(0))
+        _sample_level_set(square_chain, np.array([1.0, 0.6]), 1.0, 1e-3, 5, np.random.default_rng(0))
+
+
+def _sampler_run(sample, problem, beta, budget, seed):
+    """Point bytes or the exception of one sampler run, its warning texts, and the generator state after it."""
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, gamma_bar = reference_point_and_level(problem, beta)
+        try:
+            pts = sample(problem, beta, gamma_bar, 1e-3, budget, rng)
+            out = b"".join(np.concatenate([p.theta, *p.u]).tobytes() for p in pts)
+        except (ValueError, ArithmeticError, RuntimeError) as err:
+            out = f"{type(err).__name__}: {err}"
+    return out, [str(w.message) for w in caught], rng.bit_generator.state
+
+
+def test_level_set_sampler_matches_the_scalar_loop():
+    # accepting, rejecting and mixed runs, negative levels and negative g;
+    # at beta 0.3 the chains' candidates stop at a layer that is not finite
+    cases = [(random_problem(seed), b) for seed in range(60) for b in (1.0, 0.3)]
+    chain = _overflow_chain(1e308, 0.0)
+    cases += [(chain, 1.0), (chain, 0.3), (_overflow_chain(1.2e308, 1.7e308, dip=0.2), 0.3)]
+    # layer 2's noise range [-inf, inf] raises numpy's OverflowError
+    cases.append((chain, [1.0, 1e-320]))
+    # g = 1 - 2e308 u_1 is negative or not finite at most candidates
+    outer = ex.add(ex.const(1.0), ex.scaled(2.0, ex.scaled(-1e308, ex.uref(1, 0))))
+    cases.append((CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), outer, lam=0.1), 1.0))
+    for seed, (problem, b) in enumerate(cases):
+        beta = np.broadcast_to(b, problem.L).astype(float)
+        chunked = _sampler_run(_sample_level_set, problem, beta, 30, seed)
+        assert chunked == _sampler_run(scalar_sample_level_set, problem, beta, 30, seed), seed
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_level_set_sampler_takes_few_tape_passes(monkeypatch):
+    passes = collections.Counter()
+
+    def counted(real, key):
+        def count(*args):
+            passes[key(args)] += 1
+            return real(*args)
+
+        return count
+
+    monkeypatch.setattr(ex.Tape, "values", counted(ex.Tape.values, lambda args: args[0]))
+    for walker in ("eval_one", "eval_many"):
+        monkeypatch.setattr(ex, walker, counted(getattr(ex, walker), lambda args: "walk"))
+    # random_problem(4) accepts none of its 2,000 candidates, random_problem(9)
+    # all of its first 100; a scalar loop walks each candidate's trees on its own
+    for seed, accepted in ((4, 0), (9, 100)):
+        problem, beta = random_problem(seed), np.ones(3)
+        _, gamma_bar = reference_point_and_level(problem, beta)
+        passes.clear()
+        pts = _sample_level_set(problem, beta, gamma_bar, 1e-3, 100, np.random.default_rng(seed))
+        assert len(pts) == accepted and passes["walk"] == 0
+        assert passes[problem.fixed_tape] <= 12 * problem.L and passes[problem.outer_tape] <= 12

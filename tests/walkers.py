@@ -3,8 +3,11 @@
 ``recursive_cells`` and ``recursive_cols`` walk one node at a time, as
 ``expr.taylor_cells`` and ``expr.eval_cols`` did before the tapes;
 ``per_layer_slopes`` and ``per_layer_curves`` call them once per map, as
-``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.  The tapes must
-reproduce them byte for byte.
+``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
+``scalar_sample_level_set`` judges one level-set candidate at a time, as
+``penalty._sample_level_set`` did before it judged them in chunks of
+columns.  The tapes and the chunked sampler must reproduce them byte for
+byte.
 """
 
 import operator
@@ -14,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from mcpen import expr as ex
+from mcpen.model import EvaluationError, Point, eval_F, layer_values, split_flat
 
 
 def recursive_cols(exprs, TH, UBLOCKS):
@@ -203,3 +207,36 @@ def per_layer_curves(problem, th, DTH, order=1):
             BU.append(_stack(cells, "bad2"))
     (g,) = recursive_cells([problem.outer], th, ublocks, DTH, DU, order, EU, KU, BU)
     return (ublocks, DU, EU, KU, BU), g
+
+
+def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
+    """``penalty._sample_level_set`` as a loop that draws and judges one candidate at a time."""
+    r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
+    if np.signbit(r_theta) or not r_theta <= np.finfo(float).max / 2.0:
+        raise ValueError(
+            f"reference level gamma_bar = {gamma_bar} bounds no level set to sample; "
+            "it must be nonnegative and finite (is the outer function negative?)"
+        )
+    pts = []
+    tries = 0
+    while len(pts) < budget and tries < 20 * budget:
+        tries += 1
+        th = rng.uniform(-r_theta, r_theta, size=problem.n)
+        blocks = []
+        l1 = []
+        try:
+            for k in range(1, problem.L + 1):
+                base = layer_values(problem, k, th, blocks)
+                rad = gamma_bar / beta[k - 1]
+                blocks.append(base + rng.uniform(-rad, rad, size=base.size))
+                l1.append(float(np.sum(np.abs(blocks[-1] - base))))
+            z = Point(th, tuple(blocks))
+            accept = eval_F(problem, z) + float(np.dot(beta, l1)) <= gamma_bar
+        except EvaluationError:
+            continue
+        if accept:
+            noise = rng.normal(size=problem.nbar)
+            noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
+            th2, blocks2 = split_flat(problem, z.flat() + noise)
+            pts.append(Point(th2, tuple(blocks2)))
+    return pts
