@@ -15,13 +15,14 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
 Two kinds of walker read the table, and both branch on the family only.  The
-recursive ones visit one node at a time: ``eval_one`` (values at one point),
-``pieces.expr_pieces``, ``pieces._walk`` and ``cones._degree``.  A tape
+recursive ones, ``pieces.expr_pieces``, ``pieces._walk`` and
+``cones._degree``, visit one node at a time and compute no values.  A tape
 (``compile_tape``) is one or more trees compiled once into a program of
 rows, one per distinct node, computed a level at a time by steps that each
 take all nodes of one family with a fixed set of numpy calls over every
-column; ``Tape.values`` gives values at a batch of points and
-``Tape.cells`` (behind ``taylor_cells``) Taylor data along a batch of rays.
+column; ``Tape.values`` gives values at a batch of points (``eval_many`` at
+one) and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a batch
+of rays.  ``Tape.values`` is the one value walker.
 Each problem keeps three tapes (``model.CompositeProblem.fixed_tape``,
 ``chained_tape`` and ``outer_tape``): its layer maps with ``u`` leaves that
 read given blocks; the maps and then its outer function with ``u`` leaves
@@ -29,12 +30,12 @@ that stand for the maps that define them, one program for the nested
 objective; and its outer function alone.  Where an op's own arithmetic
 differs from its family rule (whether a sum starts at zero or at its first
 term, Python's ``abs``), the difference is table data, so each op keeps its
-exact rounding and sign of zero, at one point and column by column, and a
-tape's rows are the bytes a node-at-a-time walk gives.  Every walker squares
-with ``x*x``, so a square has one value in all of them, and a value past the
-float range is inf, never an exception.  Trees are built from immutable
-nodes, so cycles are impossible by construction and sharing of subtrees is
-safe; ``nodes`` walks a tree without recursion.
+exact rounding and sign of zero column by column, and a tape's rows are the
+bytes a node-at-a-time walk gives (the tests keep such walks as oracles).
+Every walker squares with ``x*x``, so a square has one value in all of
+them, and a value past the float range is inf, never an exception.  Trees
+are built from immutable nodes, so cycles are impossible by construction
+and sharing of subtrees is safe; ``nodes`` walks a tree without recursion.
 
 Every node supports exact one-sided Taylor data along a ray: the inputs
 move along ``x_i + tau*d_i``, each node's argument along a curve
@@ -221,18 +222,17 @@ def _pairs(e: Expr) -> tuple[tuple[int, int], ...]:
     return tuple((i, k + i) for i in range(k))
 
 
-# A kink's value rule at one point and column by column.  np.where(b > a, b, a)
-# is Python's max(a, b), NaN and signed zero included; np.maximum is not.
-Rule = NamedTuple("Rule", [("one", Callable), ("cols", Callable)])
-MAX = Rule(max, lambda a, b: np.where(b > a, b, a))
-ABS = Rule(lambda a, _: abs(a), lambda a, _: np.abs(a))
+# A kink's value rule, column by column.  np.where(b > a, b, a) is Python's
+# max(a, b), NaN and signed zero included; np.maximum is not.
+MAX = lambda a, b: np.where(b > a, b, a)  # noqa: E731
+ABS = lambda a, _: np.abs(a)  # noqa: E731
 
 
 # The data of each family:
 #   leaf     the block read (0 for theta, j for u_j), None for a constant;
 #   linear   (weights, offset); offset None sums from the first term;
 #   product  (index pairs, start); start None sums from the first pair;
-#   kink     (second-branch node, scale, value Rule); a None node makes
+#   kink     (second-branch node, scale, value rule); a None node makes
 #            the second branch scale * first argument.
 OPS: dict[str, Op] = {
     "const": Op(LEAF, "0", ("value",), lambda e: None),
@@ -284,36 +284,9 @@ def ops_used(e: Expr) -> set[str]:
     return {node.op for node in nodes(e)}
 
 
-def eval_one(e: Expr, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> float:
-    """Plain value evaluation; the fast path with no derivative bookkeeping."""
-    return _value(e, (th, *ublocks))
-
-
-def _value(e: Expr, blocks: Sequence[np.ndarray]) -> float:
-    family, data = e.family, e.data
-    if family == LEAF:
-        return e.value if data is None else float(blocks[data][e.ref])
-    if family == KINK:
-        branch, scale, rule = data
-        a = _value(e.args[0], blocks)
-        return rule.one(a, scale * a if branch is None else _value(branch, blocks))
-    if family == LINEAR:
-        weights, acc = data
-        for w, a in zip(weights, e.args):
-            t = w * _value(a, blocks)
-            acc = t if acc is None else acc + t
-        return acc
-    pairs, acc = data
-    for i, j in pairs:
-        a = _value(e.args[i], blocks)
-        t = a * (a if i == j else _value(e.args[j], blocks))
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def eval_many(exprs: Sequence[Expr], th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
-    blocks = (th, *ublocks)
-    return np.array([_value(e, blocks) for e in exprs], dtype=float)
+def eval_many(tape: Tape, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The values of ``tape``'s roots at one point: one width-1 ``Tape.values`` pass."""
+    return tape.values(th[:, None], [b[:, None] for b in ublocks])[:, 0]
 
 
 class Cell(NamedTuple):
@@ -495,7 +468,7 @@ class _Kink:
     whose value is larger by more than ``TIE_TOL``.  At a tie the value is
     the larger one, the first coefficient is the larger one, and the second
     follows the larger slope, or is the larger one at a double tie.  Values
-    apply each op's ``Rule``; ``rules`` pairs each rule with its nodes.
+    apply each op's rule (``MAX`` or ``ABS``); ``rules`` pairs each with its nodes.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray, rules: list):
@@ -537,16 +510,16 @@ class _Kink:
     def values(self, X) -> None:
         a, b, out = X[self.a], self.scale2 * X[self.b], X[self.rows]
         for rule, nodes in self.rules:
-            out[nodes] = rule.cols(a[nodes], b[nodes])
+            out[nodes] = rule(a[nodes], b[nodes])
 
 
 class Tape:
     """Trees compiled by ``compile_tape``; ``cells`` gives their Taylor data, ``values`` their values.
 
     Both run under ``np.errstate(all="ignore")``: a value past the float
-    range is inf or NaN, as in ``eval_one``, and nothing warns.  Taylor data
-    live in one row per node: the value, the m first coefficients and at
-    order 2 the m second ones, with the kinked and bad2 flags beside them.
+    range is inf or NaN, and nothing warns.  Taylor data live in one row per
+    node: the value, the m first coefficients and at order 2 the m second
+    ones, with the kinked and bad2 flags beside them.
     """
 
     def __init__(

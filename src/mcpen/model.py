@@ -11,7 +11,9 @@ lambda > 0.  Three objectives hang off one set of data:
 * penalized:  Theta(z) = F(z) + sum_l beta_l * ||u_l - psi_{l-1}(...)||_1.
 
 Points and directions are kept in block form; flattening helpers are
-provided for serialization and search code.
+provided for serialization and search code.  Every value at a point (the
+lift, the residuals, g, F and Theta) comes from width-1 passes of the
+problem's tapes, the same programs that batches and derivatives run.
 """
 
 from __future__ import annotations
@@ -193,31 +195,32 @@ def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
     return Point(th.copy(), tuple(b.copy() for b in blocks))
 
 
-def layer_values(
-    problem: CompositeProblem, layer: int, th: np.ndarray, ublocks: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Evaluate psi_{layer-1}, the map defining block ``layer`` (1-based)."""
-    lm = problem.layers[layer - 1]
-    vals = ex.eval_many(lm.exprs, th, ublocks)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(layer, f"layer {layer} evaluated to a non-finite value")
+def layer_values(problem: CompositeProblem, tape: ex.Tape, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The roots of ``tape`` (fixed or chained) at one point; ``EvaluationError`` names the first non-finite layer."""
+    vals = ex.eval_many(tape, th, ublocks)
+    for k, rows in enumerate(problem.layer_rows, start=1):
+        if not np.isfinite(vals[rows]).all():
+            raise EvaluationError(k, f"layer {k} evaluated to a non-finite value")
     return vals
+
+
+def _lift(problem: CompositeProblem, th: np.ndarray) -> tuple[Point, np.ndarray]:
+    """The feasible lift of theta and the roots of the one ``chained_tape`` pass that gives it (g unchecked)."""
+    th = np.asarray(th, dtype=float).ravel()
+    if th.shape != (problem.n,):
+        raise DimensionError(f"theta has length {th.size}, expected {problem.n}")
+    vals = layer_values(problem, problem.chained_tape, th, [])
+    return Point(th.copy(), tuple(vals[rows] for rows in problem.layer_rows)), vals
 
 
 def eval_layers(problem: CompositeProblem, th: np.ndarray) -> Point:
     """Forward pass: the unique feasible lift of theta."""
-    th = np.asarray(th, dtype=float).ravel()
-    if th.shape != (problem.n,):
-        raise DimensionError(f"theta has length {th.size}, expected {problem.n}")
-    blocks: list[np.ndarray] = []
-    for k in range(1, problem.L + 1):
-        blocks.append(layer_values(problem, k, th, blocks))
-    return Point(th.copy(), tuple(blocks))
+    return _lift(problem, th)[0]
 
 
 def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
-    """Outer value; warns when a supposedly nonnegative g dips below zero."""
-    return checked_g(problem, ex.eval_one(problem.outer, np.zeros(problem.n), ublocks))
+    """Outer value by one ``outer_tape`` pass; warns when a supposedly nonnegative g dips below zero."""
+    return checked_g(problem, float(ex.eval_many(problem.outer_tape, np.zeros(problem.n), ublocks)[0]))
 
 
 def checked_g(problem: CompositeProblem, val: float) -> float:
@@ -244,8 +247,10 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 
 
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
+    """The residuals at z from one ``fixed_tape`` pass."""
     check_point(problem, z)
-    per_layer = [u - layer_values(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
+    X = layer_values(problem, problem.fixed_tape, z.theta, z.u)
+    per_layer = [u - X[rows] for u, rows in zip(z.u, problem.layer_rows)]
     l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
     return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
 
@@ -259,7 +264,7 @@ def _residual_summary(R: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, 
     """
     A = [np.abs(r) for r in R]
     l1 = np.array([np.ascontiguousarray(a.T).sum(axis=1) for a in A])
-    max_abs = reduce(ex.MAX.cols, [a.max(axis=0) for a in A])
+    max_abs = reduce(ex.MAX, [a.max(axis=0) for a in A])
     return l1, max_abs, max_abs <= FEAS_TOL
 
 
@@ -271,15 +276,24 @@ def require_feasible(problem: CompositeProblem, z: Point) -> None:
 
 
 def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> float:
+    """Theta at z by one ``fixed_tape`` pass, then one ``outer_tape`` pass, summed by ``penalized_cols``."""
     b = check_beta(problem, beta)
-    l1 = residuals(problem, z).l1
-    return eval_F(problem, z) + float(np.dot(b, l1))
+    check_point(problem, z)
+    X = layer_values(problem, problem.fixed_tape, z.theta, z.u)
+    g = eval_g(problem, z.u)
+    U = [u[:, None] for u in z.u]
+    return float(penalized_cols(problem, z.theta[:, None], U, X[:, None], np.array([g]), b)[0])
 
 
 def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
     """Nested objective Psi(theta) + lambda*||theta||^2."""
-    z = eval_layers(problem, th)
-    return eval_F(problem, z)
+    return _nested(problem, th)[1]
+
+
+def _nested(problem: CompositeProblem, th: np.ndarray) -> tuple[Point, float]:
+    """The feasible lift of theta and F there, g read off the chained pass of the lift."""
+    z, vals = _lift(problem, th)
+    return z, checked_g(problem, float(vals[-1])) + problem.lam * float(z.theta @ z.theta)
 
 
 def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,9 +342,8 @@ def reference_point_and_level(
 ) -> tuple[Point, float]:
     """Feasible lift of theta0 (default 0) and the level gamma = Theta there.
 
-    At a feasible point the penalty vanishes, so the level is just F.
+    At a feasible point the penalty vanishes, so the level is just F, read
+    off the one ``chained_tape`` pass of the lift.
     """
     check_beta(problem, beta)
-    th = np.zeros(problem.n) if theta0 is None else np.asarray(theta0, dtype=float).ravel()
-    z0 = eval_layers(problem, th)
-    return z0, eval_F(problem, z0)
+    return _nested(problem, np.zeros(problem.n) if theta0 is None else theta0)

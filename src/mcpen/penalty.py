@@ -268,7 +268,9 @@ def estimate_moduli(
     of the outer tape over the points, checked in order of first use, and
     the layer maps in two passes of the fixed tape (one column per point,
     one per pair), with the values, warnings and first ``EvaluationError``
-    of a loop over the pairs in order.
+    of a loop over the pairs in order.  A residual bound gamma_bar/beta_k
+    that is not finite bounds no box to sample: it raises ``ValueError``
+    naming layer k and beta_k.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
@@ -277,6 +279,14 @@ def estimate_moduli(
     beta = np.ones(problem.L) if beta_init is None else check_beta(problem, beta_init)
     if gamma_bar is None:
         _, gamma_bar = reference_point_and_level(problem, beta)
+    with np.errstate(over="ignore"):
+        bounded = np.isfinite(gamma_bar / beta)
+    if 0.0 <= gamma_bar < np.inf and not bounded.all():
+        k = int(np.argmin(bounded)) + 1
+        raise ValueError(
+            f"layer {k} residual bound gamma_bar / beta_{k} = {gamma_bar} / {beta[k - 1]} is not finite, "
+            "so the level set has no box to sample"
+        )
     rng = np.random.default_rng(seed)
     n_pts = max(16, int(np.sqrt(budget)) * 2)
     pts = _sample_level_set(problem, beta, gamma_bar, eps, n_pts, rng)

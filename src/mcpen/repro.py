@@ -178,7 +178,8 @@ def _run_abs_cubic(seed: int) -> list[dict]:
         v.first == 0.0 and v.second is not None and abs(v.second - 6.0) <= 1e-9,
         f"first={v.first}, second={v.second}",
     )
-    f = lambda p: ex.eval_one(e, p, [])
+    tape = ex.compile_tape([e], (2,))
+    f = lambda p: float(ex.eval_many(tape, p, [])[0])
     orc = fd_oracle(f, x, d, order=2)
     _check(
         checks,

@@ -26,6 +26,7 @@ from mcpen.repro import (
     square_chain_problem,
 )
 from mcpen.rnn import build_problem, desk_instance
+from walkers import scalar_value
 
 
 @pytest.fixture
@@ -159,9 +160,9 @@ def kink_margin_expr(e, th, ublocks):
     for node in ex.nodes(e):
         if node.family != ex.KINK:
             continue
-        a = ex.eval_one(node.args[0], th, ublocks)
+        a = scalar_value(node.args[0], th, ublocks)
         if node.op == "max":
-            gap = abs(a - ex.eval_one(node.args[1], th, ublocks))
+            gap = abs(a - scalar_value(node.args[1], th, ublocks))
         elif node.op == "leaky_relu":
             gap = (1.0 - node.alpha) * abs(a)
         else:

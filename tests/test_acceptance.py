@@ -179,7 +179,8 @@ def test_criterion_4_two_path_second_order_gap():
     if v.second is None or abs(v.second - 6.0) > 1e-9:
         problems.append(f"fixed-direction curvature {v.second} not within 1e-9 of 6")
 
-    f = lambda p: ex.eval_one(e, p, [])
+    tape = ex.compile_tape([e], (2,))
+    f = lambda p: float(ex.eval_many(tape, p, [])[0])
     first_fn = lambda vv: dd_expr(e, x, vv, order=1).first
     taus = [1e-2 * 0.5**k for k in range(14)]
     qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus)

@@ -546,3 +546,14 @@ def test_a_non_finite_sampled_modulus_ends_in_an_error_line(capsys, tmp_path):
     assert captured.err == (
         "error: layer 2 map has a non-finite Lipschitz modulus (K_1 = inf), so no threshold is finite\n"
     )
+
+
+def test_a_residual_bound_past_the_float_range_ends_in_an_error_line(capsys, files):
+    # gamma_bar / beta_k = 1e-4 / 1e-320 is past the float range: no box bounds the level set
+    assert main(["thresholds", "--problem", files["prob"], "--beta", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: layer 1 residual bound gamma_bar / beta_1 = 0.0001 / 1e-320 is not finite, "
+        "so the level set has no box to sample\n"
+    )

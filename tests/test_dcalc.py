@@ -215,7 +215,8 @@ def test_two_path_quotients_disagree_at_second_order(abs_cubic):
     v = dd_expr(abs_cubic, x, d, order=2)
     assert v.first == 0.0
     assert v.second == pytest.approx(6.0, abs=1e-9)
-    f = lambda p: ex.eval_one(abs_cubic, p, [])
+    tape = ex.compile_tape([abs_cubic], (2,))
+    f = lambda p: float(ex.eval_many(tape, p, [])[0])
     first_fn = lambda vv: dd_expr(abs_cubic, x, vv, order=1).first
     taus = [1e-2 * 0.5**k for k in range(14)]
     qp = ray_quotients(f, x, lambda t: np.array([3.0 + 4 * t, 1.0]), first_fn, taus)

@@ -9,25 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
+from walkers import scalar_value
 from mcpen import expr as ex
 from mcpen.model import eval_layers
+
+
+def _value(e, th, ublocks):
+    """One tree's value at one point, by ``eval_many`` on a tape of its own."""
+    return ex.eval_many(ex.compile_tape([e], (len(th), *map(len, ublocks))), th, ublocks)[0]
 
 
 def test_constructors_and_eval():
     th = np.array([2.0, -1.0])
     u1 = np.array([3.0, 0.5])
     e = ex.add(ex.theta(0), ex.scaled(2.0, ex.uref(1, 1)))
-    assert ex.eval_one(e, th, [u1]) == 3.0
-    assert ex.eval_one(ex.mul(ex.theta(0), ex.theta(1)), th, []) == -2.0
-    assert ex.eval_one(ex.sqnorm(ex.theta(0), ex.theta(1)), th, []) == 5.0
-    assert ex.eval_one(ex.vmax(ex.const(-1.0), ex.theta(1)), th, []) == -1.0
-    assert ex.eval_one(ex.vabs(ex.theta(1)), th, []) == 1.0
-    assert ex.eval_one(ex.plus(ex.theta(1)), th, []) == 0.0
-    assert ex.eval_one(ex.leaky(ex.theta(1), 0.1), th, []) == -0.1
-    assert ex.eval_one(ex.square(ex.theta(0)), th, []) == 4.0
-    assert ex.eval_one(ex.affine(1.0, [2.0, -1.0], [ex.theta(0), ex.theta(1)]), th, []) == 6.0
-    assert ex.eval_one(ex.dot([ex.theta(0)], [ex.theta(1)]), th, []) == -2.0
-    assert ex.eval_one(ex.sub(ex.theta(0), ex.theta(1)), th, []) == 3.0
+    assert _value(e, th, [u1]) == 3.0
+    assert _value(ex.mul(ex.theta(0), ex.theta(1)), th, []) == -2.0
+    assert _value(ex.sqnorm(ex.theta(0), ex.theta(1)), th, []) == 5.0
+    assert _value(ex.vmax(ex.const(-1.0), ex.theta(1)), th, []) == -1.0
+    assert _value(ex.vabs(ex.theta(1)), th, []) == 1.0
+    assert _value(ex.plus(ex.theta(1)), th, []) == 0.0
+    assert _value(ex.leaky(ex.theta(1), 0.1), th, []) == -0.1
+    assert _value(ex.square(ex.theta(0)), th, []) == 4.0
+    assert _value(ex.affine(1.0, [2.0, -1.0], [ex.theta(0), ex.theta(1)]), th, []) == 6.0
+    assert _value(ex.dot([ex.theta(0)], [ex.theta(1)]), th, []) == -2.0
+    assert _value(ex.sub(ex.theta(0), ex.theta(1)), th, []) == 3.0
 
 
 def test_uref_is_one_based():
@@ -130,7 +136,7 @@ def test_first_order_positive_homogeneity(x, d, t):
     assert scaled_ == pytest.approx(t * base, abs=1e-9 * (1 + abs(base)))
 
 
-def test_eval_many_matches_eval_one():
+def test_eval_many_matches_the_scalar_walk():
     rng = np.random.default_rng(3)
     th = rng.normal(size=3)
     u1 = rng.normal(size=2)
@@ -139,9 +145,9 @@ def test_eval_many_matches_eval_one():
         ex.add(ex.uref(1, 0), ex.mul(ex.theta(1), ex.uref(1, 1))),
         ex.sqnorm(ex.theta(2), ex.uref(1, 0)),
     ]
-    out = ex.eval_many(exprs, th, [u1])
+    out = ex.eval_many(ex.compile_tape(exprs, (3, 2)), th, [u1])
     for k, e in enumerate(exprs):
-        assert out[k] == ex.eval_one(e, th, [u1])
+        assert out[k] == scalar_value(e, th, [u1])
 
 
 def _signed_exprs():
@@ -170,7 +176,7 @@ def _assert_cols_match(exprs, TH, UBLOCKS):
         out = ex.compile_tape(exprs, (TH.shape[0], *(b.shape[0] for b in UBLOCKS))).values(TH, UBLOCKS)
     assert out.shape == (len(exprs), TH.shape[1])
     for c in range(TH.shape[1]):
-        one = ex.eval_many(exprs, TH[:, c], [b[:, c] for b in UBLOCKS])
+        one = np.array([scalar_value(e, TH[:, c], [b[:, c] for b in UBLOCKS]) for e in exprs])
         assert out[:, c].tobytes() == one.tobytes()
 
 
@@ -179,13 +185,14 @@ SQUARES = [0.3624182010806754, 1.8871580461934296, 1.2291748224027053, -0.006127
 
 
 def test_values_and_cells_square_alike():
-    # every walker squares with x*x, so eval_many and the Taylor cells agree
+    # every walker squares with x*x, so values and Taylor cells agree
     x0 = ex.theta(0)
     exprs = [ex.sqnorm(x0), ex.square(x0), ex.mul(x0, x0)]
     for x in SQUARES:
         th = np.array([x])
         cells = ex.taylor_cells(exprs, th, [], np.ones((1, 1)), [])
-        assert np.array([c.value for c in cells]).tobytes() == ex.eval_many(exprs, th, []).tobytes()
+        values = ex.eval_many(ex.compile_tape(exprs, (1,)), th, [])
+        assert np.array([c.value for c in cells]).tobytes() == values.tobytes()
 
 
 def test_tape_values_match_eval_many_column_by_column():
@@ -194,7 +201,7 @@ def test_tape_values_match_eval_many_column_by_column():
     cols += [(a, b) for a in (inf, -inf, nan, -nan, 0.0) for b in (inf, -inf, nan, -nan, -0.0)]
     cols += [(1e200, -1e200)]  # squares and products past the float range
     _assert_cols_match(_signed_exprs(), np.array(cols).T, [])
-    assert ex.eval_one(ex.sqnorm(ex.theta(0)), np.array([1e200]), []) == inf
+    assert _value(ex.sqnorm(ex.theta(0)), np.array([1e200]), []) == inf
     # every tree of the random instances, with ties at rounded columns
     rng = np.random.default_rng(7)
     for seed in range(60):
@@ -232,7 +239,7 @@ def _digest_cells(h, exprs, th, ublocks, rng):
         out[:, 3:5] = rng.integers(-1, 2, size=(rows, 2))
         return out
 
-    _update(h, ex.eval_many(exprs, th, ublocks))
+    _update(h, ex.eval_many(ex.compile_tape(exprs, (th.size, *(b.size for b in ublocks))), th, ublocks))
     dth = cols(th.size)
     dus = [cols(b.size) for b in ublocks]
     for order in (1, 2):

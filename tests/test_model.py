@@ -1,9 +1,14 @@
 """Problem containers, evaluation, residuals, and the reference level."""
 
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import _rand_expr, blowup_problem, negative_outer_problem, random_problem
+from conftest import _rand_expr, blowup_problem, half_square_chain, negative_outer_problem, random_problem
+from walkers import scalar_F, scalar_g, scalar_layers, scalar_residuals, scalar_Theta
 from mcpen import expr as ex
 from mcpen.cones import lift_direction, tangent_membership
 from mcpen.dcalc import zeros_direction
@@ -15,6 +20,7 @@ from mcpen.model import (
     InfeasiblePointError,
     LayerMap,
     Point,
+    Residuals,
     check_beta,
     check_point,
     eval_F,
@@ -28,6 +34,7 @@ from mcpen.model import (
     residuals,
     split_flat,
 )
+from mcpen.rnn import build_problem, desk_instance
 from mcpen.stationarity import check_d_stationary_P0, check_second_order
 
 
@@ -242,3 +249,107 @@ def test_column_evaluator_marks_the_columns_where_g_warns():
     assert np.isfinite(values[:3]).all() and np.isnan(values[3])
     with pytest.warns(RuntimeWarning, match="outer function evaluated to"):
         eval_Theta(problem, point_from_flat(problem, Z[:, 3]), np.ones(1))
+
+
+def _result_bytes(r):
+    if isinstance(r, tuple):
+        return tuple(map(_result_bytes, r))
+    if isinstance(r, Point):
+        return (r.theta.tobytes(), *(u.tobytes() for u in r.u))
+    if isinstance(r, Residuals):
+        return (*(x.tobytes() for x in r.per_layer), np.array(r.l1).tobytes(), _bytes(r.max_abs), r.feasible)
+    return type(r), _bytes(r)
+
+
+def _outcome(run):
+    """The bytes of run's result or its exception (type, text, layer), and its warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = _result_bytes(run())
+        except (EvaluationError, ValueError) as err:
+            out = (type(err).__name__, str(err), getattr(err, "layer", None))
+    return out, [str(w.message) for w in caught]
+
+
+def _value_cases():
+    """(problem, theta, an infeasible point, beta) at random problems and points that raise or warn."""
+    for seed in range(60):
+        p = random_problem(seed)
+        rng = np.random.default_rng(seed)
+        for s in (0.0, 1.0, 1e3):
+            th = s * rng.standard_normal(p.n)
+            z = Point(th, tuple(s * rng.standard_normal(w) for w in p.widths))
+            yield p, th, z, rng.uniform(0.1, 2.0, p.L)
+    # layer 2 past the float range; g below zero; g past the float range
+    for p in (blowup_problem("mul"), blowup_problem("sqnorm"), half_square_chain()):
+        for x in (0.25, 0.5, 1e200):
+            yield p, np.array([x]), Point(np.zeros(1), (np.array([x]), np.array([1.0]))), np.ones(2)
+    u = ex.uref(1, 0)
+    for p in (negative_outer_problem(), CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), ex.mul(u, u), lam=0.1)):
+        for x in (0.5, 1e160):
+            yield p, np.array([x]), Point(np.array([0.5]), (np.array([-x]),)), np.ones(1)
+
+
+def _scalar_nested(p, th):
+    return scalar_F(p, scalar_layers(p, th))
+
+
+def test_point_values_match_the_scalar_walk_byte_for_byte():
+    for p, th, z, b in _value_cases():
+        pairs = [
+            (lambda: eval_layers(p, th), lambda: scalar_layers(p, th)),
+            (lambda: residuals(p, z), lambda: scalar_residuals(p, z)),
+            (lambda: eval_g(p, z.u), lambda: scalar_g(p, z.u)),
+            (lambda: eval_F(p, z), lambda: scalar_F(p, z)),
+            (lambda: eval_Theta(p, z, b), lambda: scalar_Theta(p, z, b)),
+            (lambda: eval_Psi_plus_reg(p, th), lambda: _scalar_nested(p, th)),
+            (lambda: reference_point_and_level(p, b, th), lambda: (scalar_layers(p, th), _scalar_nested(p, th))),
+        ]
+        for tapes, scalar in pairs:
+            assert _outcome(tapes) == _outcome(scalar), (p, th, z)
+
+
+_MCPEN = os.path.dirname(ex.__file__)
+
+
+def _walks(monkeypatch, run):
+    """The tapes that run passes with ``Tape.values``, and the mcpen functions it enters again while they run."""
+    passes, real = [], ex.Tape.values
+    monkeypatch.setattr(ex.Tape, "values", lambda tape, *a: passes.append(tape) or real(tape, *a))
+    stack, again = [], set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code in stack and frame.f_code.co_filename.startswith(_MCPEN):
+                again.add(frame.f_code.co_name)
+            stack.append(frame.f_code)
+        elif event == "return" and stack:
+            stack.pop()
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        monkeypatch.undo()
+    return passes, again
+
+
+def test_point_values_are_one_tape_pass_each(monkeypatch):
+    p = build_problem(desk_instance(0))
+    rng = np.random.default_rng(0)
+    th = 0.1 * rng.standard_normal(p.n)
+    z = point_from_flat(p, eval_layers(p, th).flat() + 0.01 * rng.standard_normal(p.nbar))
+    b = np.ones(p.L)
+    runs = [
+        (lambda: eval_layers(p, th), [p.chained_tape]),
+        (lambda: eval_Psi_plus_reg(p, th), [p.chained_tape]),
+        (lambda: reference_point_and_level(p, b, th), [p.chained_tape]),
+        (lambda: residuals(p, z), [p.fixed_tape]),
+        (lambda: eval_g(p, z.u), [p.outer_tape]),
+        (lambda: eval_Theta(p, z, b), [p.fixed_tape, p.outer_tape]),
+    ]
+    for run, tapes in runs:
+        # no function of the package recurses, so no node-at-a-time walk runs
+        assert _walks(monkeypatch, run) == (tapes, set())

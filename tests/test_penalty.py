@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import negative_outer_problem, random_problem
-from walkers import scalar_sample_level_set
+from walkers import scalar_g, scalar_layer, scalar_sample_level_set
 from mcpen import expr as ex
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
@@ -17,10 +17,8 @@ from mcpen.model import (
     EvaluationError,
     LayerMap,
     Point,
-    eval_g,
     eval_layers,
     eval_Theta,
-    layer_values,
     reference_point_and_level,
     residuals,
 )
@@ -144,12 +142,12 @@ def _moduli_pair_by_pair(problem, budget, seed):
         a, b = pts[i], pts[j]
         nu = np.linalg.norm(np.concatenate([x - y for x, y in zip(a.u, b.u)]))
         if nu > 1e-12:
-            K_g = max(K_g, abs(eval_g(problem, a.u) - eval_g(problem, b.u)) / nu)
+            K_g = max(K_g, abs(scalar_g(problem, a.u) - scalar_g(problem, b.u)) / nu)
         for ell in range(1, problem.L):
             npre = np.linalg.norm(np.concatenate([x - y for x, y in zip(a.u[:ell], b.u[:ell])]))
             if npre > 1e-12:
-                va = layer_values(problem, ell + 1, a.theta, a.u[:ell])
-                vb = layer_values(problem, ell + 1, a.theta, b.u[:ell])
+                va = scalar_layer(problem, ell + 1, a.theta, a.u[:ell])
+                vb = scalar_layer(problem, ell + 1, a.theta, b.u[:ell])
                 K[ell - 1] = max(K[ell - 1], float(np.linalg.norm(va - vb)) / npre)
     return float(K_g), K
 
@@ -343,8 +341,7 @@ def test_level_set_sampler_takes_few_tape_passes(monkeypatch):
         return count
 
     monkeypatch.setattr(ex.Tape, "values", counted(ex.Tape.values, lambda args: args[0]))
-    for walker in ("eval_one", "eval_many"):
-        monkeypatch.setattr(ex, walker, counted(getattr(ex, walker), lambda args: "walk"))
+    monkeypatch.setattr(ex, "eval_many", counted(ex.eval_many, lambda args: "walk"))
     # random_problem(4) accepts none of its 2,000 candidates, random_problem(9)
     # all of its first 100; a scalar loop walks each candidate's trees on its own
     for seed, accepted in ((4, 0), (9, 100)):

@@ -352,7 +352,7 @@ def test_a_search_walks_each_map_once_over_all_steps(monkeypatch):
     d, value = rng.standard_normal(problem.nbar), eval_Theta(problem, z, beta)
     passes, real = [], ex.Tape.values
     monkeypatch.setattr(ex.Tape, "values", lambda tape, *a: passes.append(tape) or real(tape, *a))
-    scalar = _counting(monkeypatch, "eval_many", "eval_one")
+    scalar = _counting(monkeypatch, "eval_many")
     solver_mod._line_search(problem, z, beta, d, value, -1.0)
     # one pass of the fixed tape holds every layer map, one of the outer tape g
     assert (passes, len(scalar)) == ([problem.fixed_tape, problem.outer_tape], 0)

@@ -1,9 +1,14 @@
 """The recursive walkers and per-layer loops that the tapes replaced, kept as oracles.
 
-``recursive_cells`` and ``recursive_cols`` walk one node at a time, as
-``expr.taylor_cells`` and ``expr.eval_cols`` did before the tapes;
-``per_layer_slopes`` and ``per_layer_curves`` call them once per map, as
-``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
+``scalar_value`` walks one tree at one point, one node at a time, as
+``expr.eval_one`` did; ``scalar_layer``, ``scalar_layers``, ``scalar_g``,
+``scalar_F``, ``scalar_residuals`` and ``scalar_Theta`` call it a map and a
+layer at a time, as ``model.layer_values``, ``eval_layers``, ``eval_g``,
+``eval_F``, ``residuals`` and ``eval_Theta`` did before they ran on the
+problem's tapes.  ``recursive_cells`` and ``recursive_cols`` walk one node
+at a time, as ``expr.taylor_cells`` and ``expr.eval_cols`` did before the
+tapes; ``per_layer_slopes`` and ``per_layer_curves`` call them once per
+map, as ``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
 ``scalar_sample_level_set`` judges one level-set candidate at a time, as
 ``penalty._sample_level_set`` did before it judged them in chunks of
 columns.  The tapes and the chunked sampler must reproduce them byte for
@@ -17,7 +22,84 @@ from typing import Sequence
 import numpy as np
 
 from mcpen import expr as ex
-from mcpen.model import EvaluationError, Point, eval_F, layer_values, split_flat
+from mcpen.model import (
+    EvaluationError,
+    Point,
+    Residuals,
+    _residual_summary,
+    check_beta,
+    check_point,
+    checked_g,
+    split_flat,
+)
+
+# Python's own scalar arithmetic for each kink rule of the op table
+_SCALAR_RULES = {ex.MAX: max, ex.ABS: lambda a, _: abs(a)}
+
+
+def scalar_value(e: ex.Expr, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> float:
+    """The value of one tree at one point, one node at a time."""
+    return _value(e, (th, *ublocks))
+
+
+def _value(e: ex.Expr, blocks: Sequence[np.ndarray]) -> float:
+    family, data = e.family, e.data
+    if family == ex.LEAF:
+        return e.value if data is None else float(blocks[data][e.ref])
+    if family == ex.KINK:
+        branch, scale, rule = data
+        a = _value(e.args[0], blocks)
+        return _SCALAR_RULES[rule](a, scale * a if branch is None else _value(branch, blocks))
+    if family == ex.LINEAR:
+        weights, acc = data
+        for w, a in zip(weights, e.args):
+            t = w * _value(a, blocks)
+            acc = t if acc is None else acc + t
+        return acc
+    pairs, acc = data
+    for i, j in pairs:
+        a = _value(e.args[i], blocks)
+        t = a * (a if i == j else _value(e.args[j], blocks))
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def scalar_layer(problem, k, th, ublocks):
+    """The map defining block k (1-based) at one point; ``EvaluationError`` if not finite."""
+    vals = np.array([scalar_value(e, th, ublocks) for e in problem.layers[k - 1].exprs], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(k, f"layer {k} evaluated to a non-finite value")
+    return vals
+
+
+def scalar_layers(problem, th):
+    """The feasible lift of theta, a layer at a time."""
+    blocks = []
+    for k in range(1, problem.L + 1):
+        blocks.append(scalar_layer(problem, k, th, blocks))
+    return Point(th.copy(), tuple(blocks))
+
+
+def scalar_g(problem, ublocks):
+    return checked_g(problem, scalar_value(problem.outer, np.zeros(problem.n), ublocks))
+
+
+def scalar_F(problem, z):
+    check_point(problem, z)
+    return scalar_g(problem, z.u) + problem.lam * float(z.theta @ z.theta)
+
+
+def scalar_residuals(problem, z):
+    check_point(problem, z)
+    per_layer = [u - scalar_layer(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
+    l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
+    return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
+
+
+def scalar_Theta(problem, z, beta):
+    b = check_beta(problem, beta)
+    l1 = scalar_residuals(problem, z).l1
+    return scalar_F(problem, z) + float(np.dot(b, l1))
 
 
 def recursive_cols(exprs, TH, UBLOCKS):
@@ -34,7 +116,7 @@ def _cols(e: ex.Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
     if family == ex.KINK:
         branch, scale, rule = data
         a = _cols(e.args[0], blocks, m)
-        return rule.cols(a, scale * a if branch is None else _cols(branch, blocks, m))
+        return rule(a, scale * a if branch is None else _cols(branch, blocks, m))
     if family == ex.LINEAR:
         weights, acc = data
         acc = None if acc is None else np.full(m, acc)
@@ -226,12 +308,12 @@ def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
         l1 = []
         try:
             for k in range(1, problem.L + 1):
-                base = layer_values(problem, k, th, blocks)
+                base = scalar_layer(problem, k, th, blocks)
                 rad = gamma_bar / beta[k - 1]
                 blocks.append(base + rng.uniform(-rad, rad, size=base.size))
                 l1.append(float(np.sum(np.abs(blocks[-1] - base))))
             z = Point(th, tuple(blocks))
-            accept = eval_F(problem, z) + float(np.dot(beta, l1)) <= gamma_bar
+            accept = scalar_F(problem, z) + float(np.dot(beta, l1)) <= gamma_bar
         except EvaluationError:
             continue
         if accept:
