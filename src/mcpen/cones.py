@@ -48,7 +48,7 @@ def _tangent(problem: CompositeProblem, z: Point, d: Direction, order: int):
     batch = _as_batch(problem, d)
     require_feasible(problem, z)
     slopes = residual_slopes(problem, z, *batch, order=order)
-    violations = [w[:, 0] for _, w, _, _ in slopes]
+    violations = [slopes.first[rows, 0] for rows in problem.layer_rows]
     for k, v in enumerate(violations, start=1):
         if not np.all(np.isfinite(v)):
             raise EvaluationError(k, f"layer {k} first derivative not finite along d")
@@ -114,7 +114,8 @@ def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> Cone
         return membership
     notes: list[str] = []
     second_known = True
-    for k, (_, _, psi2, bad2) in enumerate(slopes, start=1):
+    for k, rows in enumerate(problem.layer_rows, start=1):
+        psi2, bad2 = slopes.second[rows], slopes.bad2[rows]
         if bad2.any() or not np.all(np.isfinite(psi2)):
             second_known = False
             why = "unsupported" if bad2.any() else "not finite"

@@ -12,13 +12,14 @@ is kept free of any shared code path with the structural rules, so the two
 can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
-per-column arrays; the scalar API wraps batch width one.  Each batch runs
-one pass of each tape it needs: the outer tape for F (``dd_F_batch``); the
-fixed tape, whose ``u`` leaves read the point's blocks, for the residual
-slopes of every layer (``residual_slopes``) and, with the outer tape, for
-Theta (``dd_Theta_batch``); the chained tape, the layer maps and then g
-with each ``u`` leaf standing for the map that defines it, for the tangent
-lift (``forward_curves``) and the nested objective (``dd_Psi_batch``).
+per-column arrays, the same bytes for a column alone or in a batch; the
+scalar API wraps batch width one.  Each batch runs one pass of each tape it
+needs: the outer tape for F (``dd_F_batch``); the fixed tape, whose ``u``
+leaves read the point's blocks, for the stacked residual slopes of every
+layer (``residual_slopes``) and, with the outer tape, for Theta
+(``dd_Theta_batch``); the chained tape, the layer maps and then g with each
+``u`` leaf standing for the map that defines it, for the tangent lift
+(``forward_curves``) and the nested objective (``dd_Psi_batch``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
     eval_F,
     eval_g,
     eval_Theta,
+    row_dots,
     split_flat,
 )
 
@@ -127,22 +129,12 @@ def dd_expr(e: ex.Expr, x: np.ndarray, d: np.ndarray, order: int = 1) -> DDValue
 
 
 def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: np.ndarray, order: int):
-    """First and second coefficients of g plus the ridge lambda*||theta||^2."""
-    first = gcell.first + 2.0 * problem.lam * (th @ DTH)
+    """First and second coefficients of g plus the ridge lambda*||theta||^2, by one dot per column of DTH."""
+    D = np.ascontiguousarray(DTH.T)
+    first = gcell.first + 2.0 * problem.lam * row_dots(D, th)
     if order == 2:
-        return first, gcell.second + 2.0 * problem.lam * np.sum(DTH * DTH, axis=0)
+        return first, gcell.second + 2.0 * problem.lam * row_dots(D, D)
     return first, None
-
-
-def dd_F_and_slopes(
-    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
-):
-    """F's derivatives and every layer's residual slopes at z: a pass of the outer tape, one of the fixed.
-
-    Returns ((first, second, bad, kinked), slopes): the first part is
-    ``dd_F_batch``'s, the second ``residual_slopes``'.
-    """
-    return _F(problem, z.theta, z.u, DTH, DU, order), residual_slopes(problem, z, DTH, DU, order)
 
 
 def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int):
@@ -165,61 +157,66 @@ def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> D
 
 def residual_slopes(
     problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1
-) -> list[tuple]:
-    """Per layer, the Taylor data of its map at z along (DTH, DU), from one pass of the fixed tape.
+) -> ex.Cells:
+    """The ``Cells`` of one fixed-tape pass at z along (DTH, DU), ``first`` replaced by the slopes DU - psi'(z; d).
 
-    Per layer k = 1..L: (value, w, second, bad2).  ``value`` is psi_{k-1}(z)
-    from the Taylor data, ``w = DU_k - psi'_{k-1}(z; d)`` the residual slopes
-    with one column per direction, and at order 2 ``second``/``bad2`` the
-    stacked second coefficients and their flags (None at order 1).  At a
-    feasible z, d is tangent exactly when every w vanishes.
+    At a feasible z, d is tangent exactly when every slope vanishes.
     """
     cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, order)
-    slopes = []
-    for du, r in zip(DU, problem.layer_rows):
-        second = (cells.second[r], cells.bad2[r]) if order == 2 else (None, None)
-        slopes.append((cells.value[r], du - cells.first[r], *second))
-    return slopes
+    return cells._replace(first=np.concatenate(DU) - cells.first)
 
 
 def dd_Theta_batch(
-    problem: CompositeProblem,
-    z: Point,
-    DTH: np.ndarray,
-    DU: Sequence[np.ndarray],
-    beta: np.ndarray,
-    order: int = 1,
+    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta: np.ndarray, order: int = 1
 ):
     """Batched Theta derivatives: returns (first, second, bad, kinked) arrays.
 
-    The penalty contribution follows the exact expansion of each l1 term:
-    components with strictly signed residual contribute the signed residual
-    derivative at first order and the signed negative of the layer map's
-    second derivative at second order; components with zero residual
-    contribute the absolute residual derivative, with the tie broken by its
-    sign at second order.
+    Each l1 term expands exactly: a component with signed residual adds
+    its signed residual slope at first order and the signed negative of the
+    map's second derivative at second order; one with zero residual adds
+    the absolute slope, its sign breaking the tie at second order.  All
+    layers' terms are read off the stacked rows of ``residual_slopes``,
+    summed by ``_layer_folds`` and added to F's in layer order.
     """
-    (first, second, bad, kinked), slopes = dd_F_and_slopes(problem, z, DTH, DU, order)
-    for uk, bk, (psi_val, w, psi_second, bad2) in zip(z.u, beta, slopes):
-        rho = uk - psi_val
-        pos = rho > FEAS_TOL
-        neg = rho < -FEAS_TOL
-        zer = ~(pos | neg)
-        first += bk * (
-            np.sum(w[pos], axis=0) - np.sum(w[neg], axis=0) + np.sum(np.abs(w[zer]), axis=0)
-        )
-        kinked = kinked | (np.abs(w[zer]) > KINK_TOL).any(axis=0)
-        if order == 2:
-            bad = bad | bad2.any(axis=0)
-            zsel = np.where(
-                w > KINK_TOL, -psi_second, np.where(w < -KINK_TOL, psi_second, np.abs(psi_second))
-            )
-            second += bk * (
-                -np.sum(psi_second[pos], axis=0)
-                + np.sum(psi_second[neg], axis=0)
-                + np.sum(zsel[zer], axis=0)
-            )
+    first, second, bad, kinked = _F(problem, z.theta, z.u, DTH, DU, order)
+    cells = residual_slopes(problem, z, DTH, DU, order)
+    rho, W = np.concatenate(z.u) - cells.value, cells.first
+    pos, neg = rho > FEAS_TOL, rho < -FEAS_TOL
+    zer = ~(pos | neg)
+    kinked = kinked | (np.abs(W[zer]) > KINK_TOL).any(axis=0)
+    masks, terms = [pos, neg, zer], [W, W, np.abs(W)]
+    if order == 2:
+        S = cells.second
+        bad = bad | cells.bad2.any(axis=0)
+        masks += masks
+        terms += [S, S, np.where(W > KINK_TOL, -S, np.where(W < -KINK_TOL, S, np.abs(S)))]
+    sums = _layer_folds(problem, np.where(np.array(masks)[:, :, None], terms, -0.0))
+    b = np.asarray(beta, dtype=float)[:, None]
+    first = _in_layer_order(first, b * (sums[0] - sums[1] + sums[2]))
+    if order == 2:
+        second = _in_layer_order(second, b * (-sums[3] + sums[4] + sums[5]))
     return first, second, bad, kinked
+
+
+def _layer_folds(problem: CompositeProblem, T: np.ndarray) -> np.ndarray:
+    """Per layer, 0.0 + t_1 + t_2 + ... over its rows in order: (k, R, m) -> (k, L, m).
+
+    So ``np.sum(T_l, axis=0)`` adds two or more columns; here any width does.
+    Step i adds row i of every layer, -0.0 where a layer has no row i.
+    """
+    k, R, m = T.shape
+    at = problem.layer_of_row
+    P = np.full((max(problem.widths), k, problem.L, m), -0.0)
+    P[np.arange(R) - problem.layer_starts[at], :, at] = T.transpose(1, 0, 2)
+    S = np.zeros((k, problem.L, m))
+    for rows in P:
+        S = S + rows
+    return S
+
+
+def _in_layer_order(acc: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """((acc + T[0]) + T[1]) + ...: the layers' terms (L, m) added to acc in layer order."""
+    return np.cumsum(np.vstack([acc[None], T]), axis=0)[-1]
 
 
 def dd_Theta(

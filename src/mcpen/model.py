@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,11 +93,11 @@ class CompositeProblem:
     def L(self) -> int:
         return len(self.layers)
 
-    @property
+    @cached_property
     def widths(self) -> tuple[int, ...]:
         return tuple(lm.width for lm in self.layers)
 
-    @property
+    @cached_property
     def nbar(self) -> int:
         """Dimension of the lifted variable z = (theta, u_1, ..., u_L)."""
         return self.n + sum(self.widths)
@@ -107,6 +107,21 @@ class CompositeProblem:
         """Per layer, its rows among the roots of ``fixed_tape`` and ``chained_tape``."""
         ends = np.cumsum(self.widths).tolist()
         return tuple(slice(end - w, end) for end, w in zip(ends, self.widths))
+
+    @cached_property
+    def layer_of_row(self) -> np.ndarray:
+        """The 0-based layer of each layer row; ``layer_starts`` holds each layer's first row."""
+        return np.repeat(np.arange(self.L), self.widths)
+
+    @cached_property
+    def layer_starts(self) -> np.ndarray:
+        return np.cumsum([0, *self.widths[:-1]])
+
+    @cached_property
+    def width_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per distinct width w: the layers of that width and their rows, shape (k, w)."""
+        w = np.array(self.widths)
+        return tuple((np.flatnonzero(w == v), self.layer_starts[w == v, None] + np.arange(v)) for v in sorted(set(w)))
 
     @cached_property
     def fixed_tape(self) -> ex.Tape:
@@ -146,12 +161,13 @@ class Point:
 
 @dataclass
 class Residuals:
-    """Layer equation residuals rho_l = u_l - psi_{l-1}(theta, u_1..u_{l-1})."""
+    """Layer equation residuals rho_l = u_l - psi_{l-1}(theta, u_1..u_{l-1}), with each layer's largest |rho|."""
 
     per_layer: list[np.ndarray]
     l1: list[float]
     max_abs: float
     feasible: bool
+    layer_max: list[float]
 
 
 def check_blocks(
@@ -198,9 +214,10 @@ def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
 def layer_values(problem: CompositeProblem, tape: ex.Tape, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
     """The roots of ``tape`` (fixed or chained) at one point; ``EvaluationError`` names the first non-finite layer."""
     vals = ex.eval_many(tape, th, ublocks)
-    for k, rows in enumerate(problem.layer_rows, start=1):
-        if not np.isfinite(vals[rows]).all():
-            raise EvaluationError(k, f"layer {k} evaluated to a non-finite value")
+    bad = ~np.isfinite(vals[: problem.layer_of_row.size])
+    if bad.any():
+        k = int(problem.layer_of_row[bad.argmax()]) + 1
+        raise EvaluationError(k, f"layer {k} evaluated to a non-finite value")
     return vals
 
 
@@ -247,25 +264,30 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 
 
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
-    """The residuals at z from one ``fixed_tape`` pass."""
-    check_point(problem, z)
-    X = layer_values(problem, problem.fixed_tape, z.theta, z.u)
-    per_layer = [u - X[rows] for u, rows in zip(z.u, problem.layer_rows)]
-    l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
-    return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
+    """The residuals at z from one ``fixed_tape`` pass and one subtraction of the stacked rows.
 
-
-def _residual_summary(R: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """l1 norms (L, m), largest |rho| (m,) and feasibility (m,) of residual columns R_l (w_l, m).
-
-    Column j is byte for byte the summary of column j alone: each l1 norm
-    sums one contiguous row, as ``np.sum`` of a vector does, and the layer
-    maxima fold in layer order by Python's ``max``, NaN included.
+    The layer maxima fold as Python's ``max`` folds them: NaN if layer 1's
+    is NaN, else the largest that is not.
     """
-    A = [np.abs(r) for r in R]
-    l1 = np.array([np.ascontiguousarray(a.T).sum(axis=1) for a in A])
-    max_abs = reduce(ex.MAX, [a.max(axis=0) for a in A])
-    return l1, max_abs, max_abs <= FEAS_TOL
+    check_point(problem, z)
+    rho = np.concatenate(z.u) - layer_values(problem, problem.fixed_tape, z.theta, z.u)
+    A = np.abs(rho)
+    layer_max = np.maximum.reduceat(A, problem.layer_starts)
+    max_abs = float(layer_max[0] if np.isnan(layer_max[0]) else np.fmax.reduce(layer_max))
+    l1 = _residual_summary(problem, A[:, None])[:, 0].tolist()
+    return Residuals([rho[r] for r in problem.layer_rows], l1, max_abs, max_abs <= FEAS_TOL, layer_max.tolist())
+
+
+def _residual_summary(problem: CompositeProblem, A: np.ndarray) -> np.ndarray:
+    """Per layer, the l1 norms (L, m) of stacked |rho| columns A (R, m), each ``np.sum`` of the layer's column.
+
+    ``np.sum`` of a vector adds left to right below 8 entries and pairwise
+    from 8 up, so each distinct layer width gets one reduction of its own.
+    """
+    l1 = np.empty((problem.L, A.shape[1]))
+    for at, rows in problem.width_groups:
+        l1[at] = np.ascontiguousarray(A.T[:, rows]).sum(axis=-1).T
+    return l1
 
 
 def require_feasible(problem: CompositeProblem, z: Point) -> None:
@@ -281,7 +303,7 @@ def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> fl
     check_point(problem, z)
     X = layer_values(problem, problem.fixed_tape, z.theta, z.u)
     g = eval_g(problem, z.u)
-    U = [u[:, None] for u in z.u]
+    U = np.concatenate(z.u)[:, None]
     return float(penalized_cols(problem, z.theta[:, None], U, X[:, None], np.array([g]), b)[0])
 
 
@@ -306,23 +328,23 @@ def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> 
     TH, U = split_flat(problem, Z)
     X = problem.fixed_tape.values(TH, U)
     g = problem.outer_tape.values(TH, U)[0]
-    F = penalized_cols(problem, TH, U, X, g, b)
+    F = penalized_cols(problem, TH, Z[problem.n :], X, g, b)
     F[~(np.isfinite(X).all(axis=0) & np.isfinite(g)) | (g < G_WARN_BELOW)] = np.nan
     return F
 
 
 def penalized_cols(
-    problem: CompositeProblem, TH: np.ndarray, U: Sequence[np.ndarray], X: np.ndarray, g: np.ndarray, b: np.ndarray
+    problem: CompositeProblem, TH: np.ndarray, U: np.ndarray, X: np.ndarray, g: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Theta at the columns of TH and U from the maps' values X there (``fixed_tape`` roots) and g.
+    """Theta at the columns of TH and stacked blocks U from the maps' values X there (``fixed_tape`` roots) and g.
 
     Value j is ``eval_Theta``'s sum at column j byte for byte, whatever X
     and g hold; nothing is masked and nothing warns.
     """
     with np.errstate(all="ignore"):
-        R = [u - X[r] for u, r in zip(U, problem.layer_rows)]
+        A = np.abs(U - X)
         rows = np.ascontiguousarray(TH.T)
-        return g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(R)[0].T, b)
+        return g + problem.lam * row_dots(rows, rows) + row_dots(_residual_summary(problem, A).T, b)
 
 
 def row_dots(A: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -205,7 +205,7 @@ def _sample_level_set(
                 U[k - 1] = X[rows] + U[k - 1]
             g = problem.outer_tape.values(TH, U)[0]
             alive &= np.isfinite(g)
-            code += alive & (penalized_cols(problem, TH, U, X, g, beta) <= gamma_bar)
+            code += alive & (penalized_cols(problem, TH, np.concatenate(U), X, g, beta) <= gamma_bar)
         return code, alive & (g < G_WARN_BELOW), g, np.vstack([TH, *U])
 
     def keep(z: np.ndarray, noise: np.ndarray, e: float) -> None:
@@ -381,11 +381,7 @@ def feasibility_descent_direction(
     """
     res = residuals(problem, z)
     if layer is None:
-        infeasible = [
-            k
-            for k in range(1, problem.L + 1)
-            if float(np.max(np.abs(res.per_layer[k - 1]))) > FEAS_TOL
-        ]
+        infeasible = [k for k, largest in enumerate(res.layer_max, start=1) if largest > FEAS_TOL]
         if not infeasible:
             raise ValueError("point is feasible; no residual to correct")
         layer = infeasible[-1]

@@ -135,8 +135,8 @@ def _probe_directions(
     G = rng.standard_normal((nbar, PROBE_PAIRS))
     G /= np.maximum(np.linalg.norm(G, axis=0), 1e-300)
     cols = [G, -G, np.eye(nbar), -np.eye(nbar)]
-    for k in range(1, problem.L + 1):
-        if float(np.max(np.abs(res.per_layer[k - 1]), initial=0.0)) > 1e-11:
+    for k, largest in enumerate(res.layer_max, start=1):
+        if largest > 1e-11:
             f = feasibility_descent_direction(problem, z, k).flat()
             nf = np.linalg.norm(f)
             if nf > 1e-300:

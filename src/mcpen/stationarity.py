@@ -30,8 +30,10 @@ from . import pieces
 from .cones import lift_direction, lift_direction_batch, radial_membership
 from .dcalc import (
     Direction,
+    _F,
+    _in_layer_order,
+    _layer_folds,
     dd_F,
-    dd_F_and_slopes,
     dd_F_batch,
     dd_Psi,
     dd_Theta,
@@ -206,11 +208,10 @@ def _tangent_second_batch(
     DU = lift_direction_batch(problem, z, DTH)
     if beta is None:
         return dd_F_batch(problem, z, DTH, DU, order=2)[:3]
-    (first, phi2, bad, _), slopes = dd_F_and_slopes(problem, z, DTH, DU, order=2)
-    for bk, (_, _, psi2, bad2) in zip(beta, slopes):
-        phi2 += sign * bk * np.sum(np.abs(psi2), axis=0)
-        bad = bad | bad2.any(axis=0)
-    return first, phi2, bad
+    first, phi2, bad, _ = _F(problem, z.theta, z.u, DTH, DU, 2)
+    cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, 2)
+    terms = (sign * np.asarray(beta))[:, None] * _layer_folds(problem, np.abs(cells.second)[None])[0]
+    return first, _in_layer_order(phi2, terms), bad | cells.bad2.any(axis=0)
 
 
 def _curvature(problem: CompositeProblem, z: Point, d: Direction, beta) -> float | None:

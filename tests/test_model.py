@@ -11,7 +11,7 @@ from conftest import _rand_expr, blowup_problem, half_square_chain, negative_out
 from walkers import scalar_F, scalar_g, scalar_layers, scalar_residuals, scalar_Theta
 from mcpen import expr as ex
 from mcpen.cones import lift_direction, tangent_membership
-from mcpen.dcalc import zeros_direction
+from mcpen.dcalc import dd_Theta_batch, zeros_direction
 from mcpen.model import (
     FEAS_TOL,
     CompositeProblem,
@@ -257,7 +257,8 @@ def _result_bytes(r):
     if isinstance(r, Point):
         return (r.theta.tobytes(), *(u.tobytes() for u in r.u))
     if isinstance(r, Residuals):
-        return (*(x.tobytes() for x in r.per_layer), np.array(r.l1).tobytes(), _bytes(r.max_abs), r.feasible)
+        sums = (np.array(r.l1).tobytes(), np.array(r.layer_max).tobytes(), _bytes(r.max_abs), r.feasible)
+        return (*(x.tobytes() for x in r.per_layer), *sums)
     return type(r), _bytes(r)
 
 
@@ -281,6 +282,14 @@ def _value_cases():
             th = s * rng.standard_normal(p.n)
             z = Point(th, tuple(s * rng.standard_normal(w) for w in p.widths))
             yield p, th, z, rng.uniform(0.1, 2.0, p.L)
+    # the desk RNN with layers of 8 and 10 rows, whose l1 norms np.sum adds pairwise
+    for seed in range(2):
+        p = build_problem(desk_instance(seed, n0=2, n1=8, n2=1, t=10))
+        rng = np.random.default_rng(seed)
+        th = 0.1 * rng.standard_normal(p.n)
+        lift = scalar_layers(p, th)
+        z = Point(th, tuple(u + 1e-3 * rng.choice([-1.0, 0.0, 1.0], u.size) for u in lift.u))
+        yield p, th, z, rng.uniform(0.1, 2.0, p.L)
     # layer 2 past the float range; g below zero; g past the float range
     for p in (blowup_problem("mul"), blowup_problem("sqnorm"), half_square_chain()):
         for x in (0.25, 0.5, 1e200):
@@ -314,9 +323,10 @@ _MCPEN = os.path.dirname(ex.__file__)
 
 
 def _walks(monkeypatch, run):
-    """The tapes that run passes with ``Tape.values``, and the mcpen functions it enters again while they run."""
-    passes, real = [], ex.Tape.values
-    monkeypatch.setattr(ex.Tape, "values", lambda tape, *a: passes.append(tape) or real(tape, *a))
+    """The tapes of run's ``Tape.values`` and ``Tape.cells`` passes, and the mcpen functions it enters again."""
+    passes, cells, values, taylor = [], [], ex.Tape.values, ex.Tape.cells
+    monkeypatch.setattr(ex.Tape, "values", lambda tape, *a: passes.append(tape) or values(tape, *a))
+    monkeypatch.setattr(ex.Tape, "cells", lambda tape, *a: cells.append(tape) or taylor(tape, *a))
     stack, again = [], set()
 
     def profile(frame, event, arg):
@@ -333,7 +343,7 @@ def _walks(monkeypatch, run):
     finally:
         sys.setprofile(None)
         monkeypatch.undo()
-    return passes, again
+    return passes, cells, again
 
 
 def test_point_values_are_one_tape_pass_each(monkeypatch):
@@ -352,4 +362,10 @@ def test_point_values_are_one_tape_pass_each(monkeypatch):
     ]
     for run, tapes in runs:
         # no function of the package recurses, so no node-at-a-time walk runs
-        assert _walks(monkeypatch, run) == (tapes, set())
+        assert _walks(monkeypatch, run) == (tapes, [], set())
+    DTH = rng.standard_normal((p.n, 3))
+    DU = [rng.standard_normal((w, 3)) for w in p.widths]
+    for m in (1, 3):
+        for order in (1, 2):
+            run = lambda: dd_Theta_batch(p, z, DTH[:, :m], [du[:, :m] for du in DU], b, order)  # noqa: E731
+            assert _walks(monkeypatch, run) == ([], [p.outer_tape, p.fixed_tape], set())

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_problem
-from mcpen import dcalc
 from mcpen import expr as ex
 from mcpen.cones import lift_direction_batch
 from mcpen.dcalc import (
@@ -20,7 +19,14 @@ from mcpen.dcalc import (
 from mcpen.model import Point, eval_g, eval_layers
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
-from walkers import per_layer_curves, per_layer_slopes, recursive_cells, recursive_cols, scalar_value
+from walkers import (
+    per_layer_curves,
+    per_layer_slopes,
+    per_layer_Theta,
+    recursive_cells,
+    recursive_cols,
+    scalar_value,
+)
 
 WIDTHS = (1, 2, 7)
 
@@ -99,6 +105,12 @@ def test_fixed_tape_matches_the_recursion_map_by_map(m):
                 _same(tape.values(TH, U), ref)
 
 
+def _by_layer(p, slopes):
+    """Stacked ``residual_slopes`` as the per-layer (value, w, second, bad2) of ``per_layer_slopes``."""
+    fields = (slopes.value, slopes.first, slopes.second, slopes.bad2)
+    return [tuple(None if x is None else x[rows] for x in fields) for rows in p.layer_rows]
+
+
 @pytest.mark.parametrize("m", WIDTHS)
 def test_residual_slopes_and_F_match_the_per_layer_loop(m):
     rng = np.random.default_rng(10 + m)
@@ -107,7 +119,7 @@ def test_residual_slopes_and_F_match_the_per_layer_loop(m):
             DTH, DU = _rays(rng, p, m)
             for order in (1, 2):
                 want = per_layer_slopes(p, z, DTH, DU, order)
-                for got, want in zip(residual_slopes(p, z, DTH, DU, order), want):
+                for got, want in zip(_by_layer(p, residual_slopes(p, z, DTH, DU, order)), want):
                     for a, b in zip(got, want):
                         _same(a, b)
                 (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
@@ -236,12 +248,12 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
 
 
 def _recursive_F_and_slopes(p, z, DTH, DU, order=1):
-    """``dcalc.dd_F_and_slopes`` from the recursive walkers."""
+    """F's (first, second, bad, kinked) and every layer's (value, w, second, bad2), from the recursive walkers."""
     (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
     return (*_plus_ridge(p, g, z.theta, DTH, order), g.bad2, g.kinked), per_layer_slopes(p, z, DTH, DU, order)
 
 
-def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion(monkeypatch):
+def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion():
     # the outer function repeats layer 2's subtree, which lives on the fixed tape
     from mcpen.model import CompositeProblem, LayerMap
 
@@ -263,8 +275,67 @@ def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion(mo
                 for a, b in zip(dd_F_batch(p, point, D, DU, order), want_F):
                     _same(a, b)
                 got = dd_Theta_batch(p, point, D, DU, beta, order)
-                with monkeypatch.context() as patch:
-                    patch.setattr(dcalc, "dd_F_and_slopes", _recursive_F_and_slopes)
-                    want = dd_Theta_batch(p, point, D, DU, beta, order)
+                want = per_layer_Theta(*_recursive_F_and_slopes(p, point, D, DU, order), point, beta, order)
                 for a, b in zip(got, want):
                     _same(a, b)
+
+
+def _sparse_residuals(rng, p, z):
+    """z with about half its block entries moved by +-1e-3, so every layer mixes signed and zero residuals."""
+    return Point(z.theta, tuple(u + 1e-3 * rng.choice([-1.0, 0.0, 0.0, 1.0], u.size) for u in z.u))
+
+
+def _desk8(seed):
+    """The desk RNN whose layers have 8 rows or more, at a lift with sparse 1e-3 residuals."""
+    p, rng = build_problem(desk_instance(seed, n0=2, n1=8, n2=1, t=10)), np.random.default_rng(seed)
+    return p, _sparse_residuals(rng, p, eval_layers(p, 0.1 * rng.standard_normal(p.n)))
+
+
+def _column_cases():
+    """(problem, point): the 8-row desk, seeds 0-5, and random problems 0-59 at lifts with ties, sparse residuals."""
+    out = [_desk8(seed) for seed in range(6)]
+    for seed in range(60):
+        p, rng = random_problem(seed), np.random.default_rng(seed)
+        out.append((p, _sparse_residuals(rng, p, eval_layers(p, np.round(rng.uniform(-1.0, 1.0, p.n), 1)))))
+    return out
+
+
+def test_a_column_reads_the_same_bytes_alone_or_in_a_batch():
+    rng = np.random.default_rng(30)
+    with np.errstate(all="ignore"):
+        for p, z in _column_cases():
+            DTH, DU = _rays(rng, p, 7)
+            beta = rng.uniform(0.5, 2.0, p.L)
+            for order in (1, 2):
+                batches = (
+                    lambda D, U: dd_Theta_batch(p, z, D, U, beta, order),
+                    lambda D, U: dd_F_batch(p, z, D, U, order),
+                    lambda D, U: dd_Psi_batch(p, z.theta, D, order)[1:],
+                )
+                for batch in batches:
+                    wide = batch(DTH, DU)
+                    for c in range(7):
+                        alone = batch(DTH[:, [c]], [du[:, [c]] for du in DU])
+                        for a, b in zip(wide, alone):
+                            _same(None if a is None else a[[c]], b)
+
+
+def test_Theta_batches_match_the_per_layer_loop_over_two_or_more_columns():
+    # at widths >= 2 np.sum over rows is a left-to-right fold, as the stacked sums are at any width
+    rng = np.random.default_rng(40)
+    cases = []
+    for p, z in _column_cases():
+        lift = eval_layers(p, z.theta)
+        off = Point(z.theta, tuple(u + rng.standard_normal(u.size) for u in lift.u))
+        cases += [(p, lift), (p, z), (p, off)]
+    with np.errstate(all="ignore"):
+        for p, z in cases:
+            beta = rng.uniform(0.5, 2.0, p.L)
+            for m in (2, 7):
+                DTH, DU = _rays(rng, p, m)
+                for order in (1, 2):
+                    slopes = _by_layer(p, residual_slopes(p, z, DTH, DU, order))
+                    want = per_layer_Theta(dd_F_batch(p, z, DTH, DU, order), slopes, z, beta, order)
+                    for a, b in zip(dd_Theta_batch(p, z, DTH, DU, beta, order), want):
+                        _same(a, b)
+

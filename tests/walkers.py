@@ -5,10 +5,15 @@
 ``scalar_F``, ``scalar_residuals`` and ``scalar_Theta`` call it a map and a
 layer at a time, as ``model.layer_values``, ``eval_layers``, ``eval_g``,
 ``eval_F``, ``residuals`` and ``eval_Theta`` did before they ran on the
-problem's tapes.  ``recursive_cells`` and ``recursive_cols`` walk one node
+problem's tapes; ``scalar_residuals`` sums and folds each layer's vector
+with ``np.sum`` and Python's ``max``, as the model did before it read them
+off stacked rows.  ``recursive_cells`` and ``recursive_cols`` walk one node
 at a time, as ``expr.taylor_cells`` and ``expr.eval_cols`` did before the
 tapes; ``per_layer_slopes`` and ``per_layer_curves`` call them once per
 map, as ``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
+``per_layer_Theta`` adds Theta's penalty terms a layer at a time with
+``np.sum``, as ``dcalc.dd_Theta_batch`` did before it folded the stacked
+rows; over two or more columns it must match byte for byte.
 ``scalar_sample_level_set`` judges one level-set candidate at a time, as
 ``penalty._sample_level_set`` did before it judged them in chunks of
 columns.  The tapes and the chunked sampler must reproduce them byte for
@@ -22,11 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from mcpen import expr as ex
+from mcpen.dcalc import KINK_TOL
 from mcpen.model import (
+    FEAS_TOL,
     EvaluationError,
     Point,
     Residuals,
-    _residual_summary,
     check_beta,
     check_point,
     checked_g,
@@ -90,10 +96,13 @@ def scalar_F(problem, z):
 
 
 def scalar_residuals(problem, z):
+    """Each layer's residual vector, its ``np.sum`` l1 norm and largest |rho|, folded by Python's ``max``."""
     check_point(problem, z)
     per_layer = [u - scalar_layer(problem, k, z.theta, z.u) for k, u in enumerate(z.u, start=1)]
-    l1, max_abs, feasible = _residual_summary([r[:, None] for r in per_layer])
-    return Residuals(per_layer, l1[:, 0].tolist(), float(max_abs[0]), bool(feasible[0]))
+    l1 = [float(np.sum(np.abs(r))) for r in per_layer]
+    layer_max = [float(np.max(np.abs(r))) for r in per_layer]
+    max_abs = reduce(max, layer_max)
+    return Residuals(per_layer, l1, max_abs, bool(max_abs <= FEAS_TOL), layer_max)
 
 
 def scalar_Theta(problem, z, beta):
@@ -270,6 +279,29 @@ def per_layer_slopes(problem, z, DTH, DU, order=1):
         else:
             out.append((_stack(cells, "value"), w, None, None))
     return out
+
+
+def per_layer_Theta(F, slopes, z, beta, order=1):
+    """``dcalc.dd_Theta_batch``'s sum a layer at a time: F's (first, second, bad, kinked) plus each penalty term.
+
+    ``slopes`` are per layer (value, w, second, bad2), as ``per_layer_slopes``
+    gives them; each term's sums are ``np.sum`` over the selected rows.
+    """
+    first, second, bad, kinked = F
+    for uk, bk, (psi_val, w, psi_second, bad2) in zip(z.u, beta, slopes):
+        rho = uk - psi_val
+        pos = rho > FEAS_TOL
+        neg = rho < -FEAS_TOL
+        zer = ~(pos | neg)
+        first = first + bk * (np.sum(w[pos], axis=0) - np.sum(w[neg], axis=0) + np.sum(np.abs(w[zer]), axis=0))
+        kinked = kinked | (np.abs(w[zer]) > KINK_TOL).any(axis=0)
+        if order == 2:
+            bad = bad | bad2.any(axis=0)
+            zsel = np.where(w > KINK_TOL, -psi_second, np.where(w < -KINK_TOL, psi_second, np.abs(psi_second)))
+            second = second + bk * (
+                -np.sum(psi_second[pos], axis=0) + np.sum(psi_second[neg], axis=0) + np.sum(zsel[zer], axis=0)
+            )
+    return first, second, bad, kinked
 
 
 def per_layer_curves(problem, th, DTH, order=1):
