@@ -266,14 +266,14 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
 def residuals(problem: CompositeProblem, z: Point) -> Residuals:
     """The residuals at z from one ``fixed_tape`` pass and one subtraction of the stacked rows.
 
-    The layer maxima fold as Python's ``max`` folds them: NaN if layer 1's
-    is NaN, else the largest that is not.
+    ``max_abs`` is the largest layer maximum, NaN if any layer's is, and a
+    NaN never reads feasible.
     """
     check_point(problem, z)
     rho = np.concatenate(z.u) - layer_values(problem, problem.fixed_tape, z.theta, z.u)
     A = np.abs(rho)
     layer_max = np.maximum.reduceat(A, problem.layer_starts)
-    max_abs = float(layer_max[0] if np.isnan(layer_max[0]) else np.fmax.reduce(layer_max))
+    max_abs = float(np.max(layer_max))
     l1 = _residual_summary(problem, A[:, None])[:, 0].tolist()
     return Residuals([rho[r] for r in problem.layer_rows], l1, max_abs, max_abs <= FEAS_TOL, layer_max.tolist())
 

@@ -2,20 +2,23 @@
 
 First-order checks minimize the relevant directional derivative over the unit
 l1 ball with one mixed-integer program (``pieces.theta_prime_min`` and its
-siblings), and the verdict comes from HiGHS's bounds: stationary when the
-lower bound on the minimum is at least -tol, not stationary when the
-incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
-derivative calculus, and inconclusive otherwise.  Second-order checks start
-from the matching first-order verdict, since a second-order stationary point
-is first-order stationary.  At a first-order stationary point the critical
-directions (tangent, with vanishing first derivative, parametrized by their
-parameter component) form a subspace S wherever P0's model shows it; there
-F'' is a quadratic form, checked on probes, whose smallest eigenvalue
-decides.  Elsewhere a seeded pool is searched, and a note says why.
+siblings), and the verdict comes from its bounds: stationary when the lower
+bound on the minimum is at least -tol, not stationary when the incumbent
+direction, l2-normalised, re-evaluates below -tol/2 through the derivative
+calculus, and inconclusive otherwise.  The bounds are HiGHS's, or the exact
+vertex value where nothing but the ball reaches the objective.  Second-order
+checks start from the matching first-order verdict, since a second-order
+stationary point is first-order stationary.  At a first-order stationary
+point the critical directions (tangent, with vanishing first derivative,
+parametrized by their parameter component) form a subspace S wherever P0's
+model shows it; there F'' is a quadratic form, checked on probes, whose
+smallest eigenvalue decides.  Elsewhere a seeded pool is searched, and a
+note says why.
 
-Verdicts carry their evidence mode.  ``exact`` verdicts rest on HiGHS's
-bounds or on a verified quadratic form; ``sample`` verdicts reflect a seeded
-search and may miss structure, which is reported rather than hidden.
+Verdicts carry their evidence mode.  ``exact`` verdicts rest on the
+first-order bounds or on a verified quadratic form; ``sample`` verdicts
+reflect a seeded search and may miss structure, which is reported rather
+than hidden.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .model import (
     residuals,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
-from .pieces import SlopeMin, function_prime_min, psi_prime_min, theta_prime_min
+from .pieces import SlopeMin, function_prime_min, theta_prime_min
 
 STATIONARY = "stationary"
 NOT_STATIONARY = "not-stationary"
@@ -68,17 +71,19 @@ class StationarityReport:
     """One check's verdict and its evidence.
 
     ``min_found`` is the smallest derivative found: at first order the
-    minimum over the unit l1 ball that HiGHS returned, at second order the
+    minimum over the unit l1 ball, as HiGHS returned it or, where no tie
+    reaches the objective, the exact vertex value; at second order the
     smallest eigenvalue of F'' on S (a lower bound for the penalized
     target) or the smallest sampled curvature.  ``samples`` counts the
-    binaries of the first-order model, and the directions evaluated at
-    second order: the form's columns and probes, then any pool (none when
-    the point fails or is undecided at first order; the first-order report
-    then carries the witness and the minimum, and ``min_found`` 0.0 is no
-    curvature).  ``witness_value`` re-evaluates along the l2-normalised
-    witness, so at first order it is at most ``min_found``.  A lifted
-    second-order report may read stationary with ``min_found`` below -tol
-    when the negative directions are not radial.
+    binaries the first-order model built, sent to HiGHS or not, and the
+    directions evaluated at second order: the form's columns and probes,
+    then any pool (none when the point fails or is undecided at first
+    order; the first-order report then carries the witness and the
+    minimum, and ``min_found`` 0.0 is no curvature).  ``witness_value``
+    re-evaluates along the l2-normalised witness, so at first order it is
+    at most ``min_found``.  A lifted second-order report may read
+    stationary with ``min_found`` below -tol when the negative directions
+    are not radial.
     """
 
     target: str
@@ -125,7 +130,7 @@ def _refute(report: StationarityReport, witness, confirmed: float | None) -> boo
 def _first_order(
     report: StationarityReport, sol: SlopeMin, confirm: Callable[[np.ndarray], tuple]
 ) -> StationarityReport:
-    """The verdict that HiGHS's bounds allow on a first-order minimum.
+    """The verdict that a first-order minimum's bounds allow, HiGHS's or the vertex's.
 
     ``stationary`` needs the lower bound on the minimum at or above -tol;
     ``not-stationary`` needs the incumbent below -tol and its l2-normalised
@@ -152,21 +157,23 @@ def _first_order(
 
 
 def check_d_stationary_P0(
-    problem: CompositeProblem, z: Point, tol: float = STAT_TOL
+    problem: CompositeProblem, z: Point, tol: float = STAT_TOL, p0: tuple | None = None
 ) -> StationarityReport:
     """Directional stationarity of the lifted problem at a feasible point.
 
     Tangent directions are exactly the lifted parameter directions, along
     which the lifted derivative equals the nested one, so the minimum runs
-    over the parameter ball.
+    over the parameter ball.  ``p0`` is P0's (model, objective) from
+    ``pieces.psi_prime_model`` at z.theta, built here when None.
     """
     require_feasible(problem, z)
+    model, obj = p0 or pieces.psi_prime_model(problem, z.theta)
     report = StationarityReport("lifted", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
 
     def confirm(dth):
         return lift_direction(problem, z, dth), dd_Psi(problem, z.theta, dth, order=1).first
 
-    return _first_order(report, psi_prime_min(problem, z.theta), confirm)
+    return _first_order(report, model.solve(obj), confirm)
 
 
 def check_d_stationary_P1(
@@ -226,8 +233,8 @@ def _critical(pool: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, bad: np.ndar
     return sorted([(float(phi2[i]), pool[:, i], bool(bad[i])) for i in crit], key=lambda t: t[0])
 
 
-def _critical_basis(problem: CompositeProblem, th: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the critical subspace S of P0 at theta, or None when S is unknown.
+def _critical_basis(model: pieces._SlopeModel, obj: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis of the critical subspace S of P0's model, or None when S is unknown.
 
     P0's model writes phi1(d) = c . d + sum_k a_k y_k.  A tie y_k = max(f_k .
     d, g_k . d) with a_k > 0 gives a_k y_k = a_k (f_k + g_k) . d / 2 + |r_k .
@@ -239,8 +246,7 @@ def _critical_basis(problem: CompositeProblem, th: np.ndarray) -> np.ndarray | N
     vectors of [c; r] whose singular values are at most CRIT_SLACK, and is
     R^n, with B = I, when all of them are.
     """
-    model, obj = pieces.psi_prime_model(problem, th)
-    n = problem.n
+    n = model.dim
     coef = np.zeros(n + len(model.lo))
     coef[: obj.size] = obj
     c, aux = coef[:n], coef[n:]
@@ -289,9 +295,12 @@ def _lowest(B: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
-def _critical_form(problem: CompositeProblem, z: Point, seed: int) -> tuple:
-    """(B, Q, columns, reason) of F'' on S at z; B or Q None with the reason, 0 x 0 Q at S = {0}."""
-    B = _critical_basis(problem, z.theta)
+def _critical_form(problem: CompositeProblem, z: Point, seed: int, p0: tuple | None = None) -> tuple:
+    """(B, Q, columns, reason) of F'' on S at z; B or Q None with the reason, 0 x 0 Q at S = {0}.
+
+    ``p0`` is P0's (model, objective) at z.theta, built here when None.
+    """
+    B = _critical_basis(*(p0 or pieces.psi_prime_model(problem, z.theta)))
     if B is None:
         return None, None, 0, "critical subspace unknown"
     if B.shape[1] == 0:
@@ -332,8 +341,12 @@ def check_second_order(
     if target == "penalized" and beta is None:
         raise ValueError("the penalized target needs beta")
     b = None if target == "lifted" else check_beta(problem, beta)
-    first = check_d_stationary_P0(problem, z, tol) if b is None else check_d_stationary_P1(problem, z, b, tol)
-    form = _critical_form(problem, z, seed) if first.verdict == STATIONARY else None
+    if b is None:
+        p0 = pieces.psi_prime_model(problem, z.theta)
+        first = check_d_stationary_P0(problem, z, tol, p0)
+    else:
+        p0, first = None, check_d_stationary_P1(problem, z, b, tol)
+    form = _critical_form(problem, z, seed, p0) if first.verdict == STATIONARY else None
     return _second_order(problem, z, first, b, seed, form)
 
 
@@ -571,8 +584,9 @@ def compare_sets_on_point(
     d1 = check_d_stationary_P1(problem, z, config.beta)
     d0 = sd0 = sd1 = None
     if res.feasible:
-        d0 = check_d_stationary_P0(problem, z)
-        form = _critical_form(problem, z, seed) if STATIONARY in (d0.verdict, d1.verdict) else None
+        p0 = pieces.psi_prime_model(problem, z.theta)
+        d0 = check_d_stationary_P0(problem, z, p0=p0)
+        form = _critical_form(problem, z, seed, p0) if STATIONARY in (d0.verdict, d1.verdict) else None
         sd1 = _second_order(problem, z, d1, config.beta, seed, form)
         sd0 = _second_order(problem, z, d0, None, seed, form)
     inconsistencies: list[str] = []

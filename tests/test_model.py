@@ -31,6 +31,7 @@ from mcpen.model import (
     eval_Theta_cols,
     point_from_flat,
     reference_point_and_level,
+    require_feasible,
     residuals,
     split_flat,
 )
@@ -186,6 +187,17 @@ def test_feasible_only_entry_points_reject_infeasible_points(square_chain, call)
     z = Point(np.zeros(1), (np.array([0.5]), np.array([0.0])))
     with pytest.raises(InfeasiblePointError, match=r"max residual 5\.000e-01"):
         call(square_chain, z)
+
+
+def test_a_nan_residual_after_the_first_layer_reads_infeasible(square_chain):
+    # u2 = NaN: layer 2's map reads u1 alone, so the pass is finite and only
+    # the residual is NaN.  It must not be skipped as a layer maximum.
+    lift = eval_layers(square_chain, np.array([0.5]))
+    z = Point(lift.theta, (lift.u[0], np.array([np.nan])))
+    res = residuals(square_chain, z)
+    assert np.isnan(res.max_abs) and res.feasible is False
+    with pytest.raises(InfeasiblePointError, match="max residual nan"):
+        require_feasible(square_chain, z)
 
 
 def _wide_problem(seed):

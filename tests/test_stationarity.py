@@ -11,7 +11,7 @@ from conftest import blowup_problem, random_problem
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
 from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers, residuals
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers, reference_point_and_level, residuals
 from mcpen.penalty import build_config
 from mcpen.pieces import minimize_pieces, psi_prime_pieces
 from mcpen.repro import lift_descent_instance
@@ -392,18 +392,76 @@ def test_p0_and_p1_agree_at_certified_beta(seed):
 
 
 def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_problem, monkeypatch):
+    # P1 at the desk lift sends its t >= |w| rows to HiGHS.  P0 there has no
+    # tie and needs no HiGHS call, so P0 runs where g = u1 = max(theta1,
+    # theta2) ties at theta = 0: the tie's y carries g's weight.
     z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
+    tied = CompositeProblem(2, (LayerMap(1, (ex.vmax(ex.theta(0), ex.theta(1)),)),), ex.uref(1, 0), lam=0.01)
+    z_tied = eval_layers(tied, np.zeros(2))
     monkeypatch.setattr(pieces, "MILP_TIME_LIMIT", 0.0)
     note = "HiGHS bounds the minimum only to [-inf, 0.000e+00] within its 0 s time limit"
     beta = rnn_penalty_config(rnn_spec).beta
-    for r in (check_d_stationary_P0(rnn_problem, z), check_d_stationary_P1(rnn_problem, z, beta)):
+    for r in (check_d_stationary_P0(tied, z_tied), check_d_stationary_P1(rnn_problem, z, beta)):
         assert (r.verdict, r.mode, r.min_found, r.witness) == (INCONCLUSIVE, "exact", 0.0, None)
         assert r.notes == [note]
     # An undecided first order leaves second order undecided.
-    for target in ("lifted", "penalized"):
-        r = check_second_order(rnn_problem, z, target, beta)
+    for r in (check_second_order(tied, z_tied, "lifted"), check_second_order(rnn_problem, z, "penalized", beta)):
         assert (r.verdict, r.mode, r.samples, r.witness) == (INCONCLUSIVE, "exact", 0, None)
         assert r.notes == ["first-order check inconclusive"]
+
+
+def _counting(monkeypatch):
+    """Lists that grow by one per HiGHS call (its keywords) and per build of P0's model."""
+    milps, models = [], []
+    real_milp, real_model = pieces.milp, pieces.psi_prime_model
+    monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
+    monkeypatch.setattr(pieces, "psi_prime_model", lambda *a: models.append(a) or real_model(*a))
+    return milps, models
+
+
+def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
+    # perfbench's certify-rnn points at seed 0: the lift drawn after the
+    # spec's x and y, and the trained dead network, whose 9 ties carry no
+    # weight in P0's objective.  P1 alone calls HiGHS, P0's minimum is the
+    # vertex value -max |c_i|, and both orders share one build of P0's model.
+    problem, config, (_, trained) = _desk_points(0)
+    rng = np.random.default_rng(0)
+    rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
+    lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
+    config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
+    n, real_model = problem.n, pieces.psi_prime_model
+    milps, models = _counting(monkeypatch)
+    for z, binaries, verdict in ((lift, 0, NOT_STATIONARY), (trained, 9, STATIONARY)):
+        milps.clear(), models.clear()
+        comp = compare_sets_on_point(problem, z, config, seed=0)
+        assert (len(milps), len(models)) == (1, 1)
+        c = np.zeros(n)
+        obj = real_model(problem, z.theta)[1][:n]
+        c[: obj.size] = obj
+        d0 = comp["d0"]
+        assert (d0.verdict, d0.mode, d0.samples) == (verdict, "exact", binaries)
+        assert d0.min_found == -np.max(np.abs(c))
+        assert comp["consistent"]
+
+
+def test_only_the_tie_that_reaches_the_objective_goes_to_highs(monkeypatch):
+    # g = u1 + u2^2 with u1 = max(theta1, theta2) and u2 = max(theta1,
+    # -theta2), both tied at theta = 0.  u2 = 0 gives u2's tie no weight in
+    # g's form, so its y, binary and rows stay out of the MILP; max(d1, d2)
+    # has minimum -1/2 over the ball.  Both binaries count as samples.
+    layer = LayerMap(1, (ex.vmax(ex.theta(0), ex.theta(1)), ex.vmax(ex.theta(0), ex.scaled(-1.0, ex.theta(1)))))
+    problem = CompositeProblem(2, (layer,), ex.add(ex.uref(1, 0), ex.square(ex.uref(1, 1))), lam=0.01)
+    z = eval_layers(problem, np.zeros(2))
+    model, obj = pieces.psi_prime_model(problem, z.theta)
+    built = (list(model.lo), list(model.hi), list(model.binary), len(model.rows))
+    milps, _ = _counting(monkeypatch)
+    sol = model.solve(obj)
+    assert (list(model.lo), list(model.hi), list(model.binary), len(model.rows)) == built
+    assert (sol.binaries, len(milps)) == (2, 1)
+    assert (sum(milps[0]["integrality"]), milps[0]["integrality"].size) == (1, 2 * 2 + 2)
+    assert abs(sol.value + 0.5) <= 1e-9 and abs(sol.bound + 0.5) <= 1e-9
+    r = check_d_stationary_P0(problem, z)
+    assert (r.verdict, r.samples, len(milps)) == (NOT_STATIONARY, 2, 2)
 
 
 def test_first_order_models_refuse_non_finite_coefficients():
