@@ -5,18 +5,17 @@ DSL is a continuous piecewise-linear function of the direction: every rule is
 linear in the first-order data except branch selection at active kinks,
 where a value tie makes the derivative the max of the two branches' slopes.
 
-``theta_prime_min``, ``psi_prime_min`` and ``function_prime_min`` minimise
-that derivative over the unit l1 ball with one mixed-integer linear program
-(HiGHS through ``scipy.optimize.milp``), in the spirit of the abs-normal
-form.  One walk over the four node families writes the derivative as linear
+``theta_prime_min``, ``function_prime_min`` and the model that
+``psi_prime_model`` builds minimise that derivative over the unit l1 ball
+with one mixed-integer linear program (HiGHS through
+``scipy.optimize.milp``), in the spirit of the abs-normal form.  One walk over the four node families writes the derivative as linear
 forms in the direction: a tied kink adds a variable y with y >= both branch
 forms and one binary that, through big-M rows bounded by interval
 arithmetic, makes y equal to one of them; a vanishing penalty residual adds
 an epigraph variable t >= |w| with no binary, since it enters with a
-positive weight.  A tie-free derivative is a single linear program.  Only
-the variables that reach the objective, with their rows, go to HiGHS; where
-none does and no cone row cuts the ball, the minimum is -||c||_inf at a
-vertex of the ball and no program is solved.
+positive weight.  A tie-free derivative is a single linear program.  Where
+the objective weighs no auxiliary variable and no cone row cuts the ball,
+the minimum is -||c||_inf at a vertex of the ball and no program is solved.
 
 The piece enumerator below is the reference the tests compare against.
 Enumerating the forks of the active kinks yields a finite list of
@@ -329,13 +328,13 @@ class SlopeMin(NamedTuple):
 
     ``value`` is the derivative along the incumbent direction ``d``, or 0 at
     d = 0 when there is no incumbent below it.  ``bound`` is a lower bound
-    on the minimum: the dual bound when binaries went to HiGHS, the linear
-    program's optimum when none did, ``value`` itself when the minimum was
-    read off a vertex of the ball without HiGHS, and None when the solve
-    proved neither, as when ``MILP_TIME_LIMIT`` stopped it.  ``binaries``
-    counts the tied kinks the model built one for, whether or not they
-    reached HiGHS, and ``coef`` is the objective over the direction and the
-    auxiliary variables.
+    on the minimum: ``value`` itself when the minimum was read off a vertex
+    of the ball without HiGHS, else the dual bound when the model has
+    binaries, the linear program's optimum when it has none, and None when
+    the solve proved neither, as when ``MILP_TIME_LIMIT`` stopped it.
+    ``binaries`` counts the tied kinks the model built one for, whether or
+    not HiGHS saw them, and ``coef`` is the objective over the direction
+    and the auxiliary variables.
     """
 
     value: float
@@ -429,66 +428,40 @@ class _SlopeModel:
         self.rows += [(_add(t, -w), 0.0, np.inf), (_add(t, w), 0.0, np.inf)]
         return t
 
-    def _reaching(self, obj: np.ndarray, aux: list[list[int]]) -> set[int]:
-        """The auxiliary variables weighted in obj, and those sharing a row with one, transitively.
-
-        ``aux[r]`` lists the auxiliary variables that row r mentions.
-        """
-        rows_of: list[list[int]] = [[] for _ in self.lo]
-        for r, vs in enumerate(aux):
-            for a in vs:
-                rows_of[a].append(r)
-        stack = np.flatnonzero(obj[self.dim :]).tolist()
-        seen = set(stack)
-        while stack:
-            for r in rows_of[stack.pop()]:
-                new = [a for a in aux[r] if a not in seen]
-                seen.update(new)
-                stack += new
-        return seen
-
     def solve(self, obj: np.ndarray) -> SlopeMin:
-        """Minimise obj over the unit l1 ball of d, under the rows that reach obj.
+        """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
-        A non-finite coefficient, scaled cost or bound anywhere in the model
-        raises ValueError.  An auxiliary variable that ``_reaching`` does not
-        find is dropped, with its binary and its rows: y = max(fa, fb) and t
-        = |w| meet their rows inside their boxes at every d, so the minimum
-        does not move.  Rows over d alone stay.  With nothing left but the
-        ball, the minimum is -|c_i| at the vertex -sign(c_i) e_i, i the first
-        argmax of |c|, and HiGHS is not called.  Otherwise HiGHS minimises
-        over d in [-1, 1]^dim, s >= +-d, sum s <= 1 and the kept rows; the
-        columns are d, then s, then the kept variables.  The model is not
-        changed.
+        The columns are d, then s, then the auxiliary variables; a
+        non-finite coefficient, scaled cost or bound raises ValueError.
+        When obj weighs no auxiliary variable and every row mentions one,
+        the rows only pin y = max(fa, fb) and t = |w| inside their boxes,
+        which they meet at every d: the minimum is -|c_i| at the vertex
+        -sign(c_i) e_i, i the first argmax of |c|, and HiGHS is not called.
         """
-        dim = self.dim
+        dim, m = self.dim, len(self.lo)
         with np.errstate(over="ignore"):
             forms = [_COST_SCALE * obj, np.array(self.lo + self.hi)] + [f for f, _, _ in self.rows]
         if not all(np.all(np.isfinite(f)) for f in forms):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
         binaries = int(sum(self.binary))
-        nzs = [np.flatnonzero(f) for f, _, _ in self.rows]
-        aux = [(nz[np.searchsorted(nz, dim) :] - dim).tolist() for nz in nzs]
-        reach = self._reaching(obj, aux)
-        rows = [r for r, vs in enumerate(aux) if not vs or vs[0] in reach]
-        kept = np.array(sorted(reach), dtype=int)
-        if not kept.size and not rows:
-            head = obj[:dim]
+        if not np.any(obj[dim:]) and all(np.any(f[dim:]) for f, _, _ in self.rows):
             c = np.zeros(dim)
-            c[: head.size] = head
+            c[: min(obj.size, dim)] = obj[:dim]
             value, d = 0.0, np.zeros(dim)
             if np.any(c):
                 i = int(np.argmax(np.abs(c)))
                 d[i] = -np.sign(c[i])
                 value = float(c @ d)
             return SlopeMin(value, value, d, binaries, obj)
+        ncol = 2 * dim + m
 
-        col = np.full(dim + len(self.lo), -1)
-        col[:dim] = np.arange(dim)
-        col[dim + kept] = 2 * dim + np.arange(kept.size)
-        c = np.zeros(2 * dim + kept.size)
-        nz = np.flatnonzero(obj)
-        c[col[nz]] = obj[nz]
+        def columns(f):
+            nz = np.flatnonzero(f)
+            return nz, np.where(nz < dim, nz, nz + dim)
+
+        c = np.zeros(ncol)
+        nz, cols = columns(obj)
+        c[cols] = obj[nz]
         ar = np.arange(dim)
         # s_i - d_i >= 0, s_i + d_i >= 0, then sum s <= 1
         r = [ar, ar, dim + ar, dim + ar, np.full(dim, 2 * dim)]
@@ -496,25 +469,25 @@ class _SlopeModel:
         v = [-np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim)]
         lower = [np.zeros(2 * dim), [-np.inf]]
         upper = [np.full(2 * dim, np.inf), [1.0]]
-        for i, row in enumerate(rows, start=2 * dim + 1):
-            (f, lo, hi), nz = self.rows[row], nzs[row]
+        for i, (f, lo, hi) in enumerate(self.rows, start=2 * dim + 1):
+            nz, cols = columns(f)
             r.append(np.full(nz.size, i))
-            k.append(col[nz])
+            k.append(cols)
             v.append(f[nz])
             lower.append([lo])
             upper.append([hi])
         A = sparse.csr_array(
             (np.concatenate(v), (np.concatenate(r), np.concatenate(k))),
-            shape=(2 * dim + 1 + len(rows), c.size),
+            shape=(2 * dim + 1 + len(self.rows), ncol),
         )
         bounds = Bounds(
-            np.concatenate([-np.ones(dim), np.zeros(dim), np.array(self.lo)[kept]]),
-            np.concatenate([np.ones(2 * dim), np.array(self.hi)[kept]]),
+            np.concatenate([-np.ones(dim), np.zeros(dim), self.lo]),
+            np.concatenate([np.ones(2 * dim), self.hi]),
         )
-        binary = np.array(self.binary, dtype=bool)[kept]
+        integrality = np.concatenate([np.zeros(2 * dim), self.binary])
         res = milp(
             _COST_SCALE * c,
-            integrality=np.concatenate([np.zeros(2 * dim), binary]),
+            integrality=integrality,
             bounds=bounds,
             constraints=LinearConstraint(A, np.concatenate(lower), np.concatenate(upper)),
             options={"time_limit": MILP_TIME_LIMIT, "mip_rel_gap": 0.0, "presolve": False},
@@ -522,7 +495,7 @@ class _SlopeModel:
         value, d, bound = 0.0, np.zeros(dim), None
         if res.x is not None and c @ res.x < 0.0:
             value, d = float(c @ res.x), res.x[:dim].copy()
-        if not binary.any():
+        if not binaries:
             bound = value if res.status == 0 else None
         elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
             bound = float(res.mip_dual_bound) / _COST_SCALE
@@ -627,12 +600,6 @@ def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeMo
 
     obj = _walk(model, problem.outer, leaf)[1]
     return model, _add(obj, 2.0 * problem.lam * th)
-
-
-def psi_prime_min(problem: CompositeProblem, th: np.ndarray) -> SlopeMin:
-    """Minimum of d -> (Psi + reg)'(theta; d) over the unit l1 ball of the parameter space."""
-    model, obj = psi_prime_model(problem, th)
-    return model.solve(obj)
 
 
 @np.errstate(over="ignore", invalid="ignore")

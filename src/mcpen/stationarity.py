@@ -6,14 +6,14 @@ siblings), and the verdict comes from its bounds: stationary when the lower
 bound on the minimum is at least -tol, not stationary when the incumbent
 direction, l2-normalised, re-evaluates below -tol/2 through the derivative
 calculus, and inconclusive otherwise.  The bounds are HiGHS's, or the exact
-vertex value where nothing but the ball reaches the objective.  Second-order
-checks start from the matching first-order verdict, since a second-order
-stationary point is first-order stationary.  At a first-order stationary
-point the critical directions (tangent, with vanishing first derivative,
-parametrized by their parameter component) form a subspace S wherever P0's
-model shows it; there F'' is a quadratic form, checked on probes, whose
-smallest eigenvalue decides.  Elsewhere a seeded pool is searched, and a
-note says why.
+vertex value where the objective weighs no tie and no row cuts the ball.
+Second-order checks start from the matching first-order verdict, since a
+second-order stationary point is first-order stationary.  At a first-order
+stationary point the critical directions (tangent, with vanishing first
+derivative, parametrized by their parameter component) form a subspace S
+wherever P0's model shows it; there F'' is a quadratic form, checked on
+probes, whose smallest eigenvalue decides.  Elsewhere a seeded pool is
+searched, and a note says why.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on the
 first-order bounds or on a verified quadratic form; ``sample`` verdicts
@@ -71,8 +71,8 @@ class StationarityReport:
     """One check's verdict and its evidence.
 
     ``min_found`` is the smallest derivative found: at first order the
-    minimum over the unit l1 ball, as HiGHS returned it or, where no tie
-    reaches the objective, the exact vertex value; at second order the
+    minimum over the unit l1 ball, as HiGHS returned it or, where the
+    objective weighs no tie, the exact vertex value; at second order the
     smallest eigenvalue of F'' on S (a lower bound for the penalized
     target) or the smallest sampled curvature.  ``samples`` counts the
     binaries the first-order model built, sent to HiGHS or not, and the
@@ -157,17 +157,21 @@ def _first_order(
 
 
 def check_d_stationary_P0(
-    problem: CompositeProblem, z: Point, tol: float = STAT_TOL, p0: tuple | None = None
+    problem: CompositeProblem, z: Point, tol: float = STAT_TOL
 ) -> StationarityReport:
     """Directional stationarity of the lifted problem at a feasible point.
 
     Tangent directions are exactly the lifted parameter directions, along
     which the lifted derivative equals the nested one, so the minimum runs
-    over the parameter ball.  ``p0`` is P0's (model, objective) from
-    ``pieces.psi_prime_model`` at z.theta, built here when None.
+    over the parameter ball.
     """
     require_feasible(problem, z)
-    model, obj = p0 or pieces.psi_prime_model(problem, z.theta)
+    return _p0_report(problem, z, tol, pieces.psi_prime_model(problem, z.theta))
+
+
+def _p0_report(problem: CompositeProblem, z: Point, tol: float, p0: tuple) -> StationarityReport:
+    """``check_d_stationary_P0`` at a feasible z whose P0 (model, objective) the caller built at z.theta."""
+    model, obj = p0
     report = StationarityReport("lifted", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
 
     def confirm(dth):
@@ -295,12 +299,12 @@ def _lowest(B: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[0]), (v if v[np.argmax(np.abs(v))] > 0.0 else -v)
 
 
-def _critical_form(problem: CompositeProblem, z: Point, seed: int, p0: tuple | None = None) -> tuple:
+def _critical_form(problem: CompositeProblem, z: Point, seed: int, p0: tuple) -> tuple:
     """(B, Q, columns, reason) of F'' on S at z; B or Q None with the reason, 0 x 0 Q at S = {0}.
 
-    ``p0`` is P0's (model, objective) at z.theta, built here when None.
+    ``p0`` is P0's (model, objective) from ``pieces.psi_prime_model`` at z.theta.
     """
-    B = _critical_basis(*(p0 or pieces.psi_prime_model(problem, z.theta)))
+    B = _critical_basis(*p0)
     if B is None:
         return None, None, 0, "critical subspace unknown"
     if B.shape[1] == 0:
@@ -343,9 +347,10 @@ def check_second_order(
     b = None if target == "lifted" else check_beta(problem, beta)
     if b is None:
         p0 = pieces.psi_prime_model(problem, z.theta)
-        first = check_d_stationary_P0(problem, z, tol, p0)
+        first = _p0_report(problem, z, tol, p0)
     else:
-        p0, first = None, check_d_stationary_P1(problem, z, b, tol)
+        first = check_d_stationary_P1(problem, z, b, tol)
+        p0 = pieces.psi_prime_model(problem, z.theta) if first.verdict == STATIONARY else None
     form = _critical_form(problem, z, seed, p0) if first.verdict == STATIONARY else None
     return _second_order(problem, z, first, b, seed, form)
 
@@ -441,7 +446,7 @@ def check_strong_local_min_sufficient(
         return out
     if not config.certified:
         out["notes"].append("beta not certified; critical directions may exceed the tangent cone")
-    B, Q, _, reason = _critical_form(problem, z, seed)
+    B, Q, _, reason = _critical_form(problem, z, seed, pieces.psi_prime_model(problem, z.theta))
     if Q is not None and Q.size == 0:
         out["notes"].append("critical subspace is {0}")
         return {**out, "verdict": "sufficient-holds"}
@@ -585,7 +590,7 @@ def compare_sets_on_point(
     d0 = sd0 = sd1 = None
     if res.feasible:
         p0 = pieces.psi_prime_model(problem, z.theta)
-        d0 = check_d_stationary_P0(problem, z, p0=p0)
+        d0 = _p0_report(problem, z, STAT_TOL, p0)
         form = _critical_form(problem, z, seed, p0) if STATIONARY in (d0.verdict, d1.verdict) else None
         sd1 = _second_order(problem, z, d1, config.beta, seed, form)
         sd0 = _second_order(problem, z, d0, None, seed, form)

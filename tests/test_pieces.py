@@ -21,7 +21,7 @@ from mcpen.pieces import (
     function_prime_min,
     min_over_cross_polytope,
     minimize_pieces,
-    psi_prime_min,
+    psi_prime_model,
     psi_prime_pieces,
     theta_prime_min,
     theta_prime_pieces,
@@ -349,8 +349,9 @@ def test_exact_minima_match_the_enumeration_oracle():
         e = p.layers[0].exprs[0]
         orthant = list(np.eye(p.n))  # every component at the lower face of a box
         off = _shifted(z)
+        model, obj = psi_prime_model(p, z.theta)
         cases = [
-            (psi_prime_min(p, z.theta), partial(psi_prime_pieces, p, z.theta)),
+            (model.solve(obj), partial(psi_prime_pieces, p, z.theta)),
             (theta_prime_min(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
             (theta_prime_min(p, off, beta), partial(theta_prime_pieces, p, off, beta)),
             (function_prime_min(e, x), partial(function_pieces, e, x)),

@@ -410,15 +410,6 @@ def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_pro
         assert r.notes == ["first-order check inconclusive"]
 
 
-def _counting(monkeypatch):
-    """Lists that grow by one per HiGHS call (its keywords) and per build of P0's model."""
-    milps, models = [], []
-    real_milp, real_model = pieces.milp, pieces.psi_prime_model
-    monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
-    monkeypatch.setattr(pieces, "psi_prime_model", lambda *a: models.append(a) or real_model(*a))
-    return milps, models
-
-
 def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
     # perfbench's certify-rnn points at seed 0: the lift drawn after the
     # spec's x and y, and the trained dead network, whose 9 ties carry no
@@ -429,8 +420,10 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
     rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
     lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
     config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
-    n, real_model = problem.n, pieces.psi_prime_model
-    milps, models = _counting(monkeypatch)
+    n, milps, models = problem.n, [], []
+    real_milp, real_model = pieces.milp, pieces.psi_prime_model
+    monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
+    monkeypatch.setattr(pieces, "psi_prime_model", lambda *a: models.append(a) or real_model(*a))
     for z, binaries, verdict in ((lift, 0, NOT_STATIONARY), (trained, 9, STATIONARY)):
         milps.clear(), models.clear()
         comp = compare_sets_on_point(problem, z, config, seed=0)
@@ -442,26 +435,6 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
         assert (d0.verdict, d0.mode, d0.samples) == (verdict, "exact", binaries)
         assert d0.min_found == -np.max(np.abs(c))
         assert comp["consistent"]
-
-
-def test_only_the_tie_that_reaches_the_objective_goes_to_highs(monkeypatch):
-    # g = u1 + u2^2 with u1 = max(theta1, theta2) and u2 = max(theta1,
-    # -theta2), both tied at theta = 0.  u2 = 0 gives u2's tie no weight in
-    # g's form, so its y, binary and rows stay out of the MILP; max(d1, d2)
-    # has minimum -1/2 over the ball.  Both binaries count as samples.
-    layer = LayerMap(1, (ex.vmax(ex.theta(0), ex.theta(1)), ex.vmax(ex.theta(0), ex.scaled(-1.0, ex.theta(1)))))
-    problem = CompositeProblem(2, (layer,), ex.add(ex.uref(1, 0), ex.square(ex.uref(1, 1))), lam=0.01)
-    z = eval_layers(problem, np.zeros(2))
-    model, obj = pieces.psi_prime_model(problem, z.theta)
-    built = (list(model.lo), list(model.hi), list(model.binary), len(model.rows))
-    milps, _ = _counting(monkeypatch)
-    sol = model.solve(obj)
-    assert (list(model.lo), list(model.hi), list(model.binary), len(model.rows)) == built
-    assert (sol.binaries, len(milps)) == (2, 1)
-    assert (sum(milps[0]["integrality"]), milps[0]["integrality"].size) == (1, 2 * 2 + 2)
-    assert abs(sol.value + 0.5) <= 1e-9 and abs(sol.bound + 0.5) <= 1e-9
-    r = check_d_stationary_P0(problem, z)
-    assert (r.verdict, r.samples, len(milps)) == (NOT_STATIONARY, 2, 2)
 
 
 def test_first_order_models_refuse_non_finite_coefficients():
@@ -709,7 +682,7 @@ def test_exact_second_order_agrees_with_the_sampled_search():
         first0 = check_d_stationary_P0(problem, z)
         if first0.verdict != STATIONARY:
             continue
-        form = stationarity._critical_form(problem, z, 0)
+        form = stationarity._critical_form(problem, z, 0, pieces.psi_prime_model(problem, z.theta))
         for first, b in ((first0, None), (check_d_stationary_P1(problem, z, beta), beta)):
             r = stationarity._second_order(problem, z, first, b, 0, form)
             if first.verdict != STATIONARY or r.mode != "exact":
