@@ -16,6 +16,12 @@ an epigraph variable t >= |w| with no binary, since it enters with a
 positive weight.  A tie-free derivative is a single linear program.  Where
 the objective weighs no auxiliary variable and no cone row cuts the ball,
 the minimum is -||c||_inf at a vertex of the ball and no program is solved.
+The same build records the abs-normal form phi(d) = a . d + b . |s| with
+s = Z d + L |s|: one switching variable per tie (its branch gap) and per
+vanishing residual (its slope).  Least-squares multipliers of Z^T mu = a
+give a rigorous lower bound on the minimum (tangential stationarity and
+normal growth, Griewank & Walther 2016), and a first-order check that
+finds it at or above -tol reads stationary without a program.
 
 The piece enumerator below is the reference the tests compare against.
 Enumerating the forks of the active kinks yields a finite list of
@@ -37,6 +43,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lstsq, solve_triangular
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from . import expr as ex
@@ -329,9 +336,11 @@ class SlopeMin(NamedTuple):
     ``value`` is the derivative along the incumbent direction ``d``, or 0 at
     d = 0 when there is no incumbent below it.  ``bound`` is a lower bound
     on the minimum: ``value`` itself when the minimum was read off a vertex
-    of the ball without HiGHS, else the dual bound when the model has
-    binaries, the linear program's optimum when it has none, and None when
-    the solve proved neither, as when ``MILP_TIME_LIMIT`` stopped it.
+    of the ball without HiGHS; the multiplier bound, at or above -tol, when
+    it settled the minimum without HiGHS (``value`` is then 0.0 at d = 0);
+    else the dual bound when the model has binaries, the linear program's
+    optimum when it has none, and None when the solve proved neither, as
+    when ``MILP_TIME_LIMIT`` stopped it.
     ``binaries`` counts the tied kinks the model built one for, whether or
     not HiGHS saw them, and ``coef`` is the objective over the direction
     and the auxiliary variables.
@@ -360,7 +369,10 @@ class _SlopeModel:
     entry dim + a that of auxiliary variable a.  Forms are never changed in
     place, so leaves share theirs.  ``check`` names the model in errors, and
     ``ties`` maps each variable y = max(fa, fb) whose two forms are over the
-    direction alone to (fa, fb).
+    direction alone to (fa, fb).  ``switches`` lists the switching variables
+    of the abs-normal form in the order they were made, each as (variable,
+    s, fb, S): a tie's y = fb + s/2 + |s|/2 with s = fa - fb, or, with fb
+    None, an epigraph t = |s| with s = w; S bounds |s| over the model.
     """
 
     def __init__(self, dim: int, check: str):
@@ -371,6 +383,7 @@ class _SlopeModel:
         self.binary: list[bool] = []
         self.rows: list[tuple[np.ndarray, float, float]] = []
         self.ties: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.switches: list[tuple[int, np.ndarray, np.ndarray | None, float]] = []
         self.zero = np.zeros(0)
         self._units: dict[int, np.ndarray] = {}
 
@@ -407,11 +420,13 @@ class _SlopeModel:
             return fa
         lo_a, hi_a = self.interval(fa)
         lo_b, hi_b = self.interval(fb)
-        gap_lo, gap_hi = self.interval(_add(fa, -fb))
+        gap = _add(fa, -fb)
+        gap_lo, gap_hi = self.interval(gap)
         m_a, m_b = max(-gap_lo, 0.0), max(gap_hi, 0.0)
         y = self.var(max(lo_a, lo_b), max(hi_a, hi_b))
         if max(fa.size, fb.size) <= self.dim:
             self.ties[len(self.lo) - 1] = (fa, fb)
+        self.switches.append((len(self.lo) - 1, gap, fb, max(m_a, m_b)))
         delta = self.var(0.0, 1.0, binary=True)
         self.rows += [
             (_add(y, -fa), 0.0, np.inf),
@@ -425,10 +440,58 @@ class _SlopeModel:
         """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
         lo, hi = self.interval(w)
         t = self.var(0.0, max(hi, -lo, 0.0))
+        self.switches.append((len(self.lo) - 1, w, None, self.hi[-1]))
         self.rows += [(_add(t, -w), 0.0, np.inf), (_add(t, w), 0.0, np.inf)]
         return t
 
-    def solve(self, obj: np.ndarray) -> SlopeMin:
+    @np.errstate(over="ignore", invalid="ignore")
+    def multiplier_bound(self, obj: np.ndarray, tol: float = np.inf) -> float | None:
+        """A lower bound on the minimum of obj over the unit l1 ball, or None once it is below -tol.
+
+        Each switch's variable written over (d, |s|) turns obj into
+        a . d + b . |s| with s = Z d + L |s|, L strictly lower triangular.
+        For any mu, a . d = r . d + mu . (s - L |s|) with r = a - Z^T mu, so
+        obj = r . d + mu . s + c . |s| with c = b - L^T mu, and each
+        mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i.  With mu the
+        least-squares solution of Z^T mu = a, the bound -||r||_inf -
+        sum_i max(0, |mu_i| - c_i) S_i holds at any rank of Z (tangential
+        stationarity and normal growth), and rows that cut the ball only
+        raise the minimum.  None means ||r||_inf > tol; the normal-growth
+        terms are then skipped.
+        """
+        dim, k, m = self.dim, len(self.switches), len(self.lo)
+        W = np.zeros((k + 1, dim + m))  # each switch's s, then obj, over (d, auxiliary variables)
+        Y = np.zeros((m, dim + m))  # each tie variable's (fa + fb) / 2
+        P = np.zeros((m, k))  # each auxiliary variable's weight on |s|
+        ties = []
+        for i, (v, gap, fb, _) in enumerate(self.switches):
+            W[i, : gap.size] = gap
+            if fb is None:
+                P[v, i] = 1.0
+            else:
+                Y[v, : fb.size] = fb
+                ties.append((v, i))
+        W[k, : obj.size] = obj
+        if ties:
+            tv, ti = np.array(ties).T
+            Y[tv] += 0.5 * W[ti]  # (fa + fb) / 2 = fb + (fa - fb) / 2
+            P[tv, ti] = 0.5
+        # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X,
+        # where Y_aux is strictly lower triangular; it is zero unless ties nest.
+        X = np.hstack([Y[:, :dim], P])
+        if np.any(Y[:, dim:]):
+            X = solve_triangular(np.eye(m) - Y[:, dim:], X, lower=True, unit_diagonal=True)
+        A = W[:, dim:] @ X
+        A[:, :dim] += W[:, :dim]
+        Z, L, a, b = A[:k, :dim], A[:k, dim:], A[k, :dim], A[k, dim:]
+        mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if k else np.zeros(0)
+        r = float(np.max(np.abs(a - Z.T @ mu), initial=0.0))
+        if r > tol:
+            return None
+        S = np.array([bound for *_, bound in self.switches])
+        return -r - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * S))
+
+    def solve(self, obj: np.ndarray, tol: float | None = None) -> SlopeMin:
         """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
         The columns are d, then s, then the auxiliary variables; a
@@ -437,6 +500,9 @@ class _SlopeModel:
         the rows only pin y = max(fa, fb) and t = |w| inside their boxes,
         which they meet at every d: the minimum is -|c_i| at the vertex
         -sign(c_i) e_i, i the first argmax of |c|, and HiGHS is not called.
+        Given tol, a ``multiplier_bound`` at or above -tol comes next: the
+        result is d = 0 with value 0.0 and that bound, and HiGHS is not
+        called either.  Without tol the minimum is HiGHS's.
         """
         dim, m = self.dim, len(self.lo)
         with np.errstate(over="ignore"):
@@ -453,6 +519,10 @@ class _SlopeModel:
                 d[i] = -np.sign(c[i])
                 value = float(c @ d)
             return SlopeMin(value, value, d, binaries, obj)
+        if tol is not None:
+            bound = self.multiplier_bound(obj, tol)
+            if bound is not None and bound >= -tol:
+                return SlopeMin(0.0, bound, np.zeros(dim), binaries, obj)
         ncol = 2 * dim + m
 
         def columns(f):
@@ -547,8 +617,10 @@ def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> 
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> SlopeMin:
-    """Minimum of d -> Theta'(z; d) over the unit l1 ball of the lifted space.
+def theta_prime_model(
+    problem: CompositeProblem, z: Point, beta: Sequence[float]
+) -> tuple[_SlopeModel, np.ndarray]:
+    """The model of d -> Theta'(z; d) over the lifted space and its objective form, unsolved.
 
     Each layer component adds beta_k times its residual slope w_i = d_u_i -
     psi_i'(z; d): signed where the residual is nonzero, through t_i >= |w_i|
@@ -576,7 +648,13 @@ def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) 
             else:
                 term = model.abs_of(w)
             obj = _add(obj, b[k] * term)
-    return model.solve(_add(obj, 2.0 * problem.lam * z.theta))
+    return model, _add(obj, 2.0 * problem.lam * z.theta)
+
+
+def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> SlopeMin:
+    """Exact minimum of d -> Theta'(z; d) over the unit l1 ball of the lifted space."""
+    model, obj = theta_prime_model(problem, z, beta)
+    return model.solve(obj)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -603,10 +681,10 @@ def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeMo
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def function_prime_min(
+def function_prime_model(
     e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()
-) -> SlopeMin:
-    """Minimum of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0."""
+) -> tuple[_SlopeModel, np.ndarray]:
+    """The model of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0, unsolved."""
     x = np.asarray(x, dtype=float).ravel()
     model = _SlopeModel(x.size, "box")
 
@@ -617,4 +695,10 @@ def function_prime_min(
 
     obj = _walk(model, e, leaf)[1]
     model.rows += [(np.asarray(g, dtype=float), 0.0, np.inf) for g in cone_rows]
+    return model, obj
+
+
+def function_prime_min(e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()) -> SlopeMin:
+    """Exact minimum of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0."""
+    model, obj = function_prime_model(e, x, cone_rows)
     return model.solve(obj)

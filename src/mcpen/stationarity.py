@@ -1,12 +1,14 @@
 """Directional stationarity checks for the nested, lifted, and penalized problems.
 
 First-order checks minimize the relevant directional derivative over the unit
-l1 ball with one mixed-integer program (``pieces.theta_prime_min`` and its
-siblings), and the verdict comes from its bounds: stationary when the lower
-bound on the minimum is at least -tol, not stationary when the incumbent
-direction, l2-normalised, re-evaluates below -tol/2 through the derivative
-calculus, and inconclusive otherwise.  The bounds are HiGHS's, or the exact
-vertex value where the objective weighs no tie and no row cuts the ball.
+l1 ball with one mixed-integer program (built by ``pieces.theta_prime_model``
+and its siblings), and the verdict comes from its bounds: stationary when
+the lower bound on the minimum is at least -tol, not stationary when the
+incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
+derivative calculus, and inconclusive otherwise.  The bounds are the exact
+vertex value where the objective weighs no tie and no row cuts the ball,
+else a multiplier bound, which settles a stationary point at d = 0 when it
+is at least -tol, else HiGHS's.
 Second-order checks start from the matching first-order verdict, since a
 second-order stationary point is first-order stationary.  At a first-order
 stationary point the critical directions (tangent, with vanishing first
@@ -51,7 +53,7 @@ from .model import (
     residuals,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
-from .pieces import SlopeMin, function_prime_min, theta_prime_min
+from .pieces import SlopeMin, function_prime_model, theta_prime_model
 
 STATIONARY = "stationary"
 NOT_STATIONARY = "not-stationary"
@@ -72,7 +74,8 @@ class StationarityReport:
 
     ``min_found`` is the smallest derivative found: at first order the
     minimum over the unit l1 ball, as HiGHS returned it or, where the
-    objective weighs no tie, the exact vertex value; at second order the
+    objective weighs no tie, the exact vertex value, and 0.0 where the
+    multiplier bound proved the point stationary; at second order the
     smallest eigenvalue of F'' on S (a lower bound for the penalized
     target) or the smallest sampled curvature.  ``samples`` counts the
     binaries the first-order model built, sent to HiGHS or not, and the
@@ -130,9 +133,10 @@ def _refute(report: StationarityReport, witness, confirmed: float | None) -> boo
 def _first_order(
     report: StationarityReport, sol: SlopeMin, confirm: Callable[[np.ndarray], tuple]
 ) -> StationarityReport:
-    """The verdict that a first-order minimum's bounds allow, HiGHS's or the vertex's.
+    """The verdict that a first-order minimum's bounds allow: the vertex's, the multipliers' or HiGHS's.
 
-    ``stationary`` needs the lower bound on the minimum at or above -tol;
+    ``stationary`` needs the lower bound on the minimum at or above -tol
+    (a multiplier bound comes with d = 0 and value 0.0);
     ``not-stationary`` needs the incumbent below -tol and its l2-normalised
     direction u to re-evaluate below -tol/2, where ``confirm(u)`` gives the
     witness and its re-evaluated slope.  Anything else is inconclusive, with
@@ -177,7 +181,7 @@ def _p0_report(problem: CompositeProblem, z: Point, tol: float, p0: tuple) -> St
     def confirm(dth):
         return lift_direction(problem, z, dth), dd_Psi(problem, z.theta, dth, order=1).first
 
-    return _first_order(report, model.solve(obj), confirm)
+    return _first_order(report, model.solve(obj, tol), confirm)
 
 
 def check_d_stationary_P1(
@@ -194,7 +198,8 @@ def check_d_stationary_P1(
         d = direction_from_flat(problem, unit)
         return d, dd_Theta(problem, z, d, b, order=1).first
 
-    return _first_order(report, theta_prime_min(problem, z, b), confirm)
+    model, obj = theta_prime_model(problem, z, b)
+    return _first_order(report, model.solve(obj, tol), confirm)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +434,17 @@ def _second_order(
 def check_strong_local_min_sufficient(
     problem: CompositeProblem, z: Point, config: PenaltyConfig, seed: int = 0
 ) -> dict:
-    """Sufficient condition for a strong local minimum of the penalized problem.
+    """Sufficient condition for a strong local minimum of the penalized problem at a feasible point.
 
     Requires the first derivative to be nonnegative in every direction and
     the margin F'' minus the weighted l1 norm of the layer second derivatives
     to be strictly positive over nonzero critical directions.  The margin is
     at most F'', so an eigenvalue of F'' on S at or below zero fails it; else it is sampled.
+    The critical subspace S comes from P0's tangent model, which describes
+    Theta only at feasible points, so an infeasible z raises
+    ``InfeasiblePointError`` as in ``check_second_order``.
     """
+    require_feasible(problem, z)
     first = check_d_stationary_P1(problem, z, config.beta)
     out = dict(verdict=INCONCLUSIVE, first_order=first, margin_min=None, witness=None, notes=[])
     if first.verdict == NOT_STATIONARY:
@@ -512,7 +521,8 @@ def check_box(
 
     at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
-    sol = function_prime_min(e, x, cone_rows)
+    model, obj = function_prime_model(e, x, cone_rows)
+    sol = model.solve(obj, STAT_TOL)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
     _first_order(report, sol, lambda u: (u, _confirmed(tape, x, u, 1)))
     if report.verdict == NOT_STATIONARY and order == 2:

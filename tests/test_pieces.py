@@ -19,11 +19,13 @@ from mcpen.pieces import (
     TooManyPieces,
     function_pieces,
     function_prime_min,
+    function_prime_model,
     min_over_cross_polytope,
     minimize_pieces,
     psi_prime_model,
     psi_prime_pieces,
     theta_prime_min,
+    theta_prime_model,
     theta_prime_pieces,
 )
 from mcpen.rnn import rnn_penalty_config
@@ -363,6 +365,36 @@ def test_exact_minima_match_the_enumeration_oracle():
             if ref is not None:
                 compared += 1
                 assert abs(sol.value - ref) <= 1e-9 and abs(sol.bound - ref) <= 1e-9, (seed, ref, sol)
+    assert compared >= 270
+
+
+def test_multiplier_bounds_lie_below_the_exact_minima():
+    # The cases of the oracle test above.  The multiplier bound holds for any
+    # multipliers and any rank of the switching rows, and box rows only raise
+    # the minimum, so it never exceeds the oracle's minimum nor HiGHS's value.
+    compared = 0
+    for seed in range(60):
+        p = random_problem(seed)
+        beta = [1.0] * p.L
+        z = eval_layers(p, np.zeros(p.n))
+        x = np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)
+        e = p.layers[0].exprs[0]
+        orthant = list(np.eye(p.n))
+        off = _shifted(z)
+        cases = [
+            (psi_prime_model(p, z.theta), partial(psi_prime_pieces, p, z.theta)),
+            (theta_prime_model(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
+            (theta_prime_model(p, off, beta), partial(theta_prime_pieces, p, off, beta)),
+            (function_prime_model(e, x), partial(function_pieces, e, x)),
+            (function_prime_model(e, x, orthant), partial(function_pieces, e, x), orthant),
+        ]
+        for (model, obj), pieces, *extra in cases:
+            bound = model.multiplier_bound(obj)
+            assert bound <= model.solve(obj).value + 1e-12, seed
+            ref = _oracle(pieces, *extra)
+            if ref is not None:
+                compared += 1
+                assert bound <= ref + 1e-12, (seed, ref, bound)
     assert compared >= 270
 
 

@@ -11,7 +11,16 @@ from conftest import blowup_problem, random_problem
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
 from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers, reference_point_and_level, residuals
+from mcpen.model import (
+    CompositeProblem,
+    InfeasiblePointError,
+    LayerMap,
+    Point,
+    eval_layers,
+    eval_Theta,
+    reference_point_and_level,
+    residuals,
+)
 from mcpen.penalty import build_config
 from mcpen.pieces import minimize_pieces, psi_prime_pieces
 from mcpen.repro import lift_descent_instance
@@ -411,30 +420,86 @@ def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_pro
 
 
 def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
-    # perfbench's certify-rnn points at seed 0: the lift drawn after the
+    # perfbench's certify-rnn points at seeds 0-5: the lift drawn after the
     # spec's x and y, and the trained dead network, whose 9 ties carry no
-    # weight in P0's objective.  P1 alone calls HiGHS, P0's minimum is the
-    # vertex value -max |c_i|, and both orders share one build of P0's model.
-    problem, config, (_, trained) = _desk_points(0)
-    rng = np.random.default_rng(0)
-    rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
-    lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
-    config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
-    n, milps, models = problem.n, [], []
+    # weight in P0's objective.  P0's minimum is the vertex value -max |c_i|,
+    # and both orders share one build of P0's model.  P1's multipliers
+    # certify the trained point, so HiGHS runs once, for P1's LP at the lift.
+    milps, models = [], []
     real_milp, real_model = pieces.milp, pieces.psi_prime_model
     monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
     monkeypatch.setattr(pieces, "psi_prime_model", lambda *a: models.append(a) or real_model(*a))
-    for z, binaries, verdict in ((lift, 0, NOT_STATIONARY), (trained, 9, STATIONARY)):
-        milps.clear(), models.clear()
-        comp = compare_sets_on_point(problem, z, config, seed=0)
-        assert (len(milps), len(models)) == (1, 1)
-        c = np.zeros(n)
-        obj = real_model(problem, z.theta)[1][:n]
-        c[: obj.size] = obj
-        d0 = comp["d0"]
-        assert (d0.verdict, d0.mode, d0.samples) == (verdict, "exact", binaries)
-        assert d0.min_found == -np.max(np.abs(c))
-        assert comp["consistent"]
+    for seed in range(6):
+        problem, config, (_, trained) = _desk_points(seed)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
+        lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
+        config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
+        for z, calls, binaries, verdict in ((lift, 1, 0, NOT_STATIONARY), (trained, 0, 9, STATIONARY)):
+            milps.clear(), models.clear()
+            comp = compare_sets_on_point(problem, z, config, seed=seed)
+            assert (len(milps), len(models)) == (calls, 1), seed
+            c = np.zeros(problem.n)
+            obj = real_model(problem, z.theta)[1][: problem.n]
+            c[: obj.size] = obj
+            d0, d1 = comp["d0"], comp["d1"]
+            assert (d0.verdict, d0.mode, d0.samples) == (verdict, "exact", binaries)
+            assert (d1.verdict, d1.mode, d1.samples) == (verdict, "exact", binaries)
+            assert d0.min_found == -np.max(np.abs(c))
+            assert d1.min_found < 0.0 if verdict == NOT_STATIONARY else d1.min_found == 0.0
+            assert comp["consistent"]
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_multiplier_certificates_keep_the_highs_verdicts(monkeypatch, box_max):
+    # Every first-order check, run once with the multiplier bound and once by
+    # HiGHS alone: random problems at theta = 0 and 0.5 N(0, I) with beta 0.7,
+    # desk RNNs at a lift and at the trained point, and the box goldens.  A
+    # certificate only ever reads stationary, at d = 0 with min_found 0.0.
+    milps = []
+    real_milp = pieces.milp
+    monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
+
+    def counted(check, *args, **kwargs):
+        """(report, HiGHS calls it made)."""
+        before = len(milps)
+        return check(*args, **kwargs), len(milps) - before
+
+    def runs():
+        out = []
+        for problem, z, beta in points:
+            if residuals(problem, z).feasible:
+                out.append(counted(check_d_stationary_P0, problem, z))
+            out.append(counted(check_d_stationary_P1, problem, z, beta))
+        for x in ((0, 0), (-1, 1), (1, 1)):
+            for order in (1, 2):
+                box = (np.array(x, dtype=float), -np.ones(2), np.ones(2))
+                out.append(counted(check_box, box_max, *box, order=order))
+        return out
+
+    points = []
+    for seed in range(60):
+        p = random_problem(seed)
+        for th in (np.zeros(p.n), 0.5 * np.random.default_rng(seed).standard_normal(p.n)):
+            points.append((p, eval_layers(p, th), [0.7] * p.L))
+    for seed in range(10):
+        problem, config, desk = _desk_points(seed)
+        points += [(problem, z, config.beta) for z in desk]
+    certified = runs()
+    monkeypatch.setattr(pieces._SlopeModel, "multiplier_bound", lambda *a: None)
+    highs = runs()
+    solved = sum(1 for b, nb in highs if nb and b.verdict == STATIONARY)
+    skipped = sum(nb - na for (_, na), (_, nb) in zip(certified, highs, strict=True))
+    print(f"{skipped} of {solved} stationary checks that reach HiGHS skip it")
+    assert skipped == solved - 1  # random_problem(47)'s P1 at theta = 0 falls through
+    for (a, _), (b, _) in zip(certified, highs):
+        assert (a.target, a.order, a.verdict, a.mode, a.samples, a.notes) == (
+            b.target, b.order, b.verdict, b.mode, b.samples, b.notes
+        )
+        assert a.witness_value == b.witness_value
+        if a.min_found != b.min_found:
+            assert a.order == 1 and a.verdict == STATIONARY, (a, b)
+            assert a.min_found == 0.0 and -a.tol <= b.min_found <= 0.0
 
 
 def test_first_order_models_refuse_non_finite_coefficients():
@@ -638,6 +703,23 @@ def test_strong_minimum_check_outcomes_before_the_margin(relu_ridge):
         out = check_strong_local_min_sufficient(problem, z, replace(cfg, certified=certified))
         assert (out["verdict"], out["notes"]) == ("sufficient-holds", notes)
         assert out["margin_min"] is None
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_strong_minimum_check_refuses_an_infeasible_point():
+    # Theta = 4 - (u - 1)^2 + theta^2 + |u - theta| / 2 at theta = 0.25,
+    # u = 1.25 (residual 1) has zero slope in every direction, but it is a
+    # saddle: Theta falls from 4.5 to 4.499999 at u +- 1e-3.  P0's tangent
+    # model there would read S = {0} and hold the sufficient condition.
+    g = ex.affine(4.0, [-1.0], [ex.square(ex.affine(-1.0, [1.0], [ex.uref(1, 0)]))])
+    problem = CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), g, lam=1.0)
+    beta = np.array([0.5])
+    z = Point(np.array([0.25]), (np.array([1.25]),))
+    for du in (1e-3, -1e-3):
+        assert eval_Theta(problem, Point(z.theta, (z.u[0] + du,)), beta) < eval_Theta(problem, z, beta)
+    cfg = build_config(problem, beta=beta, seed=0)
+    with pytest.raises(InfeasiblePointError, match=r"max residual 1\.000e\+00"):
+        check_strong_local_min_sufficient(problem, z, cfg)
 
 
 def test_box_sampled_critical_route():
