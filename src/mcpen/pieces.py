@@ -463,19 +463,15 @@ class _SlopeModel:
         W = np.zeros((k + 1, dim + m))  # each switch's s, then obj, over (d, auxiliary variables)
         Y = np.zeros((m, dim + m))  # each tie variable's (fa + fb) / 2
         P = np.zeros((m, k))  # each auxiliary variable's weight on |s|
-        ties = []
         for i, (v, gap, fb, _) in enumerate(self.switches):
             W[i, : gap.size] = gap
             if fb is None:
                 P[v, i] = 1.0
-            else:
+            else:  # (fa + fb) / 2 = fb + (fa - fb) / 2
                 Y[v, : fb.size] = fb
-                ties.append((v, i))
+                Y[v] += 0.5 * W[i]
+                P[v, i] = 0.5
         W[k, : obj.size] = obj
-        if ties:
-            tv, ti = np.array(ties).T
-            Y[tv] += 0.5 * W[ti]  # (fa + fb) / 2 = fb + (fa - fb) / 2
-            P[tv, ti] = 0.5
         # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X,
         # where Y_aux is strictly lower triangular; it is zero unless ties nest.
         X = np.hstack([Y[:, :dim], P])
