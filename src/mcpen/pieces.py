@@ -5,23 +5,22 @@ DSL is a continuous piecewise-linear function of the direction: every rule is
 linear in the first-order data except branch selection at active kinks,
 where a value tie makes the derivative the max of the two branches' slopes.
 
-``theta_prime_min``, ``function_prime_min`` and the model that
-``psi_prime_model`` builds minimise that derivative over the unit l1 ball
-with one mixed-integer linear program (HiGHS through
-``scipy.optimize.milp``), in the spirit of the abs-normal form.  One walk over the four node families writes the derivative as linear
-forms in the direction: a tied kink adds a variable y with y >= both branch
-forms and one binary that, through big-M rows bounded by interval
-arithmetic, makes y equal to one of them; a vanishing penalty residual adds
-an epigraph variable t >= |w| with no binary, since it enters with a
-positive weight.  A tie-free derivative is a single linear program.  Where
-the objective weighs no auxiliary variable and no cone row cuts the ball,
-the minimum is -||c||_inf at a vertex of the ball and no program is solved.
-The same build records the abs-normal form phi(d) = a . d + b . |s| with
-s = Z d + L |s|: one switching variable per tie (its branch gap) and per
-vanishing residual (its slope).  Least-squares multipliers of Z^T mu = a
-give a rigorous lower bound on the minimum (tangential stationarity and
-normal growth, Griewank & Walther 2016), and a first-order check that
-finds it at or above -tol reads stationary without a program.
+``theta_prime_model``, ``psi_prime_model`` and ``function_prime_model``
+write that derivative as linear forms in the direction, in one walk over
+the four node families, and record each kink as a switch of the abs-normal
+form phi(d) = a . d + b . |s|, s = Z d + L |s| (Griewank & Walther 2016): a
+tied kink's variable y = max(fa, fb) switches on s = fa - fb, a vanishing
+penalty residual's epigraph variable t = |w| on s = w.  ``solve`` minimises
+phi over the unit l1 ball.  Where the objective weighs no auxiliary variable
+and no cone row cuts the ball, the minimum is -||c||_inf at a vertex.  Else,
+given tol, least-squares multipliers of Z^T mu = a give a rigorous lower
+bound (tangential stationarity and normal growth), and one at or above -tol
+settles a stationary point.  Else HiGHS (``scipy.optimize.milp``) solves one
+mixed-integer linear program, with rows derived from the switches: y >= both
+branch forms and a binary that, through big-M rows bounded by interval
+arithmetic, makes y equal to one of them; t >= |w| with no binary, since it
+enters with a positive weight.  ``critical_basis`` reads the subspace where
+phi vanishes off the same substitution.
 
 The piece enumerator below is the reference the tests compare against.
 Enumerating the forks of the active kinks yields a finite list of
@@ -68,6 +67,9 @@ MILP_TIME_LIMIT = 10.0
 # to about 1e-9 in the derivative's own units; its presolve, which drops
 # costs near its tolerances, stays off.
 _COST_SCALE = 1e3
+# A first derivative within this of zero counts as zero: for the critical
+# subspace, and for sampled directions in ``stationarity``.
+CRIT_SLACK = 1e-8
 
 Piece = tuple[float, np.ndarray, list[np.ndarray]]
 
@@ -335,22 +337,37 @@ class SlopeMin(NamedTuple):
 
     ``value`` is the derivative along the incumbent direction ``d``, or 0 at
     d = 0 when there is no incumbent below it.  ``bound`` is a lower bound
-    on the minimum: ``value`` itself when the minimum was read off a vertex
-    of the ball without HiGHS; the multiplier bound, at or above -tol, when
-    it settled the minimum without HiGHS (``value`` is then 0.0 at d = 0);
-    else the dual bound when the model has binaries, the linear program's
-    optimum when it has none, and None when the solve proved neither, as
-    when ``MILP_TIME_LIMIT`` stopped it.
-    ``binaries`` counts the tied kinks the model built one for, whether or
-    not HiGHS saw them, and ``coef`` is the objective over the direction
-    and the auxiliary variables.
+    on the minimum: ``value`` itself when it was read off a vertex of the
+    ball; the multiplier bound, at or above -tol, when that settled it
+    (``value`` is then 0.0 at d = 0); else HiGHS's dual bound with binaries,
+    its optimum without, and None when the solve proved neither, as when
+    ``MILP_TIME_LIMIT`` stopped it.  ``binaries`` counts the model's ties,
+    one binary each, whether or not HiGHS saw them.
     """
 
     value: float
     bound: float | None
     d: np.ndarray
     binaries: int
-    coef: np.ndarray
+
+
+class _Tie(NamedTuple):
+    """y = max(fa, fb); m_a and m_b bound fb - fa and fa - fb from above, and delta is its binary."""
+
+    y: int
+    fa: np.ndarray
+    fb: np.ndarray
+    m_a: float
+    m_b: float
+    delta: int
+
+
+class _Epigraph(NamedTuple):
+    """t = |w| for a vanishing residual's slope w, with S bounding |w|."""
+
+    t: int
+    w: np.ndarray
+    S: float
 
 
 def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -363,16 +380,15 @@ def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
 
 
 class _SlopeModel:
-    """Linear forms of a first derivative, and the rows that pin their auxiliary variables.
+    """Linear forms of a first derivative, and the switches that pin their auxiliary variables.
 
     Entry j < dim of a form is the coefficient of direction component d_j,
-    entry dim + a that of auxiliary variable a.  Forms are never changed in
-    place, so leaves share theirs.  ``check`` names the model in errors, and
-    ``ties`` maps each variable y = max(fa, fb) whose two forms are over the
-    direction alone to (fa, fb).  ``switches`` lists the switching variables
-    of the abs-normal form in the order they were made, each as (variable,
-    s, fb, S): a tie's y = fb + s/2 + |s|/2 with s = fa - fb, or, with fb
-    None, an epigraph t = |s| with s = w; S bounds |s| over the model.
+    entry dim + a that of auxiliary variable a, which lies in [lo[a], hi[a]].
+    Forms are never changed in place, so leaves share theirs.  ``check``
+    names the model in errors.  ``switches`` is the one record of the kinks:
+    ``_Tie`` and ``_Epigraph`` entries in build order, variables by index,
+    off which HiGHS's rows, the abs-normal form and the critical subspace
+    are read.  ``cone_rows`` are forms g that cut the ball by g . d >= 0.
     """
 
     def __init__(self, dim: int, check: str):
@@ -380,10 +396,8 @@ class _SlopeModel:
         self.check = check
         self.lo: list[float] = []
         self.hi: list[float] = []
-        self.binary: list[bool] = []
-        self.rows: list[tuple[np.ndarray, float, float]] = []
-        self.ties: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.switches: list[tuple[int, np.ndarray, np.ndarray | None, float]] = []
+        self.switches: list[_Tie | _Epigraph] = []
+        self.cone_rows: list[np.ndarray] = []
         self.zero = np.zeros(0)
         self._units: dict[int, np.ndarray] = {}
 
@@ -394,12 +408,11 @@ class _SlopeModel:
             u[j] = 1.0
         return u
 
-    def var(self, lo: float, hi: float, binary: bool = False) -> np.ndarray:
-        """A new auxiliary variable in [lo, hi], as a form."""
+    def var(self, lo: float, hi: float) -> int:
+        """A new auxiliary variable in [lo, hi]; its form is ``unit(dim + index)``."""
         self.lo.append(lo)
         self.hi.append(hi)
-        self.binary.append(binary)
-        return self.unit(self.dim + len(self.lo) - 1)
+        return len(self.lo) - 1
 
     def interval(self, f: np.ndarray) -> tuple[float, float]:
         """Bounds of f over the model: |c . d| <= ||c||_inf on the l1 ball, and each variable's box."""
@@ -410,67 +423,60 @@ class _SlopeModel:
         return -head + float(np.sum(np.minimum(lo, hi))), head + float(np.sum(np.maximum(lo, hi)))
 
     def max_of(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """y = max(fa, fb): y >= fa, y >= fb, and a binary that picks the branch y meets.
-
-        With the binary at 1 the row y <= fa + M_a (1 - delta) binds, at 0
-        the row y <= fb + M_b delta; M_a and M_b bound fb - fa and fa - fb
-        from above, so the other row stays slack.
-        """
+        """y = max(fa, fb), recorded as a tie with its big-M constants and binary."""
         if np.array_equal(fa, fb):
             return fa
-        lo_a, hi_a = self.interval(fa)
-        lo_b, hi_b = self.interval(fb)
-        gap = _add(fa, -fb)
-        gap_lo, gap_hi = self.interval(gap)
-        m_a, m_b = max(-gap_lo, 0.0), max(gap_hi, 0.0)
+        (lo_a, hi_a), (lo_b, hi_b) = self.interval(fa), self.interval(fb)
+        gap_lo, gap_hi = self.interval(_add(fa, -fb))
         y = self.var(max(lo_a, lo_b), max(hi_a, hi_b))
-        if max(fa.size, fb.size) <= self.dim:
-            self.ties[len(self.lo) - 1] = (fa, fb)
-        self.switches.append((len(self.lo) - 1, gap, fb, max(m_a, m_b)))
-        delta = self.var(0.0, 1.0, binary=True)
-        self.rows += [
-            (_add(y, -fa), 0.0, np.inf),
-            (_add(y, -fb), 0.0, np.inf),
-            (_add(_add(y, -fa), m_a * delta), -np.inf, m_a),
-            (_add(_add(y, -fb), -m_b * delta), -np.inf, 0.0),
-        ]
-        return y
+        self.switches.append(_Tie(y, fa, fb, max(-gap_lo, 0.0), max(gap_hi, 0.0), self.var(0.0, 1.0)))
+        return self.unit(self.dim + y)
 
     def abs_of(self, w: np.ndarray) -> np.ndarray:
         """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
         lo, hi = self.interval(w)
         t = self.var(0.0, max(hi, -lo, 0.0))
-        self.switches.append((len(self.lo) - 1, w, None, self.hi[-1]))
-        self.rows += [(_add(t, -w), 0.0, np.inf), (_add(t, w), 0.0, np.inf)]
-        return t
+        self.switches.append(_Epigraph(t, w, self.hi[t]))
+        return self.unit(self.dim + t)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def multiplier_bound(self, obj: np.ndarray, tol: float = np.inf) -> float | None:
-        """A lower bound on the minimum of obj over the unit l1 ball, or None once it is below -tol.
+    def _rows(self) -> list[tuple[np.ndarray, float, float]]:
+        """HiGHS's rows (form, lo, hi) beyond the ball's: each switch's in build order, then the cone rows.
 
-        Each switch's variable written over (d, |s|) turns obj into
-        a . d + b . |s| with s = Z d + L |s|, L strictly lower triangular.
-        For any mu, a . d = r . d + mu . (s - L |s|) with r = a - Z^T mu, so
-        obj = r . d + mu . s + c . |s| with c = b - L^T mu, and each
-        mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i.  With mu the
-        least-squares solution of Z^T mu = a, the bound -||r||_inf -
-        sum_i max(0, |mu_i| - c_i) S_i holds at any rank of Z (tangential
-        stationarity and normal growth), and rows that cut the ball only
-        raise the minimum.  None means ||r||_inf > tol; the normal-growth
-        terms are then skipped.
+        A tie gives y >= fa, y >= fb, y <= fa + m_a (1 - delta) and y <= fb
+        + m_b delta: with delta at 1 the third row binds, at 0 the fourth,
+        and the other stays slack.  An epigraph gives t >= w and t >= -w.
+        """
+        out = []
+        for sw in self.switches:
+            u = self.unit(self.dim + sw[0])
+            if isinstance(sw, _Epigraph):
+                out += [(_add(u, -sw.w), 0.0, np.inf), (_add(u, sw.w), 0.0, np.inf)]
+            else:
+                ya, yb, delta = _add(u, -sw.fa), _add(u, -sw.fb), self.unit(self.dim + sw.delta)
+                out += [(ya, 0.0, np.inf), (yb, 0.0, np.inf)]
+                out += [(_add(ya, sw.m_a * delta), -np.inf, sw.m_a), (_add(yb, -sw.m_b * delta), -np.inf, 0.0)]
+        return out + [(g, 0.0, np.inf) for g in self.cone_rows]
+
+    def _abs_normal(self, obj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Z, L, a, b) with obj = a . d + b . |s| and s = Z d + L |s|, one s per switch.
+
+        A tie's y = (fa + fb) / 2 + |s| / 2 with s = fa - fb, an epigraph's t
+        = |s| with s = w; L, strictly lower triangular, is zero unless switches nest.
         """
         dim, k, m = self.dim, len(self.switches), len(self.lo)
         W = np.zeros((k + 1, dim + m))  # each switch's s, then obj, over (d, auxiliary variables)
         Y = np.zeros((m, dim + m))  # each tie variable's (fa + fb) / 2
         P = np.zeros((m, k))  # each auxiliary variable's weight on |s|
-        for i, (v, gap, fb, _) in enumerate(self.switches):
-            W[i, : gap.size] = gap
-            if fb is None:
-                P[v, i] = 1.0
+        for i, sw in enumerate(self.switches):
+            if isinstance(sw, _Epigraph):
+                W[i, : sw.w.size] = sw.w
+                P[sw.t, i] = 1.0
             else:  # (fa + fb) / 2 = fb + (fa - fb) / 2
-                Y[v, : fb.size] = fb
-                Y[v] += 0.5 * W[i]
-                P[v, i] = 0.5
+                gap = _add(sw.fa, -sw.fb)
+                W[i, : gap.size] = gap
+                Y[sw.y, : sw.fb.size] = sw.fb
+                Y[sw.y] += 0.5 * W[i]
+                P[sw.y, i] = 0.5
         W[k, : obj.size] = obj
         # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X,
         # where Y_aux is strictly lower triangular; it is zero unless ties nest.
@@ -479,34 +485,70 @@ class _SlopeModel:
             X = solve_triangular(np.eye(m) - Y[:, dim:], X, lower=True, unit_diagonal=True)
         A = W[:, dim:] @ X
         A[:, :dim] += W[:, :dim]
-        Z, L, a, b = A[:k, :dim], A[:k, dim:], A[k, :dim], A[k, dim:]
-        mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if k else np.zeros(0)
+        return A[:k, :dim], A[:k, dim:], A[k, :dim], A[k, dim:]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def multiplier_bound(self, obj: np.ndarray, tol: float = np.inf) -> float | None:
+        """A lower bound on the minimum of obj over the unit l1 ball, or None once it is below -tol.
+
+        With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), any mu
+        gives obj = r . d + mu . s + c . |s| with r = a - Z^T mu and c = b -
+        L^T mu, and each mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i,
+        S_i bounding |s_i| over the model.  With mu = lstsq(Z^T, a), the bound
+        -||r||_inf - sum_i max(0, |mu_i| - c_i) S_i holds at any rank of Z
+        (tangential stationarity and normal growth), and rows that cut the
+        ball only raise the minimum.  None means ||r||_inf > tol; the
+        normal-growth terms are then skipped.
+        """
+        Z, L, a, b = self._abs_normal(obj)
+        mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if self.switches else np.zeros(0)
         r = float(np.max(np.abs(a - Z.T @ mu), initial=0.0))
         if r > tol:
             return None
-        S = np.array([bound for *_, bound in self.switches])
+        S = np.array([sw.S if isinstance(sw, _Epigraph) else max(sw.m_a, sw.m_b) for sw in self.switches])
         return -r - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * S))
+
+    def critical_basis(self, obj: np.ndarray) -> np.ndarray | None:
+        """Orthonormal basis of the critical subspace S of obj's derivative, or None when S is unknown.
+
+        With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), the
+        switches w with b_k != 0 weigh in.  When each is a tie with b_k > 0
+        whose row of L is zero, and mu = lstsq(Z_w^T, a) has every |mu_k| <
+        b_k, zero lies in the relative interior of the subdifferential, so
+        the derivative vanishes on S = {d : a . d = 0, Z_w d = 0} alone;
+        else S is unknown.  A slope within CRIT_SLACK counts as zero: S is
+        spanned by the right singular vectors of [a; b_w Z_w] whose singular
+        values are at most CRIT_SLACK, and is B = I when all of them are.
+        """
+        Z, L, a, b = self._abs_normal(obj)
+        w = np.flatnonzero(b)
+        known = all(isinstance(self.switches[k], _Tie) for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
+        if not known or (w.size and not np.all(np.abs(np.linalg.lstsq(Z[w].T, a, rcond=None)[0]) < b[w])):
+            return None
+        sv, vt = np.linalg.svd(np.vstack([a, b[w, None] * Z[w]]))[1:]
+        rank = int(np.sum(sv > CRIT_SLACK))
+        return np.eye(self.dim) if rank == 0 else vt[rank:].T
 
     def solve(self, obj: np.ndarray, tol: float | None = None) -> SlopeMin:
         """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
         The columns are d, then s, then the auxiliary variables; a
         non-finite coefficient, scaled cost or bound raises ValueError.
-        When obj weighs no auxiliary variable and every row mentions one,
-        the rows only pin y = max(fa, fb) and t = |w| inside their boxes,
-        which they meet at every d: the minimum is -|c_i| at the vertex
-        -sign(c_i) e_i, i the first argmax of |c|, and HiGHS is not called.
-        Given tol, a ``multiplier_bound`` at or above -tol comes next: the
-        result is d = 0 with value 0.0 and that bound, and HiGHS is not
-        called either.  Without tol the minimum is HiGHS's.
+        When obj weighs no auxiliary variable and no cone row cuts the ball,
+        the switches' rows only pin y = max(fa, fb) and t = |w| inside their
+        boxes, which they meet at every d: the minimum is -|c_i| at the
+        vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol, a
+        ``multiplier_bound`` at or above -tol comes next, with d = 0 and
+        value 0.0.  Only then are the ``_rows`` derived and HiGHS called.
         """
         dim, m = self.dim, len(self.lo)
         with np.errstate(over="ignore"):
-            forms = [_COST_SCALE * obj, np.array(self.lo + self.hi)] + [f for f, _, _ in self.rows]
+            forms = [_COST_SCALE * obj, np.array(self.lo + self.hi), *self.cone_rows]
+        forms += [f for sw in self.switches for f in sw[1:]]  # each row's forms and big-M constants
         if not all(np.all(np.isfinite(f)) for f in forms):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
-        binaries = int(sum(self.binary))
-        if not np.any(obj[dim:]) and all(np.any(f[dim:]) for f, _, _ in self.rows):
+        deltas = [sw.delta for sw in self.switches if isinstance(sw, _Tie)]
+        if not np.any(obj[dim:]) and not self.cone_rows:
             c = np.zeros(dim)
             c[: min(obj.size, dim)] = obj[:dim]
             value, d = 0.0, np.zeros(dim)
@@ -514,11 +556,11 @@ class _SlopeModel:
                 i = int(np.argmax(np.abs(c)))
                 d[i] = -np.sign(c[i])
                 value = float(c @ d)
-            return SlopeMin(value, value, d, binaries, obj)
+            return SlopeMin(value, value, d, len(deltas))
         if tol is not None:
             bound = self.multiplier_bound(obj, tol)
             if bound is not None and bound >= -tol:
-                return SlopeMin(0.0, bound, np.zeros(dim), binaries, obj)
+                return SlopeMin(0.0, bound, np.zeros(dim), len(deltas))
         ncol = 2 * dim + m
 
         def columns(f):
@@ -535,7 +577,8 @@ class _SlopeModel:
         v = [-np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim)]
         lower = [np.zeros(2 * dim), [-np.inf]]
         upper = [np.full(2 * dim, np.inf), [1.0]]
-        for i, (f, lo, hi) in enumerate(self.rows, start=2 * dim + 1):
+        rows = self._rows()
+        for i, (f, lo, hi) in enumerate(rows, start=2 * dim + 1):
             nz, cols = columns(f)
             r.append(np.full(nz.size, i))
             k.append(cols)
@@ -544,13 +587,14 @@ class _SlopeModel:
             upper.append([hi])
         A = sparse.csr_array(
             (np.concatenate(v), (np.concatenate(r), np.concatenate(k))),
-            shape=(2 * dim + 1 + len(self.rows), ncol),
+            shape=(2 * dim + 1 + len(rows), ncol),
         )
         bounds = Bounds(
             np.concatenate([-np.ones(dim), np.zeros(dim), self.lo]),
             np.concatenate([np.ones(2 * dim), self.hi]),
         )
-        integrality = np.concatenate([np.zeros(2 * dim), self.binary])
+        integrality = np.zeros(ncol)
+        integrality[2 * dim + np.array(deltas, dtype=int)] = 1.0
         res = milp(
             _COST_SCALE * c,
             integrality=integrality,
@@ -561,11 +605,11 @@ class _SlopeModel:
         value, d, bound = 0.0, np.zeros(dim), None
         if res.x is not None and c @ res.x < 0.0:
             value, d = float(c @ res.x), res.x[:dim].copy()
-        if not binaries:
+        if not deltas:
             bound = value if res.status == 0 else None
         elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
             bound = float(res.mip_dual_bound) / _COST_SCALE
-        return SlopeMin(value, bound, d, binaries, obj)
+        return SlopeMin(value, bound, d, len(deltas))
 
 
 def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> tuple[float, np.ndarray]:
@@ -647,12 +691,6 @@ def theta_prime_model(
     return model, _add(obj, 2.0 * problem.lam * z.theta)
 
 
-def theta_prime_min(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> SlopeMin:
-    """Exact minimum of d -> Theta'(z; d) over the unit l1 ball of the lifted space."""
-    model, obj = theta_prime_model(problem, z, beta)
-    return model.solve(obj)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> (Psi + reg)'(theta; d) and its objective form, unsolved.
@@ -690,11 +728,5 @@ def function_prime_model(
         return float(x[i]), model.unit(i)
 
     obj = _walk(model, e, leaf)[1]
-    model.rows += [(np.asarray(g, dtype=float), 0.0, np.inf) for g in cone_rows]
+    model.cone_rows = [np.asarray(g, dtype=float) for g in cone_rows]
     return model, obj
-
-
-def function_prime_min(e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()) -> SlopeMin:
-    """Exact minimum of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0."""
-    model, obj = function_prime_model(e, x, cone_rows)
-    return model.solve(obj)

@@ -1,21 +1,21 @@
 """Directional stationarity checks for the nested, lifted, and penalized problems.
 
 First-order checks minimize the relevant directional derivative over the unit
-l1 ball with one mixed-integer program (built by ``pieces.theta_prime_model``
-and its siblings), and the verdict comes from its bounds: stationary when
-the lower bound on the minimum is at least -tol, not stationary when the
-incumbent direction, l2-normalised, re-evaluates below -tol/2 through the
-derivative calculus, and inconclusive otherwise.  The bounds are the exact
-vertex value where the objective weighs no tie and no row cuts the ball,
-else a multiplier bound, which settles a stationary point at d = 0 when it
-is at least -tol, else HiGHS's.
-Second-order checks start from the matching first-order verdict, since a
-second-order stationary point is first-order stationary.  At a first-order
-stationary point the critical directions (tangent, with vanishing first
-derivative, parametrized by their parameter component) form a subspace S
-wherever P0's model shows it; there F'' is a quadratic form, checked on
-probes, whose smallest eigenvalue decides.  Elsewhere a seeded pool is
-searched, and a note says why.
+l1 ball through its model's ``solve`` (``pieces.theta_prime_model`` and its
+siblings), and the verdict comes from the bounds: stationary when the lower
+bound on the minimum is at least -tol, not stationary when the incumbent
+direction, l2-normalised, re-evaluates below -tol/2 through the derivative
+calculus, and inconclusive otherwise.  The bounds are the exact vertex value
+where the objective weighs no tie and no row cuts the ball, else a
+multiplier bound, which settles a stationary point at d = 0 when it is at
+least -tol, else HiGHS's.  Second-order checks start from the matching
+first-order verdict, since a second-order stationary point is first-order
+stationary.  At a first-order stationary point the critical directions
+(tangent, with vanishing first derivative, parametrized by their parameter
+component) form a subspace S wherever P0's model reads one off its switches
+(``critical_basis``); there F'' is a quadratic form, checked on probes,
+whose smallest eigenvalue decides.  Elsewhere a seeded pool is searched,
+and a note says why.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on the
 first-order bounds or on a verified quadratic form; ``sample`` verdicts
@@ -53,14 +53,13 @@ from .model import (
     residuals,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
-from .pieces import SlopeMin, function_prime_model, theta_prime_model
+from .pieces import CRIT_SLACK, SlopeMin, function_prime_model, theta_prime_model
 
 STATIONARY = "stationary"
 NOT_STATIONARY = "not-stationary"
 INCONCLUSIVE = "inconclusive"
 
 STAT_TOL = 1e-8
-CRIT_SLACK = 1e-8
 N_STARTS = 64
 # Columns per derivative call when a quadratic form is polarized: at n = 97
 # it needs 4753, and one call would hold several nbar-row arrays that wide.
@@ -242,37 +241,6 @@ def _critical(pool: np.ndarray, phi1: np.ndarray, phi2: np.ndarray, bad: np.ndar
     return sorted([(float(phi2[i]), pool[:, i], bool(bad[i])) for i in crit], key=lambda t: t[0])
 
 
-def _critical_basis(model: pieces._SlopeModel, obj: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the critical subspace S of P0's model, or None when S is unknown.
-
-    P0's model writes phi1(d) = c . d + sum_k a_k y_k.  A tie y_k = max(f_k .
-    d, g_k . d) with a_k > 0 gives a_k y_k = a_k (f_k + g_k) . d / 2 + |r_k .
-    d|, r_k = a_k (f_k - g_k) / 2: it moves c and adds the row r_k, when -c =
-    sum_k t_k r_k at the least-squares t has every |t_k| < 1, so that zero is
-    relatively interior to phi1's subdifferential and phi1 vanishes on S
-    alone.  Any other tie leaves S unknown.  A slope within CRIT_SLACK counts
-    as zero, as for sampled directions: S is spanned by the right singular
-    vectors of [c; r] whose singular values are at most CRIT_SLACK, and is
-    R^n, with B = I, when all of them are.
-    """
-    n = model.dim
-    coef = np.zeros(n + len(model.lo))
-    coef[: obj.size] = obj
-    c, aux = coef[:n], coef[n:]
-    tied = np.flatnonzero(aux)
-    H = np.zeros((tied.size, n))
-    for r, k in enumerate(tied):
-        if int(k) not in model.ties or aux[k] < 0.0:
-            return None
-        f, g = (np.pad(form, (0, n - form.size)) for form in model.ties[int(k)])
-        c, H[r] = c + aux[k] * (f + g) / 2.0, aux[k] * (f - g) / 2.0
-    if tied.size and not np.all(np.abs(np.linalg.lstsq(H.T, -c, rcond=None)[0]) < 1.0):
-        return None
-    sv, vt = np.linalg.svd(np.vstack([c, H]))[1:]
-    rank = int(np.sum(sv > CRIT_SLACK))
-    return np.eye(n) if rank == 0 else vt[rank:].T
-
-
 def _quadratic_form(second: Callable, B: np.ndarray, seed: int) -> tuple:
     """(Q, columns evaluated, reason): a second derivative as a quadratic form on span(B).
 
@@ -309,7 +277,7 @@ def _critical_form(problem: CompositeProblem, z: Point, seed: int, p0: tuple) ->
 
     ``p0`` is P0's (model, objective) from ``pieces.psi_prime_model`` at z.theta.
     """
-    B = _critical_basis(*p0)
+    B = p0[0].critical_basis(p0[1])
     if B is None:
         return None, None, 0, "critical subspace unknown"
     if B.shape[1] == 0:
@@ -522,9 +490,8 @@ def check_box(
     at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
     model, obj = function_prime_model(e, x, cone_rows)
-    sol = model.solve(obj, STAT_TOL)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
-    _first_order(report, sol, lambda u: (u, _confirmed(tape, x, u, 1)))
+    _first_order(report, model.solve(obj, STAT_TOL), lambda u: (u, _confirmed(tape, x, u, 1)))
     if report.verdict == NOT_STATIONARY and order == 2:
         report.notes.append("already fails at first order")
     if report.verdict != STATIONARY or order == 1:
@@ -534,7 +501,7 @@ def check_box(
     # Exact route for an interior point whose first derivative vanishes, up
     # to CRIT_SLACK as for the critical subspace: the second derivative as a
     # verified quadratic form, read off at its minimum eigenvalue over the sphere.
-    if not cone_rows and float(np.max(np.abs(sol.coef), initial=0.0)) <= CRIT_SLACK:
+    if not cone_rows and float(np.max(np.abs(obj), initial=0.0)) <= CRIT_SLACK:
         Q, columns, _ = _quadratic_form(lambda D: along(D)[2::2], eye, seed)  # (second, bad2)
         if Q is not None:
             vals, vecs = np.linalg.eigh(Q)

@@ -18,13 +18,11 @@ from mcpen.model import Point, eval_layers
 from mcpen.pieces import (
     TooManyPieces,
     function_pieces,
-    function_prime_min,
     function_prime_model,
     min_over_cross_polytope,
     minimize_pieces,
     psi_prime_model,
     psi_prime_pieces,
-    theta_prime_min,
     theta_prime_model,
     theta_prime_pieces,
 )
@@ -342,6 +340,10 @@ def _shifted(z):
 
 
 def test_exact_minima_match_the_enumeration_oracle():
+    # HiGHS's value and bound equal the oracle's minimum.  The multiplier
+    # bound holds for any multipliers and any rank of the switching rows,
+    # and box rows only raise the minimum, so it never exceeds the oracle's
+    # minimum nor HiGHS's value.
     compared = 0
     for seed in range(60):
         p = random_problem(seed)
@@ -351,36 +353,6 @@ def test_exact_minima_match_the_enumeration_oracle():
         e = p.layers[0].exprs[0]
         orthant = list(np.eye(p.n))  # every component at the lower face of a box
         off = _shifted(z)
-        model, obj = psi_prime_model(p, z.theta)
-        cases = [
-            (model.solve(obj), partial(psi_prime_pieces, p, z.theta)),
-            (theta_prime_min(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
-            (theta_prime_min(p, off, beta), partial(theta_prime_pieces, p, off, beta)),
-            (function_prime_min(e, x), partial(function_pieces, e, x)),
-            (function_prime_min(e, x, orthant), partial(function_pieces, e, x), orthant),
-        ]
-        for sol, pieces, *extra in cases:
-            assert sol.bound <= sol.value + 1e-12
-            ref = _oracle(pieces, *extra)
-            if ref is not None:
-                compared += 1
-                assert abs(sol.value - ref) <= 1e-9 and abs(sol.bound - ref) <= 1e-9, (seed, ref, sol)
-    assert compared >= 270
-
-
-def test_multiplier_bounds_lie_below_the_exact_minima():
-    # The cases of the oracle test above.  The multiplier bound holds for any
-    # multipliers and any rank of the switching rows, and box rows only raise
-    # the minimum, so it never exceeds the oracle's minimum nor HiGHS's value.
-    compared = 0
-    for seed in range(60):
-        p = random_problem(seed)
-        beta = [1.0] * p.L
-        z = eval_layers(p, np.zeros(p.n))
-        x = np.round(np.random.default_rng(seed).uniform(-1, 1, p.n), 1)
-        e = p.layers[0].exprs[0]
-        orthant = list(np.eye(p.n))
-        off = _shifted(z)
         cases = [
             (psi_prime_model(p, z.theta), partial(psi_prime_pieces, p, z.theta)),
             (theta_prime_model(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
@@ -389,13 +361,59 @@ def test_multiplier_bounds_lie_below_the_exact_minima():
             (function_prime_model(e, x, orthant), partial(function_pieces, e, x), orthant),
         ]
         for (model, obj), pieces, *extra in cases:
+            sol = model.solve(obj)
             bound = model.multiplier_bound(obj)
-            assert bound <= model.solve(obj).value + 1e-12, seed
+            assert sol.bound <= sol.value + 1e-12
+            assert bound <= sol.value + 1e-12, seed
             ref = _oracle(pieces, *extra)
             if ref is not None:
                 compared += 1
+                assert abs(sol.value - ref) <= 1e-9 and abs(sol.bound - ref) <= 1e-9, (seed, ref, sol)
                 assert bound <= ref + 1e-12, (seed, ref, bound)
     assert compared >= 270
+
+
+def test_highs_rows_are_read_off_the_switches(monkeypatch):
+    # y = max(t, d1) nests the epigraph t = |d0 - d1|, and the cone row keeps
+    # d0 >= 0.  Columns: d0, d1, then s0, s1 of the ball, then t, y and y's
+    # binary delta.  Bounds by interval arithmetic: t in [0, 1], y in [0, 1],
+    # t - d1 in [-1, 2], so m_a = 1 and m_b = 2.  The minimum of y - d0 is
+    # -1/3 at d = (2/3, 1/3), where |d0 - d1| = d1.
+    calls = []
+    real = pieces_mod.milp
+    monkeypatch.setattr(pieces_mod, "milp", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+    model = pieces_mod._SlopeModel(2, "hand-built")
+    d0, d1 = model.unit(0), model.unit(1)
+    t = model.abs_of(pieces_mod._add(d0, -d1))
+    y = model.max_of(t, d1)
+    model.cone_rows = [np.array([1.0, 0.0])]
+    sol = model.solve(pieces_mod._add(y, -d0))
+    (c,), kw = calls[0]
+    inf = np.inf
+    rows = [
+        ([-1, 0, 1, 0, 0, 0, 0], 0, inf),  # s0 - d0 >= 0
+        ([0, -1, 0, 1, 0, 0, 0], 0, inf),
+        ([1, 0, 1, 0, 0, 0, 0], 0, inf),  # s0 + d0 >= 0
+        ([0, 1, 0, 1, 0, 0, 0], 0, inf),
+        ([0, 0, 1, 1, 0, 0, 0], -inf, 1),  # sum s <= 1
+        ([-1, 1, 0, 0, 1, 0, 0], 0, inf),  # t >= d0 - d1
+        ([1, -1, 0, 0, 1, 0, 0], 0, inf),  # t >= d1 - d0
+        ([0, 0, 0, 0, -1, 1, 0], 0, inf),  # y >= t
+        ([0, -1, 0, 0, 0, 1, 0], 0, inf),  # y >= d1
+        ([0, 0, 0, 0, -1, 1, 1], -inf, 1),  # y <= t + m_a (1 - delta)
+        ([0, -1, 0, 0, 0, 1, -2], -inf, 0),  # y <= d1 + m_b delta
+        ([1, 0, 0, 0, 0, 0, 0], 0, inf),  # the cone row
+    ]
+    cons = kw["constraints"]
+    assert cons.A.toarray().tolist() == [r for r, _, _ in rows]
+    assert cons.lb.tolist() == [lo for _, lo, _ in rows] and cons.ub.tolist() == [hi for *_, hi in rows]
+    assert kw["bounds"].lb.tolist() == [-1, -1, 0, 0, 0, 0, 0]
+    assert kw["bounds"].ub.tolist() == [1, 1, 1, 1, 1, 1, 1]
+    assert kw["integrality"].tolist() == [0, 0, 0, 0, 0, 0, 1]
+    assert c.tolist() == [-1e3, 0, 0, 0, 0, 1e3, 0]
+    assert sol.binaries == 1
+    assert sol.value == pytest.approx(-1 / 3, abs=1e-9) and sol.bound == pytest.approx(-1 / 3, abs=1e-9)
+    np.testing.assert_allclose(sol.d, [2 / 3, 1 / 3], atol=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import blowup_problem, random_problem
+from walkers import tie_basis
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
 from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
@@ -732,6 +733,15 @@ def test_box_sampled_critical_route():
     assert (r.verdict, r.mode, r.min_found, r.witness_value) == (NOT_STATIONARY, "sample", -2.0, -2.0)
 
 
+@cache
+def _trained_random(seed):
+    """random_problem(seed), trained from theta = 0 under beta 0.7 and polished, and beta."""
+    problem = random_problem(seed)
+    beta = np.full(problem.L, 0.7)
+    res = minimize_theta(problem, beta, SolveConfig(max_iters=100, seed=seed))
+    return problem, polish_to_feasible(problem, res.z, beta)[0], beta
+
+
 def _sampled(problem, z, first, beta):
     """The seeded pool's verdict over R^n: the route taken when S is unknown."""
     return stationarity._second_order(problem, z, first, beta, 0, (None, None, 0, "reference"))
@@ -742,12 +752,7 @@ def test_exact_second_order_agrees_with_the_sampled_search():
     # Trained random problems and desk RNNs.  Wherever the quadratic form on
     # the critical subspace decides, the pool over all of R^n reads the same
     # verdict, so no exact `stationary` meets a confirmed pool witness.
-    points = []
-    for seed in range(60):
-        problem = random_problem(seed)
-        beta = np.full(problem.L, 0.7)
-        res = minimize_theta(problem, beta, SolveConfig(max_iters=100, seed=seed))
-        points.append((problem, polish_to_feasible(problem, res.z, beta)[0], beta))
+    points = [_trained_random(seed) for seed in range(60)]
     for seed in range(10):
         problem, config, (_, trained) = _desk_points(seed)
         points.append((problem, trained, config.beta))
@@ -773,6 +778,37 @@ def test_exact_second_order_agrees_with_the_sampled_search():
             ref = _sampled(problem, z, first, b)
             assert r.verdict == ref.verdict, (first.target, r, ref)
     assert decided >= 70
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_critical_basis_spans_the_tie_algebra_subspace():
+    # Every feasible P0-stationary point among random problems at theta = 0,
+    # at 0.5 N(0, I) and trained, and desk RNNs at the lift and trained: the
+    # abs-normal reader and the tie algebra find the same S, or both none.
+    points = []
+    for seed in range(60):
+        problem = random_problem(seed)
+        th = 0.5 * np.random.default_rng(seed).standard_normal(problem.n)
+        points += [(problem, eval_layers(problem, np.zeros(problem.n))), (problem, eval_layers(problem, th))]
+        points.append(_trained_random(seed)[:2])
+    for seed in range(10):
+        problem, _, desk = _desk_points(seed)
+        points += [(problem, z) for z in desk]
+    compared, unknown, weighted = 0, 0, 0
+    for problem, z in points:
+        if not residuals(problem, z).feasible or check_d_stationary_P0(problem, z).verdict != STATIONARY:
+            continue
+        model, obj = pieces.psi_prime_model(problem, z.theta)
+        B, ref = model.critical_basis(obj), tie_basis(model, obj)
+        compared += 1
+        weighted += bool(np.any(obj[problem.n :]))
+        if ref is None:
+            assert B is None
+            unknown += 1
+            continue
+        assert B is not None and B.shape == ref.shape
+        np.testing.assert_allclose(B @ B.T, ref @ ref.T, rtol=0.0, atol=1e-10)
+    assert (compared, unknown, weighted) == (84, 7, 18)
 
 
 def test_second_order_at_a_tie_whose_critical_cone_is_a_half_line():

@@ -17,7 +17,9 @@ rows; over two or more columns it must match byte for byte.
 ``scalar_sample_level_set`` judges one level-set candidate at a time, as
 ``penalty._sample_level_set`` did before it judged them in chunks of
 columns.  The tapes and the chunked sampler must reproduce them byte for
-byte.
+byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
+algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
+read it off the abs-normal form; the two must span the same subspace.
 """
 
 import operator
@@ -28,6 +30,7 @@ import numpy as np
 
 from mcpen import expr as ex
 from mcpen.dcalc import KINK_TOL
+from mcpen.pieces import CRIT_SLACK, _Tie
 from mcpen.model import (
     FEAS_TOL,
     EvaluationError,
@@ -354,3 +357,37 @@ def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
             th2, blocks2 = split_flat(problem, z.flat() + noise)
             pts.append(Point(th2, tuple(blocks2)))
     return pts
+
+
+def tie_basis(model, obj):
+    """Orthonormal basis of the critical subspace S of P0's model, or None when S is unknown.
+
+    P0's model writes phi1(d) = c . d + sum_k a_k y_k.  A tie y_k = max(f_k .
+    d, g_k . d) over the direction alone with a_k > 0 gives a_k y_k = a_k
+    (f_k + g_k) . d / 2 + |r_k . d|, r_k = a_k (f_k - g_k) / 2: it moves c
+    and adds the row r_k, when -c = sum_k t_k r_k at the least-squares t has
+    every |t_k| < 1.  Any other weighted variable leaves S unknown.  S is
+    spanned by the right singular vectors of [c; r] whose singular values
+    are at most CRIT_SLACK, and is R^n, with B = I, when all of them are.
+    """
+    n = model.dim
+    ties = {
+        sw.y: (sw.fa, sw.fb)
+        for sw in model.switches
+        if isinstance(sw, _Tie) and max(sw.fa.size, sw.fb.size) <= n
+    }
+    coef = np.zeros(n + len(model.lo))
+    coef[: obj.size] = obj
+    c, aux = coef[:n], coef[n:]
+    tied = np.flatnonzero(aux)
+    H = np.zeros((tied.size, n))
+    for r, k in enumerate(tied):
+        if int(k) not in ties or aux[k] < 0.0:
+            return None
+        f, g = (np.pad(form, (0, n - form.size)) for form in ties[int(k)])
+        c, H[r] = c + aux[k] * (f + g) / 2.0, aux[k] * (f - g) / 2.0
+    if tied.size and not np.all(np.abs(np.linalg.lstsq(H.T, -c, rcond=None)[0]) < 1.0):
+        return None
+    sv, vt = np.linalg.svd(np.vstack([c, H]))[1:]
+    rank = int(np.sum(sv > CRIT_SLACK))
+    return np.eye(n) if rank == 0 else vt[rank:].T
