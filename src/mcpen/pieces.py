@@ -15,7 +15,9 @@ phi over the unit l1 ball.  Where the objective weighs no auxiliary variable
 and no cone row cuts the ball, the minimum is -||c||_inf at a vertex.  Else,
 given tol, least-squares multipliers of Z^T mu = a give a rigorous lower
 bound (tangential stationarity and normal growth), and one at or above -tol
-settles a stationary point.  Else HiGHS (``scipy.optimize.milp``) solves one
+settles a stationary point; where the tangential residual a - Z^T mu
+exceeds tol instead, it points down within ker Z, a descent direction that
+leaves every switch at zero.  Else HiGHS (``scipy.optimize.milp``) solves one
 mixed-integer linear program, with rows derived from the switches: y >= both
 branch forms and a binary that, through big-M rows bounded by interval
 arithmetic, makes y equal to one of them; t >= |w| with no binary, since it
@@ -337,18 +339,22 @@ class SlopeMin(NamedTuple):
 
     ``value`` is the derivative along the incumbent direction ``d``, or 0 at
     d = 0 when there is no incumbent below it.  ``bound`` is a lower bound
-    on the minimum: ``value`` itself when it was read off a vertex of the
-    ball; the multiplier bound, at or above -tol, when that settled it
-    (``value`` is then 0.0 at d = 0); else HiGHS's dual bound with binaries,
-    its optimum without, and None when the solve proved neither, as when
-    ``MILP_TIME_LIMIT`` stopped it.  ``binaries`` counts the model's ties,
-    one binary each, whether or not HiGHS saw them.
+    on the minimum, or None.  ``source`` says which step settled it:
+    ``"vertex"`` read the exact minimum off a vertex of the ball (``bound``
+    is ``value``); ``"multipliers"`` either proved a stationary point
+    (``bound`` at or above -tol, ``value`` 0.0 at d = 0) or found a descent
+    direction in ker Z (``bound`` None, ``value`` the slope along it, which
+    HiGHS's minimum may undercut); ``"highs"`` gives HiGHS's dual bound with
+    binaries, its optimum without, and None when the solve proved neither,
+    as when ``MILP_TIME_LIMIT`` stopped it.  ``binaries`` counts the model's
+    ties, one binary each, whether or not HiGHS saw them.
     """
 
     value: float
     bound: float | None
     d: np.ndarray
     binaries: int
+    source: str
 
 
 class _Tie(NamedTuple):
@@ -487,9 +493,13 @@ class _SlopeModel:
         A[:, :dim] += W[:, :dim]
         return A[:k, :dim], A[:k, dim:], A[k, :dim], A[k, dim:]
 
+    def multiplier_bound(self, obj: np.ndarray) -> float:
+        """The multiplier lower bound on the minimum of obj over the unit l1 ball (``_multipliers``)."""
+        return self._multipliers(obj, np.inf, 0).bound
+
     @np.errstate(over="ignore", invalid="ignore")
-    def multiplier_bound(self, obj: np.ndarray, tol: float = np.inf) -> float | None:
-        """A lower bound on the minimum of obj over the unit l1 ball, or None once it is below -tol.
+    def _multipliers(self, obj: np.ndarray, tol: float, binaries: int) -> SlopeMin | None:
+        """What the least-squares multipliers settle: a stationary point, a descent witness, or None.
 
         With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), any mu
         gives obj = r . d + mu . s + c . |s| with r = a - Z^T mu and c = b -
@@ -497,16 +507,30 @@ class _SlopeModel:
         S_i bounding |s_i| over the model.  With mu = lstsq(Z^T, a), the bound
         -||r||_inf - sum_i max(0, |mu_i| - c_i) S_i holds at any rank of Z
         (tangential stationarity and normal growth), and rows that cut the
-        ball only raise the minimum.  None means ||r||_inf > tol; the
-        normal-growth terms are then skipped.
+        ball only raise the minimum: at or above -tol it settles a stationary
+        point, with d = 0 and value 0.0.  Where ||r||_inf > tol, r is a's
+        projection onto ker Z, so with no cone row d = -r / ||r||_1 keeps
+        every switch at s = 0 and obj falls at -||r||_2^2 / ||r||_1.  That
+        slope, a . d + b . |s| with s from forward substitution, below -tol
+        makes d the incumbent, with no lower bound.  Else HiGHS decides.
         """
         Z, L, a, b = self._abs_normal(obj)
         mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if self.switches else np.zeros(0)
-        r = float(np.max(np.abs(a - Z.T @ mu), initial=0.0))
-        if r > tol:
+        r = a - Z.T @ mu
+        r_max = float(np.max(np.abs(r), initial=0.0))
+        if not r_max > tol:
+            S = np.array([sw.S if isinstance(sw, _Epigraph) else max(sw.m_a, sw.m_b) for sw in self.switches])
+            bound = -r_max - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * S))
+            return SlopeMin(0.0, bound, np.zeros(self.dim), binaries, "multipliers") if bound >= -tol else None
+        if self.cone_rows:
             return None
-        S = np.array([sw.S if isinstance(sw, _Epigraph) else max(sw.m_a, sw.m_b) for sw in self.switches])
-        return -r - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * S))
+        d = -r / float(np.sum(np.abs(r)))
+        s = Z @ d
+        if np.any(L):
+            for i in range(1, s.size):
+                s[i] += L[i, :i] @ np.abs(s[:i])
+        value = float(a @ d + b @ np.abs(s))
+        return SlopeMin(value, None, d, binaries, "multipliers") if value < -tol else None
 
     def critical_basis(self, obj: np.ndarray) -> np.ndarray | None:
         """Orthonormal basis of the critical subspace S of obj's derivative, or None when S is unknown.
@@ -537,9 +561,11 @@ class _SlopeModel:
         When obj weighs no auxiliary variable and no cone row cuts the ball,
         the switches' rows only pin y = max(fa, fb) and t = |w| inside their
         boxes, which they meet at every d: the minimum is -|c_i| at the
-        vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol, a
-        ``multiplier_bound`` at or above -tol comes next, with d = 0 and
-        value 0.0.  Only then are the ``_rows`` derived and HiGHS called.
+        vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol, the
+        ``_multipliers`` come next, read once: a bound at or above -tol
+        (d = 0, value 0.0), or where the tangential residual exceeds tol, a
+        direction in ker Z whose slope is below -tol.  Only then are the
+        ``_rows`` derived and HiGHS called.
         """
         dim, m = self.dim, len(self.lo)
         with np.errstate(over="ignore"):
@@ -556,11 +582,11 @@ class _SlopeModel:
                 i = int(np.argmax(np.abs(c)))
                 d[i] = -np.sign(c[i])
                 value = float(c @ d)
-            return SlopeMin(value, value, d, len(deltas))
+            return SlopeMin(value, value, d, len(deltas), "vertex")
         if tol is not None:
-            bound = self.multiplier_bound(obj, tol)
-            if bound is not None and bound >= -tol:
-                return SlopeMin(0.0, bound, np.zeros(dim), len(deltas))
+            sol = self._multipliers(obj, tol, len(deltas))
+            if sol is not None:
+                return sol
         ncol = 2 * dim + m
 
         def columns(f):
@@ -609,7 +635,7 @@ class _SlopeModel:
             bound = value if res.status == 0 else None
         elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
             bound = float(res.mip_dual_bound) / _COST_SCALE
-        return SlopeMin(value, bound, d, len(deltas))
+        return SlopeMin(value, bound, d, len(deltas), "highs")
 
 
 def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> tuple[float, np.ndarray]:

@@ -8,9 +8,11 @@ direction, l2-normalised, re-evaluates below -tol/2 through the derivative
 calculus, and inconclusive otherwise.  The bounds are the exact vertex value
 where the objective weighs no tie and no row cuts the ball, else a
 multiplier bound, which settles a stationary point at d = 0 when it is at
-least -tol, else HiGHS's.  Second-order checks start from the matching
-first-order verdict, since a second-order stationary point is first-order
-stationary.  At a first-order stationary point the critical directions
+least -tol, else HiGHS's.  Where the multipliers leave a tangential
+residual above tol, its direction in ker Z is the incumbent instead, and
+HiGHS runs only if it does not re-evaluate below -tol/2.  Second-order
+checks start from the matching first-order verdict, since a second-order
+stationary point is first-order stationary.  At a first-order stationary point the critical directions
 (tangent, with vanishing first derivative, parametrized by their parameter
 component) form a subspace S wherever P0's model reads one off its switches
 (``critical_basis``); there F'' is a quadratic form, checked on probes,
@@ -53,7 +55,7 @@ from .model import (
     residuals,
 )
 from .penalty import PenaltyConfig, feasibility_descent_direction
-from .pieces import CRIT_SLACK, SlopeMin, function_prime_model, theta_prime_model
+from .pieces import CRIT_SLACK, function_prime_model, theta_prime_model
 
 STATIONARY = "stationary"
 NOT_STATIONARY = "not-stationary"
@@ -72,11 +74,12 @@ class StationarityReport:
     """One check's verdict and its evidence.
 
     ``min_found`` is the smallest derivative found: at first order the
-    minimum over the unit l1 ball, as HiGHS returned it or, where the
-    objective weighs no tie, the exact vertex value, and 0.0 where the
-    multiplier bound proved the point stationary; at second order the
-    smallest eigenvalue of F'' on S (a lower bound for the penalized
-    target) or the smallest sampled curvature.  ``samples`` counts the
+    slope of the incumbent over the unit l1 ball, which is the exact
+    minimum where the vertex form (the objective weighs no tie) or HiGHS
+    gave it, the slope along the multipliers' direction in ker Z where that
+    refuted, and 0.0 where the multiplier bound proved the point
+    stationary; at second order the smallest eigenvalue of F'' on S (a
+    lower bound for the penalized target) or the smallest sampled curvature.  ``samples`` counts the
     binaries the first-order model built, sent to HiGHS or not, and the
     directions evaluated at second order: the form's columns and probes,
     then any pool (none when the point fails or is undecided at first
@@ -114,13 +117,18 @@ def _directions(dim: int, count: int, seed: int) -> np.ndarray:
     return pool
 
 
+def _confirms(confirmed: float | None, tol: float) -> bool:
+    """Whether a witness's re-evaluated slope or curvature lies below -tol/2."""
+    return confirmed is not None and confirmed < -tol / 2.0
+
+
 def _refute(report: StationarityReport, witness, confirmed: float | None) -> bool:
     """Record a refutation when the witness re-evaluates below -tol/2.
 
     Otherwise note, once per report, that it did not; the caller's verdict
     then stays inconclusive unless another witness refutes.
     """
-    if confirmed is not None and confirmed < -report.tol / 2.0:
+    if _confirms(confirmed, report.tol):
         report.verdict, report.witness = NOT_STATIONARY, witness
         report.witness_value = float(confirmed)
         return True
@@ -130,22 +138,36 @@ def _refute(report: StationarityReport, witness, confirmed: float | None) -> boo
 
 
 def _first_order(
-    report: StationarityReport, sol: SlopeMin, confirm: Callable[[np.ndarray], tuple]
+    report: StationarityReport,
+    model: pieces._SlopeModel,
+    obj: np.ndarray,
+    confirm: Callable[[np.ndarray], tuple],
 ) -> StationarityReport:
-    """The verdict that a first-order minimum's bounds allow: the vertex's, the multipliers' or HiGHS's.
+    """The verdict that the bounds of obj's minimum allow: the vertex's, the multipliers' or HiGHS's.
 
     ``stationary`` needs the lower bound on the minimum at or above -tol
     (a multiplier bound comes with d = 0 and value 0.0);
     ``not-stationary`` needs the incumbent below -tol and its l2-normalised
     direction u to re-evaluate below -tol/2, where ``confirm(u)`` gives the
-    witness and its re-evaluated slope.  Anything else is inconclusive, with
-    a note that says why.
+    witness and its re-evaluated slope.  A multipliers' witness that does
+    not re-evaluate that low hands the model to HiGHS.  Anything else is
+    inconclusive, with a note that says why.
     """
+    tol = report.tol
+
+    def incumbent(sol):
+        return confirm(sol.d / np.linalg.norm(sol.d)) if sol.value < -tol else None
+
+    sol = model.solve(obj, tol)
+    found = incumbent(sol)
+    if sol.source == "multipliers" and found is not None and not _confirms(found[1], tol):
+        sol = model.solve(obj)
+        found = incumbent(sol)
     report.mode, report.samples, report.min_found = "exact", sol.binaries, sol.value
-    if sol.bound is not None and sol.bound >= -report.tol:
+    if sol.bound is not None and sol.bound >= -tol:
         report.verdict = STATIONARY
-    elif sol.value < -report.tol:
-        _refute(report, *confirm(sol.d / np.linalg.norm(sol.d)))
+    elif found is not None:
+        _refute(report, *found)
     else:
         lo = "-inf" if sol.bound is None else f"{sol.bound:.3e}"
         report.notes.append(
@@ -180,7 +202,7 @@ def _p0_report(problem: CompositeProblem, z: Point, tol: float, p0: tuple) -> St
     def confirm(dth):
         return lift_direction(problem, z, dth), dd_Psi(problem, z.theta, dth, order=1).first
 
-    return _first_order(report, model.solve(obj, tol), confirm)
+    return _first_order(report, model, obj, confirm)
 
 
 def check_d_stationary_P1(
@@ -198,7 +220,7 @@ def check_d_stationary_P1(
         return d, dd_Theta(problem, z, d, b, order=1).first
 
     model, obj = theta_prime_model(problem, z, b)
-    return _first_order(report, model.solve(obj, tol), confirm)
+    return _first_order(report, model, obj, confirm)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +384,7 @@ def _second_order(
         d, reason = lift_direction(problem, z, v), "eigenvector not known radial"
         if beta is not None or radial_membership(problem, z, d).in_radial:
             curv = _curvature(problem, z, d, beta)
-            if curv is not None and curv < -tol / 2.0:
+            if _confirms(curv, tol):
                 report.verdict, report.witness, report.witness_value = NOT_STATIONARY, d, curv
                 return report
             reason = "eigenvector did not re-evaluate below -tol/2"
@@ -491,7 +513,7 @@ def check_box(
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
     model, obj = function_prime_model(e, x, cone_rows)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
-    _first_order(report, model.solve(obj, STAT_TOL), lambda u: (u, _confirmed(tape, x, u, 1)))
+    _first_order(report, model, obj, lambda u: (u, _confirmed(tape, x, u, 1)))
     if report.verdict == NOT_STATIONARY and order == 2:
         report.notes.append("already fails at first order")
     if report.verdict != STATIONARY or order == 1:
@@ -559,6 +581,13 @@ def compare_sets_on_point(
     inconsistencies, not silently dropped.  An infeasible point flagged by
     the first implication comes with the slope of Theta along the residual
     correction direction, which certified beta would make negative.
+
+    P0 minimises over the unit l1 ball of the parameters and P1 over that of
+    the lifted space, where P0's witness is longer once lifted.  So where P0
+    reads not-stationary and P1 stationary, the second and third
+    implications are flagged only when P0's lifted witness, divided by its
+    lifted l1 norm, has a slope of Theta below -tol: a P0 descent that one
+    tol does not resolve on the lifted ball contradicts no P1 verdict.
     """
     res = residuals(problem, z)
     theta_val = eval_Theta(problem, z, config.beta)
@@ -573,16 +602,21 @@ def compare_sets_on_point(
         sd0 = _second_order(problem, z, d0, None, seed, form)
     inconsistencies: list[str] = []
     guarded = in_level and config.certified
+    excused = False
+    if d0 is not None and (d0.verdict, d1.verdict) == (NOT_STATIONARY, STATIONARY):
+        w = d0.witness.flat()
+        unit = direction_from_flat(problem, w / np.sum(np.abs(w)))
+        excused = not dd_Theta(problem, z, unit, config.beta).first < -d1.tol
     if guarded and d1.verdict == STATIONARY and not res.feasible:
         slope = dd_Theta(problem, z, feasibility_descent_direction(problem, z), config.beta).first
         inconsistencies.append(
             "penalized-stationary infeasible point inside the level set; "
             f"residual correction direction has slope {slope:.1e}"
         )
-    if guarded and res.feasible and d0 is not None:
+    if guarded and res.feasible and d0 is not None and not excused:
         if {d0.verdict, d1.verdict} <= {STATIONARY, NOT_STATIONARY} and d0.verdict != d1.verdict:
             inconsistencies.append("first-order verdicts of lifted and penalized problems differ")
-    if sd0 is not None and sd1 is not None:
+    if sd0 is not None and sd1 is not None and not excused:
         if sd1.verdict == STATIONARY and sd0.verdict == NOT_STATIONARY:
             inconsistencies.append("penalized second-order stationary but lifted is not")
     return {

@@ -387,6 +387,25 @@ def test_multiplier_bounds_lie_below_the_exact_minima():
     assert compared >= 270
 
 
+def test_multiplier_witnesses_lie_between_the_exact_minima_and_minus_tol():
+    # The cases of the oracle test above.  Where the tangential residual
+    # exceeds tol and no cone row cuts the ball, the multipliers' direction
+    # lies on the unit l1 sphere and its slope is an incumbent: never below
+    # the exact minimum, and below -tol whenever it is returned.
+    tol, found, compared = 1e-8, 0, 0
+    for seed, model, obj, sol, ref in _oracle_cases():
+        got = model.solve(obj, tol)
+        if got.source != "multipliers" or got.bound is not None:
+            continue
+        found += 1
+        assert abs(np.sum(np.abs(got.d)) - 1.0) <= 1e-12, seed
+        assert sol.value - 1e-12 <= got.value < -tol, (seed, sol, got)
+        if ref is not None:
+            compared += 1
+            assert ref - 1e-12 <= got.value, (seed, ref, got)
+    assert found >= 56 and compared >= 52
+
+
 def test_highs_rows_are_read_off_the_switches(monkeypatch):
     # y = max(t, d1) nests the epigraph t = |d0 - d1|, and the cone row keeps
     # d0 >= 0.  Columns: d0, d1, then s0, s1 of the ball, then t, y and y's

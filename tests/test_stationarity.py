@@ -31,6 +31,7 @@ from mcpen.stationarity import (
     INCONCLUSIVE,
     NOT_STATIONARY,
     STATIONARY,
+    StationarityReport,
     _directions,
     check_box,
     check_d_stationary_P0,
@@ -232,7 +233,7 @@ REPORT_GOLDENS = {
         -1.2,
     ),
     "desk P0": (NOT_STATIONARY, "exact", 0, [], -0.08200868707101515, -0.08200868707101515),
-    "desk P1": (NOT_STATIONARY, "exact", 0, [], -0.03563259928981619, -0.04728392701097101),
+    "desk P1": (NOT_STATIONARY, "exact", 0, [], -0.016233082421582806, -0.08035212084993204),
     "desk lifted": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
     "desk penalized": (NOT_STATIONARY, "exact", 0, [FAILS_FIRST], 0.0, None),
 }
@@ -357,6 +358,38 @@ def test_compare_flags_second_order_verdicts_that_break_the_implication(square_c
     assert out["inconsistencies"] == ["penalized second-order stationary but lifted is not"]
 
 
+def test_compare_weighs_a_p0_witness_on_the_lifted_ball(monkeypatch):
+    # certify-rnn's trained point at seed 27104 (its set-up draws the spec
+    # as desk_instance(27104) does).  P0 descends at -1.6e-8 along a witness
+    # of l1 norm 1 over theta but 7 once lifted, so along it at unit lifted
+    # l1 norm P1's slope is -2.3e-9, above -tol: P1's stationary verdict
+    # contradicts nothing, and neither flag is raised.
+    problem, config, (lift, trained) = _desk_points(27104)
+    config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
+    out = compare_sets_on_point(problem, trained, config, seed=27104)
+    d0, d1 = out["d0"], out["d1"]
+    assert (d0.verdict, d1.verdict, out["sd0"].verdict, out["sd1"].verdict) == (
+        NOT_STATIONARY, STATIONARY, NOT_STATIONARY, STATIONARY
+    )
+    assert d0.witness_value < -d0.tol
+    w = d0.witness.flat()
+    assert np.sum(np.abs(w)) == pytest.approx(7.0 * np.sum(np.abs(d0.witness.dtheta)))
+    unit = direction_from_flat(problem, w / np.sum(np.abs(w)))
+    assert -d1.tol < dd_Theta(problem, trained, unit, config.beta).first < 0.0
+    assert out["consistent"] and out["inconsistencies"] == []
+    # At the lift P0's witness descends steeply on the lifted ball too, so a
+    # P1 verdict forged to stationary raises both flags (the level set grown
+    # to hold the lift).
+    forged = StationarityReport("penalized", 1, STATIONARY, "exact", 0.0, None, None, 0, d1.tol)
+    monkeypatch.setattr(stationarity, "check_d_stationary_P1", lambda *a: forged)
+    out = compare_sets_on_point(problem, lift, replace(config, gamma_bar=np.inf), seed=27104)
+    assert (out["d0"].verdict, out["sd1"].verdict) == (NOT_STATIONARY, STATIONARY)
+    assert out["inconsistencies"] == [
+        "first-order verdicts of lifted and penalized problems differ",
+        "penalized second-order stationary but lifted is not",
+    ]
+
+
 def test_p1_sampling_finds_the_lifted_descent_p0_finds():
     # The RNN of `mcpen rnn --n1 5 --t 5 --seed 0` at the lift of 0.1 N(0, I),
     # with certified closed-form beta.  Its P1 pieces number 2^60, and
@@ -401,21 +434,25 @@ def test_p0_and_p1_agree_at_certified_beta(seed):
                 assert dd_Theta(problem, z, r.witness, config.beta, order=1).first < -r.tol / 2.0
 
 
-def test_first_order_stopped_by_its_time_limit_is_inconclusive(rnn_spec, rnn_problem, monkeypatch):
-    # P1 at the desk lift sends its t >= |w| rows to HiGHS.  P0 there has no
-    # tie and needs no HiGHS call, so P0 runs where g = u1 = max(theta1,
-    # theta2) ties at theta = 0: the tie's y carries g's weight.
-    z = eval_layers(rnn_problem, 0.1 * np.random.default_rng(0).standard_normal(rnn_problem.n))
-    tied = CompositeProblem(2, (LayerMap(1, (ex.vmax(ex.theta(0), ex.theta(1)),)),), ex.uref(1, 0), lam=0.01)
+def test_first_order_stopped_by_its_time_limit_is_inconclusive(monkeypatch):
+    # Both models reach HiGHS.  P1 of random_problem(47) at theta = 0 with
+    # beta 0.7 has a multiplier bound below -tol.  P0 runs where g =
+    # -u1, u1 = max(theta1, theta2) - (theta1 + theta2) / 2, ties at theta =
+    # 0: g = -|theta1 - theta2| / 2 leaves the multipliers no tangential
+    # residual, and their bound is -1/2.
+    p = random_problem(47)
+    z = eval_layers(p, np.zeros(p.n))
+    gap = ex.affine(0.0, [1.0, -0.5, -0.5], [ex.vmax(ex.theta(0), ex.theta(1)), ex.theta(0), ex.theta(1)])
+    tied = CompositeProblem(2, (LayerMap(1, (gap,)),), ex.affine(0.0, [-1.0], [ex.uref(1, 0)]), lam=0.01)
     z_tied = eval_layers(tied, np.zeros(2))
     monkeypatch.setattr(pieces, "MILP_TIME_LIMIT", 0.0)
     note = "HiGHS bounds the minimum only to [-inf, 0.000e+00] within its 0 s time limit"
-    beta = rnn_penalty_config(rnn_spec).beta
-    for r in (check_d_stationary_P0(tied, z_tied), check_d_stationary_P1(rnn_problem, z, beta)):
+    beta = [0.7] * p.L
+    for r in (check_d_stationary_P0(tied, z_tied), check_d_stationary_P1(p, z, beta)):
         assert (r.verdict, r.mode, r.min_found, r.witness) == (INCONCLUSIVE, "exact", 0.0, None)
         assert r.notes == [note]
     # An undecided first order leaves second order undecided.
-    for r in (check_second_order(tied, z_tied, "lifted"), check_second_order(rnn_problem, z, "penalized", beta)):
+    for r in (check_second_order(tied, z_tied, "lifted"), check_second_order(p, z, "penalized", beta)):
         assert (r.verdict, r.mode, r.samples, r.witness) == (INCONCLUSIVE, "exact", 0, None)
         assert r.notes == ["first-order check inconclusive"]
 
@@ -425,7 +462,8 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
     # spec's x and y, and the trained dead network, whose 9 ties carry no
     # weight in P0's objective.  P0's minimum is the vertex value -max |c_i|,
     # and both orders share one build of P0's model.  P1's multipliers
-    # certify the trained point, so HiGHS runs once, for P1's LP at the lift.
+    # settle both points without HiGHS: their bound certifies the trained
+    # point, and at the lift their tangential residual is a descent direction.
     milps, models = [], []
     real_milp, real_model = pieces.milp, pieces.psi_prime_model
     monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
@@ -436,10 +474,10 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
         rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
         lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
         config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
-        for z, calls, binaries, verdict in ((lift, 1, 0, NOT_STATIONARY), (trained, 0, 9, STATIONARY)):
+        for z, binaries, verdict in ((lift, 0, NOT_STATIONARY), (trained, 9, STATIONARY)):
             milps.clear(), models.clear()
             comp = compare_sets_on_point(problem, z, config, seed=seed)
-            assert (len(milps), len(models)) == (calls, 1), seed
+            assert (len(milps), len(models)) == (0, 1), seed
             c = np.zeros(problem.n)
             obj = real_model(problem, z.theta)[1][: problem.n]
             c[: obj.size] = obj
@@ -453,10 +491,12 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")
 def test_multiplier_certificates_keep_the_highs_verdicts(monkeypatch, box_max):
-    # Every first-order check, run once with the multiplier bound and once by
+    # Every first-order check, run once with the multipliers and once by
     # HiGHS alone: random problems at theta = 0 and 0.5 N(0, I) with beta 0.7,
     # desk RNNs at a lift and at the trained point, and the box goldens.  A
-    # certificate only ever reads stationary, at d = 0 with min_found 0.0.
+    # certificate only ever reads stationary, at d = 0 with min_found 0.0; a
+    # descent direction in ker Z only ever reads not-stationary, with a slope
+    # between HiGHS's minimum and -tol.
     milps = []
     real_milp = pieces.milp
     monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
@@ -486,21 +526,41 @@ def test_multiplier_certificates_keep_the_highs_verdicts(monkeypatch, box_max):
     for seed in range(10):
         problem, config, desk = _desk_points(seed)
         points += [(problem, z, config.beta) for z in desk]
-    certified = runs()
-    monkeypatch.setattr(pieces._SlopeModel, "multiplier_bound", lambda *a: None)
+    multiplied = runs()
+    monkeypatch.setattr(pieces._SlopeModel, "_multipliers", lambda *a: None)
     highs = runs()
-    solved = sum(1 for b, nb in highs if nb and b.verdict == STATIONARY)
-    skipped = sum(nb - na for (_, na), (_, nb) in zip(certified, highs, strict=True))
-    print(f"{skipped} of {solved} stationary checks that reach HiGHS skip it")
-    assert skipped == solved - 1  # random_problem(47)'s P1 at theta = 0 falls through
-    for (a, _), (b, _) in zip(certified, highs):
+    # Alone, HiGHS runs 165 times.  After the multipliers it runs for 32 of
+    # the 280 P0/P1 reports, all at theta = 0, and for two box checks on a face.
+    calls = (sum(n for _, n in multiplied), sum(n for _, n in highs))
+    assert calls == (34, 165)
+    for (a, _), (b, _) in zip(multiplied, highs, strict=True):
         assert (a.target, a.order, a.verdict, a.mode, a.samples, a.notes) == (
             b.target, b.order, b.verdict, b.mode, b.samples, b.notes
         )
-        assert a.witness_value == b.witness_value
-        if a.min_found != b.min_found:
-            assert a.order == 1 and a.verdict == STATIONARY, (a, b)
-            assert a.min_found == 0.0 and -a.tol <= b.min_found <= 0.0
+        if a.min_found == b.min_found:
+            assert a.witness_value == b.witness_value
+        elif a.verdict == STATIONARY:
+            assert a.order == 1 and a.min_found == 0.0 and -a.tol <= b.min_found <= 0.0, (a, b)
+        else:
+            assert a.order == 1 and a.verdict == NOT_STATIONARY, (a, b)
+            assert b.min_found - 1e-12 <= a.min_found < -a.tol, (a, b)
+            assert a.witness_value <= a.min_found + 1e-12, (a, b)
+
+
+def test_p1_at_a_wide_lift_makes_no_highs_call(monkeypatch):
+    # 1090 lifted directions and 720 vanishing residuals, one switch each:
+    # the multipliers' tangential residual is the witness, and HiGHS, which
+    # took seconds on this model, is not called.
+    milps = []
+    real_milp = pieces.milp
+    monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
+    spec = desk_instance(0, n0=4, n1=16, n2=2, t=20)
+    problem, beta = build_problem(spec), rnn_penalty_config(spec).beta
+    z = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
+    r = check_d_stationary_P1(problem, z, beta)
+    assert (r.verdict, r.mode, r.notes, milps) == (NOT_STATIONARY, "exact", [], [])
+    assert r.min_found < -r.tol
+    assert dd_Theta(problem, z, r.witness, beta, order=1).first == r.witness_value < -r.tol / 2.0
 
 
 def test_first_order_models_refuse_non_finite_coefficients():
