@@ -22,7 +22,10 @@ mixed-integer linear program, with rows derived from the switches: y >= both
 branch forms and a binary that, through big-M rows bounded by interval
 arithmetic, makes y equal to one of them; t >= |w| with no binary, since it
 enters with a positive weight.  ``critical_basis`` reads the subspace where
-phi vanishes off the same substitution.
+phi vanishes off the same substitution.  The walk records each switch's
+forms only; ``settle_bounds`` then gives every auxiliary variable's box and
+every big-M constant at once, over the stacked forms, in one numpy batch per
+generation of nesting.
 
 The piece enumerator below is the reference the tests compare against.
 Enumerating the forks of the active kinks yields a finite list of
@@ -38,6 +41,7 @@ its limit before building it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -358,7 +362,10 @@ class SlopeMin(NamedTuple):
 
 
 class _Tie(NamedTuple):
-    """y = max(fa, fb); m_a and m_b bound fb - fa and fa - fb from above, and delta is its binary."""
+    """y = max(fa, fb); m_a and m_b bound fb - fa and fa - fb from above, and delta is its binary.
+
+    m_a and m_b are NaN until ``_SlopeModel.settle_bounds`` runs.
+    """
 
     y: int
     fa: np.ndarray
@@ -369,7 +376,7 @@ class _Tie(NamedTuple):
 
 
 class _Epigraph(NamedTuple):
-    """t = |w| for a vanishing residual's slope w, with S bounding |w|."""
+    """t = |w| for a vanishing residual's slope w, with S bounding |w|; S is NaN until bounds are settled."""
 
     t: int
     w: np.ndarray
@@ -395,6 +402,10 @@ class _SlopeModel:
     ``_Tie`` and ``_Epigraph`` entries in build order, variables by index,
     off which HiGHS's rows, the abs-normal form and the critical subspace
     are read.  ``cone_rows`` are forms g that cut the ball by g . d >= 0.
+    ``max_of`` and ``abs_of`` record forms only, and the boxes of their
+    variables read NaN until ``settle_bounds`` gives every box, big-M pair
+    and S at once; ``solve``, ``_multipliers`` and ``critical_basis`` call
+    it first.
     """
 
     def __init__(self, dim: int, check: str):
@@ -405,6 +416,8 @@ class _SlopeModel:
         self.switches: list[_Tie | _Epigraph] = []
         self.cone_rows: list[np.ndarray] = []
         self.zero = np.zeros(0)
+        self._settled = 0
+        self._finite = True  # whether every switch's forms and big-M constants are finite
         self._units: dict[int, np.ndarray] = {}
 
     def unit(self, j: int) -> np.ndarray:
@@ -420,30 +433,102 @@ class _SlopeModel:
         self.hi.append(hi)
         return len(self.lo) - 1
 
-    def interval(self, f: np.ndarray) -> tuple[float, float]:
-        """Bounds of f over the model: |c . d| <= ||c||_inf on the l1 ball, and each variable's box."""
-        head = float(np.max(np.abs(f[: self.dim]), initial=0.0))
-        tail = f[self.dim :]
-        lo = tail * np.array(self.lo[: tail.size])
-        hi = tail * np.array(self.hi[: tail.size])
-        return -head + float(np.sum(np.minimum(lo, hi))), head + float(np.sum(np.maximum(lo, hi)))
-
     def max_of(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """y = max(fa, fb), recorded as a tie with its big-M constants and binary."""
+        """y = max(fa, fb), recorded as a tie with its binary; ``settle_bounds`` bounds it."""
         if np.array_equal(fa, fb):
             return fa
-        (lo_a, hi_a), (lo_b, hi_b) = self.interval(fa), self.interval(fb)
-        gap_lo, gap_hi = self.interval(_add(fa, -fb))
-        y = self.var(max(lo_a, lo_b), max(hi_a, hi_b))
-        self.switches.append(_Tie(y, fa, fb, max(-gap_lo, 0.0), max(gap_hi, 0.0), self.var(0.0, 1.0)))
+        y = self.var(math.nan, math.nan)
+        self.switches.append(_Tie(y, fa, fb, math.nan, math.nan, self.var(0.0, 1.0)))
         return self.unit(self.dim + y)
 
     def abs_of(self, w: np.ndarray) -> np.ndarray:
         """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
-        lo, hi = self.interval(w)
-        t = self.var(0.0, max(hi, -lo, 0.0))
-        self.switches.append(_Epigraph(t, w, self.hi[t]))
+        t = self.var(0.0, math.nan)
+        self.switches.append(_Epigraph(t, w, math.nan))
         return self.unit(self.dim + t)
+
+    def settle_bounds(self) -> None:
+        """Every switch's bounds by interval arithmetic over its stacked forms, one generation at a time.
+
+        A form f lies within -+||f[:dim]||_inf on the l1 ball, plus the sum
+        over its tail of min and max of f_a lo[a] and f_a hi[a].  A tie's y
+        lies in [max(lo_a, lo_b), max(hi_a, hi_b)], and m_a and m_b are the
+        positive parts of -lo and hi of fa - fb; an epigraph's t lies in [0,
+        S], S the largest of hi, -lo and 0 of w.  A form reads the box of
+        every variable below its length, so a switch's generation is one
+        more than the latest among the switches whose variables it reads,
+        and each generation's tails are summed in one numpy batch per tail
+        length once the generations before it are settled.  The bounds are
+        those that per-switch arithmetic in build order gives, bit for bit.
+        """
+        k = len(self.switches)
+        if self._settled == k:
+            return
+        dim, switches = self.dim, self.switches
+        ties = [i for i, sw in enumerate(switches) if isinstance(sw, _Tie)]
+        nt = len(ties)
+        width = max([sw[1].size for sw in switches] + [switches[i].fb.size for i in ties], default=0)
+        rows = np.zeros((k + 2 * nt, width))  # fa or w per switch, then fb and fa - fb per tie
+        rows[:k] = -0.0  # so that fa - fb reads -fb past fa's end, as ``_add`` does
+        for i, sw in enumerate(switches):
+            rows[i, : sw[1].size] = sw[1]
+        for j, i in enumerate(ties, start=k):
+            rows[j, : switches[i].fb.size] = switches[i].fb
+        rows[k + nt :] = rows[ties] - rows[k : k + nt]
+        head = np.max(np.abs(rows[:, :dim]), axis=1, initial=0.0).tolist()
+        # Each generation's switches, and its rows with a tail, by tail length.
+        owners: list[int] = []  # each switch's variable, in build order
+        latest: list[int] = []  # the last generation among the switches up to each
+        members: list[list[int]] = []
+        groups: list[dict[int, list[int]]] = []
+        at: dict[int, tuple[int, int]] = {}  # each tie's rows of fb and fa - fb
+        for i, sw in enumerate(switches):
+            na = sw[1].size - dim
+            reads = [(i, na)]
+            if isinstance(sw, _Tie):
+                at[i] = (k + len(at), k + nt + len(at))
+                nb = sw.fb.size - dim
+                reads += [(at[i][0], nb), (at[i][1], max(na, nb))]
+            j = bisect.bisect_left(owners, max(n for _, n in reads))  # the switches read
+            g = latest[j - 1] + 1 if j else 0
+            owners.append(sw[0])
+            latest.append(max(g, latest[-1]) if latest else g)
+            if g == len(members):
+                members.append([])
+                groups.append({})
+            members[g].append(i)
+            for r, n in reads:
+                if n > 0:
+                    groups[g].setdefault(n, []).append(r)
+        lo, hi = np.array(self.lo), np.array(self.hi)
+        sums: dict[int, tuple[float, float]] = {}
+        big_m: list[float] = []
+
+        def interval(r: int) -> tuple[float, float]:
+            s_lo, s_hi = sums.get(r, (0.0, 0.0))
+            return -head[r] + s_lo, head[r] + s_hi
+
+        for group, gen in zip(groups, members):
+            for n, idx in group.items():
+                T = rows[idx, dim : dim + n]
+                a, b = T * lo[:n], T * hi[:n]
+                low, high = np.sum(np.minimum(a, b), axis=1), np.sum(np.maximum(a, b), axis=1)
+                sums.update(zip(idx, zip(low.tolist(), high.tolist())))
+            for i in gen:
+                sw = switches[i]
+                if isinstance(sw, _Epigraph):
+                    w_lo, w_hi = interval(i)
+                    hi[sw.t] = S = max(w_hi, -w_lo, 0.0)
+                    switches[i] = _Epigraph(sw.t, sw.w, S)
+                    continue
+                (lo_a, hi_a), (lo_b, hi_b) = interval(i), interval(at[i][0])
+                gap_lo, gap_hi = interval(at[i][1])
+                lo[sw.y], hi[sw.y] = max(lo_a, lo_b), max(hi_a, hi_b)
+                big_m += [max(-gap_lo, 0.0), max(gap_hi, 0.0)]
+                switches[i] = _Tie(sw.y, sw.fa, sw.fb, *big_m[-2:], sw.delta)
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        self._finite = bool(np.all(np.isfinite(rows[: k + nt])) and np.all(np.isfinite(big_m)))
+        self._settled = k
 
     def _rows(self) -> list[tuple[np.ndarray, float, float]]:
         """HiGHS's rows (form, lo, hi) beyond the ball's: each switch's in build order, then the cone rows.
@@ -514,6 +599,7 @@ class _SlopeModel:
         slope, a . d + b . |s| with s from forward substitution, below -tol
         makes d the incumbent, with no lower bound.  Else HiGHS decides.
         """
+        self.settle_bounds()
         Z, L, a, b = self._abs_normal(obj)
         mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if self.switches else np.zeros(0)
         r = a - Z.T @ mu
@@ -544,6 +630,7 @@ class _SlopeModel:
         spanned by the right singular vectors of [a; b_w Z_w] whose singular
         values are at most CRIT_SLACK, and is B = I when all of them are.
         """
+        self.settle_bounds()
         Z, L, a, b = self._abs_normal(obj)
         w = np.flatnonzero(b)
         known = all(isinstance(self.switches[k], _Tie) for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
@@ -567,11 +654,11 @@ class _SlopeModel:
         direction in ker Z whose slope is below -tol.  Only then are the
         ``_rows`` derived and HiGHS called.
         """
+        self.settle_bounds()
         dim, m = self.dim, len(self.lo)
         with np.errstate(over="ignore"):
-            forms = [_COST_SCALE * obj, np.array(self.lo + self.hi), *self.cone_rows]
-        forms += [f for sw in self.switches for f in sw[1:]]  # each row's forms and big-M constants
-        if not all(np.all(np.isfinite(f)) for f in forms):
+            forms = [_COST_SCALE * obj, self.lo, self.hi, *self.cone_rows]
+        if not (self._finite and all(np.all(np.isfinite(f)) for f in forms)):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
         deltas = [sw.delta for sw in self.switches if isinstance(sw, _Tie)]
         if not np.any(obj[dim:]) and not self.cone_rows:

@@ -5,19 +5,23 @@ l1 ball through its model's ``solve`` (``pieces.theta_prime_model`` and its
 siblings), and the verdict comes from the bounds: stationary when the lower
 bound on the minimum is at least -tol, not stationary when the incumbent
 direction, l2-normalised, re-evaluates below -tol/2 through the derivative
-calculus, and inconclusive otherwise.  The bounds are the exact vertex value
-where the objective weighs no tie and no row cuts the ball, else a
-multiplier bound, which settles a stationary point at d = 0 when it is at
-least -tol, else HiGHS's.  Where the multipliers leave a tangential
+calculus, and inconclusive otherwise.  P0's incumbent re-evaluates in one
+pass of the chained tape, whose layer roots give its lift and whose last
+root gives its slope; P1's in one Taylor pass of the fixed and outer tapes
+(``dcalc.dd_Theta_batch``), with no value pass.  The bounds are the exact
+vertex value where the objective weighs no tie and no row cuts the ball,
+else a multiplier bound, which settles a stationary point at d = 0 when it
+is at least -tol, else HiGHS's.  Where the multipliers leave a tangential
 residual above tol, its direction in ker Z is the incumbent instead, and
 HiGHS runs only if it does not re-evaluate below -tol/2.  Second-order
 checks start from the matching first-order verdict, since a second-order
-stationary point is first-order stationary.  At a first-order stationary point the critical directions
-(tangent, with vanishing first derivative, parametrized by their parameter
-component) form a subspace S wherever P0's model reads one off its switches
-(``critical_basis``); there F'' is a quadratic form, checked on probes,
-whose smallest eigenvalue decides.  Elsewhere a seeded pool is searched,
-and a note says why.
+stationary point is first-order stationary.  At a first-order stationary
+point the critical directions (tangent, with vanishing first derivative,
+parametrized by their parameter component) form a subspace S wherever P0's
+model reads one off its switches (``critical_basis``); there F'' is a
+quadratic form, checked on probes read in the same calls, whose smallest
+eigenvalue decides.  Elsewhere a seeded pool is searched, and a note says
+why.
 
 Verdicts carry their evidence mode.  ``exact`` verdicts rest on the
 first-order bounds or on a verified quadratic form; ``sample`` verdicts
@@ -32,17 +36,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import dcalc, pieces
 from . import expr as ex
-from . import pieces
 from .cones import lift_direction, lift_direction_batch, radial_membership
 from .dcalc import (
     Direction,
+    _as_batch,
     _F,
     _in_layer_order,
     _layer_folds,
+    _plus_ridge,
     dd_F,
     dd_F_batch,
-    dd_Psi,
     dd_Theta,
     direction_from_flat,
 )
@@ -195,12 +200,19 @@ def check_d_stationary_P0(
 
 
 def _p0_report(problem: CompositeProblem, z: Point, tol: float, p0: tuple) -> StationarityReport:
-    """``check_d_stationary_P0`` at a feasible z whose P0 (model, objective) the caller built at z.theta."""
+    """``check_d_stationary_P0`` at a feasible z whose P0 (model, objective) the caller built at z.theta.
+
+    A witness dth is confirmed by one pass of the chained tape along it:
+    the layer roots give its lift, and the last root, g, its slope.
+    """
     model, obj = p0
     report = StationarityReport("lifted", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
 
     def confirm(dth):
-        return lift_direction(problem, z, dth), dd_Psi(problem, z.theta, dth, order=1).first
+        DTH = dth.reshape(-1, 1)
+        cells = problem.chained_tape.cells(z.theta, (), DTH, (), 1)
+        d = Direction(dth.copy(), tuple(cells.first[rows, 0] for rows in problem.layer_rows))
+        return d, float(_plus_ridge(problem, cells.cell(-1), z.theta, DTH, 1)[0][0])
 
     return _first_order(report, model, obj, confirm)
 
@@ -217,7 +229,7 @@ def check_d_stationary_P1(
 
     def confirm(unit):
         d = direction_from_flat(problem, unit)
-        return d, dd_Theta(problem, z, d, b, order=1).first
+        return d, float(dcalc.dd_Theta_batch(problem, z, *_as_batch(problem, d), b)[0][0])
 
     model, obj = theta_prime_model(problem, z, b)
     return _first_order(report, model, obj, confirm)
@@ -267,24 +279,27 @@ def _quadratic_form(second: Callable, B: np.ndarray, seed: int) -> tuple:
     """(Q, columns evaluated, reason): a second derivative as a quadratic form on span(B).
 
     ``second(D)`` gives (phi2, bad) along D's columns.  Q, polarized from b_i
-    and b_i + b_j in calls of at most ``_MAX_COLS`` columns, is accepted when
-    no column is flagged and it fits 8 probes B u, u on the sphere, to 1e-10.
+    and b_i + b_j, is accepted when no such column is flagged and it fits 8
+    probes B u, u on the sphere, to 1e-10.  The probes follow the
+    polarization columns, and all of them go in calls of at most
+    ``_MAX_COLS`` columns.
     """
     k = B.shape[1]
     iu, ju = np.triu_indices(k, 1)
-    D = np.hstack([B, B[:, iu] + B[:, ju]])
-    parts = [second(D[:, s : s + _MAX_COLS]) for s in range(0, D.shape[1], _MAX_COLS)]
-    if any(np.any(bad) for _, bad in parts):
-        return None, D.shape[1], "quadratic form has unsupported second derivatives"
-    phi = np.concatenate([p for p, _ in parts])
-    Q = np.diag(phi[:k])
-    Q[iu, ju] = Q[ju, iu] = (phi[k:] - Q[iu, iu] - Q[ju, ju]) / 2.0
     u = _directions(k, 8, seed)[:, :8]  # the sphere draws alone
-    pv, pbad = second(B @ u)
+    D = np.hstack([B, B[:, iu] + B[:, ju], B @ u])
+    parts = [second(D[:, s : s + _MAX_COLS]) for s in range(0, D.shape[1], _MAX_COLS)]
+    phi, bad = (np.concatenate(p) for p in zip(*parts))
+    polar = D.shape[1] - 8
+    if np.any(bad[:polar]):
+        return None, polar, "quadratic form has unsupported second derivatives"
+    Q = np.diag(phi[:k])
+    Q[iu, ju] = Q[ju, iu] = (phi[k:polar] - Q[iu, iu] - Q[ju, ju]) / 2.0
+    pv = phi[polar:]
     quad = np.einsum("im,ij,jm->m", u, Q, u)
-    if np.any(pbad) or float(np.max(np.abs(pv - quad))) > 1e-10 * (1.0 + float(np.max(np.abs(pv)))):
-        return None, D.shape[1] + 8, "quadratic form misfits its probes"
-    return Q, D.shape[1] + 8, None
+    if np.any(bad[polar:]) or float(np.max(np.abs(pv - quad))) > 1e-10 * (1.0 + float(np.max(np.abs(pv)))):
+        return None, D.shape[1], "quadratic form misfits its probes"
+    return Q, D.shape[1], None
 
 
 def _lowest(B: np.ndarray, Q: np.ndarray) -> tuple[float, np.ndarray]:

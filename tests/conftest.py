@@ -1,4 +1,6 @@
-"""Shared fixtures: canonical instances and a seeded random problem generator."""
+"""Shared fixtures: canonical instances, a seeded random problem generator and trained desk points."""
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from mcpen.repro import (
     relu_ridge_problem,
     square_chain_problem,
 )
-from mcpen.rnn import build_problem, desk_instance
+from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
+from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from walkers import scalar_value
 
 
@@ -57,6 +60,17 @@ def rnn_spec():
 @pytest.fixture
 def rnn_problem(rnn_spec):
     return build_problem(rnn_spec)
+
+
+@cache
+def desk_points(seed):
+    """A desk RNN, its closed-form config, its 0.1 N(0, I) lift and its trained, polished point."""
+    spec = desk_instance(seed)
+    problem, config = build_problem(spec), rnn_penalty_config(spec)
+    lift = eval_layers(problem, 0.1 * np.random.default_rng(seed).standard_normal(problem.n))
+    res = minimize_theta(problem, config.beta, SolveConfig(max_iters=400, stop_tol=1e-8, seed=seed))
+    trained, _, _ = polish_to_feasible(problem, res.z, config.beta)
+    return problem, config, (lift, trained)
 
 
 def _leaf(rng, n, max_layer, widths, theta_ok=True):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_problem
+from conftest import desk_points, random_problem
+from walkers import switch_bounds
 from mcpen import expr as ex
 from mcpen import pieces as pieces_mod
 from mcpen.model import Point, eval_layers
@@ -447,6 +448,52 @@ def test_highs_rows_are_read_off_the_switches(monkeypatch):
     assert sol.binaries == 1
     assert sol.value == pytest.approx(-1 / 3, abs=1e-9) and sol.bound == pytest.approx(-1 / 3, abs=1e-9)
     np.testing.assert_allclose(sol.d, [2 / 3, 1 / 3], atol=1e-9)
+
+
+def _three_generations():
+    """A tie over an epigraph over a tie: y1 = max(d0, d1), t = |y1 - d2|, y2 = max(t, d0 + d2).
+
+    Variables: y1, its binary, t, y2, its binary.  The epigraph reads y1's
+    box and the second tie reads t's, so each switch is a generation of its own.
+    """
+    model = pieces_mod._SlopeModel(3, "hand-built")
+    d0, d1, d2 = model.unit(0), model.unit(1), model.unit(2)
+    t = model.abs_of(pieces_mod._add(model.max_of(d0, d1), -d2))
+    model.max_of(t, pieces_mod._add(d0, d2))
+    return model
+
+
+def _bounds(lo, hi, per_switch):
+    """The bytes of a model's boxes and of its switches' bounds."""
+    return np.array(lo).tobytes(), np.array(hi).tobytes(), [np.array(b).tobytes() for b in per_switch]
+
+
+def test_switch_bounds_are_the_per_switch_bounds_bit_for_bit():
+    # The oracle bounds one switch at a time in build order, each reading the
+    # boxes settled before it; the batch must give the same bits.
+    hand = _three_generations()
+    models = [hand] + [model for _, model, *_ in _oracle_cases()]
+    for seed in range(10):
+        problem, config, points = desk_points(seed)
+        for z in points:
+            models += [psi_prime_model(problem, z.theta)[0], theta_prime_model(problem, z, config.beta)[0]]
+    switches = nested = 0
+    for model in models:
+        want = _bounds(*switch_bounds(model))
+        model.settle_bounds()
+        got = [(sw.m_a, sw.m_b) if isinstance(sw, pieces_mod._Tie) else (sw.S,) for sw in model.switches]
+        assert _bounds(model.lo, model.hi, got) == want
+        switches += len(model.switches)
+        for sw in model.switches:
+            forms = (sw.fa, sw.fb) if isinstance(sw, pieces_mod._Tie) else (sw.w,)
+            nested += max(f.size for f in forms) > model.dim  # it reads some box
+    assert (len(models), switches, nested) == (341, 1220, 280)
+    # By hand: y1 in [-1, 1] with m = (1, 1); w = y1 - d2 in [-2, 2], so t in
+    # [0, 2]; t in [0, 2] and d0 + d2 in [-1, 1] put y2 in [0, 2], and their
+    # gap in [-1, 3].
+    assert (hand.lo, hand.hi) == ([-1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 2.0, 2.0, 1.0])
+    bounds = [sw[3:5] if isinstance(sw, pieces_mod._Tie) else sw.S for sw in hand.switches]
+    assert bounds == [(1.0, 1.0), 2.0, (1.0, 3.0)]
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")

@@ -7,7 +7,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, random_problem
+from conftest import blowup_problem, desk_points, random_problem
 from walkers import tie_basis
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
@@ -364,7 +364,7 @@ def test_compare_weighs_a_p0_witness_on_the_lifted_ball(monkeypatch):
     # of l1 norm 1 over theta but 7 once lifted, so along it at unit lifted
     # l1 norm P1's slope is -2.3e-9, above -tol: P1's stationary verdict
     # contradicts nothing, and neither flag is raised.
-    problem, config, (lift, trained) = _desk_points(27104)
+    problem, config, (lift, trained) = desk_points(27104)
     config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
     out = compare_sets_on_point(problem, trained, config, seed=27104)
     d0, d1 = out["d0"], out["d1"]
@@ -408,22 +408,11 @@ def test_p1_sampling_finds_the_lifted_descent_p0_finds():
         assert slope == r.witness_value < -r.tol / 2.0
 
 
-@cache
-def _desk_points(seed):
-    """A desk RNN, its closed-form config, its 0.1 N(0, I) lift and its trained, polished point."""
-    spec = desk_instance(seed)
-    problem, config = build_problem(spec), rnn_penalty_config(spec)
-    lift = eval_layers(problem, 0.1 * np.random.default_rng(seed).standard_normal(problem.n))
-    res = minimize_theta(problem, config.beta, SolveConfig(max_iters=400, stop_tol=1e-8, seed=seed))
-    trained, _, _ = polish_to_feasible(problem, res.z, config.beta)
-    return problem, config, (lift, trained)
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_p0_and_p1_agree_at_certified_beta(seed):
     # The paper's equivalence: with certified beta, the lifted and penalized
     # problems have the same first-order stationary points.
-    problem, config, points = _desk_points(seed)
+    problem, config, points = desk_points(seed)
     assert config.certified
     for z, verdict in zip(points, (NOT_STATIONARY, STATIONARY)):
         r0 = check_d_stationary_P0(problem, z)
@@ -469,7 +458,7 @@ def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
     monkeypatch.setattr(pieces, "milp", lambda *a, **k: milps.append(k) or real_milp(*a, **k))
     monkeypatch.setattr(pieces, "psi_prime_model", lambda *a: models.append(a) or real_model(*a))
     for seed in range(6):
-        problem, config, (_, trained) = _desk_points(seed)
+        problem, config, (_, trained) = desk_points(seed)
         rng = np.random.default_rng(seed)
         rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 1))
         lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
@@ -524,7 +513,7 @@ def test_multiplier_certificates_keep_the_highs_verdicts(monkeypatch, box_max):
         for th in (np.zeros(p.n), 0.5 * np.random.default_rng(seed).standard_normal(p.n)):
             points.append((p, eval_layers(p, th), [0.7] * p.L))
     for seed in range(10):
-        problem, config, desk = _desk_points(seed)
+        problem, config, desk = desk_points(seed)
         points += [(problem, z, config.beta) for z in desk]
     multiplied = runs()
     monkeypatch.setattr(pieces._SlopeModel, "_multipliers", lambda *a: None)
@@ -814,7 +803,7 @@ def test_exact_second_order_agrees_with_the_sampled_search():
     # verdict, so no exact `stationary` meets a confirmed pool witness.
     points = [_trained_random(seed) for seed in range(60)]
     for seed in range(10):
-        problem, config, (_, trained) = _desk_points(seed)
+        problem, config, (_, trained) = desk_points(seed)
         points.append((problem, trained, config.beta))
         # The dead network: its slope c is below CRIT_SLACK, so S is R^22,
         # and F''s smallest eigenvalue on it is 2 lam.
@@ -852,7 +841,7 @@ def test_critical_basis_spans_the_tie_algebra_subspace():
         points += [(problem, eval_layers(problem, np.zeros(problem.n))), (problem, eval_layers(problem, th))]
         points.append(_trained_random(seed)[:2])
     for seed in range(10):
-        problem, _, desk = _desk_points(seed)
+        problem, _, desk = desk_points(seed)
         points += [(problem, z) for z in desk]
     compared, unknown, weighted = 0, 0, 0
     for problem, z in points:
@@ -893,8 +882,8 @@ def test_second_order_at_a_tie_whose_critical_cone_is_a_half_line():
 @pytest.mark.parametrize("cap", [stationarity._MAX_COLS, 7])
 def test_quadratic_form_is_read_in_calls_of_at_most_the_cap(monkeypatch, cap):
     # phi2 = d' A d on span(B), B an orthonormal 9 x 5 basis: 15 polarization
-    # columns, three calls at a cap of 7.  A flagged column or a second
-    # derivative that is not quadratic on span(B) gives no form.
+    # columns and 8 probes, four calls at a cap of 7.  A flagged column or a
+    # second derivative that is not quadratic on span(B) gives no form.
     monkeypatch.setattr(stationarity, "_MAX_COLS", cap)
     rng = np.random.default_rng(0)
     S = rng.standard_normal((9, 9))
@@ -908,7 +897,7 @@ def test_quadratic_form_is_read_in_calls_of_at_most_the_cap(monkeypatch, cap):
 
     Q, columns, reason = stationarity._quadratic_form(second, B, 0)
     assert (columns, reason) == (15 + 8, None)
-    assert max(widths[:-1]) <= cap and sum(widths[:-1]) == 15 and widths[-1] == 8  # then the probes
+    assert max(widths) <= cap and sum(widths) == 15 + 8  # the probes share the calls
     np.testing.assert_allclose(Q, B.T @ A @ B, atol=1e-12)
     one_flag = lambda D: np.arange(D.shape[1]) == 3  # noqa: E731
     flagged = stationarity._quadratic_form(lambda D: second(D, flag=one_flag), B, 0)
@@ -919,3 +908,49 @@ def test_quadratic_form_is_read_in_calls_of_at_most_the_cap(monkeypatch, cap):
     # largest entry is positive.
     lam, v = stationarity._lowest(-np.eye(2), np.diag([-1.0, 1.0]))
     assert (lam, v.tolist()) == (-1.0, [1.0, 0.0])
+
+
+def test_compare_passes_each_tape_once_per_batch(monkeypatch):
+    # certify-rnn at seed 0: desk_instance(0), its lift at 0.1 N(0, I) drawn
+    # after the data from the same generator, and the trained point.
+    spec, rng = desk_instance(0), np.random.default_rng(0)
+    rng.standard_normal(spec.x.shape), rng.standard_normal(spec.y.shape)
+    problem, config, (_, trained) = desk_points(0)
+    config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
+    lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
+    names = {id(getattr(problem, f"{name}_tape")): name for name in ("fixed", "outer", "chained")}
+    passes = []
+    for kind in ("cells", "values"):
+        real = getattr(ex.Tape, kind)
+
+        def counted(tape, *a, real=real, kind=kind):
+            passes.append((kind, names[id(tape)]))
+            return real(tape, *a)
+
+        monkeypatch.setattr(ex.Tape, kind, counted)
+    counts = {}
+    for name, z in (("lift", lift), ("trained", trained)):
+        passes.clear()
+        out = compare_sets_on_point(problem, z, config, seed=0)
+        counts[name] = sorted((kind, tape, passes.count((kind, tape))) for kind, tape in set(passes))
+        assert out["consistent"]
+    # Both points start with Theta's value (a fixed and an outer value pass)
+    # and the residuals (a fixed value pass).  At the lift, P1's witness is
+    # confirmed by one fixed and one outer Taylor pass and no value pass, and
+    # P0's by one chained pass, which gives its lift and its slope.
+    assert counts["lift"] == [
+        ("cells", "chained", 1),
+        ("cells", "fixed", 1),
+        ("cells", "outer", 1),
+        ("values", "fixed", 2),
+        ("values", "outer", 1),
+    ]
+    # At the trained point nothing is refuted.  The quadratic form on S reads
+    # its polarization columns and its probes in one chained pass, for their
+    # lifts, and one outer pass.
+    assert counts["trained"] == [
+        ("cells", "chained", 1),
+        ("cells", "outer", 1),
+        ("values", "fixed", 2),
+        ("values", "outer", 1),
+    ]
