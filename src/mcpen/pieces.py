@@ -467,13 +467,14 @@ class _SlopeModel:
         dim, switches = self.dim, self.switches
         ties = [i for i, sw in enumerate(switches) if isinstance(sw, _Tie)]
         nt = len(ties)
+        at = {i: (k + j, k + nt + j) for j, i in enumerate(ties)}  # each tie's rows of fb and fa - fb
         width = max([sw[1].size for sw in switches] + [switches[i].fb.size for i in ties], default=0)
         rows = np.zeros((k + 2 * nt, width))  # fa or w per switch, then fb and fa - fb per tie
         rows[:k] = -0.0  # so that fa - fb reads -fb past fa's end, as ``_add`` does
         for i, sw in enumerate(switches):
             rows[i, : sw[1].size] = sw[1]
-        for j, i in enumerate(ties, start=k):
-            rows[j, : switches[i].fb.size] = switches[i].fb
+            if i in at:
+                rows[at[i][0], : sw.fb.size] = sw.fb
         rows[k + nt :] = rows[ties] - rows[k : k + nt]
         head = np.max(np.abs(rows[:, :dim]), axis=1, initial=0.0).tolist()
         # Each generation's switches, and its rows with a tail, by tail length.
@@ -481,12 +482,10 @@ class _SlopeModel:
         latest: list[int] = []  # the last generation among the switches up to each
         members: list[list[int]] = []
         groups: list[dict[int, list[int]]] = []
-        at: dict[int, tuple[int, int]] = {}  # each tie's rows of fb and fa - fb
         for i, sw in enumerate(switches):
             na = sw[1].size - dim
             reads = [(i, na)]
-            if isinstance(sw, _Tie):
-                at[i] = (k + len(at), k + nt + len(at))
+            if i in at:
                 nb = sw.fb.size - dim
                 reads += [(at[i][0], nb), (at[i][1], max(na, nb))]
             j = bisect.bisect_left(owners, max(n for _, n in reads))  # the switches read
