@@ -75,14 +75,19 @@ def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -
 
 
 def _degree(e: ex.Expr) -> int:
-    """Upper bound on polynomial degree in the inputs, kinks transparent."""
-    family, data = e.family, e.data
-    if family == ex.LEAF:
-        return 0 if data is None else 1
-    degs = [_degree(a) for a in e.args]
-    if family == ex.PRODUCT:
-        return max((degs[i] + degs[j] for i, j in data[0]), default=0)
-    return max(degs, default=0)
+    """Upper bound on polynomial degree in the inputs, kinks transparent; arguments before their nodes."""
+    deg: dict[int, int] = {}
+    for node in reversed(list(ex.nodes(e))):
+        family, data = node.family, node.data
+        if family == ex.LEAF:
+            deg[id(node)] = 0 if data is None else 1
+            continue
+        degs = [deg[id(a)] for a in node.args]
+        if family == ex.PRODUCT:
+            deg[id(node)] = max((degs[i] + degs[j] for i, j in data[0]), default=0)
+        else:
+            deg[id(node)] = max(degs, default=0)
+    return deg[id(e)]
 
 
 def ray_decidable(problem: CompositeProblem) -> bool:

@@ -115,8 +115,9 @@ def _pick(first: np.ndarray, second, bad, kinked, value: float, order: int, col:
 
 
 def dd_expr(e: ex.Expr, x: np.ndarray, d: np.ndarray, order: int = 1) -> DDValue:
-    """Directional derivatives of a single expression over parameter leaves."""
+    """Directional derivatives of a single expression over parameter leaves; a leaf past them raises ValueError."""
     x = np.asarray(x, dtype=float).ravel()
+    ex.validate(e, x.size, 0, ())
     d = np.asarray(d, dtype=float).ravel()
     if x.shape != d.shape:
         raise DimensionError("point and direction dimensions differ")

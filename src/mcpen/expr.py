@@ -15,8 +15,9 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
 Two kinds of walker read the table, and both branch on the family only.  The
-recursive ones, ``pieces.expr_pieces``, ``pieces._walk`` and
-``cones._degree``, visit one node at a time and compute no values.  A tape
+node-at-a-time ones, ``pieces.expr_pieces``, ``pieces._walk`` and
+``cones._degree``, visit one node at a time; only the first, the piece
+enumerator, recurses.  A tape
 (``compile_tape``) is one or more trees compiled once into a program of
 rows, one per distinct node, computed a level at a time by steps that each
 take all nodes of one family with a fixed set of numpy calls over every

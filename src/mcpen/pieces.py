@@ -19,13 +19,12 @@ settles a stationary point; where the tangential residual a - Z^T mu
 exceeds tol instead, it points down within ker Z, a descent direction that
 leaves every switch at zero.  Else HiGHS (``scipy.optimize.milp``) solves one
 mixed-integer linear program, with rows derived from the switches: y >= both
-branch forms and a binary that, through big-M rows bounded by interval
-arithmetic, makes y equal to one of them; t >= |w| with no binary, since it
-enters with a positive weight.  ``critical_basis`` reads the subspace where
-phi vanishes off the same substitution.  The walk records each switch's
-forms only; ``settle_bounds`` then gives every auxiliary variable's box and
-every big-M constant at once, over the stacked forms, in one numpy batch per
-generation of nesting.
+branch forms and a binary that, through big-M rows, makes y equal to one of
+them; t >= |w| with no binary, since it enters with a positive weight.
+Their boxes and big-M constants, built for HiGHS alone, and the multipliers'
+bounds on |s| are read off the abs-normal form too.  ``critical_basis``
+reads the subspace where phi vanishes off the same substitution.  The walk
+keeps its own stack, so a tree of any depth takes no recursion.
 
 The piece enumerator below is the reference the tests compare against.
 Enumerating the forks of the active kinks yields a finite list of
@@ -41,7 +40,6 @@ its limit before building it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -344,14 +342,13 @@ class SlopeMin(NamedTuple):
     ``value`` is the derivative along the incumbent direction ``d``, or 0 at
     d = 0 when there is no incumbent below it.  ``bound`` is a lower bound
     on the minimum, or None.  ``source`` says which step settled it:
-    ``"vertex"`` read the exact minimum off a vertex of the ball (``bound``
-    is ``value``); ``"multipliers"`` either proved a stationary point
-    (``bound`` at or above -tol, ``value`` 0.0 at d = 0) or found a descent
-    direction in ker Z (``bound`` None, ``value`` the slope along it, which
-    HiGHS's minimum may undercut); ``"highs"`` gives HiGHS's dual bound with
-    binaries, its optimum without, and None when the solve proved neither,
-    as when ``MILP_TIME_LIMIT`` stopped it.  ``binaries`` counts the model's
-    ties, one binary each, whether or not HiGHS saw them.
+    ``"vertex"``, the exact minimum at a vertex of the ball (``bound`` is
+    ``value``); ``"multipliers"``, a stationary point (``bound`` at or above
+    -tol, ``value`` 0.0 at d = 0) or a descent direction in ker Z (``bound``
+    None, ``value`` its slope, which HiGHS may undercut); ``"highs"``,
+    HiGHS's dual bound with binaries, its optimum without, and None where it
+    proved neither (``MILP_TIME_LIMIT``).  ``binaries`` counts the ties,
+    sent to HiGHS or not.
     """
 
     value: float
@@ -362,25 +359,19 @@ class SlopeMin(NamedTuple):
 
 
 class _Tie(NamedTuple):
-    """y = max(fa, fb); m_a and m_b bound fb - fa and fa - fb from above, and delta is its binary.
-
-    m_a and m_b are NaN until ``_SlopeModel.settle_bounds`` runs.
-    """
+    """y = max(fa, fb), which switches on s = fa - fb; delta is its binary."""
 
     y: int
     fa: np.ndarray
     fb: np.ndarray
-    m_a: float
-    m_b: float
     delta: int
 
 
 class _Epigraph(NamedTuple):
-    """t = |w| for a vanishing residual's slope w, with S bounding |w|; S is NaN until bounds are settled."""
+    """t = |w| for a vanishing residual's slope w, which switches on s = w."""
 
     t: int
     w: np.ndarray
-    S: float
 
 
 def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -392,32 +383,32 @@ def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sizes(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """S >= |s| on the unit l1 ball for s = Z d + L |s|: S = h + |L| S, h_i = ||Z_i||_inf, by one triangular solve."""
+    h = np.max(np.abs(Z), axis=1, initial=0.0)
+    if not np.any(L):
+        return h
+    return solve_triangular(np.eye(h.size) - np.abs(L), h, lower=True, unit_diagonal=True, check_finite=False)
+
+
 class _SlopeModel:
     """Linear forms of a first derivative, and the switches that pin their auxiliary variables.
 
     Entry j < dim of a form is the coefficient of direction component d_j,
-    entry dim + a that of auxiliary variable a, which lies in [lo[a], hi[a]].
-    Forms are never changed in place, so leaves share theirs.  ``check``
-    names the model in errors.  ``switches`` is the one record of the kinks:
-    ``_Tie`` and ``_Epigraph`` entries in build order, variables by index,
-    off which HiGHS's rows, the abs-normal form and the critical subspace
-    are read.  ``cone_rows`` are forms g that cut the ball by g . d >= 0.
-    ``max_of`` and ``abs_of`` record forms only, and the boxes of their
-    variables read NaN until ``settle_bounds`` gives every box, big-M pair
-    and S at once; ``solve``, ``_multipliers`` and ``critical_basis`` call
-    it first.
+    entry dim + a that of auxiliary variable a < ``nvar``.  Forms are never
+    changed in place, so leaves share theirs.  ``check`` names the model in
+    errors.  ``switches`` is the one record of the kinks: ``_Tie`` and
+    ``_Epigraph`` entries in build order, off which everything else is read.
+    ``cone_rows`` are forms g that cut the ball by g . d >= 0.
     """
 
     def __init__(self, dim: int, check: str):
         self.dim = dim
         self.check = check
-        self.lo: list[float] = []
-        self.hi: list[float] = []
+        self.nvar = 0
         self.switches: list[_Tie | _Epigraph] = []
         self.cone_rows: list[np.ndarray] = []
         self.zero = np.zeros(0)
-        self._settled = 0
-        self._finite = True  # whether every switch's forms and big-M constants are finite
         self._units: dict[int, np.ndarray] = {}
 
     def unit(self, j: int) -> np.ndarray:
@@ -427,134 +418,33 @@ class _SlopeModel:
             u[j] = 1.0
         return u
 
-    def var(self, lo: float, hi: float) -> int:
-        """A new auxiliary variable in [lo, hi]; its form is ``unit(dim + index)``."""
-        self.lo.append(lo)
-        self.hi.append(hi)
-        return len(self.lo) - 1
-
     def max_of(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """y = max(fa, fb), recorded as a tie with its binary; ``settle_bounds`` bounds it."""
+        """y = max(fa, fb), recorded as a tie with its binary: two new variables."""
         if np.array_equal(fa, fb):
             return fa
-        y = self.var(math.nan, math.nan)
-        self.switches.append(_Tie(y, fa, fb, math.nan, math.nan, self.var(0.0, 1.0)))
-        return self.unit(self.dim + y)
+        self.switches.append(_Tie(self.nvar, fa, fb, self.nvar + 1))
+        self.nvar += 2
+        return self.unit(self.dim + self.nvar - 2)
 
     def abs_of(self, w: np.ndarray) -> np.ndarray:
         """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
-        t = self.var(0.0, math.nan)
-        self.switches.append(_Epigraph(t, w, math.nan))
-        return self.unit(self.dim + t)
+        self.switches.append(_Epigraph(self.nvar, w))
+        self.nvar += 1
+        return self.unit(self.dim + self.nvar - 1)
 
-    def settle_bounds(self) -> None:
-        """Every switch's bounds by interval arithmetic over its stacked forms, one generation at a time.
+    def _refuse_non_finite(self, *arrays: np.ndarray) -> None:
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
 
-        A form f lies within -+||f[:dim]||_inf on the l1 ball, plus the sum
-        over its tail of min and max of f_a lo[a] and f_a hi[a].  A tie's y
-        lies in [max(lo_a, lo_b), max(hi_a, hi_b)], and m_a and m_b are the
-        positive parts of -lo and hi of fa - fb; an epigraph's t lies in [0,
-        S], S the largest of hi, -lo and 0 of w.  A form reads the box of
-        every variable below its length, so a switch's generation is one
-        more than the latest among the switches whose variables it reads,
-        and each generation's tails are summed in one numpy batch per tail
-        length once the generations before it are settled.  The bounds are
-        those that per-switch arithmetic in build order gives, bit for bit.
-        """
-        k = len(self.switches)
-        if self._settled == k:
-            return
-        dim, switches = self.dim, self.switches
-        ties = [i for i, sw in enumerate(switches) if isinstance(sw, _Tie)]
-        nt = len(ties)
-        at = {i: (k + j, k + nt + j) for j, i in enumerate(ties)}  # each tie's rows of fb and fa - fb
-        width = max([sw[1].size for sw in switches] + [switches[i].fb.size for i in ties], default=0)
-        rows = np.zeros((k + 2 * nt, width))  # fa or w per switch, then fb and fa - fb per tie
-        rows[:k] = -0.0  # so that fa - fb reads -fb past fa's end, as ``_add`` does
-        for i, sw in enumerate(switches):
-            rows[i, : sw[1].size] = sw[1]
-            if i in at:
-                rows[at[i][0], : sw.fb.size] = sw.fb
-        rows[k + nt :] = rows[ties] - rows[k : k + nt]
-        head = np.max(np.abs(rows[:, :dim]), axis=1, initial=0.0).tolist()
-        # Each generation's switches, and its rows with a tail, by tail length.
-        owners: list[int] = []  # each switch's variable, in build order
-        latest: list[int] = []  # the last generation among the switches up to each
-        members: list[list[int]] = []
-        groups: list[dict[int, list[int]]] = []
-        for i, sw in enumerate(switches):
-            na = sw[1].size - dim
-            reads = [(i, na)]
-            if i in at:
-                nb = sw.fb.size - dim
-                reads += [(at[i][0], nb), (at[i][1], max(na, nb))]
-            j = bisect.bisect_left(owners, max(n for _, n in reads))  # the switches read
-            g = latest[j - 1] + 1 if j else 0
-            owners.append(sw[0])
-            latest.append(max(g, latest[-1]) if latest else g)
-            if g == len(members):
-                members.append([])
-                groups.append({})
-            members[g].append(i)
-            for r, n in reads:
-                if n > 0:
-                    groups[g].setdefault(n, []).append(r)
-        lo, hi = np.array(self.lo), np.array(self.hi)
-        sums: dict[int, tuple[float, float]] = {}
-        big_m: list[float] = []
-
-        def interval(r: int) -> tuple[float, float]:
-            s_lo, s_hi = sums.get(r, (0.0, 0.0))
-            return -head[r] + s_lo, head[r] + s_hi
-
-        for group, gen in zip(groups, members):
-            for n, idx in group.items():
-                T = rows[idx, dim : dim + n]
-                a, b = T * lo[:n], T * hi[:n]
-                low, high = np.sum(np.minimum(a, b), axis=1), np.sum(np.maximum(a, b), axis=1)
-                sums.update(zip(idx, zip(low.tolist(), high.tolist())))
-            for i in gen:
-                sw = switches[i]
-                if isinstance(sw, _Epigraph):
-                    w_lo, w_hi = interval(i)
-                    hi[sw.t] = S = max(w_hi, -w_lo, 0.0)
-                    switches[i] = _Epigraph(sw.t, sw.w, S)
-                    continue
-                (lo_a, hi_a), (lo_b, hi_b) = interval(i), interval(at[i][0])
-                gap_lo, gap_hi = interval(at[i][1])
-                lo[sw.y], hi[sw.y] = max(lo_a, lo_b), max(hi_a, hi_b)
-                big_m += [max(-gap_lo, 0.0), max(gap_hi, 0.0)]
-                switches[i] = _Tie(sw.y, sw.fa, sw.fb, *big_m[-2:], sw.delta)
-        self.lo, self.hi = lo.tolist(), hi.tolist()
-        self._finite = bool(np.all(np.isfinite(rows[: k + nt])) and np.all(np.isfinite(big_m)))
-        self._settled = k
-
-    def _rows(self) -> list[tuple[np.ndarray, float, float]]:
-        """HiGHS's rows (form, lo, hi) beyond the ball's: each switch's in build order, then the cone rows.
-
-        A tie gives y >= fa, y >= fb, y <= fa + m_a (1 - delta) and y <= fb
-        + m_b delta: with delta at 1 the third row binds, at 0 the fourth,
-        and the other stays slack.  An epigraph gives t >= w and t >= -w.
-        """
-        out = []
-        for sw in self.switches:
-            u = self.unit(self.dim + sw[0])
-            if isinstance(sw, _Epigraph):
-                out += [(_add(u, -sw.w), 0.0, np.inf), (_add(u, sw.w), 0.0, np.inf)]
-            else:
-                ya, yb, delta = _add(u, -sw.fa), _add(u, -sw.fb), self.unit(self.dim + sw.delta)
-                out += [(ya, 0.0, np.inf), (yb, 0.0, np.inf)]
-                out += [(_add(ya, sw.m_a * delta), -np.inf, sw.m_a), (_add(yb, -sw.m_b * delta), -np.inf, 0.0)]
-        return out + [(g, 0.0, np.inf) for g in self.cone_rows]
-
-    def _abs_normal(self, obj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Z, L, a, b) with obj = a . d + b . |s| and s = Z d + L |s|, one s per switch.
+    def _abs_normal(self, *forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(Z, L, A, B): s = Z d + L |s|, one s per switch, and each of forms as a row of A . d + B . |s|.
 
         A tie's y = (fa + fb) / 2 + |s| / 2 with s = fa - fb, an epigraph's t
-        = |s| with s = w; L, strictly lower triangular, is zero unless switches nest.
+        = |s| with s = w.  L is strictly lower triangular; it, and a triangular
+        solve in the substitution, are needed only where switches nest.
         """
-        dim, k, m = self.dim, len(self.switches), len(self.lo)
-        W = np.zeros((k + 1, dim + m))  # each switch's s, then obj, over (d, auxiliary variables)
+        dim, k, m = self.dim, len(self.switches), self.nvar
+        W = np.zeros((k + len(forms), dim + m))  # each switch's s, then forms, over (d, auxiliary variables)
         Y = np.zeros((m, dim + m))  # each tie variable's (fa + fb) / 2
         P = np.zeros((m, k))  # each auxiliary variable's weight on |s|
         for i, sw in enumerate(self.switches):
@@ -567,15 +457,56 @@ class _SlopeModel:
                 Y[sw.y, : sw.fb.size] = sw.fb
                 Y[sw.y] += 0.5 * W[i]
                 P[sw.y, i] = 0.5
-        W[k, : obj.size] = obj
-        # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X,
-        # where Y_aux is strictly lower triangular; it is zero unless ties nest.
+        for i, f in enumerate(forms, start=k):
+            W[i, : f.size] = f
+        # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X, Y_aux strictly lower
         X = np.hstack([Y[:, :dim], P])
         if np.any(Y[:, dim:]):
             X = solve_triangular(np.eye(m) - Y[:, dim:], X, lower=True, unit_diagonal=True)
         A = W[:, dim:] @ X
         A[:, :dim] += W[:, :dim]
-        return A[:k, :dim], A[:k, dim:], A[k, :dim], A[k, dim:]
+        return A[:k, :dim], A[:k, dim:], A[k:, :dim], A[k:, dim:]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each auxiliary variable's box (lo, hi), and each tie's big-M pair (m_a, m_b) as a row.
+
+        With |s| <= S (``_sizes``), each switch's s and each tie's fa and fb,
+        p . d + q . |s| by ``_abs_normal``, lie in [-||p||_inf + min(q, 0) .
+        S, ||p||_inf + max(q, 0) . S].  A tie's y lies in [max(lo_a, lo_b),
+        max(hi_a, hi_b)], and its m_a and m_b are the positive parts of -lo
+        and hi of its s; an epigraph's t lies in [0, S_i], a binary in [0, 1].
+        """
+        ties = [i for i, sw in enumerate(self.switches) if isinstance(sw, _Tie)]
+        epigraphs = [i for i, sw in enumerate(self.switches) if isinstance(sw, _Epigraph)]
+        Z, L, A, B = self._abs_normal(*(f for i in ties for f in (self.switches[i].fa, self.switches[i].fb)))
+        S, Q = _sizes(Z, L), np.vstack([L, B])  # rows: each switch's s, then each tie's fa and fb
+        head = np.max(np.abs(np.vstack([Z, A])), axis=1, initial=0.0)
+        lo, hi = -head + np.minimum(Q, 0.0) @ S, head + np.maximum(Q, 0.0) @ S
+        box_lo, box_hi, k = np.zeros(self.nvar), np.ones(self.nvar), len(self.switches)
+        box_hi[[self.switches[i].t for i in epigraphs]] = S[epigraphs]
+        y = [self.switches[i].y for i in ties]
+        box_lo[y], box_hi[y] = np.maximum(lo[k::2], lo[k + 1 :: 2]), np.maximum(hi[k::2], hi[k + 1 :: 2])
+        return box_lo, box_hi, np.column_stack([np.maximum(-lo[ties], 0.0), np.maximum(hi[ties], 0.0)])
+
+    def _rows(self, big_m: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
+        """HiGHS's rows (form, lo, hi) beyond the ball's: each switch's in build order, then the cone rows.
+
+        A tie gives y >= fa, y >= fb, y <= fa + m_a (1 - delta) and y <= fb
+        + m_b delta, (m_a, m_b) its row of big_m: delta at 1 binds the third
+        row, at 0 the fourth.  An epigraph gives t >= w and t >= -w.
+        """
+        out, pairs = [], iter(big_m)
+        for sw in self.switches:
+            u = self.unit(self.dim + sw[0])
+            if isinstance(sw, _Epigraph):
+                out += [(_add(u, -sw.w), 0.0, np.inf), (_add(u, sw.w), 0.0, np.inf)]
+            else:
+                (m_a, m_b), delta = next(pairs), self.unit(self.dim + sw.delta)
+                ya, yb = _add(u, -sw.fa), _add(u, -sw.fb)
+                out += [(ya, 0.0, np.inf), (yb, 0.0, np.inf)]
+                out += [(_add(ya, m_a * delta), -np.inf, m_a), (_add(yb, -m_b * delta), -np.inf, 0.0)]
+        return out + [(g, 0.0, np.inf) for g in self.cone_rows]
 
     def multiplier_bound(self, obj: np.ndarray) -> float:
         """The multiplier lower bound on the minimum of obj over the unit l1 ball (``_multipliers``)."""
@@ -587,25 +518,21 @@ class _SlopeModel:
 
         With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), any mu
         gives obj = r . d + mu . s + c . |s| with r = a - Z^T mu and c = b -
-        L^T mu, and each mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i,
-        S_i bounding |s_i| over the model.  With mu = lstsq(Z^T, a), the bound
-        -||r||_inf - sum_i max(0, |mu_i| - c_i) S_i holds at any rank of Z
-        (tangential stationarity and normal growth), and rows that cut the
-        ball only raise the minimum: at or above -tol it settles a stationary
-        point, with d = 0 and value 0.0.  Where ||r||_inf > tol, r is a's
-        projection onto ker Z, so with no cone row d = -r / ||r||_1 keeps
-        every switch at s = 0 and obj falls at -||r||_2^2 / ||r||_1.  That
-        slope, a . d + b . |s| with s from forward substitution, below -tol
-        makes d the incumbent, with no lower bound.  Else HiGHS decides.
+        L^T mu, and each mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i
+        with |s| <= S (``_sizes``).  So with mu = lstsq(Z^T, a), -||r||_inf -
+        sum_i max(0, |mu_i| - c_i) S_i bounds the minimum at any rank of Z,
+        rows that cut the ball only raise it, and at or above -tol it settles
+        a stationary point (d = 0, value 0.0).  Where ||r||_inf > tol, r is
+        a's projection onto ker Z, so with no cone row d = -r / ||r||_1 keeps
+        every s at 0, and its slope a . d + b . |s| (s by forward
+        substitution), if below -tol, makes d the incumbent with no bound.
         """
-        self.settle_bounds()
-        Z, L, a, b = self._abs_normal(obj)
+        Z, L, (a,), (b,) = self._abs_normal(obj)
         mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if self.switches else np.zeros(0)
         r = a - Z.T @ mu
         r_max = float(np.max(np.abs(r), initial=0.0))
         if not r_max > tol:
-            S = np.array([sw.S if isinstance(sw, _Epigraph) else max(sw.m_a, sw.m_b) for sw in self.switches])
-            bound = -r_max - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * S))
+            bound = -r_max - float(np.sum(np.maximum(np.abs(mu) - (b - L.T @ mu), 0.0) * _sizes(Z, L)))
             return SlopeMin(0.0, bound, np.zeros(self.dim), binaries, "multipliers") if bound >= -tol else None
         if self.cone_rows:
             return None
@@ -621,16 +548,15 @@ class _SlopeModel:
         """Orthonormal basis of the critical subspace S of obj's derivative, or None when S is unknown.
 
         With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), the
-        switches w with b_k != 0 weigh in.  When each is a tie with b_k > 0
-        whose row of L is zero, and mu = lstsq(Z_w^T, a) has every |mu_k| <
-        b_k, zero lies in the relative interior of the subdifferential, so
-        the derivative vanishes on S = {d : a . d = 0, Z_w d = 0} alone;
-        else S is unknown.  A slope within CRIT_SLACK counts as zero: S is
-        spanned by the right singular vectors of [a; b_w Z_w] whose singular
-        values are at most CRIT_SLACK, and is B = I when all of them are.
+        switches w with b_k != 0 weigh in.  When each is an unnested tie with
+        b_k > 0 and mu = lstsq(Z_w^T, a) has every |mu_k| < b_k, zero lies in
+        the relative interior of the subdifferential, so the derivative
+        vanishes on S = {d : a . d = 0, Z_w d = 0} alone; else S is unknown.
+        A slope within CRIT_SLACK counts as zero: S is spanned by the right
+        singular vectors of [a; b_w Z_w] whose singular values are at most
+        CRIT_SLACK, and is B = I when all of them are.
         """
-        self.settle_bounds()
-        Z, L, a, b = self._abs_normal(obj)
+        Z, L, (a,), (b,) = self._abs_normal(obj)
         w = np.flatnonzero(b)
         known = all(isinstance(self.switches[k], _Tie) for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
         if not known or (w.size and not np.all(np.abs(np.linalg.lstsq(Z[w].T, a, rcond=None)[0]) < b[w])):
@@ -642,23 +568,21 @@ class _SlopeModel:
     def solve(self, obj: np.ndarray, tol: float | None = None) -> SlopeMin:
         """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
 
-        The columns are d, then s, then the auxiliary variables; a
-        non-finite coefficient, scaled cost or bound raises ValueError.
-        When obj weighs no auxiliary variable and no cone row cuts the ball,
-        the switches' rows only pin y = max(fa, fb) and t = |w| inside their
-        boxes, which they meet at every d: the minimum is -|c_i| at the
-        vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol, the
-        ``_multipliers`` come next, read once: a bound at or above -tol
-        (d = 0, value 0.0), or where the tangential residual exceeds tol, a
-        direction in ker Z whose slope is below -tol.  Only then are the
-        ``_rows`` derived and HiGHS called.
+        The columns are d, then s, then the auxiliary variables.  When obj
+        weighs no auxiliary variable and no cone row cuts the ball, the
+        switches only pin y = max(fa, fb) and t = |w|: the minimum is -|c_i|
+        at the vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol,
+        the ``_multipliers`` come next: a bound at or above -tol (d = 0,
+        value 0.0), or a direction in ker Z whose slope is below -tol.  Only
+        then are the ``_boxes`` and ``_rows`` derived and HiGHS called.  A
+        non-finite coefficient of obj, a cone row or a switch's form, a
+        non-finite scaled cost, and on the HiGHS branch a non-finite box or
+        big-M constant, raise ValueError.
         """
-        self.settle_bounds()
-        dim, m = self.dim, len(self.lo)
+        dim = self.dim
         with np.errstate(over="ignore"):
-            forms = [_COST_SCALE * obj, self.lo, self.hi, *self.cone_rows]
-        if not (self._finite and all(np.all(np.isfinite(f)) for f in forms)):
-            raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
+            # each switch's forms: a tie's fa and fb, an epigraph's w
+            self._refuse_non_finite(_COST_SCALE * obj, *self.cone_rows, *(f for sw in self.switches for f in sw[1:3]))
         deltas = [sw.delta for sw in self.switches if isinstance(sw, _Tie)]
         if not np.any(obj[dim:]) and not self.cone_rows:
             c = np.zeros(dim)
@@ -673,7 +597,9 @@ class _SlopeModel:
             sol = self._multipliers(obj, tol, len(deltas))
             if sol is not None:
                 return sol
-        ncol = 2 * dim + m
+        box_lo, box_hi, big_m = self._boxes()
+        self._refuse_non_finite(box_lo, box_hi, big_m)
+        ncol = 2 * dim + self.nvar
 
         def columns(f):
             nz = np.flatnonzero(f)
@@ -687,23 +613,17 @@ class _SlopeModel:
         r = [ar, ar, dim + ar, dim + ar, np.full(dim, 2 * dim)]
         k = [ar, dim + ar, ar, dim + ar, dim + ar]
         v = [-np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim)]
-        lower = [np.zeros(2 * dim), [-np.inf]]
-        upper = [np.full(2 * dim, np.inf), [1.0]]
-        rows = self._rows()
-        for i, (f, lo, hi) in enumerate(rows, start=2 * dim + 1):
+        rows = self._rows(big_m)
+        for i, (f, _, _) in enumerate(rows, start=2 * dim + 1):
             nz, cols = columns(f)
             r.append(np.full(nz.size, i))
             k.append(cols)
             v.append(f[nz])
-            lower.append([lo])
-            upper.append([hi])
-        A = sparse.csr_array(
-            (np.concatenate(v), (np.concatenate(r), np.concatenate(k))),
-            shape=(2 * dim + 1 + len(rows), ncol),
-        )
+        lower = np.concatenate([np.zeros(2 * dim), [-np.inf], [lo for _, lo, _ in rows]])
+        upper = np.concatenate([np.full(2 * dim, np.inf), [1.0], [hi for *_, hi in rows]])
+        A = sparse.csr_array((np.concatenate(v), (np.concatenate(r), np.concatenate(k))), shape=(len(lower), ncol))
         bounds = Bounds(
-            np.concatenate([-np.ones(dim), np.zeros(dim), self.lo]),
-            np.concatenate([np.ones(2 * dim), self.hi]),
+            np.concatenate([-np.ones(dim), np.zeros(dim), box_lo]), np.concatenate([np.ones(2 * dim), box_hi])
         )
         integrality = np.zeros(ncol)
         integrality[2 * dim + np.array(deltas, dtype=int)] = 1.0
@@ -711,7 +631,7 @@ class _SlopeModel:
             _COST_SCALE * c,
             integrality=integrality,
             bounds=bounds,
-            constraints=LinearConstraint(A, np.concatenate(lower), np.concatenate(upper)),
+            constraints=LinearConstraint(A, lower, upper),
             options={"time_limit": MILP_TIME_LIMIT, "mip_rel_gap": 0.0, "presolve": False},
         )
         value, d, bound = 0.0, np.zeros(dim), None
@@ -724,48 +644,84 @@ class _SlopeModel:
         return SlopeMin(value, bound, d, len(deltas), "highs")
 
 
-def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple]) -> tuple[float, np.ndarray]:
+def _postorder(e: ex.Expr) -> Iterator[ex.Expr]:
+    """e's nodes, each after its arguments, left to right; a kink's second branch after its first argument."""
+    order, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kids = node.args
+        if kids and node.family == ex.KINK and node.data[0] is not None:
+            kids = (kids[0], node.data[0])
+        todo += kids
+    return reversed(order)
+
+
+def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple | ex.Expr]) -> tuple[float, np.ndarray]:
     """Value and first-derivative form of e; ``leaf(j, i)`` gives block j's component i.
 
-    Values follow the Taylor rules of ``expr`` operation for operation (an
-    offset added after the terms, a tie broken by the gap), so every kink
-    takes the branch that the tapes' derivative calculus takes.  Callers turn
-    numpy's overflow warnings off; ``_SlopeModel.solve`` names the check.
+    A leaf for which ``leaf`` gives an expression stands for it: walked where
+    it is first read, reused after.  A stack of ``_postorder`` lists visits
+    nodes, and records switches, in the order of a recursive walk.  Values
+    follow the Taylor rules of ``expr`` operation for operation (an offset
+    added after the terms, a tie broken by the gap), so every kink takes the
+    branch that the tapes' derivative calculus takes.  Callers turn numpy's
+    overflow warnings off.
     """
-    family, data = e.family, e.data
-    if family == ex.LEAF:
-        return (e.value, model.zero) if data is None else leaf(data, e.ref)
-    if family == ex.KINK:
-        branch, scale, _ = data
-        va, fa = _walk(model, e.args[0], leaf)
-        vb, fb = (scale * va, scale * fa) if branch is None else _walk(model, branch, leaf)
-        gap = va - vb
-        if gap > _TIE:
-            return va, fa
-        if gap < -_TIE:
-            return vb, fb
-        return max(va, vb), model.max_of(fa, fb)
-    parts = [_walk(model, a, leaf) for a in e.args]
-    if not parts:  # an affine node without arguments is its offset
-        return data[1], model.zero
-    val = form = None
-    if family == ex.LINEAR:
-        weights, offset = data
-        for w, (v, f) in zip(weights, parts):
-            if w != 1.0:
-                v, f = w * v, w * f
-            val = v if val is None else val + v
-            form = f if form is None else _add(form, f)
-        return (val if offset is None else offset + val), form
-    pairs, val = data
-    form = None if val is None else model.zero
-    for i, j in pairs:
-        (va, fa), (vb, fb) = parts[i], parts[j]
-        v = va * vb
-        val = v if val is None else val + v
-        f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
-        form = f if form is None else _add(form, f)
-    return val, form
+    done: dict[tuple[int, int], tuple[float, np.ndarray]] = {}  # each expression leaf's value and form
+    out: list[tuple[float, np.ndarray]] = []  # the values and forms not yet combined
+    frames = [(_postorder(e), None)]  # each walk in progress, with the leaf it stands for
+    while frames:
+        nodes, key = frames[-1]
+        for node in nodes:
+            family, data = node.family, node.data
+            if family == ex.LEAF:
+                got = (node.value, model.zero) if data is None else done.get((data, node.ref)) or leaf(data, node.ref)
+                if type(got) is ex.Expr:
+                    frames.append((_postorder(got), (data, node.ref)))
+                    break
+                out.append(got)
+                continue
+            if family == ex.KINK:
+                branch, scale, _ = data
+                if branch is None:
+                    va, fa = out.pop()
+                    vb, fb = scale * va, scale * fa
+                else:
+                    vb, fb = out.pop()
+                    va, fa = out.pop()
+                gap = va - vb
+                out.append((va, fa) if gap > _TIE else (vb, fb) if gap < -_TIE else (max(va, vb), model.max_of(fa, fb)))
+                continue
+            parts = out[len(out) - len(node.args) :]
+            del out[len(out) - len(node.args) :]
+            val = form = None
+            if not parts:  # an affine node without arguments is its offset
+                val, form = data[1], model.zero
+            elif family == ex.LINEAR:
+                weights, offset = data
+                for w, (v, f) in zip(weights, parts):
+                    if w != 1.0:
+                        v, f = w * v, w * f
+                    val = v if val is None else val + v
+                    form = f if form is None else _add(form, f)
+                if offset is not None:
+                    val = offset + val
+            else:
+                pairs, val = data
+                form = None if val is None else model.zero
+                for i, j in pairs:
+                    (va, fa), (vb, fb) = parts[i], parts[j]
+                    v = va * vb
+                    val = v if val is None else val + v
+                    f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
+                    form = f if form is None else _add(form, f)
+            out.append((val, form))
+        else:
+            frames.pop()
+            if key is not None:
+                done[key] = out[-1]
+    return out[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -812,15 +768,9 @@ def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeMo
     """
     th = np.asarray(th, dtype=float).ravel()
     model = _SlopeModel(problem.n, "P0")
-    lifted: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
 
-    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
-        if j == 0:
-            return float(th[i]), model.unit(i)
-        hit = lifted.get((j, i))
-        if hit is None:
-            hit = lifted[j, i] = _walk(model, problem.layers[j - 1].exprs[i], leaf)
-        return hit
+    def leaf(j: int, i: int) -> tuple[float, np.ndarray] | ex.Expr:
+        return (float(th[i]), model.unit(i)) if j == 0 else problem.layers[j - 1].exprs[i]
 
     obj = _walk(model, problem.outer, leaf)[1]
     return model, _add(obj, 2.0 * problem.lam * th)

@@ -210,6 +210,8 @@ def load(path: str | Path, read: Callable[[Any], Any] = lambda d: d) -> Any:
         return read(json.loads(text))
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    except RecursionError as err:
+        raise FormatError(f"{path}: JSON nested too deeply to read") from err
     except FormatError as err:
         raise FormatError(f"{path}: {err}") from err
 

@@ -513,6 +513,7 @@ def check_box(
     ball exactly.  Every derivative of e comes from one tape, compiled per call.
     """
     x = np.asarray(x, dtype=float).ravel()
+    ex.validate(e, x.size, 0, ())
     lower = np.asarray(lower, dtype=float).ravel()
     upper = np.asarray(upper, dtype=float).ravel()
     if np.any(x < lower - 1e-12) or np.any(x > upper + 1e-12):

@@ -557,3 +557,12 @@ def test_a_residual_bound_past_the_float_range_ends_in_an_error_line(capsys, fil
         "error: layer 1 residual bound gamma_bar / beta_1 = 0.0001 / 1e-320 is not finite, "
         "so the level set has no box to sample\n"
     )
+
+
+def test_json_nested_past_the_decoder_limit_ends_in_an_error_line(capsys, tmp_path):
+    prob = tmp_path / "deep.json"
+    prob.write_text('{"kind": "problem", "n": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["thresholds", "--problem", str(prob)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {prob}: JSON nested too deeply to read\n"

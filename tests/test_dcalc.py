@@ -223,3 +223,8 @@ def test_two_path_quotients_disagree_at_second_order(abs_cubic):
     qm = ray_quotients(f, x, lambda t: np.array([3.0 - 4 * t, 1.0]), first_fn, taus)
     assert qp[-1] == pytest.approx(-6.0, abs=1e-3)
     assert qm[-1] == pytest.approx(6.0, abs=1e-3)
+
+
+def test_dd_expr_names_a_reference_past_the_point():
+    with pytest.raises(ValueError, match="reference 3 out of range for n=2"):
+        dd_expr(ex.theta(3), np.zeros(2), np.ones(2))

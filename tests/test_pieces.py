@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_points, random_problem
-from walkers import switch_bounds
 from mcpen import expr as ex
 from mcpen import pieces as pieces_mod
 from mcpen.model import Point, eval_layers
@@ -453,8 +452,8 @@ def test_highs_rows_are_read_off_the_switches(monkeypatch):
 def _three_generations():
     """A tie over an epigraph over a tie: y1 = max(d0, d1), t = |y1 - d2|, y2 = max(t, d0 + d2).
 
-    Variables: y1, its binary, t, y2, its binary.  The epigraph reads y1's
-    box and the second tie reads t's, so each switch is a generation of its own.
+    Variables: y1, its binary, t, y2, its binary.  The epigraph reads y1 and
+    the second tie reads t, so s = Z d + L |s| nests three deep.
     """
     model = pieces_mod._SlopeModel(3, "hand-built")
     d0, d1, d2 = model.unit(0), model.unit(1), model.unit(2)
@@ -463,37 +462,67 @@ def _three_generations():
     return model
 
 
-def _bounds(lo, hi, per_switch):
-    """The bytes of a model's boxes and of its switches' bounds."""
-    return np.array(lo).tobytes(), np.array(hi).tobytes(), [np.array(b).tobytes() for b in per_switch]
+def _forward(model, D):
+    """Each switch's s and each auxiliary variable's value at the columns of D, one switch at a time.
+
+    Binaries read 0: no form reads them.
+    """
+    X = np.zeros((model.dim + model.nvar, D.shape[1]))
+    X[: model.dim] = D
+    s = []
+    for sw in model.switches:
+        if isinstance(sw, pieces_mod._Tie):
+            a, b = sw.fa @ X[: sw.fa.size], sw.fb @ X[: sw.fb.size]
+            X[model.dim + sw.y], gap = np.maximum(a, b), a - b
+        else:
+            gap = sw.w @ X[: sw.w.size]
+            X[model.dim + sw.t] = np.abs(gap)
+        s.append(gap)
+    return np.array(s), X[model.dim :]
 
 
-def test_switch_bounds_are_the_per_switch_bounds_bit_for_bit():
-    # The oracle bounds one switch at a time in build order, each reading the
-    # boxes settled before it; the batch must give the same bits.
-    hand = _three_generations()
-    models = [hand] + [model for _, model, *_ in _oracle_cases()]
+def test_switch_bounds_hold_at_every_direction():
+    # At seeded unit-l1 directions and at +-e_i, each |s_i| stays within the
+    # S_i the multipliers read, each auxiliary variable within its box (a
+    # tie's y = max(fa, fb), an epigraph's t = |w|) and each tie's gap fa - fb
+    # within [-m_a, m_b], the bounds HiGHS reads.  Both are read off s = Z d
+    # + L |s|; with L dropped, nested switches leave them.
+    models = [model for _, model, *_ in _oracle_cases() if model.switches]
     for seed in range(10):
         problem, config, points = desk_points(seed)
         for z in points:
             models += [psi_prime_model(problem, z.theta)[0], theta_prime_model(problem, z, config.beta)[0]]
+    rng = np.random.default_rng(0)
     switches = nested = 0
     for model in models:
-        want = _bounds(*switch_bounds(model))
-        model.settle_bounds()
-        got = [(sw.m_a, sw.m_b) if isinstance(sw, pieces_mod._Tie) else (sw.S,) for sw in model.switches]
-        assert _bounds(model.lo, model.hi, got) == want
+        Z, L, _, _ = model._abs_normal()
+        S = pieces_mod._sizes(Z, L)
+        lo, hi, big_m = model._boxes()
+        D = rng.standard_normal((model.dim, 200))
+        D = np.hstack([D / np.sum(np.abs(D), axis=0), np.eye(model.dim), -np.eye(model.dim)])
+        s, X = _forward(model, D)
+        ties = [i for i, sw in enumerate(model.switches) if isinstance(sw, pieces_mod._Tie)]
+        assert np.all(np.abs(s) <= S[:, None])
+        assert np.all(lo[:, None] <= X) and np.all(X <= hi[:, None])
+        assert np.all(-big_m[:, :1] <= s[ties]) and np.all(s[ties] <= big_m[:, 1:])
         switches += len(model.switches)
-        for sw in model.switches:
-            forms = (sw.fa, sw.fb) if isinstance(sw, pieces_mod._Tie) else (sw.w,)
-            nested += max(f.size for f in forms) > model.dim  # it reads some box
-    assert (len(models), switches, nested) == (341, 1220, 280)
-    # By hand: y1 in [-1, 1] with m = (1, 1); w = y1 - d2 in [-2, 2], so t in
-    # [0, 2]; t in [0, 2] and d0 + d2 in [-1, 1] put y2 in [0, 2], and their
-    # gap in [-1, 3].
-    assert (hand.lo, hand.hi) == ([-1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 2.0, 2.0, 1.0])
-    bounds = [sw[3:5] if isinstance(sw, pieces_mod._Tie) else sw.S for sw in hand.switches]
-    assert bounds == [(1.0, 1.0), 2.0, (1.0, 3.0)]
+        nested += int(np.count_nonzero(np.any(L, axis=1)))
+    assert (len(models), switches, nested) == (178, 1217, 207)
+
+
+def test_nested_switch_bounds_by_hand():
+    # s0 = d0 - d1, so |s0| <= 1, y1's branches lie in [-1, 1] and m = (1, 1).
+    # y1 = (d0 + d1) / 2 + |s0| / 2, so t's s1 = (d0 + d1) / 2 - d2 + |s0| / 2
+    # has |s1| <= 1 + 1/2.  y2's s2 = |s1| - d0 - d2 lies in [-1, 1 + 3/2], so
+    # m = (1, 5/2); its branches t and d0 + d2 lie in [0, 3/2] and [-1, 1].
+    hand = _three_generations()
+    Z, L, _, _ = hand._abs_normal()
+    assert L.tolist() == [[0, 0, 0], [0.5, 0, 0], [0, 1, 0]]
+    assert pieces_mod._sizes(Z, L).tolist() == [1.0, 1.5, 2.5]
+    lo, hi, big_m = hand._boxes()
+    assert lo.tolist() == [-1.0, 0.0, 0.0, 0.0, 0.0]
+    assert hi.tolist() == [1.0, 1.0, 1.5, 1.5, 1.0]
+    assert big_m.tolist() == [[1.0, 1.0], [1.0, 2.5]]
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")

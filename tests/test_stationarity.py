@@ -11,6 +11,7 @@ from conftest import blowup_problem, desk_points, random_problem
 from walkers import tie_basis
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
+from mcpen.cones import lift_direction, radial_membership
 from mcpen.dcalc import dd_F, dd_Psi_batch, dd_Theta, direction_from_flat
 from mcpen.model import (
     CompositeProblem,
@@ -954,3 +955,26 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
         ("values", "fixed", 2),
         ("values", "outer", 1),
     ]
+
+
+def test_check_box_names_a_leaf_it_cannot_read():
+    with pytest.raises(ValueError, match="layer reference 1 not below layer 1"):
+        check_box(ex.vabs(ex.add(ex.theta(0), ex.uref(1, 0))), np.zeros(1), -np.ones(1), np.ones(1))
+
+
+def test_a_3000_deep_layer_map_is_certified_without_recursion():
+    # u = theta + 0 + ... + 0, 3000 sums deep, under g = u^2 at theta = 1/2:
+    # F' = (2 u + 2 lam theta) d_theta = 1.1 d_theta.  The first-order models,
+    # the radial test's degree bound and check_box walk the chain with stacks
+    # of their own, as the tapes do.
+    e = ex.theta(0)
+    for _ in range(3000):
+        e = ex.add(e, ex.const(0.0))
+    p = CompositeProblem(1, (LayerMap(1, (e,)),), ex.square(ex.uref(1, 0)), lam=0.1)
+    z = eval_layers(p, np.array([0.5]))
+    r0, r1 = check_d_stationary_P0(p, z), check_d_stationary_P1(p, z, [1.0])
+    assert (r0.verdict, r0.min_found) == (NOT_STATIONARY, pytest.approx(-1.1, abs=1e-12))
+    assert r1.verdict == NOT_STATIONARY
+    assert radial_membership(p, z, lift_direction(p, z, np.ones(1))).in_radial is True
+    box = check_box(ex.vabs(e), np.zeros(1), -np.ones(1), np.ones(1))
+    assert (box.verdict, box.mode) == (STATIONARY, "exact")

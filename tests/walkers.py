@@ -20,10 +20,6 @@ columns.  The tapes and the chunked sampler must reproduce them byte for
 byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
 algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
 read it off the abs-normal form; the two must span the same subspace.
-``switch_bounds`` bounds a first-order model's switches one at a time in
-build order, as ``_SlopeModel.max_of`` and ``abs_of`` did as they recorded
-each one, before ``settle_bounds`` bounded them over stacked forms; the
-two must agree bit for bit.
 """
 
 import operator
@@ -34,7 +30,7 @@ import numpy as np
 
 from mcpen import expr as ex
 from mcpen.dcalc import KINK_TOL
-from mcpen.pieces import CRIT_SLACK, _add, _Tie
+from mcpen.pieces import CRIT_SLACK, _Tie
 from mcpen.model import (
     FEAS_TOL,
     EvaluationError,
@@ -380,7 +376,7 @@ def tie_basis(model, obj):
         for sw in model.switches
         if isinstance(sw, _Tie) and max(sw.fa.size, sw.fb.size) <= n
     }
-    coef = np.zeros(n + len(model.lo))
+    coef = np.zeros(n + model.nvar)
     coef[: obj.size] = obj
     c, aux = coef[:n], coef[n:]
     tied = np.flatnonzero(aux)
@@ -396,33 +392,3 @@ def tie_basis(model, obj):
     rank = int(np.sum(sv > CRIT_SLACK))
     return np.eye(n) if rank == 0 else vt[rank:].T
 
-
-def _interval(model, lo, hi, f):
-    """Bounds of f over the model: |c . d| <= ||c||_inf on the l1 ball, and each variable's box."""
-    head = float(np.max(np.abs(f[: model.dim]), initial=0.0))
-    tail = f[model.dim :]
-    a = tail * np.array(lo[: tail.size])
-    b = tail * np.array(hi[: tail.size])
-    return -head + float(np.sum(np.minimum(a, b))), head + float(np.sum(np.maximum(a, b)))
-
-
-def switch_bounds(model):
-    """(lo, hi, bounds) of a first-order model's variables and switches, one switch at a time.
-
-    Each switch reads the boxes that the switches before it were given: a
-    tie's y lies in the max of its branch intervals, and (m_a, m_b) are the
-    positive parts of -lo and hi of fa - fb; an epigraph's t lies in [0, S],
-    S the largest of hi, -lo and 0 of w, and its bounds are (S,).
-    """
-    lo, hi, out = list(model.lo), list(model.hi), []
-    for sw in model.switches:
-        if isinstance(sw, _Tie):
-            (lo_a, hi_a), (lo_b, hi_b) = _interval(model, lo, hi, sw.fa), _interval(model, lo, hi, sw.fb)
-            gap_lo, gap_hi = _interval(model, lo, hi, _add(sw.fa, -sw.fb))
-            lo[sw.y], hi[sw.y] = max(lo_a, lo_b), max(hi_a, hi_b)
-            out.append((max(-gap_lo, 0.0), max(gap_hi, 0.0)))
-        else:
-            w_lo, w_hi = _interval(model, lo, hi, sw.w)
-            lo[sw.t], hi[sw.t] = 0.0, max(w_hi, -w_lo, 0.0)
-            out.append((hi[sw.t],))
-    return lo, hi, out
