@@ -75,19 +75,22 @@ def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -
 
 
 def _degree(e: ex.Expr) -> int:
-    """Upper bound on polynomial degree in the inputs, kinks transparent; arguments before their nodes."""
-    deg: dict[int, int] = {}
+    """Upper bound on polynomial degree in the inputs, kinks transparent.
+
+    Reversed, ``expr.nodes`` lists each node after its arguments, the last
+    argument's subtree first, so a node pops its arguments' degrees in order.
+    """
+    degs: list[int] = []
     for node in reversed(list(ex.nodes(e))):
-        family, data = node.family, node.data
-        if family == ex.LEAF:
-            deg[id(node)] = 0 if data is None else 1
+        if node.family == ex.LEAF:
+            degs.append(0 if node.data is None else 1)
             continue
-        degs = [deg[id(a)] for a in node.args]
-        if family == ex.PRODUCT:
-            deg[id(node)] = max((degs[i] + degs[j] for i, j in data[0]), default=0)
+        args = [degs.pop() for _ in node.args]
+        if node.family == ex.PRODUCT:
+            degs.append(max((args[i] + args[j] for i, j in node.data[0]), default=0))
         else:
-            deg[id(node)] = max(degs, default=0)
-    return deg[id(e)]
+            degs.append(max(args, default=0))
+    return degs[0]
 
 
 def ray_decidable(problem: CompositeProblem) -> bool:

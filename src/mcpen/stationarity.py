@@ -511,6 +511,7 @@ def check_box(
     and components at the upper bound nonpositive; it is polyhedral, so radial
     and tangent cones coincide, and its rows cut the first-order model's l1
     ball exactly.  Every derivative of e comes from one tape, compiled per call.
+    A leaf other than a parameter below x.size raises ValueError naming it.
     """
     x = np.asarray(x, dtype=float).ravel()
     ex.validate(e, x.size, 0, ())
