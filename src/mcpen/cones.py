@@ -75,12 +75,9 @@ def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -
 
 
 def _degree(e: ex.Expr) -> int:
-    """Upper bound on polynomial degree in the inputs, kinks transparent.
-
-    Reversed, ``expr.nodes`` lists each node after its arguments, the last
-    argument's subtree first, so a node pops its arguments' degrees in order.
-    """
+    """Upper bound on polynomial degree in the inputs, kinks transparent."""
     degs: list[int] = []
+    # reversed, ``expr.nodes`` puts each node after its arguments, the last one's subtree first
     for node in reversed(list(ex.nodes(e))):
         if node.family == ex.LEAF:
             degs.append(0 if node.data is None else 1)
