@@ -20,6 +20,9 @@ layer (``residual_slopes``) and, with the outer tape, for Theta
 (``dd_Theta_batch``); the chained tape, the layer maps and then g with each
 ``u`` leaf standing for the map that defines it, for the tangent lift
 (``forward_curves``) and the nested objective (``dd_Psi_batch``).
+
+A first-order batch returns kinked None unless called with ``kinks=True``, as
+the scalar functions are for ``smooth``; a second-order batch always has them.
 """
 
 from __future__ import annotations
@@ -138,21 +141,21 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
     return first, None
 
 
-def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int):
+def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, kinks=False):
     """F's (first, second, bad, kinked) from one pass of the outer tape."""
-    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order).cell(0)
+    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order, kinks=kinks).cell(0)
     return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
 
 
-def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
-    """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
-    return _F(problem, z.theta, z.u, DTH, DU, order)
+def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence, order: int = 1, *, kinks=False):
+    """Batched F derivatives: returns (first, second, bad, kinked) arrays, kinked None at order 1 unless ``kinks``."""
+    return _F(problem, z.theta, z.u, DTH, DU, order, kinks)
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
     check_point(problem, z)
     dth, dus = _as_batch(problem, d)
-    first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order)
+    first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order, kinks=True)
     return _pick(first, second, bad, kinked, eval_F(problem, z), order)
 
 
@@ -168,9 +171,9 @@ def residual_slopes(
 
 
 def dd_Theta_batch(
-    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta: np.ndarray, order: int = 1
+    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta, order: int = 1, *, kinks=False
 ):
-    """Batched Theta derivatives: returns (first, second, bad, kinked) arrays.
+    """Batched Theta derivatives: returns (first, second, bad, kinked) arrays, kinked None at order 1 unless ``kinks``.
 
     Each l1 term expands exactly: a component with signed residual adds
     its signed residual slope at first order and the signed negative of the
@@ -179,12 +182,12 @@ def dd_Theta_batch(
     layers' terms are read off the stacked rows of ``residual_slopes``,
     summed by ``_layer_folds`` and added to F's in layer order.
     """
-    first, second, bad, kinked = _F(problem, z.theta, z.u, DTH, DU, order)
+    first, second, bad, kinked = _F(problem, z.theta, z.u, DTH, DU, order, kinks)
     cells = residual_slopes(problem, z, DTH, DU, order)
     rho, W = np.concatenate(z.u) - cells.value, cells.first
     pos, neg = rho > FEAS_TOL, rho < -FEAS_TOL
     zer = ~(pos | neg)
-    kinked = kinked | (np.abs(W[zer]) > KINK_TOL).any(axis=0)
+    kinked = None if kinked is None else kinked | (np.abs(W[zer]) > KINK_TOL).any(axis=0)
     masks, terms = [pos, neg, zer], [W, W, np.abs(W)]
     if order == 2:
         S = cells.second
@@ -203,15 +206,16 @@ def _layer_folds(problem: CompositeProblem, T: np.ndarray) -> np.ndarray:
     """Per layer, 0.0 + t_1 + t_2 + ... over its rows in order: (k, R, m) -> (k, L, m).
 
     So ``np.sum(T_l, axis=0)`` adds two or more columns; here any width does.
-    Step i adds row i of every layer, -0.0 where a layer has no row i.
+    The layers of one width fold together, a row of each at a time, as
+    ``model._residual_summary`` groups them.
     """
-    k, R, m = T.shape
-    at = problem.layer_of_row
-    P = np.full((max(problem.widths), k, problem.L, m), -0.0)
-    P[np.arange(R) - problem.layer_starts[at], :, at] = T.transpose(1, 0, 2)
-    S = np.zeros((k, problem.L, m))
-    for rows in P:
-        S = S + rows
+    k, _, m = T.shape
+    S = np.empty((k, problem.L, m))
+    for at, rows in problem.width_groups:
+        acc = np.zeros((k, len(at), m))
+        for j in range(rows.shape[1]):
+            acc += T[:, rows[:, j]]
+        S[:, at] = acc
     return S
 
 
@@ -226,7 +230,7 @@ def dd_Theta(
     b = check_beta(problem, beta)
     check_point(problem, z)
     dth, dus = _as_batch(problem, d)
-    first, second, bad, kinked = dd_Theta_batch(problem, z, dth, dus, b, order)
+    first, second, bad, kinked = dd_Theta_batch(problem, z, dth, dus, b, order, kinks=True)
     return _pick(first, second, bad, kinked, eval_Theta(problem, z, b), order)
 
 
@@ -240,22 +244,23 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
     One pass of the chained tape gives each layer the value, first and
     second coefficients of the curves tau -> u_j(theta + tau d), so the
     result describes the nested objective.  Returns (ublocks, DU, EU, kinked,
-    bad), one array per layer in each, with EU/bad None at first order.
+    bad), one array per layer in each, with EU, kinked and bad None at first order.
     """
     cells = problem.chained_tape.cells(th, (), np.asarray(DTH, dtype=float), (), order)
     return tuple(None if rows is None else [rows[r] for r in problem.layer_rows] for rows in cells)
 
 
-def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1):
+def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1, *, kinks=False):
     """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns.
 
     One pass of the chained tape: its last root is g along the layer curves,
-    and a column is kinked where any layer or g hit an active kink.
+    and a column is kinked where any layer or g hit an active kink (None at order 1 unless ``kinks``).
     """
-    cells = problem.chained_tape.cells(th, (), DTH, (), order)
+    cells = problem.chained_tape.cells(th, (), DTH, (), order, kinks=kinks)
     g = cells.cell(-1)
     first, second = _plus_ridge(problem, g, th, DTH, order)
-    return [cells.value[r] for r in problem.layer_rows], first, second, g.bad2, cells.kinked.any(axis=0)
+    kinked = None if cells.kinked is None else cells.kinked.any(axis=0)
+    return [cells.value[r] for r in problem.layer_rows], first, second, g.bad2, kinked
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:
@@ -264,7 +269,7 @@ def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order:
     dtheta = np.asarray(dtheta, dtype=float).ravel()
     if th.size != problem.n or dtheta.size != problem.n:
         raise DimensionError(f"theta and direction must have length {problem.n}")
-    ublocks, first, second, bad, kinked = dd_Psi_batch(problem, th, dtheta.reshape(-1, 1), order)
+    ublocks, first, second, bad, kinked = dd_Psi_batch(problem, th, dtheta.reshape(-1, 1), order, kinks=True)
     value = eval_g(problem, ublocks) + problem.lam * float(th @ th)
     return _pick(first, second, bad, kinked, value, order)
 

@@ -50,7 +50,9 @@ Second-order results are flagged unsupported for nestings outside the
 documented envelope: a max-family node at an active tie whose argument is
 itself kinked along the ray, or a product whose two factors are both kinked
 (including squares of a kinked argument).  First-order results are always
-defined.
+defined.  A first-order pass builds its kinked flags, a third of its cost,
+only for a caller that reads them (``dcalc``'s ``smooth``); a second-order
+pass always does, since the unsupported flags come from them.
 """
 
 from __future__ import annotations
@@ -295,14 +297,15 @@ class Cell(NamedTuple):
 
     ``first`` and ``second`` have shape (m,) for batch width m; ``second``
     is None for first-order evaluations.  ``kinked`` marks columns whose
-    subtree hit an active kink; ``bad2`` marks columns whose second-order
-    coefficient is outside the supported nesting envelope.
+    subtree hit an active kink (None if a first-order pass built no flags);
+    ``bad2`` marks columns whose second-order coefficient is outside the
+    supported nesting envelope.
     """
 
     value: float
     first: np.ndarray
     second: np.ndarray | None
-    kinked: np.ndarray
+    kinked: np.ndarray | None
     bad2: np.ndarray | None
 
 
@@ -312,13 +315,14 @@ class Cells(NamedTuple):
     value: np.ndarray
     first: np.ndarray
     second: np.ndarray | None
-    kinked: np.ndarray
+    kinked: np.ndarray | None
     bad2: np.ndarray | None
 
     def cell(self, i: int) -> Cell:
         second = None if self.second is None else self.second[i]
+        kinked = None if self.kinked is None else self.kinked[i]
         bad2 = None if self.bad2 is None else self.bad2[i]
-        return Cell(float(self.value[i]), self.first[i], second, self.kinked[i], bad2)
+        return Cell(float(self.value[i]), self.first[i], second, kinked, bad2)
 
 
 def taylor_cells(
@@ -338,7 +342,7 @@ def taylor_cells(
     m = dtheta.shape[1] if dtheta.ndim == 2 else 1
     dtheta = np.asarray(dtheta, dtype=float).reshape(len(th), m)
     tape = compile_tape(exprs, (len(th), *(len(b) for b in ublocks)))
-    cells = tape.cells(th, ublocks, dtheta, dublocks, order)
+    cells = tape.cells(th, ublocks, dtheta, dublocks, order, kinks=True)
     return [cells.cell(i) for i in range(len(exprs))]
 
 
@@ -350,17 +354,19 @@ def taylor_cells(
 # steps.  A step takes the nodes of one level and family (and, for products,
 # one pair pattern), with numpy calls over all of them and all columns; in
 # Taylor mode a row holds the value, the first coefficients and the second,
-# and the kinked and bad2 flags sit in a row of their own array.  A node's
+# and the kinked and bad2 flags sit in a row of their own array, which a
+# first-order pass may go without: then no step does flag work.  A node's
 # sum adds its terms one at a time from the left, as a Python loop does, so
 # every row rounds as a node-at-a-time walk rounds it (the tests keep such
 # a walk as the oracle).  A step orders its nodes by their number of terms,
 # most first, and the j-th terms go to the nodes that have them, a prefix.
 # Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
 # sum that starts at 0.0 equals 0.0 + the same sum started at its first
-# term.  A start that the rules skip is therefore -0.0, and a start of 0.0 is
-# added last.  Multiplying by 1.0 changes no bits, so a unit weight or scale
-# is multiplied like any other.  Argument arrays are padded with row 0, a
-# theta component, whose kinked and bad2 flags are always false.
+# term.  A start that the rules skip is therefore -0.0 (a step whose starts
+# are all -0.0 adds none), and a start of 0.0 is added last.  Multiplying by
+# 1.0 changes no bits, so a unit weight is multiplied like any other, and a
+# kink step whose scales are all 1.0 copies its winning rows.  Argument arrays
+# are padded with row 0, a theta component, whose flags are always false.
 
 
 def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -378,40 +384,45 @@ class _Linear:
     """Weighted sums: Taylor data add the offset after the terms, values start at it.
 
     ``offset`` is -0.0 for ops without one, and ``start`` is 0.0 for ops
-    with one (their Taylor sums start at zero), -0.0 otherwise.
+    with one (their Taylor sums start at zero), -0.0 otherwise: None when
+    it is -0.0 for every node of the step, so that every offset is as well.
     """
 
     def __init__(self, rows: slice, args: np.ndarray, weights: np.ndarray, offset, start, cuts):
         self.rows, self.args, self.cuts = rows, args, cuts
         self.w3 = weights[:, :, None]
         self.offset, self.offset2 = offset, offset[:, None]
-        self.start2 = start[:, None]
+        self.start2 = None if np.signbit(start).all() else start[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         # value, first and second share the terms' weights and order
         a, r = self.args, self.rows
         acc = _sum(self.w3 * Q[a], self.cuts)
-        acc = self.start2 + acc
-        acc[:, 0] = self.offset + acc[:, 0]
+        if self.start2 is not None:
+            np.add(self.start2, acc, out=acc)
+            np.add(self.offset, acc[:, 0], out=acc[:, 0])
         Q[r] = acc
-        KB[r] = KB[a].any(axis=1)
+        if KB is not None:
+            np.logical_or.reduce(KB[a], axis=1, out=KB[r])
 
     def values(self, X) -> None:
         t = X[self.args]
         np.multiply(self.w3, t, out=t)
-        t[:, 0] = self.offset2 + t[:, 0]
+        if self.start2 is not None:
+            t[:, 0] = self.offset2 + t[:, 0]
         X[self.rows] = _sum(t, self.cuts)
 
 
 class _Product:
     """Sums of products of argument pairs: self-pairs when ``b`` is None, else pairs (a, b).
 
-    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise.
+    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise; None
+    when it is -0.0 for every node of the step.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray | None, start: np.ndarray, cuts):
         self.rows, self.a, self.b, self.cuts = rows, a, b, cuts
-        self.start2 = start[:, None]
+        self.start2 = None if np.signbit(start).all() else start[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         # A pair adds these terms, left to right, to the value, first and second sums:
@@ -419,16 +430,13 @@ class _Product:
         #   distinct pairs  va*vb;  fa*vb, va*fb;  sa*vb, (2fa)*fb, va*sb
         a, b, r = self.a, self.b, self.rows
         f, s = slice(1, m + 1), slice(m + 1, None)
-        QA, KA = Q[a], KB[a]
+        QA = Q[a]
         order2 = QA.shape[2] > m + 1
         if b is None:
             T = (2.0 * QA[:, :, :1]) * QA  # its value column becomes va*va
             T[:, :, 0] = QA[:, :, 0] * QA[:, :, 0]
             S = (2.0 * QA[:, :, f]) * QA[:, :, f] if order2 else None
-            K = KA.copy()
-            if order2:
-                K[:, :, m:] |= KA[:, :, :m]
-            acc = np.array(T[:, 0])
+            acc = T[:, 0]
             if order2:
                 acc[:, s] = S[:, 0] + acc[:, s]
             for j, c in self.cuts:
@@ -437,13 +445,10 @@ class _Product:
                     acc[:c, s] += S[:c, j]
                     acc[:c, s] += T[:c, j, s]
         else:
-            QB, KBb = Q[b], KB[b]
+            QB = Q[b]
             T, U = QA * QB[:, :, :1], QA[:, :, :1] * QB
             S = (2.0 * QA[:, :, f]) * QB[:, :, f] if order2 else None
-            K = KA | KBb
-            if order2:
-                K[:, :, m:] |= KA[:, :, :m] & KBb[:, :, :m]
-            acc = np.array(T[:, 0])
+            acc = T[:, 0]
             for j, c in [(0, len(acc)), *self.cuts]:
                 if j:
                     acc[:c] += T[:c, j]
@@ -451,14 +456,21 @@ class _Product:
                 if order2:
                     acc[:c, s] += S[:c, j]
                     acc[:c, s] += U[:c, j, s]
-        Q[r] = self.start2 + acc
-        KB[r] = K.any(axis=1)
+        if self.start2 is not None:
+            np.add(self.start2, acc, out=acc)
+        Q[r] = acc
+        if KB is not None:
+            KA, KBb = KB[a], KB[a if b is None else b]
+            K = KA | KBb
+            if order2:
+                K[:, :, m:] |= KA[:, :, :m] & KBb[:, :, :m]
+            np.logical_or.reduce(K, axis=1, out=KB[r])
 
     def values(self, X) -> None:
         xa = X[self.a]
         xb = xa if self.b is None else X[self.b]
         np.multiply(xa, xb, out=xa)
-        X[self.rows] = self.start2 + _sum(xa, self.cuts)
+        X[self.rows] = _sum(xa, self.cuts) if self.start2 is None else self.start2 + _sum(xa, self.cuts)
 
 
 class _Kink:
@@ -470,46 +482,48 @@ class _Kink:
     the larger one, the first coefficient is the larger one, and the second
     follows the larger slope, or is the larger one at a double tie.  Values
     apply each op's rule (``MAX`` or ``ABS``); ``rules`` pairs each with its nodes.
+    ``scale`` is None when it is 1.0 for every node of the step.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray, rules: list):
         self.rows, self.a, self.b, self.rules = rows, a, b, rules
-        self.scale, self.scale2 = scale, scale[:, None]
+        self.scale, self.scale2 = (None, None) if np.all(scale == 1.0) else (scale, scale[:, None])
 
     def taylor(self, Q, KB, m: int) -> None:
-        a, b, r = self.a, self.b, self.rows
-        gap = Q[a, 0] - self.scale * Q[b, 0]
-        tie = ~(np.abs(gap) > TIE_TOL)
-        rows, scale = r, self.scale2
-        if not tie.all():
+        a, b, rows, scale = self.a, self.b, self.rows, self.scale2
+        gap = Q[a, 0] - (Q[b, 0] if scale is None else self.scale * Q[b, 0])
+        ties = np.flatnonzero(~(np.abs(gap) > TIE_TOL))
+        if len(ties) < len(gap):
             # off a tie the node is its winning branch: value, coefficients and flags
             take_a = gap > TIE_TOL
             won = np.where(take_a, a, b)
-            Q[r] = np.where(take_a, 1.0, self.scale)[:, None] * Q[won]
-            KB[r] = KB[won]
-            if not tie.any():
+            Q[rows] = Q[won] if scale is None else np.where(take_a, 1.0, self.scale)[:, None] * Q[won]
+            if KB is not None:
+                KB[rows] = KB[won]
+            if not len(ties):
                 return
-            tie = np.flatnonzero(tie)
-            rows, a, b, scale = tie + r.start, a[tie], b[tie], scale[tie]
-        QA, QB, K = Q[a], scale * Q[b], KB[a] | KB[b]
+            rows, a, b, scale = ties + rows.start, a[ties], b[ties], (None if scale is None else scale[ties])
+        QA, QB = Q[a], (Q[b] if scale is None else scale * Q[b])
         out = np.maximum(QA, QB)
         va, vb = QA[:, 0], QB[:, 0]
         out[:, 0] = np.where(vb > va, vb, va)
-        fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
-        here = np.abs(fgap) > TIE_TOL
-        kinked = K[:, :m] | here
-        if K.shape[1] > m:
-            sa, sb = QA[:, m + 1 :], QB[:, m + 1 :]
-            out[:, m + 1 :] = np.where(fgap > TIE_TOL, sa, np.where(fgap < -TIE_TOL, sb, out[:, m + 1 :]))
-            kinked |= ~here & (np.abs(sa - sb) > TIE_TOL)
-            # A tie with a kinked argument is outside the supported envelope.
-            K[:, m:] |= K[:, :m]
-        K[:, :m] = kinked
+        if KB is not None:  # always at order 2, whose second coefficient reads the slopes' gap
+            fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
+            here = np.abs(fgap) > TIE_TOL
+            K = KB[a] | KB[b]
+            if K.shape[1] > m:
+                sa, sb = QA[:, m + 1 :], QB[:, m + 1 :]
+                out[:, m + 1 :] = np.where(fgap > TIE_TOL, sa, np.where(fgap < -TIE_TOL, sb, out[:, m + 1 :]))
+                # A tie with a kinked argument is outside the supported envelope.
+                K[:, m:] |= K[:, :m]
+                K[:, :m] |= ~here & (np.abs(sa - sb) > TIE_TOL)
+            K[:, :m] |= here
+            KB[rows] = K
         Q[rows] = out
-        KB[rows] = K
 
     def values(self, X) -> None:
-        a, b, out = X[self.a], self.scale2 * X[self.b], X[self.rows]
+        a, out = X[self.a], X[self.rows]
+        b = X[self.b] if self.scale2 is None else self.scale2 * X[self.b]
         for rule, nodes in self.rules:
             out[nodes] = rule(a[nodes], b[nodes])
 
@@ -539,8 +553,10 @@ class Tape:
         dtheta: np.ndarray,
         dublocks: Sequence[np.ndarray],
         order: int = 1,
+        *,
+        kinks: bool = False,
     ) -> Cells:
-        """The roots' Taylor data; arguments as for ``taylor_cells``, with dtheta of shape (n, m)."""
+        """The roots' Taylor data as for ``taylor_cells``, dtheta (n, m); at order 1 kinked is None unless ``kinks``."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
         r, nb, nin, nfixed = self.roots, len(self.sizes) - 1, self.nin, self.nfixed
@@ -551,12 +567,12 @@ class Tape:
         Q[:nin, m + 1 :] = 0.0
         Q[nin:nfixed, 0] = self.consts
         Q[nin:nfixed, 1:] = 0.0
-        KB = np.zeros((self.nrows, order * m), dtype=bool)
+        KB = np.zeros((self.nrows, order * m), dtype=bool) if kinks or order == 2 else None
         with np.errstate(all="ignore"):
             for step in self.steps:
                 step.taylor(Q, KB, m)
         if order == 1:
-            return Cells(Q[r, 0], Q[r, 1:], None, KB[r], None)
+            return Cells(Q[r, 0], Q[r, 1:], None, None if KB is None else KB[r], None)
         return Cells(Q[r, 0], Q[r, 1 : m + 1], Q[r, m + 1 :], KB[r, :m], KB[r, m:])
 
     def values(self, TH: np.ndarray, UBLOCKS: Sequence[np.ndarray]) -> np.ndarray:

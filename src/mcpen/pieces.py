@@ -508,10 +508,6 @@ class _SlopeModel:
                 out += [(_add(ya, m_a * delta), -np.inf, m_a), (_add(yb, -m_b * delta), -np.inf, 0.0)]
         return out + [(g, 0.0, np.inf) for g in self.cone_rows]
 
-    def multiplier_bound(self, obj: np.ndarray) -> float:
-        """The multiplier lower bound on the minimum of obj over the unit l1 ball (``_multipliers``)."""
-        return self._multipliers(obj, np.inf, 0).bound
-
     @np.errstate(over="ignore", invalid="ignore")
     def _multipliers(self, obj: np.ndarray, tol: float, binaries: int) -> SlopeMin | None:
         """What the least-squares multipliers settle: a stationary point, a descent witness, or None.

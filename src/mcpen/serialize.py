@@ -229,7 +229,10 @@ def load_direction(path: str | Path) -> Direction:
 
 
 def save_problem(path: str | Path, p: CompositeProblem) -> None:
-    save(path, problem_to_dict(p))
+    try:
+        save(path, problem_to_dict(p))
+    except RecursionError:
+        raise FormatError(f"{path}: an expression tree nests too deep for the JSON format") from None
 
 
 def save_point(path: str | Path, z: Point) -> None:

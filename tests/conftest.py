@@ -32,6 +32,19 @@ from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from walkers import scalar_value
 
 
+def record_order_1_flags(monkeypatch) -> list[bool]:
+    """Patch ``Tape.cells`` to note, pass by pass, whether the pass is of order 1 and builds kinked flags."""
+    noted, real = [], ex.Tape.cells
+
+    def noting(tape, *args, **kwargs):
+        order = kwargs.get("order", args[4] if len(args) > 4 else 1)
+        noted.append(order == 1 and kwargs.get("kinks", False))
+        return real(tape, *args, **kwargs)
+
+    monkeypatch.setattr(ex.Tape, "cells", noting)
+    return noted
+
+
 @pytest.fixture
 def square_chain():
     return square_chain_problem()

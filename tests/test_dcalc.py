@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_oracle_case
+from conftest import draw_oracle_case, record_order_1_flags
 from mcpen import expr as ex
 from mcpen.cones import lift_direction_batch
 from mcpen.dcalc import (
@@ -19,7 +19,7 @@ from mcpen.dcalc import (
     ray_quotients,
     zeros_direction,
 )
-from mcpen.model import Point, eval_layers, eval_Psi_plus_reg, eval_Theta, split_flat
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers, eval_Psi_plus_reg, eval_Theta, split_flat
 
 pytestmark = pytest.mark.filterwarnings("ignore:outer function evaluated")
 
@@ -228,3 +228,20 @@ def test_two_path_quotients_disagree_at_second_order(abs_cubic):
 def test_dd_expr_names_a_reference_past_the_point():
     with pytest.raises(ValueError, match="reference 3 out of range for n=2"):
         dd_expr(ex.theta(3), np.zeros(2), np.ones(2))
+
+
+def test_the_scalar_derivatives_read_kinked_flags(monkeypatch):
+    # u = plus(theta), g = |u|: at theta = 0 both kinks tie, at theta = 1 neither does
+    p = CompositeProblem(1, (LayerMap(1, (ex.plus(ex.theta(0)),)),), ex.vabs(ex.uref(1, 0)), lam=0.1)
+    noted = record_order_1_flags(monkeypatch)
+    for th, smooth in ((0.0, False), (1.0, True)):
+        z = eval_layers(p, np.array([th]))
+        # Psi and F meet the ties along d.  Theta moves theta and not u, so at
+        # 0 it meets g's tie with zero slope, but its vanishing residual's
+        # slope -1 kinks the l1 term; at 1 it moves along the lift, slope 0.
+        assert dd_Psi(p, z.theta, np.ones(1)).smooth is smooth
+        assert dd_F(p, z, Direction(np.ones(1), (np.ones(1),))).smooth is smooth
+        assert dd_Theta(p, z, Direction(np.ones(1), (np.full(1, th),)), [1.0]).smooth is smooth
+    # Psi's chained pass, F's outer pass and Theta's outer pass build flags;
+    # Theta's fixed pass gives residual slopes, whose flags it does not read
+    assert noted == [True, True, True, False] * 2

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import _rand_expr, blowup_problem, half_square_chain, negative_outer_problem, random_problem
 from walkers import scalar_F, scalar_g, scalar_layers, scalar_residuals, scalar_Theta
+from mcpen import dcalc
 from mcpen import expr as ex
 from mcpen.cones import lift_direction, tangent_membership
 from mcpen.dcalc import dd_Theta_batch, zeros_direction
@@ -212,6 +214,44 @@ def _wide_problem(seed):
     return CompositeProblem(n, layers, outer, lam=0.05)
 
 
+def _padded_folds(problem, T):
+    """``dcalc._layer_folds`` as it was: every layer padded with -0.0 rows to the widest, then one fold."""
+    k, R, m = T.shape
+    at = problem.layer_of_row
+    P = np.full((max(problem.widths), k, problem.L, m), -0.0)
+    P[np.arange(R) - problem.layer_starts[at], :, at] = T.transpose(1, 0, 2)
+    S = np.zeros((k, problem.L, m))
+    for rows in P:
+        S = S + rows
+    return S
+
+
+def test_Theta_folds_each_width_group_to_the_padded_bytes_in_less_memory(monkeypatch):
+    # widths 1, 9 and 130: the padded fold held 130 rows for each layer
+    p, rng = _wide_problem(0), np.random.default_rng(0)
+    lift = eval_layers(p, rng.standard_normal(p.n))
+    z = Point(lift.theta, tuple(u + rng.choice([-1e-3, 0.0, 0.0, 1e-3], u.size) for u in lift.u))
+    m = 2 * p.nbar
+    DTH, DU = rng.standard_normal((p.n, m)), [rng.standard_normal((w, m)) for w in p.widths]
+    b = rng.uniform(0.5, 2.0, p.L)
+
+    def traced():
+        with np.errstate(all="ignore"):
+            dd_Theta_batch(p, z, DTH, DU, b, 2)
+            tracemalloc.start()
+            try:
+                return dd_Theta_batch(p, z, DTH, DU, b, 2), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    grouped, peak = traced()
+    monkeypatch.setattr(dcalc, "_layer_folds", _padded_folds)
+    padded, padded_peak = traced()
+    for a, c in zip(grouped, padded):
+        assert np.asarray(a).tobytes() == np.asarray(c).tobytes()
+    assert peak < 0.7 * padded_peak, (peak, padded_peak)
+
+
 def _bytes(x):
     return np.float64(x).tobytes()
 
@@ -338,7 +378,7 @@ def _walks(monkeypatch, run):
     """The tapes of run's ``Tape.values`` and ``Tape.cells`` passes, and the mcpen functions it enters again."""
     passes, cells, values, taylor = [], [], ex.Tape.values, ex.Tape.cells
     monkeypatch.setattr(ex.Tape, "values", lambda tape, *a: passes.append(tape) or values(tape, *a))
-    monkeypatch.setattr(ex.Tape, "cells", lambda tape, *a: cells.append(tape) or taylor(tape, *a))
+    monkeypatch.setattr(ex.Tape, "cells", lambda tape, *a, **kw: cells.append(tape) or taylor(tape, *a, **kw))
     stack, again = [], set()
 
     def profile(frame, event, arg):

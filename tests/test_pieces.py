@@ -379,7 +379,7 @@ def test_multiplier_bounds_lie_below_the_exact_minima():
     # the minimum, so it never exceeds the oracle's minimum nor HiGHS's value.
     compared = 0
     for seed, model, obj, sol, ref in _oracle_cases():
-        bound = model.multiplier_bound(obj)
+        bound = model._multipliers(obj, np.inf, 0).bound
         assert bound <= sol.value + 1e-12, seed
         if ref is not None:
             compared += 1

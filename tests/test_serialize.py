@@ -163,3 +163,30 @@ def test_format_doc_lists_every_op_as_the_table_does():
     rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \| ([^|]*) \|", doc, re.M)
     documented = {op: (arity, tuple(re.findall(r"`(\w+)`", payload))) for op, arity, payload in rows}
     assert documented == {op: (spec.arity, spec.fields) for op, spec in ex.OPS.items()}
+
+
+def _chain_of_sums(depth):
+    e = ex.theta(0)
+    for _ in range(depth):
+        e = ex.add(e, ex.const(0.0))
+    return e
+
+
+def test_a_tree_too_deep_for_json_is_a_named_error_both_ways(tmp_path):
+    # the 3000-deep chain the certifiers walk: json's encoder and decoder
+    # recurse once per level, so the format cannot hold it either way
+    p = CompositeProblem(1, (LayerMap(1, (_chain_of_sums(3000),)),), ex.square(ex.uref(1, 0)), lam=0.1)
+    path = tmp_path / "deep.json"
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: an expression tree nests too deep"):
+        save_problem(path, p)
+    assert not path.exists()
+    node = '{"op": "theta", "ref": 0}'
+    for _ in range(3000):
+        node = '{"args": [' + node + ', {"op": "const", "value": 0.0}], "op": "sum"}'
+    header = '{"kind": "problem", "lam": 0.1, "meta": {}, "n": 1, "schema_version": 1, '
+    path.write_text(header + '"layers": [{"exprs": [' + node + '], "index": 1}], "outer": {"op": "theta", "ref": 0}}')
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: JSON nested too deeply to read$"):
+        load_problem(path)
+    # a shallower chain round-trips
+    save_problem(path, CompositeProblem(1, (LayerMap(1, (_chain_of_sums(100),)),), ex.uref(1, 0), lam=0.1))
+    assert load_problem(path).layers[0].exprs[0] == _chain_of_sums(100)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, negative_outer_problem, random_problem
+from conftest import blowup_problem, negative_outer_problem, random_problem, record_order_1_flags
 from mcpen import expr as ex
 from mcpen import solver as solver_mod
 from mcpen.model import (
@@ -384,3 +384,11 @@ def test_a_tried_step_with_negative_g_warns_as_the_one_step_loop():
     assert (t, v) == (t_ref, v_ref) == (0.25, -0.5)
     # same messages, from the same file and line
     assert got == ref and len(ref) == 2
+
+
+def test_a_solve_builds_no_kinked_flags(monkeypatch):
+    # the solver reads slopes and values only, so its order-1 passes skip the flags
+    spec = desk_instance(0)
+    noted = record_order_1_flags(monkeypatch)
+    minimize_theta(build_problem(spec), rnn_penalty_config(spec).beta, SolveConfig(max_iters=20))
+    assert noted and not any(noted)

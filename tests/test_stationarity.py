@@ -7,7 +7,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from conftest import blowup_problem, desk_points, random_problem
+from conftest import blowup_problem, desk_points, random_problem, record_order_1_flags
 from walkers import tie_basis
 from mcpen import expr as ex
 from mcpen import pieces, stationarity
@@ -920,13 +920,13 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
     config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
     lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
     names = {id(getattr(problem, f"{name}_tape")): name for name in ("fixed", "outer", "chained")}
-    passes = []
+    passes, flagged = [], record_order_1_flags(monkeypatch)
     for kind in ("cells", "values"):
         real = getattr(ex.Tape, kind)
 
-        def counted(tape, *a, real=real, kind=kind):
+        def counted(tape, *a, real=real, kind=kind, **kw):
             passes.append((kind, names[id(tape)]))
-            return real(tape, *a)
+            return real(tape, *a, **kw)
 
         monkeypatch.setattr(ex.Tape, kind, counted)
     counts = {}
@@ -935,6 +935,8 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
         out = compare_sets_on_point(problem, z, config, seed=0)
         counts[name] = sorted((kind, tape, passes.count((kind, tape))) for kind, tape in set(passes))
         assert out["consistent"]
+    # none of its order-1 passes builds kinked flags: it reads none
+    assert not any(flagged)
     # Both points start with Theta's value (a fixed and an outer value pass)
     # and the residuals (a fixed value pass).  At the lift, P1's witness is
     # confirmed by one fixed and one outer Taylor pass and no value pass, and

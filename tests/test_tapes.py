@@ -98,7 +98,7 @@ def test_fixed_tape_matches_the_recursion_map_by_map(m):
             TH, U = DTH, [du + u[:, None] for du, u in zip(DU, z.u)]
             for tape, maps in ((p.fixed_tape, p.layers), (p.outer_tape, [None])):
                 for order in (1, 2):
-                    cells = tape.cells(z.theta, z.u, DTH, DU, order)
+                    cells = tape.cells(z.theta, z.u, DTH, DU, order, kinks=True)
                     ref = [c for lm in maps for c in recursive_cells(_map_exprs(p, lm), z.theta, z.u, DTH, DU, order)]
                     _same_cells(cells, ref)
                 ref = np.vstack([recursive_cols(_map_exprs(p, lm), TH, U) for lm in maps])
@@ -123,7 +123,7 @@ def test_residual_slopes_and_F_match_the_per_layer_loop(m):
                     for a, b in zip(got, want):
                         _same(a, b)
                 (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
-                first, second, bad, kinked = dd_F_batch(p, z, DTH, DU, order)
+                first, second, bad, kinked = dd_F_batch(p, z, DTH, DU, order, kinks=True)
                 for a, b in zip((first, second), _plus_ridge(p, g, z.theta, DTH, order)):
                     _same(a, b)
                 _same(bad, g.bad2)
@@ -138,11 +138,16 @@ def test_chained_tape_matches_the_forward_loop(m):
             DTH = _cols(rng, p.n, m)
             for order in (1, 2):
                 (ublocks, DU, EU, KU, BU), g = per_layer_curves(p, z.theta, DTH, order)
-                for got, want in zip(forward_curves(p, z.theta, DTH, order), (ublocks, DU, EU, KU, BU)):
+                # a lift reads no flags, so its order-1 pass builds none
+                want = (ublocks, DU, EU, KU if order == 2 else None, BU)
+                for got, want in zip(forward_curves(p, z.theta, DTH, order), want):
                     assert (got is None) == (want is None)
                     for a, b in zip(got or (), want or ()):
                         _same(a, b)
-                values, first, second, bad, kinked = dd_Psi_batch(p, z.theta, DTH, order)
+                flagged = p.chained_tape.cells(z.theta, (), DTH, (), order, kinks=True)
+                for a, b in zip([flagged.kinked[rows] for rows in p.layer_rows], KU):
+                    _same(a, b)
+                values, first, second, bad, kinked = dd_Psi_batch(p, z.theta, DTH, order, kinks=True)
                 for a, b in zip(values, ublocks):
                     _same(a, b)
                 for a, b in zip((first, second), _plus_ridge(p, g, z.theta, DTH, order)):
@@ -243,7 +248,7 @@ def test_equal_nodes_with_other_bits_keep_rows_of_their_own():
     D = np.array([[1.0, -0.0]])
     for order in (1, 2):
         for th in (np.array([0.5]), np.array([-0.0])):
-            cells = ex.compile_tape(exprs, (1,)).cells(th, [], D, [], order)
+            cells = ex.compile_tape(exprs, (1,)).cells(th, [], D, [], order, kinks=True)
             _same_cells(cells, recursive_cells(exprs, th, [], D, [], order))
 
 
@@ -272,9 +277,9 @@ def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion():
         for point in (z, Point(z.theta, (z.u[0] + 0.5, z.u[1] - 0.5))):
             for order in (1, 2):
                 want_F, _ = _recursive_F_and_slopes(p, point, D, DU, order)
-                for a, b in zip(dd_F_batch(p, point, D, DU, order), want_F):
+                for a, b in zip(dd_F_batch(p, point, D, DU, order, kinks=True), want_F):
                     _same(a, b)
-                got = dd_Theta_batch(p, point, D, DU, beta, order)
+                got = dd_Theta_batch(p, point, D, DU, beta, order, kinks=True)
                 want = per_layer_Theta(*_recursive_F_and_slopes(p, point, D, DU, order), point, beta, order)
                 for a, b in zip(got, want):
                     _same(a, b)
@@ -308,9 +313,9 @@ def test_a_column_reads_the_same_bytes_alone_or_in_a_batch():
             beta = rng.uniform(0.5, 2.0, p.L)
             for order in (1, 2):
                 batches = (
-                    lambda D, U: dd_Theta_batch(p, z, D, U, beta, order),
-                    lambda D, U: dd_F_batch(p, z, D, U, order),
-                    lambda D, U: dd_Psi_batch(p, z.theta, D, order)[1:],
+                    lambda D, U: dd_Theta_batch(p, z, D, U, beta, order, kinks=True),
+                    lambda D, U: dd_F_batch(p, z, D, U, order, kinks=True),
+                    lambda D, U: dd_Psi_batch(p, z.theta, D, order, kinks=True)[1:],
                 )
                 for batch in batches:
                     wide = batch(DTH, DU)
@@ -335,7 +340,49 @@ def test_Theta_batches_match_the_per_layer_loop_over_two_or_more_columns():
                 DTH, DU = _rays(rng, p, m)
                 for order in (1, 2):
                     slopes = _by_layer(p, residual_slopes(p, z, DTH, DU, order))
-                    want = per_layer_Theta(dd_F_batch(p, z, DTH, DU, order), slopes, z, beta, order)
-                    for a, b in zip(dd_Theta_batch(p, z, DTH, DU, beta, order), want):
+                    want = per_layer_Theta(dd_F_batch(p, z, DTH, DU, order, kinks=True), slopes, z, beta, order)
+                    for a, b in zip(dd_Theta_batch(p, z, DTH, DU, beta, order, kinks=True), want):
                         _same(a, b)
 
+
+
+def _desk_shapes():
+    """The desk RNN at (n0, n1, n2, t) = (2, 3, 1, 3), (2, 8, 1, 10) and (4, 16, 2, 20), at a lift and at theta = 0.
+
+    The lift is at 0.1 N(0, I); at theta = 0 the network is dead and every unit ties.
+    """
+    out = []
+    for shape in ((2, 3, 1, 3), (2, 8, 1, 10), (4, 16, 2, 20)):
+        p = build_problem(desk_instance(0, *shape))
+        th = 0.1 * np.random.default_rng(0).standard_normal(p.n)
+        out += [(p, eval_layers(p, th)), (p, eval_layers(p, np.zeros(p.n)))]
+    return out
+
+
+def test_an_order_1_pass_without_flags_reads_the_flagged_bytes():
+    # random problems at a lift with ties and at theta = 0, and the desk shapes
+    # at a lift and at the dead network theta = 0, where every unit ties
+    rng, cases = np.random.default_rng(50), _desk_shapes()
+    for seed in range(60):
+        p = random_problem(seed)
+        th = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, p.n), 1)
+        cases += [(p, eval_layers(p, th)), (p, eval_layers(p, np.zeros(p.n)))]
+    with np.errstate(all="ignore"):
+        for p, z in cases:
+            DTH, DU = _rays(rng, p, 7)
+            beta = rng.uniform(0.5, 2.0, p.L)
+            runs = [
+                lambda **kw: p.fixed_tape.cells(z.theta, z.u, DTH, DU, 1, **kw),
+                lambda **kw: p.outer_tape.cells(z.theta, z.u, DTH, DU, 1, **kw),
+                lambda **kw: p.chained_tape.cells(z.theta, (), DTH, (), 1, **kw),
+                lambda **kw: dd_F_batch(p, z, DTH, DU, **kw),
+                lambda **kw: dd_Theta_batch(p, z, DTH, DU, beta, **kw),
+                lambda **kw: dd_Psi_batch(p, z.theta, DTH, **kw)[1:],
+            ]
+            for run in runs:
+                # field 3 is kinked in Cells and in each batch's tuple
+                bare, flagged = run(), run(kinks=True)
+                assert len(bare) == len(flagged) and bare[3] is None and flagged[3] is not None
+                for i, (a, b) in enumerate(zip(bare, flagged)):
+                    if i != 3:
+                        _same(a, b)
