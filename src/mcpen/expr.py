@@ -416,8 +416,7 @@ class _Linear:
 class _Product:
     """Sums of products of argument pairs: self-pairs when ``b`` is None, else pairs (a, b).
 
-    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise; None
-    when it is -0.0 for every node of the step.
+    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise, and None if all are -0.0.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray | None, start: np.ndarray, cuts):
