@@ -21,8 +21,10 @@ layer (``residual_slopes``) and, with the outer tape, for Theta
 ``u`` leaf standing for the map that defines it, for the tangent lift
 (``forward_curves``) and the nested objective (``dd_Psi_batch``).
 
-A first-order batch returns kinked None unless called with ``kinks=True``, as
-the scalar functions are for ``smooth``; a second-order batch always has them.
+``dd_F_batch`` and every second-order batch return kinked flags; at first
+order ``dd_Theta_batch`` and ``dd_Psi_batch`` build them only when called
+with ``kinks=True``, as the scalar functions are for ``smooth``, and return
+kinked None otherwise.
 """
 
 from __future__ import annotations
@@ -141,21 +143,21 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
     return first, None
 
 
-def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, kinks=False):
-    """F's (first, second, bad, kinked) from one pass of the outer tape."""
+def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, kinks: bool = False):
+    """F's (first, second, bad, kinked) from one pass of the outer tape, kinked None at order 1 unless ``kinks``."""
     g = problem.outer_tape.cells(th, ublocks, DTH, DU, order, kinks=kinks).cell(0)
     return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
 
 
-def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence, order: int = 1, *, kinks=False):
-    """Batched F derivatives: returns (first, second, bad, kinked) arrays, kinked None at order 1 unless ``kinks``."""
-    return _F(problem, z.theta, z.u, DTH, DU, order, kinks)
+def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
+    """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
+    return _F(problem, z.theta, z.u, DTH, DU, order, True)
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
     check_point(problem, z)
     dth, dus = _as_batch(problem, d)
-    first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order, kinks=True)
+    first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order)
     return _pick(first, second, bad, kinked, eval_F(problem, z), order)
 
 
@@ -171,7 +173,8 @@ def residual_slopes(
 
 
 def dd_Theta_batch(
-    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta, order: int = 1, *, kinks=False
+    problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta: np.ndarray, order: int = 1,
+    *, kinks: bool = False
 ):
     """Batched Theta derivatives: returns (first, second, bad, kinked) arrays, kinked None at order 1 unless ``kinks``.
 
@@ -250,7 +253,7 @@ def forward_curves(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, o
     return tuple(None if rows is None else [rows[r] for r in problem.layer_rows] for rows in cells)
 
 
-def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1, *, kinks=False):
+def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int = 1, *, kinks: bool = False):
     """(layer values, first, second, bad, kinked) of Psi + lambda*||.||^2 along DTH's columns.
 
     One pass of the chained tape: its last root is g along the layer curves,

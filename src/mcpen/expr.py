@@ -50,9 +50,9 @@ Second-order results are flagged unsupported for nestings outside the
 documented envelope: a max-family node at an active tie whose argument is
 itself kinked along the ray, or a product whose two factors are both kinked
 (including squares of a kinked argument).  First-order results are always
-defined.  A first-order pass builds its kinked flags, a third of its cost,
-only for a caller that reads them (``dcalc``'s ``smooth``); a second-order
-pass always does, since the unsupported flags come from them.
+defined.  A first-order pass builds kinked flags only for a caller that
+reads them (``dcalc``'s ``smooth`` and ``dd_F_batch``); a second-order pass
+always does, since the unsupported flags come from them.
 """
 
 from __future__ import annotations
@@ -362,11 +362,10 @@ def taylor_cells(
 # most first, and the j-th terms go to the nodes that have them, a prefix.
 # Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
 # sum that starts at 0.0 equals 0.0 + the same sum started at its first
-# term.  A start that the rules skip is therefore -0.0 (a step whose starts
-# are all -0.0 adds none), and a start of 0.0 is added last.  Multiplying by
-# 1.0 changes no bits, so a unit weight is multiplied like any other, and a
-# kink step whose scales are all 1.0 copies its winning rows.  Argument arrays
-# are padded with row 0, a theta component, whose flags are always false.
+# term.  A start that the rules skip is therefore -0.0, and a start of 0.0 is
+# added last.  Multiplying by 1.0 changes no bits, so a unit weight or scale
+# is multiplied like any other.  Argument arrays are padded with row 0, a
+# theta component, whose flags are always false.
 
 
 def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -384,23 +383,21 @@ class _Linear:
     """Weighted sums: Taylor data add the offset after the terms, values start at it.
 
     ``offset`` is -0.0 for ops without one, and ``start`` is 0.0 for ops
-    with one (their Taylor sums start at zero), -0.0 otherwise: None when
-    it is -0.0 for every node of the step, so that every offset is as well.
+    with one (their Taylor sums start at zero), -0.0 otherwise.
     """
 
     def __init__(self, rows: slice, args: np.ndarray, weights: np.ndarray, offset, start, cuts):
         self.rows, self.args, self.cuts = rows, args, cuts
         self.w3 = weights[:, :, None]
         self.offset, self.offset2 = offset, offset[:, None]
-        self.start2 = None if np.signbit(start).all() else start[:, None]
+        self.start2 = start[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         # value, first and second share the terms' weights and order
         a, r = self.args, self.rows
         acc = _sum(self.w3 * Q[a], self.cuts)
-        if self.start2 is not None:
-            np.add(self.start2, acc, out=acc)
-            np.add(self.offset, acc[:, 0], out=acc[:, 0])
+        acc = self.start2 + acc
+        acc[:, 0] = self.offset + acc[:, 0]
         Q[r] = acc
         if KB is not None:
             np.logical_or.reduce(KB[a], axis=1, out=KB[r])
@@ -408,20 +405,19 @@ class _Linear:
     def values(self, X) -> None:
         t = X[self.args]
         np.multiply(self.w3, t, out=t)
-        if self.start2 is not None:
-            t[:, 0] = self.offset2 + t[:, 0]
+        t[:, 0] = self.offset2 + t[:, 0]
         X[self.rows] = _sum(t, self.cuts)
 
 
 class _Product:
     """Sums of products of argument pairs: self-pairs when ``b`` is None, else pairs (a, b).
 
-    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise, and None if all are -0.0.
+    ``start`` is 0.0 for ops whose sum starts at zero, -0.0 otherwise.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray | None, start: np.ndarray, cuts):
         self.rows, self.a, self.b, self.cuts = rows, a, b, cuts
-        self.start2 = None if np.signbit(start).all() else start[:, None]
+        self.start2 = start[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         # A pair adds these terms, left to right, to the value, first and second sums:
@@ -455,9 +451,7 @@ class _Product:
                 if order2:
                     acc[:c, s] += S[:c, j]
                     acc[:c, s] += U[:c, j, s]
-        if self.start2 is not None:
-            np.add(self.start2, acc, out=acc)
-        Q[r] = acc
+        Q[r] = self.start2 + acc
         if KB is not None:
             KA, KBb = KB[a], KB[a if b is None else b]
             K = KA | KBb
@@ -469,7 +463,7 @@ class _Product:
         xa = X[self.a]
         xb = xa if self.b is None else X[self.b]
         np.multiply(xa, xb, out=xa)
-        X[self.rows] = _sum(xa, self.cuts) if self.start2 is None else self.start2 + _sum(xa, self.cuts)
+        X[self.rows] = self.start2 + _sum(xa, self.cuts)
 
 
 class _Kink:
@@ -481,48 +475,48 @@ class _Kink:
     the larger one, the first coefficient is the larger one, and the second
     follows the larger slope, or is the larger one at a double tie.  Values
     apply each op's rule (``MAX`` or ``ABS``); ``rules`` pairs each with its nodes.
-    ``scale`` is None when it is 1.0 for every node of the step.
     """
 
     def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray, rules: list):
         self.rows, self.a, self.b, self.rules = rows, a, b, rules
-        self.scale, self.scale2 = (None, None) if np.all(scale == 1.0) else (scale, scale[:, None])
+        self.scale, self.scale2 = scale, scale[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
         a, b, rows, scale = self.a, self.b, self.rows, self.scale2
-        gap = Q[a, 0] - (Q[b, 0] if scale is None else self.scale * Q[b, 0])
+        gap = Q[a, 0] - self.scale * Q[b, 0]
         ties = np.flatnonzero(~(np.abs(gap) > TIE_TOL))
         if len(ties) < len(gap):
             # off a tie the node is its winning branch: value, coefficients and flags
             take_a = gap > TIE_TOL
             won = np.where(take_a, a, b)
-            Q[rows] = Q[won] if scale is None else np.where(take_a, 1.0, self.scale)[:, None] * Q[won]
+            Q[rows] = np.where(take_a, 1.0, self.scale)[:, None] * Q[won]
             if KB is not None:
                 KB[rows] = KB[won]
             if not len(ties):
                 return
-            rows, a, b, scale = ties + rows.start, a[ties], b[ties], (None if scale is None else scale[ties])
-        QA, QB = Q[a], (Q[b] if scale is None else scale * Q[b])
+            rows, a, b, scale = ties + rows.start, a[ties], b[ties], scale[ties]
+        QA, QB = Q[a], scale * Q[b]
         out = np.maximum(QA, QB)
         va, vb = QA[:, 0], QB[:, 0]
         out[:, 0] = np.where(vb > va, vb, va)
-        if KB is not None:  # always at order 2, whose second coefficient reads the slopes' gap
-            fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
+        fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
+        order2 = Q.shape[1] > m + 1
+        if order2:
+            sa, sb = QA[:, m + 1 :], QB[:, m + 1 :]
+            out[:, m + 1 :] = np.where(fgap > TIE_TOL, sa, np.where(fgap < -TIE_TOL, sb, out[:, m + 1 :]))
+        Q[rows] = out
+        if KB is not None:
             here = np.abs(fgap) > TIE_TOL
             K = KB[a] | KB[b]
-            if K.shape[1] > m:
-                sa, sb = QA[:, m + 1 :], QB[:, m + 1 :]
-                out[:, m + 1 :] = np.where(fgap > TIE_TOL, sa, np.where(fgap < -TIE_TOL, sb, out[:, m + 1 :]))
+            if order2:
                 # A tie with a kinked argument is outside the supported envelope.
                 K[:, m:] |= K[:, :m]
                 K[:, :m] |= ~here & (np.abs(sa - sb) > TIE_TOL)
             K[:, :m] |= here
             KB[rows] = K
-        Q[rows] = out
 
     def values(self, X) -> None:
-        a, out = X[self.a], X[self.rows]
-        b = X[self.b] if self.scale2 is None else self.scale2 * X[self.b]
+        a, b, out = X[self.a], self.scale2 * X[self.b], X[self.rows]
         for rule, nodes in self.rules:
             out[nodes] = rule(a[nodes], b[nodes])
 

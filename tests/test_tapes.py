@@ -123,7 +123,7 @@ def test_residual_slopes_and_F_match_the_per_layer_loop(m):
                     for a, b in zip(got, want):
                         _same(a, b)
                 (g,) = recursive_cells([p.outer], z.theta, z.u, DTH, DU, order)
-                first, second, bad, kinked = dd_F_batch(p, z, DTH, DU, order, kinks=True)
+                first, second, bad, kinked = dd_F_batch(p, z, DTH, DU, order)
                 for a, b in zip((first, second), _plus_ridge(p, g, z.theta, DTH, order)):
                     _same(a, b)
                 _same(bad, g.bad2)
@@ -277,7 +277,7 @@ def test_an_outer_function_that_repeats_a_layer_subtree_matches_the_recursion():
         for point in (z, Point(z.theta, (z.u[0] + 0.5, z.u[1] - 0.5))):
             for order in (1, 2):
                 want_F, _ = _recursive_F_and_slopes(p, point, D, DU, order)
-                for a, b in zip(dd_F_batch(p, point, D, DU, order, kinks=True), want_F):
+                for a, b in zip(dd_F_batch(p, point, D, DU, order), want_F):
                     _same(a, b)
                 got = dd_Theta_batch(p, point, D, DU, beta, order, kinks=True)
                 want = per_layer_Theta(*_recursive_F_and_slopes(p, point, D, DU, order), point, beta, order)
@@ -314,7 +314,7 @@ def test_a_column_reads_the_same_bytes_alone_or_in_a_batch():
             for order in (1, 2):
                 batches = (
                     lambda D, U: dd_Theta_batch(p, z, D, U, beta, order, kinks=True),
-                    lambda D, U: dd_F_batch(p, z, D, U, order, kinks=True),
+                    lambda D, U: dd_F_batch(p, z, D, U, order),
                     lambda D, U: dd_Psi_batch(p, z.theta, D, order, kinks=True)[1:],
                 )
                 for batch in batches:
@@ -340,10 +340,9 @@ def test_Theta_batches_match_the_per_layer_loop_over_two_or_more_columns():
                 DTH, DU = _rays(rng, p, m)
                 for order in (1, 2):
                     slopes = _by_layer(p, residual_slopes(p, z, DTH, DU, order))
-                    want = per_layer_Theta(dd_F_batch(p, z, DTH, DU, order, kinks=True), slopes, z, beta, order)
+                    want = per_layer_Theta(dd_F_batch(p, z, DTH, DU, order), slopes, z, beta, order)
                     for a, b in zip(dd_Theta_batch(p, z, DTH, DU, beta, order, kinks=True), want):
                         _same(a, b)
-
 
 
 def _desk_shapes():
@@ -375,7 +374,6 @@ def test_an_order_1_pass_without_flags_reads_the_flagged_bytes():
                 lambda **kw: p.fixed_tape.cells(z.theta, z.u, DTH, DU, 1, **kw),
                 lambda **kw: p.outer_tape.cells(z.theta, z.u, DTH, DU, 1, **kw),
                 lambda **kw: p.chained_tape.cells(z.theta, (), DTH, (), 1, **kw),
-                lambda **kw: dd_F_batch(p, z, DTH, DU, **kw),
                 lambda **kw: dd_Theta_batch(p, z, DTH, DU, beta, **kw),
                 lambda **kw: dd_Psi_batch(p, z.theta, DTH, **kw)[1:],
             ]
