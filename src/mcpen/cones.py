@@ -6,9 +6,10 @@ derivatives of the layer maps; lifting a parameter direction through that
 recursion always lands inside it.  The radial cone is smaller: staying on
 the feasible set along a straight ray additionally forces the second
 directional derivative of every layer map to vanish along the direction.
-For layer maps of degree at most 2 that condition is also sufficient, so
-both cones are read off one order-2 pass of the fixed tape.  A slope that is
-not finite raises ``EvaluationError`` naming its layer.
+For layer maps of degree at most 2, a bound folded over the fixed tape's
+node graph, that condition is also sufficient, so both cones are read off
+one order-2 pass of the fixed tape.  A slope that is not finite raises
+``EvaluationError`` naming its layer.
 """
 
 from __future__ import annotations
@@ -74,31 +75,26 @@ def lift_direction_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray) -
     return forward_curves(problem, z.theta, DTH)[1]
 
 
-def _degree(e: ex.Expr) -> int:
-    """Upper bound on polynomial degree in the inputs, kinks transparent."""
-    degs: list[int] = []
-    # reversed, ``expr.nodes`` puts each node after its arguments, the last one's subtree first
-    for node in reversed(list(ex.nodes(e))):
-        if node.family == ex.LEAF:
-            degs.append(0 if node.data is None else 1)
-            continue
-        args = [degs.pop() for _ in node.args]
-        if node.family == ex.PRODUCT:
-            degs.append(max((args[i] + args[j] for i, j in node.data[0]), default=0))
-        else:
-            degs.append(max(args, default=0))
-    return degs[0]
-
-
 def ray_decidable(problem: CompositeProblem) -> bool:
     """True when every layer map is piecewise polynomial of degree at most 2.
 
     For such maps the inputs move linearly along a ray, so on the branch each
     kink takes just past tau = 0 the residual of layer k is exactly
     tau*(du_k - psi') - tau^2*psi''/2, and the order-2 Taylor data decide
-    whether the ray stays feasible.
+    whether the ray stays feasible.  Over ``fixed_tape``'s graph an input
+    has degree 1, a constant 0, a product the largest sum over its pairs and
+    any other node its arguments' largest (kinks are transparent).
     """
-    return all(_degree(e) <= 2 for lm in problem.layers for e in lm.exprs)
+    nin, made, roots = problem.fixed_tape.graph
+    deg = [1] * nin
+    for entry in made:
+        if type(entry) is not tuple:
+            deg.append(0)
+        elif entry[0].family == ex.PRODUCT:
+            deg.append(max(deg[entry[1][i]] + deg[entry[1][j]] for i, j in entry[0].data[0]))
+        else:
+            deg.append(max(deg[i] for i in entry[1]))
+    return all(deg[r] <= 2 for r in roots)
 
 
 def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:

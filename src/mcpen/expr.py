@@ -14,16 +14,16 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   first argument against a second branch: the second argument, ``s*a`` for
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
-Two kinds of walker read the table, and both branch on the family only.  The
-node-at-a-time ones, ``pieces.expr_pieces``, ``pieces._walk`` and
-``cones._degree``, visit one node at a time; only the first, the piece
-enumerator, recurses.  A tape
+Every walker reads the table and branches on the family only.  The piece
+enumerator ``pieces.expr_pieces`` recurses, one node at a time.  A tape
 (``compile_tape``) is one or more trees compiled once into a program of
 rows, one per distinct node, computed a level at a time by steps that each
 take all nodes of one family with a fixed set of numpy calls over every
 column; ``Tape.values`` gives values at a batch of points (``eval_many`` at
 one) and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a batch
-of rays.  ``Tape.values`` is the one value walker.
+of rays.  ``Tape.values`` is the one value walker.  The tape keeps its
+hash-consed node graph, which ``pieces``' first-order models and
+``cones.ray_decidable`` read one node at a time.
 Each problem keeps three tapes (``model.CompositeProblem.fixed_tape``,
 ``chained_tape`` and ``outer_tape``): its layer maps with ``u`` leaves that
 read given blocks; the maps and then its outer function with ``u`` leaves
@@ -527,13 +527,14 @@ class Tape:
     Both run under ``np.errstate(all="ignore")``: a value past the float
     range is inf or NaN, and nothing warns.  Taylor data live in one row per
     node: the value, the m first coefficients and at order 2 the m second
-    ones, with the kinked and bad2 flags beside them.
+    ones, with the kinked and bad2 flags beside them.  ``graph`` is
+    ``_graph``'s (input count, nodes, root ids).
     """
 
     def __init__(
-        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int
+        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, graph: tuple
     ):
-        self.sizes, self.steps, self.nrows = sizes, steps, nrows
+        self.sizes, self.steps, self.nrows, self.graph = sizes, steps, nrows, graph
         self.nin = sum(sizes)
         self.consts = np.array(consts, dtype=float)
         self.nfixed = self.nin + len(consts)
@@ -623,7 +624,7 @@ def compile_tape(roots: Sequence[Expr], sizes: Sequence[int], links: Sequence[Se
         entries = [made[i - nin] for i in steps[key]]
         out.append(_step(slice(lo, lo + len(entries)), entries, row))
         lo += len(entries)
-    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo)
+    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo, (nin, made, root_ids))
 
 
 def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[Expr]]):
@@ -632,7 +633,9 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
     Returns (made, root ids, levels, last input block read).  An id below
     ``offsets[-1]`` is an input row; id ``offsets[-1] + k`` is ``made[k]``,
     a constant's value or (node, argument ids), at ``levels[k]``, one more
-    than its deepest argument's (constants: 0).
+    than its deepest argument's (constants: 0).  Roots are taken last
+    first, each with the nodes it reaches that are not made yet, so the
+    last root's nodes are the prefix of ``made`` through its id.
     """
     nin = offsets[-1]
     made: list = []

@@ -6,8 +6,9 @@ linear in the first-order data except branch selection at active kinks,
 where a value tie makes the derivative the max of the two branches' slopes.
 
 ``theta_prime_model``, ``psi_prime_model`` and ``function_prime_model``
-write that derivative as linear forms in the direction, in one walk over
-the four node families, and record each kink as a switch of the abs-normal
+write that derivative as linear forms in the direction, in one loop over
+the node graph that a compiled tape keeps (``expr.Tape.graph``), branching
+on the four node families, and record each kink as a switch of the abs-normal
 form phi(d) = a . d + b . |s|, s = Z d + L |s| (Griewank & Walther 2016): a
 tied kink's variable y = max(fa, fb) switches on s = fa - fb, a vanishing
 penalty residual's epigraph variable t = |w| on s = w.  ``solve`` minimises
@@ -23,19 +24,20 @@ branch forms and a binary that, through big-M rows, makes y equal to one of
 them; t >= |w| with no binary, since it enters with a positive weight.
 Their boxes and big-M constants, built for HiGHS alone, and the multipliers'
 bounds on |s| are read off the abs-normal form too.  ``critical_basis``
-reads the subspace where phi vanishes off the same substitution.  The walk
-keeps its own stack, so a tree of any depth takes no recursion.
+reads the subspace where phi vanishes off the same substitution.  No tree
+is walked, so any depth takes no recursion, and a tie that hash-consing
+shares records one switch.
 
-The piece enumerator below is the reference the tests compare against.
-Enumerating the forks of the active kinks yields a finite list of
-(coefficient, constraints) pieces on which the derivative is exactly linear,
-so minimization over the unit cross-polytope reduces to a minimum over the
-pieces.  ``minimize_pieces`` settles a piece exactly without a linear
-program when the vertex of the polytope that its sharpest coefficient
-points to lies in the piece, and solves one small linear program only for a
-piece whose bound could still beat the best value found.  The count of
-pieces is a product over the forks, so the enumerator refuses a list over
-its limit before building it.
+The piece enumerator below is the reference the tests compare against; it
+stays, since perfbench's tracer wraps its names.  Enumerating the forks of
+the active kinks yields a finite list of (coefficient, constraints) pieces
+on which the derivative is exactly linear, so minimization over the unit
+cross-polytope reduces to a minimum over the pieces.  ``minimize_pieces``
+settles a piece exactly without a linear program when the vertex of the
+polytope that its sharpest coefficient points to lies in the piece, and
+solves one small linear program only for a piece whose bound could still
+beat the best value found.  The count of pieces is a product over the
+forks, so the enumerator refuses a list over its limit before building it.
 """
 
 from __future__ import annotations
@@ -640,84 +642,53 @@ class _SlopeModel:
         return SlopeMin(value, bound, d, len(deltas), "highs")
 
 
-def _postorder(e: ex.Expr) -> Iterator[ex.Expr]:
-    """e's nodes, each after its arguments, left to right; a kink's second branch after its first argument."""
-    order, todo = [], [e]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        kids = node.args
-        if kids and node.family == ex.KINK and node.data[0] is not None:
-            kids = (kids[0], node.data[0])
-        todo += kids
-    return reversed(order)
+def _forms(model: _SlopeModel, tape: ex.Tape, x: np.ndarray, last: int) -> tuple[list, list]:
+    """Value and first-derivative form of each id of ``tape.graph`` through ``last``, at inputs x.
 
-
-def _walk(model: _SlopeModel, e: ex.Expr, leaf: Callable[[int, int], tuple | ex.Expr]) -> tuple[float, np.ndarray]:
-    """Value and first-derivative form of e; ``leaf(j, i)`` gives block j's component i.
-
-    A leaf for which ``leaf`` gives an expression stands for it: walked where
-    it is first read, reused after.  A stack of ``_postorder`` lists visits
-    nodes, and records switches, in the order of a recursive walk.  Values
-    follow the Taylor rules of ``expr`` operation for operation (an offset
-    added after the terms, a tie broken by the gap), so every kink takes the
-    branch that the tapes' derivative calculus takes.  Callers turn numpy's
-    overflow warnings off.
+    Input i is (x_i, ``model.unit(i)``), a constant (its value,
+    ``model.zero``), and each node, arguments first, applies its family's
+    rule.  Values follow ``expr``'s Taylor rules operation for operation (an
+    offset added after the terms, a tie broken by the gap), so every kink
+    takes the tapes' branch.  Callers turn numpy's overflow warnings off.
     """
-    done: dict[tuple[int, int], tuple[float, np.ndarray]] = {}  # each expression leaf's value and form
-    out: list[tuple[float, np.ndarray]] = []  # the values and forms not yet combined
-    frames = [(_postorder(e), None)]  # each walk in progress, with the leaf it stands for
-    while frames:
-        nodes, key = frames[-1]
-        for node in nodes:
-            family, data = node.family, node.data
-            if family == ex.LEAF:
-                got = (node.value, model.zero) if data is None else done.get((data, node.ref)) or leaf(data, node.ref)
-                if type(got) is ex.Expr:
-                    frames.append((_postorder(got), (data, node.ref)))
-                    break
-                out.append(got)
-                continue
-            if family == ex.KINK:
-                branch, scale, _ = data
-                if branch is None:
-                    va, fa = out.pop()
-                    vb, fb = scale * va, scale * fa
-                else:
-                    vb, fb = out.pop()
-                    va, fa = out.pop()
-                gap = va - vb
-                out.append((va, fa) if gap > _TIE else (vb, fb) if gap < -_TIE else (max(va, vb), model.max_of(fa, fb)))
-                continue
-            parts = out[len(out) - len(node.args) :]
-            del out[len(out) - len(node.args) :]
+    nin, made, _ = tape.graph
+    vals, forms = x.tolist(), [model.unit(i) for i in range(nin)]
+    for entry in made[: max(last + 1 - nin, 0)]:
+        if type(entry) is not tuple:
+            vals.append(entry)
+            forms.append(model.zero)
+            continue
+        node, ids = entry
+        family, data = node.family, node.data
+        if family == ex.KINK:
+            branch, scale, _ = data
+            va, fa = vals[ids[0]], forms[ids[0]]
+            vb, fb = (scale * va, scale * fa) if branch is None else (vals[ids[1]], forms[ids[1]])
+            gap = va - vb
+            val, form = (va, fa) if gap > _TIE else (vb, fb) if gap < -_TIE else (max(va, vb), model.max_of(fa, fb))
+        elif family == ex.LINEAR:
+            weights, offset = data
             val = form = None
-            if not parts:  # an affine node without arguments is its offset
-                val, form = data[1], model.zero
-            elif family == ex.LINEAR:
-                weights, offset = data
-                for w, (v, f) in zip(weights, parts):
-                    if w != 1.0:
-                        v, f = w * v, w * f
-                    val = v if val is None else val + v
-                    form = f if form is None else _add(form, f)
-                if offset is not None:
-                    val = offset + val
-            else:
-                pairs, val = data
-                form = None if val is None else model.zero
-                for i, j in pairs:
-                    (va, fa), (vb, fb) = parts[i], parts[j]
-                    v = va * vb
-                    val = v if val is None else val + v
-                    f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
-                    form = f if form is None else _add(form, f)
-            out.append((val, form))
+            for w, i in zip(weights, ids):
+                v, f = vals[i], forms[i]
+                if w != 1.0:
+                    v, f = w * v, w * f
+                val = v if val is None else val + v
+                form = f if form is None else _add(form, f)
+            if offset is not None:
+                val = offset + val
         else:
-            frames.pop()
-            if key is not None:
-                done[key] = out[-1]
-    return out[0]
+            pairs, val = data
+            form = None if val is None else model.zero
+            for i, j in pairs:
+                va, fa, vb, fb = vals[ids[i]], forms[ids[i]], vals[ids[j]], forms[ids[j]]
+                v = va * vb
+                val = v if val is None else val + v
+                f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
+                form = f if form is None else _add(form, f)
+        vals.append(val)
+        forms.append(form)
+    return vals, forms
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -726,32 +697,27 @@ def theta_prime_model(
 ) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> Theta'(z; d) over the lifted space and its objective form, unsolved.
 
-    Each layer component adds beta_k times its residual slope w_i = d_u_i -
-    psi_i'(z; d): signed where the residual is nonzero, through t_i >= |w_i|
-    where it vanishes.
+    It reads ``outer_tape``'s graph, then ``fixed_tape``'s; both number
+    inputs by flat lifted position.  Each layer component adds beta_k times
+    its residual slope w_i = d_u_i - psi_i'(z; d): signed where the residual
+    is nonzero, through t_i >= |w_i| where it vanishes.
     """
     b = check_beta(problem, beta)
     check_point(problem, z)
-    model = _SlopeModel(problem.nbar, "P1")
-    _, at = split_flat(problem, np.arange(problem.nbar))  # flat positions of each block
-    blocks = (z.theta, *z.u)
-
-    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
-        return float(blocks[j][i]), model.unit(i if j == 0 else int(at[j - 1][i]))
-
-    obj = _walk(model, problem.outer, leaf)[1]
-    for k, lm in enumerate(problem.layers):
-        for i, e in enumerate(lm.exprs):
-            val, psi = _walk(model, e, leaf)
-            w = _add(model.unit(int(at[k][i])), -psi)
-            rho = z.u[k][i] - val
-            if rho > FEAS_TOL:
-                term = w
-            elif rho < -FEAS_TOL:
-                term = -w
-            else:
-                term = model.abs_of(w)
-            obj = _add(obj, b[k] * term)
+    model, x, n = _SlopeModel(problem.nbar, "P1"), z.flat(), problem.n
+    (g,), roots = problem.outer_tape.graph[2], problem.fixed_tape.graph[2]
+    obj = _forms(model, problem.outer_tape, x, g)[1][g]
+    vals, forms = _forms(model, problem.fixed_tape, x, max(roots))
+    for r, (k, i) in enumerate(zip(problem.layer_of_row, roots)):
+        w = _add(model.unit(n + r), -forms[i])
+        rho = x[n + r] - vals[i]
+        if rho > FEAS_TOL:
+            term = w
+        elif rho < -FEAS_TOL:
+            term = -w
+        else:
+            term = model.abs_of(w)
+        obj = _add(obj, b[k] * term)
     return model, _add(obj, 2.0 * problem.lam * z.theta)
 
 
@@ -759,32 +725,31 @@ def theta_prime_model(
 def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> (Psi + reg)'(theta; d) and its objective form, unsolved.
 
-    A u-leaf stands for its layer component's value and form at the lift of
-    theta, walked once and shared by every reference.
+    It reads ``chained_tape``'s graph, where a u-leaf is its layer
+    component's node, through g's root, its last: the nodes g reaches come
+    first.  That root may be an input row.
     """
     th = np.asarray(th, dtype=float).ravel()
     model = _SlopeModel(problem.n, "P0")
-
-    def leaf(j: int, i: int) -> tuple[float, np.ndarray] | ex.Expr:
-        return (float(th[i]), model.unit(i)) if j == 0 else problem.layers[j - 1].exprs[i]
-
-    obj = _walk(model, problem.outer, leaf)[1]
+    g = problem.chained_tape.graph[2][-1]
+    obj = _forms(model, problem.chained_tape, th, g)[1][g]
     return model, _add(obj, 2.0 * problem.lam * th)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def function_prime_model(
-    e: ex.Expr, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()
+    e: ex.Expr, tape: ex.Tape, x: np.ndarray, cone_rows: Sequence[np.ndarray] = ()
 ) -> tuple[_SlopeModel, np.ndarray]:
-    """The model of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0, unsolved."""
+    """The model of d -> f'(x; d) over the unit l1 ball cut by cone_rows . d >= 0, unsolved.
+
+    ``tape`` is e compiled over (x.size,), as in ``stationarity.check_box``.
+    A non-parameter leaf, whose id would be misread, raises ValueError first.
+    """
+    if any(node.family == ex.LEAF and node.data for node in ex.nodes(e)):
+        raise ValueError("the expression may read parameter leaves only")
     x = np.asarray(x, dtype=float).ravel()
     model = _SlopeModel(x.size, "box")
-
-    def leaf(j: int, i: int) -> tuple[float, np.ndarray]:
-        if j != 0:
-            raise ValueError("the expression may read parameter leaves only")
-        return float(x[i]), model.unit(i)
-
-    obj = _walk(model, e, leaf)[1]
+    (root,) = tape.graph[2]
+    obj = _forms(model, tape, x, root)[1][root]
     model.cone_rows = [np.asarray(g, dtype=float) for g in cone_rows]
     return model, obj

@@ -528,7 +528,7 @@ def check_box(
 
     at_lo, at_hi = x <= lower + 1e-12, x >= upper - 1e-12
     cone_rows = [s * eye[i] for i in range(dim) for s, at in ((1.0, at_lo), (-1.0, at_hi)) if at[i]]
-    model, obj = function_prime_model(e, x, cone_rows)
+    model, obj = function_prime_model(e, tape, x, cone_rows)
     report = StationarityReport("box", order, INCONCLUSIVE, "exact", 0.0, None, None, 0, STAT_TOL)
     _first_order(report, model, obj, lambda u: (u, _confirmed(tape, x, u, 1)))
     if report.verdict == NOT_STATIONARY and order == 2:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import half_square_chain, random_problem
+from walkers import degree
 from mcpen import expr as ex
 from mcpen.cones import (
     LIFT_TOL,
@@ -101,6 +102,16 @@ def test_ray_decidable_recognizes_degrees(square_chain, relu_ridge):
         lam=0.1,
     )
     assert not ray_decidable(quartic)
+
+
+def test_ray_decidable_matches_the_recursive_degree_bound():
+    # the bound folded over the fixed tape's graph against the recursion over each map
+    verdicts = []
+    for seed in range(200):
+        p = random_problem(seed)
+        verdicts.append(ray_decidable(p))
+        assert verdicts[-1] == all(degree(e) <= 2 for lm in p.layers for e in lm.exprs), seed
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_radial_requires_vanishing_curvature(square_chain):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import desk_points, random_problem
 from mcpen import expr as ex
 from mcpen import pieces as pieces_mod
-from mcpen.model import Point, eval_layers
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_layers
 from mcpen.pieces import (
     TooManyPieces,
     function_pieces,
@@ -29,8 +29,10 @@ from mcpen.pieces import (
 from mcpen.rnn import rnn_penalty_config
 from mcpen.solver import SolveConfig, minimize_theta, polish_to_feasible
 from mcpen.stationarity import (
+    NOT_STATIONARY,
     STAT_TOL,
     STATIONARY,
+    check_box,
     check_d_stationary_P0,
     check_d_stationary_P1,
 )
@@ -351,12 +353,13 @@ def _oracle_cases():
         e = p.layers[0].exprs[0]
         orthant = list(np.eye(p.n))  # every component at the lower face of a box
         off = _shifted(z)
+        tape = ex.compile_tape([e], (p.n,))
         cases = [
             (psi_prime_model(p, z.theta), partial(psi_prime_pieces, p, z.theta)),
             (theta_prime_model(p, z, beta), partial(theta_prime_pieces, p, z, beta)),
             (theta_prime_model(p, off, beta), partial(theta_prime_pieces, p, off, beta)),
-            (function_prime_model(e, x), partial(function_pieces, e, x)),
-            (function_prime_model(e, x, orthant), partial(function_pieces, e, x), orthant),
+            (function_prime_model(e, tape, x), partial(function_pieces, e, x)),
+            (function_prime_model(e, tape, x, orthant), partial(function_pieces, e, x), orthant),
         ]
         for (model, obj), pieces, *extra in cases:
             out.append((seed, model, obj, model.solve(obj), _oracle(pieces, *extra)))
@@ -409,9 +412,10 @@ def test_multiplier_witnesses_lie_between_the_exact_minima_and_minus_tol():
 def test_highs_rows_are_read_off_the_switches(monkeypatch):
     # y = max(t, d1) nests the epigraph t = |d0 - d1|, and the cone row keeps
     # d0 >= 0.  Columns: d0, d1, then s0, s1 of the ball, then t, y and y's
-    # binary delta.  Bounds by interval arithmetic: t in [0, 1], y in [0, 1],
-    # t - d1 in [-1, 2], so m_a = 1 and m_b = 2.  The minimum of y - d0 is
-    # -1/3 at d = (2/3, 1/3), where |d0 - d1| = d1.
+    # binary delta.  Bounds off the abs-normal form (``_sizes``, ``_boxes``):
+    # t's switch s0 = d0 - d1 has |s0| <= 1, so t in [0, 1]; y's switch s1 =
+    # |s0| - d1 lies in [-1, 2], so y in [0, 1], m_a = 1 and m_b = 2.  The
+    # minimum of y - d0 is -1/3 at d = (2/3, 1/3), where |d0 - d1| = d1.
     calls = []
     real = pieces_mod.milp
     monkeypatch.setattr(pieces_mod, "milp", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
@@ -507,7 +511,7 @@ def test_switch_bounds_hold_at_every_direction():
         assert np.all(-big_m[:, :1] <= s[ties]) and np.all(s[ties] <= big_m[:, 1:])
         switches += len(model.switches)
         nested += int(np.count_nonzero(np.any(L, axis=1)))
-    assert (len(models), switches, nested) == (178, 1217, 207)
+    assert (len(models), switches, nested) == (178, 1213, 207)
 
 
 def test_nested_switch_bounds_by_hand():
@@ -523,6 +527,67 @@ def test_nested_switch_bounds_by_hand():
     assert lo.tolist() == [-1.0, 0.0, 0.0, 0.0, 0.0]
     assert hi.tolist() == [1.0, 1.0, 1.5, 1.5, 1.0]
     assert big_m.tolist() == [[1.0, 1.0], [1.0, 2.5]]
+
+
+def test_a_root_that_is_an_input_row_has_its_unit_form():
+    # Layer 1 is theta0 and g = u1, so on the chained tape g's root is input
+    # row 0 and no node lies before it; on the outer and fixed tapes each
+    # root is an input row too.  P0's slope at theta = 0 is d0, minimum -1.
+    p = CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), ex.uref(1, 0), lam=0.1)
+    z = eval_layers(p, np.zeros(1))
+    model, obj = psi_prime_model(p, z.theta)
+    assert obj.tolist() == [1.0] and not model.switches
+    r0, r1 = check_d_stationary_P0(p, z), check_d_stationary_P1(p, z, [1.0])
+    assert (r0.verdict, r0.min_found, r0.samples) == (NOT_STATIONARY, -1.0, 0)
+    assert (r1.verdict, r1.samples) == (NOT_STATIONARY, 0)
+    assert [type(sw) for sw in theta_prime_model(p, z, [1.0])[0].switches] == [pieces_mod._Epigraph]
+
+
+def test_a_tie_that_g_never_reads_adds_no_switch_to_p0():
+    # Layer 1's second component |theta1| ties at theta = 0, but g reads only
+    # the first.  P0's model is the one without that component; P1 reads
+    # every residual, so its model holds the tie.
+    layer = (ex.square(ex.theta(0)), ex.vabs(ex.theta(1)))
+    outer = ex.uref(1, 0)
+    p = CompositeProblem(2, (LayerMap(1, layer),), outer, lam=0.1)
+    alone = CompositeProblem(2, (LayerMap(1, layer[:1]),), outer, lam=0.1)
+    z = eval_layers(p, np.zeros(2))
+    (model, obj), (ref, ref_obj) = psi_prime_model(p, z.theta), psi_prime_model(alone, z.theta)
+    assert not model.switches and obj.tolist() == ref_obj.tolist()
+    assert check_d_stationary_P0(p, z).samples == 0
+    assert check_d_stationary_P1(p, z, [1.0]).samples == 1
+
+
+def test_equal_tied_subtrees_share_one_switch():
+    # Two distinct but equal nodes max(theta0, theta1) tie at theta = 0.
+    # Hash-consing gives them one node and one binary in P0, P1 and the box
+    # model.  The slope 2 max(d0, d1) - 3 d0 has its minimum -1 at e0; P1's
+    # lifted ball, with g = u1, has -1/2 at (1/2, 0, -1/2).
+    def tie():
+        return ex.vmax(ex.theta(0), ex.theta(1))
+
+    e = ex.affine(0.0, [1.0, 1.0, -3.0], [tie(), tie(), ex.theta(0)])
+    p = CompositeProblem(2, (LayerMap(1, (e,)),), ex.uref(1, 0), lam=0.1)
+    z, x = eval_layers(p, np.zeros(2)), np.zeros(2)
+    cases = [
+        (psi_prime_model(p, z.theta), psi_prime_pieces(p, z.theta), -1.0),
+        (theta_prime_model(p, z, [1.0]), theta_prime_pieces(p, z, [1.0]), -0.5),
+        (function_prime_model(e, ex.compile_tape([e], (2,)), x), function_pieces(e, x), -1.0),
+    ]
+    for (model, obj), enumerated, least in cases:
+        sol = model.solve(obj)
+        assert sol.binaries == 1
+        assert abs(sol.value - minimize_pieces(enumerated)[0]) <= 1e-9 and abs(sol.value - least) <= 1e-9
+    reports = [check_d_stationary_P0(p, z), check_d_stationary_P1(p, z, [1.0]), check_box(e, x, -np.ones(2), np.ones(2))]
+    assert [r.samples for r in reports] == [1, 1, 1]
+
+
+def test_a_box_model_refuses_a_layer_leaf_before_reading_the_graph():
+    # Compiled over (1, 1), the tape reads u1 as input row 1, past x's one
+    # component, so the graph would misread it as the first node.
+    e = ex.add(ex.theta(0), ex.uref(1, 0))
+    with pytest.raises(ValueError, match="^the expression may read parameter leaves only$"):
+        function_prime_model(e, ex.compile_tape([e], (1, 1)), np.zeros(1))
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")

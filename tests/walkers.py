@@ -20,6 +20,9 @@ columns.  The tapes and the chunked sampler must reproduce them byte for
 byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
 algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
 read it off the abs-normal form; the two must span the same subspace.
+``degree`` bounds a tree's polynomial degree by recursion, as
+``cones._degree`` did before ``cones.ray_decidable`` folded the bound over
+the fixed tape's node graph; the two must agree.
 """
 
 import operator
@@ -71,6 +74,16 @@ def _value(e: ex.Expr, blocks: Sequence[np.ndarray]) -> float:
         t = a * (a if i == j else _value(e.args[j], blocks))
         acc = t if acc is None else acc + t
     return acc
+
+
+def degree(e: ex.Expr) -> int:
+    """Upper bound on e's polynomial degree in its inputs, kinks transparent, one node at a time."""
+    if e.family == ex.LEAF:
+        return 0 if e.data is None else 1
+    args = [degree(a) for a in e.args]
+    if e.family == ex.PRODUCT:
+        return max(args[i] + args[j] for i, j in e.data[0])
+    return max(args, default=0)
 
 
 def scalar_layer(problem, k, th, ublocks):
