@@ -659,8 +659,12 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
             return new(("const", _bits(e.value)), e.value, 0)
         if e.data and e.data <= len(links):
             return None
-        used = max(used, e.data)
-        return offsets[e.data] + e.ref
+        block = e.data
+        if block + 1 >= len(offsets) or e.ref >= offsets[block + 1] - offsets[block]:
+            sizes = tuple(b - a for a, b in zip(offsets, offsets[1:]))
+            raise ValueError(f"leaf {e.op} of block {block} reads reference {e.ref} past sizes {sizes}")
+        used = max(used, block)
+        return offsets[block] + e.ref
 
     todo = list(roots)
     while todo:

@@ -28,6 +28,11 @@ reads the subspace where phi vanishes off the same substitution.  No tree
 is walked, so any depth takes no recursion, and a tie that hash-consing
 shares records one switch.
 
+The multipliers use ``scipy.linalg``, imported with the module.
+``scipy.optimize`` and ``scipy.sparse`` serve HiGHS alone: ``milp``,
+``linprog`` and ``solve``'s HiGHS branch import them at their first use, so
+``import mcpen`` and every check the multipliers settle leave them out.
+
 The piece enumerator below is the reference the tests compare against; it
 stays, since perfbench's tracer wraps its names.  Enumerating the forks of
 the active kinks yields a finite list of (coefficient, constraints) pieces
@@ -47,9 +52,7 @@ import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lstsq, solve_triangular
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from . import expr as ex
 from .model import (
@@ -78,6 +81,20 @@ _COST_SCALE = 1e3
 CRIT_SLACK = 1e-8
 
 Piece = tuple[float, np.ndarray, list[np.ndarray]]
+
+
+def milp(*args, **kwargs):
+    """``scipy.optimize.milp``, imported at the first call."""
+    from scipy.optimize import milp
+
+    return milp(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 class TooManyPieces(RuntimeError):
@@ -595,6 +612,9 @@ class _SlopeModel:
             sol = self._multipliers(obj, tol, len(deltas))
             if sol is not None:
                 return sol
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint
+
         box_lo, box_hi, big_m = self._boxes()
         self._refuse_non_finite(box_lo, box_hi, big_m)
         ncol = 2 * dim + self.nvar

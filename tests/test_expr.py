@@ -53,6 +53,16 @@ def test_validate_rejects_out_of_range():
         ex.validate(e3, n=2, max_layer=1, widths=[2])
 
 
+def test_compile_tape_refuses_a_leaf_of_a_block_past_sizes():
+    with pytest.raises(ValueError, match=r"block 1 reads reference 0 past sizes \(1,\)"):
+        ex.compile_tape([ex.add(ex.theta(0), ex.uref(1, 0))], (1,))
+
+
+def test_compile_tape_refuses_a_leaf_past_its_block():
+    with pytest.raises(ValueError, match=r"block 0 reads reference 3 past sizes \(1,\)"):
+        ex.compile_tape([ex.theta(3)], (1,))
+
+
 def test_ops_used_walks_the_tree():
     e = ex.vmax(ex.const(-1.0), ex.mul(ex.theta(0), ex.theta(1)))
     assert {"max", "product", "theta", "const"} <= ex.ops_used(e)

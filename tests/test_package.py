@@ -36,10 +36,57 @@ def _run(code: str, *args: str) -> str:
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of `import mcpen`; the library
-    # needs only scipy.optimize and scipy.sparse, for HiGHS.
+    # scipy.stats costs about half a second of `import mcpen`; at import the
+    # library needs only numpy and scipy.linalg, for the multipliers.
     code = "import sys, mcpen; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     assert _run(code) == "[]"
+
+
+HIGHS_LOADS = """
+import json, sys, warnings
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "eager":
+    import scipy.optimize, scipy.sparse
+warnings.filterwarnings("ignore", "outer function evaluated to", RuntimeWarning)
+
+
+def loaded():
+    return sorted({m.split(".")[1] for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse"))})
+
+
+import numpy as np
+import mcpen
+seen = [loaded()]
+import mcpen.cli
+seen.append(loaded())
+from conftest import random_problem
+from mcpen.model import eval_layers
+from mcpen.rnn import build_problem, desk_instance, rnn_penalty_config
+from mcpen.serialize import dumps
+from mcpen.stationarity import check_d_stationary_P1, compare_sets_on_point
+
+spec = desk_instance(0)
+problem = build_problem(spec)
+lift = eval_layers(problem, 0.1 * np.random.default_rng(0).standard_normal(problem.n))
+compare_sets_on_point(problem, lift, rnn_penalty_config(spec), seed=0)
+seen.append(loaded())
+p = random_problem(7)
+report = check_d_stationary_P1(p, eval_layers(p, np.zeros(p.n)), [0.7] * p.L)
+seen.append(loaded())
+bits = [float(v).hex() for v in (report.min_found, report.witness_value, *report.witness.dtheta)]
+print(json.dumps([seen, dumps({"report": report}), bits]))
+"""
+
+
+def test_highs_loads_at_the_first_milp_with_the_eager_report():
+    # scipy.optimize and scipy.sparse cost about 20 MB and 0.2 s per process,
+    # and only a MILP or LP uses them: neither the CLI nor a multiplier-settled
+    # check loads them.  P1 at random problem 7's theta = 0 reaches HiGHS.
+    tests = str(Path(__file__).resolve().parent)
+    lazy_seen, *lazy = json.loads(_run(HIGHS_LOADS, tests, "lazy"))
+    _, *eager = json.loads(_run(HIGHS_LOADS, tests, "eager"))
+    assert lazy_seen == [[], [], [], ["optimize", "sparse"]]
+    assert lazy == eager
 
 
 TRACER_CHECK = """
