@@ -28,10 +28,11 @@ reads the subspace where phi vanishes off the same substitution.  No tree
 is walked, so any depth takes no recursion, and a tie that hash-consing
 shares records one switch.
 
-The multipliers use ``scipy.linalg``, imported with the module.
-``scipy.optimize`` and ``scipy.sparse`` serve HiGHS alone: ``milp``,
-``linprog`` and ``solve``'s HiGHS branch import them at their first use, so
-``import mcpen`` and every check the multipliers settle leave them out.
+The multipliers and the abs-normal substitutions run on numpy alone
+(``numpy.linalg.lstsq`` and forward substitution).  scipy serves HiGHS
+alone: ``milp``, ``linprog`` and ``solve``'s HiGHS branch import
+``scipy.optimize`` and ``scipy.sparse`` at their first use, so ``import
+mcpen`` and every check the multipliers settle load no scipy module.
 
 The piece enumerator below is the reference the tests compare against; it
 stays, since perfbench's tracer wraps its names.  Enumerating the forks of
@@ -52,7 +53,6 @@ import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lstsq, solve_triangular
 
 from . import expr as ex
 from .model import (
@@ -403,11 +403,11 @@ def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
 
 
 def _sizes(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """S >= |s| on the unit l1 ball for s = Z d + L |s|: S = h + |L| S, h_i = ||Z_i||_inf, by one triangular solve."""
-    h = np.max(np.abs(Z), axis=1, initial=0.0)
-    if not np.any(L):
-        return h
-    return solve_triangular(np.eye(h.size) - np.abs(L), h, lower=True, unit_diagonal=True, check_finite=False)
+    """S >= |s| on the unit l1 ball for s = Z d + L |s|: S = h + |L| S, h_i = ||Z_i||_inf, by forward substitution."""
+    S = np.max(np.abs(Z), axis=1, initial=0.0)
+    for i in np.flatnonzero(np.any(L, axis=1)):
+        S[i] += np.abs(L[i, :i]) @ S[:i]
+    return S
 
 
 class _SlopeModel:
@@ -455,12 +455,14 @@ class _SlopeModel:
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _abs_normal(self, *forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(Z, L, A, B): s = Z d + L |s|, one s per switch, and each of forms as a row of A . d + B . |s|.
 
         A tie's y = (fa + fb) / 2 + |s| / 2 with s = fa - fb, an epigraph's t
-        = |s| with s = w.  L is strictly lower triangular; it, and a triangular
-        solve in the substitution, are needed only where switches nest.
+        = |s| with s = w.  L is strictly lower triangular, and nonzero only
+        where switches nest; so is the substitution's Y_aux, whose nonzero
+        rows forward substitution visits in order.
         """
         dim, k, m = self.dim, len(self.switches), self.nvar
         W = np.zeros((k + len(forms), dim + m))  # each switch's s, then forms, over (d, auxiliary variables)
@@ -479,9 +481,9 @@ class _SlopeModel:
         for i, f in enumerate(forms, start=k):
             W[i, : f.size] = f
         # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X, Y_aux strictly lower
-        X = np.hstack([Y[:, :dim], P])
-        if np.any(Y[:, dim:]):
-            X = solve_triangular(np.eye(m) - Y[:, dim:], X, lower=True, unit_diagonal=True)
+        X, Y_aux = np.hstack([Y[:, :dim], P]), Y[:, dim:]
+        for i in np.flatnonzero(np.any(Y_aux, axis=1)):
+            X[i] += Y_aux[i, :i] @ X[:i]
         A = W[:, dim:] @ X
         A[:, :dim] += W[:, :dim]
         return A[:k, :dim], A[:k, dim:], A[k:, :dim], A[k:, dim:]
@@ -534,16 +536,20 @@ class _SlopeModel:
         With obj = a . d + b . |s|, s = Z d + L |s| (``_abs_normal``), any mu
         gives obj = r . d + mu . s + c . |s| with r = a - Z^T mu and c = b -
         L^T mu, and each mu_i s_i + c_i |s_i| >= -max(0, |mu_i| - c_i) S_i
-        with |s| <= S (``_sizes``).  So with mu = lstsq(Z^T, a), -||r||_inf -
-        sum_i max(0, |mu_i| - c_i) S_i bounds the minimum at any rank of Z,
-        rows that cut the ball only raise it, and at or above -tol it settles
-        a stationary point (d = 0, value 0.0).  Where ||r||_inf > tol, r is
-        a's projection onto ker Z, so with no cone row d = -r / ||r||_1 keeps
-        every s at 0, and its slope a . d + b . |s| (s by forward
-        substitution), if below -tol, makes d the incumbent with no bound.
+        with |s| <= S (``_sizes``).  So with the minimum-norm mu =
+        lstsq(Z^T, a), -||r||_inf - sum_i max(0, |mu_i| - c_i) S_i bounds the
+        minimum at any rank of Z, rows that cut the ball only raise it, and at
+        or above -tol it settles a stationary point (d = 0, value 0.0).  Where
+        ||r||_inf > tol, r is a's projection onto ker Z, so with no cone row d
+        = -r / ||r||_1 keeps every s at 0, and its slope a . d + b . |s| (s by
+        forward substitution), if below -tol, makes d the incumbent with no
+        bound.  A non-finite Z or a, where the substitution overflowed, settles
+        nothing, and the HiGHS branch names the model.
         """
         Z, L, (a,), (b,) = self._abs_normal(obj)
-        mu = lstsq(Z.T, a, lapack_driver="gelsy", check_finite=False)[0] if self.switches else np.zeros(0)
+        if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(a))):
+            return None
+        mu = np.linalg.lstsq(Z.T, a, rcond=None)[0]
         r = a - Z.T @ mu
         r_max = float(np.max(np.abs(r), initial=0.0))
         if not r_max > tol:
@@ -553,9 +559,8 @@ class _SlopeModel:
             return None
         d = -r / float(np.sum(np.abs(r)))
         s = Z @ d
-        if np.any(L):
-            for i in range(1, s.size):
-                s[i] += L[i, :i] @ np.abs(s[:i])
+        for i in np.flatnonzero(np.any(L, axis=1)):
+            s[i] += L[i, :i] @ np.abs(s[:i])
         value = float(a @ d + b @ np.abs(s))
         return SlopeMin(value, None, d, binaries, "multipliers") if value < -tol else None
 
@@ -569,9 +574,11 @@ class _SlopeModel:
         vanishes on S = {d : a . d = 0, Z_w d = 0} alone; else S is unknown.
         A slope within CRIT_SLACK counts as zero: S is spanned by the right
         singular vectors of [a; b_w Z_w] whose singular values are at most
-        CRIT_SLACK, and is B = I when all of them are.
+        CRIT_SLACK, and is B = I when all of them are.  A non-finite Z, a or b
+        raises the ValueError that ``solve`` raises.
         """
         Z, L, (a,), (b,) = self._abs_normal(obj)
+        self._refuse_non_finite(Z, a, b)
         w = np.flatnonzero(b)
         known = all(isinstance(self.switches[k], _Tie) for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
         if not known or (w.size and not np.all(np.abs(np.linalg.lstsq(Z[w].T, a, rcond=None)[0]) < b[w])):

@@ -36,9 +36,9 @@ def _run(code: str, *args: str) -> str:
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of `import mcpen`; at import the
-    # library needs only numpy and scipy.linalg, for the multipliers.
-    code = "import sys, mcpen; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    # scipy.stats costs about half a second of `import mcpen`, and scipy.linalg
+    # 0.2-0.35 s and 26 MB; at import the library needs numpy alone.
+    code = "import sys, mcpen; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _run(code) == "[]"
 
 
@@ -51,7 +51,7 @@ warnings.filterwarnings("ignore", "outer function evaluated to", RuntimeWarning)
 
 
 def loaded():
-    return sorted({m.split(".")[1] for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse"))})
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 
 import numpy as np
@@ -79,13 +79,14 @@ print(json.dumps([seen, dumps({"report": report}), bits]))
 
 
 def test_highs_loads_at_the_first_milp_with_the_eager_report():
-    # scipy.optimize and scipy.sparse cost about 20 MB and 0.2 s per process,
-    # and only a MILP or LP uses them: neither the CLI nor a multiplier-settled
-    # check loads them.  P1 at random problem 7's theta = 0 reaches HiGHS.
+    # scipy costs about 45 MB and 0.4 s per process, and only a MILP or LP
+    # uses it: neither the CLI nor a multiplier-settled check loads any scipy
+    # module.  P1 at random problem 7's theta = 0 reaches HiGHS.
     tests = str(Path(__file__).resolve().parent)
     lazy_seen, *lazy = json.loads(_run(HIGHS_LOADS, tests, "lazy"))
     _, *eager = json.loads(_run(HIGHS_LOADS, tests, "eager"))
-    assert lazy_seen == [[], [], [], ["optimize", "sparse"]]
+    assert lazy_seen[:3] == [[], [], []]
+    assert {"scipy.optimize", "scipy.sparse"} <= set(lazy_seen[3])
     assert lazy == eager
 
 

@@ -409,6 +409,39 @@ def test_multiplier_witnesses_lie_between_the_exact_minima_and_minus_tol():
     assert found >= 56 and compared >= 52
 
 
+@pytest.mark.parametrize("c1", [0.0, -1.0])
+def test_multipliers_settle_models_whose_switching_rows_are_dependent(monkeypatch, c1):
+    # phi(d) = 1.8 d0 + c1 d1 + y1 + y2 + t / 2 with two equal ties y =
+    # max(d0, -d0) and an epigraph t = |d0|: Z = [[2, 0], [2, 0], [1, 0]] has
+    # rank 1 for three switches, so LIKQ fails.  b = (1/2, 1/2, 1/2).  The
+    # minimum-norm mu = (0.4, 0.4, 0.2) leaves every |mu_i| below b_i, so at
+    # c1 = 0 the bound is 0 and phi = 1.8 d0 + 2.5 |d0| >= 0 is stationary; a
+    # basic solution such as (0.9, 0, 0) would leave the bound at -0.8.  At
+    # c1 = -1 the tangential residual r = (0, -1) gives the ker Z witness e1,
+    # whose slope -1 is the exact minimum.  HiGHS is never called.
+    monkeypatch.setattr(pieces_mod, "milp", lambda *a, **k: pytest.fail("HiGHS called"))
+    model = pieces_mod._SlopeModel(2, "hand-built")
+    d0, d1 = model.unit(0), model.unit(1)
+    ys = [model.max_of(d0, -d0) for _ in range(2)]
+    t = model.abs_of(d0)
+    obj = 1.8 * d0
+    for f in (c1 * d1, *ys, 0.5 * t):
+        obj = pieces_mod._add(obj, f)
+    Z, _, (a,), (b,) = model._abs_normal(obj)
+    assert Z.tolist() == [[2, 0], [2, 0], [1, 0]] and b.tolist() == [0.5, 0.5, 0.5]
+    mu = np.linalg.lstsq(Z.T, a, rcond=None)[0]
+    np.testing.assert_allclose(mu, [0.4, 0.4, 0.2])
+    np.testing.assert_allclose(Z @ (a - Z.T @ mu), 0.0, atol=1e-12)
+    sol = model.solve(obj, STAT_TOL)
+    assert (sol.source, sol.binaries) == ("multipliers", 2)
+    if c1 == 0.0:
+        assert sol.value == 0.0 and sol.bound >= -STAT_TOL and not np.any(sol.d)
+    else:
+        assert sol.value == pytest.approx(-1.0, abs=1e-12) and sol.bound is None
+        np.testing.assert_allclose(sol.d, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(Z @ sol.d, 0.0, atol=1e-12)
+
+
 def test_highs_rows_are_read_off_the_switches(monkeypatch):
     # y = max(t, d1) nests the epigraph t = |d0 - d1|, and the cone row keeps
     # d0 >= 0.  Columns: d0, d1, then s0, s1 of the ball, then t, y and y's
@@ -482,7 +515,7 @@ def _forward(model, D):
             gap = sw.w @ X[: sw.w.size]
             X[model.dim + sw.t] = np.abs(gap)
         s.append(gap)
-    return np.array(s), X[model.dim :]
+    return np.reshape(s, (-1, D.shape[1])), X[model.dim :]
 
 
 def test_switch_bounds_hold_at_every_direction():
@@ -490,7 +523,9 @@ def test_switch_bounds_hold_at_every_direction():
     # S_i the multipliers read, each auxiliary variable within its box (a
     # tie's y = max(fa, fb), an epigraph's t = |w|) and each tie's gap fa - fb
     # within [-m_a, m_b], the bounds HiGHS reads.  Both are read off s = Z d
-    # + L |s|; with L dropped, nested switches leave them.
+    # + L |s|; with L dropped, nested switches leave them.  The forward
+    # substitutions behind Z, L and S match the switch-by-switch values and a
+    # dense solve of (I - |L|) S = h.
     models = [model for _, model, *_ in _oracle_cases() if model.switches]
     for seed in range(10):
         problem, config, points = desk_points(seed)
@@ -505,6 +540,9 @@ def test_switch_bounds_hold_at_every_direction():
         D = rng.standard_normal((model.dim, 200))
         D = np.hstack([D / np.sum(np.abs(D), axis=0), np.eye(model.dim), -np.eye(model.dim)])
         s, X = _forward(model, D)
+        np.testing.assert_allclose(s, Z @ D + L @ np.abs(s), rtol=1e-12, atol=1e-12)
+        h = np.max(np.abs(Z), axis=1)
+        np.testing.assert_allclose(S, np.linalg.solve(np.eye(h.size) - np.abs(L), h), rtol=1e-12)
         ties = [i for i, sw in enumerate(model.switches) if isinstance(sw, pieces_mod._Tie)]
         assert np.all(np.abs(s) <= S[:, None])
         assert np.all(lo[:, None] <= X) and np.all(X <= hi[:, None])

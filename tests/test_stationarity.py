@@ -566,6 +566,33 @@ def test_first_order_models_refuse_non_finite_coefficients():
             check_d_stationary_P1(problem, z, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("s", [160, 200, 300])
+def test_non_finite_substitutions_end_in_the_named_error(capfd, s):
+    # Each form of random problem 9's P0 model is finite, but the abs-normal
+    # substitution overflows.  The multipliers then decline, and the HiGHS
+    # branch names the model; LAPACK, given the inf, would raise its own
+    # error and print its own line.  Random problem 11 is P1-stationary, and
+    # its penalized second order reads P0's model, whose critical subspace
+    # refuses it the same way.
+    def scaled(p):
+        layers = tuple(LayerMap(lm.index, tuple(ex.scaled(10.0**s, e) for e in lm.exprs)) for lm in p.layers)
+        q = CompositeProblem(p.n, layers, p.outer, p.lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return q, eval_layers(q, np.zeros(q.n))
+
+    named = "^P0 first-order model has non-finite coefficients at this point$"
+    q, z = scaled(random_problem(9))
+    with pytest.raises(ValueError, match=named):
+        check_d_stationary_P0(q, z)
+    q, z = scaled(random_problem(11))
+    assert check_d_stationary_P1(q, z, [0.7] * q.L).verdict == STATIONARY
+    with pytest.raises(ValueError, match=named):
+        check_second_order(q, z, "penalized", [0.7] * q.L)
+    captured = capfd.readouterr()
+    assert "On entry to" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize(
     "spec", [desk_instance(0), lift_descent_instance()], ids=["desk", "lift-descent"]
 )
