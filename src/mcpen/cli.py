@@ -17,7 +17,10 @@ not-stationary.  Scenario regressions exit 1 when a golden check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
 import time
 import warnings
@@ -353,9 +356,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv: list[str]) -> int:
-    """Parse the options, run the handler and write its report; returns the exit code."""
+    """Parse the options, run the handler and write its report; returns the exit code.
+
+    While the handler runs, file descriptor 1 points at stderr, so what a
+    solver writes there itself (HiGHS prints debug lines on some badly
+    scaled MILPs) stays out of the report; the handler's own lines are held
+    and written to stdout, ahead of the report, once the handler is done.
+    """
     args = _build_parser().parse_args(argv)
-    report, code = args.fn(args)
+    held = io.StringIO()
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        with contextlib.redirect_stdout(held):
+            report, code = args.fn(args)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        sys.stdout.write(held.getvalue())
     if report is not None:
         report["manifest"] = _manifest(argv, args)
         text = serialize.dumps(report)

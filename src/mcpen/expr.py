@@ -28,7 +28,11 @@ Each problem keeps three tapes (``model.CompositeProblem.fixed_tape``,
 ``chained_tape`` and ``outer_tape``): its layer maps with ``u`` leaves that
 read given blocks; the maps and then its outer function with ``u`` leaves
 that stand for the maps that define them, one program for the nested
-objective; and its outer function alone.  Where an op's own arithmetic
+objective; and its outer function alone.  The level-set sampler compiles a
+fourth on each call and does not keep it (``level_tape``): the maps and the
+outer function over the parameter and a shift of each block, with ``u``
+leaves that stand for a map's value plus its shift, so one pass judges a
+chunk of candidates.  Where an op's own arithmetic
 differs from its family rule (whether a sum starts at zero or at its first
 term, Python's ``abs``), the difference is table data, so each op keeps its
 exact rounding and sign of zero column by column, and a tape's rows are the

@@ -147,6 +147,24 @@ class CompositeProblem:
         """``outer`` alone, on a tape over the blocks (theta, u_1, ..., u_L)."""
         return ex.compile_tape([self.outer], (self.n, *self.widths))
 
+    def level_tape(self) -> ex.Tape:
+        """The maps and ``outer`` over theta and a shift of each block; compiled on each call, not kept.
+
+        Its one input block holds theta and then a shift rho per layer row,
+        the layout of a lifted point.  Each ``u`` leaf of layer k, row i
+        stands for ``affine(-0.0, [1, 1], [psi_k,i, theta(n + s + i)])``, s
+        the layer's first row: -0.0 + psi, then + rho, the bytes of
+        ``psi + rho``.  The roots are the maps' values (rows as in
+        ``layer_rows``), the shifted values (the same rows after those) and
+        g last.  Only the level-set sampler runs it, so no problem keeps it.
+        """
+        shifted = [
+            tuple(ex.affine(-0.0, (1.0, 1.0), (e, ex.theta(self.n + s + i))) for i, e in enumerate(lm.exprs))
+            for lm, s in zip(self.layers, self.layer_starts.tolist())
+        ]
+        maps = [e for lm in self.layers for e in lm.exprs]
+        return ex.compile_tape([*maps, *(e for block in shifted for e in block), self.outer], (self.nbar,), shifted)
+
 
 @dataclass(frozen=True)
 class Point:

@@ -41,8 +41,15 @@ from .model import (
 
 BETA_FLOOR = 1e-3
 SAFETY = 1.05
-# Candidates in the level-set sampler's first chunk, and the fewest in any later one.
-FIRST_CHUNK = 16
+# Chunk lengths of the level-set sampler, kept per guessed outcome: FIRST_CHUNK
+# candidates at first; GROW times the last chunk after one whose guesses all
+# held, else twice the run that held, but at least MIN_CHUNK.  A chunk that
+# guesses acceptance also judges, for each of its first AHEAD candidates, the
+# candidate that would follow that one's rejection.
+FIRST_CHUNK = 32
+MIN_CHUNK = 8
+GROW = 8
+AHEAD = 2
 
 
 @dataclass
@@ -122,8 +129,8 @@ def _sample_level_set(
     eps: float,
     budget: int,
     rng: np.random.Generator,
-) -> list[Point]:
-    """Draw points from the gamma_bar level set of Theta, eps-inflated.
+) -> np.ndarray:
+    """Draw points from the gamma_bar level set of Theta, eps-inflated; one lifted point per row.
 
     Candidates combine a parameter inside the ball of radius
     sqrt(gamma_bar/lambda) with per-layer residual noise within the level-set
@@ -133,21 +140,28 @@ def _sample_level_set(
     residuals are its blocks minus the layer values they were drawn around;
     a candidate whose layer or outer values are not finite is rejected.
 
-    Candidates are drawn and judged in chunks of columns, one fixed-tape pass
-    per layer and one outer-tape pass per chunk, with the points, warnings,
-    errors and generator state of a loop that draws and judges one candidate
-    at a time.  Each ``rng.uniform(low, high, k)`` of that loop is
-    ``low + (high - low) * rng.random(k)``, so a chunk draws all its
+    Candidates are drawn and judged in chunks, one column each in one pass
+    of ``problem.level_tape()``, compiled once per call and not kept: its
+    input is a candidate's parameter and residual noise rho, and its roots
+    are the maps' values psi_k (each at the shifted blocks below it), the
+    shifted blocks psi_k + rho_k and g.  The points, warnings, errors and
+    generator state are those of a loop that draws and judges one
+    candidate at a time.  Each ``rng.uniform(low, high, k)`` of that loop
+    is ``low + (high - low) * rng.random(k)``, so a chunk draws all its
     candidates' shares at once, but a share depends on the outcome: a
     candidate stops drawing at a layer that is not finite, and an accepted
     one draws its perturbation before the next candidate.  So each chunk
-    guesses that every candidate ends as the last one did.  At the first
-    candidate that breaks the guess, the generator goes back to its state at
-    the start of the chunk, redraws the shares that held and then that
-    candidate's own.  A chunk is twice as long as the last one if every
-    guess held, else twice the run that held, and never shorter than the
-    first (``FIRST_CHUNK``): a pass over a few columns costs about what a
-    pass over one does.
+    guesses that every candidate ends with the outcome seen most often so
+    far.  At the first candidate that breaks the guess, the generator goes
+    back to its state at the start of the chunk, redraws the shares that
+    held and then that candidate's own.  Each guess keeps its own chunk
+    length (see ``FIRST_CHUNK``): a pass over a few columns costs about
+    what a pass over one does, but a chunk that guesses acceptance draws
+    each candidate's perturbation in a loop.  Where such a chunk breaks
+    early on a rejection, the candidate after it is already judged
+    (``AHEAD``), so the chunk settles one candidate more.  The accepted
+    candidates are perturbed together at the end, one point per row of a
+    matrix.
     """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
@@ -158,6 +172,7 @@ def _sample_level_set(
             "it must be nonnegative and finite (is the outer function negative?)"
         )
     n, L, nbar, widths = problem.n, problem.L, problem.nbar, problem.widths
+    R = nbar - n
     rad = [gamma_bar / b for b in beta]
     with np.errstate(all="ignore"):
         # coordinate i of a candidate is low[i] + span[i] * u, as rng.uniform draws it
@@ -167,84 +182,113 @@ def _sample_level_set(
     share = np.cumsum([n, *widths])
     # the first layer whose noise range is not finite, where numpy's uniform raises (0: none)
     bad = next((k for k in range(1, L + 1) if not np.isfinite(span[share[k - 1]])), 0)
+    tape, bits = problem.level_tape(), rng.bit_generator
 
-    def draw(c: int, m: int, tail: bool):
+    def draw(c: int, m: int, tail: bool, ahead: int = 0):
         """m candidates' draws, one per row, if each ends with outcome c; and the perturbations if c accepts.
 
         With a tail, a row runs on into the next share, so the first
-        candidate that outlives the guess is judged on its own draws.
+        candidate that outlives the guess is judged on its own draws.  Row
+        m + i, for i below ``ahead``, holds the draws of the candidate after
+        candidate i should that one be rejected: the uniforms that follow
+        its own, drawn before its perturbation and then drawn again.
         """
         if c <= L and not tail:
             return rng.random(m * share[c]), None
         if c <= L:
             u = rng.random(m * share[c] + nbar - share[c])
             return u[share[c] * np.arange(m)[:, None] + np.arange(nbar)], None
-        W, N, E = np.empty((m, nbar)), np.empty((m, nbar)), []
+        W, noise, length = np.empty((m + ahead, nbar)), np.empty((m, nbar)), np.empty(m)
         for i in range(m):
-            W[i], N[i] = rng.random(nbar), rng.normal(size=nbar)
-            E.append(rng.uniform(0.0, eps))
-        return W, (N, E)
+            rng.random(out=W[i])
+            if i < ahead:
+                # the next candidate's draws, should this one be rejected
+                state = bits.state
+                rng.random(out=W[m + i])
+                bits.state = state
+            noise[i], length[i] = rng.normal(size=nbar), rng.uniform(0.0, eps)
+        return W, (noise, length)
 
     def judge(W: np.ndarray):
-        """Outcomes, negative-g flags, g and lifted columns of the candidates in W's rows.
+        """Outcomes, negative-g flags, g and lifted points (one per row) of the candidates in W's rows.
 
         The outcome is the number of layers whose noise the candidate draws,
         L + 1 if it is accepted, or -1 if it reaches layer ``bad``.
         """
-        m = len(W)
-        code, alive = np.full(m, L), np.ones(m, dtype=bool)
         with np.errstate(all="ignore"):
-            TH, U = split_flat(problem, (low + span * W).T)
-            for k, rows in enumerate(problem.layer_rows, start=1):
-                X = problem.fixed_tape.values(TH, U)
-                stop = alive & ~np.isfinite(X[rows]).all(axis=0)
-                code[stop] = k - 1
-                alive &= ~stop
-                if k == bad:
-                    code[alive], alive[:] = -1, False
-                U[k - 1] = X[rows] + U[k - 1]
-            g = problem.outer_tape.values(TH, U)[0]
-            alive &= np.isfinite(g)
-            code += alive & (penalized_cols(problem, TH, np.concatenate(U), X, g, beta) <= gamma_bar)
-        return code, alive & (g < G_WARN_BELOW), g, np.vstack([TH, *U])
+            Y = low + span * W
+            Z = Y.T
+            V = tape.values(Z, [])
+            X, U, g = V[:R], V[R : 2 * R], V[2 * R]
+            # the first layer whose values are not finite stops a candidate
+            finite = np.isfinite(X)
+            if finite.all():
+                code = np.full(len(W), L)
+            else:
+                finite = np.logical_and.reduceat(finite, problem.layer_starts, axis=0)
+                code = np.where(finite.all(axis=0), L, finite.argmin(axis=0))
+            if bad:
+                code[code >= bad] = -1
+            alive = (code == L) & np.isfinite(g)
+            code += alive & (penalized_cols(problem, Z[:n], U, X, g, beta) <= gamma_bar)
+        Z[n:] = U  # Y's rows become the lifted candidates: theta, then the shifted blocks
+        return code, alive & (g < G_WARN_BELOW), g, Y
 
-    def keep(z: np.ndarray, noise: np.ndarray, e: float) -> None:
-        noise *= e / max(np.linalg.norm(noise), 1e-300)
-        th2, blocks2 = split_flat(problem, z + noise)
-        pts.append(Point(th2, tuple(blocks2)))
+    # the accepted candidates, their noise rows and the lengths to scale them to
+    P, N, E, count = np.empty((budget, nbar)), np.empty((budget, nbar)), np.empty(budget), 0
 
-    pts: list[Point] = []
-    tries, size, guess = 0, FIRST_CHUNK, L
-    while len(pts) < budget and tries < 20 * budget:
-        m = min(size, 20 * budget - tries, budget - len(pts) if guess > L else size)
-        start = rng.bit_generator.state
-        W, perturb = draw(guess, m, tail=True)
-        code, negative, g, Z = judge(W)
-        miss = np.flatnonzero(code != guess)
+    def keep(C: np.ndarray, noise, length) -> None:
+        nonlocal count
+        k = len(C)
+        P[count : count + k], N[count : count + k], E[count : count + k] = C, noise, length
+        count += k
+
+    def finish(k: int) -> None:
+        """Candidate k of the last chunk judged: its own share, its g check and, if accepted, its perturbation."""
+        c = int(code[k])
+        if c < 0:
+            rng.random(share[bad - 1])
+            rng.uniform(-rad[bad - 1], rad[bad - 1], size=widths[bad - 1])  # raises OverflowError, as the loop did
+        rng.random(share[min(c, L)])
+        if negative[k]:
+            checked_g(problem, float(g[k]))
+        if c > L:
+            keep(Y[k : k + 1], rng.normal(size=nbar), rng.uniform(0.0, eps))
+        seen[c + 1] += 1
+
+    seen = [0] * (L + 3)  # how often each outcome c came, at c + 1
+    sizes = [FIRST_CHUNK] * (L + 3)  # the next chunk length for a guess of c, at c + 1
+    tries, guess = 0, L
+    while count < budget and tries < 20 * budget:
+        m = min(sizes[guess + 1], 20 * budget - tries)
+        m = min(m, budget - count) if guess > L else m
+        ahead = min(AHEAD, m) if guess > L else 0
+        start = bits.state
+        W, perturb = draw(guess, m, tail=True, ahead=ahead)
+        code, negative, g, Y = judge(W)
+        miss = np.flatnonzero(code[:m] != guess)
         j = int(miss[0]) if miss.size else m
         if j < m or guess < L:
             # a miss, or the tail drawn past a chunk whose candidates stop early
-            rng.bit_generator.state = start
+            bits.state = start
             perturb = draw(guess, j, tail=False)[1]
-        for i in range(j):
-            if negative[i]:
-                checked_g(problem, float(g[i]))
-            if guess > L:
-                keep(Z[:, i], perturb[0][i], perturb[1][i])
+        for i in np.flatnonzero(negative[:j]):
+            checked_g(problem, float(g[i]))
+        if guess > L and j:
+            keep(Y[:j], *perturb)
+        seen[guess + 1] += j
+        sizes[guess + 1] = GROW * m if j == m else max(2 * j, MIN_CHUNK)
         if j < m:
             # the candidate that broke the guess draws its own share
-            if code[j] < 0:
-                rng.random(share[bad - 1])
-                rng.uniform(-rad[bad - 1], rad[bad - 1], size=widths[bad - 1])  # raises OverflowError, as the loop did
-            rng.random(share[min(code[j], L)])
-            if negative[j]:
-                checked_g(problem, float(g[j]))
-            if code[j] > L:
-                keep(Z[:, j], rng.normal(size=nbar), rng.uniform(0.0, eps))
+            finish(j)
         tries += min(j + 1, m)
-        size = 2 * size if j == m else max(2 * j, FIRST_CHUNK)
-        guess = int(code[min(j, m - 1)])
-    return pts
+        if j < ahead and code[j] == L and count < budget and tries < 20 * budget:
+            # a rejection, whose successor was judged ahead
+            finish(m + j)
+            tries += 1
+        guess = seen.index(max(seen)) - 1
+    P, N, E = P[:count], N[:count], E[:count]
+    return P + N * (E / np.maximum(_norms(N), 1e-300))[:, None]
 
 
 def estimate_moduli(
@@ -262,15 +306,16 @@ def estimate_moduli(
     difference quotients over the inflated level set; those values are lower
     bounds of the true moduli and come back flagged heuristic.
 
-    The points come from ``_sample_level_set``, which judges its candidates
-    in chunks of columns and rewinds the generator where a chunk's guess of
-    their outcomes fails.  The pairs are evaluated in batches: g in one pass
-    of the outer tape over the points, checked in order of first use, and
-    the layer maps in two passes of the fixed tape (one column per point,
-    one per pair), with the values, warnings and first ``EvaluationError``
-    of a loop over the pairs in order.  A residual bound gamma_bar/beta_k
-    that is not finite bounds no box to sample: it raises ``ValueError``
-    naming layer k and beta_k.
+    The points come from ``_sample_level_set`` as one matrix, a point per
+    row, whose columns this slices into the parameter and the blocks; the
+    sampler judges its candidates in chunks, one level-tape pass each, and
+    rewinds the generator where a chunk's guess of their outcomes fails.
+    The pairs are evaluated in batches: g in one pass of the outer tape over
+    the points, checked in order of first use, and the layer maps in two
+    passes of the fixed tape (one column per point, one per pair), with the
+    values, warnings and first ``EvaluationError`` of a loop over the pairs
+    in order.  A residual bound gamma_bar/beta_k that is not finite bounds
+    no box to sample: it raises ``ValueError`` naming layer k and beta_k.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
@@ -289,15 +334,13 @@ def estimate_moduli(
         )
     rng = np.random.default_rng(seed)
     n_pts = max(16, int(np.sqrt(budget)) * 2)
-    pts = _sample_level_set(problem, beta, gamma_bar, eps, n_pts, rng)
+    P = _sample_level_set(problem, beta, gamma_bar, eps, n_pts, rng)
     K = np.zeros(max(problem.L - 1, 0))
-    if len(pts) < 2:
+    if len(P) < 2:
         return 0.0, K, True
-    I, J = rng.integers(0, len(pts), size=(budget, 2)).T
-    TH = np.array([p.theta for p in pts]).T
-    U = [np.array(blk).T for blk in zip(*(p.u for p in pts))]
-    Z = np.vstack(U).T  # row i: the blocks of point i, flattened
-    D = Z[I] - Z[J]
+    I, J = rng.integers(0, len(P), size=(budget, 2)).T
+    TH, U = split_flat(problem, P.T)
+    D = P[I, problem.n :] - P[J, problem.n :]  # row k: the blocks of pair k's points, flattened, subtracted
     fail = (budget, 0)  # (pair, layer) of the first non-finite layer value
     if problem.L > 1:
         # the maps at each point, and at (theta of a, blocks of b) for each pair

@@ -511,8 +511,10 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
                 ["cone", "--point", str(point), "--direction", str(direction)],
             ):
                 code = main([argv[0], "--problem", str(prob), *argv[1:]])
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 assert code in (0, 2, 3) and "Traceback" not in err
+                if code == 0:
+                    json.loads(out)
                 last = err.splitlines()[-1]
                 assert last.startswith("elapsed: ") if code != 2 else EVALUATION_ERRORS.fullmatch(last), (argv, last)
                 if argv[0] in ("solve", "thresholds"):
@@ -532,6 +534,19 @@ def test_scaled_layers_end_in_a_named_error_or_a_report(capsys, tmp_path):
         last = err.splitlines()[-1]
         assert last.startswith("elapsed: ") if code == 0 else EVALUATION_ERRORS.fullmatch(last), (argv, last)
         _no_numpy_warnings(argv, err)
+
+
+def test_solver_lines_on_fd_1_stay_out_of_the_report(capfd, tmp_path):
+    # HiGHS prints debug lines to file descriptor 1 itself on this badly
+    # scaled MILP; they belong on stderr, and stdout holds the report alone
+    q = _scaled_layers(random_problem(24), 100)
+    prob, point = tmp_path / "prob.json", tmp_path / "z.json"
+    save_problem(prob, q)
+    save_point(point, eval_layers(q, np.zeros(q.n)))
+    assert main(["check", "--problem", str(prob), "--point", str(point), "--target", "p0"]) == 0
+    captured = capfd.readouterr()
+    assert json.loads(captured.out)["kind"] == "stationarity-report"
+    assert "HighsMipSolverData::transformNewIntegerFeasibleSolution" in captured.err
 
 
 def test_a_non_finite_sampled_modulus_ends_in_an_error_line(capsys, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import negative_outer_problem, random_problem
-from walkers import scalar_g, scalar_layer, scalar_sample_level_set
+from walkers import per_layer_judge, scalar_g, scalar_layer, scalar_sample_level_set
 from mcpen import expr as ex
 from mcpen.dcalc import dd_Theta
 from mcpen.model import (
@@ -19,6 +19,7 @@ from mcpen.model import (
     Point,
     eval_layers,
     eval_Theta,
+    point_from_flat,
     reference_point_and_level,
     residuals,
 )
@@ -135,11 +136,11 @@ def _moduli_pair_by_pair(problem, budget, seed):
     beta = np.ones(problem.L)
     _, gamma_bar = reference_point_and_level(problem, beta)
     rng = np.random.default_rng(seed)
-    pts = _sample_level_set(problem, beta, gamma_bar, 1e-3, max(16, int(np.sqrt(budget)) * 2), rng)
+    P = _sample_level_set(problem, beta, gamma_bar, 1e-3, max(16, int(np.sqrt(budget)) * 2), rng)
     K_g, K = 0.0, np.zeros(problem.L - 1)
-    for _ in range(budget if len(pts) >= 2 else 0):
-        i, j = rng.integers(0, len(pts), size=2)
-        a, b = pts[i], pts[j]
+    for _ in range(budget if len(P) >= 2 else 0):
+        i, j = rng.integers(0, len(P), size=2)
+        a, b = point_from_flat(problem, P[i]), point_from_flat(problem, P[j])
         nu = np.linalg.norm(np.concatenate([x - y for x, y in zip(a.u, b.u)]))
         if nu > 1e-12:
             K_g = max(K_g, abs(scalar_g(problem, a.u) - scalar_g(problem, b.u)) / nu)
@@ -286,7 +287,7 @@ def test_level_set_sampling_skips_only_evaluation_errors(square_chain, monkeypat
     layer = LayerMap(1, (ex.add(ex.const(1e308), ex.const(1e308), ex.theta(0)),))
     overflowing = CompositeProblem(1, (layer,), ex.square(ex.uref(1, 0)), lam=0.1)
     rng, ref = np.random.default_rng(0), np.random.default_rng(0)
-    assert _sample_level_set(overflowing, np.ones(1), 1.0, 1e-3, 5, rng) == []
+    assert _sample_level_set(overflowing, np.ones(1), 1.0, 1e-3, 5, rng).shape == (0, overflowing.nbar)
     ref.random(100)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -299,14 +300,18 @@ def test_level_set_sampling_skips_only_evaluation_errors(square_chain, monkeypat
 
 
 def _sampler_run(sample, problem, beta, budget, seed):
-    """Point bytes or the exception of one sampler run, its warning texts, and the generator state after it."""
+    """Point bytes or the exception of one sampler run, its warning texts, and the generator state after it.
+
+    The sampler returns one lifted point per row of a matrix; the scalar loop returns a list of ``Point``.
+    """
     rng = np.random.default_rng(seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _, gamma_bar = reference_point_and_level(problem, beta)
         try:
             pts = sample(problem, beta, gamma_bar, 1e-3, budget, rng)
-            out = b"".join(np.concatenate([p.theta, *p.u]).tobytes() for p in pts)
+            rows = pts if isinstance(pts, np.ndarray) else [np.concatenate([p.theta, *p.u]) for p in pts]
+            out = b"".join(row.tobytes() for row in rows)
         except (ValueError, ArithmeticError, RuntimeError) as err:
             out = f"{type(err).__name__}: {err}"
     return out, [str(w.message) for w in caught], rng.bit_generator.state
@@ -329,9 +334,42 @@ def test_level_set_sampler_matches_the_scalar_loop():
         assert chunked == _sampler_run(scalar_sample_level_set, problem, beta, 30, seed), seed
 
 
+def test_chunks_that_guess_acceptance_match_the_scalar_loop_where_candidates_stop():
+    # most candidates are accepted, and layer 2 overflows where |theta| > 2.57,
+    # inside the box of radius 3.16: a chunk that guesses acceptance breaks on
+    # rejections, whose successors it judged ahead, and on candidates that stop
+    layers = (LayerMap(1, (ex.theta(0),)), LayerMap(2, (ex.scaled(7e307, ex.theta(0)),)))
+    problem = CompositeProblem(1, layers, ex.affine(1.0, [-0.5], [ex.square(ex.uref(1, 0))]), lam=0.1)
+    for seed in range(3):
+        chunked = _sampler_run(_sample_level_set, problem, np.ones(2), 30, seed)
+        assert chunked == _sampler_run(scalar_sample_level_set, problem, np.ones(2), 30, seed), seed
+
+
+def test_level_tape_matches_a_fixed_tape_pass_per_layer():
+    # random columns, columns of magnitudes up to 1e308 whose values overflow,
+    # columns holding NaN, infinities and signed zeros, and a column of -0.0,
+    # where -0.0 + psi + rho keeps the sign that 0.0 + psi + rho would lose
+    chains = [_overflow_chain(1e308, 0.0), _overflow_chain(2e307, 1e308), _overflow_chain(1e308, 2e307)]
+    chains.append(_overflow_chain(1.2e308, 1.7e308, dip=0.2))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for seed, problem in enumerate([*(random_problem(seed) for seed in range(60)), *chains]):
+        rng = np.random.default_rng(seed)
+        n, R = problem.n, problem.nbar - problem.n
+        Z = rng.uniform(-1.0, 1.0, (problem.nbar, 24))
+        Z[:, 8:16] *= 10.0 ** rng.integers(-3, 309, (problem.nbar, 8))
+        Z[:, 16:] = np.where(rng.random((problem.nbar, 8)) < 0.3, rng.choice(special, (problem.nbar, 8)), Z[:, 16:])
+        Z[:, -1] = -0.0
+        X, U, g = per_layer_judge(problem, Z[:n], Z[n:])
+        V = problem.level_tape().values(Z, [])
+        assert V[:R].tobytes() == X.tobytes() and V[R : 2 * R].tobytes() == U.tobytes(), seed
+        assert V[2 * R].tobytes() == g.tobytes(), seed
+        # each problem has columns whose roots are all finite and columns that are not
+        assert 0 < np.isfinite(V).all(axis=0).sum() < 24, seed
+
+
 @pytest.mark.filterwarnings("ignore:outer function evaluated")
 def test_level_set_sampler_takes_few_tape_passes(monkeypatch):
-    passes = collections.Counter()
+    passes, compiled = collections.Counter(), []
 
     def counted(real, key):
         def count(*args):
@@ -340,14 +378,24 @@ def test_level_set_sampler_takes_few_tape_passes(monkeypatch):
 
         return count
 
+    def level_tape(problem, real=CompositeProblem.level_tape):
+        compiled.append(real(problem))
+        return compiled[-1]
+
     monkeypatch.setattr(ex.Tape, "values", counted(ex.Tape.values, lambda args: args[0]))
     monkeypatch.setattr(ex, "eval_many", counted(ex.eval_many, lambda args: "walk"))
+    monkeypatch.setattr(CompositeProblem, "level_tape", level_tape)
     # random_problem(4) accepts none of its 2,000 candidates, random_problem(9)
-    # all of its first 100; a scalar loop walks each candidate's trees on its own
-    for seed, accepted in ((4, 0), (9, 100)):
-        problem, beta = random_problem(seed), np.ones(3)
+    # all of its first 100, and random_problem(2) 79 of its 2,000 in runs of
+    # both outcomes; a scalar loop walks each candidate's trees on its own, and
+    # there chunks that guess the last outcome seen take 184, not 112
+    for seed, accepted, most in ((4, 0, 3), (9, 100, 3), (2, 79, 120)):
+        problem = random_problem(seed)
+        beta = np.ones(problem.L)
         _, gamma_bar = reference_point_and_level(problem, beta)
         passes.clear()
-        pts = _sample_level_set(problem, beta, gamma_bar, 1e-3, 100, np.random.default_rng(seed))
-        assert len(pts) == accepted and passes["walk"] == 0
-        assert passes[problem.fixed_tape] <= 12 * problem.L and passes[problem.outer_tape] <= 12
+        compiled.clear()
+        P = _sample_level_set(problem, beta, gamma_bar, 1e-3, 100, np.random.default_rng(seed))
+        assert len(P) == accepted and len(compiled) == 1
+        # one level-tape pass per chunk, and no pass of the problem's own tapes
+        assert passes == {compiled[0]: passes[compiled[0]]} and passes[compiled[0]] <= most

@@ -16,8 +16,10 @@ map, as ``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
 rows; over two or more columns it must match byte for byte.
 ``scalar_sample_level_set`` judges one level-set candidate at a time, as
 ``penalty._sample_level_set`` did before it judged them in chunks of
-columns.  The tapes and the chunked sampler must reproduce them byte for
-byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
+columns, and ``per_layer_judge`` judges a chunk by one fixed-tape pass per
+layer and an outer pass, as the sampler did before it ran the problem's
+``level_tape``.  The tapes and the chunked sampler must reproduce them byte
+for byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
 algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
 read it off the abs-normal form; the two must span the same subspace.
 ``degree`` bounds a tree's polynomial degree by recursion, as
@@ -337,6 +339,23 @@ def per_layer_curves(problem, th, DTH, order=1):
             BU.append(_stack(cells, "bad2"))
     (g,) = recursive_cells([problem.outer], th, ublocks, DTH, DU, order, EU, KU, BU)
     return (ublocks, DU, EU, KU, BU), g
+
+
+def per_layer_judge(problem, TH, RHO):
+    """The level tape's roots at parameter columns TH (n, m) and shift columns RHO (R, m), a layer at a time.
+
+    One ``fixed_tape`` pass per layer adds layer k's values to its shift,
+    and an ``outer_tape`` pass reads g at the shifted blocks, as
+    ``penalty._sample_level_set`` judged a chunk before it ran
+    ``level_tape``.  Returns the maps' values of the last pass, the shifted
+    blocks stacked, and g.
+    """
+    U = [RHO[rows] for rows in problem.layer_rows]
+    with np.errstate(all="ignore"):
+        for k, rows in enumerate(problem.layer_rows, start=1):
+            X = problem.fixed_tape.values(TH, U)
+            U[k - 1] = X[rows] + U[k - 1]
+    return X, np.concatenate(U), problem.outer_tape.values(TH, U)[0]
 
 
 def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
