@@ -6,7 +6,7 @@ derivatives of the layer maps; lifting a parameter direction through that
 recursion always lands inside it.  The radial cone is smaller: staying on
 the feasible set along a straight ray additionally forces the second
 directional derivative of every layer map to vanish along the direction.
-For layer maps of degree at most 2, a bound folded over the fixed tape's
+For layer maps of degree at most 2, a bound folded over the problem's
 node graph, that condition is also sufficient, so both cones are read off
 one order-2 pass of the fixed tape.  A slope that is not finite raises
 ``EvaluationError`` naming its layer.
@@ -81,20 +81,21 @@ def ray_decidable(problem: CompositeProblem) -> bool:
     For such maps the inputs move linearly along a ray, so on the branch each
     kink takes just past tau = 0 the residual of layer k is exactly
     tau*(du_k - psi') - tau^2*psi''/2, and the order-2 Taylor data decide
-    whether the ray stays feasible.  Over ``fixed_tape``'s graph an input
-    has degree 1, a constant 0, a product the largest sum over its pairs and
-    any other node its arguments' largest (kinks are transparent).
+    whether the ray stays feasible.  Over ``problem.graph``, where a ``u``
+    leaf reads its block, an input has degree 1, a constant 0, a product
+    the largest sum over its pairs and any other node its arguments'
+    largest (kinks are transparent).
     """
-    nin, made, roots = problem.fixed_tape.graph
-    deg = [1] * nin
-    for entry in made:
+    graph = problem.graph
+    deg = [1] * graph.nin
+    for entry in graph.made:
         if type(entry) is not tuple:
             deg.append(0)
         elif entry[0].family == ex.PRODUCT:
             deg.append(max(deg[entry[1][i]] + deg[entry[1][j]] for i, j in entry[0].data[0]))
         else:
             deg.append(max(deg[i] for i in entry[1]))
-    return all(deg[r] <= 2 for r in roots)
+    return all(deg[r] <= 2 for r in graph.roots[:-1])
 
 
 def radial_membership(problem: CompositeProblem, z: Point, d: Direction) -> ConeMembership:

@@ -13,13 +13,13 @@ can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
 per-column arrays, the same bytes for a column alone or in a batch; the
-scalar API wraps batch width one.  Each batch runs one pass of each tape it
-needs: the outer tape for F (``dd_F_batch``); the fixed tape, whose ``u``
-leaves read the point's blocks, for the stacked residual slopes of every
-layer (``residual_slopes``) and, with the outer tape, for Theta
-(``dd_Theta_batch``); the chained tape, the layer maps and then g with each
-``u`` leaf standing for the map that defines it, for the tangent lift
-(``forward_curves``) and the nested objective (``dd_Psi_batch``).
+scalar API wraps batch width one.  Each batch runs one pass of each of the
+problem's tapes it needs, all three placed from one walk of its trees
+(``model.CompositeProblem.graph``): the outer tape for F (``dd_F_batch``);
+the fixed tape, whose links read the point's blocks, for the stacked
+residual slopes (``residual_slopes``) and, with the outer tape, for Theta
+(``dd_Theta_batch``); the chained tape, whose links read the maps' rows,
+for the tangent lift (``forward_curves``) and ``dd_Psi_batch``.
 
 ``dd_F_batch`` and every second-order batch return kinked flags; at first
 order ``dd_Theta_batch`` and ``dd_Psi_batch`` build them only when called

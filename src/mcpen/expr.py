@@ -15,32 +15,24 @@ arity and its payload fields (checked and converted by ``FIELDS``):
   ``abs`` (s = -1) and ``leaky_relu`` (s = alpha), or zero.
 
 Every walker reads the table and branches on the family only.  The piece
-enumerator ``pieces.expr_pieces`` recurses, one node at a time.  A tape
-(``compile_tape``) is one or more trees compiled once into a program of
-rows, one per distinct node, computed a level at a time by steps that each
-take all nodes of one family with a fixed set of numpy calls over every
-column; ``Tape.values`` gives values at a batch of points (``eval_many`` at
-one) and ``Tape.cells`` (behind ``taylor_cells``) Taylor data along a batch
-of rays.  ``Tape.values`` is the one value walker.  The tape keeps its
-hash-consed node graph, which ``pieces``' first-order models and
-``cones.ray_decidable`` read one node at a time.
-Each problem keeps three tapes (``model.CompositeProblem.fixed_tape``,
-``chained_tape`` and ``outer_tape``): its layer maps with ``u`` leaves that
-read given blocks; the maps and then its outer function with ``u`` leaves
-that stand for the maps that define them, one program for the nested
-objective; and its outer function alone.  The level-set sampler compiles a
-fourth on each call and does not keep it (``level_tape``): the maps and the
-outer function over the parameter and a shift of each block, with ``u``
-leaves that stand for a map's value plus its shift, so one pass judges a
-chunk of candidates.  Where an op's own arithmetic
-differs from its family rule (whether a sum starts at zero or at its first
-term, Python's ``abs``), the difference is table data, so each op keeps its
-exact rounding and sign of zero column by column, and a tape's rows are the
-bytes a node-at-a-time walk gives (the tests keep such walks as oracles).
-Every walker squares with ``x*x``, so a square has one value in all of
-them, and a value past the float range is inf, never an exception.  Trees
-are built from immutable nodes, so cycles are impossible by construction
-and sharing of subtrees is safe; ``nodes`` walks a tree without recursion.
+enumerator ``pieces.expr_pieces`` recurses, one node at a time.  ``walk``
+hash-conses trees into a ``Graph``; ``place`` makes it a ``Tape``, a row per
+distinct node, computed by steps that each take the nodes of one level and
+family with a fixed set of numpy calls over every column.  ``Tape.values``
+(``eval_many`` at one point) is the one value walker; ``Tape.cells``
+(behind ``taylor_cells``) gives Taylor data along a batch of rays.  A
+problem walks its maps and outer function once, each ``u`` leaf a link to
+the map that defines it, and places three tapes from that graph (see
+``model.CompositeProblem``); the level-set sampler runs the chained one with
+each link shifted (``Tape.shifted``).  Where an op's own arithmetic differs
+from its family rule (whether a sum starts at zero or at its first term,
+Python's ``abs``), the difference is table data, so each op keeps its exact
+rounding and sign of zero column by column, and a tape's rows are the bytes
+a node-at-a-time walk gives (the tests keep such walks as oracles).  Every
+walker squares with ``x*x``, so a square has one value in all of them, and
+a value past the float range is inf, never an exception.  Trees are built from immutable nodes, so cycles are
+impossible and sharing subtrees is safe; ``nodes`` walks a tree without
+recursion.
 
 Every node supports exact one-sided Taylor data along a ray: the inputs
 move along ``x_i + tau*d_i``, each node's argument along a curve
@@ -61,9 +53,12 @@ always does, since the unsupported flags come from them.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import operator
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -525,23 +520,35 @@ class _Kink:
             out[nodes] = rule(a[nodes], b[nodes])
 
 
+class _Shift:
+    """Row ``rows[i]`` = row ``base[i]`` + row ``rho[i]``, values only: -0.0 + psi + rho, as -0.0 + x is x."""
+
+    def __init__(self, rows: np.ndarray, base: np.ndarray, rho: np.ndarray):
+        self.rows, self.base, self.rho = rows, base, rho
+
+    def values(self, X) -> None:
+        X[self.rows] = X[self.base] + X[self.rho]
+
+
 class Tape:
-    """Trees compiled by ``compile_tape``; ``cells`` gives their Taylor data, ``values`` their values.
+    """A program placed by ``place``; ``cells`` gives its roots' Taylor data, ``values`` their values.
 
     Both run under ``np.errstate(all="ignore")``: a value past the float
     range is inf or NaN, and nothing warns.  Taylor data live in one row per
     node: the value, the m first coefficients and at order 2 the m second
-    ones, with the kinked and bad2 flags beside them.  ``graph`` is
-    ``_graph``'s (input count, nodes, root ids).
+    ones, with the kinked and bad2 flags beside them.  The inputs fill the
+    first rows, the constants start at row ``base``.  ``graph`` is the graph
+    placed and ``nodes`` the tape's node ids; a chained tape's ``links`` lists
+    (step, array, position, link) of each argument that reads a link.
     """
 
     def __init__(
-        self, sizes: tuple[int, ...], consts: list[float], steps: list, roots: list[int], nrows: int, graph: tuple
+        self, sizes: tuple[int, ...], base: int, consts: list[float], steps: list, roots, nrows: int, graph, nodes, links
     ):
-        self.sizes, self.steps, self.nrows, self.graph = sizes, steps, nrows, graph
-        self.nin = sum(sizes)
+        self.sizes, self.steps, self.nrows, self.graph, self.nodes = sizes, steps, nrows, graph, nodes
+        self.nin, self.base, self.links = sum(sizes), base, links
         self.consts = np.array(consts, dtype=float)
-        self.nfixed = self.nin + len(consts)
+        self.nfixed = base + len(consts)
         self.roots = np.array(roots, dtype=np.intp)
 
     def cells(
@@ -557,14 +564,14 @@ class Tape:
         """The roots' Taylor data as for ``taylor_cells``, dtheta (n, m); at order 1 kinked is None unless ``kinks``."""
         if order not in (1, 2):
             raise ValueError("order must be 1 or 2")
-        r, nb, nin, nfixed = self.roots, len(self.sizes) - 1, self.nin, self.nfixed
+        r, nb, nin, base, nfixed = self.roots, len(self.sizes) - 1, self.nin, self.base, self.nfixed
         m = dtheta.shape[1]
         Q = np.empty((self.nrows, 1 + order * m))
         np.concatenate([th, *ublocks[:nb]], out=Q[:nin, 0])
         np.concatenate([dtheta, *dublocks[:nb]], out=Q[:nin, 1 : m + 1])
         Q[:nin, m + 1 :] = 0.0
-        Q[nin:nfixed, 0] = self.consts
-        Q[nin:nfixed, 1:] = 0.0
+        Q[base:nfixed, 0] = self.consts
+        Q[base:nfixed, 1:] = 0.0
         KB = np.zeros((self.nrows, order * m), dtype=bool) if kinks or order == 2 else None
         with np.errstate(all="ignore"):
             for step in self.steps:
@@ -578,11 +585,50 @@ class Tape:
         nb = len(self.sizes) - 1
         X = np.empty((self.nrows, TH.shape[1]))
         np.concatenate([TH, *UBLOCKS[:nb]], out=X[: self.nin])
-        X[self.nin : self.nfixed] = self.consts[:, None]
+        X[self.base : self.nfixed] = self.consts[:, None]
         with np.errstate(all="ignore"):
             for step in self.steps:
                 step.values(X)
         return X[self.roots]
+
+    def shifted(self) -> Tape:
+        """A chained tape's level mode: a tape whose ``values(TH, [RHO])`` shift each link by RHO (R, m).
+
+        Link r (a ``u`` leaf, standing for root r) reads a row of its own,
+        root r's value plus row r of RHO, made before its first reader; a
+        copy of root r's tree reads the unshifted row, and a root that is a
+        link adds to that link's shift.  RHO fills the rows chained passes
+        leave to the blocks.  The roots are the R linked roots, their shifts,
+        then the rest.  The steps that read links are copied with those
+        arguments remapped; nothing is kept.
+        """
+        graph, nrows, steps, head = self.graph, self.nrows, list(self.steps), self.graph.sizes[0]
+        R = graph.nin - head
+        out = [nrows + i - head if head <= i < graph.nin else r for i, r in zip(graph.roots, self.roots.tolist())]
+        need, depth, sites = [len(steps)] * R, [0] * R, {}
+        for s, k, p, r in self.links.tolist():
+            need[r] = min(need[r], s)
+            sites.setdefault((s, k), ([], []))[0].append(p)
+            sites[s, k][1].append(nrows + r)
+        for (s, k), (pos, rows) in sites.items():
+            steps[s], args = copy.copy(steps[s]), getattr(steps[s], ARRAYS[k]).copy()
+            args.flat[pos] = rows
+            setattr(steps[s], ARRAYS[k], args)
+        onto = [r for r in range(R) if out[r] >= nrows]  # a root that is a link waits for that link's shift
+        for r in onto:
+            depth[r] = depth[out[r] - nrows] + 1
+        for r in reversed(onto):
+            need[out[r] - nrows] = min(need[out[r] - nrows], need[r])
+        groups: dict[tuple, list] = {}
+        for r in range(R):
+            groups.setdefault((need[r], depth[r]), []).append(r)
+        program, s, adds = [], 0, np.array(out[:R])
+        for (at, _), group in sorted(groups.items()):
+            group = np.array(group)
+            program += [*steps[s:at], _Shift(nrows + group, adds[group], head + group)]
+            s = at
+        roots = [*out[:R], *range(nrows, nrows + R), *out[R:]]
+        return Tape((head, R), self.base, self.consts, program + steps[s:], roots, nrows + R, graph, None, None)
 
 
 def _bits(*xs: float) -> bytes:
@@ -590,84 +636,57 @@ def _bits(*xs: float) -> bytes:
     return struct.pack(f"{len(xs)}d", *xs)
 
 
-def compile_tape(roots: Sequence[Expr], sizes: Sequence[int], links: Sequence[Sequence[Expr]] = ()) -> Tape:
-    """Compile the trees ``roots`` into one ``Tape``.
+class Graph:
+    """The distinct nodes of some trees, hash-consed by ``walk``, each after the ids it reads.
 
-    ``sizes`` are the lengths of the input blocks, theta's first.  A ``u``
-    leaf of layer j <= len(links) stands for the node ``links[j-1][ref]``, so
-    it carries that node's value and Taylor data; every other leaf reads an
-    input block.  Equal subtrees share one row.
+    Id i < ``nin`` is an input, component i - offsets[j] of block j; id
+    ``nin + k`` is ``made[k]``, a constant's value or (node, argument ids).
+    In a chained graph, the input id ``sizes[0] + r`` of a ``u`` leaf is a
+    link: it stands for root r, the node that defines that component.
     """
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    nin = offsets[-1]
-    made, root_ids, level, used = _graph(roots, offsets, links)
-    place = _place(made, nin, level)
 
-    # rows: the inputs read, the constants, then the steps
-    consts: list[float] = []
-    row = list(range(nin + len(made)))
-    base = offsets[used + 1]
-    steps: dict[tuple, list] = {}
-    for i, entry in enumerate(made):
-        if isinstance(entry, tuple):
-            steps.setdefault((place[i], *_kind(entry[0])), []).append(nin + i)
-        else:
-            row[nin + i] = base + len(consts)
-            consts.append(entry)
-    keys = sorted(steps, key=lambda key: key[0])
-    lo = base + len(consts)
-    for key in keys:
-        if key[1] != KINK:
-            steps[key].sort(key=lambda i: -_terms(made[i - nin]))
-        for i in steps[key]:
-            row[i], lo = lo, lo + 1
-    out, lo = [], base + len(consts)
-    for key in keys:
-        entries = [made[i - nin] for i in steps[key]]
-        out.append(_step(slice(lo, lo + len(entries)), entries, row))
-        lo += len(entries)
-    return Tape(tuple(sizes[: used + 1]), consts, out, [row[i] for i in root_ids], lo, (nin, made, root_ids))
+    def __init__(self, sizes: tuple[int, ...], made: list, roots: list[int]):
+        self.sizes, self.made, self.roots, self.nin = sizes, made, roots, sum(sizes)
+
+    @cached_property
+    def follow(self) -> list[int]:
+        """Per id of a chained graph, the id it reads: a link's is the one it stands for, links followed."""
+        src, head = list(range(self.nin + len(self.made))), self.sizes[0]
+        for i in range(head, self.nin):
+            src[i] = src[self.roots[i - head]]
+        return src
 
 
-def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[Expr]]):
-    """The distinct nodes of the trees, hash-consed, in an order that puts arguments first.
+def walk(roots: Sequence[Expr], sizes: Sequence[int], chain: bool = False) -> Graph:
+    """The trees ``roots`` over input blocks of ``sizes`` (theta's first), hash-consed in one walk.
 
-    Returns (made, root ids, levels, last input block read).  An id below
-    ``offsets[-1]`` is an input row; id ``offsets[-1] + k`` is ``made[k]``,
-    a constant's value or (node, argument ids), at ``levels[k]``, one more
-    than its deepest argument's (constants: 0).  Roots are taken last
-    first, each with the nodes it reaches that are not made yet, so the
-    last root's nodes are the prefix of ``made`` through its id.
+    Equal subtrees share one id.  With ``chain``, the roots start with one
+    node per component of the blocks after the first, and a ``u`` leaf is a
+    link to the root of its component, which the walk makes before the
+    leaf's first user.  Roots are taken last first, each with the nodes it
+    reaches that are not made yet, so the last root's nodes (links
+    followed) are the prefix of ``made`` through its id.
     """
-    nin = offsets[-1]
+    offsets = [0, *itertools.accumulate(sizes)]
+    nin, head = offsets[-1], sizes[0]
     made: list = []
-    level: list[int] = []
     seen: dict[int, int] = {}  # id(node) -> id
     keyed: dict[tuple, int] = {}  # structural key -> id
-    used = 0
 
-    def new(key: tuple, entry, lev: int) -> int:
+    def new(key: tuple, entry) -> int:
         i = keyed.get(key)
         if i is None:
             i = keyed[key] = nin + len(made)
             made.append(entry)
-            level.append(lev)
         return i
 
-    def leaf(e: Expr) -> int | None:
-        """The id of a constant or input leaf, None for a linked one."""
-        nonlocal used
+    def leaf(e: Expr) -> int:
+        """The id of a constant or an input leaf."""
         if e.data is None:
-            return new(("const", _bits(e.value)), e.value, 0)
-        if e.data and e.data <= len(links):
-            return None
+            return new(("const", _bits(e.value)), e.value)
         block = e.data
         if block + 1 >= len(offsets) or e.ref >= offsets[block + 1] - offsets[block]:
-            sizes = tuple(b - a for a, b in zip(offsets, offsets[1:]))
-            raise ValueError(f"leaf {e.op} of block {block} reads reference {e.ref} past sizes {sizes}")
-        used = max(used, block)
+            raise ValueError(f"leaf {e.op} of block {block} reads reference {e.ref} past sizes {tuple(sizes)}")
         return offsets[block] + e.ref
 
     todo = list(roots)
@@ -679,12 +698,9 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
         family, data = e.family, e.data
         if family == LEAF:
             i = leaf(e)
-            if i is None:  # a linked leaf is the node that defines it
-                link = links[data - 1][e.ref]
-                i = seen.get(id(link))
-                if i is None:
-                    todo.append(link)
-                    continue
+            if chain and data and id(roots[i - head]) not in seen:  # a link waits for its root
+                todo.append(roots[i - head])
+                continue
             todo.pop()
             seen[id(e)] = i
             continue
@@ -692,10 +708,8 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
         ids, missing = [], []
         for a in args:
             i = seen.get(id(a))
-            if i is None and a.family == LEAF:
-                i = leaf(a)  # leaves other than linked ones need no visit of their own
-                if i is not None:
-                    seen[id(a)] = i
+            if i is None and a.family == LEAF and not (chain and a.data):
+                i = seen[id(a)] = leaf(a)  # leaves other than links need no visit of their own
             if i is None:
                 missing.append(a)
             else:
@@ -706,36 +720,104 @@ def _graph(roots: Sequence[Expr], offsets: list[int], links: Sequence[Sequence[E
         todo.pop()
         if ids:
             ids = tuple(ids)
-            lev = 1 + max([0 if a < nin else level[a - nin] for a in ids])
-            i = new((e.op, _bits(*e.coeffs, e.alpha, e.const), ids), (e, ids), lev)
+            i = new((e.op, _bits(*e.coeffs, e.alpha, e.const), ids), (e, ids))
         else:  # an affine node without arguments is its offset
-            i = new(("const", _bits(data[1])), data[1], 0)
+            i = new(("const", _bits(data[1])), data[1])
         seen[id(e)] = i
-    return made, [seen[id(e)] for e in roots], level, used
+    return Graph(tuple(sizes), made, [seen[id(e)] for e in roots])
 
 
-def _place(made: list, nin: int, level: list[int]) -> list[int]:
-    """The level of each node's step.
+def compile_tape(roots: Sequence[Expr], sizes: Sequence[int]) -> Tape:
+    """The trees ``roots`` over input blocks of ``sizes`` (theta's first), walked and placed as one ``Tape``."""
+    graph = walk(roots, sizes)
+    return place(graph, graph.roots)
 
-    A node joins a step of its kind as early as its arguments allow, or else
-    goes as late as its users allow; that leaves fewer steps than placing
-    every node as early as it can go.
+
+def place(graph: Graph, roots: Sequence[int], chained: bool = False) -> Tape:
+    """The program of ``graph``'s ids ``roots``: rows for the inputs it reads, the constants, then steps.
+
+    Its nodes are those the roots reach, in ``made``'s order.  In a chained
+    program each link reads the row of the node it stands for, and the rows
+    of the linked blocks stay free (for ``Tape.shifted``); otherwise a link
+    reads its block.
     """
-    late = [max(level, default=0)] * len(made)
-    for i in reversed(range(len(made))):  # users come after their arguments
-        if isinstance(made[i], tuple):
-            for a in made[i][1]:
-                if a >= nin:
-                    late[a - nin] = min(late[a - nin], late[i] - 1)
-    place, taken = [0] * len(made), set()
-    for i in sorted(range(len(made)), key=late.__getitem__):
-        if isinstance(made[i], tuple):
-            e, ids = made[i]
-            kind = _kind(e)
-            first = 1 + max([place[a - nin] for a in ids if a >= nin], default=0)
-            place[i] = next((lev for lev in range(first, late[i]) if (lev, kind) in taken), late[i])
-            taken.add((place[i], kind))
-    return place
+    made, nin, head = graph.made, graph.nin, graph.sizes[0]
+    src = graph.follow if chained else range(nin + len(made))
+    roots, need = [src[r] for r in roots], bytearray(len(src))
+    for r in roots:
+        need[r] = 1
+    for i in range(len(src) - 1, nin - 1, -1):  # users come after their arguments
+        if need[i] and type(made[i - nin]) is tuple:
+            for a in made[i - nin][1]:
+                need[src[a]] = 1
+    nodes = [i for i in range(nin, len(src)) if need[i]]
+    top = max([i for i in range(nin) if need[i]], default=0)
+    sizes = graph.sizes[: 1 + sum(top >= end for end in itertools.accumulate(graph.sizes))]
+    base, row = nin if chained else sum(sizes), [*src[:nin], *[0] * len(made)]
+    kids, consts = [], []  # the nodes with the ids their arguments read; the constants
+    for i in nodes:
+        entry = made[i - nin]
+        if type(entry) is tuple:
+            kids.append((i, entry[0], entry[1] if not chained else [src[a] for a in entry[1]]))
+        else:
+            row[i] = base + len(consts)
+            consts.append(entry)
+    steps: dict[tuple, list] = {}
+    for (i, _, _), key in zip(kids, _place(kids, len(src))):
+        steps.setdefault(key, []).append(i)
+    keys, lo = sorted(steps, key=lambda key: key[0]), base + len(consts)
+    for key in keys:
+        if key[1] != KINK:
+            steps[key].sort(key=lambda i: -_terms(made[i - nin]))
+        for i in steps[key]:
+            row[i], lo = lo, lo + 1
+    row[head:nin] = [row[a] for a in src[head:nin]]  # links
+    links: list[tuple] = []
+    row = np.array(row)
+
+    def at(k: int, ids: list) -> np.ndarray:
+        """The rows of ids (a list, or a padded list of lists) of argument array ``ARRAYS[k]`` of step s."""
+        if chained:
+            flat = ids if type(ids[0]) is int else [a for r in ids for a in r]
+            links.extend((s, k, p, a - head) for p, a in enumerate(flat) if head <= a < nin)
+        return row[ids]
+
+    out, lo = [], base + len(consts)
+    for s, key in enumerate(keys):
+        out.append(_step(slice(lo, lo + len(steps[key])), [made[i - nin] for i in steps[key]], at))
+        lo += len(steps[key])
+    links = np.array(links, dtype=np.intp).reshape(-1, 4) if chained else None
+    return Tape(sizes, base, consts, out, row[roots], lo, graph, np.array(nodes), links)
+
+
+def _place(kids: list[tuple], total: int) -> list[tuple]:
+    """The step (level, kind) of each node of ``kids``, (id, node, ids its arguments read) in order.
+
+    A node's level is one more than its deepest argument's (0 for inputs
+    and constants).  It joins a step of its kind as early as its arguments
+    allow, or else goes as late as its users allow; that leaves fewer steps
+    than placing every node as early as it can go.
+    """
+    level = [0] * total
+    for i, _, ids in kids:
+        level[i] = 1 + max([level[a] for a in ids])
+    late = [max(level)] * total
+    for i, _, ids in reversed(kids):  # users come after their arguments
+        up = late[i] - 1
+        for a in ids:
+            if late[a] > up:
+                late[a] = up
+    place, taken, keys = [0] * total, set(), {}
+    for _, k in sorted(zip([late[i] for i, _, _ in kids], itertools.count())):
+        i, e, ids = kids[k]
+        kind = _kind(e)
+        lev = 1 + max([place[a] for a in ids])
+        while lev < late[i] and (lev, kind) not in taken:
+            lev += 1
+        place[i] = lev
+        taken.add((lev, kind))
+        keys[i] = (lev, *kind)
+    return [keys[i] for i, _, _ in kids]
 
 
 def _kind(e: Expr) -> tuple:
@@ -752,15 +834,21 @@ def _terms(entry) -> int:
     return len(e.data[0]) if e.family == PRODUCT else len(ids)
 
 
-def _padded(rows: list[list], fill) -> np.ndarray:
+def _padded(rows: list[list], fill) -> list[list]:
     k = max(map(len, rows))
-    return np.array([r + [fill] * (k - len(r)) for r in rows])
+    return [r + [fill] * (k - len(r)) for r in rows]
 
 
-def _step(rows: slice, entries: list, row: list[int]):
-    """The step that computes ``entries``, (node, argument ids) of one kind, into ``rows``."""
+ARRAYS = ("a", "b", "args")  # the argument arrays of the steps, by their index in ``Tape.links``
+
+
+def _step(rows: slice, entries: list, at: Callable[[int, list], np.ndarray]):
+    """The step that computes ``entries``, (node, argument ids) of one kind, into ``rows``.
+
+    ``at(k, ids)`` gives the rows of argument array ``ARRAYS[k]``; padding reads id 0.
+    """
     nodes = [e for e, _ in entries]
-    args = [[row[i] for i in ids] for _, ids in entries]
+    args = [list(ids) for _, ids in entries]
     family = nodes[0].family
     if family == KINK:
         scale = [1.0 if e.data[0] is not None else e.data[1] for e in nodes]
@@ -769,22 +857,17 @@ def _step(rows: slice, entries: list, row: list[int]):
         for k, e in enumerate(nodes):
             rules.setdefault(e.data[2], []).append(k)
         rules = [(rule, np.s_[:] if len(ks) == len(nodes) else np.array(ks)) for rule, ks in rules.items()]
-        return _Kink(rows, np.array([r[0] for r in args]), np.array(b), np.array(scale), rules)
+        return _Kink(rows, at(0, [r[0] for r in args]), at(1, b), np.array(scale), rules)
     counts = [_terms(entry) for entry in entries]  # most first
     cuts = [(j, sum(k > j for k in counts)) for j in range(1, counts[0])]
     if family == LINEAR:
-        offsets = [e.data[1] for e in nodes]
-        return _Linear(
-            rows,
-            _padded(args, 0),
-            _padded([list(e.data[0]) for e in nodes], 0.0),
-            np.array([-0.0 if c is None else c for c in offsets]),
-            np.array([-0.0 if c is None else 0.0 for c in offsets]),
-            cuts,
-        )
+        offsets, weights = [e.data[1] for e in nodes], np.array(_padded([list(e.data[0]) for e in nodes], 0.0))
+        offset = np.array([-0.0 if c is None else c for c in offsets])
+        start = np.array([-0.0 if c is None else 0.0 for c in offsets])
+        return _Linear(rows, at(2, _padded(args, 0)), weights, offset, start, cuts)
     pairs = [e.data[0] for e in nodes]
-    a = _padded([[r[i] for i, _ in p] for r, p in zip(args, pairs)], 0)
-    b = _padded([[r[j] for _, j in p] for r, p in zip(args, pairs)], 0)
+    a = at(0, _padded([[r[i] for i, _ in p] for r, p in zip(args, pairs)], 0))
     start = np.array([-0.0 if e.data[1] is None else 0.0 for e in nodes])
-    same = pairs[0][0][0] == pairs[0][0][1]
-    return _Product(rows, a, None if same else b, start, cuts)
+    if pairs[0][0][0] == pairs[0][0][1]:
+        return _Product(rows, a, None, start, cuts)
+    return _Product(rows, a, at(1, _padded([[r[j] for _, j in p] for r, p in zip(args, pairs)], 0)), start, cuts)

@@ -18,6 +18,7 @@ problem's tapes, the same programs that batches and derivatives run.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,46 +125,31 @@ class CompositeProblem:
         return tuple((np.flatnonzero(w == v), self.layer_starts[w == v, None] + np.arange(v)) for v in sorted(set(w)))
 
     @cached_property
-    def fixed_tape(self) -> ex.Tape:
-        """Every layer map on one tape whose ``u`` leaves read given blocks.
+    def graph(self) -> ex.Graph:
+        """The maps, then ``outer``, hash-consed in one walk at first use, each ``u`` leaf a link to its map.
 
-        Compiled at first use and kept, as are ``chained_tape`` and ``outer_tape``.
+        The three tapes below are placed from it at first use, and all are kept.
         """
-        return ex.compile_tape([e for lm in self.layers for e in lm.exprs], (self.n, *self.widths))
+        return ex.walk([*(e for lm in self.layers for e in lm.exprs), self.outer], (self.n, *self.widths), chain=True)
+
+    @cached_property
+    def fixed_tape(self) -> ex.Tape:
+        """Every layer map on one program whose links read given blocks."""
+        return ex.place(self.graph, self.graph.roots[:-1])
 
     @cached_property
     def chained_tape(self) -> ex.Tape:
-        """The maps of ``fixed_tape``, then ``outer``, each ``u`` leaf linked to the node that defines it.
+        """The maps, then ``outer``, each link reading the row of its map: one pass gives the nested objective.
 
-        Its roots' Taylor data are the curves of the layer blocks and, in
-        the last root, of g as functions of theta: one pass gives the
-        nested objective.
+        Its roots' Taylor data are the curves of the layer blocks and of g as
+        functions of theta; its level mode (``Tape.shifted``) serves the sampler.
         """
-        links = [lm.exprs for lm in self.layers]
-        return ex.compile_tape([*(e for maps in links for e in maps), self.outer], (self.n,), links)
+        return ex.place(self.graph, self.graph.roots, chained=True)
 
     @cached_property
     def outer_tape(self) -> ex.Tape:
-        """``outer`` alone, on a tape over the blocks (theta, u_1, ..., u_L)."""
-        return ex.compile_tape([self.outer], (self.n, *self.widths))
-
-    def level_tape(self) -> ex.Tape:
-        """The maps and ``outer`` over theta and a shift of each block; compiled on each call, not kept.
-
-        Its one input block holds theta and then a shift rho per layer row,
-        the layout of a lifted point.  Each ``u`` leaf of layer k, row i
-        stands for ``affine(-0.0, [1, 1], [psi_k,i, theta(n + s + i)])``, s
-        the layer's first row: -0.0 + psi, then + rho, the bytes of
-        ``psi + rho``.  The roots are the maps' values (rows as in
-        ``layer_rows``), the shifted values (the same rows after those) and
-        g last.  Only the level-set sampler runs it, so no problem keeps it.
-        """
-        shifted = [
-            tuple(ex.affine(-0.0, (1.0, 1.0), (e, ex.theta(self.n + s + i))) for i, e in enumerate(lm.exprs))
-            for lm, s in zip(self.layers, self.layer_starts.tolist())
-        ]
-        maps = [e for lm in self.layers for e in lm.exprs]
-        return ex.compile_tape([*maps, *(e for block in shifted for e in block), self.outer], (self.nbar,), shifted)
+        """``outer`` alone, on a program over the blocks (theta, u_1, ..., u_L)."""
+        return ex.place(self.graph, self.graph.roots[-1:])
 
 
 @dataclass(frozen=True)
@@ -260,7 +246,7 @@ def eval_g(problem: CompositeProblem, ublocks: Sequence[np.ndarray]) -> float:
 
 def checked_g(problem: CompositeProblem, val: float) -> float:
     """A value of g as ``eval_g`` returns it: ``EvaluationError`` if not finite, a warning below zero."""
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise EvaluationError(problem.L + 1, "outer function evaluated to a non-finite value")
     if val < G_WARN_BELOW:
         warnings.warn(f"outer function evaluated to {val} < 0", RuntimeWarning, stacklevel=3)

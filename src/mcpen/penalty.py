@@ -141,9 +141,9 @@ def _sample_level_set(
     a candidate whose layer or outer values are not finite is rejected.
 
     Candidates are drawn and judged in chunks, one column each in one pass
-    of ``problem.level_tape()``, compiled once per call and not kept: its
-    input is a candidate's parameter and residual noise rho, and its roots
-    are the maps' values psi_k (each at the shifted blocks below it), the
+    of the chained tape's level mode (``Tape.shifted``, built per call,
+    compiling nothing): from a candidate's parameter and residual noise rho
+    it gives the maps' values psi_k (at the shifted blocks below), the
     shifted blocks psi_k + rho_k and g.  The points, warnings, errors and
     generator state are those of a loop that draws and judges one
     candidate at a time.  Each ``rng.uniform(low, high, k)`` of that loop
@@ -182,7 +182,7 @@ def _sample_level_set(
     share = np.cumsum([n, *widths])
     # the first layer whose noise range is not finite, where numpy's uniform raises (0: none)
     bad = next((k for k in range(1, L + 1) if not np.isfinite(span[share[k - 1]])), 0)
-    tape, bits = problem.level_tape(), rng.bit_generator
+    tape, bits = problem.chained_tape.shifted(), rng.bit_generator
 
     def draw(c: int, m: int, tail: bool, ahead: int = 0):
         """m candidates' draws, one per row, if each ends with outcome c; and the perturbations if c accepts.
@@ -218,7 +218,7 @@ def _sample_level_set(
         with np.errstate(all="ignore"):
             Y = low + span * W
             Z = Y.T
-            V = tape.values(Z, [])
+            V = tape.values(Z[:n], [Z[n:]])
             X, U, g = V[:R], V[R : 2 * R], V[2 * R]
             # the first layer whose values are not finite stops a candidate
             finite = np.isfinite(X)
@@ -307,15 +307,15 @@ def estimate_moduli(
     bounds of the true moduli and come back flagged heuristic.
 
     The points come from ``_sample_level_set`` as one matrix, a point per
-    row, whose columns this slices into the parameter and the blocks; the
-    sampler judges its candidates in chunks, one level-tape pass each, and
-    rewinds the generator where a chunk's guess of their outcomes fails.
-    The pairs are evaluated in batches: g in one pass of the outer tape over
-    the points, checked in order of first use, and the layer maps in two
-    passes of the fixed tape (one column per point, one per pair), with the
-    values, warnings and first ``EvaluationError`` of a loop over the pairs
-    in order.  A residual bound gamma_bar/beta_k that is not finite bounds
-    no box to sample: it raises ``ValueError`` naming layer k and beta_k.
+    row, judged in chunks by passes of the chained tape's level mode.  The
+    pairs are evaluated in batches: g in one pass of the outer tape over
+    the points, and the layer maps in two passes of the fixed tape (one
+    column per point, one per pair), with the values, warnings and first
+    ``EvaluationError`` of a loop over the pairs in order: one numpy test
+    finds the points whose g warns or raises, and only those go through
+    ``checked_g``, in order of first use.  A residual bound gamma_bar/beta_k
+    that is not finite bounds no box to sample: it raises ``ValueError``
+    naming layer k and beta_k.
     """
     meta = problem.meta
     if meta and meta.get("structure") == "rnn":
@@ -361,7 +361,9 @@ def estimate_moduli(
     nu = _norms(D[: fail[0] + 1])
     use = np.flatnonzero(nu > 1e-12)
     G = problem.outer_tape.values(TH, U)[0]
-    for i in dict.fromkeys(np.column_stack([I[use], J[use]]).ravel().tolist()):
+    seen = np.column_stack([I[use], J[use]]).ravel()
+    seen = seen[~np.isfinite(G[seen]) | (G[seen] < G_WARN_BELOW)]  # the points whose g warns or raises
+    for i in seen[np.sort(np.unique(seen, return_index=True)[1])].tolist():
         checked_g(problem, float(G[i]))
     if fail[1]:
         raise EvaluationError(fail[1], f"layer {fail[1]} evaluated to a non-finite value")

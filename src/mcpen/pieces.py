@@ -7,9 +7,10 @@ where a value tie makes the derivative the max of the two branches' slopes.
 
 ``theta_prime_model``, ``psi_prime_model`` and ``function_prime_model``
 write that derivative as linear forms in the direction, in one loop over
-the node graph that a compiled tape keeps (``expr.Tape.graph``), branching
-on the four node families, and record each kink as a switch of the abs-normal
-form phi(d) = a . d + b . |s|, s = Z d + L |s| (Griewank & Walther 2016): a
+a hash-consed node graph (``expr.Graph``: the problem's one walk of its
+trees, or a box tape's), branching on the four node families, and record
+each kink as a switch of the abs-normal form phi(d) = a . d + b . |s|,
+s = Z d + L |s| (Griewank & Walther 2016): a
 tied kink's variable y = max(fa, fb) switches on s = fa - fb, a vanishing
 penalty residual's epigraph variable t = |w| on s = w.  ``solve`` minimises
 phi over the unit l1 ball.  Where the objective weighs no auxiliary variable
@@ -669,21 +670,30 @@ class _SlopeModel:
         return SlopeMin(value, bound, d, len(deltas), "highs")
 
 
-def _forms(model: _SlopeModel, tape: ex.Tape, x: np.ndarray, last: int) -> tuple[list, list]:
-    """Value and first-derivative form of each id of ``tape.graph`` through ``last``, at inputs x.
+def _forms(model: _SlopeModel, graph: ex.Graph, x: np.ndarray, nodes: Sequence[int], links=None) -> tuple[list, list]:
+    """Value and first-derivative form of input i < x.size and of each id of ``nodes``, at inputs x.
 
     Input i is (x_i, ``model.unit(i)``), a constant (its value,
-    ``model.zero``), and each node, arguments first, applies its family's
-    rule.  Values follow ``expr``'s Taylor rules operation for operation (an
-    offset added after the terms, a tie broken by the gap), so every kink
-    takes the tapes' branch.  Callers turn numpy's overflow warnings off.
+    ``model.zero``), and each node, taken in the order of ``nodes``
+    (arguments first), applies its family's rule.  ``links`` maps an id to
+    the links that stand for it, which take its value and form as soon as
+    it has them.  Values follow ``expr``'s Taylor rules operation for
+    operation (an offset added after the terms, a tie broken by the gap),
+    so every kink takes the tapes' branch.  Callers turn numpy's overflow
+    warnings off.
     """
-    nin, made, _ = tape.graph
-    vals, forms = x.tolist(), [model.unit(i) for i in range(nin)]
-    for entry in made[: max(last + 1 - nin, 0)]:
+    nin, made, links = graph.nin, graph.made, links or {}
+    pad = [None] * (nin - x.size + len(made))
+    vals, forms = x.tolist() + pad, [model.unit(i) for i in range(x.size)] + pad
+    for t in [t for t in links if t < nin]:  # links to inputs
+        for j in links[t]:
+            vals[j], forms[j] = vals[t], forms[t]
+    for k in nodes:
+        entry = made[k - nin]
         if type(entry) is not tuple:
-            vals.append(entry)
-            forms.append(model.zero)
+            vals[k], forms[k] = entry, model.zero
+            for j in links.get(k, ()):
+                vals[j], forms[j] = entry, model.zero
             continue
         node, ids = entry
         family, data = node.family, node.data
@@ -713,8 +723,9 @@ def _forms(model: _SlopeModel, tape: ex.Tape, x: np.ndarray, last: int) -> tuple
                 val = v if val is None else val + v
                 f = 2.0 * va * fa if i == j else _add(fa * vb, va * fb)
                 form = f if form is None else _add(form, f)
-        vals.append(val)
-        forms.append(form)
+        vals[k], forms[k] = val, form
+        for j in links.get(k, ()):
+            vals[j], forms[j] = val, form
     return vals, forms
 
 
@@ -724,18 +735,20 @@ def theta_prime_model(
 ) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> Theta'(z; d) over the lifted space and its objective form, unsolved.
 
-    It reads ``outer_tape``'s graph, then ``fixed_tape``'s; both number
-    inputs by flat lifted position.  Each layer component adds beta_k times
-    its residual slope w_i = d_u_i - psi_i'(z; d): signed where the residual
-    is nonzero, through t_i >= |w_i| where it vanishes.
+    It reads the nodes of ``problem.graph`` that ``outer_tape`` computes,
+    then those of ``fixed_tape``, in the graph's order; inputs are numbered
+    by flat lifted position, a ``u`` leaf reading its block.  Each layer
+    component adds beta_k times its residual slope w_i = d_u_i - psi_i'(z;
+    d): signed where the residual is nonzero, through t_i >= |w_i| where it
+    vanishes.
     """
     b = check_beta(problem, beta)
     check_point(problem, z)
     model, x, n = _SlopeModel(problem.nbar, "P1"), z.flat(), problem.n
-    (g,), roots = problem.outer_tape.graph[2], problem.fixed_tape.graph[2]
-    obj = _forms(model, problem.outer_tape, x, g)[1][g]
-    vals, forms = _forms(model, problem.fixed_tape, x, max(roots))
-    for r, (k, i) in enumerate(zip(problem.layer_of_row, roots)):
+    graph = problem.graph
+    obj = _forms(model, graph, x, problem.outer_tape.nodes.tolist())[1][graph.roots[-1]]
+    vals, forms = _forms(model, graph, x, problem.fixed_tape.nodes.tolist())
+    for r, (k, i) in enumerate(zip(problem.layer_of_row, graph.roots[:-1])):
         w = _add(model.unit(n + r), -forms[i])
         rho = x[n + r] - vals[i]
         if rho > FEAS_TOL:
@@ -752,14 +765,18 @@ def theta_prime_model(
 def psi_prime_model(problem: CompositeProblem, th: np.ndarray) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> (Psi + reg)'(theta; d) and its objective form, unsolved.
 
-    It reads ``chained_tape``'s graph, where a u-leaf is its layer
+    It reads ``problem.graph`` with each link followed to its layer
     component's node, through g's root, its last: the nodes g reaches come
-    first.  That root may be an input row.
+    first.  That root may be a parameter.  A link and a copy of its root's
+    tree stay two nodes, so a tie that both reach records two switches.
     """
     th = np.asarray(th, dtype=float).ravel()
     model = _SlopeModel(problem.n, "P0")
-    g = problem.chained_tape.graph[2][-1]
-    obj = _forms(model, problem.chained_tape, th, g)[1][g]
+    graph, src, links = problem.graph, problem.graph.follow, {}
+    for j in range(problem.n, graph.nin):
+        links.setdefault(src[j], []).append(j)
+    g = src[graph.roots[-1]]
+    obj = _forms(model, graph, th, range(graph.nin, g + 1), links)[1][g]
     return model, _add(obj, 2.0 * problem.lam * th)
 
 
@@ -776,7 +793,7 @@ def function_prime_model(
         raise ValueError("the expression may read parameter leaves only")
     x = np.asarray(x, dtype=float).ravel()
     model = _SlopeModel(x.size, "box")
-    (root,) = tape.graph[2]
-    obj = _forms(model, tape, x, root)[1][root]
+    (root,) = tape.graph.roots
+    obj = _forms(model, tape.graph, x, tape.nodes.tolist())[1][root]
     model.cone_rows = [np.asarray(g, dtype=float) for g in cone_rows]
     return model, obj

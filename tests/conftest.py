@@ -45,6 +45,26 @@ def record_order_1_flags(monkeypatch) -> list[bool]:
     return noted
 
 
+def record_compiles(monkeypatch) -> list[str]:
+    """Patch ``expr.walk`` and ``expr.place`` to note each graph walk ("walk") and each program placed.
+
+    A placement is noted as "chained", "outer" (the last root alone) or "fixed".
+    """
+    noted, walk, place = [], ex.walk, ex.place
+
+    def walking(*args, **kwargs):
+        noted.append("walk")
+        return walk(*args, **kwargs)
+
+    def placing(graph, roots, chained=False):
+        noted.append("chained" if chained else "outer" if list(roots) == graph.roots[-1:] else "fixed")
+        return place(graph, roots, chained)
+
+    monkeypatch.setattr(ex, "walk", walking)
+    monkeypatch.setattr(ex, "place", placing)
+    return noted
+
+
 @pytest.fixture
 def square_chain():
     return square_chain_problem()

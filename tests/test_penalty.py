@@ -360,7 +360,7 @@ def test_level_tape_matches_a_fixed_tape_pass_per_layer():
         Z[:, 16:] = np.where(rng.random((problem.nbar, 8)) < 0.3, rng.choice(special, (problem.nbar, 8)), Z[:, 16:])
         Z[:, -1] = -0.0
         X, U, g = per_layer_judge(problem, Z[:n], Z[n:])
-        V = problem.level_tape().values(Z, [])
+        V = problem.chained_tape.shifted().values(Z[:n], [Z[n:]])
         assert V[:R].tobytes() == X.tobytes() and V[R : 2 * R].tobytes() == U.tobytes(), seed
         assert V[2 * R].tobytes() == g.tobytes(), seed
         # each problem has columns whose roots are all finite and columns that are not
@@ -378,13 +378,13 @@ def test_level_set_sampler_takes_few_tape_passes(monkeypatch):
 
         return count
 
-    def level_tape(problem, real=CompositeProblem.level_tape):
-        compiled.append(real(problem))
+    def shifted(tape, real=ex.Tape.shifted):
+        compiled.append(real(tape))
         return compiled[-1]
 
     monkeypatch.setattr(ex.Tape, "values", counted(ex.Tape.values, lambda args: args[0]))
     monkeypatch.setattr(ex, "eval_many", counted(ex.eval_many, lambda args: "walk"))
-    monkeypatch.setattr(CompositeProblem, "level_tape", level_tape)
+    monkeypatch.setattr(ex.Tape, "shifted", shifted)
     # random_problem(4) accepts none of its 2,000 candidates, random_problem(9)
     # all of its first 100, and random_problem(2) 79 of its 2,000 in runs of
     # both outcomes; a scalar loop walks each candidate's trees on its own, and

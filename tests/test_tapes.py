@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_problem
+from conftest import random_problem, record_compiles
 from mcpen import expr as ex
-from mcpen.cones import lift_direction_batch
+from mcpen import penalty as penalty_mod
+from mcpen.cones import lift_direction, lift_direction_batch, radial_membership
 from mcpen.dcalc import (
     _plus_ridge,
     dd_F_batch,
@@ -16,11 +17,13 @@ from mcpen.dcalc import (
     forward_curves,
     residual_slopes,
 )
-from mcpen.model import Point, eval_g, eval_layers
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_g, eval_layers, reference_point_and_level
+from mcpen.penalty import build_config
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
 from walkers import (
     per_layer_curves,
+    per_layer_judge,
     per_layer_slopes,
     per_layer_Theta,
     recursive_cells,
@@ -181,29 +184,91 @@ def test_taylor_cells_columns_do_not_depend_on_the_batch_width(seed, m, order, d
 
 
 def test_problems_compile_their_tapes_once_when_first_used(monkeypatch):
-    compiled = []
-    real = ex.compile_tape
-
-    def counting(roots, sizes, links=()):
-        compiled.append("chained" if links else "outer" if roots == [p.outer] else "fixed")
-        return real(roots, sizes, links)
-
-    monkeypatch.setattr(ex, "compile_tape", counting)
+    compiled = record_compiles(monkeypatch)
     p = build_problem(desk_instance(seed=0))
     random_problem(3)
     assert compiled == []  # building problems compiles nothing
     z = eval_layers(p, 0.1 * np.random.default_rng(0).standard_normal(p.n))
-    assert compiled == ["chained"]  # a lift is one pass of the chained tape
+    assert compiled == ["walk", "chained"]  # a lift is one pass of the chained tape, placed from the one walk
     DTH = np.random.default_rng(1).standard_normal((p.n, 3))
     DU = lift_direction_batch(p, z, DTH)
     for _ in range(3):
         dd_Theta_batch(p, z, DTH, DU, np.ones(p.L), 2)
         dd_Psi_batch(p, z.theta, DTH, 1)
         lift_direction_batch(p, z, DTH)
-    assert sorted(compiled) == ["chained", "fixed", "outer"]
+    assert sorted(compiled) == ["chained", "fixed", "outer", "walk"]
     # a point's blocks are inputs of the fixed and outer tapes, not part of them
     dd_Theta_batch(p, Point(z.theta, tuple(u + 1.0 for u in z.u)), DTH, DU, np.ones(p.L), 1)
-    assert len(compiled) == 3
+    assert len(compiled) == 4
+
+
+@pytest.mark.filterwarnings("ignore:outer function evaluated")
+def test_a_moduli_op_walks_its_problem_once_and_the_sampler_compiles_nothing(monkeypatch):
+    # perfbench's moduli-generic op on random problems: sampled moduli, the
+    # reference point and four radial tests read one graph walk between them,
+    # and the level-set sampler runs the chained program, placed before it
+    compiled, real, sampled = record_compiles(monkeypatch), penalty_mod._sample_level_set, []
+
+    def sampler(*args):
+        before = len(compiled)
+        try:
+            return real(*args)
+        finally:
+            sampled.append(compiled[before:])
+
+    monkeypatch.setattr(penalty_mod, "_sample_level_set", sampler)
+    for seed in range(10):
+        p = random_problem(seed)
+        compiled.clear()
+        try:
+            beta = build_config(p, budget=400, seed=seed).beta
+        except ValueError:  # a negative g bounds no level set to sample
+            beta = np.ones(p.L)
+        z0, _ = reference_point_and_level(p, beta)
+        for d in np.random.default_rng(seed).standard_normal((4, p.n)):
+            radial_membership(p, z0, lift_direction(p, z0, d))
+        # one walk, and each program placed at most once
+        assert compiled[0] == "walk" and len(set(compiled)) == len(compiled), (seed, compiled)
+    assert sampled == [[]] * 10
+
+
+def test_a_link_and_a_copy_of_its_root_stay_apart_in_every_pass():
+    # u_3 = u_2 + theta_0 * theta_1 holds the link u_2 and a copy of u_2's
+    # tree, which hash-consing makes one node: a chained pass reads its row
+    # for both, a fixed pass reads u_2's block for the link, and a level pass
+    # shifts the link alone.  u_2,1 is the link u_1,1, so its shift adds to a
+    # shift, and max(u_2,1, u_1,1) reads two links of one row.
+    layers = (
+        LayerMap(1, (ex.theta(0), ex.vabs(ex.theta(1)))),
+        LayerMap(2, (ex.mul(ex.theta(0), ex.theta(1)), ex.uref(1, 1))),
+        LayerMap(3, (ex.add(ex.uref(2, 0), ex.mul(ex.theta(0), ex.theta(1))), ex.vmax(ex.uref(2, 1), ex.uref(1, 1)))),
+    )
+    p = CompositeProblem(2, layers, ex.add(ex.square(ex.uref(3, 0)), ex.plus(ex.uref(3, 1))), lam=0.1)
+    rng = np.random.default_rng(0)
+    Z = rng.uniform(-2.0, 2.0, (p.nbar, 24))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    Z[:, 8:] = np.where(rng.random((p.nbar, 16)) < 0.5, rng.choice(special, (p.nbar, 16)), Z[:, 8:])
+    Z[:, -1] = -0.0
+    TH, RHO = Z[: p.n], Z[p.n :]
+    U = [RHO[rows] for rows in p.layer_rows]
+    maps = [e for lm in p.layers for e in lm.exprs]
+    blocks, shifted = [], []
+    with np.errstate(all="ignore"):
+        for lm, rows in zip(p.layers, p.layer_rows):
+            blocks.append(recursive_cols(lm.exprs, TH, blocks))
+            shifted.append(recursive_cols(lm.exprs, TH, shifted) + RHO[rows])
+        level = [recursive_cols(maps, TH, shifted), *shifted, recursive_cols([p.outer], TH, shifted)]
+    _same(p.fixed_tape.values(TH, U), recursive_cols(maps, TH, U))
+    _same(p.outer_tape.values(TH, U), recursive_cols([p.outer], TH, U))
+    _same(p.chained_tape.values(TH, []), np.vstack([*blocks, recursive_cols([p.outer], TH, blocks)]))
+    V = p.chained_tape.shifted().values(TH, [RHO])
+    _same(V, np.vstack(level))
+    X, S, g = per_layer_judge(p, TH, RHO)
+    _same(V, np.vstack([X, S, g]))
+    # u_3,0 reads one row twice in the chained program
+    row = p.chained_tape.roots[4]
+    step = next(t for t in p.chained_tape.steps if t.rows.start <= row < t.rows.stop)
+    assert step.args[row - step.rows.start, 0] == step.args[row - step.rows.start, 1]
 
 
 def test_the_nested_objective_is_one_pass_of_the_chained_tape(monkeypatch):

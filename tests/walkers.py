@@ -17,14 +17,14 @@ rows; over two or more columns it must match byte for byte.
 ``scalar_sample_level_set`` judges one level-set candidate at a time, as
 ``penalty._sample_level_set`` did before it judged them in chunks of
 columns, and ``per_layer_judge`` judges a chunk by one fixed-tape pass per
-layer and an outer pass, as the sampler did before it ran the problem's
-``level_tape``.  The tapes and the chunked sampler must reproduce them byte
+layer and an outer pass, as the sampler did before it ran a level tape (now
+the chained tape's level mode, ``Tape.shifted``).  The tapes and the chunked sampler must reproduce them byte
 for byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
 algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
 read it off the abs-normal form; the two must span the same subspace.
 ``degree`` bounds a tree's polynomial degree by recursion, as
 ``cones._degree`` did before ``cones.ray_decidable`` folded the bound over
-the fixed tape's node graph; the two must agree.
+the problem's node graph; the two must agree.
 """
 
 import operator
@@ -342,12 +342,12 @@ def per_layer_curves(problem, th, DTH, order=1):
 
 
 def per_layer_judge(problem, TH, RHO):
-    """The level tape's roots at parameter columns TH (n, m) and shift columns RHO (R, m), a layer at a time.
+    """The level mode's roots at parameter columns TH (n, m) and shift columns RHO (R, m), a layer at a time.
 
     One ``fixed_tape`` pass per layer adds layer k's values to its shift,
     and an ``outer_tape`` pass reads g at the shifted blocks, as
-    ``penalty._sample_level_set`` judged a chunk before it ran
-    ``level_tape``.  Returns the maps' values of the last pass, the shifted
+    ``penalty._sample_level_set`` judged a chunk before it ran a level
+    tape.  Returns the maps' values of the last pass, the shifted
     blocks stacked, and g.
     """
     U = [RHO[rows] for rows in problem.layer_rows]
