@@ -32,7 +32,7 @@ a node-at-a-time walk gives (the tests keep such walks as oracles).  Every
 walker squares with ``x*x``, so a square has one value in all of them, and
 a value past the float range is inf, never an exception.  Trees are built from immutable nodes, so cycles are
 impossible and sharing subtrees is safe; ``nodes`` walks a tree without
-recursion.
+recursion, a shared node once.
 
 Every node supports exact one-sided Taylor data along a ray: the inputs
 move along ``x_i + tau*d_i``, each node's argument along a curve
@@ -258,12 +258,14 @@ _ZERO = const(0.0)
 
 
 def nodes(e: Expr) -> Iterator[Expr]:
-    """Every node of the tree, parents first, arguments left to right."""
-    todo = [e]
+    """Every distinct node object of the tree once, parents first, arguments left to right."""
+    todo, seen = [e], set()
     while todo:
         node = todo.pop()
-        yield node
-        todo.extend(reversed(node.args))
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            todo.extend(reversed(node.args))
 
 
 def validate(e: Expr, n: int, max_layer: int, widths: Sequence[int]) -> None:

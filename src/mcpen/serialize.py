@@ -1,9 +1,10 @@
 """JSON round-trip for problems, points, and directions.
 
-The on-disk schema is versioned and deliberately literal: expression trees
-serialize node by node, so a loaded problem evaluates identically to the
-saved one.  Dumps are deterministic (sorted keys, fixed separators), which
-makes byte-level comparison of reports meaningful.
+The on-disk schema is versioned per file kind and deliberately literal: a
+problem is its node graph, each distinct node once and after the ids it reads,
+so a loaded problem evaluates identically to the saved one, at any depth.
+Dumps are deterministic (sorted keys, fixed separators), which makes
+byte-level comparison of reports meaningful.
 """
 
 from __future__ import annotations
@@ -21,55 +22,30 @@ from . import expr as ex
 from .dcalc import Direction
 from .model import CompositeProblem, LayerMap, Point
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of point and direction files and of report manifests
+VERSIONS = {"problem": 2, "point": SCHEMA_VERSION, "direction": SCHEMA_VERSION}  # per file kind
 
 
 class FormatError(ValueError):
     """Malformed or mistyped input file."""
 
 
-def expr_to_dict(e: ex.Expr) -> dict:
-    d: dict = {"op": e.op}
-    for name in ex.OPS[e.op].fields:
-        v = getattr(e, name)
-        d[name] = list(v) if isinstance(v, tuple) else v
-    if e.args:
-        d["args"] = [expr_to_dict(a) for a in e.args]
-    return d
-
-
-def expr_from_dict(d: dict, where: str = "expr") -> ex.Expr:
-    """The node ``d`` holds; ``where`` locates it in the file for error messages."""
-    if not isinstance(d, dict) or "op" not in d:
-        raise FormatError(f"{where}: expression node must be an object with an 'op' field")
-    op = d["op"]
-    if not isinstance(op, str) or op not in ex.OPS:
-        raise FormatError(f"{where}: unknown expression op {op!r}")
-    fields = ex.OPS[op].fields
-    unknown = sorted(d.keys() - {"op", "args", *fields})
-    if unknown:
-        raise FormatError(f"{where}: {op} {unknown[0]}: not a field of this op")
-    args = _list(d, "args", f"{where}: {op} ") if "args" in d else []
-    args = tuple(expr_from_dict(a, f"{where}.args[{i}]") for i, a in enumerate(args))
-    try:
-        return ex.Expr(op, args, **{name: d[name] for name in fields})
-    except KeyError as err:
-        raise FormatError(f"{where}: {op} {err.args[0]}: missing") from None
-    except ValueError as err:
-        raise FormatError(f"{where}: {err}") from None
-
-
 def problem_to_dict(p: CompositeProblem) -> dict:
+    """``p``'s graph (``CompositeProblem.graph``) as a node table, each root and argument an id."""
+    nodes = []
+    for entry in p.graph.made:  # (node, ids), or a constant: an affine node without arguments is its offset
+        e, ids = entry if type(entry) is tuple else (ex.const(entry), ())
+        d = {"op": e.op, **{name: getattr(e, name) for name in ex.OPS[e.op].fields}}
+        # a kink's ids may go on past its arguments with an implicit second branch, such as plus's zero
+        nodes.append({**d, "args": list(ids[: len(e.args)])} if ids else d)
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": VERSIONS["problem"],
         "kind": "problem",
         "n": p.n,
         "lam": p.lam,
-        "layers": [
-            {"index": lm.index, "exprs": [expr_to_dict(e) for e in lm.exprs]}
-            for lm in p.layers
-        ],
-        "outer": expr_to_dict(p.outer),
+        "nodes": nodes,
+        "layers": [{"index": lm.index, "exprs": p.graph.roots[rows]} for lm, rows in zip(p.layers, p.layer_rows)],
+        "outer": p.graph.roots[-1],
         "meta": p.meta or {},
     }
 
@@ -82,8 +58,8 @@ def _reading(d: dict, kind: str) -> Iterator[None]:
     if d.get("kind") != kind:
         raise FormatError(f"expected kind {kind!r}, found {d.get('kind')!r}")
     version = d.get("schema_version")
-    if not (isinstance(version, int) and version == SCHEMA_VERSION):
-        raise FormatError(f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})")
+    if not (isinstance(version, int) and version == VERSIONS[kind]):
+        raise FormatError(f"unsupported schema_version {version!r} (this build reads {VERSIONS[kind]})")
     try:
         yield
     except KeyError as err:
@@ -135,21 +111,45 @@ def _meta(d: dict, n_layers: int) -> dict | None:
 
 
 def problem_from_dict(d: dict) -> CompositeProblem:
+    """The problem of a node table: the leaves of the input ids, then each entry in order."""
     with _reading(d, "problem"):
-        layers = []
-        for k, lm in enumerate(_list(d, "layers")):
-            items = enumerate(_list(lm, "exprs", f"layers[{k}]."))
-            exprs = tuple(expr_from_dict(e, f"layers[{k}].exprs[{i}]") for i, e in items)
-            layers.append(LayerMap(_int(lm, "index", f"layers[{k}]."), exprs))
-        outer = expr_from_dict(d["outer"], "outer")
-        return CompositeProblem(
-            _int(d, "n"), tuple(layers), outer, float(d["lam"]), _meta(d, len(layers))
-        )
+        n, layers = _int(d, "n"), _list(d, "layers")
+        roots = [_list(lm, "exprs", f"layers[{k}].") for k, lm in enumerate(layers)]
+        made = [ex.theta(i) for i in range(n)] + [ex.uref(j, i) for j, r in enumerate(roots, 1) for i in range(len(r))]
+
+        def at(i: Any, where: str) -> ex.Expr:
+            if type(i) is not int or not 0 <= i < len(made):  # a float, a bool or a later id is refused
+                raise FormatError(f"{where}: expected an id below {len(made)}, got {i!r}")
+            return made[i]
+
+        for k, node in enumerate(_list(d, "nodes")):  # each entry's arguments are among the ids below its own
+            if not isinstance(node, dict) or "op" not in node:
+                raise FormatError(f"nodes[{k}]: expression node must be an object with an 'op' field")
+            op = node["op"]
+            if not isinstance(op, str) or op not in ex.OPS:
+                raise FormatError(f"nodes[{k}]: unknown expression op {op!r}")
+            where, fields = f"nodes[{k}]: {op} ", ex.OPS[op].fields
+            unknown = sorted(node.keys() - {"op", "args", *fields})
+            if unknown:
+                raise FormatError(f"{where}{unknown[0]}: not a field of this op")
+            ids = _list(node, "args", where) if "args" in node else []
+            args = tuple(at(a, f"{where}args[{j}]") for j, a in enumerate(ids))
+            try:
+                made.append(ex.Expr(op, args, **{name: node[name] for name in fields}))
+            except KeyError as err:
+                raise FormatError(f"{where}{err.args[0]}: missing") from None
+            except ValueError as err:
+                raise FormatError(f"nodes[{k}]: {err}") from None
+        maps = []
+        for k, (lm, ids) in enumerate(zip(layers, roots)):
+            exprs = tuple(at(i, f"layers[{k}].exprs[{j}]") for j, i in enumerate(ids))
+            maps.append(LayerMap(_int(lm, "index", f"layers[{k}]."), exprs))
+        return CompositeProblem(n, tuple(maps), at(d["outer"], "outer"), float(d["lam"]), _meta(d, len(maps)))
 
 
 def point_to_dict(z: Point) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": VERSIONS["point"],
         "kind": "point",
         "theta": np.asarray(z.theta, dtype=float).tolist(),
         "u": [np.asarray(b, dtype=float).tolist() for b in z.u],
@@ -164,7 +164,7 @@ def point_from_dict(d: dict) -> Point:
 
 def direction_to_dict(dd: Direction) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": VERSIONS["direction"],
         "kind": "direction",
         "dtheta": np.asarray(dd.dtheta, dtype=float).tolist(),
         "du": [np.asarray(b, dtype=float).tolist() for b in dd.du],
@@ -229,10 +229,7 @@ def load_direction(path: str | Path) -> Direction:
 
 
 def save_problem(path: str | Path, p: CompositeProblem) -> None:
-    try:
-        save(path, problem_to_dict(p))
-    except RecursionError:
-        raise FormatError(f"{path}: an expression tree nests too deep for the JSON format") from None
+    save(path, problem_to_dict(p))
 
 
 def save_point(path: str | Path, z: Point) -> None:

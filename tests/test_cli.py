@@ -266,26 +266,28 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
     assert main(["thresholds", "--problem", str(neg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "gamma_bar = -1.0" in captured.err
-    # Malformed nodes, mistyped containers and a foreign schema: the error
-    # line names the file and, for a node, its place, its op and the field.
-    u1, u2 = {"op": "u", "layer": 1, "ref": 0}, {"op": "u", "layer": 2, "ref": 0}
-    affine = {"op": "affine", "coeffs": [-1.0], "const": 0.0, "args": [u1, u2]}
-    outers = [
-        ({"op": "max", "args": [u1]}, "outer: max args"),
-        ({"op": "plus", "args": 5}, "outer: plus args"),
-        ({"op": "scaled", "coeffs": [1.0, 2.0], "args": [u1, u2]}, "outer: scaled args"),
-        ({"op": "plus", "args": [affine]}, "outer.args[0]: affine coeffs"),
-        ({"op": "inner", "args": [u1, u2, u1]}, "outer: inner args"),
-        ({"op": "diff", "args": [u1]}, "outer: diff args"),
-        ({"op": "abs", "args": [u1, u2]}, "outer: abs args"),
-        ({"op": "const", "value": 1.0, "args": [u1]}, "outer: const args"),
-        ({"op": "sum"}, "outer: sum args"),
-        ({"op": "leaky_relu", "alpha": 2.0, "args": [u1]}, "outer: leaky_relu alpha"),
+    # Malformed node entries, mistyped containers and a foreign schema: the
+    # error line names the file and, for a node, its entry, its op and the
+    # field.  The square chain's ids 1 and 2 are its blocks u_1 and u_2.
+    table = problem_to_dict(square_chain_problem())["nodes"]
+    affine = {"op": "affine", "coeffs": [-1.0], "const": 0.0, "args": [1, 2]}
+    entries = [
+        (5, "expression node must be an object with an 'op' field"),
+        ({"op": "exp", "args": [1]}, "unknown expression op 'exp'"),
+        ({"op": "plus", "alpha": 0.5, "args": [1]}, "plus alpha: not a field of this op"),
+        ({"op": "leaky_relu", "args": [1]}, "leaky_relu alpha: missing"),
+        ({"op": "max", "args": [1]}, "max args"),
+        ({"op": "plus", "args": 5}, "plus args"),
+        ({"op": "scaled", "coeffs": [1.0, 2.0], "args": [1, 2]}, "scaled args"),
+        (affine, "affine coeffs"),
+        ({"op": "inner", "args": [1, 2, 1]}, "inner args"),
+        ({"op": "diff", "args": [1]}, "diff args"),
+        ({"op": "abs", "args": [1, 2]}, "abs args"),
+        ({"op": "const", "value": 1.0, "args": [1]}, "const args"),
+        ({"op": "sum"}, "sum args"),
+        ({"op": "leaky_relu", "alpha": 2.0, "args": [1]}, "leaky_relu alpha"),
         # a string is not read as its characters
-        (
-            {"op": "plus", "args": [{**affine, "coeffs": "12"}]},
-            "outer.args[0]: affine coeffs: expected a list, got '12'",
-        ),
+        ({**affine, "coeffs": "12"}, "affine coeffs: expected a list, got '12'"),
     ]
     # integers are not truncated from floats, and meta is checked on load
     rnn_meta = {"structure": "rnn", "nt": 3, "y_sqnorm": 1.0, "layer_kinds": ["mix", "act"]}
@@ -300,7 +302,7 @@ def test_validation_errors_exit_2(capsys, files, tmp_path):
         ({"meta": {**rnn_meta, "rnn": {}, "nt": 0}}, "meta.nt: expected a positive integer, got 0"),
         ({"meta": {**rnn_meta, "rnn": {}, "layer_kinds": ["mix"]}}, "meta.layer_kinds: expected a list"),
     ]
-    cases = [({"outer": node}, text) for node, text in outers] + mistyped
+    cases = [({"nodes": [*table, node]}, f"nodes[{len(table)}]: {text}") for node, text in entries] + mistyped
     d = problem_to_dict(square_chain_problem())
     d["layers"][1]["exprs"] = 5
     cases.append((d, "layers[1].exprs: expected a list, got 5"))

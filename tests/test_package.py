@@ -1,5 +1,6 @@
 """Package-wide checks: every regression scenario passes, the import stays light, the benchmark fits."""
 
+import ast
 import json
 import os
 import subprocess
@@ -33,6 +34,40 @@ def _run(code: str, *args: str) -> str:
         check=True,
     )
     return out.stdout.strip()
+
+
+def _self_calls(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` calls its own name (or ``self.``/``cls.`` its name) without binding that name itself."""
+    inside = list(ast.walk(fn))[1:]
+    binds = any(
+        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == fn.name
+        or isinstance(node, ast.alias) and (node.asname or node.name) == fn.name
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == fn.name
+        for node in inside
+    )
+    calls = any(
+        isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == fn.name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == fn.name
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("self", "cls")
+        )
+        for node in inside
+    )
+    return calls and not binds
+
+
+def test_nothing_in_src_recurses_but_the_piece_enumeration_oracle():
+    # No walker in src/ recurses, so every check and every problem file takes
+    # a tree of any depth.  The one exception is pieces.expr_pieces's rec,
+    # the enumeration oracle; a function that rebinds its own name, such as
+    # the lazy pieces.milp and pieces.linprog imports, calls what it bound.
+    found = set()
+    for path in sorted(Path(mcpen.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _self_calls(fn):
+                found.add(f"{path.stem}.{fn.name}")
+    assert found == {"pieces.rec"}
 
 
 def test_import_leaves_scipy_stats_out():

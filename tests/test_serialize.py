@@ -2,14 +2,18 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_problem
 from mcpen import expr as ex
 from mcpen.dcalc import DDValue, Direction
 from mcpen.model import CompositeProblem, LayerMap, Point
+from mcpen.repro import lift_descent_instance, relu_ridge_problem, square_chain_problem
+from mcpen.rnn import build_problem, desk_instance
 from mcpen.serialize import (
     FormatError,
     direction_from_dict,
@@ -114,10 +118,10 @@ def test_bad_json_raises(tmp_path):
 
 def test_unknown_op_rejected(square_chain, tmp_path):
     d = problem_to_dict(square_chain)
-    d["outer"] = {"op": "exp", "args": []}
+    d["nodes"].append({"op": "exp", "args": [1]})
     f = tmp_path / "p.json"
     save(f, d)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=rf"nodes\[{len(d['nodes']) - 1}\]: unknown expression op 'exp'$"):
         load_problem(f)
 
 
@@ -172,14 +176,53 @@ def _chain_of_sums(depth):
     return e
 
 
-def test_a_tree_too_deep_for_json_is_a_named_error_both_ways(tmp_path):
-    # the 3000-deep chain the certifiers walk: json's encoder and decoder
-    # recurse once per level, so the format cannot hold it either way
-    p = CompositeProblem(1, (LayerMap(1, (_chain_of_sums(3000),)),), ex.square(ex.uref(1, 0)), lam=0.1)
+def _deep_chain():
+    """The 3000-deep chain every check certifies (test_stationarity), under g = u^2."""
+    return CompositeProblem(1, (LayerMap(1, (_chain_of_sums(3000),)),), ex.square(ex.uref(1, 0)), lam=0.1)
+
+
+def _tape_outputs(p, m=3):
+    """The bytes of the values and order-2 cells, flags included, of ``p``'s three tapes on seeded columns."""
+    rng = np.random.default_rng(p.n + sum(p.widths))
+    th, ublocks = rng.standard_normal(p.n), [rng.standard_normal(w) for w in p.widths]
+    dth, du = rng.standard_normal((p.n, m)), [rng.standard_normal((w, m)) for w in p.widths]
+    out = []
+    for tape in (p.fixed_tape, p.outer_tape, p.chained_tape):
+        out.append(tape.values(dth, du).tobytes())
+        out += [part.tobytes() for part in tape.cells(th, ublocks, dth, du, 2)]
+    return out
+
+
+def _round_trip_problems():
+    yield from (random_problem(seed) for seed in range(60))
+    yield from (build_problem(desk_instance(seed)) for seed in range(3))
+    yield build_problem(desk_instance(0, n0=4, n1=16, n2=2, t=20))
+    yield from (square_chain_problem(), relu_ridge_problem(), build_problem(lift_descent_instance()))
+    yield _deep_chain()
+
+
+def test_save_load_save_keeps_the_bytes_and_the_tape_outputs(tmp_path):
+    # compared by bytes, not by ==: Expr equality recurses once per level
+    f = tmp_path / "p.json"
+    for p in _round_trip_problems():
+        save_problem(f, p)
+        text = f.read_text()
+        p2 = load_problem(f)
+        save_problem(f, p2)
+        assert f.read_text() == text
+        assert (p2.n, p2.widths, p2.lam, p2.meta) == (p.n, p.widths, p.lam, p.meta)
+        assert _tape_outputs(p2) == _tape_outputs(p)
+
+
+def test_the_3000_deep_chain_round_trips_and_json_too_deep_to_decode_is_a_named_error(tmp_path):
+    # the node table holds any depth at a JSON depth of four
     path = tmp_path / "deep.json"
-    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: an expression tree nests too deep"):
-        save_problem(path, p)
-    assert not path.exists()
+    save_problem(path, _deep_chain())
+    assert len(json.loads(path.read_text())["nodes"]) == 3002
+    p = load_problem(path)
+    save_problem(path, p)
+    assert path.read_text() == dumps(problem_to_dict(_deep_chain()))
+    # json's decoder still recurses once per level of nesting
     node = '{"op": "theta", "ref": 0}'
     for _ in range(3000):
         node = '{"args": [' + node + ', {"op": "const", "value": 0.0}], "op": "sum"}'
@@ -187,6 +230,70 @@ def test_a_tree_too_deep_for_json_is_a_named_error_both_ways(tmp_path):
     path.write_text(header + '"layers": [{"exprs": [' + node + '], "index": 1}], "outer": {"op": "theta", "ref": 0}}')
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: JSON nested too deeply to read$"):
         load_problem(path)
-    # a shallower chain round-trips
-    save_problem(path, CompositeProblem(1, (LayerMap(1, (_chain_of_sums(100),)),), ex.uref(1, 0), lam=0.1))
-    assert load_problem(path).layers[0].exprs[0] == _chain_of_sums(100)
+
+
+def test_a_doubling_table_loads_without_unfolding_its_shared_nodes():
+    # entry k is sum(entry k-1, entry k-1): the tree unfolds to 2^k leaves,
+    # so a walk that visits a shared node once per use never ends (and a
+    # failing assert must not print the tree)
+    for size in (24, 60):
+        nodes = [{"op": "sum", "args": [0, 0]}] + [{"op": "sum", "args": [1 + k, 1 + k]} for k in range(1, size)]
+        d = {"schema_version": 2, "kind": "problem", "n": 1, "lam": 0.1, "nodes": nodes}
+        d |= {"layers": [{"index": 1, "exprs": [size + 1]}], "outer": 1, "meta": {}}
+        start = time.perf_counter()
+        p = problem_from_dict(d)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        ops, saved = ex.ops_used(p.layers[0].exprs[0]), dumps(problem_to_dict(p))
+        assert ops == {"sum", "theta"}
+        assert saved == dumps(d)
+
+
+def test_node_table_errors_name_the_entry_or_the_root(square_chain):
+    # The square chain reads ids 0 (theta), 1 (u_1) and 2 (u_2), and its
+    # table starts at id 3; an entry appended to it is nodes[k], id top.
+    d = problem_to_dict(square_chain)
+    k, top = len(d["nodes"]), 3 + len(d["nodes"])
+    entries = [
+        ({"op": "abs", "args": [top]}, f"abs args[0]: expected an id below {top}, got {top}"),
+        ({"op": "abs", "args": [top + 1]}, f"abs args[0]: expected an id below {top}, got {top + 1}"),
+        ({"op": "max", "args": [1, -1]}, f"max args[1]: expected an id below {top}, got -1"),
+        ({"op": "abs", "args": [1.0]}, f"abs args[0]: expected an id below {top}, got 1.0"),
+        ({"op": "abs", "args": ["1"]}, f"abs args[0]: expected an id below {top}, got '1'"),
+        ({"op": "abs", "args": [True]}, f"abs args[0]: expected an id below {top}, got True"),
+    ]
+    cases = [({"nodes": [*d["nodes"], node]}, f"nodes[{k}]: {text}") for node, text in entries] + [
+        ({"layers": [d["layers"][0], {"index": 2, "exprs": [top]}]}, f"layers[1].exprs[0]: expected an id below {top}, got {top}"),
+        ({"outer": top}, f"outer: expected an id below {top}, got {top}"),
+        ({"outer": {"op": "exp", "args": []}}, f"outer: expected an id below {top}, got {{'op': 'exp', 'args': []}}"),
+        ({"nodes": 5}, "nodes: expected a list, got 5"),
+    ]
+    for change, text in cases:
+        with pytest.raises(FormatError, match=f"^{re.escape(text)}$"):
+            problem_from_dict({**d, **change})
+    # a layer map that reads its own block is refused as before
+    with pytest.raises(FormatError, match="layer reference 1 not below layer 1"):
+        problem_from_dict({**d, "layers": [{"index": 1, "exprs": [1]}, d["layers"][1]]})
+
+
+def test_a_nested_version_1_problem_file_is_refused(tmp_path):
+    # the layout before node tables: each tree written out as nested objects
+    u1 = {"op": "u", "layer": 1, "ref": 0}
+    nested = {
+        "schema_version": 1,
+        "kind": "problem",
+        "n": 1,
+        "lam": 0.01,
+        "layers": [
+            {"index": 1, "exprs": [{"op": "affine", "coeffs": [1.0], "const": 0.0, "args": [{"op": "theta", "ref": 0}]}]},
+            {"index": 2, "exprs": [{"op": "square", "args": [u1]}]},
+        ],
+        "outer": {"op": "plus", "args": [{"op": "sum", "args": [u1, {"op": "u", "layer": 2, "ref": 0}]}]},
+        "meta": {},
+    }
+    f = tmp_path / "p.json"
+    save(f, nested)
+    with pytest.raises(FormatError, match=re.escape(f"{f}: unsupported schema_version 1 (this build reads 2)")):
+        load_problem(f)
+    save_point(f, Point(np.zeros(1), (np.zeros(1), np.zeros(1))))
+    assert json.loads(f.read_text())["schema_version"] == 1
