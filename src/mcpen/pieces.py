@@ -6,34 +6,33 @@ linear in the first-order data except branch selection at active kinks,
 where a value tie makes the derivative the max of the two branches' slopes.
 
 ``theta_prime_model``, ``psi_prime_model`` and ``function_prime_model``
-write that derivative as linear forms in the direction, in one loop over
-a hash-consed node graph (``expr.Graph``: the problem's one walk of its
-trees, or a box tape's), branching on the four node families, and record
-each kink as a switch of the abs-normal form phi(d) = a . d + b . |s|,
-s = Z d + L |s| (Griewank & Walther 2016): a
-tied kink's variable y = max(fa, fb) switches on s = fa - fb, a vanishing
-penalty residual's epigraph variable t = |w| on s = w.  ``solve`` minimises
-phi over the unit l1 ball.  Where the objective weighs no auxiliary variable
-and no cone row cuts the ball, the minimum is -||c||_inf at a vertex.  Else,
-given tol, least-squares multipliers of Z^T mu = a give a rigorous lower
-bound (tangential stationarity and normal growth), and one at or above -tol
+write that derivative in the abs-normal form phi(d) = a . d + b . |s|,
+s = Z d + L |s| (Griewank & Walther 2016), in one loop over a hash-consed
+node graph (``expr.Graph``: the problem's one walk of its trees, or a box
+tape's), branching on the four node families.  Every form is built over
+(d, |s|) directly: a tied kink's max(fa, fb) = fb + s / 2 + |s| / 2
+switches on s = fa - fb, and a vanishing penalty residual's |w| on s = w,
+so each switch's s is a row of [Z, L] and the objective is [a, b].
+``solve`` minimises phi over the unit l1 ball.  Where b = 0 and no cone row
+cuts the ball, the minimum is -||a||_inf at a vertex.  Else, given tol,
+least-squares multipliers of Z^T mu = a give a rigorous lower bound
+(tangential stationarity and normal growth), and one at or above -tol
 settles a stationary point; where the tangential residual a - Z^T mu
 exceeds tol instead, it points down within ker Z, a descent direction that
-leaves every switch at zero.  Else HiGHS (``scipy.optimize.milp``) solves one
-mixed-integer linear program, with rows derived from the switches: y >= both
-branch forms and a binary that, through big-M rows, makes y equal to one of
-them; t >= |w| with no binary, since it enters with a positive weight.
-Their boxes and big-M constants, built for HiGHS alone, and the multipliers'
-bounds on |s| are read off the abs-normal form too.  ``critical_basis``
-reads the subspace where phi vanishes off the same substitution.  No tree
-is walked, so any depth takes no recursion, and a tie that hash-consing
-shares records one switch.
+leaves every switch at zero.  Else HiGHS (``scipy.optimize.milp``) solves
+one mixed-integer linear program over the same form: s = p - q and |s| = p
++ q with p, q in [0, S], S the multipliers' bound on |s|, and one binary
+per tie that keeps p or q at zero; a residual's switch needs none, since
+its |s| enters with a positive weight.  ``critical_basis`` reads the
+subspace where phi vanishes off the same form.  No tree is walked, so any
+depth takes no recursion, and a tie that hash-consing shares records one
+switch.
 
-The multipliers and the abs-normal substitutions run on numpy alone
-(``numpy.linalg.lstsq`` and forward substitution).  scipy serves HiGHS
-alone: ``milp``, ``linprog`` and ``solve``'s HiGHS branch import
-``scipy.optimize`` and ``scipy.sparse`` at their first use, so ``import
-mcpen`` and every check the multipliers settle load no scipy module.
+The multipliers run on numpy alone (``numpy.linalg.lstsq`` and forward
+substitution).  scipy serves HiGHS alone: ``milp``, ``linprog`` and
+``solve``'s HiGHS branch import ``scipy.optimize`` and ``scipy.sparse`` at
+their first use, so ``import mcpen`` and every check the multipliers settle
+load no scipy module.
 
 The piece enumerator below is the reference the tests compare against; it
 stays, since perfbench's tracer wraps its names.  Enumerating the forks of
@@ -367,8 +366,10 @@ class SlopeMin(NamedTuple):
     -tol, ``value`` 0.0 at d = 0) or a descent direction in ker Z (``bound``
     None, ``value`` its slope, which HiGHS may undercut); ``"highs"``,
     HiGHS's dual bound with binaries, its optimum without, and None where it
-    proved neither (``MILP_TIME_LIMIT``).  ``binaries`` counts the ties,
-    sent to HiGHS or not.
+    proved neither (``MILP_TIME_LIMIT``).  On a badly scaled program HiGHS
+    may return a bound above an incumbent ``value``; both are kept as they
+    came.  ``binaries`` counts the switches that are ties, one binary each on
+    the HiGHS branch, whether or not HiGHS is called.
     """
 
     value: float
@@ -378,20 +379,11 @@ class SlopeMin(NamedTuple):
     source: str
 
 
-class _Tie(NamedTuple):
-    """y = max(fa, fb), which switches on s = fa - fb; delta is its binary."""
+class _Switch(NamedTuple):
+    """One kink: s, a form over (d, |s|) that reads earlier switches only, and whether it is a tie."""
 
-    y: int
-    fa: np.ndarray
-    fb: np.ndarray
-    delta: int
-
-
-class _Epigraph(NamedTuple):
-    """t = |w| for a vanishing residual's slope w, which switches on s = w."""
-
-    t: int
-    w: np.ndarray
+    s: np.ndarray
+    tie: bool
 
 
 def _add(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -412,21 +404,21 @@ def _sizes(Z: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 class _SlopeModel:
-    """Linear forms of a first derivative, and the switches that pin their auxiliary variables.
+    """Linear forms of a first derivative in abs-normal coordinates, and the switches they read.
 
     Entry j < dim of a form is the coefficient of direction component d_j,
-    entry dim + a that of auxiliary variable a < ``nvar``.  Forms are never
+    entry dim + i that of |s_i|, switch i's absolute value.  Forms are never
     changed in place, so leaves share theirs.  ``check`` names the model in
-    errors.  ``switches`` is the one record of the kinks: ``_Tie`` and
-    ``_Epigraph`` entries in build order, off which everything else is read.
-    ``cone_rows`` are forms g that cut the ball by g . d >= 0.
+    errors.  ``switches`` is the one record of the kinks, in build order:
+    each ``_Switch``'s s reads |s_j| of earlier switches only, so the rows
+    of s = Z d + L |s| are the switches themselves.  ``cone_rows`` are forms
+    g that cut the ball by g . d >= 0.
     """
 
     def __init__(self, dim: int, check: str):
         self.dim = dim
         self.check = check
-        self.nvar = 0
-        self.switches: list[_Tie | _Epigraph] = []
+        self.switches: list[_Switch] = []
         self.cone_rows: list[np.ndarray] = []
         self.zero = np.zeros(0)
         self._units: dict[int, np.ndarray] = {}
@@ -439,96 +431,29 @@ class _SlopeModel:
         return u
 
     def max_of(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-        """y = max(fa, fb), recorded as a tie with its binary: two new variables."""
+        """max(fa, fb) = fb + s / 2 + |s| / 2, recorded as a tie that switches on s = fa - fb."""
         if np.array_equal(fa, fb):
             return fa
-        self.switches.append(_Tie(self.nvar, fa, fb, self.nvar + 1))
-        self.nvar += 2
-        return self.unit(self.dim + self.nvar - 2)
+        s = _add(fa, -fb)
+        self.switches.append(_Switch(s, True))
+        return _add(_add(fb, 0.5 * s), 0.5 * self.unit(self.dim + len(self.switches) - 1))
 
     def abs_of(self, w: np.ndarray) -> np.ndarray:
-        """An epigraph variable t >= |w|; it equals |w| wherever a positive weight minimises it."""
-        self.switches.append(_Epigraph(self.nvar, w))
-        self.nvar += 1
-        return self.unit(self.dim + self.nvar - 1)
+        """|w|, recorded as a switch on s = w that is no tie: HiGHS reads it as an epigraph."""
+        self.switches.append(_Switch(w, False))
+        return self.unit(self.dim + len(self.switches) - 1)
 
     def _refuse_non_finite(self, *arrays: np.ndarray) -> None:
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError(f"{self.check} first-order model has non-finite coefficients at this point")
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _abs_normal(self, *forms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(Z, L, A, B): s = Z d + L |s|, one s per switch, and each of forms as a row of A . d + B . |s|.
-
-        A tie's y = (fa + fb) / 2 + |s| / 2 with s = fa - fb, an epigraph's t
-        = |s| with s = w.  L is strictly lower triangular, and nonzero only
-        where switches nest; so is the substitution's Y_aux, whose nonzero
-        rows forward substitution visits in order.
-        """
-        dim, k, m = self.dim, len(self.switches), self.nvar
-        W = np.zeros((k + len(forms), dim + m))  # each switch's s, then forms, over (d, auxiliary variables)
-        Y = np.zeros((m, dim + m))  # each tie variable's (fa + fb) / 2
-        P = np.zeros((m, k))  # each auxiliary variable's weight on |s|
-        for i, sw in enumerate(self.switches):
-            if isinstance(sw, _Epigraph):
-                W[i, : sw.w.size] = sw.w
-                P[sw.t, i] = 1.0
-            else:  # (fa + fb) / 2 = fb + (fa - fb) / 2
-                gap = _add(sw.fa, -sw.fb)
-                W[i, : gap.size] = gap
-                Y[sw.y, : sw.fb.size] = sw.fb
-                Y[sw.y] += 0.5 * W[i]
-                P[sw.y, i] = 0.5
-        for i, f in enumerate(forms, start=k):
+        """(Z, L, A, B): the switches' s as rows of [Z, L], L strictly lower triangular, and forms as rows of [A, B]."""
+        dim, k = self.dim, len(self.switches)
+        W = np.zeros((k + len(forms), dim + k))
+        for i, f in enumerate([sw.s for sw in self.switches] + list(forms)):
             W[i, : f.size] = f
-        # X, each auxiliary variable over (d, |s|), solves X = [Y_d, P] + Y_aux X, Y_aux strictly lower
-        X, Y_aux = np.hstack([Y[:, :dim], P]), Y[:, dim:]
-        for i in np.flatnonzero(np.any(Y_aux, axis=1)):
-            X[i] += Y_aux[i, :i] @ X[:i]
-        A = W[:, dim:] @ X
-        A[:, :dim] += W[:, :dim]
-        return A[:k, :dim], A[:k, dim:], A[k:, :dim], A[k:, dim:]
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _boxes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each auxiliary variable's box (lo, hi), and each tie's big-M pair (m_a, m_b) as a row.
-
-        With |s| <= S (``_sizes``), each switch's s and each tie's fa and fb,
-        p . d + q . |s| by ``_abs_normal``, lie in [-||p||_inf + min(q, 0) .
-        S, ||p||_inf + max(q, 0) . S].  A tie's y lies in [max(lo_a, lo_b),
-        max(hi_a, hi_b)], and its m_a and m_b are the positive parts of -lo
-        and hi of its s; an epigraph's t lies in [0, S_i], a binary in [0, 1].
-        """
-        ties = [i for i, sw in enumerate(self.switches) if isinstance(sw, _Tie)]
-        epigraphs = [i for i, sw in enumerate(self.switches) if isinstance(sw, _Epigraph)]
-        Z, L, A, B = self._abs_normal(*(f for i in ties for f in (self.switches[i].fa, self.switches[i].fb)))
-        S, Q = _sizes(Z, L), np.vstack([L, B])  # rows: each switch's s, then each tie's fa and fb
-        head = np.max(np.abs(np.vstack([Z, A])), axis=1, initial=0.0)
-        lo, hi = -head + np.minimum(Q, 0.0) @ S, head + np.maximum(Q, 0.0) @ S
-        box_lo, box_hi, k = np.zeros(self.nvar), np.ones(self.nvar), len(self.switches)
-        box_hi[[self.switches[i].t for i in epigraphs]] = S[epigraphs]
-        y = [self.switches[i].y for i in ties]
-        box_lo[y], box_hi[y] = np.maximum(lo[k::2], lo[k + 1 :: 2]), np.maximum(hi[k::2], hi[k + 1 :: 2])
-        return box_lo, box_hi, np.column_stack([np.maximum(-lo[ties], 0.0), np.maximum(hi[ties], 0.0)])
-
-    def _rows(self, big_m: np.ndarray) -> list[tuple[np.ndarray, float, float]]:
-        """HiGHS's rows (form, lo, hi) beyond the ball's: each switch's in build order, then the cone rows.
-
-        A tie gives y >= fa, y >= fb, y <= fa + m_a (1 - delta) and y <= fb
-        + m_b delta, (m_a, m_b) its row of big_m: delta at 1 binds the third
-        row, at 0 the fourth.  An epigraph gives t >= w and t >= -w.
-        """
-        out, pairs = [], iter(big_m)
-        for sw in self.switches:
-            u = self.unit(self.dim + sw[0])
-            if isinstance(sw, _Epigraph):
-                out += [(_add(u, -sw.w), 0.0, np.inf), (_add(u, sw.w), 0.0, np.inf)]
-            else:
-                (m_a, m_b), delta = next(pairs), self.unit(self.dim + sw.delta)
-                ya, yb = _add(u, -sw.fa), _add(u, -sw.fb)
-                out += [(ya, 0.0, np.inf), (yb, 0.0, np.inf)]
-                out += [(_add(ya, m_a * delta), -np.inf, m_a), (_add(yb, -m_b * delta), -np.inf, 0.0)]
-        return out + [(g, 0.0, np.inf) for g in self.cone_rows]
+        return W[:k, :dim], W[:k, dim:], W[k:, :dim], W[k:, dim:]
 
     @np.errstate(over="ignore", invalid="ignore")
     def _multipliers(self, obj: np.ndarray, tol: float, binaries: int) -> SlopeMin | None:
@@ -544,12 +469,9 @@ class _SlopeModel:
         ||r||_inf > tol, r is a's projection onto ker Z, so with no cone row d
         = -r / ||r||_1 keeps every s at 0, and its slope a . d + b . |s| (s by
         forward substitution), if below -tol, makes d the incumbent with no
-        bound.  A non-finite Z or a, where the substitution overflowed, settles
-        nothing, and the HiGHS branch names the model.
+        bound.  An S or a slope that overflows settles nothing.
         """
         Z, L, (a,), (b,) = self._abs_normal(obj)
-        if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(a))):
-            return None
         mu = np.linalg.lstsq(Z.T, a, rcond=None)[0]
         r = a - Z.T @ mu
         r_max = float(np.max(np.abs(r), initial=0.0))
@@ -581,7 +503,7 @@ class _SlopeModel:
         Z, L, (a,), (b,) = self._abs_normal(obj)
         self._refuse_non_finite(Z, a, b)
         w = np.flatnonzero(b)
-        known = all(isinstance(self.switches[k], _Tie) for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
+        known = all(self.switches[k].tie for k in w) and np.all(b[w] > 0.0) and not np.any(L[w])
         if not known or (w.size and not np.all(np.abs(np.linalg.lstsq(Z[w].T, a, rcond=None)[0]) < b[w])):
             return None
         sv, vt = np.linalg.svd(np.vstack([a, b[w, None] * Z[w]]))[1:]
@@ -589,24 +511,26 @@ class _SlopeModel:
         return np.eye(self.dim) if rank == 0 else vt[rank:].T
 
     def solve(self, obj: np.ndarray, tol: float | None = None) -> SlopeMin:
-        """Minimise obj over d in [-1, 1]^dim, s >= +-d, sum s <= 1, and the model's rows.
+        """Minimise obj = a . d + b . |s| over the unit l1 ball cut by the cone rows.
 
-        The columns are d, then s, then the auxiliary variables.  When obj
-        weighs no auxiliary variable and no cone row cuts the ball, the
-        switches only pin y = max(fa, fb) and t = |w|: the minimum is -|c_i|
-        at the vertex -sign(c_i) e_i, i the first argmax of |c|.  Given tol,
-        the ``_multipliers`` come next: a bound at or above -tol (d = 0,
-        value 0.0), or a direction in ker Z whose slope is below -tol.  Only
-        then are the ``_boxes`` and ``_rows`` derived and HiGHS called.  A
-        non-finite coefficient of obj, a cone row or a switch's form, a
-        non-finite scaled cost, and on the HiGHS branch a non-finite box or
-        big-M constant, raise ValueError.
+        When b = 0 and no cone row cuts the ball, the minimum is -|a_i| at
+        the vertex -sign(a_i) e_i, i the first argmax of |a|.  Given tol, the
+        ``_multipliers`` come next: a bound at or above -tol (d = 0, value
+        0.0), or a direction in ker Z whose slope is below -tol.  Only then is
+        HiGHS called, on the abs-normal form itself.  Its columns are d in
+        [-1, 1]^dim, r in [0, 1]^dim with r >= +-d and sum r <= 1, p and q in
+        [0, S] (``_sizes``) that stand for s = p - q and |s| = p + q, and one
+        binary z per tie; its rows are p - q - Z d - L (p + q) = 0, p <= S z
+        and q <= S (1 - z) per tie, which make p + q = |s| there, and the cone
+        rows.  A switch that is no tie gets no binary: p + q >= |s| is exact
+        wherever a positive weight minimises it, as a penalty residual's does.
+        A non-finite coefficient of obj, a cone row or a switch, a non-finite
+        scaled cost, and on the HiGHS branch a non-finite S, raise ValueError.
         """
         dim = self.dim
         with np.errstate(over="ignore"):
-            # each switch's forms: a tie's fa and fb, an epigraph's w
-            self._refuse_non_finite(_COST_SCALE * obj, *self.cone_rows, *(f for sw in self.switches for f in sw[1:3]))
-        deltas = [sw.delta for sw in self.switches if isinstance(sw, _Tie)]
+            self._refuse_non_finite(_COST_SCALE * obj, *self.cone_rows, *(sw.s for sw in self.switches))
+        ties = np.flatnonzero([sw.tie for sw in self.switches])
         if not np.any(obj[dim:]) and not self.cone_rows:
             c = np.zeros(dim)
             c[: min(obj.size, dim)] = obj[:dim]
@@ -615,59 +539,54 @@ class _SlopeModel:
                 i = int(np.argmax(np.abs(c)))
                 d[i] = -np.sign(c[i])
                 value = float(c @ d)
-            return SlopeMin(value, value, d, len(deltas), "vertex")
+            return SlopeMin(value, value, d, ties.size, "vertex")
         if tol is not None:
-            sol = self._multipliers(obj, tol, len(deltas))
+            sol = self._multipliers(obj, tol, ties.size)
             if sol is not None:
                 return sol
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint
 
-        box_lo, box_hi, big_m = self._boxes()
-        self._refuse_non_finite(box_lo, box_hi, big_m)
-        ncol = 2 * dim + self.nvar
-
-        def columns(f):
-            nz = np.flatnonzero(f)
-            return nz, np.where(nz < dim, nz, nz + dim)
-
-        c = np.zeros(ncol)
-        nz, cols = columns(obj)
-        c[cols] = obj[nz]
-        ar = np.arange(dim)
-        # s_i - d_i >= 0, s_i + d_i >= 0, then sum s <= 1
-        r = [ar, ar, dim + ar, dim + ar, np.full(dim, 2 * dim)]
-        k = [ar, dim + ar, ar, dim + ar, dim + ar]
-        v = [-np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim), np.ones(dim)]
-        rows = self._rows(big_m)
-        for i, (f, _, _) in enumerate(rows, start=2 * dim + 1):
-            nz, cols = columns(f)
-            r.append(np.full(nz.size, i))
-            k.append(cols)
-            v.append(f[nz])
-        lower = np.concatenate([np.zeros(2 * dim), [-np.inf], [lo for _, lo, _ in rows]])
-        upper = np.concatenate([np.full(2 * dim, np.inf), [1.0], [hi for *_, hi in rows]])
-        A = sparse.csr_array((np.concatenate(v), (np.concatenate(r), np.concatenate(k))), shape=(len(lower), ncol))
-        bounds = Bounds(
-            np.concatenate([-np.ones(dim), np.zeros(dim), box_lo]), np.concatenate([np.ones(2 * dim), box_hi])
+        Z, L, (a,), (b,) = self._abs_normal(obj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _sizes(Z, L)
+        self._refuse_non_finite(S)
+        k, nt, cones = S.size, ties.size, np.reshape(self.cone_rows, (-1, dim))
+        I, E, T = sparse.eye_array(dim), np.eye(k), sparse.eye_array(k, format="csr")[ties]
+        # columns d, r, p, q, z; rows r - d >= 0, r + d >= 0, sum r <= 1, the switches, p <= S z, q + S z <= S, cones
+        A = sparse.block_array(
+            [
+                [-I, I, None, None, None],
+                [I, I, None, None, None],
+                [None, np.ones((1, dim)), None, None, None],
+                [-Z, None, E - L, -E - L, None],
+                [None, None, T, None, sparse.diags_array(-S[ties])],
+                [None, None, None, T, sparse.diags_array(S[ties])],
+                [cones, None, None, None, None],
+            ]
         )
-        integrality = np.zeros(ncol)
-        integrality[2 * dim + np.array(deltas, dtype=int)] = 1.0
+        nc = len(cones)
+        lower = np.concatenate([np.zeros(2 * dim), [-np.inf], np.zeros(k), np.full(2 * nt, -np.inf), np.zeros(nc)])
+        upper = np.concatenate([np.full(2 * dim, np.inf), [1.0], np.zeros(k + nt), S[ties], np.full(nc, np.inf)])
+        lo = np.concatenate([-np.ones(dim), np.zeros(dim + 2 * k + nt)])
+        hi = np.concatenate([np.ones(2 * dim), S, S, np.ones(nt)])
+        c = np.concatenate([a, np.zeros(dim), b, b, np.zeros(nt)])
+        integrality = np.concatenate([np.zeros(2 * dim + 2 * k), np.ones(nt)])
         res = milp(
             _COST_SCALE * c,
             integrality=integrality,
-            bounds=bounds,
+            bounds=Bounds(lo, hi),
             constraints=LinearConstraint(A, lower, upper),
             options={"time_limit": MILP_TIME_LIMIT, "mip_rel_gap": 0.0, "presolve": False},
         )
         value, d, bound = 0.0, np.zeros(dim), None
         if res.x is not None and c @ res.x < 0.0:
             value, d = float(c @ res.x), res.x[:dim].copy()
-        if not deltas:
+        if not nt:
             bound = value if res.status == 0 else None
         elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
             bound = float(res.mip_dual_bound) / _COST_SCALE
-        return SlopeMin(value, bound, d, len(deltas), "highs")
+        return SlopeMin(value, bound, d, nt, "highs")
 
 
 def _forms(model: _SlopeModel, graph: ex.Graph, x: np.ndarray, nodes: Sequence[int], links=None) -> tuple[list, list]:
@@ -739,8 +658,8 @@ def theta_prime_model(
     then those of ``fixed_tape``, in the graph's order; inputs are numbered
     by flat lifted position, a ``u`` leaf reading its block.  Each layer
     component adds beta_k times its residual slope w_i = d_u_i - psi_i'(z;
-    d): signed where the residual is nonzero, through t_i >= |w_i| where it
-    vanishes.
+    d): signed where the residual is nonzero, through |w_i|, a switch on s
+    = w_i, where it vanishes.
     """
     b = check_beta(problem, beta)
     check_point(problem, z)

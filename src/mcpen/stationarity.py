@@ -150,13 +150,15 @@ def _first_order(
 ) -> StationarityReport:
     """The verdict that the bounds of obj's minimum allow: the vertex's, the multipliers' or HiGHS's.
 
-    ``stationary`` needs the lower bound on the minimum at or above -tol
-    (a multiplier bound comes with d = 0 and value 0.0);
     ``not-stationary`` needs the incumbent below -tol and its l2-normalised
     direction u to re-evaluate below -tol/2, where ``confirm(u)`` gives the
-    witness and its re-evaluated slope.  A multipliers' witness that does
-    not re-evaluate that low hands the model to HiGHS.  Anything else is
-    inconclusive, with a note that says why.
+    witness and its re-evaluated slope; such a witness refutes before any
+    bound is read.  ``stationary`` needs the lower bound on the minimum at or
+    above -tol and no incumbent below -tol (a multiplier bound comes with d
+    = 0 and value 0.0).  A multipliers' witness that does not re-evaluate
+    that low hands the model to HiGHS.  Anything else is inconclusive, with
+    a note that says why: a bound at or above -tol beside an unconfirmed
+    incumbent below it is a contradiction that the note names.
     """
     tol = report.tol
 
@@ -169,10 +171,16 @@ def _first_order(
         sol = model.solve(obj)
         found = incumbent(sol)
     report.mode, report.samples, report.min_found = "exact", sol.binaries, sol.value
-    if sol.bound is not None and sol.bound >= -tol:
-        report.verdict = STATIONARY
-    elif found is not None:
+    bounded = sol.bound is not None and sol.bound >= -tol
+    if found is not None and (_confirms(found[1], tol) or not bounded):
         _refute(report, *found)
+    elif found is not None:
+        report.notes.append(
+            f"lower bound {sol.bound:.3e} contradicts the incumbent {sol.value:.3e}, "
+            "which did not re-evaluate below -tol/2"
+        )
+    elif bounded:
+        report.verdict = STATIONARY
     else:
         lo = "-inf" if sol.bound is None else f"{sol.bound:.3e}"
         report.notes.append(

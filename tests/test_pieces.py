@@ -443,12 +443,13 @@ def test_multipliers_settle_models_whose_switching_rows_are_dependent(monkeypatc
 
 
 def test_highs_rows_are_read_off_the_switches(monkeypatch):
-    # y = max(t, d1) nests the epigraph t = |d0 - d1|, and the cone row keeps
-    # d0 >= 0.  Columns: d0, d1, then s0, s1 of the ball, then t, y and y's
-    # binary delta.  Bounds off the abs-normal form (``_sizes``, ``_boxes``):
-    # t's switch s0 = d0 - d1 has |s0| <= 1, so t in [0, 1]; y's switch s1 =
-    # |s0| - d1 lies in [-1, 2], so y in [0, 1], m_a = 1 and m_b = 2.  The
-    # minimum of y - d0 is -1/3 at d = (2/3, 1/3), where |d0 - d1| = d1.
+    # y = max(t, d1) nests t = |d0 - d1|, and the cone row keeps d0 >= 0.
+    # Switch 0 is t's s0 = d0 - d1, no tie; switch 1 is y's tie s1 = |s0| -
+    # d1, and y = d1 / 2 + |s0| / 2 + |s1| / 2.  So y - d0 has a = (-1, 1/2),
+    # b = (1/2, 1/2), and S = (1, 2) (``_sizes``).  Columns: d0, d1, then r0,
+    # r1 of the ball, then p0, p1, q0, q1 (s = p - q, |s| = p + q), then the
+    # tie's binary z.  The minimum of y - d0 is -1/3 at d = (2/3, 1/3), where
+    # |d0 - d1| = d1.
     calls = []
     real = pieces_mod.milp
     monkeypatch.setattr(pieces_mod, "milp", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
@@ -457,30 +458,31 @@ def test_highs_rows_are_read_off_the_switches(monkeypatch):
     t = model.abs_of(pieces_mod._add(d0, -d1))
     y = model.max_of(t, d1)
     model.cone_rows = [np.array([1.0, 0.0])]
-    sol = model.solve(pieces_mod._add(y, -d0))
+    obj = pieces_mod._add(y, -d0)
+    assert [(sw.s.tolist(), sw.tie) for sw in model.switches] == [([1, -1], False), ([0, -1, 1], True)]
+    assert obj.tolist() == [-1.0, 0.5, 0.5, 0.5]
+    sol = model.solve(obj)
     (c,), kw = calls[0]
     inf = np.inf
     rows = [
-        ([-1, 0, 1, 0, 0, 0, 0], 0, inf),  # s0 - d0 >= 0
-        ([0, -1, 0, 1, 0, 0, 0], 0, inf),
-        ([1, 0, 1, 0, 0, 0, 0], 0, inf),  # s0 + d0 >= 0
-        ([0, 1, 0, 1, 0, 0, 0], 0, inf),
-        ([0, 0, 1, 1, 0, 0, 0], -inf, 1),  # sum s <= 1
-        ([-1, 1, 0, 0, 1, 0, 0], 0, inf),  # t >= d0 - d1
-        ([1, -1, 0, 0, 1, 0, 0], 0, inf),  # t >= d1 - d0
-        ([0, 0, 0, 0, -1, 1, 0], 0, inf),  # y >= t
-        ([0, -1, 0, 0, 0, 1, 0], 0, inf),  # y >= d1
-        ([0, 0, 0, 0, -1, 1, 1], -inf, 1),  # y <= t + m_a (1 - delta)
-        ([0, -1, 0, 0, 0, 1, -2], -inf, 0),  # y <= d1 + m_b delta
-        ([1, 0, 0, 0, 0, 0, 0], 0, inf),  # the cone row
+        ([-1, 0, 1, 0, 0, 0, 0, 0, 0], 0, inf),  # r0 - d0 >= 0
+        ([0, -1, 0, 1, 0, 0, 0, 0, 0], 0, inf),
+        ([1, 0, 1, 0, 0, 0, 0, 0, 0], 0, inf),  # r0 + d0 >= 0
+        ([0, 1, 0, 1, 0, 0, 0, 0, 0], 0, inf),
+        ([0, 0, 1, 1, 0, 0, 0, 0, 0], -inf, 1),  # sum r <= 1
+        ([-1, 1, 0, 0, 1, 0, -1, 0, 0], 0, 0),  # p0 - q0 = d0 - d1
+        ([0, 1, 0, 0, -1, 1, -1, -1, 0], 0, 0),  # p1 - q1 = -d1 + p0 + q0
+        ([0, 0, 0, 0, 0, 1, 0, 0, -2], -inf, 0),  # p1 <= S1 z
+        ([0, 0, 0, 0, 0, 0, 0, 1, 2], -inf, 2),  # q1 <= S1 (1 - z)
+        ([1, 0, 0, 0, 0, 0, 0, 0, 0], 0, inf),  # the cone row
     ]
     cons = kw["constraints"]
     assert cons.A.toarray().tolist() == [r for r, _, _ in rows]
     assert cons.lb.tolist() == [lo for _, lo, _ in rows] and cons.ub.tolist() == [hi for *_, hi in rows]
-    assert kw["bounds"].lb.tolist() == [-1, -1, 0, 0, 0, 0, 0]
-    assert kw["bounds"].ub.tolist() == [1, 1, 1, 1, 1, 1, 1]
-    assert kw["integrality"].tolist() == [0, 0, 0, 0, 0, 0, 1]
-    assert c.tolist() == [-1e3, 0, 0, 0, 0, 1e3, 0]
+    assert kw["bounds"].lb.tolist() == [-1, -1, 0, 0, 0, 0, 0, 0, 0]
+    assert kw["bounds"].ub.tolist() == [1, 1, 1, 1, 1, 2, 1, 2, 1]
+    assert kw["integrality"].tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert c.tolist() == [-1e3, 500, 0, 0, 500, 500, 500, 500, 0]
     assert sol.binaries == 1
     assert sol.value == pytest.approx(-1 / 3, abs=1e-9) and sol.bound == pytest.approx(-1 / 3, abs=1e-9)
     np.testing.assert_allclose(sol.d, [2 / 3, 1 / 3], atol=1e-9)
@@ -489,8 +491,8 @@ def test_highs_rows_are_read_off_the_switches(monkeypatch):
 def _three_generations():
     """A tie over an epigraph over a tie: y1 = max(d0, d1), t = |y1 - d2|, y2 = max(t, d0 + d2).
 
-    Variables: y1, its binary, t, y2, its binary.  The epigraph reads y1 and
-    the second tie reads t, so s = Z d + L |s| nests three deep.
+    The epigraph's s reads |s| of the first tie and the second tie's s reads
+    |s| of the epigraph, so s = Z d + L |s| nests three deep.
     """
     model = pieces_mod._SlopeModel(3, "hand-built")
     d0, d1, d2 = model.unit(0), model.unit(1), model.unit(2)
@@ -500,32 +502,20 @@ def _three_generations():
 
 
 def _forward(model, D):
-    """Each switch's s and each auxiliary variable's value at the columns of D, one switch at a time.
-
-    Binaries read 0: no form reads them.
-    """
-    X = np.zeros((model.dim + model.nvar, D.shape[1]))
-    X[: model.dim] = D
-    s = []
-    for sw in model.switches:
-        if isinstance(sw, pieces_mod._Tie):
-            a, b = sw.fa @ X[: sw.fa.size], sw.fb @ X[: sw.fb.size]
-            X[model.dim + sw.y], gap = np.maximum(a, b), a - b
-        else:
-            gap = sw.w @ X[: sw.w.size]
-            X[model.dim + sw.t] = np.abs(gap)
-        s.append(gap)
-    return np.reshape(s, (-1, D.shape[1])), X[model.dim :]
+    """Each switch's s at the columns of D, one switch at a time, |s| of earlier switches read as computed."""
+    s = np.zeros((len(model.switches), D.shape[1]))
+    for i, sw in enumerate(model.switches):
+        form = np.zeros(model.dim + i)
+        form[: sw.s.size] = sw.s
+        s[i] = form[: model.dim] @ D + form[model.dim :] @ np.abs(s[:i])
+    return s
 
 
 def test_switch_bounds_hold_at_every_direction():
     # At seeded unit-l1 directions and at +-e_i, each |s_i| stays within the
-    # S_i the multipliers read, each auxiliary variable within its box (a
-    # tie's y = max(fa, fb), an epigraph's t = |w|) and each tie's gap fa - fb
-    # within [-m_a, m_b], the bounds HiGHS reads.  Both are read off s = Z d
-    # + L |s|; with L dropped, nested switches leave them.  The forward
-    # substitutions behind Z, L and S match the switch-by-switch values and a
-    # dense solve of (I - |L|) S = h.
+    # S_i that the multipliers and HiGHS read, off s = Z d + L |s|; with L
+    # dropped, nested switches leave it.  The forward substitution behind S
+    # matches a dense solve of (I - |L|) S = h.
     models = [model for _, model, *_ in _oracle_cases() if model.switches]
     for seed in range(10):
         problem, config, points = desk_points(seed)
@@ -536,41 +526,35 @@ def test_switch_bounds_hold_at_every_direction():
     for model in models:
         Z, L, _, _ = model._abs_normal()
         S = pieces_mod._sizes(Z, L)
-        lo, hi, big_m = model._boxes()
         D = rng.standard_normal((model.dim, 200))
         D = np.hstack([D / np.sum(np.abs(D), axis=0), np.eye(model.dim), -np.eye(model.dim)])
-        s, X = _forward(model, D)
+        s = _forward(model, D)
         np.testing.assert_allclose(s, Z @ D + L @ np.abs(s), rtol=1e-12, atol=1e-12)
         h = np.max(np.abs(Z), axis=1)
         np.testing.assert_allclose(S, np.linalg.solve(np.eye(h.size) - np.abs(L), h), rtol=1e-12)
-        ties = [i for i, sw in enumerate(model.switches) if isinstance(sw, pieces_mod._Tie)]
         assert np.all(np.abs(s) <= S[:, None])
-        assert np.all(lo[:, None] <= X) and np.all(X <= hi[:, None])
-        assert np.all(-big_m[:, :1] <= s[ties]) and np.all(s[ties] <= big_m[:, 1:])
         switches += len(model.switches)
         nested += int(np.count_nonzero(np.any(L, axis=1)))
     assert (len(models), switches, nested) == (178, 1213, 207)
 
 
 def test_nested_switch_bounds_by_hand():
-    # s0 = d0 - d1, so |s0| <= 1, y1's branches lie in [-1, 1] and m = (1, 1).
-    # y1 = (d0 + d1) / 2 + |s0| / 2, so t's s1 = (d0 + d1) / 2 - d2 + |s0| / 2
-    # has |s1| <= 1 + 1/2.  y2's s2 = |s1| - d0 - d2 lies in [-1, 1 + 3/2], so
-    # m = (1, 5/2); its branches t and d0 + d2 lie in [0, 3/2] and [-1, 1].
+    # s0 = d0 - d1, so |s0| <= 1.  y1 = (d0 + d1) / 2 + |s0| / 2, so t's s1
+    # = (d0 + d1) / 2 - d2 + |s0| / 2 has |s1| <= 1 + 1/2.  y2's s2 = |s1| -
+    # d0 - d2 has |s2| <= 1 + 3/2.
     hand = _three_generations()
+    assert [sw.tie for sw in hand.switches] == [True, False, True]
     Z, L, _, _ = hand._abs_normal()
+    assert Z.tolist() == [[1, -1, 0], [0.5, 0.5, -1], [-1, 0, -1]]
     assert L.tolist() == [[0, 0, 0], [0.5, 0, 0], [0, 1, 0]]
     assert pieces_mod._sizes(Z, L).tolist() == [1.0, 1.5, 2.5]
-    lo, hi, big_m = hand._boxes()
-    assert lo.tolist() == [-1.0, 0.0, 0.0, 0.0, 0.0]
-    assert hi.tolist() == [1.0, 1.0, 1.5, 1.5, 1.0]
-    assert big_m.tolist() == [[1.0, 1.0], [1.0, 2.5]]
 
 
 def test_a_root_that_is_an_input_row_has_its_unit_form():
     # Layer 1 is theta0 and g = u1, so on the chained tape g's root is input
     # row 0 and no node lies before it; on the outer and fixed tapes each
     # root is an input row too.  P0's slope at theta = 0 is d0, minimum -1.
+    # P1's one switch is the vanishing residual's, which is no tie.
     p = CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), ex.uref(1, 0), lam=0.1)
     z = eval_layers(p, np.zeros(1))
     model, obj = psi_prime_model(p, z.theta)
@@ -578,7 +562,7 @@ def test_a_root_that_is_an_input_row_has_its_unit_form():
     r0, r1 = check_d_stationary_P0(p, z), check_d_stationary_P1(p, z, [1.0])
     assert (r0.verdict, r0.min_found, r0.samples) == (NOT_STATIONARY, -1.0, 0)
     assert (r1.verdict, r1.samples) == (NOT_STATIONARY, 0)
-    assert [type(sw) for sw in theta_prime_model(p, z, [1.0])[0].switches] == [pieces_mod._Epigraph]
+    assert [sw.tie for sw in theta_prime_model(p, z, [1.0])[0].switches] == [False]
 
 
 def test_a_tie_that_g_never_reads_adds_no_switch_to_p0():

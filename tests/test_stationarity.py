@@ -3,6 +3,7 @@
 import warnings
 from dataclasses import replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -566,14 +567,44 @@ def test_first_order_models_refuse_non_finite_coefficients():
             check_d_stationary_P1(problem, z, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("slope", [2.0, 0.5])
+def test_a_lower_bound_never_outweighs_an_incumbent_below_minus_tol(monkeypatch, slope):
+    # g = |u| - slope u with u = theta, at 0.  A patched milp returns the pair
+    # that badly scaled programs drew from HiGHS: a dual bound 0, at or above
+    # -tol, beside the incumbent e0, whose value -slope lies below it.  At
+    # slope 2, e0 re-evaluates to the true minimum -1 and refutes.  At slope
+    # 0.5 the point is stationary and e0 re-evaluates to +0.5, so the pair
+    # contradicts itself and the verdict is inconclusive.
+    u = ex.uref(1, 0)
+    problem = _one_layer(ex.theta(0), ex.sub(ex.vabs(u), ex.scaled(slope, u)))
+    z = eval_layers(problem, np.zeros(1))
+
+    def pair(c, **kwargs):
+        x = np.zeros(c.size)
+        x[0] = 1.0
+        return SimpleNamespace(x=x, mip_dual_bound=0.0, status=0)
+
+    monkeypatch.setattr(pieces._SlopeModel, "_multipliers", lambda *a: None)
+    monkeypatch.setattr(pieces, "milp", pair)
+    r = check_d_stationary_P0(problem, z)
+    assert (r.mode, r.samples, r.min_found) == ("exact", 1, -slope)
+    if slope == 2.0:
+        assert (r.verdict, r.witness.dtheta.tolist(), r.witness_value, r.notes) == (NOT_STATIONARY, [1.0], -1.0, [])
+    else:
+        assert (r.verdict, r.witness, r.witness_value) == (INCONCLUSIVE, None, None)
+        assert r.notes == [
+            "lower bound 0.000e+00 contradicts the incumbent -5.000e-01, which did not re-evaluate below -tol/2"
+        ]
+
+
 @pytest.mark.parametrize("s", [160, 200, 300])
 def test_non_finite_substitutions_end_in_the_named_error(capfd, s):
-    # Each form of random problem 9's P0 model is finite, but the abs-normal
-    # substitution overflows.  The multipliers then decline, and the HiGHS
-    # branch names the model; LAPACK, given the inf, would raise its own
-    # error and print its own line.  Random problem 11 is P1-stationary, and
-    # its penalized second order reads P0's model, whose critical subspace
-    # refuses it the same way.
+    # Random problem 9's P0 model overflows as it is built in abs-normal
+    # form (a tie's max(fa, fb) = fb + s / 2 + |s| / 2), and ``solve`` names
+    # the model before the multipliers run; LAPACK, given the inf, would
+    # raise its own error and print its own line.  Random problem 11 is
+    # P1-stationary, and its penalized second order reads P0's model, whose
+    # critical subspace refuses it the same way.
     def scaled(p):
         layers = tuple(LayerMap(lm.index, tuple(ex.scaled(10.0**s, e) for e in lm.exprs)) for lm in p.layers)
         q = CompositeProblem(p.n, layers, p.outer, p.lam)

@@ -35,7 +35,7 @@ import numpy as np
 
 from mcpen import expr as ex
 from mcpen.dcalc import KINK_TOL
-from mcpen.pieces import CRIT_SLACK, _Tie
+from mcpen.pieces import CRIT_SLACK
 from mcpen.model import (
     FEAS_TOL,
     EvaluationError,
@@ -394,30 +394,25 @@ def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
 def tie_basis(model, obj):
     """Orthonormal basis of the critical subspace S of P0's model, or None when S is unknown.
 
-    P0's model writes phi1(d) = c . d + sum_k a_k y_k.  A tie y_k = max(f_k .
-    d, g_k . d) over the direction alone with a_k > 0 gives a_k y_k = a_k
-    (f_k + g_k) . d / 2 + |r_k . d|, r_k = a_k (f_k - g_k) / 2: it moves c
-    and adds the row r_k, when -c = sum_k t_k r_k at the least-squares t has
-    every |t_k| < 1.  Any other weighted variable leaves S unknown.  S is
-    spanned by the right singular vectors of [c; r] whose singular values
-    are at most CRIT_SLACK, and is R^n, with B = I, when all of them are.
+    P0's model writes phi1(d) = c . d + sum_k b_k |s_k|.  A tie k whose s_k
+    reads the direction alone, with b_k > 0, adds the row r_k = b_k s_k,
+    since b_k |s_k . d| = |r_k . d|, when -c = sum_k t_k r_k at the
+    least-squares t has every |t_k| < 1.  Any other weighted switch leaves
+    S unknown.  S is spanned by the right singular vectors of [c; r] whose
+    singular values are at most CRIT_SLACK, and is R^n, with B = I, when all
+    of them are.
     """
     n = model.dim
-    ties = {
-        sw.y: (sw.fa, sw.fb)
-        for sw in model.switches
-        if isinstance(sw, _Tie) and max(sw.fa.size, sw.fb.size) <= n
-    }
-    coef = np.zeros(n + model.nvar)
+    coef = np.zeros(n + len(model.switches))
     coef[: obj.size] = obj
-    c, aux = coef[:n], coef[n:]
-    tied = np.flatnonzero(aux)
+    c, weights = coef[:n], coef[n:]
+    tied = np.flatnonzero(weights)
     H = np.zeros((tied.size, n))
     for r, k in enumerate(tied):
-        if int(k) not in ties or aux[k] < 0.0:
+        sw = model.switches[k]
+        if not sw.tie or np.any(sw.s[n:]) or weights[k] < 0.0:
             return None
-        f, g = (np.pad(form, (0, n - form.size)) for form in ties[int(k)])
-        c, H[r] = c + aux[k] * (f + g) / 2.0, aux[k] * (f - g) / 2.0
+        H[r, : sw.s.size] = weights[k] * sw.s
     if tied.size and not np.all(np.abs(np.linalg.lstsq(H.T, -c, rcond=None)[0]) < 1.0):
         return None
     sv, vt = np.linalg.svd(np.vstack([c, H]))[1:]
