@@ -13,13 +13,14 @@ can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
 per-column arrays, the same bytes for a column alone or in a batch; the
-scalar API wraps batch width one.  Each batch runs one pass of each of the
-problem's tapes it needs, all three placed from one walk of its trees
+scalar API wraps batch width one.  Each batch runs one pass of one of the
+problem's four tapes, all placed from one walk of its trees
 (``model.CompositeProblem.graph``): the outer tape for F (``dd_F_batch``);
 the fixed tape, whose links read the point's blocks, for the stacked
-residual slopes (``residual_slopes``) and, with the outer tape, for Theta
-(``dd_Theta_batch``); the chained tape, whose links read the maps' rows,
-for the tangent lift (``forward_curves``) and ``dd_Psi_batch``.
+residual slopes (``residual_slopes``); the penalized tape, the maps and
+then g over the point's blocks, for Theta (``dd_Theta_batch``); the chained
+tape, whose links read the maps' rows, for the tangent lift
+(``forward_curves``) and ``dd_Psi_batch``.
 
 ``dd_F_batch`` and every second-order batch return kinked flags; at first
 order ``dd_Theta_batch`` and ``dd_Psi_batch`` build them only when called
@@ -143,15 +144,15 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
     return first, None
 
 
-def _F(problem: CompositeProblem, th: np.ndarray, ublocks, DTH: np.ndarray, DU, order: int, kinks: bool = False):
-    """F's (first, second, bad, kinked) from one pass of the outer tape, kinked None at order 1 unless ``kinks``."""
-    g = problem.outer_tape.cells(th, ublocks, DTH, DU, order, kinks=kinks).cell(0)
-    return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
+def _F(problem: CompositeProblem, z: Point, DTH: np.ndarray, order: int, cells: ex.Cells):
+    """F's (first, second, bad, kinked) off g, the last root of ``cells``, a pass at z along DTH."""
+    g = cells.cell(-1)
+    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
 
 
 def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
-    """Batched F derivatives: returns (first, second, bad, kinked) arrays."""
-    return _F(problem, z.theta, z.u, DTH, DU, order, True)
+    """Batched F derivatives by one pass of the outer tape: returns (first, second, bad, kinked) arrays."""
+    return _F(problem, z, DTH, order, problem.outer_tape.cells(z.theta, z.u, DTH, DU, order, kinks=True))
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
@@ -181,20 +182,22 @@ def dd_Theta_batch(
     Each l1 term expands exactly: a component with signed residual adds
     its signed residual slope at first order and the signed negative of the
     map's second derivative at second order; one with zero residual adds
-    the absolute slope, its sign breaking the tie at second order.  All
-    layers' terms are read off the stacked rows of ``residual_slopes``,
-    summed by ``_layer_folds`` and added to F's in layer order.
+    the absolute slope, its sign breaking the tie at second order.  One
+    pass of the penalized tape gives F's data off its last root, g, and the
+    maps' rows; all layers' terms are read off those rows, summed by
+    ``_layer_folds`` and added to F's in layer order.
     """
-    first, second, bad, kinked = _F(problem, z.theta, z.u, DTH, DU, order, kinks)
-    cells = residual_slopes(problem, z, DTH, DU, order)
-    rho, W = np.concatenate(z.u) - cells.value, cells.first
+    cells = problem.penalized_tape.cells(z.theta, z.u, DTH, DU, order, kinks=kinks)
+    first, second, bad, kinked = _F(problem, z, DTH, order, cells)
+    R = problem.layer_of_row.size
+    rho, W = np.concatenate(z.u) - cells.value[:R], np.concatenate(DU) - cells.first[:R]
     pos, neg = rho > FEAS_TOL, rho < -FEAS_TOL
     zer = ~(pos | neg)
     kinked = None if kinked is None else kinked | (np.abs(W[zer]) > KINK_TOL).any(axis=0)
     masks, terms = [pos, neg, zer], [W, W, np.abs(W)]
     if order == 2:
-        S = cells.second
-        bad = bad | cells.bad2.any(axis=0)
+        S = cells.second[:R]
+        bad = bad | cells.bad2[:R].any(axis=0)
         masks += masks
         terms += [S, S, np.where(W > KINK_TOL, -S, np.where(W < -KINK_TOL, S, np.abs(S)))]
     sums = _layer_folds(problem, np.where(np.array(masks)[:, :, None], terms, -0.0))

@@ -22,9 +22,11 @@ family with a fixed set of numpy calls over every column.  ``Tape.values``
 (``eval_many`` at one point) is the one value walker; ``Tape.cells``
 (behind ``taylor_cells``) gives Taylor data along a batch of rays.  A
 problem walks its maps and outer function once, each ``u`` leaf a link to
-the map that defines it, and places three tapes from that graph (see
-``model.CompositeProblem``); the level-set sampler runs the chained one with
-each link shifted (``Tape.shifted``).  Where an op's own arithmetic differs
+the map that defines it, and places four tapes from that graph (see
+``model.CompositeProblem``): the chained one for the nested objective, the
+penalized one for Theta, the outer one for F and the fixed one for the
+residuals; the level-set sampler runs the chained one with each link
+shifted (``Tape.shifted``).  Where an op's own arithmetic differs
 from its family rule (whether a sum starts at zero or at its first term,
 Python's ``abs``), the difference is table data, so each op keeps its exact
 rounding and sign of zero column by column, and a tape's rows are the bytes
@@ -658,6 +660,17 @@ class Graph:
             src[i] = src[self.roots[i - head]]
         return src
 
+    def reach(self, roots: Sequence[int], src: Sequence[int]) -> bytearray:
+        """Per id, 1 where ``roots`` reach it, each argument read through ``src`` (``follow``, or every id itself)."""
+        need = bytearray(len(src))
+        for r in roots:
+            need[r] = 1
+        for i in range(max(roots), self.nin - 1, -1):  # each argument, a link followed, comes before its user
+            if need[i] and type(self.made[i - self.nin]) is tuple:
+                for a in self.made[i - self.nin][1]:
+                    need[src[a]] = 1
+        return need
+
 
 def walk(roots: Sequence[Expr], sizes: Sequence[int], chain: bool = False) -> Graph:
     """The trees ``roots`` over input blocks of ``sizes`` (theta's first), hash-consed in one walk.
@@ -745,14 +758,9 @@ def place(graph: Graph, roots: Sequence[int], chained: bool = False) -> Tape:
     """
     made, nin, head = graph.made, graph.nin, graph.sizes[0]
     src = graph.follow if chained else range(nin + len(made))
-    roots, need = [src[r] for r in roots], bytearray(len(src))
-    for r in roots:
-        need[r] = 1
-    for i in range(len(src) - 1, nin - 1, -1):  # users come after their arguments
-        if need[i] and type(made[i - nin]) is tuple:
-            for a in made[i - nin][1]:
-                need[src[a]] = 1
-    nodes = [i for i in range(nin, len(src)) if need[i]]
+    roots = [src[r] for r in roots]
+    need = graph.reach(roots, src)
+    nodes = [i for i in range(nin, max(roots) + 1) if need[i]]
     top = max([i for i in range(nin) if need[i]], default=0)
     sizes = graph.sizes[: 1 + sum(top >= end for end in itertools.accumulate(graph.sizes))]
     base, row = nin if chained else sum(sizes), [*src[:nin], *[0] * len(made)]

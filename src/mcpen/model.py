@@ -13,7 +13,8 @@ lambda > 0.  Three objectives hang off one set of data:
 Points and directions are kept in block form; flattening helpers are
 provided for serialization and search code.  Every value at a point (the
 lift, the residuals, g, F and Theta) comes from width-1 passes of the
-problem's tapes, the same programs that batches and derivatives run.
+problem's tapes, the same programs that batches and derivatives run: four
+placements of one walk, for the nested objective, the residuals, F and Theta.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class CompositeProblem:
 
     @cached_property
     def layer_rows(self) -> tuple[slice, ...]:
-        """Per layer, its rows among the roots of ``fixed_tape`` and ``chained_tape``."""
+        """Per layer, its rows among the roots of ``fixed_tape``, ``penalized_tape`` and ``chained_tape``."""
         ends = np.cumsum(self.widths).tolist()
         return tuple(slice(end - w, end) for end, w in zip(ends, self.widths))
 
@@ -128,7 +129,7 @@ class CompositeProblem:
     def graph(self) -> ex.Graph:
         """The maps, then ``outer``, hash-consed in one walk at first use, each ``u`` leaf a link to its map.
 
-        The three tapes below are placed from it at first use, and all are kept.
+        The four tapes below are placed from it at first use, and all are kept.
         """
         return ex.walk([*(e for lm in self.layers for e in lm.exprs), self.outer], (self.n, *self.widths), chain=True)
 
@@ -150,6 +151,11 @@ class CompositeProblem:
     def outer_tape(self) -> ex.Tape:
         """``outer`` alone, on a program over the blocks (theta, u_1, ..., u_L)."""
         return ex.place(self.graph, self.graph.roots[-1:])
+
+    @cached_property
+    def penalized_tape(self) -> ex.Tape:
+        """The maps, then ``outer``, each link reading its block: one pass gives Theta's maps and g, its last root."""
+        return ex.place(self.graph, self.graph.roots)
 
 
 @dataclass(frozen=True)
@@ -216,7 +222,7 @@ def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
 
 
 def layer_values(problem: CompositeProblem, tape: ex.Tape, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The roots of ``tape`` (fixed or chained) at one point; ``EvaluationError`` names the first non-finite layer."""
+    """The roots of ``tape`` (not the outer one) at one point; ``EvaluationError`` names the first non-finite layer."""
     vals = ex.eval_many(tape, th, ublocks)
     bad = ~np.isfinite(vals[: problem.layer_of_row.size])
     if bad.any():
@@ -267,14 +273,15 @@ def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
     return b
 
 
-def residuals(problem: CompositeProblem, z: Point) -> Residuals:
-    """The residuals at z from one ``fixed_tape`` pass and one subtraction of the stacked rows.
+def residuals(problem: CompositeProblem, z: Point, X: np.ndarray | None = None) -> Residuals:
+    """The residuals at z from the map rows X of a pass at z (a penalized one's roots), else a ``fixed_tape`` pass.
 
     ``max_abs`` is the largest layer maximum, NaN if any layer's is, and a
     NaN never reads feasible.
     """
     check_point(problem, z)
-    rho = np.concatenate(z.u) - layer_values(problem, problem.fixed_tape, z.theta, z.u)
+    X = layer_values(problem, problem.fixed_tape, z.theta, z.u) if X is None else X
+    rho = np.concatenate(z.u) - X[: problem.layer_of_row.size]
     A = np.abs(rho)
     layer_max = np.maximum.reduceat(A, problem.layer_starts)
     max_abs = float(np.max(layer_max))
@@ -302,13 +309,17 @@ def require_feasible(problem: CompositeProblem, z: Point) -> None:
 
 
 def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> float:
-    """Theta at z by one ``fixed_tape`` pass, then one ``outer_tape`` pass, summed by ``penalized_cols``."""
-    b = check_beta(problem, beta)
+    """Theta at z by one ``penalized_tape`` pass, summed by ``penalized_cols``."""
+    return Theta_and_roots(problem, z, check_beta(problem, beta))[0]
+
+
+def Theta_and_roots(problem: CompositeProblem, z: Point, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """``eval_Theta`` at z and a checked beta b, with the roots of its ``penalized_tape`` pass: maps, then g."""
     check_point(problem, z)
-    X = layer_values(problem, problem.fixed_tape, z.theta, z.u)
-    g = eval_g(problem, z.u)
+    X = layer_values(problem, problem.penalized_tape, z.theta, z.u)
+    g = checked_g(problem, float(X[-1]))
     U = np.concatenate(z.u)[:, None]
-    return float(penalized_cols(problem, z.theta[:, None], U, X[:, None], np.array([g]), b)[0])
+    return float(penalized_cols(problem, z.theta[:, None], U, X[:-1, None], np.array([g]), b)[0]), X
 
 
 def eval_Psi_plus_reg(problem: CompositeProblem, th: np.ndarray) -> float:
@@ -322,25 +333,24 @@ def _nested(problem: CompositeProblem, th: np.ndarray) -> tuple[Point, float]:
     return z, checked_g(problem, float(vals[-1])) + problem.lam * float(z.theta @ z.theta)
 
 
-def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, by the fixed and outer tapes.
+def eval_Theta_cols(problem: CompositeProblem, Z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eval_Theta`` at each column of Z (nbar, m) and a checked beta b, and the roots (R + 1, m) of its one pass.
 
-    Value j is the scalar value at column j byte for byte, or NaN where
-    ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g.
-    Nothing here warns or raises.
+    Value j is ``eval_Theta``'s at column j byte for byte, or NaN where
+    ``eval_Theta`` raises ``EvaluationError`` or warns of a negative g, and
+    column j of the roots is those of its pass.  Nothing here warns or raises.
     """
     TH, U = split_flat(problem, Z)
-    X = problem.fixed_tape.values(TH, U)
-    g = problem.outer_tape.values(TH, U)[0]
-    F = penalized_cols(problem, TH, Z[problem.n :], X, g, b)
-    F[~(np.isfinite(X).all(axis=0) & np.isfinite(g)) | (g < G_WARN_BELOW)] = np.nan
-    return F
+    X = problem.penalized_tape.values(TH, U)
+    F = penalized_cols(problem, TH, Z[problem.n :], X[:-1], X[-1], b)
+    F[~np.isfinite(X).all(axis=0) | (X[-1] < G_WARN_BELOW)] = np.nan
+    return F, X
 
 
 def penalized_cols(
     problem: CompositeProblem, TH: np.ndarray, U: np.ndarray, X: np.ndarray, g: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Theta at the columns of TH and stacked blocks U from the maps' values X there (``fixed_tape`` roots) and g.
+    """Theta at the columns of TH and stacked blocks U from the maps' values X there and g.
 
     Value j is ``eval_Theta``'s sum at column j byte for byte, whatever X
     and g hold; nothing is masked and nothing warns.

@@ -369,7 +369,8 @@ class SlopeMin(NamedTuple):
     proved neither (``MILP_TIME_LIMIT``).  On a badly scaled program HiGHS
     may return a bound above an incumbent ``value``; both are kept as they
     came.  ``binaries`` counts the switches that are ties, one binary each on
-    the HiGHS branch, whether or not HiGHS is called.
+    the HiGHS branch, whether or not HiGHS is called.  ``status`` and
+    ``message`` are ``milp``'s (1 is its time limit) where HiGHS ran.
     """
 
     value: float
@@ -377,6 +378,8 @@ class SlopeMin(NamedTuple):
     d: np.ndarray
     binaries: int
     source: str
+    status: int | None = None
+    message: str = ""
 
 
 class _Switch(NamedTuple):
@@ -586,7 +589,7 @@ class _SlopeModel:
             bound = value if res.status == 0 else None
         elif res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
             bound = float(res.mip_dual_bound) / _COST_SCALE
-        return SlopeMin(value, bound, d, nt, "highs")
+        return SlopeMin(value, bound, d, nt, "highs", res.status, res.message)
 
 
 def _forms(model: _SlopeModel, graph: ex.Graph, x: np.ndarray, nodes: Sequence[int], links=None) -> tuple[list, list]:
@@ -654,9 +657,9 @@ def theta_prime_model(
 ) -> tuple[_SlopeModel, np.ndarray]:
     """The model of d -> Theta'(z; d) over the lifted space and its objective form, unsolved.
 
-    It reads the nodes of ``problem.graph`` that ``outer_tape`` computes,
-    then those of ``fixed_tape``, in the graph's order; inputs are numbered
-    by flat lifted position, a ``u`` leaf reading its block.  Each layer
+    It reads the nodes of ``problem.graph`` that g reaches, then those the
+    maps reach (``Graph.reach``, links read as blocks), in the graph's
+    order; inputs are numbered by flat lifted position.  Each layer
     component adds beta_k times its residual slope w_i = d_u_i - psi_i'(z;
     d): signed where the residual is nonzero, through |w_i|, a switch on s
     = w_i, where it vanishes.
@@ -664,9 +667,12 @@ def theta_prime_model(
     b = check_beta(problem, beta)
     check_point(problem, z)
     model, x, n = _SlopeModel(problem.nbar, "P1"), z.flat(), problem.n
-    graph = problem.graph
-    obj = _forms(model, graph, x, problem.outer_tape.nodes.tolist())[1][graph.roots[-1]]
-    vals, forms = _forms(model, graph, x, problem.fixed_tape.nodes.tolist())
+    graph, nin = problem.graph, problem.graph.nin
+    ids = range(nin + len(graph.made))
+    g = itertools.compress(ids[nin:], graph.reach(graph.roots[-1:], ids)[nin:])
+    maps = itertools.compress(ids[nin:], graph.reach(graph.roots[:-1], ids)[nin:])
+    obj = _forms(model, graph, x, g)[1][graph.roots[-1]]
+    vals, forms = _forms(model, graph, x, maps)
     for r, (k, i) in enumerate(zip(problem.layer_of_row, graph.roots[:-1])):
         w = _add(model.unit(n + r), -forms[i])
         rho = x[n + r] - vals[i]

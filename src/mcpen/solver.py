@@ -12,13 +12,16 @@ minimum rises above minus the stop tolerance; the solve reports
 final, polished point still sees no slope below minus the stop tolerance.
 
 The backtracking search on the penalized objective evaluates all of its
-trial steps in one pass of the maps and one of g
-(``model.eval_Theta_cols``) and then takes the first that passes, trying
-them in the order of a halving loop.  A tried step that the passes mark,
-because the one-point evaluation would raise or warn there, is evaluated
-again one point at a time, so it raises and warns as that loop did; the
-steps after the accepted one have no effect.  The smooth polish usually
-accepts its first or second step, so it keeps the one-step loop.
+trial steps in one pass of the penalized tape (``model.eval_Theta_cols``)
+and then takes the first that passes, trying them in the order of a
+halving loop.  A tried step that the pass marks, because the one-point
+evaluation would raise or warn there, is evaluated again one point at a
+time, so it raises and warns as that loop did; the steps after the accepted
+one have no effect.  The smooth polish usually accepts its first or second
+step, so it keeps the one-step loop: valuing its steps in one chained pass
+measured slower.  The solve keeps the penalized roots of its current point
+and reads its residuals off them, and a polish reuses the known value, so
+no point's value is computed twice.
 
 This is deliberately replaceable plumbing: any monotone method meeting the
 same termination contract can sit behind the same interface.
@@ -38,6 +41,7 @@ from .model import (
     CompositeProblem,
     Point,
     Residuals,
+    Theta_and_roots,
     check_beta,
     check_point,
     eval_layers,
@@ -168,7 +172,7 @@ def _line_search(
     d: np.ndarray,
     value: float,
     slope: float,
-) -> tuple[Point, float, float] | None:
+) -> tuple[tuple[Point, np.ndarray], float, float] | None:
     """Armijo backtracking on Theta from z (at ``value``) along the flat direction d.
 
     The steps are those of a halving loop from ``STEP_INIT`` down to 1e-12.
@@ -178,19 +182,19 @@ def _line_search(
     ``eval_Theta``, which raises and warns as a one-step-at-a-time loop
     would.  Steps after the accepted one have no effect.
 
-    Returns the accepted point, its step and its value, or None when no
-    step passes.
+    Returns the accepted point with the roots of its penalized pass, its
+    step and its value, or None when no step passes.
     """
     steps = _halvings(STEP_INIT, 1e-12)
     with np.errstate(all="ignore"):
         Z = z.flat()[:, None] + d[:, None] * steps
-    values = eval_Theta_cols(problem, Z, b)
+    values, X = eval_Theta_cols(problem, Z, b)
     for j, t in enumerate(steps.tolist()):
         v = float(values[j])
         if not np.isfinite(v):
             v = eval_Theta(problem, point_from_flat(problem, z.flat() + t * d), b)
         if v <= value + ARMIJO_SIGMA * t * slope:
-            return point_from_flat(problem, Z[:, j]), t, v
+            return (point_from_flat(problem, Z[:, j]), X[:, j]), t, v
     return None
 
 
@@ -246,13 +250,20 @@ def polish_to_feasible(
     Returns (point, changed, objective delta).  The replacement is refused,
     with changed False, when lifting would increase the penalized value.
     """
-    b = check_beta(problem, beta)
+    z2, _, _, changed, delta = _polish(problem, z, check_beta(problem, beta))
+    return z2, changed, delta
+
+
+def _polish(
+    problem: CompositeProblem, z: Point, b: np.ndarray, value: float | None = None, X: np.ndarray | None = None
+) -> tuple:
+    """``polish_to_feasible`` at z, given its Theta and penalized roots: (point, Theta, roots, changed, delta)."""
     lifted = eval_layers(problem, z.theta)
-    before = eval_Theta(problem, z, b)
-    after = eval_Theta(problem, lifted, b)
+    before = eval_Theta(problem, z, b) if value is None else value
+    after, X2 = Theta_and_roots(problem, lifted, b)
     if after <= before + 1e-12:
-        return lifted, True, float(after - before)
-    return z, False, float(after - before)
+        return lifted, after, X2, True, float(after - before)
+    return z, before, X, False, float(after - before)
 
 
 def minimize_theta(
@@ -265,13 +276,13 @@ def minimize_theta(
     b = check_beta(problem, beta)
     rng = np.random.default_rng(cfg.seed)
     z = _initial_point(problem, cfg, z_init)
-    value = eval_Theta(problem, z, b)
-    best_z, best_value = z, value
+    value, X = Theta_and_roots(problem, z, b)
+    best_z, best_value, best_X = z, value, X
     trace = SolveTrace()
     probe_min = np.inf
     k = 0
     for k in range(1, cfg.max_iters + 1):
-        res = residuals(problem, z)
+        res = residuals(problem, z, X)
         D = _probe_directions(problem, z, res, rng)
         if res.feasible:
             # Tangent steepest-descent candidate: moving along the lifted
@@ -315,16 +326,16 @@ def minimize_theta(
             if cfg.step_rule == "diminishing":
                 t = DIMINISHING_C / np.sqrt(k)
                 z2 = point_from_flat(problem, z.flat() + t * d)
-                v2 = eval_Theta(problem, z2, b)
-                z, value, step_used, moved = z2, v2, t, True
+                v2, X2 = Theta_and_roots(problem, z2, b)
+                z, value, X, step_used, moved = z2, v2, X2, t, True
                 break
             found = _line_search(problem, z, b, d, value, slope)
             if found is not None:
-                z, step_used, value = found
+                (z, X), step_used, value = found
                 moved = True
                 break
         if value < best_value:
-            best_z, best_value = z, value
+            best_z, best_value, best_X = z, value, X
         trace.record(
             iter=k, theta=value, max_residual=res.max_abs, step=step_used, probe_min=probe_min
         )
@@ -332,25 +343,21 @@ def minimize_theta(
             trace.termination = "line-search-stalled"
             break
         if k % POLISH_EVERY == 0:
-            z2, changed, _ = polish_to_feasible(problem, z, b)
-            if changed:
-                z = z2
-                value = eval_Theta(problem, z, b)
+            z, value, X = _polish(problem, z, b, value, X)[:3]
     else:
         trace.termination = "max-iters"
 
     if cfg.step_rule == "diminishing" and best_value < value:
-        z, value = best_z, best_value
-    z2, changed, _ = polish_to_feasible(problem, z, b)
-    if changed:
-        z, value = z2, eval_Theta(problem, z2, b)
-    if residuals(problem, z).feasible:
+        z, value, X = best_z, best_value, best_X
+    z, value, X = _polish(problem, z, b, value, X)[:3]
+    res = residuals(problem, z, X)
+    if res.feasible:
         th = _smooth_polish(problem, z.theta)
         z3 = eval_layers(problem, th)
-        v3 = eval_Theta(problem, z3, b)
+        v3, X3 = Theta_and_roots(problem, z3, b)
         if v3 <= value + 1e-12:
-            z, value = z3, v3
-    Df = _probe_directions(problem, z, residuals(problem, z), rng)
+            z, value, res = z3, v3, residuals(problem, z3, X3)
+    Df = _probe_directions(problem, z, res, rng)
     probe_min = float(np.min(_slopes(problem, z, b, Df)))
     converged = trace.termination == "probe-stationary" and probe_min >= -cfg.stop_tol
     if cfg.trace_path:

@@ -7,7 +7,7 @@ bound on the minimum is at least -tol, not stationary when the incumbent
 direction, l2-normalised, re-evaluates below -tol/2 through the derivative
 calculus, and inconclusive otherwise.  P0's incumbent re-evaluates in one
 pass of the chained tape, whose layer roots give its lift and whose last
-root gives its slope; P1's in one Taylor pass of the fixed and outer tapes
+root gives its slope; P1's in one Taylor pass of the penalized tape
 (``dcalc.dd_Theta_batch``), with no value pass.  The bounds are the exact
 vertex value where the objective weighs no tie and no row cuts the ball,
 else a multiplier bound, which settles a stationary point at d = 0 when it
@@ -54,8 +54,8 @@ from .dcalc import (
 from .model import (
     CompositeProblem,
     Point,
+    Theta_and_roots,
     check_beta,
-    eval_Theta,
     require_feasible,
     residuals,
 )
@@ -158,7 +158,8 @@ def _first_order(
     = 0 and value 0.0).  A multipliers' witness that does not re-evaluate
     that low hands the model to HiGHS.  Anything else is inconclusive, with
     a note that says why: a bound at or above -tol beside an unconfirmed
-    incumbent below it is a contradiction that the note names.
+    incumbent below it is a contradiction that the note names, as HiGHS's
+    time limit (status 1) or other status and message is.
     """
     tol = report.tol
 
@@ -183,10 +184,10 @@ def _first_order(
         report.verdict = STATIONARY
     else:
         lo = "-inf" if sol.bound is None else f"{sol.bound:.3e}"
-        report.notes.append(
-            f"HiGHS bounds the minimum only to [{lo}, {sol.value:.3e}] within its "
-            f"{pieces.MILP_TIME_LIMIT:g} s time limit"
-        )
+        why = f"and stopped with status {sol.status}: {sol.message}"
+        if sol.status == 1:
+            why = f"within its {pieces.MILP_TIME_LIMIT:g} s time limit"
+        report.notes.append(f"HiGHS bounds the minimum only to [{lo}, {sol.value:.3e}] {why}")
     return report
 
 
@@ -265,10 +266,11 @@ def _tangent_second_batch(
     DU = lift_direction_batch(problem, z, DTH)
     if beta is None:
         return dd_F_batch(problem, z, DTH, DU, order=2)[:3]
-    first, phi2, bad, _ = _F(problem, z.theta, z.u, DTH, DU, 2)
-    cells = problem.fixed_tape.cells(z.theta, z.u, DTH, DU, 2)
-    terms = (sign * np.asarray(beta))[:, None] * _layer_folds(problem, np.abs(cells.second)[None])[0]
-    return first, _in_layer_order(phi2, terms), bad | cells.bad2.any(axis=0)
+    cells = problem.penalized_tape.cells(z.theta, z.u, DTH, DU, 2)
+    first, phi2, bad, _ = _F(problem, z, DTH, 2, cells)
+    R = problem.layer_of_row.size
+    terms = (sign * np.asarray(beta))[:, None] * _layer_folds(problem, np.abs(cells.second[:R])[None])[0]
+    return first, _in_layer_order(phi2, terms), bad | cells.bad2[:R].any(axis=0)
 
 
 def _curvature(problem: CompositeProblem, z: Point, d: Direction, beta) -> float | None:
@@ -614,8 +616,8 @@ def compare_sets_on_point(
     lifted l1 norm, has a slope of Theta below -tol: a P0 descent that one
     tol does not resolve on the lifted ball contradicts no P1 verdict.
     """
-    res = residuals(problem, z)
-    theta_val = eval_Theta(problem, z, config.beta)
+    theta_val, X = Theta_and_roots(problem, z, check_beta(problem, config.beta))
+    res = residuals(problem, z, X)
     in_level = bool(theta_val <= config.gamma_bar + 1e-12)
     d1 = check_d_stationary_P1(problem, z, config.beta)
     d0 = sd0 = sd1 = None

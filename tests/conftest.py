@@ -48,7 +48,7 @@ def record_order_1_flags(monkeypatch) -> list[bool]:
 def record_compiles(monkeypatch) -> list[str]:
     """Patch ``expr.walk`` and ``expr.place`` to note each graph walk ("walk") and each program placed.
 
-    A placement is noted as "chained", "outer" (the last root alone) or "fixed".
+    A placement is noted as "chained", "penalized" (every root), "outer" (the last root alone) or "fixed".
     """
     noted, walk, place = [], ex.walk, ex.place
 
@@ -57,7 +57,8 @@ def record_compiles(monkeypatch) -> list[str]:
         return walk(*args, **kwargs)
 
     def placing(graph, roots, chained=False):
-        noted.append("chained" if chained else "outer" if list(roots) == graph.roots[-1:] else "fixed")
+        kind = "penalized" if list(roots) == graph.roots else "outer" if list(roots) == graph.roots[-1:] else "fixed"
+        noted.append("chained" if chained else kind)
         return place(graph, roots, chained)
 
     monkeypatch.setattr(ex, "walk", walking)

@@ -242,6 +242,6 @@ def test_the_scalar_derivatives_read_kinked_flags(monkeypatch):
         assert dd_Psi(p, z.theta, np.ones(1)).smooth is smooth
         assert dd_F(p, z, Direction(np.ones(1), (np.ones(1),))).smooth is smooth
         assert dd_Theta(p, z, Direction(np.ones(1), (np.full(1, th),)), [1.0]).smooth is smooth
-    # Psi's chained pass, F's outer pass and Theta's outer pass build flags;
-    # Theta's fixed pass gives residual slopes, whose flags it does not read
-    assert noted == [True, True, True, False] * 2
+    # Psi's chained pass, F's outer pass and Theta's one penalized pass, which
+    # gives g and the residual slopes, build flags
+    assert noted == [True, True, True] * 2

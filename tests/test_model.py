@@ -23,6 +23,7 @@ from mcpen.model import (
     LayerMap,
     Point,
     Residuals,
+    Theta_and_roots,
     check_beta,
     check_point,
     eval_F,
@@ -265,7 +266,7 @@ def test_column_evaluator_matches_the_scalar_one(seed):
     # a zero step (a feasible column), the steps of a halving search, and noise
     steps = np.concatenate([[0.0], 0.5 ** np.arange(40), rng.uniform(-2.0, 2.0, 8)])
     Z = z0.flat()[:, None] + rng.standard_normal((problem.nbar, 1)) * steps
-    values = eval_Theta_cols(problem, Z, b)
+    values, _ = eval_Theta_cols(problem, Z, b)
     for j in range(Z.shape[1]):
         assert _bytes(values[j]) == _bytes(eval_Theta(problem, point_from_flat(problem, Z[:, j]), b))
 
@@ -275,7 +276,7 @@ def test_column_evaluator_marks_non_finite_layers():
     u1 = np.array([1.0, 0.5, 0.25])
     Z = np.vstack([np.zeros(3), u1, np.zeros(3)])
     for problem in (blowup_problem("mul"), blowup_problem("sqnorm")):
-        values = eval_Theta_cols(problem, Z, b)
+        values, _ = eval_Theta_cols(problem, Z, b)
         assert np.isfinite(values[:2]).all() and np.isnan(values[2])
         with pytest.raises(EvaluationError, match="^layer 2 evaluated to a non-finite value$"):
             eval_Theta(problem, point_from_flat(problem, Z[:, 2]), b)
@@ -286,7 +287,7 @@ def test_outer_function_past_the_float_range_raises_and_marks_its_columns():
     x = ex.uref(1, 0)
     problem = CompositeProblem(1, (LayerMap(1, (ex.theta(0),)),), ex.mul(x, x), lam=0.1)
     Z = np.array([[0.0, 1e160], [1.0, 1e160]])
-    values = eval_Theta_cols(problem, Z, np.ones(1))
+    values, _ = eval_Theta_cols(problem, Z, np.ones(1))
     assert np.isfinite(values[0]) and np.isnan(values[1])
     with pytest.raises(EvaluationError, match="^outer function evaluated to a non-finite value$") as err:
         eval_g(problem, [np.array([1e160])])
@@ -297,7 +298,7 @@ def test_column_evaluator_marks_the_columns_where_g_warns():
     # g = u_1 - 1 warns below u_1 = 1 - 1e-12, where eval_Theta would
     problem = negative_outer_problem()
     Z = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 1.0 - 1e-13, 0.5]])
-    values = eval_Theta_cols(problem, Z, np.ones(1))
+    values, _ = eval_Theta_cols(problem, Z, np.ones(1))
     assert np.isfinite(values[:3]).all() and np.isnan(values[3])
     with pytest.warns(RuntimeWarning, match="outer function evaluated to"):
         eval_Theta(problem, point_from_flat(problem, Z[:, 3]), np.ones(1))
@@ -356,6 +357,12 @@ def _scalar_nested(p, th):
     return scalar_F(p, scalar_layers(p, th))
 
 
+def _Theta_and_residuals(p, z, b):
+    """Theta at z, and the residuals read off the roots of its penalized pass."""
+    value, X = Theta_and_roots(p, z, check_beta(p, b))
+    return value, residuals(p, z, X)
+
+
 def test_point_values_match_the_scalar_walk_byte_for_byte():
     for p, th, z, b in _value_cases():
         pairs = [
@@ -364,6 +371,7 @@ def test_point_values_match_the_scalar_walk_byte_for_byte():
             (lambda: eval_g(p, z.u), lambda: scalar_g(p, z.u)),
             (lambda: eval_F(p, z), lambda: scalar_F(p, z)),
             (lambda: eval_Theta(p, z, b), lambda: scalar_Theta(p, z, b)),
+            (lambda: _Theta_and_residuals(p, z, b), lambda: (scalar_Theta(p, z, b), scalar_residuals(p, z))),
             (lambda: eval_Psi_plus_reg(p, th), lambda: _scalar_nested(p, th)),
             (lambda: reference_point_and_level(p, b, th), lambda: (scalar_layers(p, th), _scalar_nested(p, th))),
         ]
@@ -410,7 +418,8 @@ def test_point_values_are_one_tape_pass_each(monkeypatch):
         (lambda: reference_point_and_level(p, b, th), [p.chained_tape]),
         (lambda: residuals(p, z), [p.fixed_tape]),
         (lambda: eval_g(p, z.u), [p.outer_tape]),
-        (lambda: eval_Theta(p, z, b), [p.fixed_tape, p.outer_tape]),
+        (lambda: eval_Theta(p, z, b), [p.penalized_tape]),
+        (lambda: _Theta_and_residuals(p, z, b), [p.penalized_tape]),
     ]
     for run, tapes in runs:
         # no function of the package recurses, so no node-at-a-time walk runs
@@ -420,4 +429,4 @@ def test_point_values_are_one_tape_pass_each(monkeypatch):
     for m in (1, 3):
         for order in (1, 2):
             run = lambda: dd_Theta_batch(p, z, DTH[:, :m], [du[:, :m] for du in DU], b, order)  # noqa: E731
-            assert _walks(monkeypatch, run) == ([], [p.outer_tape, p.fixed_tape], set())
+            assert _walks(monkeypatch, run) == ([], [p.penalized_tape], set())

@@ -448,6 +448,19 @@ def test_first_order_stopped_by_its_time_limit_is_inconclusive(monkeypatch):
         assert r.notes == ["first-order check inconclusive"]
 
 
+def test_a_highs_run_that_fails_at_once_names_its_status(monkeypatch):
+    # the programs of the time-limit test above, where HiGHS returns status 4
+    # and no point at once: the note gives the status and message, not a limit
+    p = random_problem(47)
+    z = eval_layers(p, np.zeros(p.n))
+    failed = SimpleNamespace(x=None, status=4, message="model_status is Unknown", mip_dual_bound=None)
+    monkeypatch.setattr(pieces, "milp", lambda *a, **k: failed)
+    note = "HiGHS bounds the minimum only to [-inf, 0.000e+00] and stopped with status 4: model_status is Unknown"
+    r = check_d_stationary_P1(p, z, [0.7] * p.L)
+    assert (r.verdict, r.mode, r.min_found, r.witness, r.notes) == (INCONCLUSIVE, "exact", 0.0, None, [note])
+    assert "time limit" not in r.notes[0]
+
+
 def test_p0_calls_no_highs_on_the_certify_rnn_points(monkeypatch):
     # perfbench's certify-rnn points at seeds 0-5: the lift drawn after the
     # spec's x and y, and the trained dead network, whose 9 ties carry no
@@ -582,7 +595,7 @@ def test_a_lower_bound_never_outweighs_an_incumbent_below_minus_tol(monkeypatch,
     def pair(c, **kwargs):
         x = np.zeros(c.size)
         x[0] = 1.0
-        return SimpleNamespace(x=x, mip_dual_bound=0.0, status=0)
+        return SimpleNamespace(x=x, mip_dual_bound=0.0, status=0, message="Optimization terminated successfully.")
 
     monkeypatch.setattr(pieces._SlopeModel, "_multipliers", lambda *a: None)
     monkeypatch.setattr(pieces, "milp", pair)
@@ -977,7 +990,7 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
     problem, config, (_, trained) = desk_points(0)
     config = replace(config, gamma_bar=float(reference_point_and_level(problem, config.beta)[1]))
     lift = eval_layers(problem, 0.1 * rng.standard_normal(problem.n))
-    names = {id(getattr(problem, f"{name}_tape")): name for name in ("fixed", "outer", "chained")}
+    names = {id(getattr(problem, f"{name}_tape")): name for name in ("fixed", "outer", "chained", "penalized")}
     passes, flagged = [], record_order_1_flags(monkeypatch)
     for kind in ("cells", "values"):
         real = getattr(ex.Tape, kind)
@@ -995,16 +1008,14 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
         assert out["consistent"]
     # none of its order-1 passes builds kinked flags: it reads none
     assert not any(flagged)
-    # Both points start with Theta's value (a fixed and an outer value pass)
-    # and the residuals (a fixed value pass).  At the lift, P1's witness is
-    # confirmed by one fixed and one outer Taylor pass and no value pass, and
-    # P0's by one chained pass, which gives its lift and its slope.
+    # Both points start with Theta's value and the residuals, read off one
+    # penalized value pass.  At the lift, P1's witness is confirmed by one
+    # penalized Taylor pass and no value pass, and P0's by one chained pass,
+    # which gives its lift and its slope.
     assert counts["lift"] == [
         ("cells", "chained", 1),
-        ("cells", "fixed", 1),
-        ("cells", "outer", 1),
-        ("values", "fixed", 2),
-        ("values", "outer", 1),
+        ("cells", "penalized", 1),
+        ("values", "penalized", 1),
     ]
     # At the trained point nothing is refuted.  The quadratic form on S reads
     # its polarization columns and its probes in one chained pass, for their
@@ -1012,8 +1023,7 @@ def test_compare_passes_each_tape_once_per_batch(monkeypatch):
     assert counts["trained"] == [
         ("cells", "chained", 1),
         ("cells", "outer", 1),
-        ("values", "fixed", 2),
-        ("values", "outer", 1),
+        ("values", "penalized", 1),
     ]
 
 

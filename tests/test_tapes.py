@@ -17,8 +17,9 @@ from mcpen.dcalc import (
     forward_curves,
     residual_slopes,
 )
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_g, eval_layers, reference_point_and_level
+from mcpen.model import CompositeProblem, LayerMap, Point, eval_g, eval_layers, reference_point_and_level, residuals
 from mcpen.penalty import build_config
+from mcpen.pieces import theta_prime_model
 from mcpen.repro import square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
 from walkers import (
@@ -196,10 +197,17 @@ def test_problems_compile_their_tapes_once_when_first_used(monkeypatch):
         dd_Theta_batch(p, z, DTH, DU, np.ones(p.L), 2)
         dd_Psi_batch(p, z.theta, DTH, 1)
         lift_direction_batch(p, z, DTH)
-    assert sorted(compiled) == ["chained", "fixed", "outer", "walk"]
-    # a point's blocks are inputs of the fixed and outer tapes, not part of them
-    dd_Theta_batch(p, Point(z.theta, tuple(u + 1.0 for u in z.u)), DTH, DU, np.ones(p.L), 1)
-    assert len(compiled) == 4
+    # Theta's maps and g are one penalized program
+    assert sorted(compiled) == ["chained", "penalized", "walk"]
+    # a point's blocks are inputs of the penalized tape, not part of it
+    moved = Point(z.theta, tuple(u + 1.0 for u in z.u))
+    dd_Theta_batch(p, moved, DTH, DU, np.ones(p.L), 1)
+    # P1's model reads the graph's nodes, not those of placed fixed and outer tapes
+    theta_prime_model(p, moved, np.ones(p.L))
+    assert len(compiled) == 3
+    for _ in range(2):
+        residuals(p, moved), eval_g(p, moved.u)
+    assert sorted(compiled) == ["chained", "fixed", "outer", "penalized", "walk"]
 
 
 @pytest.mark.filterwarnings("ignore:outer function evaluated")
@@ -227,8 +235,9 @@ def test_a_moduli_op_walks_its_problem_once_and_the_sampler_compiles_nothing(mon
         z0, _ = reference_point_and_level(p, beta)
         for d in np.random.default_rng(seed).standard_normal((4, p.n)):
             radial_membership(p, z0, lift_direction(p, z0, d))
-        # one walk, and each program placed at most once
+        # one walk, each program placed at most once, and no penalized pass
         assert compiled[0] == "walk" and len(set(compiled)) == len(compiled), (seed, compiled)
+        assert "penalized" not in compiled
     assert sampled == [[]] * 10
 
 
