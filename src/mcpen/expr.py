@@ -69,7 +69,7 @@ import numpy as np
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Expr:
     """One node of an expression tree.
 
@@ -80,6 +80,9 @@ class Expr:
     Construction converts and checks the payload and checks the arity,
     raising ``ValueError`` that names the op and the field, then sets
     ``family`` and ``data``, the op's family and the node's family data.
+    Nodes compare and hash by identity, and ``repr`` shows one node, so
+    none of them walks a tree, however deep (``walk`` keys nodes by
+    structure where that matters).
     """
 
     op: str
@@ -111,6 +114,10 @@ class Expr:
             object.__setattr__(self, name, v)
         object.__setattr__(self, "family", spec.family)
         object.__setattr__(self, "data", spec.data(self))
+
+    def __repr__(self) -> str:
+        payload = "".join(f", {name}={getattr(self, name)!r}" for name in OPS[self.op].fields)
+        return f"Expr({self.op!r}{payload}, nargs={len(self.args)})"
 
 
 def const(v: float) -> Expr:

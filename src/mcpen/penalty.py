@@ -12,8 +12,9 @@ problem inside the reference level set feasible for the lifted problem.
 Moduli come from one of two routes: closed forms when the problem was built
 by the recurrent-network constructor (its meta record carries the pieces),
 or seeded sampling of difference quotients over the level set otherwise.
-Sampled moduli are lower bounds of the true suprema and are flagged
-heuristic.
+The sampler draws its candidates as whole rows of uniforms in at most three
+blocks and judges each block in one tape pass.  Sampled moduli are lower
+bounds of the true suprema and are flagged heuristic.
 """
 
 from __future__ import annotations
@@ -41,15 +42,6 @@ from .model import (
 
 BETA_FLOOR = 1e-3
 SAFETY = 1.05
-# Chunk lengths of the level-set sampler, kept per guessed outcome: FIRST_CHUNK
-# candidates at first; GROW times the last chunk after one whose guesses all
-# held, else twice the run that held, but at least MIN_CHUNK.  A chunk that
-# guesses acceptance also judges, for each of its first AHEAD candidates, the
-# candidate that would follow that one's rejection.
-FIRST_CHUNK = 32
-MIN_CHUNK = 8
-GROW = 8
-AHEAD = 2
 
 
 @dataclass
@@ -140,28 +132,20 @@ def _sample_level_set(
     residuals are its blocks minus the layer values they were drawn around;
     a candidate whose layer or outer values are not finite is rejected.
 
-    Candidates are drawn and judged in chunks, one column each in one pass
-    of the chained tape's level mode (``Tape.shifted``, built per call,
-    compiling nothing): from a candidate's parameter and residual noise rho
-    it gives the maps' values psi_k (at the shifted blocks below), the
-    shifted blocks psi_k + rho_k and g.  The points, warnings, errors and
-    generator state are those of a loop that draws and judges one
-    candidate at a time.  Each ``rng.uniform(low, high, k)`` of that loop
-    is ``low + (high - low) * rng.random(k)``, so a chunk draws all its
-    candidates' shares at once, but a share depends on the outcome: a
-    candidate stops drawing at a layer that is not finite, and an accepted
-    one draws its perturbation before the next candidate.  So each chunk
-    guesses that every candidate ends with the outcome seen most often so
-    far.  At the first candidate that breaks the guess, the generator goes
-    back to its state at the start of the chunk, redraws the shares that
-    held and then that candidate's own.  Each guess keeps its own chunk
-    length (see ``FIRST_CHUNK``): a pass over a few columns costs about
-    what a pass over one does, but a chunk that guesses acceptance draws
-    each candidate's perturbation in a loop.  Where such a chunk breaks
-    early on a rejection, the candidate after it is already judged
-    (``AHEAD``), so the chunk settles one candidate more.  The accepted
-    candidates are perturbed together at the end, one point per row of a
-    matrix.
+    A candidate is one row of ``rng.random((m, nbar))``, coordinate i being
+    ``low[i] + span[i] * u[i]`` as ``rng.uniform`` draws it, and it takes
+    the whole row wherever it stops.  The rows come in at most three blocks
+    of budget, 4 budget and 15 budget rows, up to the 20 budget tries, and
+    each block is judged in one pass of the chained tape's level mode
+    (``Tape.shifted``, built per call, compiling nothing): from a
+    candidate's parameter and residual noise rho it gives the maps' values
+    psi_k (at the shifted blocks below), the shifted blocks psi_k + rho_k
+    and g.  The first ``budget`` accepted candidates are kept, in row
+    order.  Only the candidates up to the one that fills the budget warn on
+    a negative g, in row order, or raise numpy's ``OverflowError`` where
+    they reach a layer whose noise range is not finite.  After the last
+    block, ``rng.normal`` draws the kept points' perturbation directions
+    and ``rng.uniform`` their lengths.
     """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     # Parameters are drawn from the box [-r_theta, r_theta]^n, whose width
@@ -173,47 +157,20 @@ def _sample_level_set(
         )
     n, L, nbar, widths = problem.n, problem.L, problem.nbar, problem.widths
     R = nbar - n
-    rad = [gamma_bar / b for b in beta]
     with np.errstate(all="ignore"):
-        # coordinate i of a candidate is low[i] + span[i] * u, as rng.uniform draws it
+        rad = [gamma_bar / b for b in beta]
         low = np.repeat([-r_theta, *(-r for r in rad)], (n, *widths))
         span = np.repeat([r_theta - -r_theta, *(r - -r for r in rad)], (n, *widths))
-    # a candidate that draws the noise of c layers takes share[c] uniforms
-    share = np.cumsum([n, *widths])
-    # the first layer whose noise range is not finite, where numpy's uniform raises (0: none)
-    bad = next((k for k in range(1, L + 1) if not np.isfinite(span[share[k - 1]])), 0)
-    tape, bits = problem.chained_tape.shifted(), rng.bit_generator
-
-    def draw(c: int, m: int, tail: bool, ahead: int = 0):
-        """m candidates' draws, one per row, if each ends with outcome c; and the perturbations if c accepts.
-
-        With a tail, a row runs on into the next share, so the first
-        candidate that outlives the guess is judged on its own draws.  Row
-        m + i, for i below ``ahead``, holds the draws of the candidate after
-        candidate i should that one be rejected: the uniforms that follow
-        its own, drawn before its perturbation and then drawn again.
-        """
-        if c <= L and not tail:
-            return rng.random(m * share[c]), None
-        if c <= L:
-            u = rng.random(m * share[c] + nbar - share[c])
-            return u[share[c] * np.arange(m)[:, None] + np.arange(nbar)], None
-        W, noise, length = np.empty((m + ahead, nbar)), np.empty((m, nbar)), np.empty(m)
-        for i in range(m):
-            rng.random(out=W[i])
-            if i < ahead:
-                # the next candidate's draws, should this one be rejected
-                state = bits.state
-                rng.random(out=W[m + i])
-                bits.state = state
-            noise[i], length[i] = rng.normal(size=nbar), rng.uniform(0.0, eps)
-        return W, (noise, length)
+        # the first layer whose noise range is not finite, where numpy's uniform raises (0: none)
+        bad = next((k for k, r in enumerate(rad, start=1) if not np.isfinite(r - -r)), 0)
+    tape = problem.chained_tape.shifted()
 
     def judge(W: np.ndarray):
         """Outcomes, negative-g flags, g and lifted points (one per row) of the candidates in W's rows.
 
-        The outcome is the number of layers whose noise the candidate draws,
-        L + 1 if it is accepted, or -1 if it reaches layer ``bad``.
+        The outcome is the number of layers whose values are finite up to
+        the first that is not, L + 1 if the candidate is accepted, or -1 if
+        it reaches layer ``bad``.
         """
         with np.errstate(all="ignore"):
             Y = low + span * W
@@ -234,60 +191,26 @@ def _sample_level_set(
         Z[n:] = U  # Y's rows become the lifted candidates: theta, then the shifted blocks
         return code, alive & (g < G_WARN_BELOW), g, Y
 
-    # the accepted candidates, their noise rows and the lengths to scale them to
-    P, N, E, count = np.empty((budget, nbar)), np.empty((budget, nbar)), np.empty(budget), 0
-
-    def keep(C: np.ndarray, noise, length) -> None:
-        nonlocal count
-        k = len(C)
-        P[count : count + k], N[count : count + k], E[count : count + k] = C, noise, length
-        count += k
-
-    def finish(k: int) -> None:
-        """Candidate k of the last chunk judged: its own share, its g check and, if accepted, its perturbation."""
-        c = int(code[k])
-        if c < 0:
-            rng.random(share[bad - 1])
-            rng.uniform(-rad[bad - 1], rad[bad - 1], size=widths[bad - 1])  # raises OverflowError, as the loop did
-        rng.random(share[min(c, L)])
-        if negative[k]:
-            checked_g(problem, float(g[k]))
-        if c > L:
-            keep(Y[k : k + 1], rng.normal(size=nbar), rng.uniform(0.0, eps))
-        seen[c + 1] += 1
-
-    seen = [0] * (L + 3)  # how often each outcome c came, at c + 1
-    sizes = [FIRST_CHUNK] * (L + 3)  # the next chunk length for a guess of c, at c + 1
-    tries, guess = 0, L
-    while count < budget and tries < 20 * budget:
-        m = min(sizes[guess + 1], 20 * budget - tries)
-        m = min(m, budget - count) if guess > L else m
-        ahead = min(AHEAD, m) if guess > L else 0
-        start = bits.state
-        W, perturb = draw(guess, m, tail=True, ahead=ahead)
-        code, negative, g, Y = judge(W)
-        miss = np.flatnonzero(code[:m] != guess)
-        j = int(miss[0]) if miss.size else m
-        if j < m or guess < L:
-            # a miss, or the tail drawn past a chunk whose candidates stop early
-            bits.state = start
-            perturb = draw(guess, j, tail=False)[1]
-        for i in np.flatnonzero(negative[:j]):
+    kept = [np.empty((0, nbar))]
+    count = 0
+    for m in (budget, 4 * budget, 15 * budget):
+        if count == budget:
+            break
+        code, negative, g, Y = judge(rng.random((m, nbar)))
+        accepted = np.flatnonzero(code > L)[: budget - count]
+        # the rows judged: up to the one that fills the budget, or to the first that reaches layer bad
+        end = accepted[-1] + 1 if count + len(accepted) == budget else m
+        stop = np.flatnonzero(code[:end] < 0)
+        end = stop[0] if stop.size else end
+        for i in np.flatnonzero(negative[:end]):
             checked_g(problem, float(g[i]))
-        if guess > L and j:
-            keep(Y[:j], *perturb)
-        seen[guess + 1] += j
-        sizes[guess + 1] = GROW * m if j == m else max(2 * j, MIN_CHUNK)
-        if j < m:
-            # the candidate that broke the guess draws its own share
-            finish(j)
-        tries += min(j + 1, m)
-        if j < ahead and code[j] == L and count < budget and tries < 20 * budget:
-            # a rejection, whose successor was judged ahead
-            finish(m + j)
-            tries += 1
-        guess = seen.index(max(seen)) - 1
-    P, N, E = P[:count], N[:count], E[:count]
+        if stop.size:
+            rng.uniform(-rad[bad - 1], rad[bad - 1])  # raises OverflowError
+        kept.append(Y[accepted])
+        count += len(accepted)
+    P = np.concatenate(kept)
+    N = rng.normal(size=(count, nbar))
+    E = rng.uniform(0.0, eps, count)
     return P + N * (E / np.maximum(_norms(N), 1e-300))[:, None]
 
 
@@ -307,11 +230,12 @@ def estimate_moduli(
     bounds of the true moduli and come back flagged heuristic.
 
     The points come from ``_sample_level_set`` as one matrix, a point per
-    row, judged in chunks by passes of the chained tape's level mode.  The
-    pairs are evaluated in batches: g in one pass of the outer tape over
-    the points, and the layer maps in two passes of the fixed tape (one
-    column per point, one per pair), with the values, warnings and first
-    ``EvaluationError`` of a loop over the pairs in order: one numpy test
+    row, judged in at most three blocks of candidates, one pass of the
+    chained tape's level mode each.  The pairs are evaluated in batches: g
+    in one pass of the outer tape over the points, and the layer maps in
+    two passes of the fixed tape (one column per point, one per pair), with
+    the values, warnings and first ``EvaluationError`` of a loop over the
+    pairs in order: one numpy test
     finds the points whose g warns or raises, and only those go through
     ``checked_g``, in order of first use.  A residual bound gamma_bar/beta_k
     that is not finite bounds no box to sample: it raises ``ValueError``
@@ -430,13 +354,17 @@ def feasibility_descent_direction(
         if not infeasible:
             raise ValueError("point is feasible; no residual to correct")
         layer = infeasible[-1]
+    return _closing_direction(problem, z, res.per_layer, layer)
+
+
+def _closing_direction(problem: CompositeProblem, z: Point, per_layer: Sequence[np.ndarray], layer: int) -> Direction:
+    """``feasibility_descent_direction`` at z along ``layer``, from z's per-layer residuals."""
     if not 1 <= layer <= problem.L:
         raise ValueError(f"layer {layer} out of range")
     dth = np.zeros((problem.n, 1))
     dus = [np.zeros((w, 1)) for w in problem.widths]
-    dus[layer - 1] = -res.per_layer[layer - 1].reshape(-1, 1)
+    dus[layer - 1] = -per_layer[layer - 1].reshape(-1, 1)
     # Layer j's map reads blocks below j only, so one pass of the fixed tape per later layer.
     for j in range(layer + 1, problem.L + 1):
         dus[j - 1] = problem.fixed_tape.cells(z.theta, z.u, dth, dus).first[problem.layer_rows[j - 1]]
     return Direction(np.zeros(problem.n), tuple(b[:, 0] for b in dus))
-

@@ -52,7 +52,7 @@ from .model import (
     residuals,
     split_flat,
 )
-from .penalty import feasibility_descent_direction
+from .penalty import _closing_direction
 
 PROBE_PAIRS = 16  # random antipodal probe pairs per iteration
 ARMIJO_SIGMA = 1e-4
@@ -141,7 +141,7 @@ def _probe_directions(
     cols = [G, -G, np.eye(nbar), -np.eye(nbar)]
     for k, largest in enumerate(res.layer_max, start=1):
         if largest > 1e-11:
-            f = feasibility_descent_direction(problem, z, k).flat()
+            f = _closing_direction(problem, z, res.per_layer, k).flat()
             nf = np.linalg.norm(f)
             if nf > 1e-300:
                 cols.append((f / nf).reshape(-1, 1))

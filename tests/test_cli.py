@@ -125,8 +125,9 @@ def test_library_warnings_reach_stderr_once_without_a_source_path(capsys, tmp_pa
 
 
 # sha256 of the distinct warning lines below, in order, recorded with the
-# estimate_moduli that evaluated g twice per pair of sample points
-DIP_WARNINGS = (30, "8898c05c202b947b8083d67f9dd441d72d3273f1eefb670660d92b4bbf1261a1")
+# estimate_moduli that evaluated g twice per pair of sample points; re-recorded
+# when the level-set sampler began to draw whole rows in blocks
+DIP_WARNINGS = (30, "2e01b8a62c15678760917b7c60207e56839be49b7753ea1fbd5b53742d79e034")
 
 
 def test_moduli_warnings_keep_their_content_and_order(capsys, tmp_path):

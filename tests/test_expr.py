@@ -146,6 +146,22 @@ def test_first_order_positive_homogeneity(x, d, t):
     assert scaled_ == pytest.approx(t * base, abs=1e-9 * (1 + abs(base)))
 
 
+def test_a_deep_expr_compares_hashes_and_prints_without_walking_its_tree():
+    def chain():
+        e = ex.theta(0)
+        for _ in range(3000):
+            e = ex.add(e, ex.const(1.0))
+        return e
+
+    e, copy = chain(), chain()
+    # identity equality and hash: an equal copy is another node
+    assert e == e and e != copy and hash(e) == hash(e)
+    assert len({e, copy, e}) == 2
+    assert repr(e) == "Expr('sum', nargs=2)"
+    assert repr(ex.uref(2, 1)) == "Expr('u', layer=2, ref=1, nargs=0)"
+    assert repr(ex.scaled(2.0, e)) == "Expr('scaled', coeffs=(2.0,), nargs=1)"
+
+
 def test_eval_many_matches_the_scalar_walk():
     rng = np.random.default_rng(3)
     th = rng.normal(size=3)

@@ -157,9 +157,11 @@ print(slots, wrapped, restored, node_cols)
 def test_the_benchmark_tracer_finds_every_traced_function_and_restores_them():
     # perfbench's tracer patches functions by name after `import mcpen`; a
     # renamed or deleted name, or a copy imported under another, shows here,
-    # and so does a taylor_cells signature that moves the arguments it reads
+    # and so does a taylor_cells signature that moves the arguments it reads;
+    # the solver holds no copy of feasibility_descent_direction, since its
+    # probes build the direction from residuals they already hold
     spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    assert _run(TRACER_CHECK, str(spans)) == "65 True True True"
+    assert _run(TRACER_CHECK, str(spans)) == "64 True True True"
 
 
 BENCHMARK_ROUND = """

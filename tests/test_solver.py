@@ -1,5 +1,6 @@
 """Penalty descent solver: determinism, monotonicity, and exactness."""
 
+import collections
 import csv
 import hashlib
 import warnings
@@ -286,6 +287,35 @@ def test_solver_runs_are_bit_identical():
         cfg = SolveConfig(max_iters=400, stop_tol=1e-8, seed=seed)
         warned += _solve_digest(h, lambda: minimize_theta(problem, beta, cfg))
     assert (warned, h.hexdigest()) == SOLVE_SHA256
+
+
+def test_probe_directions_reuse_the_residuals_of_the_iterate(monkeypatch):
+    # the feasibility directions among the probes close each layer's residual
+    # from the residuals the iteration already holds; recomputing them cost
+    # 2677 fixed-tape passes over these solves
+    inside, passes = [], collections.Counter()
+    real_probe, real_values = solver_mod._probe_directions, ex.Tape.values
+
+    def probe(*args):
+        inside.append(True)
+        try:
+            return real_probe(*args)
+        finally:
+            inside.pop()
+
+    def values(tape, *args):
+        passes[tape] += bool(inside)
+        return real_values(tape, *args)
+
+    monkeypatch.setattr(solver_mod, "_probe_directions", probe)
+    monkeypatch.setattr(ex.Tape, "values", values)
+    for seed in range(60):
+        problem = random_problem(seed)
+        passes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            minimize_theta(problem, np.full(problem.L, 0.7), SolveConfig(max_iters=100, seed=seed))
+        assert passes[problem.fixed_tape] == 0, seed
 
 
 def _halving_loop():

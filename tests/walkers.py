@@ -14,14 +14,15 @@ map, as ``dcalc.residual_slopes`` and ``dcalc.forward_curves`` did.
 ``per_layer_Theta`` adds Theta's penalty terms a layer at a time with
 ``np.sum``, as ``dcalc.dd_Theta_batch`` did before it folded the stacked
 rows; over two or more columns it must match byte for byte.
-``scalar_sample_level_set`` judges one level-set candidate at a time, as
-``penalty._sample_level_set`` did before it judged them in chunks of
-columns, and ``per_layer_judge`` judges a chunk by one fixed-tape pass per
-layer and an outer pass, as the sampler did before it ran a level tape (now
-the chained tape's level mode, ``Tape.shifted``).  The tapes and the chunked sampler must reproduce them byte
-for byte.  ``tie_basis`` finds the critical subspace of P0's model by the tie
-algebra that ``stationarity`` ran before ``_SlopeModel.critical_basis``
-read it off the abs-normal form; the two must span the same subspace.
+``scalar_sample_level_set`` draws and judges one level-set candidate, one
+row of uniforms, at a time, in the blocks that ``penalty._sample_level_set``
+judges a block at a time, and ``per_layer_judge`` judges a block by one
+fixed-tape pass per layer and an outer pass, as the sampler did before it
+ran a level tape (now the chained tape's level mode, ``Tape.shifted``).
+The tapes and the sampler must reproduce them byte for byte.
+``tie_basis`` finds the critical subspace of P0's model by the tie algebra
+that ``stationarity`` ran before ``_SlopeModel.critical_basis`` read it
+off the abs-normal form; the two must span the same subspace.
 ``degree`` bounds a tree's polynomial degree by recursion, as
 ``cones._degree`` did before ``cones.ray_decidable`` folded the bound over
 the problem's node graph; the two must agree.
@@ -346,8 +347,8 @@ def per_layer_judge(problem, TH, RHO):
 
     One ``fixed_tape`` pass per layer adds layer k's values to its shift,
     and an ``outer_tape`` pass reads g at the shifted blocks, as
-    ``penalty._sample_level_set`` judged a chunk before it ran a level
-    tape.  Returns the maps' values of the last pass, the shifted
+    ``penalty._sample_level_set`` judged its candidates before it ran a
+    level tape.  Returns the maps' values of the last pass, the shifted
     blocks stacked, and g.
     """
     U = [RHO[rows] for rows in problem.layer_rows]
@@ -359,36 +360,65 @@ def per_layer_judge(problem, TH, RHO):
 
 
 def scalar_sample_level_set(problem, beta, gamma_bar, eps, budget, rng):
-    """``penalty._sample_level_set`` as a loop that draws and judges one candidate at a time."""
+    """``penalty._sample_level_set`` as a loop that draws and judges one candidate, one row of uniforms, at a time.
+
+    The rows come in blocks of budget, 4 budget and 15 budget; once the
+    budget fills, or a candidate reaches a layer whose noise range is not
+    finite, the rest of the block's rows are drawn unjudged, and the
+    latter then raises numpy's ``OverflowError``.  The kept points'
+    perturbations are drawn after the last block.
+    """
     r_theta = np.sqrt(gamma_bar / problem.lam) if gamma_bar >= 0.0 else np.nan
     if np.signbit(r_theta) or not r_theta <= np.finfo(float).max / 2.0:
         raise ValueError(
             f"reference level gamma_bar = {gamma_bar} bounds no level set to sample; "
             "it must be nonnegative and finite (is the outer function negative?)"
         )
-    pts = []
-    tries = 0
-    while len(pts) < budget and tries < 20 * budget:
-        tries += 1
-        th = rng.uniform(-r_theta, r_theta, size=problem.n)
-        blocks = []
-        l1 = []
+    n = problem.n
+    with np.errstate(over="ignore"):
+        rad = [gamma_bar / b for b in beta]
+    pts, overflow = [], 0
+
+    def candidate(u):
+        """The lifted candidate of row u, None if it is rejected or not finite; sets ``overflow``."""
+        nonlocal overflow
+        th = -r_theta + (r_theta - -r_theta) * u[:n]
+        blocks, l1, at = [], [], n
         try:
             for k in range(1, problem.L + 1):
                 base = scalar_layer(problem, k, th, blocks)
-                rad = gamma_bar / beta[k - 1]
-                blocks.append(base + rng.uniform(-rad, rad, size=base.size))
+                with np.errstate(over="ignore"):
+                    span = rad[k - 1] - -rad[k - 1]
+                if not np.isfinite(span):
+                    overflow = k
+                    return None
+                blocks.append(base + (-rad[k - 1] + span * u[at : at + base.size]))
+                at += base.size
                 l1.append(float(np.sum(np.abs(blocks[-1] - base))))
             z = Point(th, tuple(blocks))
-            accept = scalar_F(problem, z) + float(np.dot(beta, l1)) <= gamma_bar
+            return z if scalar_F(problem, z) + float(np.dot(beta, l1)) <= gamma_bar else None
         except EvaluationError:
-            continue
-        if accept:
-            noise = rng.normal(size=problem.nbar)
-            noise *= rng.uniform(0.0, eps) / max(np.linalg.norm(noise), 1e-300)
-            th2, blocks2 = split_flat(problem, z.flat() + noise)
-            pts.append(Point(th2, tuple(blocks2)))
-    return pts
+            return None
+
+    for m in (budget, 4 * budget, 15 * budget):
+        if len(pts) == budget:
+            break
+        for _ in range(m):
+            u = rng.random(problem.nbar)
+            if len(pts) < budget and not overflow:
+                z = candidate(u)
+                if z is not None:
+                    pts.append(z)
+        if overflow:
+            rng.uniform(-rad[overflow - 1], rad[overflow - 1])
+    noise = rng.normal(size=(len(pts), problem.nbar))
+    lengths = rng.uniform(0.0, eps, len(pts))
+    out = []
+    for z, row, length in zip(pts, noise, lengths):
+        row = row * (length / max(np.linalg.norm(row), 1e-300))
+        th2, blocks2 = split_flat(problem, z.flat() + row)
+        out.append(Point(th2, tuple(blocks2)))
+    return out
 
 
 def tie_basis(model, obj):
