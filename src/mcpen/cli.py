@@ -9,9 +9,10 @@ manifest and writes the bytes.  ``rnn build`` writes a problem file, which
 carries no manifest.  ``main`` prints each distinct warning the library
 raised once, as ``warning: <message>`` on stderr, without a source path.
 
-Exit codes: 0 success, 2 validation error (bad files, bad dimensions,
-unknown names), 3 when --expect stationary is given and the verdict is
-not-stationary.  Scenario regressions exit 1 when a golden check fails.
+Exit codes: 0 success, 2 validation error (bad files, dimensions, names or
+tolerances), 3 when ``check --expect`` names stationary or not-stationary
+and the verdict is the other.  Scenario regressions exit 1 when a golden
+check fails.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from . import __version__, repro, serialize
 from .cones import radial_membership, tangent_membership
 from .dcalc import DDValue, dd_F, dd_Psi, dd_Theta
 from .model import (
-    DimensionError,
     EvaluationError,
-    InfeasiblePointError,
     check_point,
     eval_F,
     eval_g,
@@ -56,6 +55,7 @@ from .rnn import (
 from .solver import SolveConfig, minimize_theta
 from .stationarity import (
     NOT_STATIONARY,
+    STATIONARY,
     check_d_stationary_P0,
     check_d_stationary_P1,
     check_second_order,
@@ -179,7 +179,7 @@ def _cmd_check(args):
     else:
         target = "lifted" if args.target == "p0" else "penalized"
         rep = check_second_order(problem, z, target, beta=beta, seed=args.seed, tol=args.tol)
-    code = 3 if args.expect == "stationary" and rep.verdict == NOT_STATIONARY else 0
+    code = 3 if {args.expect, rep.verdict} == {STATIONARY, NOT_STATIONARY} else 0
     return {"kind": "stationarity-report", "report": rep}, code
 
 
@@ -394,16 +394,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _run(argv)
             # timing goes to stderr so the report stays byte-deterministic
             last = f"elapsed: {time.perf_counter() - start:.3f}s"
-        except (
-            CliError,
-            serialize.FormatError,
-            DimensionError,
-            EvaluationError,
-            InfeasiblePointError,
-            ValueError,
-            OverflowError,
-            OSError,
-        ) as err:
+        except (ValueError, EvaluationError, OverflowError, OSError) as err:  # CliError and FormatError are ValueErrors
             code, last = 2, f"error: {err}"
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

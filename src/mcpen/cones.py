@@ -8,7 +8,8 @@ the feasible set along a straight ray additionally forces the second
 directional derivative of every layer map to vanish along the direction.
 For layer maps of degree at most 2, a bound folded over the problem's
 node graph, that condition is also sufficient, so both cones are read off
-one order-2 pass of the fixed tape.  A slope that is not finite raises
+one order-2 pass of the fixed tape, whose values also give the feasibility
+guard: no value pass runs.  A map value or a slope that is not finite raises
 ``EvaluationError`` naming its layer.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import expr as ex
 from .dcalc import Direction, _as_batch, forward_curves, residual_slopes
-from .model import CompositeProblem, DimensionError, EvaluationError, Point, check_point, require_feasible
+from .model import CompositeProblem, DimensionError, Point, check_point, finite_layers, require_feasible
 
 TANGENT_TOL = 1e-9
 LIFT_TOL = 1e-12
@@ -46,13 +47,10 @@ def tangent_membership(problem: CompositeProblem, z: Point, d: Direction) -> Con
 def _tangent(problem: CompositeProblem, z: Point, d: Direction, order: int):
     """``tangent_membership`` and the residual slopes along d at ``order`` it read them from."""
     check_point(problem, z)
-    batch = _as_batch(problem, d)
-    require_feasible(problem, z)
-    slopes = residual_slopes(problem, z, *batch, order=order)
+    slopes = residual_slopes(problem, z, *_as_batch(problem, d), order=order)
+    require_feasible(problem, z, slopes.value)
+    finite_layers(problem, slopes.first[:, 0], "first derivative not finite along d")
     violations = [slopes.first[rows, 0] for rows in problem.layer_rows]
-    for k, v in enumerate(violations, start=1):
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError(k, f"layer {k} first derivative not finite along d")
     max_v = max(float(np.max(np.abs(v))) if v.size else 0.0 for v in violations)
     notes = ["radial membership not evaluated"]
     return ConeMembership(max_v <= TANGENT_TOL, None, violations, max_v, notes), slopes
@@ -60,7 +58,6 @@ def _tangent(problem: CompositeProblem, z: Point, d: Direction, order: int):
 
 def lift_direction(problem: CompositeProblem, z: Point, dtheta: np.ndarray) -> Direction:
     """Unique tangent direction over a parameter direction at a feasible z."""
-    check_point(problem, z)
     require_feasible(problem, z)
     dtheta = np.asarray(dtheta, dtype=float).ravel()
     if dtheta.size != problem.n:

@@ -13,14 +13,16 @@ can check each other.
 
 Batched variants accept a matrix of directions (one per column) and return
 per-column arrays, the same bytes for a column alone or in a batch; the
-scalar API wraps batch width one.  Each batch runs one pass of one of the
+scalar API wraps batch width one.  Each call runs one pass of one of the
 problem's four tapes, all placed from one walk of its trees
 (``model.CompositeProblem.graph``): the outer tape for F (``dd_F_batch``);
 the fixed tape, whose links read the point's blocks, for the stacked
 residual slopes (``residual_slopes``); the penalized tape, the maps and
 then g over the point's blocks, for Theta (``dd_Theta_batch``); the chained
 tape, whose links read the maps' rows, for the tangent lift
-(``forward_curves``) and ``dd_Psi_batch``.
+(``forward_curves``) and ``dd_Psi_batch``.  ``dd_F``, ``dd_Theta`` and
+``dd_Psi`` read g, Theta or F off the values of that Taylor pass, which are a
+value pass's bytes (``expr``), and run no value pass.
 
 ``dd_F_batch`` and every second-order batch return kinked flags; at first
 order ``dd_Theta_batch`` and ``dd_Psi_batch`` build them only when called
@@ -41,12 +43,11 @@ from .model import (
     CompositeProblem,
     DimensionError,
     Point,
+    Theta_and_roots,
     check_beta,
     check_blocks,
     check_point,
-    eval_F,
-    eval_g,
-    eval_Theta,
+    checked_g,
     row_dots,
     split_flat,
 )
@@ -144,22 +145,23 @@ def _plus_ridge(problem: CompositeProblem, gcell: ex.Cell, th: np.ndarray, DTH: 
     return first, None
 
 
-def _F(problem: CompositeProblem, z: Point, DTH: np.ndarray, order: int, cells: ex.Cells):
-    """F's (first, second, bad, kinked) off g, the last root of ``cells``, a pass at z along DTH."""
+def _F(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, order: int, cells: ex.Cells):
+    """F's (first, second, bad, kinked) off g, the last root of ``cells``, a pass at parameter th along DTH."""
     g = cells.cell(-1)
-    return (*_plus_ridge(problem, g, z.theta, DTH, order), g.bad2, g.kinked)
+    return (*_plus_ridge(problem, g, th, DTH, order), g.bad2, g.kinked)
 
 
 def dd_F_batch(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], order: int = 1):
     """Batched F derivatives by one pass of the outer tape: returns (first, second, bad, kinked) arrays."""
-    return _F(problem, z, DTH, order, problem.outer_tape.cells(z.theta, z.u, DTH, DU, order, kinks=True))
+    return _F(problem, z.theta, DTH, order, problem.outer_tape.cells(z.theta, z.u, DTH, DU, order, kinks=True))
 
 
 def dd_F(problem: CompositeProblem, z: Point, d: Direction, order: int = 1) -> DDValue:
     check_point(problem, z)
     dth, dus = _as_batch(problem, d)
-    first, second, bad, kinked = dd_F_batch(problem, z, dth, dus, order)
-    return _pick(first, second, bad, kinked, eval_F(problem, z), order)
+    cells = problem.outer_tape.cells(z.theta, z.u, dth, dus, order, kinks=True)
+    value = checked_g(problem, float(cells.value[-1])) + problem.lam * float(z.theta @ z.theta)
+    return _pick(*_F(problem, z.theta, dth, order, cells), value, order)
 
 
 def residual_slopes(
@@ -188,7 +190,12 @@ def dd_Theta_batch(
     ``_layer_folds`` and added to F's in layer order.
     """
     cells = problem.penalized_tape.cells(z.theta, z.u, DTH, DU, order, kinks=kinks)
-    first, second, bad, kinked = _F(problem, z, DTH, order, cells)
+    return _Theta(problem, z, DTH, DU, beta, order, cells)
+
+
+def _Theta(problem: CompositeProblem, z: Point, DTH: np.ndarray, DU: Sequence[np.ndarray], beta, order: int, cells):
+    """``dd_Theta_batch`` off ``cells``, its penalized pass."""
+    first, second, bad, kinked = _F(problem, z.theta, DTH, order, cells)
     R = problem.layer_of_row.size
     rho, W = np.concatenate(z.u) - cells.value[:R], np.concatenate(DU) - cells.first[:R]
     pos, neg = rho > FEAS_TOL, rho < -FEAS_TOL
@@ -236,8 +243,9 @@ def dd_Theta(
     b = check_beta(problem, beta)
     check_point(problem, z)
     dth, dus = _as_batch(problem, d)
-    first, second, bad, kinked = dd_Theta_batch(problem, z, dth, dus, b, order, kinks=True)
-    return _pick(first, second, bad, kinked, eval_Theta(problem, z, b), order)
+    cells = problem.penalized_tape.cells(z.theta, z.u, dth, dus, order, kinks=True)
+    value = Theta_and_roots(problem, z, b, cells.value)[0]
+    return _pick(*_Theta(problem, z, dth, dus, b, order, cells), value, order)
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +271,19 @@ def dd_Psi_batch(problem: CompositeProblem, th: np.ndarray, DTH: np.ndarray, ord
     and a column is kinked where any layer or g hit an active kink (None at order 1 unless ``kinks``).
     """
     cells = problem.chained_tape.cells(th, (), DTH, (), order, kinks=kinks)
-    g = cells.cell(-1)
-    first, second = _plus_ridge(problem, g, th, DTH, order)
     kinked = None if cells.kinked is None else cells.kinked.any(axis=0)
-    return [cells.value[r] for r in problem.layer_rows], first, second, g.bad2, kinked
+    return [cells.value[r] for r in problem.layer_rows], *_F(problem, th, DTH, order, cells)[:3], kinked
 
 
 def dd_Psi(problem: CompositeProblem, th: np.ndarray, dtheta: np.ndarray, order: int = 1) -> DDValue:
-    """Derivatives of the nested objective Psi + lambda*||.||^2 at theta."""
+    """The nested objective Psi + lambda*||.||^2 at theta and its derivatives, all from one chained pass."""
     th = np.asarray(th, dtype=float).ravel()
-    dtheta = np.asarray(dtheta, dtype=float).ravel()
-    if th.size != problem.n or dtheta.size != problem.n:
+    DTH = np.asarray(dtheta, dtype=float).reshape(-1, 1)
+    if th.size != problem.n or DTH.size != problem.n:
         raise DimensionError(f"theta and direction must have length {problem.n}")
-    ublocks, first, second, bad, kinked = dd_Psi_batch(problem, th, dtheta.reshape(-1, 1), order, kinks=True)
-    value = eval_g(problem, ublocks) + problem.lam * float(th @ th)
-    return _pick(first, second, bad, kinked, value, order)
+    cells = problem.chained_tape.cells(th, (), DTH, (), order, kinks=True)
+    value = checked_g(problem, float(cells.value[-1])) + problem.lam * float(th @ th)
+    return _pick(*_F(problem, th, DTH, order, cells)[:3], cells.kinked.any(axis=0), value, order)
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,16 @@ the map that defines it, and places four tapes from that graph (see
 ``model.CompositeProblem``): the chained one for the nested objective, the
 penalized one for Theta, the outer one for F and the fixed one for the
 residuals; the level-set sampler runs the chained one with each link
-shifted (``Tape.shifted``).  Where an op's own arithmetic differs
-from its family rule (whether a sum starts at zero or at its first term,
-Python's ``abs``), the difference is table data, so each op keeps its exact
-rounding and sign of zero column by column, and a tape's rows are the bytes
-a node-at-a-time walk gives (the tests keep such walks as oracles).  Every
-walker squares with ``x*x``, so a square has one value in all of them, and
-a value past the float range is inf, never an exception.  Trees are built from immutable nodes, so cycles are
-impossible and sharing subtrees is safe; ``nodes`` walks a tree without
-recursion, a shared node once.
+shifted (``Tape.shifted``).  Every walker adds a sum's offset to its first
+term and takes a kink's value as ``MAX`` of its branches (``abs`` of -0.0 is
+-0.0); whether a sum starts at zero or at its first term is table data.  So
+each op keeps its rounding and sign of zero column by column, a tape's rows
+are the bytes a node-at-a-time walk gives (the tests keep such walks as
+oracles), and a Taylor pass's values are a value pass's bytes.  Every walker
+squares with ``x*x``, so a square has one value in all of them, and a value
+past the float range is inf, never an exception.  Trees are built from
+immutable nodes, so cycles are impossible and sharing subtrees is safe;
+``nodes`` walks a tree without recursion, a shared node once.
 
 Every node supports exact one-sided Taylor data along a ray: the inputs
 move along ``x_i + tau*d_i``, each node's argument along a curve
@@ -233,18 +234,17 @@ def _pairs(e: Expr) -> tuple[tuple[int, int], ...]:
     return tuple((i, k + i) for i in range(k))
 
 
-# A kink's value rule, column by column.  np.where(b > a, b, a) is Python's
+# A kink's value, column by column.  np.where(b > a, b, a) is Python's
 # max(a, b), NaN and signed zero included; np.maximum is not.
 MAX = lambda a, b: np.where(b > a, b, a)  # noqa: E731
-ABS = lambda a, _: np.abs(a)  # noqa: E731
 
 
 # The data of each family:
 #   leaf     the block read (0 for theta, j for u_j), None for a constant;
 #   linear   (weights, offset); offset None sums from the first term;
 #   product  (index pairs, start); start None sums from the first pair;
-#   kink     (second-branch node, scale, value rule); a None node makes
-#            the second branch scale * first argument.
+#   kink     (second-branch node, scale); a None node makes the second
+#            branch scale * first argument.
 OPS: dict[str, Op] = {
     "const": Op(LEAF, "0", ("value",), lambda e: None),
     "theta": Op(LEAF, "0", ("ref",), lambda e: 0),
@@ -257,10 +257,10 @@ OPS: dict[str, Op] = {
     "inner": Op(PRODUCT, "2k", (), lambda e: (_pairs(e), 0.0)),
     "sqnorm": Op(PRODUCT, "1+", (), lambda e: (tuple((i, i) for i in range(len(e.args))), 0.0)),
     "square": Op(PRODUCT, "1", (), lambda e: (((0, 0),), None)),
-    "max": Op(KINK, "2", (), lambda e: (e.args[1], None, MAX)),
-    "abs": Op(KINK, "1", (), lambda e: (None, -1.0, ABS)),
-    "plus": Op(KINK, "1", (), lambda e: (_ZERO, None, MAX)),
-    "leaky_relu": Op(KINK, "1", ("alpha",), lambda e: (None, e.alpha, MAX)),
+    "max": Op(KINK, "2", (), lambda e: (e.args[1], None)),
+    "abs": Op(KINK, "1", (), lambda e: (None, -1.0)),
+    "plus": Op(KINK, "1", (), lambda e: (_ZERO, None)),
+    "leaky_relu": Op(KINK, "1", ("alpha",), lambda e: (None, e.alpha)),
 }
 ALL_OPS = tuple(OPS)
 _ZERO = const(0.0)
@@ -368,14 +368,15 @@ def taylor_cells(
 # first-order pass may go without: then no step does flag work.  A node's
 # sum adds its terms one at a time from the left, as a Python loop does, so
 # every row rounds as a node-at-a-time walk rounds it (the tests keep such
-# a walk as the oracle).  A step orders its nodes by their number of terms,
-# most first, and the j-th terms go to the nodes that have them, a prefix.
-# Two facts of IEEE addition carry the starts of sums: -0.0 + x is x, and a
-# sum that starts at 0.0 equals 0.0 + the same sum started at its first
-# term.  A start that the rules skip is therefore -0.0, and a start of 0.0 is
-# added last.  Multiplying by 1.0 changes no bits, so a unit weight or scale
-# is multiplied like any other.  Argument arrays are padded with row 0, a
-# theta component, whose flags are always false.
+# a walk as the oracle); a weighted sum's value adds its offset to its first
+# term.  A step orders its nodes by their number of terms, most first, and
+# the j-th terms go to the nodes that have them, a prefix.  Two facts of
+# IEEE addition carry the starts of sums: -0.0 + x is x, and a sum that
+# starts at 0.0 equals 0.0 + the same sum started at its first term.  A
+# start or offset that the rules skip is therefore -0.0, and a start of 0.0
+# is added last.  Multiplying by 1.0 changes no bits, so a unit weight or
+# scale is multiplied like any other.  Argument arrays are padded with row
+# 0, a theta component, whose flags are always false.
 
 
 def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -390,10 +391,10 @@ def _sum(t: np.ndarray, cuts: Sequence[tuple[int, int]]) -> np.ndarray:
 
 
 class _Linear:
-    """Weighted sums: Taylor data add the offset after the terms, values start at it.
+    """Weighted sums from the left, the value's first term plus the offset.
 
     ``offset`` is -0.0 for ops without one, and ``start`` is 0.0 for ops
-    with one (their Taylor sums start at zero), -0.0 otherwise.
+    with one (their coefficient sums start at zero), -0.0 otherwise.
     """
 
     def __init__(self, rows: slice, args: np.ndarray, weights: np.ndarray, offset, start, cuts):
@@ -404,13 +405,13 @@ class _Linear:
 
     def taylor(self, Q, KB, m: int) -> None:
         # value, first and second share the terms' weights and order
-        a, r = self.args, self.rows
-        acc = _sum(self.w3 * Q[a], self.cuts)
-        acc = self.start2 + acc
-        acc[:, 0] = self.offset + acc[:, 0]
-        Q[r] = acc
+        t = self.w3 * Q[self.args]
+        t[:, 0, 0] = self.offset + t[:, 0, 0]
+        acc = _sum(t, self.cuts)
+        np.add(self.start2, acc[:, 1:], out=acc[:, 1:])
+        Q[self.rows] = acc
         if KB is not None:
-            np.logical_or.reduce(KB[a], axis=1, out=KB[r])
+            np.logical_or.reduce(KB[self.args], axis=1, out=KB[self.rows])
 
     def values(self, X) -> None:
         t = X[self.args]
@@ -481,14 +482,14 @@ class _Kink:
 
     b is the second argument (``max``, scale 1.0), the constant 0 (``plus``)
     or a itself (``abs``, ``leaky_relu``).  Taylor data follow the branch
-    whose value is larger by more than ``TIE_TOL``.  At a tie the value is
-    the larger one, the first coefficient is the larger one, and the second
-    follows the larger slope, or is the larger one at a double tie.  Values
-    apply each op's rule (``MAX`` or ``ABS``); ``rules`` pairs each with its nodes.
+    whose value is larger by more than ``TIE_TOL``.  At a tie the first
+    coefficient is the larger one, and the second follows the larger slope,
+    or is the larger one at a double tie.  The value is ``MAX`` of the two
+    branches in both modes, so ``abs`` of -0.0 is -0.0.
     """
 
-    def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray, rules: list):
-        self.rows, self.a, self.b, self.rules = rows, a, b, rules
+    def __init__(self, rows: slice, a: np.ndarray, b: np.ndarray, scale: np.ndarray):
+        self.rows, self.a, self.b = rows, a, b
         self.scale, self.scale2 = scale, scale[:, None]
 
     def taylor(self, Q, KB, m: int) -> None:
@@ -507,8 +508,7 @@ class _Kink:
             rows, a, b, scale = ties + rows.start, a[ties], b[ties], scale[ties]
         QA, QB = Q[a], scale * Q[b]
         out = np.maximum(QA, QB)
-        va, vb = QA[:, 0], QB[:, 0]
-        out[:, 0] = np.where(vb > va, vb, va)
+        out[:, 0] = MAX(QA[:, 0], QB[:, 0])
         fgap = QA[:, 1 : m + 1] - QB[:, 1 : m + 1]
         order2 = Q.shape[1] > m + 1
         if order2:
@@ -526,9 +526,7 @@ class _Kink:
             KB[rows] = K
 
     def values(self, X) -> None:
-        a, b, out = X[self.a], self.scale2 * X[self.b], X[self.rows]
-        for rule, nodes in self.rules:
-            out[nodes] = rule(a[nodes], b[nodes])
+        X[self.rows] = MAX(X[self.a], self.scale2 * X[self.b])
 
 
 class _Shift:
@@ -870,11 +868,7 @@ def _step(rows: slice, entries: list, at: Callable[[int, list], np.ndarray]):
     if family == KINK:
         scale = [1.0 if e.data[0] is not None else e.data[1] for e in nodes]
         b = [r[1] if e.data[0] is not None else r[0] for r, e in zip(args, nodes)]
-        rules = {}
-        for k, e in enumerate(nodes):
-            rules.setdefault(e.data[2], []).append(k)
-        rules = [(rule, np.s_[:] if len(ks) == len(nodes) else np.array(ks)) for rule, ks in rules.items()]
-        return _Kink(rows, at(0, [r[0] for r in args]), at(1, b), np.array(scale), rules)
+        return _Kink(rows, at(0, [r[0] for r in args]), at(1, b), np.array(scale))
     counts = [_terms(entry) for entry in entries]  # most first
     cuts = [(j, sum(k > j for k in counts)) for j in range(1, counts[0])]
     if family == LINEAR:

@@ -223,11 +223,15 @@ def point_from_flat(problem: CompositeProblem, v: np.ndarray) -> Point:
 
 def layer_values(problem: CompositeProblem, tape: ex.Tape, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> np.ndarray:
     """The roots of ``tape`` (not the outer one) at one point; ``EvaluationError`` names the first non-finite layer."""
-    vals = ex.eval_many(tape, th, ublocks)
+    return finite_layers(problem, ex.eval_many(tape, th, ublocks))
+
+
+def finite_layers(problem: CompositeProblem, vals: np.ndarray, what: str = "evaluated to a non-finite value"):
+    """``vals``, rows at one point that start with the maps'; ``EvaluationError`` names the first non-finite layer."""
     bad = ~np.isfinite(vals[: problem.layer_of_row.size])
     if bad.any():
         k = int(problem.layer_of_row[bad.argmax()]) + 1
-        raise EvaluationError(k, f"layer {k} evaluated to a non-finite value")
+        raise EvaluationError(k, f"layer {k} {what}")
     return vals
 
 
@@ -262,6 +266,11 @@ def checked_g(problem: CompositeProblem, val: float) -> float:
 def eval_F(problem: CompositeProblem, z: Point) -> float:
     check_point(problem, z)
     return eval_g(problem, z.u) + problem.lam * float(z.theta @ z.theta)
+
+
+def check_tol(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 def check_beta(problem: CompositeProblem, beta: Sequence[float]) -> np.ndarray:
@@ -301,9 +310,9 @@ def _residual_summary(problem: CompositeProblem, A: np.ndarray) -> np.ndarray:
     return l1
 
 
-def require_feasible(problem: CompositeProblem, z: Point) -> None:
-    """Guard for operations defined at feasible points only."""
-    res = residuals(problem, z)
+def require_feasible(problem: CompositeProblem, z: Point, X: np.ndarray | None = None) -> None:
+    """Guard for operations defined at feasible points only; X as for ``residuals``, checked by ``finite_layers``."""
+    res = residuals(problem, z, None if X is None else finite_layers(problem, X))
     if not res.feasible:
         raise InfeasiblePointError(f"point is infeasible (max residual {res.max_abs:.3e})")
 
@@ -313,10 +322,10 @@ def eval_Theta(problem: CompositeProblem, z: Point, beta: Sequence[float]) -> fl
     return Theta_and_roots(problem, z, check_beta(problem, beta))[0]
 
 
-def Theta_and_roots(problem: CompositeProblem, z: Point, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """``eval_Theta`` at z and a checked beta b, with the roots of its ``penalized_tape`` pass: maps, then g."""
+def Theta_and_roots(problem: CompositeProblem, z: Point, b: np.ndarray, X=None) -> tuple[float, np.ndarray]:
+    """``eval_Theta`` at z and a checked beta b, and the roots of its penalized pass (maps, then g), or the given X."""
     check_point(problem, z)
-    X = layer_values(problem, problem.penalized_tape, z.theta, z.u)
+    X = layer_values(problem, problem.penalized_tape, z.theta, z.u) if X is None else finite_layers(problem, X)
     g = checked_g(problem, float(X[-1]))
     U = np.concatenate(z.u)[:, None]
     return float(penalized_cols(problem, z.theta[:, None], U, X[:-1, None], np.array([g]), b)[0]), X

@@ -164,7 +164,7 @@ def expr_pieces(
                 return [(node.value, zeros, [])]
             return [(float(blocks[data][node.ref]), leafcoef(data, node.ref), [])]
         if family == ex.KINK:
-            branch, scale, _ = data
+            branch, scale = data
             pa = rec(node.args[0])
             pb = rec(branch) if branch is not None else [(scale * v, scale * c, k) for v, c, k in pa]
             return combine_max(pa, pb)
@@ -599,10 +599,10 @@ def _forms(model: _SlopeModel, graph: ex.Graph, x: np.ndarray, nodes: Sequence[i
     ``model.zero``), and each node, taken in the order of ``nodes``
     (arguments first), applies its family's rule.  ``links`` maps an id to
     the links that stand for it, which take its value and form as soon as
-    it has them.  Values follow ``expr``'s Taylor rules operation for
-    operation (an offset added after the terms, a tie broken by the gap),
-    so every kink takes the tapes' branch.  Callers turn numpy's overflow
-    warnings off.
+    it has them.  Values follow ``expr``'s rules operation for operation
+    (an offset added to the first term, a tie broken by the gap), so every
+    kink takes the tapes' branch.  Callers turn numpy's overflow warnings
+    off.
     """
     nin, made, links = graph.nin, graph.made, links or {}
     pad = [None] * (nin - x.size + len(made))
@@ -620,22 +620,20 @@ def _forms(model: _SlopeModel, graph: ex.Graph, x: np.ndarray, nodes: Sequence[i
         node, ids = entry
         family, data = node.family, node.data
         if family == ex.KINK:
-            branch, scale, _ = data
+            branch, scale = data
             va, fa = vals[ids[0]], forms[ids[0]]
             vb, fb = (scale * va, scale * fa) if branch is None else (vals[ids[1]], forms[ids[1]])
             gap = va - vb
             val, form = (va, fa) if gap > _TIE else (vb, fb) if gap < -_TIE else (max(va, vb), model.max_of(fa, fb))
         elif family == ex.LINEAR:
-            weights, offset = data
-            val = form = None
+            weights, val = data
+            form = None
             for w, i in zip(weights, ids):
                 v, f = vals[i], forms[i]
                 if w != 1.0:
                     v, f = w * v, w * f
                 val = v if val is None else val + v
                 form = f if form is None else _add(form, f)
-            if offset is not None:
-                val = offset + val
         else:
             pairs, val = data
             form = None if val is None else model.zero

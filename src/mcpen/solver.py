@@ -44,6 +44,7 @@ from .model import (
     Theta_and_roots,
     check_beta,
     check_point,
+    check_tol,
     eval_layers,
     eval_Psi_plus_reg,
     eval_Theta,
@@ -74,8 +75,7 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        check_tol("stop_tol", self.stop_tol)
         if self.step_rule not in ("fixed", "diminishing"):
             raise ValueError("step_rule must be 'fixed' or 'diminishing'")
         if self.init not in ("zero", "random", "user"):

@@ -45,7 +45,6 @@ from .dcalc import (
     _F,
     _in_layer_order,
     _layer_folds,
-    _plus_ridge,
     dd_F,
     dd_F_batch,
     dd_Theta,
@@ -56,6 +55,7 @@ from .model import (
     Point,
     Theta_and_roots,
     check_beta,
+    check_tol,
     require_feasible,
     residuals,
 )
@@ -204,6 +204,7 @@ def check_d_stationary_P0(
     which the lifted derivative equals the nested one, so the minimum runs
     over the parameter ball.
     """
+    check_tol("tol", tol)
     require_feasible(problem, z)
     return _p0_report(problem, z, tol, pieces.psi_prime_model(problem, z.theta))
 
@@ -221,7 +222,7 @@ def _p0_report(problem: CompositeProblem, z: Point, tol: float, p0: tuple) -> St
         DTH = dth.reshape(-1, 1)
         cells = problem.chained_tape.cells(z.theta, (), DTH, (), 1)
         d = Direction(dth.copy(), tuple(cells.first[rows, 0] for rows in problem.layer_rows))
-        return d, float(_plus_ridge(problem, cells.cell(-1), z.theta, DTH, 1)[0][0])
+        return d, float(_F(problem, z.theta, DTH, 1, cells)[0][0])
 
     return _first_order(report, model, obj, confirm)
 
@@ -233,6 +234,7 @@ def check_d_stationary_P1(
     tol: float = STAT_TOL,
 ) -> StationarityReport:
     """Directional stationarity of the penalized problem over the full lifted space."""
+    check_tol("tol", tol)
     b = check_beta(problem, beta)
     report = StationarityReport("penalized", 1, INCONCLUSIVE, "exact", 0.0, None, None, 0, tol)
 
@@ -267,7 +269,7 @@ def _tangent_second_batch(
     if beta is None:
         return dd_F_batch(problem, z, DTH, DU, order=2)[:3]
     cells = problem.penalized_tape.cells(z.theta, z.u, DTH, DU, 2)
-    first, phi2, bad, _ = _F(problem, z, DTH, 2, cells)
+    first, phi2, bad, _ = _F(problem, z.theta, DTH, 2, cells)
     R = problem.layer_of_row.size
     terms = (sign * np.asarray(beta))[:, None] * _layer_folds(problem, np.abs(cells.second[:R])[None])[0]
     return first, _in_layer_order(phi2, terms), bad | cells.bad2[:R].any(axis=0)
@@ -361,6 +363,7 @@ def check_second_order(
     """
     if target not in ("penalized", "lifted"):
         raise ValueError("target must be 'penalized' or 'lifted'")
+    check_tol("tol", tol)
     require_feasible(problem, z)
     if target == "penalized" and beta is None:
         raise ValueError("the penalized target needs beta")

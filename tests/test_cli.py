@@ -15,7 +15,7 @@ from mcpen import pieces
 from mcpen.cli import main
 from mcpen.dcalc import Direction
 from mcpen.model import CompositeProblem, EvaluationError, LayerMap, Point, eval_layers
-from mcpen.repro import square_chain_problem
+from mcpen.repro import relu_ridge_problem, square_chain_problem
 from mcpen.rnn import build_problem, desk_instance
 from mcpen.serialize import (
     dumps,
@@ -212,6 +212,32 @@ def test_check_exit_codes(capsys, files):
     assert code == 3
     code, _ = _run(capsys, argv + ["--expect", "not-stationary"])
     assert code == 0
+    # at first order the same point is stationary, so the expectations swap
+    argv[argv.index("--order") + 1] = "1"
+    for expect, want in ((None, 0), ("stationary", 0), ("not-stationary", 3)):
+        code, out = _run(capsys, argv + ([] if expect is None else ["--expect", expect]))
+        assert (code, json.loads(out)["report"]["verdict"]) == (want, "stationary")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-8"])
+def test_a_tolerance_that_is_not_a_positive_finite_number_exits_2(capsys, tmp_path, value):
+    # relu-ridge at theta = 0 has slope -2; --tol inf used to read it stationary
+    problem = relu_ridge_problem()
+    prob, point = tmp_path / "ridge.json", tmp_path / "zero.json"
+    save_problem(prob, problem)
+    save_point(point, eval_layers(problem, np.zeros(problem.n)))
+    common = ["--problem", str(prob), "--point", str(point)]
+    runs = [
+        (["check", *common, "--target", "p0", f"--tol={value}", "--expect", "stationary"], "tol"),
+        (["check", *common, "--target", "p1", "--beta", "10", "--order", "2", f"--tol={value}"], "tol"),
+        (["solve", "--problem", str(prob), "--beta", "10", f"--stop-tol={value}"], "stop_tol"),
+        (["rnn", "train", "--max-iters", "1", f"--stop-tol={value}"], "stop_tol"),
+    ]
+    for argv, name in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"error: {name} must be a positive finite number, got ")
 
 
 def test_second_order_check_at_a_first_order_descent_exits_3(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Problem containers, evaluation, residuals, and the reference level."""
 
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -12,8 +13,8 @@ from conftest import _rand_expr, blowup_problem, half_square_chain, negative_out
 from walkers import scalar_F, scalar_g, scalar_layers, scalar_residuals, scalar_Theta
 from mcpen import dcalc
 from mcpen import expr as ex
-from mcpen.cones import lift_direction, tangent_membership
-from mcpen.dcalc import dd_Theta_batch, zeros_direction
+from mcpen.cones import lift_direction, radial_membership, tangent_membership
+from mcpen.dcalc import Direction, dd_F, dd_Psi, dd_Theta, dd_Theta_batch, zeros_direction
 from mcpen.model import (
     FEAS_TOL,
     CompositeProblem,
@@ -430,3 +431,34 @@ def test_point_values_are_one_tape_pass_each(monkeypatch):
         for order in (1, 2):
             run = lambda: dd_Theta_batch(p, z, DTH[:, :m], [du[:, :m] for du in DU], b, order)  # noqa: E731
             assert _walks(monkeypatch, run) == ([], [p.penalized_tape], set())
+    # the scalar derivatives and the cone tests read their values, and the
+    # guard its residuals, off their one Taylor pass
+    d, lift = Direction(DTH[:, 0], tuple(du[:, 0] for du in DU)), eval_layers(p, th)
+    for order in (1, 2):
+        runs = [
+            (lambda: dd_F(p, z, d, order), p.outer_tape),
+            (lambda: dd_Theta(p, z, d, b, order), p.penalized_tape),
+            (lambda: dd_Psi(p, th, d.dtheta, order), p.chained_tape),
+        ]
+        for run, tape in runs:
+            assert _walks(monkeypatch, run) == ([], [tape], set())
+    # at an infeasible point the guard raises as it did on its own value pass;
+    # u_2 = (2e154 * (1 - u_1))^2 is inf at u_1 = 1/4, a map value that is not finite
+    infeasible = "^" + re.escape(f"point is infeasible (max residual {residuals(p, z).max_abs:.3e})") + "$"
+    named = "^layer 2 evaluated to a non-finite value$"
+    q = blowup_problem("mul")
+    at, dq = Point(np.array([0.25]), (np.array([0.25]), np.zeros(1))), zeros_direction(q)
+    for membership in (tangent_membership, radial_membership):
+        assert _walks(monkeypatch, lambda: membership(p, lift, d)) == ([], [p.fixed_tape], set())
+        run = lambda: _raises(InfeasiblePointError, infeasible, lambda: membership(p, z, d))  # noqa: E731
+        assert _walks(monkeypatch, run) == ([], [p.fixed_tape], set())
+        run = lambda: _raises(EvaluationError, named, lambda: membership(q, at, dq))  # noqa: E731
+        assert _walks(monkeypatch, run) == ([], [q.fixed_tape], set())
+        assert run().layer == 2
+
+
+def _raises(kind, match, call):
+    """The exception of type ``kind``, its message matching ``match``, that ``call()`` raises."""
+    with pytest.raises(kind, match=match) as info:
+        call()
+    return info.value

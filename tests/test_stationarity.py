@@ -54,6 +54,22 @@ def test_square_chain_first_order_both(square_chain):
     assert r1.verdict == STATIONARY
 
 
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, 0.0, -1e-8])
+def test_a_tolerance_that_is_not_a_positive_finite_number_is_refused(relu_ridge, tol):
+    # at theta = 0 the slope is -2: tol = inf read stationary, tol = nan inconclusive
+    z = eval_layers(relu_ridge, np.zeros(relu_ridge.n))
+    b = np.full(relu_ridge.L, 10.0)
+    runs = [
+        lambda: check_d_stationary_P0(relu_ridge, z, tol),
+        lambda: check_d_stationary_P1(relu_ridge, z, b, tol),
+        lambda: check_second_order(relu_ridge, z, "lifted", tol=tol),
+        lambda: check_second_order(relu_ridge, z, "penalized", beta=b, tol=tol),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="^tol must be a positive finite number, got "):
+            run()
+
+
 def test_square_chain_second_order_split(square_chain):
     z0 = eval_layers(square_chain, np.zeros(1))
     s0 = check_second_order(square_chain, z0, "lifted", beta=BETA_SC, seed=0)

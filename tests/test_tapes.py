@@ -17,7 +17,16 @@ from mcpen.dcalc import (
     forward_curves,
     residual_slopes,
 )
-from mcpen.model import CompositeProblem, LayerMap, Point, eval_g, eval_layers, reference_point_and_level, residuals
+from mcpen.model import (
+    CompositeProblem,
+    LayerMap,
+    Point,
+    eval_g,
+    eval_layers,
+    point_from_flat,
+    reference_point_and_level,
+    residuals,
+)
 from mcpen.penalty import build_config
 from mcpen.pieces import theta_prime_model
 from mcpen.repro import square_chain_problem
@@ -430,6 +439,36 @@ def _desk_shapes():
         th = 0.1 * np.random.default_rng(0).standard_normal(p.n)
         out += [(p, eval_layers(p, th)), (p, eval_layers(p, np.zeros(p.n)))]
     return out
+
+
+def test_a_taylor_pass_values_its_roots_as_the_value_pass_does():
+    # every tape at orders 1 and 2, at lifts of theta = 0, -0.0, N(0, I) and
+    # round(N(0, I)) and at copies of them moved by 0 or +-0.5 per entry
+    rng = np.random.default_rng(60)
+    problems = [random_problem(seed) for seed in range(60)] + [build_problem(desk_instance(s)) for s in range(4)]
+    passes, differ = 0, []
+    with np.errstate(all="ignore"):
+        for p in problems:
+            draw = rng.standard_normal(p.n)
+            lifts = [eval_layers(p, th) for th in (np.zeros(p.n), np.full(p.n, -0.0), draw, np.round(draw))]
+            moved = [point_from_flat(p, z.flat() + rng.choice([-0.5, 0.0, 0.5], p.nbar)) for z in lifts]
+            for z in lifts + moved:
+                DTH, DU = _rays(rng, p, 3)
+                U = [u[:, None] for u in z.u]
+                runs = [
+                    (p.fixed_tape, U, z.u, DU),
+                    (p.outer_tape, U, z.u, DU),
+                    (p.penalized_tape, U, z.u, DU),
+                    (p.chained_tape, [], (), ()),
+                ]
+                for tape, blocks, ublocks, dublocks in runs:
+                    values = tape.values(z.theta[:, None], blocks)[:, 0]
+                    for order in (1, 2):
+                        passes += 1
+                        cells = tape.cells(z.theta, ublocks, DTH, dublocks, order)
+                        if values.tobytes() != cells.value.tobytes():
+                            differ.append((p, z, order))
+    assert (len(differ), passes) == (0, 4096)
 
 
 def test_an_order_1_pass_without_flags_reads_the_flagged_bytes():

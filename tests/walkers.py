@@ -19,7 +19,9 @@ row of uniforms, at a time, in the blocks that ``penalty._sample_level_set``
 judges a block at a time, and ``per_layer_judge`` judges a block by one
 fixed-tape pass per layer and an outer pass, as the sampler did before it
 ran a level tape (now the chained tape's level mode, ``Tape.shifted``).
-The tapes and the sampler must reproduce them byte for byte.
+The tapes and the sampler must reproduce them byte for byte.  Every walker
+here takes the tapes' one value rule: a sum adds its offset to its first
+term, and a kink is the max of its branches, ``abs`` max(a, -a).
 ``tie_basis`` finds the critical subspace of P0's model by the tie algebra
 that ``stationarity`` ran before ``_SlopeModel.critical_basis`` read it
 off the abs-normal form; the two must span the same subspace.
@@ -48,9 +50,6 @@ from mcpen.model import (
     split_flat,
 )
 
-# Python's own scalar arithmetic for each kink rule of the op table
-_SCALAR_RULES = {ex.MAX: max, ex.ABS: lambda a, _: abs(a)}
-
 
 def scalar_value(e: ex.Expr, th: np.ndarray, ublocks: Sequence[np.ndarray]) -> float:
     """The value of one tree at one point, one node at a time."""
@@ -62,9 +61,9 @@ def _value(e: ex.Expr, blocks: Sequence[np.ndarray]) -> float:
     if family == ex.LEAF:
         return e.value if data is None else float(blocks[data][e.ref])
     if family == ex.KINK:
-        branch, scale, rule = data
+        branch, scale = data
         a = _value(e.args[0], blocks)
-        return _SCALAR_RULES[rule](a, scale * a if branch is None else _value(branch, blocks))
+        return max(a, scale * a if branch is None else _value(branch, blocks))
     if family == ex.LINEAR:
         weights, acc = data
         for w, a in zip(weights, e.args):
@@ -142,9 +141,9 @@ def _cols(e: ex.Expr, blocks: Sequence[np.ndarray], m: int) -> np.ndarray:
     if family == ex.LEAF:
         return np.full(m, e.value) if data is None else blocks[data][e.ref]
     if family == ex.KINK:
-        branch, scale, rule = data
+        branch, scale = data
         a = _cols(e.args[0], blocks, m)
-        return rule(a, scale * a if branch is None else _cols(branch, blocks, m))
+        return ex.MAX(a, scale * a if branch is None else _cols(branch, blocks, m))
     if family == ex.LINEAR:
         weights, acc = data
         acc = None if acc is None else np.full(m, acc)
@@ -231,7 +230,7 @@ def recursive_cells(
                 ubad2[j][i] if (want2 and ubad2 is not None) else false2,
             )
         if family == ex.KINK:
-            branch, scale, _ = data
+            branch, scale = data
             a = cell(e.args[0])
             if branch is not None:
                 return combine_max(a, cell(branch))
@@ -243,8 +242,8 @@ def recursive_cells(
         kinked = reduce(operator.or_, [c.kinked for c in cs])
         bad2 = [c.bad2 for c in cs]
         if family == ex.LINEAR:
-            weights, offset = data
-            val = first = second = None if offset is None else 0.0
+            weights, val = data
+            first = second = None if val is None else 0.0
             for w, c in zip(weights, cs):
                 v, f, s2 = c.value, c.first, c.second
                 if w != 1.0:
@@ -253,8 +252,6 @@ def recursive_cells(
                 first = f if first is None else first + f
                 if want2:
                     second = s2 if second is None else second + s2
-            if offset is not None:
-                val = offset + val
         else:
             pairs, val = data
             first = second = val
